@@ -312,7 +312,7 @@ pub fn corpus() -> Vec<LintCase> {
         });
     }
 
-    // -- Delegation-lock handoffs (exp-dlock ports; appended). -----------
+    // -- Delegation-lock handoffs (`dlock` ports; appended). --------------
     // Each new design in `crates/locks` + `delegation_sim` reduces, at its
     // combiner/server → waiter boundary, to the same publish-then-flag
     // skeleton — seeded here with the fences the naive ports ship with.

@@ -518,7 +518,7 @@ mod tests {
 
     #[test]
     fn delegation_handoff_ports_downgrade_with_proofs() {
-        // The exp-dlock corpus cases carry the fences the naive ports
+        // The `dlock` corpus cases carry the fences the naive ports
         // shipped with; each must yield at least one accepted over-strong
         // rewrite (cheaper rank, rewritten program attached), and every
         // kept site must carry its witness — the lint never says

@@ -643,7 +643,7 @@ mod tests {
 
     #[test]
     fn delegation_handoffs_synthesize_positive_savings() {
-        // The exp-dlock handoff cases (naive-port fences) must admit a
+        // The `dlock` handoff cases (naive-port fences) must admit a
         // strictly cheaper verified placement, and the chosen Pareto point
         // must save replay cycles over the seed on every platform.
         let dlock = [

@@ -1,6 +1,6 @@
 //! How the simulator's two scheduling engines scale with core count.
 //!
-//! `event` vs `oracle` on the parked-spinner workload (the `exp-sim-bench`
+//! `event` vs `oracle` on the parked-spinner workload (the `armbar bench sim`
 //! probe: one busy core, everyone else parked on a `WaitChange` line) shows
 //! the lockstep cost growing with n while the event engine tracks only the
 //! busy core; `barrier` runs the hierarchical many-core barrier end to end

@@ -2,7 +2,7 @@
 //! grid: the serial path vs two vs four workers, cache disabled so every
 //! cell simulates. On a single-core host the parallel configurations
 //! mostly measure pool overhead; on a multi-core box the 4-worker run
-//! should approach the core count in speedup (the `exp-all` acceptance
+//! should approach the core count in speedup (the `armbar run all` acceptance
 //! target is >= 2x on 4 cores).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -38,7 +38,7 @@ fn bench_sweep_scaling(c: &mut Criterion) {
 
 /// The stall-attribution grid at reduced depth: guards the cost of the
 /// breakdown accounting itself — the counters are charged on the hot
-/// issue path, so a regression here shows up before `exp-attrib` slows.
+/// issue path, so a regression here shows up before `armbar run attrib` slows.
 fn bench_attrib_grid(c: &mut Criterion) {
     let mut g = c.benchmark_group("attrib_grid");
     for workers in [1usize, 4] {

@@ -1,4 +1,4 @@
-//! `exp-explore-bench`: measure the DPOR exploration engine against the
+//! `armbar bench explore`: measure the DPOR exploration engine against the
 //! enumerative oracle over the litmus-sized lint corpus — and
 //! engine-only over the implementation-sized cases, where the oracle
 //! stops being a baseline — and render `BENCH_explore.json`.
@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use crate::bench_sim::ms;
 use armbar_analyze::corpus::corpus;
 use armbar_analyze::lint::analyze_case_with;
 use armbar_wmm::unroll::{identical_contenders, mcs_handoff_unrolled};
@@ -33,6 +34,14 @@ const LINT_REPS: u32 = 3;
 /// Repetitions for the implementation-sized engine sweeps (millisecond
 /// scale per program).
 const LARGE_REPS: u32 = 10;
+
+/// Floor on the oracle/engine state ratio over the `MP+…` cases.
+const MIN_MP_REDUCTION: f64 = 5.0;
+
+/// Floor on the full/quotient state ratio for n identical contenders (the
+/// canonical shape reduces by ~n!/e in practice; the floor is deliberately
+/// conservative).
+const MIN_SYM_REDUCTION: f64 = 2.0;
 
 /// One litmus-sized corpus case's deterministic state counts.
 struct CaseBench {
@@ -73,16 +82,13 @@ fn time_ns<F: FnMut()>(reps: u32, mut f: F) -> u64 {
     u64::try_from(t0.elapsed().as_nanos() / u128::from(reps)).unwrap_or(u64::MAX)
 }
 
-fn ms(ns: u64) -> f64 {
-    ns as f64 / 1e6
-}
-
 /// Run the full benchmark and render the `BENCH_explore.json` document.
 ///
 /// # Panics
 ///
 /// Panics if the engine's outcome set diverges from the oracle's on any
-/// corpus program — a benchmark of a wrong answer is worthless.
+/// corpus program — a benchmark of a wrong answer is worthless — or if a
+/// state-count reduction falls below its floor.
 #[must_use]
 pub fn bench_explore_json() -> String {
     let all_cases = corpus();
@@ -180,9 +186,7 @@ pub fn bench_explore_json() -> String {
         });
     }
 
-    // The machine-independent symmetry gate: n identical contenders must
-    // quotient by at least 2x (the canonical shape reduces by ~n!/e in
-    // practice; the floor is deliberately conservative).
+    // The machine-independent symmetry gate ([`MIN_SYM_REDUCTION`]).
     let sym_shape = identical_contenders(4, 3);
     let sym_full = explore_dpor_configured(&sym_shape, MODEL, 1, false);
     let sym_quot = explore_dpor_configured(&sym_shape, MODEL, 1, true);
@@ -209,6 +213,31 @@ pub fn bench_explore_json() -> String {
 
     let per_sec = |states: usize, ns: u64| states as f64 / (ns as f64 / 1e9);
     let ratio = |num: usize, den: usize| num as f64 / den.max(1) as f64;
+
+    // The floors, all on state counts, which are the same on every host.
+    assert!(rows.len() >= 15 && large_rows.len() >= 2, "corpus shrank");
+    assert!(
+        engine_total < oracle_total && rows.iter().all(|r| r.engine_states <= r.oracle_states),
+        "the engine must never visit more states than the oracle"
+    );
+    assert!(
+        ratio(mp_oracle, mp_engine) >= MIN_MP_REDUCTION,
+        "MP-family state reduction is below the {MIN_MP_REDUCTION}x floor"
+    );
+    assert!(
+        ratio(sym_full.states_visited, sym_quot.states_visited) >= MIN_SYM_REDUCTION,
+        "identical-contender quotient is below the {MIN_SYM_REDUCTION}x floor"
+    );
+    assert!(
+        large_rows.iter().all(|r| r.total_instrs > 64
+            && 0 < r.engine_states
+            && r.engine_states <= r.engine_full_states),
+        "implementation-sized cases: over 64 instructions, quotient no larger than the full graph"
+    );
+    assert!(
+        total_instrs(&crossover) > 64 && cross_engine.states_visited < cross_oracle.states_visited,
+        "the engine must win at the oracle crossover"
+    );
 
     let mut j = String::from("{\n");
     let _ = writeln!(j, "  \"corpus_cases\": {},", rows.len());
@@ -339,7 +368,7 @@ mod tests {
     #[test]
     fn bench_json_is_well_formed_and_meets_the_reduction_bar() {
         let j = bench_explore_json();
-        // Shape: balanced braces/brackets, the keys CI validates, and the
+        // Shape: balanced braces/brackets, the documented keys, and the
         // MP-family acceptance criterion baked into the numbers.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());

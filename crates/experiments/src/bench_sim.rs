@@ -1,4 +1,4 @@
-//! `exp-sim-bench`: quantify the event-driven scheduler against the
+//! `armbar bench sim`: quantify the event-driven scheduler against the
 //! lockstep oracle and render `BENCH_sim.json`.
 //!
 //! The probe workload is the **parked spinner**: on an n-core machine,
@@ -125,7 +125,8 @@ fn run_point(cores: usize, engine: Engine) -> Point {
     }
 }
 
-fn ms(ns: u64) -> f64 {
+/// Nanoseconds as the milliseconds both benchmark documents report.
+pub(crate) fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
@@ -145,12 +146,14 @@ pub fn bench_sim_json() -> String {
             let ev = run_point(cores, Engine::EventDriven);
             let or = run_point(cores, Engine::LockstepOracle);
             assert_eq!(ev.cycles, or.cycles, "engines disagree at {cores} cores");
+            assert!(0 < ev.steps && ev.steps < or.steps, "{cores} cores");
             (cores, ev, or)
         })
         .collect();
     // …and the event engine alone where lockstep is the whole problem.
     let big = 1024usize;
     let big_ev = run_point(big, Engine::EventDriven);
+    assert!(big_ev.steps > 0, "{big} cores");
 
     let gate_ratio = compared
         .iter()

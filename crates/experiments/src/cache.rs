@@ -30,7 +30,7 @@ pub const CODE_SALT: &str = "armbar-sweep-v9";
 pub const DEFAULT_CACHE_DIR: &str = "results/.cache";
 
 /// A content-addressed store of completed sweep-cell results.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RunCache {
     /// `None` disables the cache entirely.
     dir: Option<PathBuf>,
@@ -45,21 +45,14 @@ impl RunCache {
     pub fn at(dir: impl Into<PathBuf>) -> RunCache {
         RunCache {
             dir: Some(dir.into()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
+            ..RunCache::disabled()
         }
     }
 
     /// A cache that never hits and never writes.
     #[must_use]
     pub fn disabled() -> RunCache {
-        RunCache {
-            dir: None,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            stores: AtomicU64::new(0),
-        }
+        RunCache::default()
     }
 
     /// The default cache under [`DEFAULT_CACHE_DIR`], unless the
@@ -71,12 +64,6 @@ impl RunCache {
         } else {
             RunCache::at(DEFAULT_CACHE_DIR)
         }
-    }
-
-    /// Whether lookups can ever hit.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.dir.is_some()
     }
 
     /// Fetch the stored values for `key`, if a valid entry exists.
@@ -154,6 +141,16 @@ pub fn model_key(config: &impl fmt::Debug) -> String {
     sanitize(&format!("{CODE_SALT}|wmm-explorer|{config:?}"))
 }
 
+/// The position of `x` in `all`: how cells carry enum values as `f64`s.
+///
+/// # Panics
+///
+/// Panics when `x` is not in `all` or `all` outgrows a `u8`.
+pub(crate) fn code_in<T: PartialEq>(all: &[T], x: &T) -> u8 {
+    let at = all.iter().position(|y| y == x).expect("listed in ALL");
+    u8::try_from(at).expect("ALL is tiny")
+}
+
 /// Keys live on the first line of a cache entry, so they must be one line.
 fn sanitize(key: &str) -> String {
     key.replace(['\n', '\r'], " ")
@@ -215,7 +212,6 @@ mod tests {
     #[test]
     fn disabled_cache_never_hits_or_writes() {
         let c = RunCache::disabled();
-        assert!(!c.is_enabled());
         c.store("k", &[1.0]);
         assert_eq!(c.lookup("k"), None);
         assert_eq!((c.hits(), c.misses(), c.stores()), (0, 0, 0));

@@ -1,4 +1,4 @@
-//! Delegation-lock suite with response-time science (`exp-dlock`).
+//! Delegation-lock suite with response-time science (`armbar run dlock`).
 //!
 //! The paper's Figure 7/8 delegation measurements report throughput only;
 //! this experiment asks what each design does to *individual* requests.
@@ -160,29 +160,24 @@ pub fn run_design(
     }
 }
 
-/// The platform flavours of the grid: the four paper profiles plus the
-/// 64-core cluster-of-clusters descriptor.
-fn platforms() -> Vec<(&'static str, Platform)> {
-    vec![
-        ("kunpeng916", Platform::kunpeng916()),
-        ("kirin960", Platform::kirin960()),
-        ("kirin970", Platform::kirin970()),
-        ("rpi4", Platform::raspberry_pi4()),
-        ("manycore64", Platform::manycore(64)),
-    ]
-}
-
 /// One grid row: platform label, design, occupied cores, cell.
 pub type DlockRow = (&'static str, DlockDesign, usize, CellId);
 
 /// Declare the design × threads × platform grid on `sweep` at
 /// `per_client` depth. Each cell yields `[locks/s, p50, p99, p999, max,
 /// fairness, subverted share, stalled cycles]`. Shared between
-/// `exp-dlock` (full depth) and the determinism tests (reduced depth).
+/// `armbar run dlock` (full depth) and the determinism tests (reduced depth).
 #[must_use]
 pub fn dlock_grid(sweep: &mut SweepSpec, per_client: u64) -> Vec<DlockRow> {
     let mut rows = Vec::new();
-    for (name, platform) in platforms() {
+    // The four paper profiles plus the 64-core cluster-of-clusters descriptor.
+    for (name, platform) in [
+        ("kunpeng916", Platform::kunpeng916()),
+        ("kirin960", Platform::kirin960()),
+        ("kirin970", Platform::kirin970()),
+        ("rpi4", Platform::raspberry_pi4()),
+        ("manycore64", Platform::manycore(64)),
+    ] {
         let cores = platform.topology.core_count();
         for &threads in &THREAD_COUNTS {
             if threads > cores {
@@ -213,20 +208,6 @@ pub fn dlock_grid(sweep: &mut SweepSpec, per_client: u64) -> Vec<DlockRow> {
     rows
 }
 
-/// Column order of the grid CSV (shared with the smoke gate).
-fn grid_columns() -> Vec<String> {
-    vec![
-        "locks/s".into(),
-        "p50".into(),
-        "p99".into(),
-        "p999".into(),
-        "max".into(),
-        "fairness".into(),
-        "subverted".into(),
-        "stalled cycles".into(),
-    ]
-}
-
 /// The delegation-lock suite: the full grid plus the
 /// delegation-vs-ticket summary.
 #[must_use]
@@ -239,7 +220,16 @@ pub fn dlock(ctx: &SweepCtx) -> Vec<Table> {
         "dlock",
         "Delegation-lock suite: throughput, latency quantiles, fairness, subversion",
         "platform/design/threads",
-        grid_columns(),
+        vec![
+            "locks/s".into(),
+            "p50".into(),
+            "p99".into(),
+            "p999".into(),
+            "max".into(),
+            "fairness".into(),
+            "subverted".into(),
+            "stalled cycles".into(),
+        ],
         "value",
     );
     for &(flavour, design, threads, cell) in &rows {

@@ -1,4 +1,4 @@
-//! Extension experiment (`exp-ext-mca`): the paper's §6 future-work item —
+//! Extension experiment (`armbar run ext-mca`): the paper's §6 future-work item —
 //! "characterizing the performance impacts of order-preserving approaches
 //! in the next-generation ARM processors" — projected on the simulator.
 //!
@@ -22,38 +22,22 @@ use crate::sweep::{CellId, SweepCtx, SweepSpec};
 /// The MCA projection over the store→store model, cross-node placement.
 #[must_use]
 pub fn ext_mca(ctx: &SweepCtx) -> Vec<Table> {
-    let specs: [(&str, ModelSpec); 6] = [
-        (
-            "No Barrier",
-            ModelSpec::store_store(Barrier::None, BarrierLoc::BeforeOp2, 150),
-        ),
-        (
-            "DMB full-1",
-            ModelSpec::store_store(Barrier::DmbFull, BarrierLoc::AfterOp1, 150),
-        ),
-        (
-            "DMB full-2",
-            ModelSpec::store_store(Barrier::DmbFull, BarrierLoc::BeforeOp2, 150),
-        ),
-        (
-            "DMB st-1",
-            ModelSpec::store_store(Barrier::DmbSt, BarrierLoc::AfterOp1, 150),
-        ),
-        (
-            "DSB full-1",
-            ModelSpec::store_store(Barrier::DsbFull, BarrierLoc::AfterOp1, 150),
-        ),
-        (
-            "STLR",
-            ModelSpec::store_store(Barrier::Stlr, BarrierLoc::BeforeOp2, 150),
-        ),
+    use BarrierLoc::{AfterOp1, BeforeOp2};
+    let series: [(&str, Barrier, BarrierLoc); 6] = [
+        ("No Barrier", Barrier::None, BeforeOp2),
+        ("DMB full-1", Barrier::DmbFull, AfterOp1),
+        ("DMB full-2", Barrier::DmbFull, BeforeOp2),
+        ("DMB st-1", Barrier::DmbSt, AfterOp1),
+        ("DSB full-1", Barrier::DsbFull, AfterOp1),
+        ("STLR", Barrier::Stlr, BeforeOp2),
     ];
     let measured = Platform::kunpeng916();
     let mca = Platform::kunpeng916_mca();
     let mut sweep = SweepSpec::new("ext-mca");
-    let rows: Vec<(&str, CellId, CellId)> = specs
+    let rows: Vec<(&str, CellId, CellId)> = series
         .iter()
-        .map(|&(name, spec)| {
+        .map(|&(name, barrier, loc)| {
+            let spec = ModelSpec::store_store(barrier, loc, 150);
             let mut on = |platform: &Platform| {
                 let key = cache_key(platform, &("run-model-on", 0usize, 32usize, spec, 400u64));
                 let platform = platform.clone();

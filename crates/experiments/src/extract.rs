@@ -1,4 +1,4 @@
-//! `exp-extract`: run the assembly front-end over the checked-in `.s`
+//! `armbar run extract`: run the assembly front-end over the checked-in `.s`
 //! corpus and the `armbar-barriers` native backend, through the sweep
 //! engine and run cache, writing `results/extract.csv`.
 //!
@@ -16,12 +16,10 @@
 //!   invalidates exactly this cell.
 //!
 //! Cell values are flat `f64` rows (every integer far below 2^53), so the
-//! CSV is byte-identical across worker counts and warm reruns — the CI
-//! smoke job diffs it against the committed reference.
+//! CSV is byte-identical across worker counts and warm reruns —
+//! `armbar verify` diffs it against the committed reference.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use armbar_barriers::native::ASM_CONTRACT;
 use armbar_barriers::Barrier;
@@ -29,9 +27,9 @@ use armbar_extract::drift::{check_drift, NATIVE_SOURCE};
 use armbar_extract::fixtures::{all, hand_built, lift_fixture};
 use armbar_wmm::{explore, MemoryModel};
 
-use crate::cache::model_key;
+use crate::cache::{code_in, model_key};
 use crate::report::Table;
-use crate::sweep::{CellId, SweepCtx, SweepSpec};
+use crate::sweep::{SweepCtx, SweepSpec};
 
 /// One fixture's lift-and-compare result, in cache-encodable form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,13 +74,7 @@ impl DriftRecord {
 }
 
 fn barrier_code(b: Barrier) -> u8 {
-    u8::try_from(
-        Barrier::ALL
-            .iter()
-            .position(|x| *x == b)
-            .expect("every barrier is in ALL"),
-    )
-    .expect("ALL is tiny")
+    code_in(&Barrier::ALL, &b)
 }
 
 fn fixture_record(name: &str) -> FixtureRecord {
@@ -191,21 +183,6 @@ pub fn decode_drift(vals: &[f64]) -> (Vec<DriftRecord>, u64) {
     (records, vals[1 + count * 3] as u64)
 }
 
-/// Declare the extract grid: one cell per fixture plus the drift cell.
-pub fn extract_grid(sweep: &mut SweepSpec) -> (Vec<(String, CellId)>, CellId) {
-    let mut fixture_cells = Vec::new();
-    for (name, src) in all() {
-        let key = model_key(&("extract-v1", name, src));
-        let id = sweep.cell(key, move || encode_fixture(&fixture_record(name)));
-        fixture_cells.push((name.to_string(), id));
-    }
-    let drift_id = sweep.cell(model_key(&("extract-drift-v1", NATIVE_SOURCE)), || {
-        let (records, uncontracted) = drift_records();
-        encode_drift(&records, uncontracted)
-    });
-    (fixture_cells, drift_id)
-}
-
 /// Render `extract.csv` from decoded rows (exposed for the determinism
 /// test). One row per drift-checked wrapper, then one per fixture.
 #[must_use]
@@ -261,8 +238,18 @@ pub fn render_extract_csv(
 pub fn extract_results(
     ctx: &SweepCtx,
 ) -> (String, Vec<(String, FixtureRecord)>, Vec<DriftRecord>, u64) {
+    // One cell per fixture plus the drift cell.
     let mut sweep = SweepSpec::new("extract");
-    let (fixture_cells, drift_id) = extract_grid(&mut sweep);
+    let mut fixture_cells = Vec::new();
+    for (name, src) in all() {
+        let key = model_key(&("extract-v1", name, src));
+        let id = sweep.cell(key, move || encode_fixture(&fixture_record(name)));
+        fixture_cells.push((name.to_string(), id));
+    }
+    let drift_id = sweep.cell(model_key(&("extract-drift-v1", NATIVE_SOURCE)), || {
+        let (records, uncontracted) = drift_records();
+        encode_drift(&records, uncontracted)
+    });
     let r = sweep.run(ctx);
     let fixtures: Vec<(String, FixtureRecord)> = fixture_cells
         .into_iter()
@@ -273,17 +260,7 @@ pub fn extract_results(
     (csv, fixtures, drift, uncontracted)
 }
 
-/// Write `text` as `<dir>/extract.csv`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_extract_csv(dir: impl AsRef<Path>, text: &str) -> io::Result<()> {
-    std::fs::create_dir_all(&dir)?;
-    std::fs::write(dir.as_ref().join("extract.csv"), text)
-}
-
-/// `exp-extract`: lift the `.s` corpus, prove it against the hand-built
+/// `armbar run extract`: lift the `.s` corpus, prove it against the hand-built
 /// twins, drift-check the native backend, and write `results/extract.csv`
 /// plus a summary table.
 #[must_use]
@@ -291,9 +268,7 @@ pub fn extract(ctx: &SweepCtx) -> Vec<Table> {
     let t0 = std::time::Instant::now();
     let (csv, fixtures, drift, uncontracted) = extract_results(ctx);
     let wall = t0.elapsed();
-    if let Err(e) = write_extract_csv("results", &csv) {
-        eprintln!("warning: could not write extract.csv: {e}");
-    }
+    ctx.write_side_csv("extract.csv", &csv);
     let mut t = Table::new(
         "extract_summary",
         "lifted .s fixtures vs hand-built twins (ARM model)",

@@ -38,11 +38,7 @@ const PC_MSGS: u64 = 400;
 const LOCKS: [&str; 5] = ["Ticket", "DSynch", "DSynch-P", "FFWD", "FFWD-P"];
 
 fn bool_num(b: bool) -> f64 {
-    if b {
-        1.0
-    } else {
-        0.0
-    }
+    f64::from(u8::from(b))
 }
 
 // ------------------------------------------------------------ sweep cells
@@ -285,6 +281,18 @@ pub fn fig2(ctx: &SweepCtx) -> Vec<Table> {
 
 // ----------------------------------------------------------------- figure 3
 
+/// The series Figures 3 and 5 share: no barrier, then the full and the
+/// one-sided (`dmb`, `dsb`) DMB and DSB, each after the first access (`-1`)
+/// and before the second (`-2`).
+fn placed_series(dmb: Barrier, dsb: Barrier) -> Vec<(String, Barrier, BarrierLoc)> {
+    let mut series = vec![("No Barrier".into(), Barrier::None, BarrierLoc::BeforeOp2)];
+    for b in [Barrier::DmbFull, dmb, Barrier::DsbFull, dsb] {
+        series.push((format!("{}-1", b.mnemonic()), b, BarrierLoc::AfterOp1));
+        series.push((format!("{}-2", b.mnemonic()), b, BarrierLoc::BeforeOp2));
+    }
+    series
+}
+
 /// Declare the store→store rows of Figure 3 for one placement: one cell
 /// per series, each sweeping the `nops` axis. Public so the determinism
 /// test and the `sweep_scaling` bench can run the Kunpeng916 grid at
@@ -295,17 +303,7 @@ pub fn fig3_grid(
     nops: &[u32],
     iters: u64,
 ) -> Vec<(String, CellId)> {
-    let mut series: Vec<(String, Barrier, BarrierLoc)> =
-        vec![("No Barrier".into(), Barrier::None, BarrierLoc::BeforeOp2)];
-    for b in [
-        Barrier::DmbFull,
-        Barrier::DmbSt,
-        Barrier::DsbFull,
-        Barrier::DsbSt,
-    ] {
-        series.push((format!("{}-1", b.mnemonic()), b, BarrierLoc::AfterOp1));
-        series.push((format!("{}-2", b.mnemonic()), b, BarrierLoc::BeforeOp2));
-    }
+    let mut series = placed_series(Barrier::DmbSt, Barrier::DsbSt);
     series.push(("STLR".into(), Barrier::Stlr, BarrierLoc::BeforeOp2));
     series
         .into_iter()
@@ -407,22 +405,11 @@ pub fn fig4(ctx: &SweepCtx) -> Vec<Table> {
             CANDIDATES
                 .iter()
                 .map(|&n| {
-                    let spec = |b, loc| vec![ModelSpec::store_store(b, loc, n)];
-                    (
-                        n,
-                        model_row(
-                            &mut scan,
-                            bind,
-                            spec(Barrier::None, BarrierLoc::BeforeOp2),
-                            ITERS,
-                        ),
-                        model_row(
-                            &mut scan,
-                            bind,
-                            spec(Barrier::DmbFull, BarrierLoc::BeforeOp2),
-                            ITERS,
-                        ),
-                    )
+                    let mut row = |b| {
+                        let spec = vec![ModelSpec::store_store(b, BarrierLoc::BeforeOp2, n)];
+                        model_row(&mut scan, bind, spec, ITERS)
+                    };
+                    (n, row(Barrier::None), row(Barrier::DmbFull))
                 })
                 .collect()
         })
@@ -480,17 +467,7 @@ pub fn fig4(ctx: &SweepCtx) -> Vec<Table> {
 pub fn fig5(ctx: &SweepCtx) -> Vec<Table> {
     let nops = [300u32, 500];
     let bind = BindConfig::KunpengCrossNodes;
-    let mut series: Vec<(String, Barrier, BarrierLoc)> =
-        vec![("No Barrier".into(), Barrier::None, BarrierLoc::BeforeOp2)];
-    for b in [
-        Barrier::DmbFull,
-        Barrier::DmbLd,
-        Barrier::DsbFull,
-        Barrier::DsbLd,
-    ] {
-        series.push((format!("{}-1", b.mnemonic()), b, BarrierLoc::AfterOp1));
-        series.push((format!("{}-2", b.mnemonic()), b, BarrierLoc::BeforeOp2));
-    }
+    let mut series = placed_series(Barrier::DmbLd, Barrier::DsbLd);
     series.push(("LDAR".into(), Barrier::Ldar, BarrierLoc::AfterOp1));
     series.push(("STLR".into(), Barrier::Stlr, BarrierLoc::BeforeOp2));
     series.push(("CTRL".into(), Barrier::Ctrl, BarrierLoc::BeforeOp2));
@@ -568,34 +545,15 @@ pub fn fig6a(ctx: &SweepCtx) -> Vec<Table> {
 /// Figure 6(b): Pilot vs the best baseline vs Theoretical vs Ideal.
 #[must_use]
 pub fn fig6b(ctx: &SweepCtx) -> Vec<Table> {
+    let baseline = |avail, publish| PcVariant::Baseline(PcBarriers { avail, publish });
+    let pilot = PcVariant::Pilot {
+        avail: Barrier::DmbLd,
+    };
     let variants: [(&str, PcVariant); 4] = [
-        (
-            "DMB ld - DMB st",
-            PcVariant::Baseline(PcBarriers {
-                avail: Barrier::DmbLd,
-                publish: Barrier::DmbSt,
-            }),
-        ),
-        (
-            "Theoretical",
-            PcVariant::Baseline(PcBarriers {
-                avail: Barrier::DmbLd,
-                publish: Barrier::None,
-            }),
-        ),
-        (
-            "Pilot",
-            PcVariant::Pilot {
-                avail: Barrier::DmbLd,
-            },
-        ),
-        (
-            "Ideal",
-            PcVariant::Baseline(PcBarriers {
-                avail: Barrier::None,
-                publish: Barrier::None,
-            }),
-        ),
+        ("DMB ld - DMB st", baseline(Barrier::DmbLd, Barrier::DmbSt)),
+        ("Theoretical", baseline(Barrier::DmbLd, Barrier::None)),
+        ("Pilot", pilot),
+        ("Ideal", baseline(Barrier::None, Barrier::None)),
     ];
     let mut sweep = SweepSpec::new("fig6b");
     let rows: Vec<(&str, Vec<CellId>)> = variants
@@ -871,29 +829,13 @@ fn fig8_variant_cells(
         release_barrier: Barrier::DmbSt,
         per_thread: per,
     };
-    vec![
-        ticket_cell(sweep, platform, ticket),
-        delegation_cell(
-            sweep,
-            platform,
-            mk(DelegationKind::DSynch, ResponseMode::Flag),
-        ),
-        delegation_cell(
-            sweep,
-            platform,
-            mk(DelegationKind::DSynch, ResponseMode::Pilot),
-        ),
-        delegation_cell(
-            sweep,
-            platform,
-            mk(DelegationKind::Ffwd, ResponseMode::Flag),
-        ),
-        delegation_cell(
-            sweep,
-            platform,
-            mk(DelegationKind::Ffwd, ResponseMode::Pilot),
-        ),
-    ]
+    let mut cells = vec![ticket_cell(sweep, platform, ticket)];
+    for kind in [DelegationKind::DSynch, DelegationKind::Ffwd] {
+        for mode in [ResponseMode::Flag, ResponseMode::Pilot] {
+            cells.push(delegation_cell(sweep, platform, mk(kind, mode)));
+        }
+    }
+    cells
 }
 
 /// Figure 8(a): queue and stack under a global lock.
@@ -1007,23 +949,19 @@ pub fn fig8d(_ctx: &SweepCtx) -> Vec<Table> {
                 let p = bots_input(n);
                 let reference = solve_sequential(&p);
                 let start = std::time::Instant::now();
+                let mut table = OpTable::new();
+                let ops = BoundOps::register(&mut table);
+                let bound = SharedBound::new();
                 let area = match variant {
                     "Ticket" => {
-                        let mut table = OpTable::new();
-                        let ops = BoundOps::register(&mut table);
-                        let lock = TicketLock::new(SharedBound::new(), table);
-                        solve_parallel(&p, threads, &lock, ops, 64).area
+                        solve_parallel(&p, threads, &TicketLock::new(bound, table), ops, 64).area
                     }
                     "DSynch" => {
-                        let mut table = OpTable::new();
-                        let ops = BoundOps::register(&mut table);
-                        let lock = CombiningLock::new(threads, SharedBound::new(), table);
+                        let lock = CombiningLock::new(threads, bound, table);
                         solve_parallel(&p, threads, &lock, ops, 64).area
                     }
                     _ => {
-                        let mut table = OpTable::new();
-                        let ops = BoundOps::register(&mut table);
-                        let lock = CombiningLock::new_pilot(threads, SharedBound::new(), table);
+                        let lock = CombiningLock::new_pilot(threads, bound, table);
                         solve_parallel(&p, threads, &lock, ops, 64).area
                     }
                 };
@@ -1059,11 +997,18 @@ fn stall_values(stall: &StallBreakdown) -> Vec<f64> {
     vals
 }
 
+/// The conservatively fenced message-passing pair `attrib` decomposes and
+/// `ARMBAR_TRACE_WORKLOAD=mp` traces.
+const ATTRIB_MP: PcBarriers = PcBarriers {
+    avail: Barrier::DmbFull,
+    publish: Barrier::DmbSt,
+};
+
 /// Number of values each attribution cell produces (9 causes + 11 kinds +
 /// the total).
 const ATTRIB_WIDTH: usize = 21;
 
-/// Declare the `exp-attrib` workload grid: the conservatively fenced
+/// Declare the `armbar run attrib` workload grid: the conservatively fenced
 /// message-passing workload under every placement of
 /// [`BindConfig::ALL`], plus the default ticket lock on each platform
 /// profile. Each cell returns the [`stall_values`] layout. Public so the
@@ -1071,17 +1016,13 @@ const ATTRIB_WIDTH: usize = 21;
 /// reduced message counts.
 pub fn attrib_grid(sweep: &mut SweepSpec, messages: u64, per_thread: u64) -> Vec<(String, CellId)> {
     let mut rows = Vec::new();
-    let combo = PcBarriers {
-        avail: Barrier::DmbFull,
-        publish: Barrier::DmbSt,
-    };
     for &bind in &BindConfig::ALL {
         let key = cache_key(
             &bind.platform(),
-            &("attrib-mp", bind, combo, messages, 1u64, 40u32),
+            &("attrib-mp", bind, ATTRIB_MP, messages, 1u64, 40u32),
         );
         let id = sweep.cell(key, move || {
-            let r = run_prodcons(bind, PcVariant::Baseline(combo), messages, 1, 40);
+            let r = run_prodcons(bind, PcVariant::Baseline(ATTRIB_MP), messages, 1, 40);
             stall_values(&r.stall)
         });
         rows.push((format!("MP {}", bind.label()), id));
@@ -1106,7 +1047,7 @@ pub fn attrib_grid(sweep: &mut SweepSpec, messages: u64, per_thread: u64) -> Vec
     rows
 }
 
-/// `exp-attrib`: decompose where barrier stall cycles go. Two tables:
+/// `armbar run attrib`: decompose where barrier stall cycles go. Two tables:
 /// `attrib` (share of stalled cycles per cause — the response window,
 /// coherence blocking, store-drain waits by distance, and the two
 /// capacity backpressures) and `attrib_kinds` (share per barrier
@@ -1176,13 +1117,9 @@ pub fn attrib(ctx: &SweepCtx) -> Vec<Table> {
 /// Propagates filesystem errors.
 pub fn export_trace(path: &std::path::Path) -> std::io::Result<()> {
     let mut trace = if std::env::var("ARMBAR_TRACE_WORKLOAD").as_deref() == Ok("mp") {
-        let combo = PcBarriers {
-            avail: Barrier::DmbFull,
-            publish: Barrier::DmbSt,
-        };
         run_prodcons_traced(
             BindConfig::KunpengSameNode,
-            PcVariant::Baseline(combo),
+            PcVariant::Baseline(ATTRIB_MP),
             PC_MSGS,
             1,
             40,

@@ -11,21 +11,37 @@ use std::sync::Mutex;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 
 /// Number of sweep workers: `ARMBAR_JOBS` when set to a positive integer,
-/// otherwise the number of available cores.
+/// otherwise the number of available cores — with one stderr line when the
+/// variable held something else, so a typo cannot pass for a setting.
 #[must_use]
 pub fn worker_count() -> usize {
-    parse_jobs(std::env::var("ARMBAR_JOBS").ok().as_deref()).unwrap_or_else(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    })
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let (workers, rejected) = resolve_jobs(std::env::var("ARMBAR_JOBS").ok().as_deref(), cores);
+    if let Some(warning) = rejected {
+        eprintln!("{warning}");
+    }
+    workers
 }
 
-/// `ARMBAR_JOBS` parsing, separated from the environment for testability:
-/// `Some(n)` for a positive integer, `None` (fall back to core count) for
-/// unset, empty, zero, or garbage.
+/// `ARMBAR_JOBS` resolution, separated from the environment for
+/// testability: the worker count for `var` on a host with `cores` cores
+/// (a positive integer wins; unset or empty falls back to `cores`), plus
+/// the warning to print when `var` was set to anything else (`0`, `-3`,
+/// `abc`) and the fallback was taken.
 #[must_use]
-pub fn parse_jobs(var: Option<&str>) -> Option<usize> {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+pub fn resolve_jobs(var: Option<&str>, cores: usize) -> (usize, Option<String>) {
+    let Some(value) = var.map(str::trim).filter(|v| !v.is_empty()) else {
+        return (cores, None);
+    };
+    match value.parse::<usize>() {
+        Ok(n) if n >= 1 => (n, None),
+        _ => (
+            cores,
+            Some(format!(
+                "warning: ARMBAR_JOBS={value:?} is not a positive integer; using {cores} worker(s)"
+            )),
+        ),
+    }
 }
 
 /// Run every job and return their results in submission order.
@@ -112,13 +128,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn jobs_var_parsing() {
-        assert_eq!(parse_jobs(None), None);
-        assert_eq!(parse_jobs(Some("")), None);
-        assert_eq!(parse_jobs(Some("0")), None);
-        assert_eq!(parse_jobs(Some("banana")), None);
-        assert_eq!(parse_jobs(Some("1")), Some(1));
-        assert_eq!(parse_jobs(Some(" 8 ")), Some(8));
+    fn jobs_var_resolution() {
+        assert_eq!(resolve_jobs(None, 6), (6, None));
+        assert_eq!(resolve_jobs(Some(""), 6), (6, None));
+        assert_eq!(resolve_jobs(Some("1"), 6), (1, None));
+        assert_eq!(resolve_jobs(Some(" 8 "), 6), (8, None));
+    }
+
+    #[test]
+    fn rejected_jobs_value_falls_back_and_is_named() {
+        for garbage in ["0", "-3", "banana"] {
+            let (workers, warning) = resolve_jobs(Some(garbage), 6);
+            assert_eq!(workers, 6, "{garbage}: fallback is the core count");
+            let warning = warning.expect("a rejected value must be reported");
+            assert!(warning.contains(garbage), "{warning}");
+            assert!(warning.contains("6 worker(s)"), "{warning}");
+            assert_eq!(warning.lines().count(), 1, "one line: {warning}");
+        }
     }
 
     #[test]

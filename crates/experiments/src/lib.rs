@@ -8,9 +8,11 @@
 //! content-addressed cache under `results/.cache/` ([`cache`]), while
 //! keeping the CSV output byte-identical to a serial run.
 //!
-//! Binaries in `src/bin/` (`exp-table1`, `exp-fig3`, …, `exp-all`) are thin
-//! wrappers over these functions; Criterion benches in `armbar-bench` wrap
-//! the same workloads for regression tracking.
+//! [`EXPERIMENTS`] is the only place an experiment is named. The `armbar`
+//! binary (`list`, `run <id…|all>`, `verify [id…]`, `bench sim|explore`)
+//! drives it, [`verify`] holds the byte-identity ladder once, and the
+//! Criterion benches in `armbar-bench` wrap the same workloads for
+//! regression tracking.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -29,84 +31,90 @@ pub mod rcpc;
 pub mod report;
 pub mod sweep;
 pub mod synth;
+pub mod verify;
 
 pub use cache::RunCache;
 pub use report::Table;
 pub use sweep::{SweepCtx, SweepSpec};
 
-/// Run one experiment by id (`"table1"`, `"fig6a"`, …) with the
-/// environment's worker count and cache. Returns `false` for an unknown id.
-pub fn run_experiment(id: &str) -> bool {
-    run_experiment_with(id, &SweepCtx::from_env())
+/// One regenerable artifact of the paper (or of the work built on it).
+pub struct Experiment {
+    /// What `armbar run <id>` takes; also the stem of most of its CSVs.
+    pub id: &'static str,
+    /// Compute the experiment's tables under a sweep context.
+    pub run: fn(&SweepCtx) -> Vec<Table>,
+    /// Whether two runs produce the same bytes. False only for the two
+    /// experiments that time host threads, which `armbar verify` skips.
+    pub deterministic: bool,
 }
 
-/// Run one experiment by id under an explicit sweep context and print +
-/// persist its tables. Returns `false` for an unknown id.
-pub fn run_experiment_with(id: &str, ctx: &SweepCtx) -> bool {
-    let tables = match id {
-        "table1" => figures::table1(ctx),
-        "table2" => figures::table2(ctx),
-        "table3" => figures::table3(ctx),
-        "fig2" => figures::fig2(ctx),
-        "fig3" => figures::fig3(ctx),
-        "fig4" => figures::fig4(ctx),
-        "fig5" => figures::fig5(ctx),
-        "fig6a" => figures::fig6a(ctx),
-        "fig6b" => figures::fig6b(ctx),
-        "fig6c" => figures::fig6c(ctx),
-        "fig6d" => figures::fig6d(ctx),
-        "fig7a" => figures::fig7a(ctx),
-        "fig7b" => figures::fig7b(ctx),
-        "fig7c" => figures::fig7c(ctx),
-        "fig8a" => figures::fig8a(ctx),
-        "fig8b" => figures::fig8b(ctx),
-        "fig8c" => figures::fig8c(ctx),
-        "fig8d" => figures::fig8d(ctx),
-        "ext-mca" => extension::ext_mca(ctx),
-        "attrib" => figures::attrib(ctx),
-        "battery" => figures::battery(ctx),
-        "lint" => lint::lint(ctx),
-        "rcpc" => rcpc::rcpc(ctx),
-        "synth" => synth::synth(ctx),
-        "extract" => extract::extract(ctx),
-        "manycore" => manycore::manycore(ctx),
-        "dlock" => dlock::dlock(ctx),
-        _ => return false,
-    };
-    for t in &tables {
-        t.print();
-        if let Err(e) = t.write_csv("results") {
-            eprintln!("warning: could not write CSV: {e}");
-        }
+const fn entry(
+    id: &'static str,
+    run: fn(&SweepCtx) -> Vec<Table>,
+    deterministic: bool,
+) -> Experiment {
+    Experiment {
+        id,
+        run,
+        deterministic,
     }
-    true
 }
 
-/// Every experiment id, in paper order (plus the stall-attribution
+/// Every experiment, in paper order, then the stall-attribution
 /// decomposition, the litmus battery report, the barrier lint sweep, the
 /// RCsc/RCpc acquire comparison, the placement synthesizer, the assembly
 /// front-end gate, the many-core barrier scale-out, and the
-/// delegation-lock suite).
-pub const ALL_EXPERIMENTS: [&str; 27] = [
-    "table1", "table2", "fig2", "fig3", "fig4", "fig5", "table3", "fig6a", "fig6b", "fig6c",
-    "fig6d", "fig7a", "fig7b", "fig7c", "fig8a", "fig8b", "fig8c", "fig8d", "ext-mca", "attrib",
-    "battery", "lint", "rcpc", "synth", "extract", "manycore", "dlock",
+/// delegation-lock suite.
+pub const EXPERIMENTS: [Experiment; 27] = [
+    entry("table1", figures::table1, true),
+    entry("table2", figures::table2, true),
+    entry("fig2", figures::fig2, true),
+    entry("fig3", figures::fig3, true),
+    entry("fig4", figures::fig4, true),
+    entry("fig5", figures::fig5, true),
+    entry("table3", figures::table3, true),
+    entry("fig6a", figures::fig6a, true),
+    entry("fig6b", figures::fig6b, true),
+    entry("fig6c", figures::fig6c, true),
+    entry("fig6d", figures::fig6d, false),
+    entry("fig7a", figures::fig7a, true),
+    entry("fig7b", figures::fig7b, true),
+    entry("fig7c", figures::fig7c, true),
+    entry("fig8a", figures::fig8a, true),
+    entry("fig8b", figures::fig8b, true),
+    entry("fig8c", figures::fig8c, true),
+    entry("fig8d", figures::fig8d, false),
+    entry("ext-mca", extension::ext_mca, true),
+    entry("attrib", attrib_and_trace, true),
+    entry("battery", figures::battery, true),
+    entry("lint", lint::lint, true),
+    entry("rcpc", rcpc::rcpc, true),
+    entry("synth", synth::synth, true),
+    entry("extract", extract::extract, true),
+    entry("manycore", manycore::manycore, true),
+    entry("dlock", dlock::dlock, true),
 ];
 
-/// When `ARMBAR_TRACE=<path>` is set, rerun the attribution message-passing
-/// workload with event tracing enabled and write its Chrome-trace JSON to
-/// `<path>` (open it in Perfetto or `chrome://tracing`). Returns the path
-/// written, or `None` when the variable is unset or the write failed (a
-/// warning goes to stderr; a missing trace never fails the experiment).
-pub fn export_trace_if_requested() -> Option<std::path::PathBuf> {
-    let path = std::path::PathBuf::from(std::env::var_os("ARMBAR_TRACE")?);
-    match figures::export_trace(&path) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: could not write trace to {}: {e}", path.display());
-            None
+/// The registry entry for `id`, if there is one.
+#[must_use]
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// `figures::attrib`, then — when `ARMBAR_TRACE=<path>` is set — a rerun
+/// of the attribution workload with event tracing enabled, its
+/// Chrome-trace JSON written to `<path>` (open it in Perfetto or
+/// `chrome://tracing`). A trace that cannot be written is a warning on
+/// stderr; it never fails the experiment.
+fn attrib_and_trace(ctx: &SweepCtx) -> Vec<Table> {
+    let tables = figures::attrib(ctx);
+    if let Some(path) = std::env::var_os("ARMBAR_TRACE").map(std::path::PathBuf::from) {
+        match figures::export_trace(&path) {
+            Ok(()) => println!("wrote Chrome trace to {}", path.display()),
+            Err(e) => eprintln!("warning: could not write trace to {}: {e}", path.display()),
         }
     }
+    tables
 }
 
 #[cfg(test)]
@@ -114,14 +122,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn unknown_experiment_is_rejected() {
-        assert!(!run_experiment("fig99"));
+    fn registry_ids_are_unique_and_find_round_trips() {
+        let ids: std::collections::HashSet<_> = EXPERIMENTS.iter().map(|e| e.id).collect();
+        assert_eq!(ids.len(), EXPERIMENTS.len());
+        for e in &EXPERIMENTS {
+            assert_eq!(find(e.id).map(|found| found.id), Some(e.id));
+        }
+        assert!(find("fig99").is_none());
     }
 
     #[test]
-    fn experiment_ids_are_unique() {
-        let set: std::collections::HashSet<_> = ALL_EXPERIMENTS.iter().collect();
-        assert_eq!(set.len(), ALL_EXPERIMENTS.len());
+    fn only_the_host_thread_experiments_are_non_deterministic() {
+        let host: Vec<_> = EXPERIMENTS
+            .iter()
+            .filter(|e| !e.deterministic)
+            .map(|e| e.id)
+            .collect();
+        assert_eq!(host, ["fig6d", "fig8d"]);
+    }
+
+    /// The docs keep hand-written lists too; hold them to the registry so
+    /// they cannot drift from it again.
+    #[test]
+    fn every_experiment_is_in_the_design_index_and_in_experiments_md() {
+        let design = include_str!("../../../DESIGN.md");
+        let experiments = include_str!("../../../EXPERIMENTS.md");
+        for e in &EXPERIMENTS {
+            let row = format!("| `{}` |", e.id);
+            assert!(
+                design.lines().any(|l| l.starts_with(&row)),
+                "DESIGN.md experiment index has no row for {}",
+                e.id
+            );
+            let command = format!("`armbar run {}`", e.id);
+            assert!(
+                experiments.contains(&command),
+                "EXPERIMENTS.md never mentions {command}"
+            );
+        }
     }
 
     #[test]

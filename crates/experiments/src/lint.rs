@@ -1,4 +1,4 @@
-//! `exp-lint`: sweep the `armbar-lint` corpus through the sweep engine +
+//! `armbar run lint`: sweep the `armbar-lint` corpus through the sweep engine +
 //! run cache and write `results/lint.csv` — one row per finding, carrying
 //! the verdict, the suggested replacement, the outcome-set delta that
 //! proves it, and the cycles the rewrite saves on each platform profile.
@@ -12,18 +12,15 @@
 //! byte-identical across worker counts and warm reruns.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use armbar_analyze::corpus::corpus;
 use armbar_analyze::lint::{analyze_case, FindingKind, Proof};
 use armbar_analyze::replay::saved_cycles;
 use armbar_barriers::Barrier;
-use armbar_sim::PlatformKind;
 
-use crate::cache::model_key;
-use crate::report::Table;
-use crate::sweep::{CellId, SweepCtx, SweepSpec};
+use crate::cache::{code_in, model_key};
+use crate::report::{escape, platform_columns, Table};
+use crate::sweep::{SweepCtx, SweepSpec};
 
 /// Replay depth used by the real experiment (the determinism test runs
 /// shallower).
@@ -70,12 +67,7 @@ const RANK_LABELS: [&str; 9] = [
 ];
 
 fn kind_code(k: FindingKind) -> u8 {
-    match k {
-        FindingKind::Redundant => 0,
-        FindingKind::OverStrong => 1,
-        FindingKind::Missing => 2,
-        FindingKind::Necessary => 3,
-    }
+    code_in(&KIND_LABELS, &k.label())
 }
 
 fn rank_code(r: armbar_barriers::CostRank) -> u8 {
@@ -94,13 +86,7 @@ fn rank_code(r: armbar_barriers::CostRank) -> u8 {
 }
 
 fn barrier_code(b: Barrier) -> u8 {
-    u8::try_from(
-        Barrier::ALL
-            .iter()
-            .position(|x| *x == b)
-            .expect("every barrier is in ALL"),
-    )
-    .expect("ALL is tiny")
+    code_in(&Barrier::ALL, &b)
 }
 
 /// Analyze one corpus case and price every accepted rewrite: the work one
@@ -218,40 +204,13 @@ pub fn decode_findings(vals: &[f64]) -> Vec<LintRecord> {
     out
 }
 
-/// Declare the lint grid: one cell per corpus case, keyed on the lint
-/// salt, the case name, the full program text, and the replay depth.
-pub fn lint_grid(sweep: &mut SweepSpec, replay_iters: u64) -> Vec<(String, CellId)> {
-    let mut rows = Vec::new();
-    for case in corpus() {
-        let key = model_key(&("lint-v3", &case.name, &case.program, replay_iters));
-        let name = case.name.clone();
-        let id = sweep.cell(key, move || {
-            encode_findings(&lint_records(&case, replay_iters))
-        });
-        rows.push((name, id));
-    }
-    rows
-}
-
-fn csv_escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 /// Render the full `lint.csv` text for the given grid results (exposed so
 /// the determinism test can compare bytes without touching `results/`).
 #[must_use]
 pub fn render_lint_csv(rows: &[(String, Vec<LintRecord>)]) -> String {
     let mut csv = String::from("case,site,kind,barrier,suggestion,caveat,rank_before,rank_after,outcomes_base,outcomes_after,outcomes_added,outcomes_removed,states_base,states_after,pruned_base,pruned_after");
-    for kind in PlatformKind::ALL {
-        let _ = write!(
-            csv,
-            ",saved_{}",
-            kind.name().to_lowercase().replace(' ', "_")
-        );
+    for column in platform_columns("saved") {
+        let _ = write!(csv, ",{column}");
     }
     csv.push_str(",proof\n");
     for (case, records) in rows {
@@ -280,11 +239,11 @@ pub fn render_lint_csv(rows: &[(String, Vec<LintRecord>)]) -> String {
             let _ = write!(
                 csv,
                 "{},{},{},{},{},{},{},{}",
-                csv_escape(case),
+                escape(case),
                 site,
                 KIND_LABELS[r.kind as usize],
-                csv_escape(barrier),
-                csv_escape(&suggestion),
+                escape(barrier),
+                escape(&suggestion),
                 u8::from(r.caveat),
                 RANK_LABELS[r.rank_before as usize],
                 RANK_LABELS[r.rank_after as usize],
@@ -295,7 +254,7 @@ pub fn render_lint_csv(rows: &[(String, Vec<LintRecord>)]) -> String {
             for s in r.saved {
                 let _ = write!(csv, ",{s}");
             }
-            let _ = writeln!(csv, ",{}", csv_escape(&proof));
+            let _ = writeln!(csv, ",{}", escape(&proof));
         }
     }
     csv
@@ -304,8 +263,18 @@ pub fn render_lint_csv(rows: &[(String, Vec<LintRecord>)]) -> String {
 /// Run the lint grid under `ctx` and return `(csv text, decoded rows)`.
 #[must_use]
 pub fn lint_results(ctx: &SweepCtx, replay_iters: u64) -> (String, Vec<(String, Vec<LintRecord>)>) {
+    // One cell per corpus case, keyed on the lint salt, the case name, the
+    // full program text, and the replay depth.
     let mut sweep = SweepSpec::new("lint");
-    let grid = lint_grid(&mut sweep, replay_iters);
+    let mut grid = Vec::new();
+    for case in corpus() {
+        let key = model_key(&("lint-v3", &case.name, &case.program, replay_iters));
+        let name = case.name.clone();
+        let id = sweep.cell(key, move || {
+            encode_findings(&lint_records(&case, replay_iters))
+        });
+        grid.push((name, id));
+    }
     let r = sweep.run(ctx);
     let rows: Vec<(String, Vec<LintRecord>)> = grid
         .into_iter()
@@ -314,36 +283,19 @@ pub fn lint_results(ctx: &SweepCtx, replay_iters: u64) -> (String, Vec<(String, 
     (render_lint_csv(&rows), rows)
 }
 
-/// Write `text` as `<dir>/lint.csv`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_lint_csv(dir: impl AsRef<Path>, text: &str) -> io::Result<()> {
-    std::fs::create_dir_all(&dir)?;
-    std::fs::write(dir.as_ref().join("lint.csv"), text)
-}
-
-/// `exp-lint`: the full corpus through the analyzer, findings to
+/// `armbar run lint`: the full corpus through the analyzer, findings to
 /// `results/lint.csv`, and a per-kind summary table (finding counts plus
 /// total cycles saved per platform across all accepted rewrites).
 #[must_use]
 pub fn lint(ctx: &SweepCtx) -> Vec<Table> {
     // Wall time goes to stdout only: lint.csv must stay byte-identical
-    // across hosts and worker counts (the CI smoke job diffs it).
+    // across hosts and worker counts (`armbar verify` diffs it).
     let t0 = std::time::Instant::now();
     let (csv, rows) = lint_results(ctx, LINT_REPLAY_ITERS);
     let wall = t0.elapsed();
-    if let Err(e) = write_lint_csv("results", &csv) {
-        eprintln!("warning: could not write lint.csv: {e}");
-    }
+    ctx.write_side_csv("lint.csv", &csv);
     let mut columns = vec!["findings".to_string()];
-    for kind in PlatformKind::ALL {
-        columns.push(format!(
-            "saved_{}",
-            kind.name().to_lowercase().replace(' ', "_")
-        ));
-    }
+    columns.extend(platform_columns("saved"));
     let mut t = Table::new(
         "lint_summary",
         "armbar-lint verdicts and total simulated cycles saved",

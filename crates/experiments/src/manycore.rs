@@ -1,4 +1,4 @@
-//! Many-core barrier scale-out experiment (`exp-manycore`).
+//! Many-core barrier scale-out experiment (`armbar run manycore`).
 //!
 //! The paper measures barriers on machines up to 64 cores; this experiment
 //! asks what its placement lessons mean when the core count keeps growing.
@@ -55,7 +55,7 @@ pub type ManycoreRow = (&'static str, BarrierFamily, usize, CellId);
 
 /// Declare the full family × thread-count × platform grid on `sweep` at
 /// `rounds` depth. Each cell yields `[cycles/round, barriers/s, stalled
-/// cycles]`. Shared between `exp-manycore` (full depth) and the
+/// cycles]`. Shared between `armbar run manycore` (full depth) and the
 /// determinism/differential tests (reduced depth).
 #[must_use]
 pub fn manycore_grid(sweep: &mut SweepSpec, rounds: u64) -> Vec<ManycoreRow> {

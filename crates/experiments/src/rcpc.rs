@@ -1,4 +1,4 @@
-//! `exp-rcpc`: the LDAR/LDAPR question, measured — every litmus shape
+//! `armbar run rcpc`: the LDAR/LDAPR question, measured — every litmus shape
 //! that can distinguish RCsc from RCpc acquire (and the controls that
 //! must not), in both flavours, swept through the exhaustive explorer and
 //! the cycle-level simulator on all four platform profiles.
@@ -21,7 +21,7 @@ use armbar_wmm::litmus::{
 use armbar_wmm::{LitmusTest, MemoryModel};
 
 use crate::cache::model_key;
-use crate::report::Table;
+use crate::report::{platform_columns, Table};
 use crate::sweep::{CellId, SweepCtx, SweepSpec};
 
 /// Replay depth for the priced columns (mirrors the lint experiment:
@@ -72,19 +72,14 @@ pub fn rcpc_grid(sweep: &mut SweepSpec, replay_iters: u64) -> Vec<(String, CellI
     rows
 }
 
-/// `exp-rcpc`: run the grid and shape the table for `results/rcpc.csv`.
+/// `armbar run rcpc`: run the grid and shape the table for `results/rcpc.csv`.
 #[must_use]
 pub fn rcpc(ctx: &SweepCtx) -> Vec<Table> {
     let mut sweep = SweepSpec::new("rcpc");
     let rows = rcpc_grid(&mut sweep, RCPC_REPLAY_ITERS);
     let r = sweep.run(ctx);
     let mut columns = vec!["outcomes".to_string(), "relaxed_allowed".to_string()];
-    for kind in PlatformKind::ALL {
-        columns.push(format!(
-            "cycles_{}",
-            kind.name().to_lowercase().replace(' ', "_")
-        ));
-    }
+    columns.extend(platform_columns("cycles"));
     let mut t = Table::new(
         "rcpc",
         "RCsc (LDAR) vs RCpc (LDAPR): ARM-model outcomes and replay cost per platform",

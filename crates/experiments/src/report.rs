@@ -5,6 +5,9 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+/// Where the binaries write every CSV, relative to the current directory.
+pub const RESULTS_DIR: &str = "results";
+
 /// One result table: a grid of numbers with row and column labels.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
@@ -108,13 +111,9 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Write `<dir>/<id>.csv`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_csv(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        fs::create_dir_all(&dir)?;
+    /// The table as CSV text: a header line, then one line per series.
+    #[must_use]
+    pub fn csv(&self) -> String {
         let mut csv = String::new();
         let _ = write!(csv, "{}", escape(&self.col_label));
         for c in &self.columns {
@@ -128,7 +127,17 @@ impl Table {
             }
             csv.push('\n');
         }
-        fs::write(dir.as_ref().join(format!("{}.csv", self.id)), csv)
+        csv
+    }
+
+    /// Write [`Table::csv`] as `<dir>/<id>.csv`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write_csv(&self, dir: impl AsRef<Path>) -> io::Result<()> {
+        fs::create_dir_all(&dir)?;
+        fs::write(dir.as_ref().join(format!("{}.csv", self.id)), self.csv())
     }
 }
 
@@ -151,7 +160,15 @@ fn format_value(v: f64) -> String {
     }
 }
 
-fn escape(s: &str) -> String {
+/// One column per platform profile: `<prefix>_kunpeng916`, ….
+pub(crate) fn platform_columns(prefix: &str) -> impl Iterator<Item = String> + '_ {
+    armbar_sim::PlatformKind::ALL
+        .into_iter()
+        .map(move |kind| format!("{prefix}_{}", kind.name().to_lowercase().replace(' ', "_")))
+}
+
+/// Quote a CSV field that holds a comma or a quote.
+pub(crate) fn escape(s: &str) -> String {
     if s.contains(',') || s.contains('"') {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {

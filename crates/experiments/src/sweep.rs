@@ -9,8 +9,11 @@
 //! declaration order — so the produced tables are byte-identical whether
 //! the sweep ran serially, on eight workers, or straight out of the cache.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::cache::RunCache;
 use crate::jobs;
+use crate::report::RESULTS_DIR;
 
 /// Handle to one declared cell, used to read its values after the run.
 #[derive(Debug, Clone, Copy)]
@@ -104,13 +107,19 @@ pub struct SweepCtx {
     pub workers: usize,
     /// Completed-run memoization.
     pub cache: RunCache,
+    /// Failed [`SweepCtx::write_side_csv`] calls.
+    unwritten: AtomicU64,
 }
 
 impl SweepCtx {
     /// Explicit worker count and cache.
     #[must_use]
     pub fn new(workers: usize, cache: RunCache) -> SweepCtx {
-        SweepCtx { workers, cache }
+        SweepCtx {
+            workers,
+            cache,
+            unwritten: AtomicU64::new(0),
+        }
     }
 
     /// The binaries' context: `ARMBAR_JOBS` workers (default: available
@@ -124,6 +133,27 @@ impl SweepCtx {
     #[must_use]
     pub fn serial_uncached() -> SweepCtx {
         SweepCtx::new(1, RunCache::disabled())
+    }
+
+    /// Write `text` as `results/<file>`: the CSVs of `lint`, `synth` and
+    /// `extract`, whose string columns do not fit a [`Table`](crate::Table).
+    /// Experiments return tables, not `Result`s, so a failure is reported
+    /// on stderr and counted; `armbar` exits 1 on a non-zero
+    /// [`SweepCtx::unwritten`] rather than let a stale file pass for fresh.
+    pub fn write_side_csv(&self, file: &str, text: &str) {
+        let path = std::path::Path::new(RESULTS_DIR).join(file);
+        if let Err(e) =
+            std::fs::create_dir_all(RESULTS_DIR).and_then(|()| std::fs::write(&path, text))
+        {
+            eprintln!("error: could not write {}: {e}", path.display());
+            self.unwritten.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// How many [`SweepCtx::write_side_csv`] calls failed so far.
+    #[must_use]
+    pub fn unwritten(&self) -> u64 {
+        self.unwritten.load(Ordering::Relaxed)
     }
 }
 

@@ -1,4 +1,4 @@
-//! `exp-synth`: sweep the corpus through the barrier-placement
+//! `armbar run synth`: sweep the corpus through the barrier-placement
 //! synthesizer and write `results/synth.csv` — one row per Pareto-front
 //! point (platform, barrier count, cost-rank score, replay cycles, cycles
 //! saved vs the seed placement, and the outcome-set proof) — plus a
@@ -16,16 +16,14 @@
 //! and warm reruns.
 
 use std::fmt::Write as _;
-use std::io;
-use std::path::Path;
 
 use armbar_analyze::corpus::corpus;
 use armbar_analyze::synth::{chosen_point, pareto_fronts, synthesize};
 use armbar_sim::PlatformKind;
 
-use crate::cache::model_key;
-use crate::report::Table;
-use crate::sweep::{CellId, SweepCtx, SweepSpec};
+use crate::cache::{code_in, model_key};
+use crate::report::{escape, platform_columns, Table};
+use crate::sweep::{SweepCtx, SweepSpec};
 
 /// Replay depth used by the real experiment (the determinism test runs
 /// shallower).
@@ -76,13 +74,7 @@ pub struct SynthRecord {
 }
 
 fn platform_code(kind: PlatformKind) -> u8 {
-    u8::try_from(
-        PlatformKind::ALL
-            .iter()
-            .position(|k| *k == kind)
-            .expect("every platform is in ALL"),
-    )
-    .expect("ALL is tiny")
+    code_in(&PlatformKind::ALL, &kind)
 }
 
 /// Synthesize one corpus case and price its frontier: the work one sweep
@@ -223,29 +215,6 @@ pub fn decode_synth(vals: &[f64]) -> SynthRecord {
     }
 }
 
-/// Declare the synth grid: one cell per corpus case, keyed on the synth
-/// salt, the case name, the full program text, and the replay depth.
-pub fn synth_grid(sweep: &mut SweepSpec, replay_iters: u64) -> Vec<(String, CellId)> {
-    let mut rows = Vec::new();
-    for case in corpus() {
-        let key = model_key(&("synth-v1", &case.name, &case.program, replay_iters));
-        let name = case.name.clone();
-        let id = sweep.cell(key, move || {
-            encode_synth(&synth_record(&case, replay_iters))
-        });
-        rows.push((name, id));
-    }
-    rows
-}
-
-fn csv_escape(s: &str) -> String {
-    if s.contains(',') || s.contains('"') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 /// Render the full `synth.csv` text for the given grid results (exposed
 /// so the determinism test can compare bytes without touching
 /// `results/`).
@@ -264,16 +233,16 @@ pub fn render_synth_csv(rows: &[(String, SynthRecord)]) -> String {
             let _ = writeln!(
                 csv,
                 "{},{},{},{},{},{},{},{},{},{}",
-                csv_escape(case),
-                csv_escape(&PlatformKind::ALL[p.platform as usize].name().to_lowercase()),
+                escape(case),
+                escape(&PlatformKind::ALL[p.platform as usize].name().to_lowercase()),
                 p.barrier_count,
                 p.score,
                 p.cycles,
                 p.saved_vs_seed,
                 u8::from(p.is_seed),
                 u8::from(p.chosen),
-                csv_escape(&p.label),
-                csv_escape(&proof),
+                escape(&p.label),
+                escape(&proof),
             );
         }
     }
@@ -283,8 +252,18 @@ pub fn render_synth_csv(rows: &[(String, SynthRecord)]) -> String {
 /// Run the synth grid under `ctx` and return `(csv text, decoded rows)`.
 #[must_use]
 pub fn synth_results(ctx: &SweepCtx, replay_iters: u64) -> (String, Vec<(String, SynthRecord)>) {
+    // One cell per corpus case, keyed on the synth salt, the case name, the
+    // full program text, and the replay depth.
     let mut sweep = SweepSpec::new("synth");
-    let grid = synth_grid(&mut sweep, replay_iters);
+    let mut grid = Vec::new();
+    for case in corpus() {
+        let key = model_key(&("synth-v1", &case.name, &case.program, replay_iters));
+        let name = case.name.clone();
+        let id = sweep.cell(key, move || {
+            encode_synth(&synth_record(&case, replay_iters))
+        });
+        grid.push((name, id));
+    }
     let r = sweep.run(ctx);
     let rows: Vec<(String, SynthRecord)> = grid
         .into_iter()
@@ -293,29 +272,17 @@ pub fn synth_results(ctx: &SweepCtx, replay_iters: u64) -> (String, Vec<(String,
     (render_synth_csv(&rows), rows)
 }
 
-/// Write `text` as `<dir>/synth.csv`.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_synth_csv(dir: impl AsRef<Path>, text: &str) -> io::Result<()> {
-    std::fs::create_dir_all(&dir)?;
-    std::fs::write(dir.as_ref().join("synth.csv"), text)
-}
-
-/// `exp-synth`: the full corpus through the synthesizer, Pareto fronts to
+/// `armbar run synth`: the full corpus through the synthesizer, Pareto fronts to
 /// `results/synth.csv`, and a per-case summary table (search statistics
 /// plus the chosen point's cycle savings per platform).
 #[must_use]
 pub fn synth(ctx: &SweepCtx) -> Vec<Table> {
     // Wall time goes to stdout only: synth.csv must stay byte-identical
-    // across hosts and worker counts (the CI smoke job diffs it).
+    // across hosts and worker counts (`armbar verify` diffs it).
     let t0 = std::time::Instant::now();
     let (csv, rows) = synth_results(ctx, SYNTH_REPLAY_ITERS);
     let wall = t0.elapsed();
-    if let Err(e) = write_synth_csv("results", &csv) {
-        eprintln!("warning: could not write synth.csv: {e}");
-    }
+    ctx.write_side_csv("synth.csv", &csv);
     let mut columns = vec![
         "sites".to_string(),
         "space".to_string(),
@@ -326,12 +293,7 @@ pub fn synth(ctx: &SweepCtx) -> Vec<Table> {
         "best_score".to_string(),
         "best_barriers".to_string(),
     ];
-    for kind in PlatformKind::ALL {
-        columns.push(format!(
-            "saved_{}",
-            kind.name().to_lowercase().replace(' ', "_")
-        ));
-    }
+    columns.extend(platform_columns("saved"));
     let mut t = Table::new(
         "synth_summary",
         "armbar-synth search statistics and chosen-point savings per platform",

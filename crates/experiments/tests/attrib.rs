@@ -1,33 +1,23 @@
-//! End-to-end guarantees of the `exp-attrib` grid, at reduced depth:
+//! End-to-end guarantees of the `attrib` grid, at reduced depth:
 //!
-//! 1. **Worker-count independence** — the cause-share CSV is byte-identical
-//!    whether the sweep ran serially or on four workers (the CI smoke run
-//!    checks the full-depth `results/attrib.csv` the same way via
-//!    `ARMBAR_JOBS`).
-//! 2. **Cache round-trip** — a warm rerun answers every cell from disk and
-//!    reproduces the same bytes.
-//! 3. **Attribution invariant** — every cell's raw values satisfy
+//! 1. **The ladder** — the cause-share CSV is byte-identical serially, on
+//!    four workers, cold and warm (`armbar verify attrib` checks the
+//!    full-depth `results/attrib.csv` the same way).
+//! 2. **Attribution invariant** — every cell's raw values satisfy
 //!    `sum(causes) == sum(kinds) == total stalled cycles`.
-//!
-//! Worker counts and cache directories are passed explicitly rather than
-//! through `ARMBAR_JOBS`/`ARMBAR_NO_CACHE`, because tests in one binary
-//! run concurrently and must not race on process-global environment.
-
-use std::fs;
-use std::path::PathBuf;
 
 use armbar_experiments::figures::attrib_grid;
 use armbar_experiments::report::Table;
 use armbar_experiments::sweep::{SweepCtx, SweepSpec};
-use armbar_experiments::RunCache;
+use armbar_experiments::verify;
 use armbar_sim::StallBreakdown;
 
 const MESSAGES: u64 = 60;
 const PER_THREAD: u64 = 12;
 
-/// Run the grid under `ctx`, write the cause-share table, and return both
-/// the CSV bytes and every cell's raw values.
-fn grid_csv(ctx: &SweepCtx, dir: &PathBuf) -> (Vec<u8>, Vec<Vec<f64>>) {
+/// Run the grid under `ctx` and return the cause-share CSV text plus every
+/// cell's raw values.
+fn grid_csv(ctx: &SweepCtx) -> (String, Vec<Vec<f64>>) {
     let mut sweep = SweepSpec::new("attrib-test");
     let rows = attrib_grid(&mut sweep, MESSAGES, PER_THREAD);
     let r = sweep.run(ctx);
@@ -47,20 +37,12 @@ fn grid_csv(ctx: &SweepCtx, dir: &PathBuf) -> (Vec<u8>, Vec<Vec<f64>>) {
         t.push_share_row(label, &vals[..9]);
         raw.push(vals.to_vec());
     }
-    t.write_csv(dir).expect("CSV written");
-    let bytes = fs::read(dir.join("attrib_test.csv")).expect("CSV readable");
-    (bytes, raw)
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("armbar_attrib_{}_{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+    (t.csv(), raw)
 }
 
 #[test]
 fn causes_and_kinds_sum_to_the_total_in_every_cell() {
-    let (_, raw) = grid_csv(&SweepCtx::serial_uncached(), &scratch("sums"));
+    let (_, raw) = grid_csv(&SweepCtx::serial_uncached());
     assert_eq!(raw.len(), 9, "5 MP placements + 4 lock platforms");
     let mut stalled_somewhere = false;
     for vals in &raw {
@@ -77,34 +59,8 @@ fn causes_and_kinds_sum_to_the_total_in_every_cell() {
 }
 
 #[test]
-fn parallel_attrib_csv_is_byte_identical_to_serial() {
-    let (serial, _) = grid_csv(&SweepCtx::new(1, RunCache::disabled()), &scratch("serial"));
-    let (parallel, _) = grid_csv(
-        &SweepCtx::new(4, RunCache::disabled()),
-        &scratch("parallel"),
-    );
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "CSV must not depend on the worker count");
-}
-
-#[test]
-fn warm_cache_rerun_reproduces_the_bytes() {
-    let cache_dir = scratch("cache");
-
-    let cold_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (cold, _) = grid_csv(&cold_ctx, &scratch("cold_out"));
-    assert_eq!(cold_ctx.cache.hits(), 0, "cold run cannot hit");
-    let cells = cold_ctx.cache.misses();
-    assert_eq!(cells, 9, "one cell per workload row");
-    assert_eq!(cold_ctx.cache.stores(), cells, "every miss is stored");
-
-    let warm_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (warm, _) = grid_csv(&warm_ctx, &scratch("warm_out"));
-    assert_eq!(warm_ctx.cache.misses(), 0, "warm run recomputes nothing");
-    assert_eq!(
-        warm_ctx.cache.hits(),
-        cells,
-        "every cell answered from disk"
-    );
-    assert_eq!(cold, warm, "cached values reproduce the exact CSV bytes");
+fn attrib_csv_is_byte_identical_on_every_rung() {
+    let rungs = verify::ladder(|ctx| Ok(grid_csv(ctx).0)).expect("ladder holds");
+    assert!(!rungs.value.is_empty());
+    assert_eq!(rungs.cells, 9, "one cell per workload row");
 }

@@ -1,4 +1,4 @@
-//! End-to-end guarantees of the delegation-lock suite (`exp-dlock`), at
+//! End-to-end guarantees of the delegation-lock suite (`dlock`), at
 //! reduced depth:
 //!
 //! 1. **Engine equivalence** — every delegation design (FFWD, DSynch,
@@ -11,22 +11,15 @@
 //!    quantiles are monotone (p50 ≤ p99 ≤ p999 ≤ max), fairness lies in
 //!    (0, 1], and in-place locks never subvert while dedicated servers
 //!    subvert everything.
-//! 3. **Worker-count independence and cache round-trip** — the grid CSV
-//!    is byte-identical at 1 and 4 sweep workers and on a warm cache
-//!    rerun (CI checks the full-depth `results/dlock.csv` the same way).
-//!
-//! Worker counts and cache directories are passed explicitly rather than
-//! through `ARMBAR_JOBS`/`ARMBAR_NO_CACHE`, because tests in one binary
-//! run concurrently and must not race on process-global environment.
-
-use std::fs;
-use std::path::PathBuf;
+//! 3. **The ladder** — the grid CSV is byte-identical serially, on four
+//!    workers, cold and warm (`armbar verify dlock` checks the full-depth
+//!    `results/dlock.csv` the same way).
 
 use armbar_barriers::Barrier;
 use armbar_experiments::dlock::{dlock_grid, DlockDesign, DlockRow};
 use armbar_experiments::report::Table;
 use armbar_experiments::sweep::{SweepCtx, SweepSpec};
-use armbar_experiments::RunCache;
+use armbar_experiments::verify;
 use armbar_sim::{Engine, Platform};
 use armbar_simapps::delegation_sim::{
     run_delegation_metrics, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
@@ -107,9 +100,9 @@ fn event_engine_matches_oracle_on_mcs() {
     }
 }
 
-/// Run the reduced-depth grid under `ctx`, write the table, and return
-/// the CSV bytes plus each row's values.
-fn grid_csv(ctx: &SweepCtx, dir: &PathBuf) -> (Vec<u8>, Vec<(String, Vec<f64>)>) {
+/// Run the reduced-depth grid under `ctx` and return the CSV text plus
+/// each row's values.
+fn grid_csv(ctx: &SweepCtx) -> (String, Vec<(String, Vec<f64>)>) {
     let mut sweep = SweepSpec::new("dlock-test");
     let rows: Vec<DlockRow> = dlock_grid(&mut sweep, PER_CLIENT);
     let r = sweep.run(ctx);
@@ -136,20 +129,12 @@ fn grid_csv(ctx: &SweepCtx, dir: &PathBuf) -> (Vec<u8>, Vec<(String, Vec<f64>)>)
         t.push_row(&label, vals.to_vec());
         out.push((label, vals.to_vec()));
     }
-    t.write_csv(dir).expect("CSV written");
-    let bytes = fs::read(dir.join("dlock_test.csv")).expect("CSV readable");
-    (bytes, out)
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("armbar_dlock_{}_{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+    (t.csv(), out)
 }
 
 #[test]
 fn quantiles_fairness_and_subversion_hold_on_every_cell() {
-    let (_, rows) = grid_csv(&SweepCtx::serial_uncached(), &scratch("shape"));
+    let (_, rows) = grid_csv(&SweepCtx::serial_uncached());
     assert!(!rows.is_empty());
     for (label, vals) in &rows {
         let (locks, p50, p99, p999, max) = (vals[0], vals[1], vals[2], vals[3], vals[4]);
@@ -181,40 +166,14 @@ fn quantiles_fairness_and_subversion_hold_on_every_cell() {
 }
 
 #[test]
-fn parallel_dlock_csv_is_byte_identical_to_serial() {
-    let (serial, _) = grid_csv(&SweepCtx::new(1, RunCache::disabled()), &scratch("serial"));
-    let (parallel, _) = grid_csv(
-        &SweepCtx::new(4, RunCache::disabled()),
-        &scratch("parallel"),
-    );
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "CSV must not depend on the worker count");
-}
-
-#[test]
-fn warm_cache_rerun_reproduces_the_bytes() {
-    let cache_dir = scratch("cache");
-
-    let cold_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (cold, _) = grid_csv(&cold_ctx, &scratch("cold_out"));
-    assert_eq!(cold_ctx.cache.hits(), 0, "cold run cannot hit");
-    let cells = cold_ctx.cache.misses();
+fn dlock_csv_is_byte_identical_on_every_rung() {
+    let rungs = verify::ladder(|ctx| Ok(grid_csv(ctx).0)).expect("ladder holds");
+    assert!(!rungs.value.is_empty());
     assert_eq!(
-        cells,
+        rungs.cells,
         12 * (4 + 3 + 3 + 2 + 4),
         "12 designs over the per-platform thread budgets"
     );
-    assert_eq!(cold_ctx.cache.stores(), cells, "every miss is stored");
-
-    let warm_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (warm, _) = grid_csv(&warm_ctx, &scratch("warm_out"));
-    assert_eq!(warm_ctx.cache.misses(), 0, "warm run recomputes nothing");
-    assert_eq!(
-        warm_ctx.cache.hits(),
-        cells,
-        "every cell answered from disk"
-    );
-    assert_eq!(cold, warm, "cached values reproduce the exact CSV bytes");
 }
 
 #[test]

@@ -1,54 +1,25 @@
-//! The determinism gate for `exp-extract`: `results/extract.csv` must be
-//! byte-identical whether the grid ran serially, on four workers, or warm
-//! from the content-addressed run cache — and the verdicts it records
-//! (drift-free backend, lifted == hand-built) must actually hold.
-
-use std::fs;
-use std::path::PathBuf;
+//! The determinism gate for `extract`: `results/extract.csv` must be
+//! byte-identical whether the grid ran serially, on four workers, or cold
+//! or warm from the content-addressed run cache — and the verdicts it
+//! records (drift-free backend, lifted == hand-built) must actually hold.
 
 use armbar_experiments::extract::extract_results;
-use armbar_experiments::sweep::SweepCtx;
-use armbar_experiments::RunCache;
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("armbar_extract_det_{}_{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
+use armbar_experiments::verify;
 
 #[test]
 fn extract_csv_is_byte_identical_across_workers_and_cache_state() {
-    let (serial, fixtures, drift, uncontracted) =
-        extract_results(&SweepCtx::new(1, RunCache::disabled()));
+    let rungs = verify::ladder(|ctx| Ok(extract_results(ctx))).expect("ladder holds");
+    let (_, fixtures, drift, uncontracted) = &rungs.value;
     assert_eq!(fixtures.len(), 3, "three checked-in fixtures");
-    assert_eq!(uncontracted, 0, "every asm! wrapper must be contracted");
+    assert_eq!(*uncontracted, 0, "every asm! wrapper must be contracted");
     assert!(drift.iter().all(|r| r.ok()), "native backend drifted");
-    for (name, r) in &fixtures {
+    for (name, r) in fixtures {
         assert!(r.outcomes_equal, "{name}: outcome sets diverge");
         assert!(r.structurally_equal, "{name}: structure diverges");
     }
-
-    let (parallel, ..) = extract_results(&SweepCtx::new(4, RunCache::disabled()));
     assert_eq!(
-        serial, parallel,
-        "extract.csv must not depend on worker count"
+        rungs.cells as usize,
+        fixtures.len() + 1,
+        "fixtures + drift cell"
     );
-
-    let cache_dir = scratch("cache");
-    let cold_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (cold, ..) = extract_results(&cold_ctx);
-    assert_eq!(cold_ctx.cache.hits(), 0, "cold run cannot hit");
-    let cells = cold_ctx.cache.misses();
-    assert_eq!(cells as usize, fixtures.len() + 1, "fixtures + drift cell");
-    assert_eq!(serial, cold, "caching must not change the bytes");
-
-    let warm_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (warm, ..) = extract_results(&warm_ctx);
-    assert_eq!(warm_ctx.cache.misses(), 0, "warm run recomputes nothing");
-    assert_eq!(
-        warm_ctx.cache.hits(),
-        cells,
-        "every cell answered from disk"
-    );
-    assert_eq!(serial, warm, "warm rerun reproduces the exact bytes");
 }

@@ -1,53 +1,22 @@
-//! The issue's determinism gate for `exp-lint`: `results/lint.csv` must be
+//! The determinism gate for `lint`: `results/lint.csv` must be
 //! byte-identical whether the corpus sweep ran serially, on four workers,
-//! or warm from the content-addressed run cache. Worker counts and cache
-//! directories are passed explicitly (not via `ARMBAR_JOBS`) so tests in
-//! this binary cannot race on process-global environment.
-
-use std::fs;
-use std::path::PathBuf;
+//! or cold or warm from the content-addressed run cache.
 
 use armbar_experiments::lint::lint_results;
-use armbar_experiments::sweep::SweepCtx;
-use armbar_experiments::RunCache;
+use armbar_experiments::verify;
 
 /// Shallow replay keeps the simulator phase quick; determinism must hold
 /// at any depth.
 const ITERS: u64 = 40;
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("armbar_lint_det_{}_{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
-
 #[test]
 fn lint_csv_is_byte_identical_across_workers_and_cache_state() {
-    let (serial, rows) = lint_results(&SweepCtx::new(1, RunCache::disabled()), ITERS);
+    let rungs = verify::ladder(|ctx| Ok(lint_results(ctx, ITERS))).expect("ladder holds");
+    let (_, rows) = &rungs.value;
     assert!(!rows.is_empty(), "corpus must produce rows");
     assert!(
         rows.iter().any(|(_, r)| !r.is_empty()),
         "corpus must produce findings"
     );
-
-    let (parallel, _) = lint_results(&SweepCtx::new(4, RunCache::disabled()), ITERS);
-    assert_eq!(serial, parallel, "lint.csv must not depend on worker count");
-
-    let cache_dir = scratch("cache");
-    let cold_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (cold, _) = lint_results(&cold_ctx, ITERS);
-    assert_eq!(cold_ctx.cache.hits(), 0, "cold run cannot hit");
-    let cells = cold_ctx.cache.misses();
-    assert_eq!(cells as usize, rows.len(), "one cell per corpus case");
-    assert_eq!(serial, cold, "caching must not change the bytes");
-
-    let warm_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (warm, _) = lint_results(&warm_ctx, ITERS);
-    assert_eq!(warm_ctx.cache.misses(), 0, "warm run recomputes nothing");
-    assert_eq!(
-        warm_ctx.cache.hits(),
-        cells,
-        "every cell answered from disk"
-    );
-    assert_eq!(serial, warm, "warm rerun reproduces the exact bytes");
+    assert_eq!(rungs.cells as usize, rows.len(), "one cell per corpus case");
 }

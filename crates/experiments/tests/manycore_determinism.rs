@@ -1,26 +1,18 @@
-//! End-to-end guarantees of the `exp-manycore` grid, at reduced depth:
+//! End-to-end guarantees of the `manycore` grid, at reduced depth:
 //!
-//! 1. **Worker-count independence** — the grid CSV is byte-identical
-//!    whether the sweep ran serially or on four workers (CI checks the
-//!    full-depth `results/manycore.csv` the same way via `ARMBAR_JOBS`).
-//! 2. **Cache round-trip** — a warm rerun answers every cell from disk and
-//!    reproduces the same bytes.
-//! 3. **The crossover** — hierarchical beats centralized at ≥512 threads
+//! 1. **The ladder** — the grid CSV is byte-identical serially, on four
+//!    workers, cold and warm (`armbar verify manycore` checks the
+//!    full-depth `results/manycore.csv` the same way).
+//! 2. **The crossover** — hierarchical beats centralized at ≥512 threads
 //!    and loses at the smallest point, so the summary's ratio column
 //!    actually crosses 1.0 somewhere in between.
-//!
-//! Worker counts and cache directories are passed explicitly rather than
-//! through `ARMBAR_JOBS`/`ARMBAR_NO_CACHE`, because tests in one binary
-//! run concurrently and must not race on process-global environment.
 
 use std::collections::HashMap;
-use std::fs;
-use std::path::PathBuf;
 
 use armbar_experiments::manycore::{manycore_grid, ManycoreRow};
 use armbar_experiments::report::Table;
 use armbar_experiments::sweep::{SweepCtx, SweepSpec};
-use armbar_experiments::RunCache;
+use armbar_experiments::verify;
 use armbar_simapps::BarrierFamily;
 
 const ROUNDS: u64 = 2;
@@ -28,9 +20,9 @@ const ROUNDS: u64 = 2;
 /// Cycles-per-round per (flavour, family, threads) grid point.
 type PerRound = HashMap<(&'static str, BarrierFamily, usize), f64>;
 
-/// Run the grid under `ctx`, write the table, and return the CSV bytes
-/// plus each row's cycles-per-round keyed by (flavour, family, threads).
-fn grid_csv(ctx: &SweepCtx, dir: &PathBuf) -> (Vec<u8>, PerRound) {
+/// Run the grid under `ctx` and return the CSV text plus each row's
+/// cycles-per-round keyed by (flavour, family, threads).
+fn grid_csv(ctx: &SweepCtx) -> (String, PerRound) {
     let mut sweep = SweepSpec::new("manycore-test");
     let rows: Vec<ManycoreRow> = manycore_grid(&mut sweep, ROUNDS);
     let r = sweep.run(ctx);
@@ -50,20 +42,12 @@ fn grid_csv(ctx: &SweepCtx, dir: &PathBuf) -> (Vec<u8>, PerRound) {
         );
         per_round.insert((flavour, family, threads), vals[0]);
     }
-    t.write_csv(dir).expect("CSV written");
-    let bytes = fs::read(dir.join("manycore_test.csv")).expect("CSV readable");
-    (bytes, per_round)
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("armbar_manycore_{}_{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+    (t.csv(), per_round)
 }
 
 #[test]
 fn hierarchical_crosses_centralized_as_threads_grow() {
-    let (_, per_round) = grid_csv(&SweepCtx::serial_uncached(), &scratch("crossover"));
+    let (_, per_round) = grid_csv(&SweepCtx::serial_uncached());
     let get = |family, threads| per_round[&("manycore", family, threads)];
     for threads in [512, 1024] {
         let central = get(BarrierFamily::Centralized, threads);
@@ -82,34 +66,8 @@ fn hierarchical_crosses_centralized_as_threads_grow() {
 }
 
 #[test]
-fn parallel_manycore_csv_is_byte_identical_to_serial() {
-    let (serial, _) = grid_csv(&SweepCtx::new(1, RunCache::disabled()), &scratch("serial"));
-    let (parallel, _) = grid_csv(
-        &SweepCtx::new(4, RunCache::disabled()),
-        &scratch("parallel"),
-    );
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "CSV must not depend on the worker count");
-}
-
-#[test]
-fn warm_cache_rerun_reproduces_the_bytes() {
-    let cache_dir = scratch("cache");
-
-    let cold_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (cold, _) = grid_csv(&cold_ctx, &scratch("cold_out"));
-    assert_eq!(cold_ctx.cache.hits(), 0, "cold run cannot hit");
-    let cells = cold_ctx.cache.misses();
-    assert_eq!(cells, 36, "2 flavours × 6 thread counts × 3 families");
-    assert_eq!(cold_ctx.cache.stores(), cells, "every miss is stored");
-
-    let warm_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let (warm, _) = grid_csv(&warm_ctx, &scratch("warm_out"));
-    assert_eq!(warm_ctx.cache.misses(), 0, "warm run recomputes nothing");
-    assert_eq!(
-        warm_ctx.cache.hits(),
-        cells,
-        "every cell answered from disk"
-    );
-    assert_eq!(cold, warm, "cached values reproduce the exact CSV bytes");
+fn manycore_csv_is_byte_identical_on_every_rung() {
+    let rungs = verify::ladder(|ctx| Ok(grid_csv(ctx).0)).expect("ladder holds");
+    assert!(!rungs.value.is_empty());
+    assert_eq!(rungs.cells, 36, "2 flavours × 6 thread counts × 3 families");
 }

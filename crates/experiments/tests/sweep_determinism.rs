@@ -1,32 +1,19 @@
-//! The sweep engine's two core guarantees, checked end to end on the real
-//! Figure 3 Kunpeng916 workload:
-//!
-//! 1. **Worker-count independence** — the CSV a sweep produces is
-//!    byte-identical whether it ran serially or on four workers.
-//! 2. **Cache round-trip** — a cold run populates the content-addressed
-//!    cache; a warm rerun answers every cell from disk (skipping 100% ≥
-//!    the required 90% of simulator invocations) and reproduces the same
-//!    bytes.
-//!
-//! Worker counts and cache directories are passed explicitly rather than
-//! through `ARMBAR_JOBS`/`ARMBAR_NO_CACHE`, because tests in one binary
-//! run concurrently and must not race on process-global environment.
-
-use std::fs;
-use std::path::PathBuf;
+//! The sweep engine's two core guarantees — worker-count independence and
+//! the cache round-trip — checked end to end on the real Figure 3
+//! Kunpeng916 workload by climbing `verify::ladder` with it.
 
 use armbar_experiments::figures::fig3_grid;
 use armbar_experiments::report::Table;
 use armbar_experiments::sweep::{SweepCtx, SweepSpec};
-use armbar_experiments::RunCache;
+use armbar_experiments::verify;
 use armbar_simapps::bind::BindConfig;
 
 /// The fig3(a) grid at reduced depth: full series list, trimmed nop axis.
 const NOPS: [u32; 2] = [10, 120];
 const ITERS: u64 = 60;
 
-/// Run the Kunpeng916 same-node grid under `ctx` and return the CSV bytes.
-fn grid_csv(ctx: &SweepCtx, dir: &PathBuf) -> Vec<u8> {
+/// Run the Kunpeng916 same-node grid under `ctx` and return the CSV text.
+fn grid_csv(ctx: &SweepCtx) -> String {
     let mut sweep = SweepSpec::new("fig3a-test");
     let rows = fig3_grid(&mut sweep, BindConfig::KunpengSameNode, &NOPS, ITERS);
     let cells = sweep.len();
@@ -42,48 +29,12 @@ fn grid_csv(ctx: &SweepCtx, dir: &PathBuf) -> Vec<u8> {
         t.push_row(label, r.get(*cell).to_vec());
     }
     assert_eq!(t.rows.len(), cells, "one CSV row per declared cell");
-    t.write_csv(dir).expect("CSV written");
-    fs::read(dir.join("fig3a_test.csv")).expect("CSV readable")
-}
-
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("armbar_determinism_{}_{tag}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
+    t.csv()
 }
 
 #[test]
-fn parallel_sweep_csv_is_byte_identical_to_serial() {
-    let serial = grid_csv(&SweepCtx::new(1, RunCache::disabled()), &scratch("serial"));
-    let parallel = grid_csv(
-        &SweepCtx::new(4, RunCache::disabled()),
-        &scratch("parallel"),
-    );
-    assert!(!serial.is_empty());
-    assert_eq!(serial, parallel, "CSV must not depend on the worker count");
-}
-
-#[test]
-fn warm_cache_rerun_hits_every_cell_and_reproduces_the_bytes() {
-    let cache_dir = scratch("cache");
-
-    let cold_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let cold = grid_csv(&cold_ctx, &scratch("cold_out"));
-    assert_eq!(cold_ctx.cache.hits(), 0, "cold run cannot hit");
-    let cells = cold_ctx.cache.misses();
-    assert!(cells >= 10, "the grid declares one cell per series");
-    assert_eq!(cold_ctx.cache.stores(), cells, "every miss is stored");
-
-    let warm_ctx = SweepCtx::new(2, RunCache::at(&cache_dir));
-    let warm = grid_csv(&warm_ctx, &scratch("warm_out"));
-    assert_eq!(warm_ctx.cache.misses(), 0, "warm run recomputes nothing");
-    assert_eq!(
-        warm_ctx.cache.hits(),
-        cells,
-        "every cell answered from disk"
-    );
-    let skipped =
-        warm_ctx.cache.hits() as f64 / (warm_ctx.cache.hits() + warm_ctx.cache.misses()) as f64;
-    assert!(skipped >= 0.9, "warm rerun must skip >= 90% of invocations");
-    assert_eq!(cold, warm, "cached values reproduce the exact CSV bytes");
+fn fig3_grid_csv_is_byte_identical_on_every_rung() {
+    let rungs = verify::ladder(|ctx| Ok(grid_csv(ctx))).expect("ladder holds");
+    assert!(!rungs.value.is_empty());
+    assert!(rungs.cells >= 10, "the grid declares one cell per series");
 }

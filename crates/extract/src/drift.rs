@@ -250,7 +250,7 @@ pub fn check_drift(src: &str, contract: &[(&str, Barrier)]) -> DriftReport {
 }
 
 /// Check the shipped `armbar-barriers` native backend against its own
-/// [`ASM_CONTRACT`]. This is the call CI and `exp-extract` gate on.
+/// [`ASM_CONTRACT`]. This is the call CI and `armbar run extract` gate on.
 #[must_use]
 pub fn check_native_drift() -> DriftReport {
     check_drift(NATIVE_SOURCE, &ASM_CONTRACT)

@@ -20,7 +20,7 @@
 //! counts (fewest instructions per episode) and collapses as the counter
 //! line serializes hundreds of RMWs; hierarchical pays two levels of
 //! latency but scales with cluster count, overtaking at a few hundred
-//! cores (`exp-manycore` sweeps the grid).
+//! cores (`armbar run manycore` sweeps the grid).
 
 use armbar_barriers::Barrier;
 use armbar_sim::{Engine, Machine, Op, Platform, SimThread, StallBreakdown, ThreadCtx};

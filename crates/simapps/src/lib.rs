@@ -12,13 +12,13 @@
 //!   the delegation-lock suite.
 //! * [`delegation_sim`] — delegation lock server/clients (Algorithms 5 & 6)
 //!   in dedicated (FFWD, RCL) and migratory (DSynch, flat-combining,
-//!   CC-Synch) flavours: Figures 7(b), 7(c), 8(a–c) and `exp-dlock`.
+//!   CC-Synch) flavours: Figures 7(b), 7(c), 8(a–c) and `armbar run dlock`.
 //! * [`metrics`] — response-time science shared by the lock benchmarks:
 //!   latency histograms, Jain's fairness index, combiner subversion.
 //! * [`bind`] — the thread-placement configurations the figures sweep
 //!   (same NUMA node, cross node, mobile big cluster, …).
 //! * [`barrier_sim`] — the many-core barrier-synchronization family
-//!   (centralized / combining-tree / hierarchical) behind `exp-manycore`.
+//!   (centralized / combining-tree / hierarchical) behind `armbar run manycore`.
 //!
 //! Calibration tests at the bottom of each module assert the paper's
 //! *observations* hold on the simulator — they are the contract between

@@ -1,5 +1,5 @@
 //! MCS lock on the simulator — the second in-place baseline for the
-//! delegation-lock suite (`exp-dlock`).
+//! delegation-lock suite (`armbar run dlock`).
 //!
 //! Each thread owns a padded queue node (id = thread + 1, 0 is nil).
 //! Acquire: reset the node, swap it into the tail, link behind the

@@ -6,7 +6,7 @@
 //! * `u64` — the single-word fast path. Programs of at most 64 total
 //!   instructions (the whole litmus corpus) monomorphize to the same flat
 //!   shift-and-mask code the engine had when `u64` was hard-wired, so they
-//!   pay zero overhead for the generalization (`exp-explore-bench` gates
+//!   pay zero overhead for the generalization (`armbar bench explore` gates
 //!   this).
 //! * [`WideMask`] — a boxed `[u64]` bitset sized per program, lifting the
 //!   old 64-instruction ceiling for implementation-sized programs (unrolled

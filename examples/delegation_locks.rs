@@ -98,7 +98,7 @@ fn list_demo() {
 
 fn main() {
     println!("Delegation locks, {THREADS} threads x {OPS_PER_THREAD} counter increments");
-    println!("(wall-clock on this host; the calibrated comparison is `exp-fig7c`)\n");
+    println!("(wall-clock on this host; the calibrated comparison is `armbar run fig7c`)\n");
     println!(
         "  DSynch (combining)      {:>8.2}M ops/s",
         bench_combining(false) / 1e6

@@ -43,7 +43,7 @@ fn main() {
     println!(
         "hash table, {PRELOAD} preloaded members, {THREADS} threads x {ROUNDS} rounds of 10q+1i+1r"
     );
-    println!("(host wall-clock; the calibrated sweep is `exp-fig8c`)\n");
+    println!("(host wall-clock; the calibrated sweep is `armbar run fig8c`)\n");
     for buckets in [2usize, 8, 32, 128] {
         // Ticket-per-bucket.
         let ticket: LockedHashTable<TicketLock<SortedList>> =

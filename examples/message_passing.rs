@@ -9,7 +9,7 @@
 //! On an aarch64 host the configured barriers compile to the actual
 //! instructions; on x86 the portable mapping keeps behaviour identical
 //! (TSO is stronger). Throughput numbers on a non-ARM or oversubscribed
-//! host are illustrative only — the simulator experiments (`exp-fig6a` …)
+//! host are illustrative only — the simulator experiments (`armbar run fig6a` …)
 //! are the measured reproduction.
 
 use std::time::Instant;
