@@ -28,12 +28,12 @@
 use armbar_barriers::Barrier;
 use armbar_sim::Platform;
 use armbar_simapps::delegation_sim::{
-    run_delegation_metrics, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
+    run_delegation_with, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
     ResponseMode,
 };
-use armbar_simapps::mcs_sim::{run_mcs_metrics, McsConfig};
-use armbar_simapps::ticket_sim::{run_ticket_metrics, TicketConfig};
-use armbar_simapps::DlockMetrics;
+use armbar_simapps::mcs_sim::{run_mcs_with, McsConfig};
+use armbar_simapps::ticket_sim::{run_ticket_with, TicketConfig};
+use armbar_simapps::{DlockMetrics, RunOpts};
 
 use crate::cache::cache_key;
 use crate::report::Table;
@@ -106,22 +106,21 @@ pub fn run_design(
     per_client: u64,
 ) -> DlockMetrics {
     assert!(threads >= 2, "the suite compares contended locks");
+    let opts = RunOpts::default();
     match design {
-        DlockDesign::Ticket => run_ticket_metrics(
-            platform,
-            TicketConfig {
+        DlockDesign::Ticket => {
+            let cfg = TicketConfig {
                 threads,
                 global_lines: CS_LINES,
                 cs_nops: CS_NOPS,
                 post_nops: 0,
                 release_barrier: Barrier::DmbSt,
                 per_thread: per_client,
-            },
-            None,
-        ),
-        DlockDesign::Mcs => run_mcs_metrics(
-            platform,
-            McsConfig {
+            };
+            run_ticket_with(platform, cfg, opts).0
+        }
+        DlockDesign::Mcs => {
+            let cfg = McsConfig {
                 threads,
                 global_lines: CS_LINES,
                 cs_nops: CS_NOPS,
@@ -129,9 +128,9 @@ pub fn run_design(
                 acquire_barrier: Barrier::DmbLd,
                 release_barrier: Barrier::DmbSt,
                 per_thread: per_client,
-            },
-            None,
-        ),
+            };
+            run_mcs_with(platform, cfg, opts).0
+        }
         DlockDesign::Delegation(kind, mode) => {
             // Dedicated-server designs spend one occupied core on the
             // server so every design runs on the same hardware budget.
@@ -140,22 +139,19 @@ pub fn run_design(
             } else {
                 threads
             };
-            run_delegation_metrics(
-                platform,
-                DelegationConfig {
-                    kind,
-                    clients,
-                    barriers: DelegationBarriers {
-                        req: Barrier::Ldar,
-                        resp: Barrier::DmbSt,
-                    },
-                    mode,
-                    profile: CsProfile::counter(),
-                    per_client,
-                    interval_nops: 0,
+            let cfg = DelegationConfig {
+                kind,
+                clients,
+                barriers: DelegationBarriers {
+                    req: Barrier::Ldar,
+                    resp: Barrier::DmbSt,
                 },
-                None,
-            )
+                mode,
+                profile: CsProfile::counter(),
+                per_client,
+                interval_nops: 0,
+            };
+            run_delegation_with(platform, cfg, opts).0
         }
     }
 }

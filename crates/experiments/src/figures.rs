@@ -19,9 +19,10 @@ use armbar_simapps::delegation_sim::{
     ResponseMode, FIG7B_COMBOS,
 };
 use armbar_simapps::prodcons::{
-    run_prodcons, run_prodcons_traced, PcBarriers, PcVariant, FIG6A_COMBOS,
+    run_prodcons, run_prodcons_with, PcBarriers, PcVariant, FIG6A_COMBOS,
 };
-use armbar_simapps::ticket_sim::{run_ticket, run_ticket_traced, TicketConfig};
+use armbar_simapps::ticket_sim::{run_ticket, run_ticket_with, TicketConfig};
+use armbar_simapps::RunOpts;
 use armbar_wmm::battery::run_battery;
 use armbar_wmm::litmus::{message_passing, pilot_message_passing, table3_cell};
 use armbar_wmm::model::MemoryModel;
@@ -1116,23 +1117,20 @@ pub fn attrib(ctx: &SweepCtx) -> Vec<Table> {
 ///
 /// Propagates filesystem errors.
 pub fn export_trace(path: &std::path::Path) -> std::io::Result<()> {
+    let opts = RunOpts {
+        engine: None,
+        trace_capacity: Some(1 << 16),
+    };
     let mut trace = if std::env::var("ARMBAR_TRACE_WORKLOAD").as_deref() == Ok("mp") {
-        run_prodcons_traced(
-            BindConfig::KunpengSameNode,
-            PcVariant::Baseline(ATTRIB_MP),
-            PC_MSGS,
-            1,
-            40,
-            1 << 16,
-        )
-        .1
+        let bind = BindConfig::KunpengSameNode;
+        run_prodcons_with(bind, PcVariant::Baseline(ATTRIB_MP), PC_MSGS, 1, 40, opts).1
     } else {
         let cfg = TicketConfig {
             threads: 4,
             per_thread: 40,
             ..Default::default()
         };
-        run_ticket_traced(&Platform::kunpeng916(), cfg, 1 << 16).1
+        run_ticket_with(&Platform::kunpeng916(), cfg, opts).1
     };
     let cores =
         armbar_sim::Trace::parse_core_filter(std::env::var("ARMBAR_TRACE_CORES").ok().as_deref());

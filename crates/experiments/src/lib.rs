@@ -148,12 +148,32 @@ mod tests {
         let design = include_str!("../../../DESIGN.md");
         let experiments = include_str!("../../../EXPERIMENTS.md");
         for e in &EXPERIMENTS {
-            let row = format!("| `{}` |", e.id);
-            assert!(
-                design.lines().any(|l| l.starts_with(&row)),
-                "DESIGN.md experiment index has no row for {}",
-                e.id
-            );
+            let prefix = format!("| `{}` |", e.id);
+            let row = design
+                .lines()
+                .find(|l| l.starts_with(&prefix))
+                .unwrap_or_else(|| panic!("DESIGN.md experiment index has no row for {}", e.id));
+            // Every `armbar-simapps::<module>` (or `::{a, b}`) a row cites
+            // must be a file of that crate.
+            for cite in row.split("armbar-simapps::").skip(1) {
+                let modules: Vec<&str> = match cite.strip_prefix('{') {
+                    Some(list) => list.split('}').next().unwrap_or("").split(',').collect(),
+                    None => vec![cite],
+                };
+                for module in modules {
+                    let module = module
+                        .trim()
+                        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                        .next()
+                        .unwrap_or("");
+                    let file = format!("{}/../simapps/src/{module}.rs", env!("CARGO_MANIFEST_DIR"));
+                    assert!(
+                        std::path::Path::new(&file).is_file(),
+                        "DESIGN.md row `{}` cites armbar-simapps::{module}, which is no module of crates/simapps/src",
+                        e.id
+                    );
+                }
+            }
             let command = format!("`armbar run {}`", e.id);
             assert!(
                 experiments.contains(&command),

@@ -14,21 +14,33 @@
 //! 3. **The ladder** — the grid CSV is byte-identical serially, on four
 //!    workers, cold and warm (`armbar verify dlock` checks the full-depth
 //!    `results/dlock.csv` the same way).
+//! 4. **Tracing** — `run_delegation_with` and `run_mcs_with` record one
+//!    track per active core when asked to, and nothing otherwise.
 
 use armbar_barriers::Barrier;
 use armbar_experiments::dlock::{dlock_grid, DlockDesign, DlockRow};
 use armbar_experiments::report::Table;
 use armbar_experiments::sweep::{SweepCtx, SweepSpec};
 use armbar_experiments::verify;
+use armbar_sim::Trace;
 use armbar_sim::{Engine, Platform};
 use armbar_simapps::delegation_sim::{
-    run_delegation_metrics, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
+    run_delegation_with, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
     ResponseMode,
 };
-use armbar_simapps::mcs_sim::run_mcs_metrics;
-use armbar_simapps::{DlockMetrics, McsConfig};
+use armbar_simapps::mcs_sim::run_mcs_with;
+use armbar_simapps::{DlockMetrics, McsConfig, RunOpts};
 
 const PER_CLIENT: u64 = 6;
+
+const EVENT: RunOpts = RunOpts {
+    engine: Some(Engine::EventDriven),
+    trace_capacity: None,
+};
+const ORACLE: RunOpts = RunOpts {
+    engine: Some(Engine::LockstepOracle),
+    trace_capacity: None,
+};
 
 fn platforms() -> Vec<(&'static str, Platform)> {
     vec![
@@ -74,8 +86,8 @@ fn event_engine_matches_oracle_on_every_delegation_design() {
                         per_client: PER_CLIENT,
                         interval_nops: 0,
                     };
-                    let ev = run_delegation_metrics(&platform, cfg, Some(Engine::EventDriven));
-                    let or = run_delegation_metrics(&platform, cfg, Some(Engine::LockstepOracle));
+                    let ev = run_delegation_with(&platform, cfg, EVENT).0;
+                    let or = run_delegation_with(&platform, cfg, ORACLE).0;
                     let what = format!("{name}/{}-{}/{clients}", kind.label(), mode.label());
                     assert_metrics_equal(&ev, &or, &what);
                 }
@@ -93,11 +105,50 @@ fn event_engine_matches_oracle_on_mcs() {
                 per_thread: PER_CLIENT,
                 ..Default::default()
             };
-            let ev = run_mcs_metrics(&platform, cfg, Some(Engine::EventDriven));
-            let or = run_mcs_metrics(&platform, cfg, Some(Engine::LockstepOracle));
+            let ev = run_mcs_with(&platform, cfg, EVENT).0;
+            let or = run_mcs_with(&platform, cfg, ORACLE).0;
             assert_metrics_equal(&ev, &or, &format!("{name}/mcs/{threads}"));
         }
     }
+}
+
+/// The cores that recorded at least one event, ascending.
+fn tracks(trace: &Trace) -> Vec<usize> {
+    let cores: std::collections::BTreeSet<usize> = trace.events().map(|s| s.event.core()).collect();
+    cores.into_iter().collect()
+}
+
+#[test]
+fn tracing_records_one_track_per_active_core_and_nothing_when_off() {
+    let platform = Platform::kunpeng916();
+    let traced = RunOpts {
+        engine: None,
+        trace_capacity: Some(1 << 16),
+    };
+    for kind in DelegationKind::ALL {
+        let cfg = DelegationConfig {
+            kind,
+            clients: 3,
+            per_client: PER_CLIENT,
+            ..DelegationConfig::default_ffwd()
+        };
+        let active = 3 + usize::from(kind.has_server_core());
+        let (on, trace) = run_delegation_with(&platform, cfg, traced);
+        assert_eq!(tracks(&trace), (0..active).collect::<Vec<_>>(), "{kind:?}");
+        let (off, trace) = run_delegation_with(&platform, cfg, RunOpts::default());
+        assert!(trace.is_empty(), "{kind:?}: tracing was not asked for");
+        assert_metrics_equal(&on, &off, &format!("{kind:?} traced vs not"));
+    }
+    let cfg = McsConfig {
+        threads: 3,
+        per_thread: PER_CLIENT,
+        ..Default::default()
+    };
+    let (on, trace) = run_mcs_with(&platform, cfg, traced);
+    assert_eq!(tracks(&trace), vec![0, 1, 2], "mcs");
+    let (off, trace) = run_mcs_with(&platform, cfg, RunOpts::default());
+    assert!(trace.is_empty(), "mcs: tracing was not asked for");
+    assert_metrics_equal(&on, &off, "mcs traced vs not");
 }
 
 /// Run the reduced-depth grid under `ctx` and return the CSV text plus

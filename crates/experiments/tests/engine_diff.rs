@@ -11,14 +11,23 @@ use armbar_barriers::Barrier;
 use armbar_experiments::sweep::{SweepCtx, SweepSpec};
 use armbar_experiments::RunCache;
 use armbar_sim::{Engine, Platform};
-use armbar_simapps::barrier_sim::{run_barrier_with_engine, BarrierConfig, BarrierFamily};
-use armbar_simapps::prodcons::{run_prodcons_with_engine, PcBarriers, PcVariant};
-use armbar_simapps::ticket_sim::{run_ticket_with_engine, TicketConfig};
-use armbar_simapps::BindConfig;
+use armbar_simapps::barrier_sim::{run_barrier_with, BarrierConfig, BarrierFamily};
+use armbar_simapps::prodcons::{run_prodcons_with, PcBarriers, PcVariant};
+use armbar_simapps::ticket_sim::{run_ticket_with, TicketConfig};
+use armbar_simapps::{BindConfig, RunOpts};
 
 const COMBO: PcBarriers = PcBarriers {
     avail: Barrier::DmbFull,
     publish: Barrier::DmbSt,
+};
+
+const EVENT: RunOpts = RunOpts {
+    engine: Some(Engine::EventDriven),
+    trace_capacity: None,
+};
+const ORACLE: RunOpts = RunOpts {
+    engine: Some(Engine::LockstepOracle),
+    trace_capacity: None,
 };
 
 #[test]
@@ -30,8 +39,8 @@ fn event_engine_matches_oracle_on_message_passing() {
                 avail: Barrier::DmbFull,
             },
         ] {
-            let ev = run_prodcons_with_engine(bind, variant, 40, 1, 30, Engine::EventDriven);
-            let or = run_prodcons_with_engine(bind, variant, 40, 1, 30, Engine::LockstepOracle);
+            let ev = run_prodcons_with(bind, variant, 40, 1, 30, EVENT).0;
+            let or = run_prodcons_with(bind, variant, 40, 1, 30, ORACLE).0;
             assert_eq!(ev, or, "{bind:?} / {variant:?}");
         }
     }
@@ -51,9 +60,10 @@ fn event_engine_matches_oracle_on_the_ticket_lock() {
         ..Default::default()
     };
     for (name, p) in &platforms {
-        let ev = run_ticket_with_engine(p, cfg, Engine::EventDriven);
-        let or = run_ticket_with_engine(p, cfg, Engine::LockstepOracle);
-        assert_eq!(ev, or, "{name}");
+        let ev = run_ticket_with(p, cfg, EVENT).0;
+        let or = run_ticket_with(p, cfg, ORACLE).0;
+        assert_eq!(ev.result, or.result, "{name}");
+        assert_eq!(ev.latency, or.latency, "{name}");
     }
 }
 
@@ -70,8 +80,8 @@ fn event_engine_matches_oracle_on_barrier_families() {
                 rounds: 5,
                 work_nops: 15,
             };
-            let ev = run_barrier_with_engine(&platform, cfg, Engine::EventDriven);
-            let or = run_barrier_with_engine(&platform, cfg, Engine::LockstepOracle);
+            let ev = run_barrier_with(&platform, cfg, EVENT).0;
+            let or = run_barrier_with(&platform, cfg, ORACLE).0;
             assert_eq!(ev, or, "{family:?} × {threads} on {label}");
         }
     }
@@ -91,16 +101,16 @@ fn diff_spec() -> SweepSpec {
                 work_nops: 10,
             };
             let p = Platform::kunpeng916();
-            let ev = run_barrier_with_engine(&p, cfg, Engine::EventDriven);
-            let or = run_barrier_with_engine(&p, cfg, Engine::LockstepOracle);
+            let ev = run_barrier_with(&p, cfg, EVENT).0;
+            let or = run_barrier_with(&p, cfg, ORACLE).0;
             vec![ev.cycles as f64, or.cycles as f64]
         });
     }
     for (i, bind) in BindConfig::ALL.into_iter().enumerate() {
         spec.cell(format!("engine-diff|mp|{i}"), move || {
             let v = PcVariant::Baseline(COMBO);
-            let ev = run_prodcons_with_engine(bind, v, 25, 1, 20, Engine::EventDriven);
-            let or = run_prodcons_with_engine(bind, v, 25, 1, 20, Engine::LockstepOracle);
+            let ev = run_prodcons_with(bind, v, 25, 1, 20, EVENT).0;
+            let or = run_prodcons_with(bind, v, 25, 1, 20, ORACLE).0;
             vec![ev.cycles as f64, or.cycles as f64]
         });
     }

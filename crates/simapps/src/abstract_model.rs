@@ -22,6 +22,7 @@ use armbar_barriers::{Acquire, Barrier};
 use armbar_sim::{Machine, Op, Platform, SimThread, ThreadCtx};
 
 use crate::bind::BindConfig;
+use crate::lower::fence_op;
 
 /// Which access Algorithm 1's line 4 / line 8 performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,16 +166,8 @@ impl ModelThread {
         if self.spec.location != loc {
             return None;
         }
-        match self.spec.barrier {
-            Barrier::None
-            | Barrier::Ldar
-            | Barrier::Stlr
-            | Barrier::DataDep
-            | Barrier::AddrDep
-            | Barrier::Ctrl => None,
-            // CTRL+ISB: the ISB sits where the barrier would.
-            f => Some(Op::Fence(f)),
-        }
+        // CTRL+ISB: the ISB sits where the barrier would.
+        fence_op(self.spec.barrier)
     }
 }
 

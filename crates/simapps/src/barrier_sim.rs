@@ -23,7 +23,9 @@
 //! cores (`armbar run manycore` sweeps the grid).
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Engine, Machine, Op, Platform, SimThread, StallBreakdown, ThreadCtx};
+use armbar_sim::{Op, Platform, SimThread, StallBreakdown, ThreadCtx, Trace};
+
+use crate::harness::{machine, RunOpts};
 
 /// Arity of the combining tree.
 pub const TREE_RADIX: usize = 4;
@@ -251,37 +253,20 @@ fn tree_structure(threads: usize) -> (Vec<usize>, Vec<usize>, Vec<u64>) {
 /// release every thread every round is a correctness bug, not a data point.
 #[must_use]
 pub fn run_barrier(platform: &Platform, cfg: BarrierConfig) -> BarrierResult {
-    run_barrier_inner(platform, cfg, None)
+    run_barrier_with(platform, cfg, RunOpts::default()).0
 }
 
-/// [`run_barrier`] pinned to a specific scheduling [`Engine`] — the hook
-/// the differential harness uses to compare engines on identical workloads.
+/// [`run_barrier`] under explicit [`RunOpts`]; also returns the recorded
+/// trace.
 #[must_use]
-pub fn run_barrier_with_engine(
+pub fn run_barrier_with(
     platform: &Platform,
     cfg: BarrierConfig,
-    engine: Engine,
-) -> BarrierResult {
-    run_barrier_inner(platform, cfg, Some(engine))
-}
-
-fn run_barrier_inner(
-    platform: &Platform,
-    cfg: BarrierConfig,
-    engine: Option<Engine>,
-) -> BarrierResult {
+    opts: RunOpts,
+) -> (BarrierResult, Trace) {
     assert!(cfg.threads >= 1, "a barrier needs at least one participant");
-    assert!(
-        cfg.threads <= platform.topology.core_count(),
-        "not enough cores: {} > {}",
-        cfg.threads,
-        platform.topology.core_count()
-    );
     assert!(cfg.rounds >= 1, "zero rounds measures nothing");
-    let mut m = Machine::new(platform.clone());
-    if let Some(e) = engine {
-        m.set_engine(e);
-    }
+    let mut m = machine("barrier", platform, cfg.threads, opts);
     // Root lines live with core 0 (the usual allocator behaviour: the
     // thread that initializes the barrier owns its lines).
     m.set_region_home(SYS_COUNT, GEN + 64, 0);
@@ -341,26 +326,25 @@ fn run_barrier_inner(
         "{:?} barrier must release every thread every round",
         cfg.family
     );
-    // Every thread passed every round.
-    for core in 0..cfg.threads {
-        assert_eq!(
-            m.core_stats(core).iterations,
-            cfg.rounds,
-            "core {core} missed rounds"
-        );
-    }
     let mut stall = StallBreakdown::default();
     for core in 0..cfg.threads {
-        stall.merge(&m.core_stats(core).stall);
+        let core_stats = m.core_stats(core);
+        // Every thread passed every round.
+        assert_eq!(
+            core_stats.iterations, cfg.rounds,
+            "core {core} missed rounds"
+        );
+        stall.merge(&core_stats.stall);
     }
     let cycles = stats.cycles;
-    BarrierResult {
+    let result = BarrierResult {
         rounds: cfg.rounds,
         cycles,
         cycles_per_round: cycles as f64 / cfg.rounds as f64,
         barriers_per_sec: platform.iterations_per_second(cfg.rounds, cycles),
         stall,
-    }
+    };
+    (result, m.take_trace())
 }
 
 /// A thread with a single-flag release (centralized / tree): everyone
@@ -383,6 +367,7 @@ fn thread_for(cfg: BarrierConfig, path: Vec<(u64, u64)>) -> BarrierThread {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armbar_sim::Engine;
 
     #[test]
     fn tree_structure_shape() {
@@ -434,8 +419,12 @@ mod tests {
                     rounds: 8,
                     work_nops: 10,
                 };
-                let ev = run_barrier_with_engine(&p, cfg, Engine::EventDriven);
-                let or = run_barrier_with_engine(&p, cfg, Engine::LockstepOracle);
+                let on = |engine| RunOpts {
+                    engine: Some(engine),
+                    trace_capacity: None,
+                };
+                let ev = run_barrier_with(&p, cfg, on(Engine::EventDriven)).0;
+                let or = run_barrier_with(&p, cfg, on(Engine::LockstepOracle)).0;
                 assert_eq!(ev, or, "{family:?}/{threads}: engines must agree");
             }
         }

@@ -1,29 +1,37 @@
-//! Delegation locks on the simulator (Figures 7(b), 7(c), 8(a–c)).
+//! Delegation locks on the simulator (Figures 7(b), 7(c), 8(a–c), `dlock`).
 //!
-//! Two server flavours over the same request/response protocol:
+//! Five designs over the same request/response protocol (Algorithm 5):
 //!
-//! * **FFWD** — a dedicated server core sweeps per-client request lines
-//!   (Algorithm 5), executing critical sections and publishing responses.
+//! * **FFWD**, **RCL** — a dedicated `Server` core sweeps per-client
+//!   request lines, executing critical sections and publishing responses.
 //!   Responses of one sweep share the response barrier — FFWD's batching.
-//! * **DSynch** — a migratory combiner of the CC-Synch/DSM-Synch family:
-//!   a client that finds the baton free serves every pending request
-//!   (including its own), then releases the baton. No core is dedicated.
+//!   RCL's request word doubles as the completion channel.
+//! * **DSynch**, **flat combining** — migratory combiners: a client that
+//!   wins the baton (or the combiner lock) `Visit`s every publication
+//!   record and serves the pending ones, including its own. No core is
+//!   dedicated.
+//! * **CC-Synch** — a swap-based FIFO of recycled nodes; the head of the
+//!   queue combines, each waiter spins on one packed status word.
 //!
-//! Both publish responses either the classic way — store `ret`, response
-//! barrier (strictly after the critical section's RMRs), flip the response
-//! flag — or via **Pilot** (Algorithm 6): `ret ^ hash` *is* the
-//! notification, with a per-client fallback flag.
+//! All publish responses either the classic way — store `ret`, response
+//! barrier (strictly after the critical section's RMRs), store the flag —
+//! or via **Pilot** (Algorithm 6): `ret ^ hash` *is* the notification. The
+//! sequence is written once, in `Serve`; *where* the stores go is the
+//! per-design `Publish` value, which also drives the waiting side
+//! (`Await`).
 //!
 //! Critical sections are parameterized by a [`CsProfile`] so the
 //! data-structure benchmarks of Figure 8 (queue/stack/list/hash table) map
 //! onto the same machinery: how many shared lines the CS touches, how long
 //! the dependent pointer-chase is, and how much ALU work it does.
 
-use armbar_barriers::{Acquire, Barrier};
-use armbar_sim::{Engine, LatencyHistogram, Machine, Op, Platform, SimThread, ThreadCtx};
+use armbar_barriers::Barrier;
+use armbar_sim::{Op, Platform, SimThread, ThreadCtx, Trace};
 
-use crate::metrics::{jain_index, DlockMetrics};
-use crate::ticket_sim::{run_ticket, LockResult, TicketConfig};
+use crate::harness::{machine, run_lock, RunOpts};
+use crate::lower::{fence_op, order_after_load};
+use crate::metrics::DlockMetrics;
+use crate::ticket_sim::{modify_lines, run_ticket, LockResult, TicketConfig};
 
 /// Shared layout: per-client slots are fully padded; request and response
 /// live on different lines.
@@ -202,24 +210,18 @@ pub const FIG7B_COMBOS: [(&str, DelegationBarriers); 7] = [
     ),
 ];
 
-/// Ops issued to execute one critical section, shared by both servers.
-/// Returns the op for `cs_step`, or `None` when the CS is finished.
+/// Ops issued to execute one delegated critical section. Returns the op for
+/// `cs_step`, or `None` when the CS is finished.
 ///
 /// The dependent chase reads `DATA_BASE + k*64` with an address dependency
 /// on the previous load; independent lines are read+written.
 fn cs_op(profile: CsProfile, cs_step: &mut u32, last_value: u64, served: u64) -> Option<Op> {
-    let lines_phase = profile.lines * 2; // load+store per line
     let step = *cs_step;
     *cs_step += 1;
-    if step < lines_phase {
-        let line = u64::from(step / 2);
-        let addr = DATA_BASE + line * 64;
-        if step.is_multiple_of(2) {
-            return Some(Op::load_use(addr));
-        }
-        return Some(Op::store_dep(addr, last_value.wrapping_add(1)));
+    if let Some(op) = modify_lines(DATA_BASE, profile.lines, step, last_value) {
+        return Some(op);
     }
-    let chase_step = step - lines_phase;
+    let chase_step = step - profile.lines * 2; // load+store per line
     if chase_step < profile.chase {
         // Pointer chase: each node is a distinct line; the address depends
         // on the previous load.
@@ -232,18 +234,387 @@ fn cs_op(profile: CsProfile, cs_step: &mut u32, last_value: u64, served: u64) ->
     None
 }
 
-// ----------------------------------------------------------------- clients
+/// The election of the lock-based combiners: CAS a free (0) lock word to 1
+/// with acquire semantics; the old value tells who won.
+fn try_lock(addr: u64) -> Op {
+    Op::Rmw {
+        addr,
+        kind: armbar_sim::RmwKind::Cas { expected: 0 },
+        operand: 1,
+        acquire: true,
+        release: false,
+    }
+}
 
-/// A delegation client: posts a request, awaits the response, repeats.
-struct Client {
+// --------------------------------------------------------------- fragments
+
+/// Where the response to one served request goes (Algorithm 5 lines 7-8 /
+/// Algorithm 6). Flag mode stores the return value to `ret`, runs the
+/// response barrier, then stores `flag_value` to `notify`. Pilot mode
+/// stores only `pilot_value` — the shuffled return value *is* the
+/// notification — to `notify`.
+#[derive(Clone, Copy)]
+struct Publish {
+    ret: u64,
+    notify: u64,
+    flag_value: u64,
+    pilot_value: u64,
+}
+
+impl Publish {
+    /// FFWD, DSynch, flat combining: a padded response line and a flag line
+    /// per client; the piloted word goes where the return value would. It
+    /// differs from the previous round's by construction (round folded in).
+    fn slot(client: usize, round: u64, mode: ResponseMode) -> Publish {
+        Publish {
+            ret: resp_addr(client),
+            notify: match mode {
+                ResponseMode::Flag => resp_flag_addr(client),
+                ResponseMode::Pilot => resp_addr(client),
+            },
+            flag_value: round,
+            pilot_value: round.wrapping_mul(7) | 1,
+        }
+    }
+
+    /// RCL: completion is a store back into the request word — cleared in
+    /// flag mode, the packed (odd) response in pilot mode.
+    fn request_word(client: usize, round: u64) -> Publish {
+        Publish {
+            ret: resp_addr(client),
+            notify: req_addr(client),
+            flag_value: 0,
+            pilot_value: round.wrapping_mul(7) | 1,
+        }
+    }
+
+    /// CC-Synch: the waiter spins on its node's status word alone — 0 is
+    /// "completed", and pilot packs `round * 4 + 3` so the tag never
+    /// collides with [`CC_WAIT`] or [`CC_COMBINER`].
+    fn status_word(node: u64, round: u64) -> Publish {
+        Publish {
+            ret: node_ret(node),
+            notify: node_status(node),
+            flag_value: 0,
+            pilot_value: round * 4 + 3,
+        }
+    }
+}
+
+/// Serving one delegated request: the request barrier (Algorithm 5 line 4),
+/// the critical section (line 6), the published response (lines 7-8 /
+/// Algorithm 6).
+struct Serve {
+    barriers: DelegationBarriers,
+    mode: ResponseMode,
+    profile: CsProfile,
+    /// Requests served so far.
+    served: u64,
+    detect_addr: u64,
+    round: u64,
+    publish: Option<Publish>,
+    cs_step: u32,
+    phase: u8,
+}
+
+impl Serve {
+    fn new(cfg: &DelegationConfig) -> Serve {
+        Serve {
+            barriers: cfg.barriers,
+            mode: cfg.mode,
+            profile: cfg.profile,
+            served: 0,
+            detect_addr: 0,
+            round: 0,
+            publish: None,
+            cs_step: 0,
+            phase: 0,
+        }
+    }
+
+    /// Start serving `round`, which the load of `detect_addr` just detected.
+    /// `publish` is `None` for the server's own request: the result is
+    /// local, nobody needs notifying.
+    fn begin(&mut self, detect_addr: u64, round: u64, publish: Option<Publish>) {
+        self.detect_addr = detect_addr;
+        self.begin_ordered(round, publish);
+        self.phase = 0;
+    }
+
+    /// As [`Serve::begin`], for a server that already issued the request
+    /// barrier itself (CC-Synch reads the request between the two).
+    fn begin_ordered(&mut self, round: u64, publish: Option<Publish>) {
+        self.round = round;
+        self.publish = publish;
+        self.phase = 1;
+    }
+
+    /// The next op, or `None` once the request is served.
+    fn step(&mut self, ctx: &ThreadCtx) -> Option<Op> {
+        loop {
+            match self.phase {
+                0 => {
+                    self.phase = 1;
+                    if let Some(op) = order_after_load(self.barriers.req, self.detect_addr) {
+                        return Some(op);
+                    }
+                }
+                1 => match cs_op(
+                    self.profile,
+                    &mut self.cs_step,
+                    ctx.last_value(),
+                    self.served,
+                ) {
+                    Some(op) => return Some(op),
+                    None => {
+                        self.cs_step = 0;
+                        self.served += 1;
+                        self.phase = 2;
+                    }
+                },
+                2 => {
+                    let publish = self.publish?;
+                    match self.mode {
+                        ResponseMode::Flag => {
+                            self.phase = 3;
+                            return Some(Op::store(publish.ret, self.round.wrapping_mul(3)));
+                        }
+                        ResponseMode::Pilot => {
+                            // The shuffled ret is the notification; hashing
+                            // is two local ALU ops, and no barrier follows.
+                            self.phase = 4;
+                            return Some(Op::Nops(2));
+                        }
+                    }
+                }
+                3 => {
+                    self.phase = 4;
+                    if let Some(op) = fence_op(self.barriers.resp) {
+                        return Some(op);
+                    }
+                }
+                4 => {
+                    let publish = self.publish?;
+                    self.phase = 5;
+                    let value = match self.mode {
+                        ResponseMode::Flag => publish.flag_value,
+                        ResponseMode::Pilot => publish.pilot_value,
+                    };
+                    return Some(Op::store(publish.notify, value));
+                }
+                _ => return None,
+            }
+        }
+    }
+}
+
+/// Outcome of one [`Await::poll`] or [`Visit::step`] call.
+enum Polled {
+    /// Issue this op and call again.
+    Emit(Op),
+    /// The request has been served (and its response decoded).
+    Served,
+    /// Nothing yet; what to do next is the caller's policy.
+    Miss,
+}
+
+/// The waiting end of a [`Publish`]: one look at the word the response is
+/// announced in. Flag mode tests it against `flag_value` — an absolute
+/// test, immune to stale delta state — then reads the return value behind
+/// a dependency (the cheap client-side ordering). Pilot mode tests a packed
+/// word against `pilot_value`; a response slot is decoded by Algorithm 4:
+/// watch the response word for a change, fall back to the flag.
+struct Await {
+    mode: ResponseMode,
+    /// A response slot's fallback flag line (Algorithm 4 line 2); `None`
+    /// when the response is a packed word.
+    fallback: Option<u64>,
+    old_resp: u64,
+    old_flag: u64,
+    phase: u8,
+}
+
+impl Await {
+    fn new(cfg: &DelegationConfig, fallback: Option<u64>) -> Await {
+        Await {
+            mode: cfg.mode,
+            fallback,
+            old_resp: 0,
+            old_flag: 0,
+            phase: 0,
+        }
+    }
+
+    fn poll(&mut self, expect: Publish, ctx: &ThreadCtx) -> Polled {
+        let (phase, v) = (self.phase, ctx.last_value());
+        self.phase = 0;
+        match (phase, self.mode, self.fallback) {
+            (0, _, _) => {
+                self.phase = 1;
+                Polled::Emit(Op::load_use(expect.notify))
+            }
+            (1, ResponseMode::Flag, _) if v == expect.flag_value => {
+                self.phase = 3;
+                Polled::Emit(Op::load_dep(expect.ret, true))
+            }
+            (1, ResponseMode::Pilot, None) if v == expect.pilot_value => Polled::Served,
+            (1, ResponseMode::Pilot, Some(_)) if v != self.old_resp => {
+                self.old_resp = v;
+                Polled::Served
+            }
+            (1, ResponseMode::Pilot, Some(flag)) => {
+                self.phase = 2;
+                Polled::Emit(Op::load_use(flag))
+            }
+            (2, _, _) if v != self.old_flag => {
+                self.old_flag = v;
+                Polled::Served
+            }
+            (3, _, _) => Polled::Served,
+            _ => Polled::Miss,
+        }
+    }
+
+    /// A combiner `published` its own response during its sweep: synchronize
+    /// the decode state with it.
+    fn served_self(&mut self, published: Publish) {
+        if self.mode == ResponseMode::Pilot {
+            self.old_resp = published.pilot_value;
+        }
+    }
+}
+
+/// A migratory combiner visiting one client's publication record: read the
+/// posted round, compare it with the served-round marker, and claim and
+/// serve a new request. The marker is shared state: combiners migrate, so
+/// progress must live in memory, not in a core-local array. The response
+/// is published to the combiner itself too (uniform path).
+struct Visit {
     id: usize,
+    serve: Serve,
+    /// Critical sections executed on behalf of *other* clients (the
+    /// combiner-subversion counter).
+    for_others: u64,
+    round: u64,
+    phase: u8,
+}
+
+impl Visit {
+    fn new(id: usize, cfg: &DelegationConfig) -> Visit {
+        Visit {
+            id,
+            serve: Serve::new(cfg),
+            for_others: 0,
+            round: 0,
+            phase: 0,
+        }
+    }
+
+    /// What a visit to the combiner's own record publishes for `round`.
+    fn own(&self, round: u64) -> Publish {
+        Publish::slot(self.id, round, self.serve.mode)
+    }
+
+    /// [`Polled::Served`] once `client`'s pending request has been served,
+    /// [`Polled::Miss`] if it had none.
+    fn step(&mut self, client: usize, ctx: &ThreadCtx) -> Polled {
+        match self.phase {
+            0 => {
+                self.phase = 1;
+                Polled::Emit(Op::load_use(req_addr(client)))
+            }
+            1 => {
+                self.round = ctx.last_value();
+                self.phase = 2;
+                Polled::Emit(Op::load_use(served_round_addr(client)))
+            }
+            2 if self.round == ctx.last_value() => {
+                self.phase = 0;
+                Polled::Miss
+            }
+            2 => {
+                let publish = Publish::slot(client, self.round, self.serve.mode);
+                self.serve
+                    .begin(req_addr(client), self.round, Some(publish));
+                self.phase = 3;
+                Polled::Emit(Op::store(served_round_addr(client), self.round))
+            }
+            _ => {
+                if let Some(op) = self.serve.step(ctx) {
+                    return Polled::Emit(op);
+                }
+                if client != self.id {
+                    self.for_others += 1;
+                }
+                self.phase = 0;
+                Polled::Served
+            }
+        }
+    }
+}
+
+/// The end of a client's operation: mark the iteration and pace by the
+/// interval, or — after the last one — retire.
+struct Tail {
     iterations: u64,
     done: u64,
     interval_nops: u32,
-    mode: ResponseMode,
-    old_resp: u64,
-    old_flag: u64,
+    /// Where a thread that can combine publishes its subversion counter
+    /// before `Halt`.
+    subv: Option<u64>,
+    phase: u8,
+}
+
+impl Tail {
+    fn new(cfg: &DelegationConfig, subv: Option<u64>) -> Tail {
+        Tail {
+            iterations: cfg.per_client,
+            done: 0,
+            interval_nops: cfg.interval_nops,
+            subv,
+            phase: 0,
+        }
+    }
+
+    /// The next op after a completed operation, or `None` when the next
+    /// request should be posted. `for_others` is the number of critical
+    /// sections this thread ran on behalf of other threads so far.
+    fn step(&mut self, for_others: u64) -> Option<Op> {
+        match self.phase {
+            0 => {
+                self.done += 1;
+                if self.done >= self.iterations {
+                    self.phase = 3;
+                    return Some(match self.subv {
+                        Some(addr) => Op::store(addr, for_others),
+                        None => Op::Halt,
+                    });
+                }
+                self.phase = if self.interval_nops > 0 { 1 } else { 2 };
+                Some(Op::IterationMark)
+            }
+            1 => {
+                self.phase = 2;
+                Some(Op::Nops(self.interval_nops))
+            }
+            2 => {
+                self.phase = 0;
+                None
+            }
+            _ => Some(Op::Halt),
+        }
+    }
+}
+
+// -------------------------------------------------------- dedicated server
+
+/// A dedicated server's client (FFWD): posts a request, awaits the response
+/// in its slot, repeats.
+struct Client {
+    id: usize,
     round: u64,
+    resp: Await,
+    tail: Tail,
     state: u8,
 }
 
@@ -257,196 +628,155 @@ impl SimThread for Client {
                     self.state = 1;
                     return Op::store(req_addr(self.id), self.round);
                 }
-                // Await the response.
+                // Await the response. In flag mode the client looks at the
+                // response line first, then at the flag word that signals.
                 1 => {
                     self.state = 2;
-                    return Op::load_use(resp_addr(self.id));
+                    if self.resp.mode == ResponseMode::Flag {
+                        return Op::load_use(resp_addr(self.id));
+                    }
                 }
                 2 => {
-                    let v = ctx.last_value();
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            // The flag word signals; re-read it.
-                            self.state = 3;
-                            return Op::load_use(resp_flag_addr(self.id));
-                        }
-                        ResponseMode::Pilot => {
-                            if v != self.old_resp {
-                                self.old_resp = v;
-                                self.state = 5;
-                                continue;
-                            }
-                            self.state = 3;
-                            return Op::load_use(resp_flag_addr(self.id));
+                    let expect = Publish::slot(self.id, self.round, self.resp.mode);
+                    match self.resp.poll(expect, ctx) {
+                        Polled::Emit(op) => return op,
+                        Polled::Served => self.state = 3,
+                        Polled::Miss => {
+                            self.state = 1;
+                            return Op::Nops(1);
                         }
                     }
                 }
-                3 => {
-                    let f = ctx.last_value();
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            if f == self.round {
-                                self.state = 4;
-                                continue;
-                            }
-                        }
-                        ResponseMode::Pilot => {
-                            if f != self.old_flag {
-                                self.old_flag = f;
-                                self.state = 5;
-                                continue;
-                            }
-                        }
-                    }
-                    self.state = 1;
-                    return Op::Nops(1);
-                }
-                // Flag mode: order the flag before reading ret (cheap side).
-                4 => {
-                    self.state = 6;
-                    return Op::Load {
-                        addr: resp_addr(self.id),
-                        use_value: true,
-                        acquire: Acquire::No,
-                        dep_on_last_load: true,
-                    };
-                }
-                5 | 6 => {
-                    self.state = 7;
-                }
-                8 => {
-                    self.state = 0;
-                    return Op::Nops(self.interval_nops);
-                }
-                _ => {
-                    self.done += 1;
-                    if self.done >= self.iterations {
-                        return Op::Halt;
-                    }
-                    self.state = if self.interval_nops > 0 { 8 } else { 0 };
-                    return Op::IterationMark;
-                }
+                _ => match self.tail.step(0) {
+                    Some(op) => return op,
+                    None => self.state = 0,
+                },
             }
         }
     }
 }
 
-// ------------------------------------------------------------ FFWD server
-
-/// The dedicated FFWD server: sweeps request lines round-robin.
-struct FfwdServer {
-    clients: usize,
-    seen: Vec<u64>,
-    total: u64,
-    served: u64,
-    barriers: DelegationBarriers,
-    mode: ResponseMode,
-    profile: CsProfile,
-    scan_at: usize,
-    cs_step: u32,
+/// An RCL client: the request word it spins on is also the completion
+/// channel, so one padded line round-trips per operation.
+struct RclClient {
+    id: usize,
+    round: u64,
+    resp: Await,
+    tail: Tail,
     state: u8,
 }
 
-impl SimThread for FfwdServer {
+impl SimThread for RclClient {
+    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
+        loop {
+            match self.state {
+                // Post the request: an even, non-zero word (round * 2).
+                0 => {
+                    self.round += 1;
+                    self.state = 1;
+                    return Op::store(req_addr(self.id), self.round * 2);
+                }
+                // Spin on the same word: cleared (flag) or odd (pilot: the
+                // notification and the payload in the word we already hold)
+                // means served.
+                1 => match self
+                    .resp
+                    .poll(Publish::request_word(self.id, self.round), ctx)
+                {
+                    Polled::Emit(op) => return op,
+                    Polled::Served => self.state = 2,
+                    Polled::Miss => return Op::Nops(1),
+                },
+                _ => match self.tail.step(0) {
+                    Some(op) => return op,
+                    None => self.state = 0,
+                },
+            }
+        }
+    }
+}
+
+/// How the clients of a dedicated server talk to it: what a pending request
+/// word looks like and where its response goes.
+enum Channel {
+    /// FFWD: the word carries the bare round; the server remembers the last
+    /// round it saw per client and answers through the client's slot.
+    Slot { seen: Vec<u64> },
+    /// RCL: the request word doubles as the completion channel.
+    RequestWord,
+}
+
+impl Channel {
+    /// The round `client`'s polled request `word` asks for, if it is new.
+    fn pending(&mut self, client: usize, word: u64) -> Option<u64> {
+        match self {
+            Channel::Slot { seen } => {
+                let new = word != seen[client];
+                seen[client] = word;
+                new.then_some(word)
+            }
+            // Pending requests are even and non-zero; zero or odd means
+            // empty or the server's own earlier response.
+            Channel::RequestWord => (word != 0 && word & 1 == 0).then_some(word / 2),
+        }
+    }
+
+    fn publish(&self, client: usize, round: u64, mode: ResponseMode) -> Publish {
+        match self {
+            Channel::Slot { .. } => Publish::slot(client, round, mode),
+            Channel::RequestWord => Publish::request_word(client, round),
+        }
+    }
+}
+
+/// The dedicated server (FFWD, RCL): sweeps the request lines round-robin
+/// (Algorithm 5). Responses of one sweep share the response barrier.
+struct Server {
+    channel: Channel,
+    clients: usize,
+    total: u64,
+    serve: Serve,
+    scan_at: usize,
+    state: u8,
+}
+
+impl SimThread for Server {
     fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
         loop {
             match self.state {
                 // Poll the next client's request line.
                 0 => {
-                    if self.served >= self.total {
+                    if self.serve.served >= self.total {
                         // Every critical section a dedicated server runs is
                         // on behalf of someone else: publish the subversion
                         // counter, then retire.
-                        self.state = 8;
-                        return Op::store(subv_addr(0), self.served);
+                        self.state = 4;
+                        return Op::store(subv_addr(0), self.serve.served);
                     }
                     self.state = 1;
                     return Op::load_use(req_addr(self.scan_at));
                 }
                 1 => {
-                    let round = ctx.last_value();
-                    if round == self.seen[self.scan_at] {
-                        self.scan_at = (self.scan_at + 1) % self.clients;
+                    let client = self.scan_at;
+                    if let Some(round) = self.channel.pending(client, ctx.last_value()) {
+                        let publish = self.channel.publish(client, round, self.serve.mode);
+                        self.serve.begin(req_addr(client), round, Some(publish));
+                        self.state = 2;
+                    } else {
+                        self.scan_at = (client + 1) % self.clients;
                         self.state = 0;
-                        continue;
-                    }
-                    self.seen[self.scan_at] = round;
-                    // Line 4: the request barrier.
-                    self.state = 2;
-                    match self.barriers.req {
-                        Barrier::None => {}
-                        Barrier::Ldar => {
-                            return Op::Load {
-                                addr: req_addr(self.scan_at),
-                                use_value: false,
-                                acquire: Acquire::Sc,
-                                dep_on_last_load: false,
-                            };
-                        }
-                        Barrier::AddrDep | Barrier::DataDep | Barrier::Ctrl => {
-                            // Dependencies attach to the CS's first access;
-                            // nothing standalone to issue.
-                        }
-                        f => return Op::Fence(f),
                     }
                 }
-                // Line 6: the critical section.
-                2 => {
-                    match cs_op(
-                        self.profile,
-                        &mut self.cs_step,
-                        ctx.last_value(),
-                        self.served,
-                    ) {
-                        Some(op) => return op,
-                        None => {
-                            self.cs_step = 0;
-                            self.state = 3;
-                        }
+                2 => match self.serve.step(ctx) {
+                    Some(op) => return op,
+                    None => {
+                        self.scan_at = (self.scan_at + 1) % self.clients;
+                        self.state = 3;
                     }
-                }
-                // Lines 7-8 / Algorithm 6: publish the response.
+                },
                 3 => {
-                    let client = self.scan_at;
-                    let round = self.seen[client];
-                    self.served += 1;
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            self.state = 4;
-                            return Op::store(resp_addr(client), round.wrapping_mul(3));
-                        }
-                        ResponseMode::Pilot => {
-                            // The shuffled ret is the notification; hashing
-                            // is two local ALU ops.
-                            self.state = 6;
-                            return Op::Nops(2);
-                        }
-                    }
-                }
-                4 => {
-                    self.state = 5;
-                    match self.barriers.resp {
-                        Barrier::None => {}
-                        f => return Op::Fence(f),
-                    }
-                }
-                5 => {
-                    let client = self.scan_at;
-                    self.scan_at = (self.scan_at + 1) % self.clients;
-                    self.state = 7;
-                    return Op::store(resp_flag_addr(client), self.seen[client]);
-                }
-                6 => {
-                    let client = self.scan_at;
-                    self.scan_at = (self.scan_at + 1) % self.clients;
-                    self.state = 7;
-                    // Shuffled value differs from the previous round's by
-                    // construction (round counter folded in).
-                    return Op::store(resp_addr(client), self.seen[client].wrapping_mul(7) | 1);
-                }
-                7 => {
                     self.state = 0;
-                    return Op::store(SERVED, self.served);
+                    return Op::store(SERVED, self.serve.served);
                 }
                 _ => return Op::Halt,
             }
@@ -461,29 +791,16 @@ impl SimThread for FfwdServer {
 struct CombinerClient {
     id: usize,
     clients: usize,
-    iterations: u64,
-    done: u64,
-    interval_nops: u32,
-    barriers: DelegationBarriers,
-    mode: ResponseMode,
-    profile: CsProfile,
-    old_resp: u64,
-    old_flag: u64,
     round: u64,
-    served_total: u64,
-    /// Critical sections executed on behalf of *other* clients while we
-    /// held the baton (the combiner-subversion counter).
-    for_others: u64,
+    resp: Await,
+    visit: Visit,
+    tail: Tail,
     scan_at: usize,
-    scanned: usize,
-    cs_step: u32,
-    serving_round: u64,
     poll_misses: u64,
     state: u8,
 }
 
 impl SimThread for CombinerClient {
-    #[allow(clippy::too_many_lines)]
     fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
         loop {
             match self.state {
@@ -496,19 +813,12 @@ impl SimThread for CombinerClient {
                 // Try to become the combiner (baton CAS), else wait.
                 1 => {
                     self.state = 2;
-                    return Op::Rmw {
-                        addr: BATON,
-                        kind: armbar_sim::RmwKind::Cas { expected: 0 },
-                        operand: 1,
-                        acquire: true,
-                        release: false,
-                    };
+                    return try_lock(BATON);
                 }
                 2 => {
                     if ctx.last_value() == 0 {
                         // We hold the baton: combine.
                         self.scan_at = 0;
-                        self.scanned = 0;
                         self.state = 10;
                     } else {
                         // Someone is combining; wait for our response.
@@ -518,391 +828,46 @@ impl SimThread for CombinerClient {
                 // ---------------- waiting side ----------------
                 // Spinning is local: the polled lines are ours, so until a
                 // combiner writes them the loads hit in our cache.
-                3 => match self.mode {
-                    ResponseMode::Flag => {
-                        self.state = 4;
-                        return Op::load_use(resp_flag_addr(self.id));
-                    }
-                    ResponseMode::Pilot => {
-                        self.state = 6;
-                        return Op::load_use(resp_addr(self.id));
+                3 => match self.resp.poll(self.visit.own(self.round), ctx) {
+                    Polled::Emit(op) => return op,
+                    Polled::Served => self.state = 30,
+                    // Not served yet: spin locally, retrying the baton only
+                    // occasionally so a released lock cannot strand us.
+                    Polled::Miss => {
+                        self.poll_misses += 1;
+                        self.state = if self.poll_misses.is_multiple_of(8) {
+                            1
+                        } else {
+                            3
+                        };
+                        return Op::Nops(2);
                     }
                 },
-                // Flag mode: the flag carries the served round (absolute
-                // test — immune to stale delta state).
-                4 => {
-                    if ctx.last_value() == self.round {
-                        // Served: read the return value behind a dependency.
-                        self.state = 30;
-                        return Op::Load {
-                            addr: resp_addr(self.id),
-                            use_value: true,
-                            acquire: Acquire::No,
-                            dep_on_last_load: true,
-                        };
-                    }
-                    self.state = 5;
-                    continue;
-                }
-                // Not served yet: spin locally, retrying the baton only
-                // occasionally so a released lock cannot strand us.
-                5 => {
-                    self.poll_misses += 1;
-                    self.state = if self.poll_misses.is_multiple_of(8) {
-                        1
-                    } else {
-                        3
-                    };
-                    return Op::Nops(2);
-                }
-                // Pilot mode: Algorithm 4 on the response word.
-                6 => {
-                    let v = ctx.last_value();
-                    if v != self.old_resp {
-                        self.old_resp = v;
-                        self.state = 30;
-                        continue;
-                    }
-                    self.state = 7;
-                    return Op::load_use(resp_flag_addr(self.id));
-                }
-                7 => {
-                    if ctx.last_value() != self.old_flag {
-                        self.old_flag = ctx.last_value();
-                        self.state = 30;
-                        continue;
-                    }
-                    self.state = 5;
-                    continue;
-                }
                 // ---------------- combiner side ----------------
                 // Scan all clients once, serving pending requests.
                 10 => {
-                    if self.scanned >= self.clients {
-                        // Sweep done: release the baton.
-                        self.state = 20;
-                        continue;
+                    if self.scan_at >= self.clients {
+                        // Sweep done: release the baton (store-release keeps
+                        // the protocol sound; its cost is shared across the
+                        // whole sweep).
+                        self.state = 11;
+                        return Op::store_release(BATON, 0);
                     }
-                    self.state = 11;
-                    return Op::load_use(req_addr(self.scan_at));
+                    match self.visit.step(self.scan_at, ctx) {
+                        Polled::Emit(op) => return op,
+                        Polled::Served | Polled::Miss => self.scan_at += 1,
+                    }
                 }
                 11 => {
-                    self.serving_round = ctx.last_value();
-                    // The served-round marker is shared state: combiners
-                    // migrate, so progress must live in memory, not in a
-                    // core-local array.
-                    self.state = 25;
-                    return Op::load_use(served_round_addr(self.scan_at));
-                }
-                25 => {
-                    if self.serving_round == ctx.last_value() {
-                        self.scan_at = (self.scan_at + 1) % self.clients;
-                        self.scanned += 1;
-                        self.state = 10;
-                        continue;
-                    }
-                    self.state = 26;
-                    return Op::store(served_round_addr(self.scan_at), self.serving_round);
-                }
-                26 => {
-                    self.state = 12;
-                    match self.barriers.req {
-                        Barrier::None | Barrier::AddrDep | Barrier::DataDep | Barrier::Ctrl => {}
-                        Barrier::Ldar => {
-                            return Op::Load {
-                                addr: req_addr(self.scan_at),
-                                use_value: false,
-                                acquire: Acquire::Sc,
-                                dep_on_last_load: false,
-                            };
-                        }
-                        f => return Op::Fence(f),
-                    }
-                }
-                12 => {
-                    match cs_op(
-                        self.profile,
-                        &mut self.cs_step,
-                        ctx.last_value(),
-                        self.served_total,
-                    ) {
-                        Some(op) => return op,
-                        None => {
-                            self.cs_step = 0;
-                            self.served_total += 1;
-                            if self.scan_at != self.id {
-                                self.for_others += 1;
-                            }
-                            self.state = 13;
-                        }
-                    }
-                }
-                // Publish the response (to ourselves too: uniform path).
-                13 => {
-                    let client = self.scan_at;
-                    let round = self.serving_round;
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            self.state = 14;
-                            return Op::store(resp_addr(client), round.wrapping_mul(3));
-                        }
-                        ResponseMode::Pilot => {
-                            self.state = 16;
-                            return Op::Nops(2);
-                        }
-                    }
-                }
-                14 => {
-                    self.state = 15;
-                    match self.barriers.resp {
-                        Barrier::None => {}
-                        f => return Op::Fence(f),
-                    }
-                }
-                15 => {
-                    let client = self.scan_at;
-                    let round = self.serving_round;
-                    self.scan_at = (self.scan_at + 1) % self.clients;
-                    self.scanned += 1;
-                    self.state = 10;
-                    return Op::store(resp_flag_addr(client), round);
-                }
-                16 => {
-                    let client = self.scan_at;
-                    let round = self.serving_round;
-                    self.scan_at = (self.scan_at + 1) % self.clients;
-                    self.scanned += 1;
-                    self.state = 10;
-                    return Op::store(resp_addr(client), round.wrapping_mul(7) | 1);
-                }
-                // Release the baton (store-release keeps the protocol
-                // sound; its cost is shared across the whole sweep).
-                20 => {
-                    self.state = 21;
-                    return Op::store_release(BATON, 0);
-                }
-                21 => {
                     // Our own request was served during the sweep (we always
-                    // serve ourselves); synchronize decode state.
-                    self.old_resp = match self.mode {
-                        ResponseMode::Flag => self.old_resp,
-                        ResponseMode::Pilot => self.round.wrapping_mul(7) | 1,
-                    };
-                    self.old_flag = match self.mode {
-                        ResponseMode::Flag => self.round,
-                        ResponseMode::Pilot => self.old_flag,
-                    };
+                    // serve ourselves).
+                    self.resp.served_self(self.visit.own(self.round));
                     self.state = 30;
                 }
-                // ---------------- iteration done ----------------
-                31 => {
-                    self.state = 0;
-                    return Op::Nops(self.interval_nops);
-                }
-                32 => {
-                    self.state = 33;
-                    return Op::store(subv_addr(self.id), self.for_others);
-                }
-                33 => return Op::Halt,
-                _ => {
-                    self.done += 1;
-                    if self.done >= self.iterations {
-                        self.state = 32;
-                        continue;
-                    }
-                    self.state = if self.interval_nops > 0 { 31 } else { 0 };
-                    return Op::IterationMark;
-                }
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------- RCL pair
-
-/// An RCL client: the request word it spins on is also the completion
-/// channel, so one padded line round-trips per operation.
-struct RclClient {
-    id: usize,
-    iterations: u64,
-    done: u64,
-    interval_nops: u32,
-    mode: ResponseMode,
-    round: u64,
-    state: u8,
-}
-
-impl SimThread for RclClient {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                // Post the request: an even, non-zero word (round * 2).
-                0 => {
-                    self.round += 1;
-                    self.state = 1;
-                    return Op::store(req_addr(self.id), self.round * 2);
-                }
-                // Spin on the same word.
-                1 => {
-                    self.state = 2;
-                    return Op::load_use(req_addr(self.id));
-                }
-                2 => {
-                    let v = ctx.last_value();
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            if v == 0 {
-                                // Served: read ret behind a dependency
-                                // (cheap client-side ordering).
-                                self.state = 5;
-                                return Op::Load {
-                                    addr: resp_addr(self.id),
-                                    use_value: true,
-                                    acquire: Acquire::No,
-                                    dep_on_last_load: true,
-                                };
-                            }
-                        }
-                        ResponseMode::Pilot => {
-                            // Odd = packed response: notification and
-                            // payload in the word we already hold.
-                            if v & 1 == 1 {
-                                self.state = 5;
-                                continue;
-                            }
-                        }
-                    }
-                    self.state = 1;
-                    return Op::Nops(1);
-                }
-                4 => {
-                    self.state = 0;
-                    return Op::Nops(self.interval_nops);
-                }
-                _ => {
-                    self.done += 1;
-                    if self.done >= self.iterations {
-                        return Op::Halt;
-                    }
-                    self.state = if self.interval_nops > 0 { 4 } else { 0 };
-                    return Op::IterationMark;
-                }
-            }
-        }
-    }
-}
-
-/// The dedicated RCL server: like FFWD's sweep, but completion is a store
-/// back into the request word (clear in flag mode, packed odd in pilot).
-struct RclServer {
-    clients: usize,
-    total: u64,
-    served: u64,
-    barriers: DelegationBarriers,
-    mode: ResponseMode,
-    profile: CsProfile,
-    scan_at: usize,
-    cs_step: u32,
-    serving_round: u64,
-    state: u8,
-}
-
-impl SimThread for RclServer {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                0 => {
-                    if self.served >= self.total {
-                        self.state = 8;
-                        return Op::store(subv_addr(0), self.served);
-                    }
-                    self.state = 1;
-                    return Op::load_use(req_addr(self.scan_at));
-                }
-                1 => {
-                    let v = ctx.last_value();
-                    // Pending requests are even and non-zero; zero or odd
-                    // means empty or our own earlier response.
-                    if v == 0 || v & 1 == 1 {
-                        self.scan_at = (self.scan_at + 1) % self.clients;
-                        self.state = 0;
-                        continue;
-                    }
-                    self.serving_round = v / 2;
-                    // Line 4: the request barrier.
-                    self.state = 2;
-                    match self.barriers.req {
-                        Barrier::None => {}
-                        Barrier::Ldar => {
-                            return Op::Load {
-                                addr: req_addr(self.scan_at),
-                                use_value: false,
-                                acquire: Acquire::Sc,
-                                dep_on_last_load: false,
-                            };
-                        }
-                        Barrier::AddrDep | Barrier::DataDep | Barrier::Ctrl => {}
-                        f => return Op::Fence(f),
-                    }
-                }
-                // Line 6: the critical section.
-                2 => {
-                    match cs_op(
-                        self.profile,
-                        &mut self.cs_step,
-                        ctx.last_value(),
-                        self.served,
-                    ) {
-                        Some(op) => return op,
-                        None => {
-                            self.cs_step = 0;
-                            self.state = 3;
-                        }
-                    }
-                }
-                // Publish the response into the request word.
-                3 => {
-                    self.served += 1;
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            self.state = 4;
-                            return Op::store(
-                                resp_addr(self.scan_at),
-                                self.serving_round.wrapping_mul(3),
-                            );
-                        }
-                        ResponseMode::Pilot => {
-                            // Hashing the return value is two local ALU ops;
-                            // the packed word (odd) is the only store.
-                            self.state = 6;
-                            return Op::Nops(2);
-                        }
-                    }
-                }
-                4 => {
-                    self.state = 5;
-                    match self.barriers.resp {
-                        Barrier::None => {}
-                        f => return Op::Fence(f),
-                    }
-                }
-                5 => {
-                    let client = self.scan_at;
-                    self.scan_at = (self.scan_at + 1) % self.clients;
-                    self.state = 7;
-                    return Op::store(req_addr(client), 0);
-                }
-                6 => {
-                    let client = self.scan_at;
-                    self.scan_at = (self.scan_at + 1) % self.clients;
-                    self.state = 7;
-                    return Op::store(req_addr(client), self.serving_round.wrapping_mul(7) | 1);
-                }
-                7 => {
-                    self.state = 0;
-                    return Op::store(SERVED, self.served);
-                }
-                _ => return Op::Halt,
+                _ => match self.tail.step(self.visit.for_others) {
+                    Some(op) => return op,
+                    None => self.state = 0,
+                },
             }
         }
     }
@@ -915,28 +880,18 @@ impl SimThread for RclServer {
 struct FcClient {
     id: usize,
     clients: usize,
-    iterations: u64,
-    done: u64,
-    interval_nops: u32,
-    barriers: DelegationBarriers,
-    mode: ResponseMode,
-    profile: CsProfile,
-    old_resp: u64,
-    old_flag: u64,
     round: u64,
-    served_total: u64,
-    for_others: u64,
+    resp: Await,
+    visit: Visit,
+    tail: Tail,
     scan_at: usize,
     pass: u32,
     pass_served: u32,
     own_served: bool,
-    cs_step: u32,
-    serving_round: u64,
     state: u8,
 }
 
 impl SimThread for FcClient {
-    #[allow(clippy::too_many_lines)]
     fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
         loop {
             match self.state {
@@ -948,216 +903,73 @@ impl SimThread for FcClient {
                     return Op::store(req_addr(self.id), self.round);
                 }
                 // Check own response before fighting for the lock.
-                1 => match self.mode {
-                    ResponseMode::Flag => {
-                        self.state = 2;
-                        return Op::load_use(resp_flag_addr(self.id));
-                    }
-                    ResponseMode::Pilot => {
-                        self.state = 3;
-                        return Op::load_use(resp_addr(self.id));
-                    }
+                1 => match self.resp.poll(self.visit.own(self.round), ctx) {
+                    Polled::Emit(op) => return op,
+                    Polled::Served => self.state = 30,
+                    Polled::Miss => self.state = 2,
                 },
-                2 => {
-                    if ctx.last_value() == self.round {
-                        // Served: read ret behind a dependency.
-                        self.state = 30;
-                        return Op::Load {
-                            addr: resp_addr(self.id),
-                            use_value: true,
-                            acquire: Acquire::No,
-                            dep_on_last_load: true,
-                        };
-                    }
-                    self.state = 8;
-                    continue;
-                }
-                3 => {
-                    let v = ctx.last_value();
-                    if v != self.old_resp {
-                        self.old_resp = v;
-                        self.state = 30;
-                        continue;
-                    }
-                    self.state = 4;
-                    return Op::load_use(resp_flag_addr(self.id));
-                }
-                4 => {
-                    if ctx.last_value() != self.old_flag {
-                        self.old_flag = ctx.last_value();
-                        self.state = 30;
-                        continue;
-                    }
-                    self.state = 8;
-                    continue;
-                }
                 // Test-and-test-and-set on the combiner lock.
-                8 => {
-                    self.state = 9;
+                2 => {
+                    self.state = 3;
                     return Op::load_use(FC_LOCK);
                 }
-                9 => {
+                3 => {
                     if ctx.last_value() != 0 {
                         self.state = 1;
                         return Op::Nops(2);
                     }
-                    self.state = 10;
-                    return Op::Rmw {
-                        addr: FC_LOCK,
-                        kind: armbar_sim::RmwKind::Cas { expected: 0 },
-                        operand: 1,
-                        acquire: true,
-                        release: false,
-                    };
+                    self.state = 4;
+                    return try_lock(FC_LOCK);
                 }
-                10 => {
-                    if ctx.last_value() == 0 {
-                        self.pass = 0;
-                        self.pass_served = 0;
-                        self.scan_at = 0;
-                        self.state = 11;
-                    } else {
+                4 => {
+                    if ctx.last_value() != 0 {
                         self.state = 1;
                         return Op::Nops(2);
                     }
+                    self.pass = 0;
+                    self.pass_served = 0;
+                    self.scan_at = 0;
+                    self.state = 10;
                 }
                 // ---------------- combiner scan ----------------
-                11 => {
+                10 => {
                     if self.scan_at >= self.clients {
                         // Pass done: go again only if this one served
                         // anything and passes remain.
                         if self.pass_served == 0 || self.pass + 1 >= FC_SCAN_PASSES {
-                            self.state = 20;
-                        } else {
-                            self.pass += 1;
-                            self.pass_served = 0;
-                            self.scan_at = 0;
+                            // Release the combiner lock.
+                            self.state = 11;
+                            return Op::store_release(FC_LOCK, 0);
                         }
+                        self.pass += 1;
+                        self.pass_served = 0;
+                        self.scan_at = 0;
                         continue;
                     }
-                    self.state = 12;
-                    return Op::load_use(req_addr(self.scan_at));
-                }
-                12 => {
-                    self.serving_round = ctx.last_value();
-                    self.state = 13;
-                    return Op::load_use(served_round_addr(self.scan_at));
-                }
-                13 => {
-                    if self.serving_round == ctx.last_value() {
-                        self.scan_at += 1;
-                        self.state = 11;
-                        continue;
-                    }
-                    self.state = 14;
-                    return Op::store(served_round_addr(self.scan_at), self.serving_round);
-                }
-                14 => {
-                    self.state = 15;
-                    match self.barriers.req {
-                        Barrier::None | Barrier::AddrDep | Barrier::DataDep | Barrier::Ctrl => {}
-                        Barrier::Ldar => {
-                            return Op::Load {
-                                addr: req_addr(self.scan_at),
-                                use_value: false,
-                                acquire: Acquire::Sc,
-                                dep_on_last_load: false,
-                            };
-                        }
-                        f => return Op::Fence(f),
-                    }
-                }
-                15 => {
-                    match cs_op(
-                        self.profile,
-                        &mut self.cs_step,
-                        ctx.last_value(),
-                        self.served_total,
-                    ) {
-                        Some(op) => return op,
-                        None => {
-                            self.cs_step = 0;
-                            self.served_total += 1;
+                    match self.visit.step(self.scan_at, ctx) {
+                        Polled::Emit(op) => return op,
+                        Polled::Served => {
                             self.pass_served += 1;
-                            if self.scan_at == self.id {
-                                self.own_served = true;
-                            } else {
-                                self.for_others += 1;
-                            }
-                            self.state = 16;
+                            self.own_served |= self.scan_at == self.id;
+                            self.scan_at += 1;
                         }
+                        Polled::Miss => self.scan_at += 1,
                     }
                 }
-                16 => {
-                    let round = self.serving_round;
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            self.state = 17;
-                            return Op::store(resp_addr(self.scan_at), round.wrapping_mul(3));
-                        }
-                        ResponseMode::Pilot => {
-                            self.state = 19;
-                            return Op::Nops(2);
-                        }
-                    }
-                }
-                17 => {
-                    self.state = 18;
-                    match self.barriers.resp {
-                        Barrier::None => {}
-                        f => return Op::Fence(f),
-                    }
-                }
-                18 => {
-                    let client = self.scan_at;
-                    self.scan_at += 1;
-                    self.state = 11;
-                    return Op::store(resp_flag_addr(client), self.serving_round);
-                }
-                19 => {
-                    let client = self.scan_at;
-                    self.scan_at += 1;
-                    self.state = 11;
-                    return Op::store(resp_addr(client), self.serving_round.wrapping_mul(7) | 1);
-                }
-                // Release the combiner lock.
-                20 => {
-                    self.state = 21;
-                    return Op::store_release(FC_LOCK, 0);
-                }
-                21 => {
+                11 => {
                     if self.own_served {
-                        // We served ourselves: synchronize decode state.
-                        if self.mode == ResponseMode::Pilot {
-                            self.old_resp = self.round.wrapping_mul(7) | 1;
-                        }
+                        self.resp.served_self(self.visit.own(self.round));
                         self.state = 30;
                     } else {
                         // Someone else got to us first (or nobody yet):
                         // back to watching our record.
                         self.state = 1;
                     }
-                    continue;
                 }
-                // ---------------- iteration done ----------------
-                31 => {
-                    self.state = 0;
-                    return Op::Nops(self.interval_nops);
-                }
-                32 => {
-                    self.state = 33;
-                    return Op::store(subv_addr(self.id), self.for_others);
-                }
-                33 => return Op::Halt,
-                _ => {
-                    self.done += 1;
-                    if self.done >= self.iterations {
-                        self.state = 32;
-                        continue;
-                    }
-                    self.state = if self.interval_nops > 0 { 31 } else { 0 };
-                    return Op::IterationMark;
-                }
+                _ => match self.tail.step(self.visit.for_others) {
+                    Some(op) => return op,
+                    None => self.state = 0,
+                },
             }
         }
     }
@@ -1169,30 +981,22 @@ impl SimThread for FcClient {
 /// the old tail as its request node, and spins on that node's status word
 /// alone. The head of the queue combines.
 struct CcClient {
-    id: usize,
-    iterations: u64,
-    done: u64,
-    interval_nops: u32,
-    barriers: DelegationBarriers,
-    mode: ResponseMode,
-    profile: CsProfile,
+    resp: Await,
+    serve: Serve,
+    tail: Tail,
     /// Node currently owned (spare before enqueue, request node after).
     node: u64,
     /// The node we just pushed as the new tail dummy.
     enqueued: u64,
     round: u64,
-    served_total: u64,
     for_others: u64,
     walk_at: u64,
     walk_next: u64,
-    walk_round: u64,
     bound_served: u32,
-    cs_step: u32,
     state: u8,
 }
 
 impl SimThread for CcClient {
-    #[allow(clippy::too_many_lines)]
     fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
         loop {
             match self.state {
@@ -1228,44 +1032,21 @@ impl SimThread for CcClient {
                     self.state = 5;
                     return Op::store_release(node_next(self.node), self.enqueued);
                 }
-                // Spin on our node's status word only.
-                5 => {
-                    self.state = 6;
-                    return Op::load_use(node_status(self.node));
-                }
-                6 => {
-                    let s = ctx.last_value();
-                    if s == CC_COMBINER {
+                // Spin on our node's status word only: it announces the
+                // response, or hands us the combiner role.
+                5 => match self
+                    .resp
+                    .poll(Publish::status_word(self.node, self.round), ctx)
+                {
+                    Polled::Emit(op) => return op,
+                    Polled::Served => self.state = 30,
+                    Polled::Miss if ctx.last_value() == CC_COMBINER => {
                         self.walk_at = self.node;
                         self.bound_served = 0;
                         self.state = 10;
-                        continue;
                     }
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            if s == 0 {
-                                // Served: read ret behind a dependency.
-                                self.state = 30;
-                                return Op::Load {
-                                    addr: node_ret(self.node),
-                                    use_value: true,
-                                    acquire: Acquire::No,
-                                    dep_on_last_load: true,
-                                };
-                            }
-                        }
-                        ResponseMode::Pilot => {
-                            // Absolute test: the packed response for round r
-                            // is r*4+3, never WAIT (1) or COMBINER (2).
-                            if s == self.round * 4 + 3 {
-                                self.state = 30;
-                                continue;
-                            }
-                        }
-                    }
-                    self.state = 5;
-                    return Op::Nops(2);
-                }
+                    Polled::Miss => return Op::Nops(2),
+                },
                 // ---------------- combiner walk ----------------
                 10 => {
                     self.state = 11;
@@ -1275,116 +1056,48 @@ impl SimThread for CcClient {
                     let nxt = ctx.last_value();
                     if nxt == 0 || self.bound_served >= CC_COMBINE_BOUND {
                         // Tail dummy (no request) or bound hit: hand the
-                        // combiner role to this node's owner.
-                        self.state = 12;
-                        continue;
+                        // combiner role to this node's owner. Our own
+                        // request (served first in this walk) is complete.
+                        self.state = 30;
+                        return Op::store_release(node_status(self.walk_at), CC_COMBINER);
                     }
                     self.walk_next = nxt;
                     // Request barrier: order the link detection before the
                     // request read and the critical section.
-                    self.state = 13;
-                    match self.barriers.req {
-                        Barrier::None | Barrier::AddrDep | Barrier::DataDep | Barrier::Ctrl => {}
-                        Barrier::Ldar => {
-                            return Op::Load {
-                                addr: node_next(self.walk_at),
-                                use_value: false,
-                                acquire: Acquire::Sc,
-                                dep_on_last_load: false,
-                            };
-                        }
-                        f => return Op::Fence(f),
+                    self.state = 12;
+                    let link = node_next(self.walk_at);
+                    if let Some(op) = order_after_load(self.serve.barriers.req, link) {
+                        return op;
                     }
                 }
                 12 => {
-                    // Hand off, then our own request (served first in this
-                    // walk) is complete.
-                    self.state = 30;
-                    return Op::store_release(node_status(self.walk_at), CC_COMBINER);
-                }
-                13 => {
-                    self.state = 14;
+                    self.state = 13;
                     return Op::load_use(node_req(self.walk_at));
                 }
-                14 => {
-                    self.walk_round = ctx.last_value();
-                    self.state = 15;
+                13 => {
+                    let round = ctx.last_value();
+                    // Our own request: the result is local, no notification
+                    // needed.
+                    let publish = (self.walk_at != self.node)
+                        .then(|| Publish::status_word(self.walk_at, round));
+                    self.serve.begin_ordered(round, publish);
+                    self.state = 14;
                 }
-                15 => {
-                    match cs_op(
-                        self.profile,
-                        &mut self.cs_step,
-                        ctx.last_value(),
-                        self.served_total,
-                    ) {
-                        Some(op) => return op,
-                        None => {
-                            self.cs_step = 0;
-                            self.served_total += 1;
-                            self.bound_served += 1;
-                            if self.walk_at == self.node {
-                                // Our own request: the result is local, no
-                                // notification needed.
-                                self.state = 22;
-                            } else {
-                                self.for_others += 1;
-                                self.state = 16;
-                            }
+                14 => match self.serve.step(ctx) {
+                    Some(op) => return op,
+                    None => {
+                        self.bound_served += 1;
+                        if self.walk_at != self.node {
+                            self.for_others += 1;
                         }
+                        self.walk_at = self.walk_next;
+                        self.state = 10;
                     }
-                }
-                16 => {
-                    let round = self.walk_round;
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            self.state = 17;
-                            return Op::store(node_ret(self.walk_at), round.wrapping_mul(3));
-                        }
-                        ResponseMode::Pilot => {
-                            self.state = 19;
-                            return Op::Nops(2);
-                        }
-                    }
-                }
-                17 => {
-                    self.state = 18;
-                    match self.barriers.resp {
-                        Barrier::None => {}
-                        f => return Op::Fence(f),
-                    }
-                }
-                18 => {
-                    self.state = 22;
-                    return Op::store(node_status(self.walk_at), 0);
-                }
-                19 => {
-                    self.state = 22;
-                    return Op::store(node_status(self.walk_at), self.walk_round * 4 + 3);
-                }
-                22 => {
-                    self.walk_at = self.walk_next;
-                    self.state = 10;
-                    continue;
-                }
-                // ---------------- iteration done ----------------
-                31 => {
-                    self.state = 0;
-                    return Op::Nops(self.interval_nops);
-                }
-                32 => {
-                    self.state = 33;
-                    return Op::store(subv_addr(self.id), self.for_others);
-                }
-                33 => return Op::Halt,
-                _ => {
-                    self.done += 1;
-                    if self.done >= self.iterations {
-                        self.state = 32;
-                        continue;
-                    }
-                    self.state = if self.interval_nops > 0 { 31 } else { 0 };
-                    return Op::IterationMark;
-                }
+                },
+                _ => match self.tail.step(self.for_others) {
+                    Some(op) => return op,
+                    None => self.state = 0,
+                },
             }
         }
     }
@@ -1480,236 +1193,116 @@ impl DelegationConfig {
 /// Run a delegation benchmark; returns total served requests / second.
 #[must_use]
 pub fn run_delegation(platform: &Platform, cfg: DelegationConfig) -> LockResult {
-    run_delegation_metrics(platform, cfg, None).result
+    run_delegation_with(platform, cfg, RunOpts::default())
+        .0
+        .result
 }
 
-/// [`run_delegation`] pinned to a specific scheduling [`Engine`] — the hook
-/// the differential harness uses to compare the event-driven engine against
-/// the lockstep oracle on identical workloads.
+/// [`run_delegation`] under explicit [`RunOpts`], with the full
+/// response-time science — per-operation latency histogram (merged over
+/// clients), Jain's fairness index over per-client throughput, and the
+/// combiner-subversion counter — and the recorded trace.
 #[must_use]
-pub fn run_delegation_with_engine(
+pub fn run_delegation_with(
     platform: &Platform,
     cfg: DelegationConfig,
-    engine: Engine,
-) -> LockResult {
-    run_delegation_metrics(platform, cfg, Some(engine)).result
-}
-
-/// Run a delegation benchmark and collect the full response-time science:
-/// per-operation latency histogram (merged over clients), Jain's fairness
-/// index over per-client throughput, and the combiner-subversion counter.
-#[must_use]
-pub fn run_delegation_metrics(
-    platform: &Platform,
-    cfg: DelegationConfig,
-    engine: Option<Engine>,
-) -> DlockMetrics {
-    let mut m = Machine::new(platform.clone());
-    if let Some(e) = engine {
-        m.set_engine(e);
-    }
-    let total = cfg.per_client * cfg.clients as u64;
-    match cfg.kind {
-        DelegationKind::Ffwd => {
-            // Server on core 0; clients fill the following cores.
-            m.add_thread_on(
-                0,
-                Box::new(FfwdServer {
-                    clients: cfg.clients,
-                    seen: vec![0; cfg.clients],
-                    total,
-                    served: 0,
-                    barriers: cfg.barriers,
-                    mode: cfg.mode,
-                    profile: cfg.profile,
-                    scan_at: 0,
-                    cs_step: 0,
-                    state: 0,
-                }),
-            );
-            for c in 0..cfg.clients {
-                m.add_thread_on(
-                    c + 1,
-                    Box::new(Client {
-                        id: c,
-                        iterations: cfg.per_client,
-                        done: 0,
-                        interval_nops: cfg.interval_nops,
-                        mode: cfg.mode,
-                        old_resp: 0,
-                        old_flag: 0,
-                        round: 0,
-                        state: 0,
-                    }),
-                );
-            }
-        }
-        DelegationKind::Rcl => {
-            m.add_thread_on(
-                0,
-                Box::new(RclServer {
-                    clients: cfg.clients,
-                    total,
-                    served: 0,
-                    barriers: cfg.barriers,
-                    mode: cfg.mode,
-                    profile: cfg.profile,
-                    scan_at: 0,
-                    cs_step: 0,
-                    serving_round: 0,
-                    state: 0,
-                }),
-            );
-            for c in 0..cfg.clients {
-                m.add_thread_on(
-                    c + 1,
-                    Box::new(RclClient {
-                        id: c,
-                        iterations: cfg.per_client,
-                        done: 0,
-                        interval_nops: cfg.interval_nops,
-                        mode: cfg.mode,
-                        round: 0,
-                        state: 0,
-                    }),
-                );
-            }
-        }
-        DelegationKind::DSynch => {
-            for c in 0..cfg.clients {
-                m.add_thread_on(
-                    c,
-                    Box::new(CombinerClient {
-                        id: c,
-                        clients: cfg.clients,
-                        iterations: cfg.per_client,
-                        done: 0,
-                        interval_nops: cfg.interval_nops,
-                        barriers: cfg.barriers,
-                        mode: cfg.mode,
-                        profile: cfg.profile,
-                        old_resp: 0,
-                        old_flag: 0,
-                        round: 0,
-                        served_total: 0,
-                        for_others: 0,
-                        scan_at: 0,
-                        scanned: 0,
-                        cs_step: 0,
-                        serving_round: 0,
-                        poll_misses: 0,
-                        state: 0,
-                    }),
-                );
-            }
-        }
-        DelegationKind::FlatCombining => {
-            for c in 0..cfg.clients {
-                m.add_thread_on(
-                    c,
-                    Box::new(FcClient {
-                        id: c,
-                        clients: cfg.clients,
-                        iterations: cfg.per_client,
-                        done: 0,
-                        interval_nops: cfg.interval_nops,
-                        barriers: cfg.barriers,
-                        mode: cfg.mode,
-                        profile: cfg.profile,
-                        old_resp: 0,
-                        old_flag: 0,
-                        round: 0,
-                        served_total: 0,
-                        for_others: 0,
-                        scan_at: 0,
-                        pass: 0,
-                        pass_served: 0,
-                        own_served: false,
-                        cs_step: 0,
-                        serving_round: 0,
-                        state: 0,
-                    }),
-                );
-            }
-        }
-        DelegationKind::CcSynch => {
-            // Node ids 1..=clients are the clients' initial spares; node
-            // clients+1 is the initial tail dummy holding the combiner role.
-            let dummy = cfg.clients as u64 + 1;
-            m.preset_memory(CC_TAIL, dummy);
-            m.preset_memory(node_status(dummy), CC_COMBINER);
-            for c in 0..cfg.clients {
-                m.add_thread_on(
-                    c,
-                    Box::new(CcClient {
-                        id: c,
-                        iterations: cfg.per_client,
-                        done: 0,
-                        interval_nops: cfg.interval_nops,
-                        barriers: cfg.barriers,
-                        mode: cfg.mode,
-                        profile: cfg.profile,
-                        node: c as u64 + 1,
-                        enqueued: 0,
-                        round: 0,
-                        served_total: 0,
-                        for_others: 0,
-                        walk_at: 0,
-                        walk_next: 0,
-                        walk_round: 0,
-                        bound_served: 0,
-                        cs_step: 0,
-                        state: 0,
-                    }),
-                );
-            }
-        }
-    }
-    let max_cycles = total * 400_000 + 2_000_000;
-    let stats = m.run(max_cycles);
-    assert!(stats.halted, "delegation benchmark must finish");
-    // Sum the stall decomposition over every core that participated:
-    // dedicated-server layouts use core 0 for the server plus one core per
+    opts: RunOpts,
+) -> (DlockMetrics, Trace) {
+    // Dedicated-server layouts use core 0 for the server plus one core per
     // client, combiner layouts place the clients on cores 0..clients.
-    let active_cores = if cfg.kind.has_server_core() {
-        cfg.clients + 1
-    } else {
-        cfg.clients
-    };
-    let client_cores: Vec<usize> = if cfg.kind.has_server_core() {
-        (1..=cfg.clients).collect()
-    } else {
-        (0..cfg.clients).collect()
-    };
-    let mut stall = armbar_sim::StallBreakdown::default();
-    let mut latency = LatencyHistogram::default();
-    let mut throughputs = Vec::with_capacity(client_cores.len());
-    for c in 0..active_cores {
-        stall.merge(&m.core_stats(c).stall);
+    let first_client = usize::from(cfg.kind.has_server_core());
+    let active_cores = first_client + cfg.clients;
+    let mut m = machine("delegation", platform, active_cores, opts);
+    let total = cfg.per_client * cfg.clients as u64;
+    if cfg.kind.has_server_core() {
+        let channel = match cfg.kind {
+            DelegationKind::Rcl => Channel::RequestWord,
+            _ => Channel::Slot {
+                seen: vec![0; cfg.clients],
+            },
+        };
+        m.add_thread_on(
+            0,
+            Box::new(Server {
+                channel,
+                clients: cfg.clients,
+                total,
+                serve: Serve::new(&cfg),
+                scan_at: 0,
+                state: 0,
+            }),
+        );
     }
-    for &c in &client_cores {
-        let cs = m.core_stats(c);
-        latency.merge(&cs.latency);
-        let halted_at = cs
-            .halted_at
-            .expect("halted run must stamp every client core");
-        #[allow(clippy::cast_precision_loss)]
-        throughputs.push(cs.iterations as f64 / halted_at.max(1) as f64);
+    if cfg.kind == DelegationKind::CcSynch {
+        // Node ids 1..=clients are the clients' initial spares; node
+        // clients+1 is the initial tail dummy holding the combiner role.
+        let dummy = cfg.clients as u64 + 1;
+        m.preset_memory(CC_TAIL, dummy);
+        m.preset_memory(node_status(dummy), CC_COMBINER);
     }
-    let subverted = (0..active_cores).map(|c| m.read_memory(subv_addr(c))).sum();
-    let result = LockResult {
-        acquisitions: total,
-        cycles: stats.cycles,
-        locks_per_sec: platform.iterations_per_second(total, stats.cycles),
-        stall,
-    };
-    DlockMetrics {
-        result,
-        latency,
-        fairness: jain_index(&throughputs),
-        subverted,
-        total_ops: total,
+    for id in 0..cfg.clients {
+        let core = first_client + id;
+        let slot = Await::new(&cfg, Some(resp_flag_addr(id)));
+        let word = Await::new(&cfg, None);
+        let combiner_tail = Tail::new(&cfg, Some(subv_addr(core)));
+        let thread: Box<dyn SimThread> = match cfg.kind {
+            DelegationKind::Ffwd => Box::new(Client {
+                id,
+                round: 0,
+                resp: slot,
+                tail: Tail::new(&cfg, None),
+                state: 0,
+            }),
+            DelegationKind::Rcl => Box::new(RclClient {
+                id,
+                round: 0,
+                resp: word,
+                tail: Tail::new(&cfg, None),
+                state: 0,
+            }),
+            DelegationKind::DSynch => Box::new(CombinerClient {
+                id,
+                clients: cfg.clients,
+                round: 0,
+                resp: slot,
+                visit: Visit::new(id, &cfg),
+                tail: combiner_tail,
+                scan_at: 0,
+                poll_misses: 0,
+                state: 0,
+            }),
+            DelegationKind::FlatCombining => Box::new(FcClient {
+                id,
+                clients: cfg.clients,
+                round: 0,
+                resp: slot,
+                visit: Visit::new(id, &cfg),
+                tail: combiner_tail,
+                scan_at: 0,
+                pass: 0,
+                pass_served: 0,
+                own_served: false,
+                state: 0,
+            }),
+            DelegationKind::CcSynch => Box::new(CcClient {
+                resp: word,
+                serve: Serve::new(&cfg),
+                tail: combiner_tail,
+                node: id as u64 + 1,
+                enqueued: 0,
+                round: 0,
+                for_others: 0,
+                walk_at: 0,
+                walk_next: 0,
+                bound_served: 0,
+                state: 0,
+            }),
+        };
+        m.add_thread_on(core, thread);
     }
+    let (mut metrics, trace) = run_lock("delegation", &mut m, total, first_client..active_cores);
+    metrics.subverted = (0..active_cores).map(|c| m.read_memory(subv_addr(c))).sum();
+    (metrics, trace)
 }
 
 /// Figure 7(c): throughput of the five lock variants at one contention
@@ -1721,18 +1314,20 @@ pub fn fig7c_point(
     interval_nops: u32,
     per: u64,
 ) -> [(String, f64); 5] {
-    let best = DelegationBarriers {
-        req: Barrier::Ldar,
-        resp: Barrier::DmbSt,
-    };
-    let mk = |kind, mode| DelegationConfig {
-        kind,
-        clients,
-        barriers: best,
-        mode,
-        profile: CsProfile::counter(),
-        per_client: per,
-        interval_nops,
+    let delegation = |kind, mode| {
+        let cfg = DelegationConfig {
+            kind,
+            clients,
+            barriers: DelegationBarriers {
+                req: Barrier::Ldar,
+                resp: Barrier::DmbSt,
+            },
+            mode,
+            profile: CsProfile::counter(),
+            per_client: per,
+            interval_nops,
+        };
+        run_delegation(platform, cfg).locks_per_sec
     };
     let ticket = run_ticket(
         platform,
@@ -1745,30 +1340,23 @@ pub fn fig7c_point(
             per_thread: per,
         },
     );
+    use {
+        DelegationKind::{DSynch, Ffwd},
+        ResponseMode::{Flag, Pilot},
+    };
     [
         ("Ticket".into(), ticket.locks_per_sec),
-        (
-            "DSynch".into(),
-            run_delegation(platform, mk(DelegationKind::DSynch, ResponseMode::Flag)).locks_per_sec,
-        ),
-        (
-            "DSynch-P".into(),
-            run_delegation(platform, mk(DelegationKind::DSynch, ResponseMode::Pilot)).locks_per_sec,
-        ),
-        (
-            "FFWD".into(),
-            run_delegation(platform, mk(DelegationKind::Ffwd, ResponseMode::Flag)).locks_per_sec,
-        ),
-        (
-            "FFWD-P".into(),
-            run_delegation(platform, mk(DelegationKind::Ffwd, ResponseMode::Pilot)).locks_per_sec,
-        ),
+        ("DSynch".into(), delegation(DSynch, Flag)),
+        ("DSynch-P".into(), delegation(DSynch, Pilot)),
+        ("FFWD".into(), delegation(Ffwd, Flag)),
+        ("FFWD-P".into(), delegation(Ffwd, Pilot)),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armbar_sim::Engine;
 
     fn kunpeng() -> Platform {
         Platform::kunpeng916()
@@ -1975,7 +1563,7 @@ mod tests {
                 per_client: 20,
                 ..DelegationConfig::default_ffwd()
             };
-            let m = run_delegation_metrics(&kunpeng(), cfg, None);
+            let m = run_delegation_with(&kunpeng(), cfg, RunOpts::default()).0;
             assert_eq!(m.subverted, m.total_ops, "{kind:?}");
             assert!((m.subverted_share() - 1.0).abs() < 1e-12);
         }
@@ -1996,7 +1584,7 @@ mod tests {
                 per_client: 30,
                 ..DelegationConfig::default_ffwd()
             };
-            let m = run_delegation_metrics(&kunpeng(), cfg, None);
+            let m = run_delegation_with(&kunpeng(), cfg, RunOpts::default()).0;
             assert!(m.subverted > 0, "{kind:?}: combining must serve others");
             assert!(
                 m.subverted < m.total_ops,
@@ -2014,7 +1602,7 @@ mod tests {
                 per_client: 20,
                 ..DelegationConfig::default_ffwd()
             };
-            let m = run_delegation_metrics(&kunpeng(), cfg, None);
+            let m = run_delegation_with(&kunpeng(), cfg, RunOpts::default()).0;
             // One latency sample per IterationMark: each client marks all
             // but its final completion (the final one halts instead).
             assert_eq!(m.latency.total(), 4 * (20 - 1), "{kind:?}");
@@ -2038,11 +1626,26 @@ mod tests {
                 per_client: 15,
                 ..DelegationConfig::default_ffwd()
             };
-            let a = run_delegation_metrics(&kunpeng(), cfg, Some(Engine::EventDriven));
-            let b = run_delegation_metrics(&kunpeng(), cfg, Some(Engine::LockstepOracle));
+            let on = |engine| RunOpts {
+                engine: Some(engine),
+                trace_capacity: None,
+            };
+            let a = run_delegation_with(&kunpeng(), cfg, on(Engine::EventDriven)).0;
+            let b = run_delegation_with(&kunpeng(), cfg, on(Engine::LockstepOracle)).0;
             assert_eq!(a.result.cycles, b.result.cycles, "{kind:?}");
             assert_eq!(a.latency, b.latency, "{kind:?}");
             assert_eq!(a.subverted, b.subverted, "{kind:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "delegation: not enough cores: 65 > 64")]
+    fn the_server_core_counts_against_the_core_budget() {
+        let cfg = DelegationConfig {
+            clients: 64,
+            per_client: 1,
+            ..DelegationConfig::default_ffwd()
+        };
+        let _ = run_delegation(&kunpeng(), cfg);
     }
 }

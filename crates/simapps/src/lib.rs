@@ -20,6 +20,19 @@
 //! * [`barrier_sim`] — the many-core barrier-synchronization family
 //!   (centralized / combining-tree / hierarchical) behind `armbar run manycore`.
 //!
+//! Every workload has one entry point, `run_x(..)`, and one variant that
+//! takes [`RunOpts`] (pinned scheduling engine, event tracing) and returns
+//! the richest result it computes plus the trace: `run_x_with(.., RunOpts)`.
+//!
+//! A protocol piece that several threads share is written once, as a plain
+//! sub-state-machine the threads hold as a field and step from their own
+//! `match self.state`: `ticket_sim::InPlace` for the two in-place locks;
+//! the delegated *serve* step, the *await* at the other end of the same
+//! `Publish` descriptor, the combiners' record *visit* and the clients'
+//! iteration *tail* in [`delegation_sim`]; the producers' batch loop and
+//! the consumers' delivery in [`prodcons`]. A configured `Barrier` becomes
+//! ops in one private module, `lower`. DESIGN.md §11.1 has the table.
+//!
 //! Calibration tests at the bottom of each module assert the paper's
 //! *observations* hold on the simulator — they are the contract between
 //! the latency profiles in `armbar-sim` and the figures the experiment
@@ -32,6 +45,8 @@ pub mod abstract_model;
 pub mod barrier_sim;
 pub mod bind;
 pub mod delegation_sim;
+mod harness;
+mod lower;
 pub mod mcs_sim;
 pub mod metrics;
 pub mod prodcons;
@@ -40,5 +55,6 @@ pub mod ticket_sim;
 pub use abstract_model::{run_model, BarrierLoc, MemOpKind, ModelSpec};
 pub use barrier_sim::{run_barrier, BarrierConfig, BarrierFamily, BarrierResult};
 pub use bind::BindConfig;
-pub use mcs_sim::{run_mcs, run_mcs_metrics, McsConfig};
+pub use harness::RunOpts;
+pub use mcs_sim::{run_mcs, run_mcs_with, McsConfig};
 pub use metrics::{jain_index, DlockMetrics};

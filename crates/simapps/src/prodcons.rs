@@ -12,10 +12,12 @@
 //! simulator when a reordering bites, exactly as the paper warns ("leads to
 //! a wrong result but can serve as a reference").
 
-use armbar_barriers::{Acquire, Barrier};
-use armbar_sim::{Engine, Machine, Op, SimThread, StallBreakdown, ThreadCtx, Trace};
+use armbar_barriers::Barrier;
+use armbar_sim::{Op, SimThread, StallBreakdown, ThreadCtx, Trace};
 
 use crate::bind::BindConfig;
+use crate::harness::{machine, RunOpts};
+use crate::lower::{fence_op, order_after_load};
 
 /// Shared-memory layout (each item on its own line).
 const PROD_CNT: u64 = 0x1000;
@@ -100,14 +102,100 @@ fn msg_value(seq: u64) -> u64 {
     seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
 }
 
-/// The baseline producer (Algorithm 2).
-struct Producer {
-    barriers: PcBarriers,
+/// What [`Production::step`] asks of the producer embedding it.
+enum Produce {
+    /// Issue this op.
+    Emit(Op),
+    /// Fill the slot of message `seq` — where the two producers differ.
+    Fill(u64),
+    /// A whole batch is in the ring (`prod_cnt` already counts it).
+    BatchDone,
+}
+
+/// The loop both producers run around their slot fill: wait until a whole
+/// batch fits (Algorithm 2 lines 1-3), do each message's local work, and
+/// end the iteration once the batch is out.
+struct Production {
+    avail: Barrier,
     produce_nops: u32,
     batch: u64,
     iterations: u64,
     prod_cnt: u64,
     in_batch: u64,
+    phase: u8,
+}
+
+impl Production {
+    fn new(avail: Barrier, produce_nops: u32, batch: u64, iterations: u64) -> Production {
+        Production {
+            avail,
+            produce_nops,
+            batch,
+            iterations,
+            prod_cnt: 0,
+            in_batch: 0,
+            phase: 0,
+        }
+    }
+
+    fn step(&mut self, ctx: &ThreadCtx) -> Produce {
+        loop {
+            match self.phase {
+                // Line 1-2: availability check (whole batch must fit).
+                0 => {
+                    self.phase = 1;
+                    return Produce::Emit(Op::load_use(CONS_CNT));
+                }
+                // Line 3.
+                1 => {
+                    if self.prod_cnt + self.batch - ctx.last_value() > BUF_SLOTS {
+                        self.phase = 0; // spin
+                        return Produce::Emit(Op::Nops(1));
+                    }
+                    self.phase = 2;
+                    self.in_batch = 0;
+                    if let Some(op) = order_after_load(self.avail, CONS_CNT) {
+                        return Produce::Emit(op);
+                    }
+                }
+                // produceMsg(): local work.
+                2 => {
+                    self.phase = 3;
+                    if self.produce_nops > 0 {
+                        return Produce::Emit(Op::Nops(self.produce_nops));
+                    }
+                }
+                3 => {
+                    self.phase = 4;
+                    return Produce::Fill(self.prod_cnt + self.in_batch);
+                }
+                4 => {
+                    self.in_batch += 1;
+                    if self.in_batch < self.batch {
+                        self.phase = 2; // next message of the batch
+                    } else {
+                        self.prod_cnt += self.batch;
+                        self.phase = 5;
+                        return Produce::BatchDone;
+                    }
+                }
+                _ => {
+                    self.phase = 0;
+                    return Produce::Emit(if self.prod_cnt >= self.iterations {
+                        Op::Halt
+                    } else {
+                        Op::IterationMark
+                    });
+                }
+            }
+        }
+    }
+}
+
+/// The baseline producer (Algorithm 2).
+struct Producer {
+    production: Production,
+    publish: Barrier,
     state: u8,
 }
 
@@ -115,151 +203,29 @@ impl SimThread for Producer {
     fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
         loop {
             match self.state {
-                // Line 1-2: availability check (whole batch must fit).
-                0 => {
-                    self.state = 1;
-                    return Op::load_use(CONS_CNT);
-                }
-                1 => {
-                    if self.prod_cnt + self.batch - ctx.last_value() > BUF_SLOTS {
-                        self.state = 0; // spin
-                        return Op::Nops(1);
-                    }
-                    self.state = 2;
-                }
-                // Line 3.
-                2 => {
-                    self.state = 3;
-                    self.in_batch = 0;
-                    match self.barriers.avail {
-                        Barrier::None => {}
-                        Barrier::Ldar => {
-                            // Modelled as the acquire variant of the check:
-                            // re-issue the load as LDAR (cheap; no bus).
-                            return Op::Load {
-                                addr: CONS_CNT,
-                                use_value: false,
-                                acquire: Acquire::Sc,
-                                dep_on_last_load: false,
-                            };
-                        }
-                        f => return Op::Fence(f),
-                    }
-                }
-                // produceMsg(): local work.
-                3 => {
-                    self.state = 4;
-                    if self.produce_nops > 0 {
-                        return Op::Nops(self.produce_nops);
-                    }
-                }
-                // Line 4: fill the slot (likely an RMR).
-                4 => {
-                    self.state = 5;
-                    let seq = self.prod_cnt + self.in_batch;
-                    return Op::store(slot_addr(seq), msg_value(seq));
-                }
-                5 => {
-                    self.in_batch += 1;
-                    if self.in_batch < self.batch {
-                        self.state = 3; // next message of the batch
-                    } else {
-                        self.state = 6;
-                    }
-                }
+                0 => match self.production.step(ctx) {
+                    Produce::Emit(op) => return op,
+                    // Line 4: fill the slot (likely an RMR).
+                    Produce::Fill(seq) => return Op::store(slot_addr(seq), msg_value(seq)),
+                    Produce::BatchDone => self.state = 1,
+                },
                 // Line 5: the post-RMR barrier (once per batch).
-                6 => {
-                    self.state = 7;
-                    match self.barriers.publish {
-                        Barrier::None | Barrier::Stlr => {}
-                        f => return Op::Fence(f),
+                1 => {
+                    self.state = 2;
+                    if let Some(op) = fence_op(self.publish) {
+                        return op;
                     }
                 }
                 // Line 6: publish the counter. The STLR variant makes this
                 // store the release: it orders the buffer fill before the
                 // counter without a standalone barrier.
-                7 => {
-                    self.prod_cnt += self.batch;
-                    self.state = 8;
-                    if self.barriers.publish == Barrier::Stlr {
-                        return Op::store_release(PROD_CNT, self.prod_cnt);
-                    }
-                    return Op::store(PROD_CNT, self.prod_cnt);
-                }
                 _ => {
                     self.state = 0;
-                    if self.prod_cnt >= self.iterations {
-                        return Op::Halt;
+                    let prod_cnt = self.production.prod_cnt;
+                    if self.publish == Barrier::Stlr {
+                        return Op::store_release(PROD_CNT, prod_cnt);
                     }
-                    return Op::IterationMark;
-                }
-            }
-        }
-    }
-}
-
-/// The baseline consumer: spins on `prodCnt`, reads the slot behind a
-/// bogus address dependency (the cheap consumer side §4.1 describes),
-/// bumps `consCnt`.
-struct Consumer {
-    iterations: u64,
-    cons_cnt: u64,
-    prod_seen: u64,
-    consume_nops: u32,
-    check: bool,
-    errors: u64,
-    state: u8,
-}
-
-impl SimThread for Consumer {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                0 => {
-                    if self.prod_seen > self.cons_cnt {
-                        self.state = 2;
-                        continue;
-                    }
-                    self.state = 1;
-                    return Op::load_use(PROD_CNT);
-                }
-                1 => {
-                    self.prod_seen = ctx.last_value();
-                    if self.prod_seen <= self.cons_cnt {
-                        self.state = 0;
-                        return Op::Nops(1);
-                    }
-                    self.state = 2;
-                }
-                2 => {
-                    self.state = 3;
-                    return Op::Load {
-                        addr: slot_addr(self.cons_cnt),
-                        use_value: true,
-                        acquire: Acquire::No,
-                        dep_on_last_load: true,
-                    };
-                }
-                3 => {
-                    if self.check && ctx.last_value() != msg_value(self.cons_cnt) {
-                        self.errors += 1;
-                    }
-                    self.cons_cnt += 1;
-                    self.state = 4;
-                    return Op::store(CONS_CNT, self.cons_cnt);
-                }
-                4 => {
-                    self.state = 5;
-                    return Op::store(CONS_ERRORS, self.errors);
-                }
-                _ => {
-                    self.state = 0;
-                    if self.cons_cnt >= self.iterations {
-                        return Op::Halt;
-                    }
-                    if self.consume_nops > 0 {
-                        return Op::Nops(self.consume_nops);
-                    }
+                    return Op::store(PROD_CNT, prod_cnt);
                 }
             }
         }
@@ -269,81 +235,122 @@ impl SimThread for Consumer {
 /// Running count of payload mismatches the consumer observed.
 const CONS_ERRORS: u64 = 0x1100;
 
-/// The Pilot producer (§4.4): slot published via Algorithm 3; `prodCnt`
-/// stays core-private.
-struct PilotProducer {
-    avail: Barrier,
-    produce_nops: u32,
-    batch: u64,
+/// What either consumer does with a received message: check it, bump
+/// `consCnt`, publish the error count, and retire after the last one.
+struct Delivery {
     iterations: u64,
-    prod_cnt: u64,
-    in_batch: u64,
-    old_data: [u64; BUF_SLOTS as usize],
-    local_flags: [u64; BUF_SLOTS as usize],
+    cons_cnt: u64,
+    errors: u64,
+    phase: u8,
+}
+
+impl Delivery {
+    fn new(iterations: u64) -> Delivery {
+        Delivery {
+            iterations,
+            cons_cnt: 0,
+            errors: 0,
+            phase: 0,
+        }
+    }
+
+    /// The next op after receiving `payload` as message `cons_cnt`, or
+    /// `None` when the next message should be awaited.
+    fn step(&mut self, payload: u64) -> Option<Op> {
+        self.phase += 1;
+        match self.phase {
+            1 => {
+                if payload != msg_value(self.cons_cnt) {
+                    self.errors += 1;
+                }
+                self.cons_cnt += 1;
+                Some(Op::store(CONS_CNT, self.cons_cnt))
+            }
+            2 => Some(Op::store(CONS_ERRORS, self.errors)),
+            _ => {
+                self.phase = 0;
+                (self.cons_cnt >= self.iterations).then_some(Op::Halt)
+            }
+        }
+    }
+}
+
+/// The baseline consumer: spins on `prodCnt`, reads the slot behind a
+/// bogus address dependency (the cheap consumer side §4.1 describes),
+/// bumps `consCnt`.
+struct Consumer {
+    delivery: Delivery,
+    prod_seen: u64,
     state: u8,
 }
 
-impl SimThread for PilotProducer {
+impl SimThread for Consumer {
     fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
         loop {
+            let cons_cnt = self.delivery.cons_cnt;
             match self.state {
                 0 => {
+                    if self.prod_seen > cons_cnt {
+                        self.state = 2;
+                        continue;
+                    }
                     self.state = 1;
-                    return Op::load_use(CONS_CNT);
+                    return Op::load_use(PROD_CNT);
                 }
                 1 => {
-                    if self.prod_cnt + self.batch - ctx.last_value() > BUF_SLOTS {
+                    self.prod_seen = ctx.last_value();
+                    if self.prod_seen <= cons_cnt {
                         self.state = 0;
                         return Op::Nops(1);
                     }
                     self.state = 2;
-                    self.in_batch = 0;
-                    match self.avail {
-                        Barrier::None => {}
-                        f => return Op::Fence(f),
-                    }
                 }
                 2 => {
                     self.state = 3;
-                    if self.produce_nops > 0 {
-                        return Op::Nops(self.produce_nops);
-                    }
+                    return Op::load_dep(slot_addr(cons_cnt), true);
                 }
+                _ => match self.delivery.step(ctx.last_value()) {
+                    Some(op) => return op,
+                    None => self.state = 0,
+                },
+            }
+        }
+    }
+}
+
+/// The Pilot producer (§4.4): slot published via Algorithm 3; `prodCnt`
+/// stays core-private.
+struct PilotProducer {
+    production: Production,
+    old_data: [u64; BUF_SLOTS as usize],
+    local_flags: [u64; BUF_SLOTS as usize],
+    /// The message whose slot is being piloted.
+    filling: Option<u64>,
+}
+
+impl SimThread for PilotProducer {
+    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
+        if let Some(seq) = self.filling.take() {
+            let idx = (seq % BUF_SLOTS) as usize;
+            let new_data = msg_value(seq); // sequence-shuffled payload
+            if new_data == self.old_data[idx] {
+                self.local_flags[idx] ^= 1;
+                return Op::store(flag_addr(seq), self.local_flags[idx]);
+            }
+            self.old_data[idx] = new_data;
+            return Op::store(slot_addr(seq), new_data);
+        }
+        loop {
+            match self.production.step(ctx) {
+                Produce::Emit(op) => return op,
                 // Algorithm 3 on the slot: the shuffle costs two local ALU
                 // ops (all-local, <5% worst case per §4.5).
-                3 => {
-                    self.state = 4;
+                Produce::Fill(seq) => {
+                    self.filling = Some(seq);
                     return Op::Nops(2);
                 }
-                4 => {
-                    let seq = self.prod_cnt + self.in_batch;
-                    let idx = (seq % BUF_SLOTS) as usize;
-                    let new_data = msg_value(seq); // sequence-shuffled payload
-                    self.state = 5;
-                    if new_data == self.old_data[idx] {
-                        self.local_flags[idx] ^= 1;
-                        self.old_data[idx] = new_data;
-                        return Op::store(flag_addr(seq), self.local_flags[idx]);
-                    }
-                    self.old_data[idx] = new_data;
-                    return Op::store(slot_addr(seq), new_data);
-                }
-                5 => {
-                    self.in_batch += 1;
-                    if self.in_batch < self.batch {
-                        self.state = 2;
-                    } else {
-                        self.prod_cnt += self.batch;
-                        self.state = 6;
-                    }
-                }
-                _ => {
-                    self.state = 0;
-                    if self.prod_cnt >= self.iterations {
-                        return Op::Halt;
-                    }
-                    return Op::IterationMark;
-                }
+                // Nothing to publish: the piloted slots were the messages.
+                Produce::BatchDone => {}
             }
         }
     }
@@ -351,24 +358,22 @@ impl SimThread for PilotProducer {
 
 /// The Pilot consumer (Algorithm 4 per slot).
 struct PilotConsumer {
-    iterations: u64,
-    cons_cnt: u64,
+    delivery: Delivery,
     old_data: [u64; BUF_SLOTS as usize],
     old_flags: [u64; BUF_SLOTS as usize],
-    consume_nops: u32,
-    errors: u64,
     state: u8,
 }
 
 impl SimThread for PilotConsumer {
     fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
         loop {
-            let idx = (self.cons_cnt % BUF_SLOTS) as usize;
+            let cons_cnt = self.delivery.cons_cnt;
+            let idx = (cons_cnt % BUF_SLOTS) as usize;
             match self.state {
                 // Line 1: watch the data word.
                 0 => {
                     self.state = 1;
-                    return Op::load_use(slot_addr(self.cons_cnt));
+                    return Op::load_use(slot_addr(cons_cnt));
                 }
                 1 => {
                     let data = ctx.last_value();
@@ -379,7 +384,7 @@ impl SimThread for PilotConsumer {
                     }
                     // Line 2: the fallback flag.
                     self.state = 2;
-                    return Op::load_use(flag_addr(self.cons_cnt));
+                    return Op::load_use(flag_addr(cons_cnt));
                 }
                 2 => {
                     if ctx.last_value() != self.old_flags[idx] {
@@ -390,27 +395,10 @@ impl SimThread for PilotConsumer {
                     self.state = 0;
                     return Op::Nops(1);
                 }
-                3 => {
-                    if self.old_data[idx] != msg_value(self.cons_cnt) {
-                        self.errors += 1;
-                    }
-                    self.cons_cnt += 1;
-                    self.state = 4;
-                    return Op::store(CONS_CNT, self.cons_cnt);
-                }
-                4 => {
-                    self.state = 5;
-                    return Op::store(CONS_ERRORS, self.errors);
-                }
-                _ => {
-                    self.state = 0;
-                    if self.cons_cnt >= self.iterations {
-                        return Op::Halt;
-                    }
-                    if self.consume_nops > 0 {
-                        return Op::Nops(self.consume_nops);
-                    }
-                }
+                _ => match self.delivery.step(self.old_data[idx]) {
+                    Some(op) => return op,
+                    None => self.state = 0,
+                },
             }
         }
     }
@@ -455,64 +443,20 @@ pub fn run_prodcons(
     batch: u64,
     produce_nops: u32,
 ) -> PcResult {
-    run_prodcons_inner(bind, variant, messages, batch, produce_nops, None, None).0
+    let opts = RunOpts::default();
+    run_prodcons_with(bind, variant, messages, batch, produce_nops, opts).0
 }
 
-/// [`run_prodcons`] pinned to a specific scheduling [`Engine`] — the hook
-/// the differential harness uses to compare the event-driven engine against
-/// the lockstep oracle on identical workloads.
+/// [`run_prodcons`] under explicit [`RunOpts`]; also returns the recorded
+/// trace, ready for [`Trace::to_chrome_json`] export.
 #[must_use]
-pub fn run_prodcons_with_engine(
+pub fn run_prodcons_with(
     bind: BindConfig,
     variant: PcVariant,
     messages: u64,
     batch: u64,
     produce_nops: u32,
-    engine: Engine,
-) -> PcResult {
-    run_prodcons_inner(
-        bind,
-        variant,
-        messages,
-        batch,
-        produce_nops,
-        None,
-        Some(engine),
-    )
-    .0
-}
-
-/// Like [`run_prodcons`], with machine-wide event tracing enabled (ring of
-/// `trace_capacity` events). Returns the result plus the recorded trace,
-/// ready for [`Trace::to_chrome_json`] export.
-#[must_use]
-pub fn run_prodcons_traced(
-    bind: BindConfig,
-    variant: PcVariant,
-    messages: u64,
-    batch: u64,
-    produce_nops: u32,
-    trace_capacity: usize,
-) -> (PcResult, Trace) {
-    run_prodcons_inner(
-        bind,
-        variant,
-        messages,
-        batch,
-        produce_nops,
-        Some(trace_capacity),
-        None,
-    )
-}
-
-fn run_prodcons_inner(
-    bind: BindConfig,
-    variant: PcVariant,
-    messages: u64,
-    batch: u64,
-    produce_nops: u32,
-    trace_capacity: Option<usize>,
-    engine: Option<Engine>,
+    opts: RunOpts,
 ) -> (PcResult, Trace) {
     assert!(
         (1..=BUF_SLOTS / 2).contains(&batch),
@@ -524,38 +468,24 @@ fn run_prodcons_inner(
         "messages must be a whole number of batches"
     );
     let platform = bind.platform();
-    let mut m = Machine::new(platform.clone());
-    if let Some(e) = engine {
-        m.set_engine(e);
-    }
-    if let Some(capacity) = trace_capacity {
-        m.enable_trace(capacity);
-    }
     let prod_core = bind.primary_core();
     let cons_core = bind.peer_core();
+    let mut m = machine("prodcons", &platform, prod_core.max(cons_core) + 1, opts);
     match variant {
         PcVariant::Baseline(barriers) => {
             m.add_thread_on(
                 prod_core,
                 Box::new(Producer {
-                    barriers,
-                    produce_nops,
-                    batch,
-                    iterations: messages,
-                    prod_cnt: 0,
-                    in_batch: 0,
+                    production: Production::new(barriers.avail, produce_nops, batch, messages),
+                    publish: barriers.publish,
                     state: 0,
                 }),
             );
             m.add_thread_on(
                 cons_core,
                 Box::new(Consumer {
-                    iterations: messages,
-                    cons_cnt: 0,
+                    delivery: Delivery::new(messages),
                     prod_seen: 0,
-                    consume_nops: 0,
-                    check: true,
-                    errors: 0,
                     state: 0,
                 }),
             );
@@ -564,26 +494,18 @@ fn run_prodcons_inner(
             m.add_thread_on(
                 prod_core,
                 Box::new(PilotProducer {
-                    avail,
-                    produce_nops,
-                    batch,
-                    iterations: messages,
-                    prod_cnt: 0,
-                    in_batch: 0,
+                    production: Production::new(avail, produce_nops, batch, messages),
                     old_data: [0; BUF_SLOTS as usize],
                     local_flags: [0; BUF_SLOTS as usize],
-                    state: 0,
+                    filling: None,
                 }),
             );
             m.add_thread_on(
                 cons_core,
                 Box::new(PilotConsumer {
-                    iterations: messages,
-                    cons_cnt: 0,
+                    delivery: Delivery::new(messages),
                     old_data: [0; BUF_SLOTS as usize],
                     old_flags: [0; BUF_SLOTS as usize],
-                    consume_nops: 0,
-                    errors: 0,
                     state: 0,
                 }),
             );

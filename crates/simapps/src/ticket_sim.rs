@@ -8,13 +8,17 @@
 //! The figure's knob: when the critical section touches global lines, the
 //! unlock barrier sits strictly after RMRs and its overhead becomes visible
 //! (Observation 2); with zero global lines it is nearly free.
+//!
+//! What the lock's owner does between acquiring and handing off — and after
+//! the handoff — is the `InPlace` fragment, shared with `mcs_sim` so the
+//! two in-place baselines differ in their lock protocol only.
 
 use armbar_barriers::Barrier;
-use armbar_sim::{
-    Engine, LatencyHistogram, Machine, Op, Platform, SimThread, StallBreakdown, ThreadCtx, Trace,
-};
+use armbar_sim::{Op, Platform, SimThread, StallBreakdown, ThreadCtx, Trace};
 
-use crate::metrics::{jain_index, DlockMetrics};
+use crate::harness::{machine, run_lock, RunOpts};
+use crate::lower::fence_op;
+use crate::metrics::DlockMetrics;
 
 /// Shared-memory layout.
 const NEXT_TICKET: u64 = 0x100;
@@ -23,24 +27,107 @@ const GLOBALS_BASE: u64 = 0x1000;
 /// Per-thread private counters (distinct lines far from shared state).
 const PRIVATE_BASE: u64 = 0x10_0000;
 
-/// One competitor.
-struct TicketThread {
-    id: u64,
-    iterations: u64,
-    done: u64,
-    global_lines: u32,
-    cs_nops: u32,
-    post_nops: u32,
-    release_barrier: Barrier,
-    state: u8,
-    ticket: u64,
-    cs_step: u32,
+/// Op number `step` of a critical section's walk over the shared lines
+/// `base + k * 64` — each one read, then written with a data dependency on
+/// the value just read — or `None` once all `lines` are modified.
+pub(crate) fn modify_lines(base: u64, lines: u32, step: u32, last_value: u64) -> Option<Op> {
+    if step >= lines * 2 {
+        return None;
+    }
+    let addr = base + u64::from(step / 2) * 64;
+    Some(if step.is_multiple_of(2) {
+        Op::load_use(addr)
+    } else {
+        Op::store_dep(addr, last_value.wrapping_add(1))
+    })
 }
 
-impl TicketThread {
-    fn global_addr(&self, i: u32) -> u64 {
-        GLOBALS_BASE + u64::from(i) * 64
+/// The lock-independent half of an in-place competitor: the critical
+/// section with its release-side barrier, and the end of the iteration.
+pub(crate) struct InPlace {
+    id: u64,
+    cfg: TicketConfig,
+    done: u64,
+    cs_step: u32,
+    /// Where [`InPlace::finish`] stands.
+    phase: u8,
+}
+
+impl InPlace {
+    pub(crate) fn new(id: usize, cfg: TicketConfig) -> InPlace {
+        InPlace {
+            id: id as u64,
+            cfg,
+            done: 0,
+            cs_step: 0,
+            phase: 0,
+        }
     }
+
+    /// The next op of the critical section and the unlock barrier after it;
+    /// `None` once the lock may be handed off.
+    pub(crate) fn critical_section(&mut self, ctx: &ThreadCtx) -> Option<Op> {
+        let lines = self.cfg.global_lines;
+        loop {
+            let step = self.cs_step;
+            self.cs_step += 1;
+            // Read+modify each global line…
+            if let Some(op) = modify_lines(GLOBALS_BASE, lines, step, ctx.last_value()) {
+                return Some(op);
+            }
+            match step - lines * 2 {
+                // …plus the private counter and any local work.
+                0 => return Some(Op::store(PRIVATE_BASE + self.id * 64, self.done + 1)),
+                1 if self.cfg.cs_nops > 0 => return Some(Op::Nops(self.cfg.cs_nops)),
+                1 => {}
+                // unlock: the configurable barrier comes first.
+                2 => {
+                    if let Some(op) = fence_op(self.cfg.release_barrier) {
+                        return Some(op);
+                    }
+                }
+                _ => {
+                    self.cs_step = 0;
+                    return None;
+                }
+            }
+        }
+    }
+
+    /// The next op after the handoff — retire, or pace and mark the
+    /// iteration; `None` once the lock should be taken again.
+    pub(crate) fn finish(&mut self) -> Option<Op> {
+        match self.phase {
+            0 => {
+                self.done += 1;
+                if self.done >= self.cfg.per_thread {
+                    return Some(Op::Halt);
+                }
+                if self.cfg.post_nops > 0 {
+                    // Contention knob (Figure 7(c)'s interval).
+                    self.phase = 1;
+                    return Some(Op::Nops(self.cfg.post_nops));
+                }
+                self.phase = 2;
+                Some(Op::IterationMark)
+            }
+            1 => {
+                self.phase = 2;
+                Some(Op::IterationMark)
+            }
+            _ => {
+                self.phase = 0;
+                None
+            }
+        }
+    }
+}
+
+/// One competitor.
+struct TicketThread {
+    body: InPlace,
+    ticket: u64,
+    state: u8,
 }
 
 impl SimThread for TicketThread {
@@ -76,63 +163,19 @@ impl SimThread for TicketThread {
                     self.state = 4;
                     return Op::Fence(Barrier::DmbLd);
                 }
-                // Critical section: read+modify each global line…
-                4 => {
-                    if self.cs_step < self.global_lines {
-                        let addr = self.global_addr(self.cs_step);
-                        self.state = 5;
-                        return Op::load_use(addr);
-                    }
-                    self.state = 6;
-                }
+                4 => match self.body.critical_section(ctx) {
+                    Some(op) => return op,
+                    None => self.state = 5,
+                },
+                // unlock: advance the owner.
                 5 => {
-                    let addr = self.global_addr(self.cs_step);
-                    let v = ctx.last_value();
-                    self.cs_step += 1;
-                    self.state = 4;
-                    return Op::store_dep(addr, v.wrapping_add(1));
-                }
-                // …plus the private counter and any local work.
-                6 => {
-                    self.cs_step = 0;
-                    self.state = 7;
-                    return Op::store(PRIVATE_BASE + self.id * 64, self.done + 1);
-                }
-                7 => {
-                    self.state = 8;
-                    if self.cs_nops > 0 {
-                        return Op::Nops(self.cs_nops);
-                    }
-                }
-                // unlock: the configurable barrier, then advance the owner.
-                8 => {
-                    self.state = 9;
-                    match self.release_barrier {
-                        Barrier::None => {}
-                        f => return Op::Fence(f),
-                    }
-                }
-                9 => {
-                    self.state = 10;
+                    self.state = 6;
                     return Op::store(OWNER, self.ticket + 1);
                 }
-                11 => {
-                    self.state = 0;
-                    return Op::IterationMark;
-                }
-                _ => {
-                    self.state = 0;
-                    self.done += 1;
-                    if self.done >= self.iterations {
-                        return Op::Halt;
-                    }
-                    if self.post_nops > 0 {
-                        // Contention knob (Figure 7(c)'s interval).
-                        self.state = 11;
-                        return Op::Nops(self.post_nops);
-                    }
-                    return Op::IterationMark;
-                }
+                _ => match self.body.finish() {
+                    Some(op) => return op,
+                    None => self.state = 0,
+                },
             }
         }
     }
@@ -182,128 +225,41 @@ pub struct LockResult {
     pub stall: StallBreakdown,
 }
 
-/// Cores used for a lock benchmark: spread across the machine the way the
-/// paper binds threads (one per physical core, filling node 0 first).
-fn competitor_cores(platform: &Platform, threads: usize) -> Vec<usize> {
-    assert!(
-        threads <= platform.topology.core_count(),
-        "not enough cores"
-    );
-    (0..threads).collect()
-}
-
-/// Run the ticket-lock benchmark.
+/// Run the ticket-lock benchmark. Threads are bound the way the paper binds
+/// them: one per physical core, filling node 0 first.
 #[must_use]
 pub fn run_ticket(platform: &Platform, cfg: TicketConfig) -> LockResult {
-    run_ticket_inner(platform, cfg, None, None).0
+    run_ticket_with(platform, cfg, RunOpts::default()).0.result
 }
 
-/// [`run_ticket`] pinned to a specific scheduling [`Engine`] — the hook the
-/// differential harness uses to compare the event-driven engine against the
-/// lockstep oracle on identical workloads.
+/// [`run_ticket`] under explicit [`RunOpts`], with the full response-time
+/// metrics (latency histogram, Jain's fairness) and the recorded trace — one
+/// timeline per competitor core, since every core takes the acquire fence
+/// and the release gate. The subversion counter is zero by construction:
+/// in-place locks never execute another thread's critical section.
 #[must_use]
-pub fn run_ticket_with_engine(
+pub fn run_ticket_with(
     platform: &Platform,
     cfg: TicketConfig,
-    engine: Engine,
-) -> LockResult {
-    run_ticket_inner(platform, cfg, None, Some(engine)).0
-}
-
-/// [`run_ticket`] with event tracing enabled at `trace_capacity` events.
-/// The returned [`Trace`] holds one timeline per competitor core — a good
-/// multi-track demo for the Chrome-trace exporter, since every core takes
-/// the acquire fence and the release gate.
-#[must_use]
-pub fn run_ticket_traced(
-    platform: &Platform,
-    cfg: TicketConfig,
-    trace_capacity: usize,
-) -> (LockResult, Trace) {
-    let (result, trace, _) = run_ticket_inner(platform, cfg, Some(trace_capacity), None);
-    (result, trace)
-}
-
-/// Run the ticket benchmark with full response-time metrics (latency
-/// histogram, Jain's fairness), optionally pinned to an [`Engine`]. The
-/// subversion counter is zero by construction: in-place locks never
-/// execute another thread's critical section.
-#[must_use]
-pub fn run_ticket_metrics(
-    platform: &Platform,
-    cfg: TicketConfig,
-    engine: Option<Engine>,
-) -> DlockMetrics {
-    run_ticket_inner(platform, cfg, None, engine).2
-}
-
-fn run_ticket_inner(
-    platform: &Platform,
-    cfg: TicketConfig,
-    trace_capacity: Option<usize>,
-    engine: Option<Engine>,
-) -> (LockResult, Trace, DlockMetrics) {
-    let mut m = Machine::new(platform.clone());
-    if let Some(e) = engine {
-        m.set_engine(e);
-    }
-    if let Some(capacity) = trace_capacity {
-        m.enable_trace(capacity);
-    }
-    let cores = competitor_cores(platform, cfg.threads);
-    for (i, &c) in cores.iter().enumerate() {
+    opts: RunOpts,
+) -> (DlockMetrics, Trace) {
+    let mut m = machine("ticket", platform, cfg.threads, opts);
+    for core in 0..cfg.threads {
         m.add_thread_on(
-            c,
+            core,
             Box::new(TicketThread {
-                id: i as u64,
-                iterations: cfg.per_thread,
-                done: 0,
-                global_lines: cfg.global_lines,
-                cs_nops: cfg.cs_nops,
-                post_nops: cfg.post_nops,
-                release_barrier: cfg.release_barrier,
-                state: 0,
+                body: InPlace::new(core, cfg),
                 ticket: 0,
-                cs_step: 0,
+                state: 0,
             }),
         );
     }
     let total = cfg.per_thread * cfg.threads as u64;
-    let max_cycles = total * 200_000 + 1_000_000;
-    let stats = m.run(max_cycles);
-    assert!(
-        stats.halted,
-        "ticket benchmark must finish (deadlock otherwise)"
-    );
+    let run = run_lock("ticket", &mut m, total, 0..cfg.threads);
     // Sanity: the lock really serialized every acquisition.
     assert_eq!(m.read_memory(NEXT_TICKET), total);
     assert_eq!(m.read_memory(OWNER), total);
-    let cycles = stats.cycles;
-    let mut stall = StallBreakdown::default();
-    let mut latency = LatencyHistogram::default();
-    let mut throughputs = Vec::with_capacity(cores.len());
-    for &c in &cores {
-        let cs = m.core_stats(c);
-        stall.merge(&cs.stall);
-        latency.merge(&cs.latency);
-        let halted_at = cs.halted_at.expect("halted run must stamp every core");
-        #[allow(clippy::cast_precision_loss)]
-        throughputs.push(cs.iterations as f64 / halted_at.max(1) as f64);
-    }
-    let result = LockResult {
-        acquisitions: total,
-        cycles,
-        locks_per_sec: platform.iterations_per_second(total, cycles),
-        stall,
-    };
-    let metrics = DlockMetrics {
-        result,
-        latency,
-        fairness: jain_index(&throughputs),
-        subverted: 0,
-        total_ops: total,
-    };
-    (result, m.take_trace(), metrics)
+    run
 }
 
 #[cfg(test)]
@@ -420,5 +376,15 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(run_ticket(&p, cfg).cycles, run_ticket(&p, cfg).cycles);
+    }
+
+    #[test]
+    #[should_panic(expected = "ticket: not enough cores: 5 > 4")]
+    fn more_threads_than_cores_is_rejected() {
+        let cfg = TicketConfig {
+            threads: 5,
+            ..Default::default()
+        };
+        let _ = run_ticket(&Platform::raspberry_pi4(), cfg);
     }
 }
