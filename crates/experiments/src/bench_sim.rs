@@ -11,6 +11,12 @@
 //! times are reported for context but never gated, so the floor holds on
 //! any host.
 //!
+//! A second row, `nop_run`, gates the event engine's other skip: Figure
+//! 7(c)'s longest contention interval, 12 clients that each take a
+//! contended fetch-add and then sit in 128 000 nops. The oracle steps every
+//! client through every nop cycle; the event engine wakes a client once per
+//! nop run and applies the skipped cycles lazily.
+//!
 //! Correctness is asserted inline: every point first checks that both
 //! engines produce identical run statistics and final memory — a
 //! benchmark of a wrong answer is worthless.
@@ -31,6 +37,14 @@ const BATCHES: u32 = 50;
 pub const MIN_STEPS_RATIO: f64 = 10.0;
 /// Where the ratio floor is enforced.
 pub const GATE_CORES: usize = 256;
+
+/// Clients, nops between requests and requests per client of the
+/// `nop_run` row (Figure 7(c)'s 10^3 column).
+const NOP_CLIENTS: usize = 12;
+const NOP_INTERVAL: u32 = 128_000;
+const NOP_REQUESTS: u32 = 8;
+/// The shared counter the `nop_run` clients contend on.
+const COUNTER: u64 = 0xA000;
 
 /// Parks on [`FLAG`] until it changes, records what it saw, halts.
 struct Spinner {
@@ -100,6 +114,27 @@ pub fn parked_spinner_machine(cores: usize) -> Machine {
     m
 }
 
+/// [`NOP_REQUESTS`] rounds of: contended fetch-add, [`NOP_INTERVAL`] nops.
+struct NopClient {
+    remaining: u32,
+    state: u8,
+}
+
+impl SimThread for NopClient {
+    fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
+        self.state = (self.state + 1) % 3;
+        match self.state {
+            1 if self.remaining == 0 => Op::Halt,
+            1 => {
+                self.remaining -= 1;
+                Op::fetch_add_acq_rel(COUNTER, 1)
+            }
+            2 => Op::Nops(NOP_INTERVAL),
+            _ => Op::IterationMark,
+        }
+    }
+}
+
 /// One measured point: cycles, steps, and wall time under `engine`.
 struct Point {
     cycles: u64,
@@ -107,22 +142,49 @@ struct Point {
     wall_ns: u64,
 }
 
-fn run_point(cores: usize, engine: Engine) -> Point {
-    let mut m = parked_spinner_machine(cores);
+/// Run `m` to completion under `engine`.
+fn measure(mut m: Machine, engine: Engine) -> (Machine, Point) {
     m.set_engine(engine);
     let t0 = Instant::now();
     let stats = m.run(1 << 40);
     let wall_ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    assert!(stats.halted, "parked-spinner run must finish");
+    assert!(stats.halted, "benchmark run must finish");
+    let point = Point {
+        cycles: stats.cycles,
+        steps: m.steps_executed(),
+        wall_ns,
+    };
+    (m, point)
+}
+
+fn run_point(cores: usize, engine: Engine) -> Point {
+    let (m, point) = measure(parked_spinner_machine(cores), engine);
     assert_eq!(m.read_memory(FLAG), 1);
     for c in 1..cores {
         assert_eq!(m.read_memory(OUT_BASE + c as u64 * 64), 1, "spinner {c}");
     }
-    Point {
-        cycles: stats.cycles,
-        steps: m.steps_executed(),
-        wall_ns,
+    point
+}
+
+fn run_nop_point(engine: Engine) -> Point {
+    let mut m = Machine::new(Platform::kunpeng916());
+    for c in 0..NOP_CLIENTS {
+        m.add_thread_on(
+            c,
+            Box::new(NopClient {
+                remaining: NOP_REQUESTS,
+                state: 0,
+            }),
+        );
     }
+    let (m, point) = measure(m, engine);
+    let requests = NOP_CLIENTS as u64 * u64::from(NOP_REQUESTS);
+    assert_eq!(m.read_memory(COUNTER), requests, "no lost request");
+    point
+}
+
+fn steps_ratio(ev: &Point, or: &Point) -> f64 {
+    or.steps as f64 / ev.steps.max(1) as f64
 }
 
 /// Nanoseconds as the milliseconds both benchmark documents report.
@@ -135,8 +197,9 @@ pub(crate) fn ms(ns: u64) -> f64 {
 /// # Panics
 ///
 /// Panics when the engines disagree on any point, or when the
-/// steps-executed ratio at [`GATE_CORES`] cores falls below
-/// [`MIN_STEPS_RATIO`] — the scaling the event engine exists to deliver.
+/// steps-executed ratio at [`GATE_CORES`] cores or on the `nop_run` row
+/// falls below [`MIN_STEPS_RATIO`] — the scaling the event engine exists to
+/// deliver.
 #[must_use]
 pub fn bench_sim_json() -> String {
     // Both engines at the sizes the oracle can still afford…
@@ -158,12 +221,20 @@ pub fn bench_sim_json() -> String {
     let gate_ratio = compared
         .iter()
         .find(|&&(cores, ..)| cores == GATE_CORES)
-        .map(|(_, ev, or)| or.steps as f64 / ev.steps.max(1) as f64)
+        .map(|(_, ev, or)| steps_ratio(ev, or))
         .expect("gate point measured");
     assert!(
         gate_ratio >= MIN_STEPS_RATIO,
         "steps ratio at {GATE_CORES} cores is {gate_ratio:.1}, \
          below the {MIN_STEPS_RATIO}x floor"
+    );
+    let nop_ev = run_nop_point(Engine::EventDriven);
+    let nop_or = run_nop_point(Engine::LockstepOracle);
+    assert_eq!(nop_ev.cycles, nop_or.cycles, "engines disagree on nop_run");
+    let nop_ratio = steps_ratio(&nop_ev, &nop_or);
+    assert!(
+        nop_ratio >= MIN_STEPS_RATIO,
+        "steps ratio on the nop_run row is {nop_ratio:.1}, below the {MIN_STEPS_RATIO}x floor"
     );
 
     let mut j = String::from("{\n");
@@ -181,7 +252,7 @@ pub fn bench_sim_json() -> String {
             ev.cycles,
             ev.steps,
             or.steps,
-            or.steps as f64 / ev.steps.max(1) as f64,
+            steps_ratio(ev, or),
             ms(ev.wall_ns),
             ms(or.wall_ns),
             or.wall_ns as f64 / ev.wall_ns.max(1) as f64,
@@ -198,6 +269,19 @@ pub fn bench_sim_json() -> String {
         ms(big_ev.wall_ns),
     );
     let _ = writeln!(j, "  ],");
+    let _ = writeln!(
+        j,
+        "  \"nop_run\": {{\"clients\": {NOP_CLIENTS}, \"interval_nops\": {NOP_INTERVAL}, \
+         \"requests\": {NOP_REQUESTS}, \"cycles\": {}, \"event_steps\": {}, \
+         \"oracle_steps\": {}, \"steps_ratio\": {nop_ratio:.3}, \
+         \"min_steps_ratio\": {MIN_STEPS_RATIO}, \"event_wall_ms\": {:.3}, \
+         \"oracle_wall_ms\": {:.3}}},",
+        nop_ev.cycles,
+        nop_ev.steps,
+        nop_or.steps,
+        ms(nop_ev.wall_ns),
+        ms(nop_or.wall_ns),
+    );
     let _ = writeln!(j, "  \"floor\": {{");
     let _ = writeln!(j, "    \"cores\": {GATE_CORES},");
     let _ = writeln!(j, "    \"min_steps_ratio\": {MIN_STEPS_RATIO},");
@@ -221,6 +305,7 @@ mod tests {
             "\"workload\"",
             "\"points\"",
             "\"event_only\"",
+            "\"nop_run\"",
             "\"floor\"",
             "\"steps_ratio\"",
             "\"pass\": true",

@@ -3,7 +3,8 @@
 //! placements, the ticket lock on four platforms, and the three many-core
 //! barrier families — the event engine must be *observationally equivalent*
 //! to the lockstep oracle (`Machine::step_all` every cycle): same final
-//! memory, same throughput, same stall attribution. A last test runs the
+//! memory, same throughput, same stall attribution. Figure 7(c)'s longest
+//! contention interval pins the lazy nop runs the same way. A last test runs the
 //! equivalence grid itself through the sweep worker pool at one and four
 //! workers, mirroring the `ARMBAR_JOBS` smoke configurations.
 
@@ -12,6 +13,10 @@ use armbar_experiments::sweep::{SweepCtx, SweepSpec};
 use armbar_experiments::RunCache;
 use armbar_sim::{Engine, Platform};
 use armbar_simapps::barrier_sim::{run_barrier_with, BarrierConfig, BarrierFamily};
+use armbar_simapps::delegation_sim::{
+    run_delegation_with, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
+    ResponseMode,
+};
 use armbar_simapps::prodcons::{run_prodcons_with, PcBarriers, PcVariant};
 use armbar_simapps::ticket_sim::{run_ticket_with, TicketConfig};
 use armbar_simapps::{BindConfig, RunOpts};
@@ -83,6 +88,50 @@ fn event_engine_matches_oracle_on_barrier_families() {
             let ev = run_barrier_with(&platform, cfg, EVENT).0;
             let or = run_barrier_with(&platform, cfg, ORACLE).0;
             assert_eq!(ev, or, "{family:?} × {threads} on {label}");
+        }
+    }
+}
+
+/// Figure 7(c)'s 10^3 point: 12 clients, 128 000 nops between requests, all
+/// five lock variants. Almost every cycle of these runs sits inside a nop
+/// run, which the event engine applies lazily and the oracle steps through.
+#[test]
+fn event_engine_matches_oracle_on_fig7c_long_nop_intervals() {
+    const CLIENTS: usize = 12;
+    const INTERVAL_NOPS: u32 = 128_000;
+    const PER: u64 = 8;
+    let platform = Platform::kunpeng916();
+    let ticket = TicketConfig {
+        threads: CLIENTS,
+        global_lines: 1,
+        cs_nops: 4,
+        post_nops: INTERVAL_NOPS,
+        release_barrier: Barrier::DmbSt,
+        per_thread: PER,
+    };
+    let ev = run_ticket_with(&platform, ticket, EVENT).0;
+    let or = run_ticket_with(&platform, ticket, ORACLE).0;
+    assert_eq!(ev.result, or.result, "Ticket");
+    assert_eq!(ev.latency, or.latency, "Ticket");
+    for kind in [DelegationKind::DSynch, DelegationKind::Ffwd] {
+        for mode in [ResponseMode::Flag, ResponseMode::Pilot] {
+            let cfg = DelegationConfig {
+                kind,
+                clients: CLIENTS,
+                barriers: DelegationBarriers {
+                    req: Barrier::Ldar,
+                    resp: Barrier::DmbSt,
+                },
+                mode,
+                profile: CsProfile::counter(),
+                per_client: PER,
+                interval_nops: INTERVAL_NOPS,
+            };
+            let ev = run_delegation_with(&platform, cfg, EVENT).0;
+            let or = run_delegation_with(&platform, cfg, ORACLE).0;
+            assert_eq!(ev.result, or.result, "{kind:?} / {mode:?}");
+            assert_eq!(ev.latency, or.latency, "{kind:?} / {mode:?}");
+            assert_eq!(ev.subverted, or.subverted, "{kind:?} / {mode:?}");
         }
     }
 }

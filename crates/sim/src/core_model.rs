@@ -126,14 +126,6 @@ impl PendingBarrier {
         )
     }
 
-    /// Does this pending barrier forbid issuing memory operations?
-    fn blocks_memory(&self) -> bool {
-        // Every modelled fence except DMB st (which lives in the store
-        // buffer as a gate, not here) orders *something* later; subsequent
-        // memory ops wait for the response.
-        true
-    }
-
     /// Does it forbid issuing anything at all?
     fn blocks_all(&self) -> bool {
         self.kind.blocks_issue_of_non_memory()
@@ -167,6 +159,18 @@ struct StallRun {
     charged_to: Cycle,
 }
 
+/// The cycles of a pure nop run ([`Core::in_nop_run`]) that can be applied
+/// in bulk, and their summed effect on the core.
+#[derive(Debug, Clone, Copy)]
+struct NopRun {
+    /// Whole cycles covered; the cycle after them is the first that may
+    /// push the run's last nop (and so fetch the next op) or lies past the
+    /// requested horizon.
+    cycles: Cycle,
+    retired: u64,
+    issued: u64,
+}
+
 /// One simulated core.
 pub struct Core {
     id: CoreId,
@@ -198,8 +202,9 @@ pub struct Core {
     last_load: Option<(u64, Cycle)>,
     /// Cycle of the previous `Op::IterationMark` (response-time baseline).
     last_iteration_at: Cycle,
-    /// Completion times of loads, by seq, still needed by release stores.
-    load_seq_done: Vec<(Seq, Cycle)>,
+    /// Cycle up to which this core's state is current: its last step, or
+    /// later once [`Core::settle_nop_run`] has applied a skipped nop run.
+    settled_to: Cycle,
     ctx: ThreadCtx,
     stats: CoreStats,
     /// Per-gate cross-node tracking parallel to `sb` gates is folded into
@@ -247,7 +252,7 @@ impl Core {
             parked: false,
             last_load: None,
             last_iteration_at: 0,
-            load_seq_done: Vec::new(),
+            settled_to: 0,
             ctx: ThreadCtx {
                 now: 0,
                 last_value: 0,
@@ -276,6 +281,12 @@ impl Core {
         self.halted = false;
     }
 
+    /// Whether a workload thread is attached.
+    #[must_use]
+    pub fn has_thread(&self) -> bool {
+        self.thread.is_some()
+    }
+
     /// Whether the workload halted *and* all its effects are globally
     /// visible (pipeline and store buffer empty).
     #[must_use]
@@ -295,13 +306,16 @@ impl Core {
     /// Earliest cycle at which this core can make progress on its own,
     /// `None` if it never will without outside help.
     ///
-    /// The contract the event-driven engine is built on: between `now` and
-    /// the returned cycle, stepping this core is a no-op — nothing
-    /// completes, drains, retires, or issues, and its stall classification
-    /// is constant. `None` means the core has no self-scheduled transition
-    /// at all: it is quiesced, or parked on a [`Op::WaitChange`] line (in
-    /// which case the machine wakes it through the directory waiter list
-    /// when the line changes).
+    /// This is the *heartbeat* contract the lockstep oracle runs on:
+    /// between `now` and the returned cycle, stepping this core is a no-op —
+    /// nothing completes, drains, retires, or issues, and its stall
+    /// classification is constant. A core that retires or issues anything
+    /// (nops included) reports `now + 1`. `None` means the core has no
+    /// self-scheduled transition at all: it is quiesced, or parked on a
+    /// [`Op::WaitChange`] line (in which case the machine wakes it through
+    /// the directory waiter list when the line changes).
+    ///
+    /// The event engine asks [`Core::next_wake_skipping_nops`] instead.
     #[must_use]
     pub fn next_wake(&self, now: Cycle) -> Option<Cycle> {
         if self.quiesced() {
@@ -329,15 +343,31 @@ impl Core {
         if self.issue_blocked_until > now {
             consider(self.issue_blocked_until);
         }
+        if blocked_all && self.stall_run.is_none() && !self.parked {
+            // The barrier issued this cycle, so the next one is the first
+            // fully stalled: observe it, or its stall run never opens.
+            consider(now + 1);
+        }
         for l in &self.loads {
             consider(l.done_at);
         }
         if let Some(t) = self.sb.next_event(now) {
             consider(t);
         }
+        // A DMB st gate placed with nothing older left to drain requests its
+        // response at the very next step.
+        if let Some(g) = self.sb.gates_iter().find(|g| g.open_at.is_none()) {
+            if self.sb.drained_before(g.seq) {
+                consider(now + 1);
+            }
+        }
         if let Some(b) = &self.pending_barrier {
-            if let Some(t) = b.resp_at {
-                consider(t);
+            match b.resp_at {
+                Some(t) => consider(t),
+                // Issued with nothing left to wait for: the very next step
+                // schedules its response.
+                None if self.priors_done(b, now) => consider(now + 1),
+                None => {}
             }
         }
         if self.parked {
@@ -357,6 +387,104 @@ impl Core {
         Some(wake.unwrap_or(now + 1))
     }
 
+    /// [`Core::next_wake`] under the event engine's weaker *skip* contract:
+    /// between `now` and the returned cycle, stepping this core changes
+    /// nothing another core or the run loop can observe, and the next
+    /// `step` (or the machine's run-exit settle) brings the core to exactly the
+    /// per-cycle state. Differs from the heartbeat only inside a pure nop
+    /// run, whose wake is the cycle the run ends in — a real step, because
+    /// it may fetch the next op.
+    #[must_use]
+    pub fn next_wake_skipping_nops(&self, now: Cycle) -> Option<Cycle> {
+        if self.in_nop_run() {
+            return Some(now + 1 + self.nop_run(Cycle::MAX).cycles);
+        }
+        self.next_wake(now)
+    }
+
+    /// Whether the core is in a pure nop run: nops left to issue and nothing
+    /// else in flight. Every ROB entry is then complete, no stall run is
+    /// open, and until the run's last nop issues a step only retires and
+    /// pushes nops — state no other core reads.
+    #[must_use]
+    pub(crate) fn in_nop_run(&self) -> bool {
+        self.nops_remaining > 0
+            && self.loads.is_empty()
+            && self.sb.is_empty()
+            && self.sb.gates_iter().next().is_none()
+            && self.pending_barrier.is_none()
+            && self.stall_run.is_none()
+            && self.issue_blocked_until <= self.settled_to
+            && !self.parked
+            // A core that never retires fills its ROB and wedges; step it.
+            && self.params_cache.retire_width > 0
+    }
+
+    /// Iterate the per-cycle `(used, remaining)` recurrence of a pure nop
+    /// run — retire `min(retire_width, used)`, push
+    /// `min(remaining, issue_width, free)` — over at most `horizon` cycles,
+    /// stopping before the cycle that would push the last nop. Once ROB
+    /// occupancy reaches its fixed point the rest is one multiplication.
+    fn nop_run(&self, horizon: Cycle) -> NopRun {
+        let pc = &self.params_cache;
+        let capacity = self.rob.used() + self.rob.free();
+        let mut used = self.rob.used();
+        let mut remaining = self.nops_remaining;
+        let mut run = NopRun {
+            cycles: 0,
+            retired: 0,
+            issued: 0,
+        };
+        while run.cycles < horizon {
+            let retire = pc.retire_width.min(used);
+            let push = pc.issue_width.min(capacity - (used - retire));
+            if remaining <= push {
+                break;
+            }
+            let next_used = used - retire + push;
+            let n = if next_used == used {
+                Cycle::from((remaining - 1) / push).min(horizon - run.cycles)
+            } else {
+                1
+            };
+            run.cycles += n;
+            run.retired += n * Cycle::from(retire);
+            run.issued += n * Cycle::from(push);
+            // `n * push < remaining`, so this fits.
+            remaining -= (n * Cycle::from(push)) as u32;
+            used = next_used;
+        }
+        run
+    }
+
+    /// Apply the cycles `settled_to + 1 ..= upto` of a pure nop run that the
+    /// event engine skipped, so the core reads exactly as if it had been
+    /// stepped through them. No-op outside a nop run or when already
+    /// current — in particular under the oracle, which never skips.
+    pub(crate) fn settle_nop_run(&mut self, upto: Cycle) {
+        if upto <= self.settled_to || !self.in_nop_run() {
+            return;
+        }
+        let run = self.nop_run(upto - self.settled_to);
+        debug_assert_eq!(
+            run.cycles,
+            upto - self.settled_to,
+            "stepped past the run's end"
+        );
+        // All entries are complete, so the ROB is a plain queue: the run's
+        // retirements come off the old contents first, and what is left of
+        // its pushes joins the tail as one coalesced nop entry.
+        let old = self.rob.used();
+        let from_old = run.retired.min(Cycle::from(old)) as u32;
+        self.rob.retire(from_old);
+        self.rob
+            .push_nops((run.issued - (run.retired - Cycle::from(from_old))) as u32);
+        self.nops_remaining -= run.issued as u32;
+        self.stats.retired += run.retired;
+        self.stats.issued += run.issued;
+        self.settled_to = upto;
+    }
+
     /// Whether the core is parked on a [`Op::WaitChange`] line.
     #[must_use]
     pub fn parked(&self) -> bool {
@@ -373,14 +501,24 @@ impl Core {
         self.loads.iter().all(|l| l.seq >= seq || l.done_at <= now)
     }
 
+    /// Whether every prior access pending barrier `b` waits on has completed
+    /// at `now`, so its response can be requested.
+    fn priors_done(&self, b: &PendingBarrier, now: Cycle) -> bool {
+        (!b.waits_loads() || self.loads_done_before(b.seq, now))
+            && (!b.waits_stores() || self.sb.drained_before(b.seq))
+    }
+
     fn outstanding_loads(&self, now: Cycle) -> usize {
         self.loads.iter().filter(|l| l.done_at > now).count()
     }
 
     /// Whether memory operations may issue at `now`.
     fn memory_blocked(&self, now: Cycle) -> bool {
+        // Every modelled fence except DMB st (which lives in the store
+        // buffer as a gate, not here) orders *something* later; subsequent
+        // memory ops wait for the response.
         if let Some(b) = &self.pending_barrier {
-            if b.blocks_memory() && b.resp_at.is_none_or(|t| t > now) {
+            if b.resp_at.is_none_or(|t| t > now) {
                 return true;
             }
         }
@@ -436,7 +574,7 @@ impl Core {
     /// that is charged this cycle. Precondition: `memory_blocked(now)`.
     fn classify_memory_block(&self, now: Cycle) -> (StallCause, Barrier) {
         if let Some(b) = &self.pending_barrier {
-            if b.blocks_memory() && b.resp_at.is_none_or(|t| t > now) {
+            if b.resp_at.is_none_or(|t| t > now) {
                 return match b.resp_at {
                     // Response scheduled: waiting out the window. DSB-class
                     // barriers that block all issue count as the DSB/ISB
@@ -498,28 +636,18 @@ impl Core {
 
     /// Phase 1: completions — loads/RMWs finishing, drains landing,
     /// barrier/gate conditions resolving.
-    fn complete_phase(
-        &mut self,
-        now: Cycle,
-        topo: &Topology,
-        lat: &LatencyParams,
-        shared: &mut SharedState,
-        trace: &mut Trace,
-    ) {
-        let _ = topo;
-        let _ = lat;
-        // Finish loads and RMWs.
-        let mut finished: Vec<LoadInFlight> = Vec::new();
-        let mut i = 0;
-        while i < self.loads.len() {
-            if self.loads[i].done_at <= now {
-                finished.push(self.loads.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        finished.sort_by_key(|l| l.done_at);
-        for l in finished {
+    fn complete_phase(&mut self, now: Cycle, shared: &mut SharedState, trace: &mut Trace) {
+        // Finish loads and RMWs, earliest completion first (issue order
+        // among equals).
+        while let Some(i) = self
+            .loads
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.done_at <= now)
+            .min_by_key(|&(i, l)| (l.done_at, i))
+            .map(|(i, _)| i)
+        {
+            let l = self.loads.remove(i);
             let value = match (l.forwarded, &l.rmw) {
                 (Some(v), _) => v,
                 (None, None) => shared.read(l.addr),
@@ -542,7 +670,6 @@ impl Core {
                 }
             };
             self.rob.complete(l.rob_slot);
-            self.load_seq_done.push((l.seq, l.done_at));
             if l.distance.crosses_node() {
                 if let Some(b) = &mut self.pending_barrier {
                     if b.waits_loads() && l.seq < b.seq {
@@ -558,20 +685,9 @@ impl Core {
                 self.suspended_on = None;
             }
         }
-        // Trim the load completion log: only entries that could still gate a
-        // release store matter (anything older than the oldest SB entry and
-        // the pending barrier is irrelevant).
-        let keep_from = self
-            .sb
-            .oldest_pending_seq()
-            .into_iter()
-            .chain(self.pending_barrier.as_ref().map(|b| b.seq))
-            .min()
-            .unwrap_or(self.next_seq);
-        self.load_seq_done.retain(|&(s, _)| s >= keep_from);
 
         // Land store drains in the memory image.
-        for e in self.sb.complete_drains(now) {
+        while let Some(e) = self.sb.pop_completed_drain(now) {
             shared.write(e.addr, e.value);
             // Distance scope for gates/barriers waiting on this drain.
             let crossed = e.drain_crossed_node();
@@ -629,34 +745,31 @@ impl Core {
 
         // Resolve the pending barrier.
         let mut barrier_done = false;
+        let priors_done = self
+            .pending_barrier
+            .as_ref()
+            .is_some_and(|b| b.resp_at.is_none() && self.priors_done(b, now));
         if let Some(b) = &mut self.pending_barrier {
-            if b.resp_at.is_none() {
-                let loads_ok = !b.waits_loads() || {
-                    let seq = b.seq;
-                    self.loads.iter().all(|l| l.seq >= seq || l.done_at <= now)
-                };
-                let stores_ok = !b.waits_stores() || self.sb.drained_before(b.seq);
-                if loads_ok && stores_ok {
-                    let resp = match b.kind {
-                        Barrier::DmbFull => {
-                            now + if !b.had_priors {
-                                pc.t_membar_idle
-                            } else if b.crossed_node {
-                                pc.t_membar_domain
-                            } else {
-                                pc.t_membar_bisection
-                            }
+            if priors_done {
+                let resp = match b.kind {
+                    Barrier::DmbFull => {
+                        now + if !b.had_priors {
+                            pc.t_membar_idle
+                        } else if b.crossed_node {
+                            pc.t_membar_domain
+                        } else {
+                            pc.t_membar_bisection
                         }
-                        Barrier::DmbLd => now + 1,
-                        Barrier::DsbFull | Barrier::DsbSt | Barrier::DsbLd => now + pc.t_syncbar,
-                        Barrier::CtrlIsb => now + pc.t_isb_flush,
-                        other => unreachable!("{other} never becomes a pending barrier"),
-                    };
-                    b.resp_at = Some(resp);
-                    if b.blocks_all() {
-                        self.issue_blocked_until = resp;
-                        self.issue_block_kind = b.kind;
                     }
+                    Barrier::DmbLd => now + 1,
+                    Barrier::DsbFull | Barrier::DsbSt | Barrier::DsbLd => now + pc.t_syncbar,
+                    Barrier::CtrlIsb => now + pc.t_isb_flush,
+                    other => unreachable!("{other} never becomes a pending barrier"),
+                };
+                b.resp_at = Some(resp);
+                if b.blocks_all() {
+                    self.issue_blocked_until = resp;
+                    self.issue_block_kind = b.kind;
                 }
             }
             if let Some(t) = b.resp_at {
@@ -691,15 +804,8 @@ impl Core {
         shared: &mut SharedState,
     ) {
         loop {
-            let done_log = &self.load_seq_done;
             let loads = &self.loads;
-            let loads_done = |seq: Seq| {
-                loads.iter().all(|l| l.seq >= seq || l.done_at <= now) && {
-                    // Every already-finished load is fine by construction.
-                    let _ = done_log;
-                    true
-                }
-            };
+            let loads_done = |seq: Seq| loads.iter().all(|l| l.seq >= seq || l.done_at <= now);
             let Some(i) = self.sb.pick_drain_candidate(now, loads_done) else {
                 break;
             };
@@ -713,12 +819,12 @@ impl Core {
                     .access(topo, lat, self.id, Line::containing(addr), true, now);
             let extra = if release { self.params_cache.t_stlr } else { 0 };
             self.sb
-                .start_drain_with_meta(i, now + out.latency + extra, out.distance);
+                .start_drain(i, now + out.latency + extra, out.distance);
         }
     }
 
     /// Phase 3: retire.
-    fn retire_phase(&mut self, _now: Cycle) {
+    fn retire_phase(&mut self) {
         let n = self.rob.retire(self.params_cache.retire_width);
         self.stats.retired += u64::from(n);
     }
@@ -1229,9 +1335,10 @@ impl Core {
         // transition can only happen at a cycle where the core acts — so
         // both engines record the same final cycle count.
         let was_quiesced = self.quiesced();
-        self.complete_phase(now, topo, lat, shared, trace);
+        self.settle_nop_run(now.saturating_sub(1));
+        self.complete_phase(now, shared, trace);
         self.drain_phase(now, topo, lat, shared);
-        self.retire_phase(now);
+        self.retire_phase();
         self.issue_phase(now, topo, lat, shared, trace);
         // A second drain attempt lets stores issued this cycle begin
         // draining immediately (store latency starts at issue).
@@ -1239,5 +1346,6 @@ impl Core {
         if !(was_quiesced && self.stats.halted_at.is_some()) {
             self.stats.cycles = now + 1;
         }
+        self.settled_to = now;
     }
 }

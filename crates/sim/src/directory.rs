@@ -122,8 +122,8 @@ impl Directory {
         ));
     }
 
-    fn default_state(&self, line: Line) -> LineState {
-        for &(lo, hi, home) in &self.region_homes {
+    fn default_state(region_homes: &[(Line, Line, CoreId)], line: Line) -> LineState {
+        for &(lo, hi, home) in region_homes {
             if line >= lo && line <= hi {
                 return LineState {
                     owner: Some(home),
@@ -141,50 +141,39 @@ impl Directory {
         state: &LineState,
         write: bool,
     ) -> DistanceClass {
+        let owns = state.owner == Some(requester);
+        if write {
+            // Every other copy must be invalidated, so the farthest holder
+            // (owner or sharer) bounds the latency; with no other holder the
+            // write hits if the requester owns the line and goes to memory
+            // otherwise.
+            let farthest = state
+                .owner
+                .iter()
+                .chain(&state.sharers)
+                .filter(|&&c| c != requester)
+                .map(|&c| topo.distance(requester, c))
+                .max();
+            return farthest.unwrap_or(if owns {
+                DistanceClass::Local
+            } else {
+                DistanceClass::Memory
+            });
+        }
         // Read hit: requester already shares (or owns) the line.
-        if !write && (state.sharers.contains(&requester) || state.owner == Some(requester)) {
+        if owns || state.sharers.contains(&requester) {
             return DistanceClass::Local;
         }
-        // Write hit: requester owns exclusively, no other sharers.
-        if write && state.owner == Some(requester) && state.sharers.iter().all(|&c| c == requester)
-        {
-            return DistanceClass::Local;
+        // Otherwise the owner supplies the data, else the nearest sharer.
+        match state.owner {
+            Some(owner) => topo.distance(requester, owner),
+            None => state
+                .sharers
+                .iter()
+                .map(|&c| topo.distance(requester, c))
+                .min()
+                .unwrap_or(DistanceClass::Memory),
         }
-        // Otherwise the line comes from the farthest holder we must snoop:
-        // for writes, every copy must be invalidated, so the worst-distance
-        // holder bounds the latency; for reads, the owner (or the nearest
-        // sharer) supplies the data.
-        let holders: Vec<CoreId> = if write {
-            state
-                .owner
-                .into_iter()
-                .chain(state.sharers.iter().copied())
-                .filter(|&c| c != requester)
-                .collect()
-        } else {
-            state
-                .owner
-                .into_iter()
-                .filter(|&c| c != requester)
-                .collect()
-        };
-        if holders.is_empty() {
-            if !write && !state.sharers.is_empty() {
-                // Shared-only line read: data can come from a sharer.
-                return state
-                    .sharers
-                    .iter()
-                    .map(|&c| topo.distance(requester, c))
-                    .min()
-                    .unwrap_or(DistanceClass::Memory);
-            }
-            return DistanceClass::Memory;
-        }
-        holders
-            .iter()
-            .map(|&c| topo.distance(requester, c))
-            .max()
-            .unwrap_or(DistanceClass::Memory)
     }
 
     /// Perform an access at cycle `now`: returns its cost classification and
@@ -202,57 +191,25 @@ impl Directory {
         now: Cycle,
     ) -> AccessOutcome {
         let shard = self.shard_of(line);
-        let state = match self.shards[shard].lines.get(&line) {
-            Some(s) => s.clone(),
-            None => self.default_state(line),
-        };
-        let distance = Self::classify(topo, requester, &state, write);
-        let transfer = lat.transfer_latency(distance);
-        let (latency, new_state) = if write {
-            let latency = state.busy_until.saturating_sub(now) + transfer;
-            // Writer takes exclusive ownership; all other copies invalidated.
-            let s = LineState {
-                owner: Some(requester),
-                sharers: vec![requester],
-                busy_until: now + latency,
-            };
-            (latency, s)
-        } else {
-            let mut s = state;
-            if !s.sharers.contains(&requester) {
-                s.sharers.push(requester);
-            }
-            (transfer, s)
-        };
-        self.shards[shard].lines.insert(line, new_state);
-        AccessOutcome {
-            distance,
-            latency,
-            is_rmr: distance.is_rmr(),
-        }
-    }
-
-    /// Peek at the cost of an access at cycle `now` without mutating
-    /// directory state.
-    #[must_use]
-    pub fn peek(
-        &self,
-        topo: &Topology,
-        lat: &LatencyParams,
-        requester: CoreId,
-        line: Line,
-        write: bool,
-        now: Cycle,
-    ) -> AccessOutcome {
-        let state = match self.shards[self.shard_of(line)].lines.get(&line) {
-            Some(s) => s.clone(),
-            None => self.default_state(line),
-        };
-        let distance = Self::classify(topo, requester, &state, write);
+        let region_homes = &self.region_homes;
+        let state = self.shards[shard]
+            .lines
+            .entry(line)
+            .or_insert_with(|| Self::default_state(region_homes, line));
+        let distance = Self::classify(topo, requester, state, write);
         let transfer = lat.transfer_latency(distance);
         let latency = if write {
-            state.busy_until.saturating_sub(now) + transfer
+            let latency = state.busy_until.saturating_sub(now) + transfer;
+            // Writer takes exclusive ownership; all other copies invalidated.
+            state.owner = Some(requester);
+            state.sharers.clear();
+            state.sharers.push(requester);
+            state.busy_until = now + latency;
+            latency
         } else {
+            if !state.sharers.contains(&requester) {
+                state.sharers.push(requester);
+            }
             transfer
         };
         AccessOutcome {
@@ -387,16 +344,6 @@ mod tests {
         // Lines outside the region stay cold.
         let out2 = d.access(&t, &l, 0, Line::containing(0x3000), true, 0);
         assert_eq!(out2.distance, DistanceClass::Memory);
-    }
-
-    #[test]
-    fn peek_does_not_mutate() {
-        let (t, l, mut d) = setup();
-        d.access(&t, &l, 40, Line(3), true, 0);
-        let before = d.peek(&t, &l, 0, Line(3), true, APART);
-        let again = d.peek(&t, &l, 0, Line(3), true, APART);
-        assert_eq!(before, again);
-        assert_eq!(d.owner(Line(3)), Some(40));
     }
 
     #[test]

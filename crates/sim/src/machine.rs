@@ -4,13 +4,17 @@
 //!
 //! * [`Engine::EventDriven`] (the default) keeps a lazy-deletion min-heap of
 //!   `(wake cycle, core id)` events fed by each core's
-//!   [`Core::next_wake`] contract, and steps **only** the cores whose wake
-//!   cycle arrived. Cores parked on a [`WaitChange`](crate::op::Op::WaitChange)
-//!   line report no wake at all and are woken through the directory's
-//!   per-line waiter lists when another core commits a store to the line —
-//!   so a thousand parked spinners cost nothing per simulated cycle.
+//!   [`Core::next_wake_skipping_nops`] contract, and steps **only** the
+//!   cores whose wake cycle arrived. Cores parked on a
+//!   [`WaitChange`](crate::op::Op::WaitChange) line report no wake at all
+//!   and are woken through the directory's per-line waiter lists when
+//!   another core commits a store to the line — so a thousand parked
+//!   spinners cost nothing per simulated cycle — and a core grinding
+//!   through a nop run is woken once, at the cycle the run ends, with the
+//!   skipped cycles applied lazily.
 //! * [`Engine::LockstepOracle`] is the original loop: every active core is
-//!   stepped at every observed cycle, with time jumping over dead cycles.
+//!   stepped at every observed cycle ([`Core::next_wake`]'s heartbeat
+//!   contract), with time jumping over dead cycles.
 //!   It survives as the differential oracle the event engine is validated
 //!   against ([`Machine::run_lockstep_oracle`]).
 //!
@@ -71,6 +75,9 @@ pub struct Machine {
     /// The single live wake cycle per core (`NEVER` = none). Superseded
     /// heap entries are dropped when popped.
     scheduled: Vec<Cycle>,
+    /// Scratch for the cores woken in the current cycle (kept across runs
+    /// so the event loop never allocates in steady state).
+    batch: Vec<CoreId>,
     /// Total `Core::step` invocations across all runs — the engine-quality
     /// metric (cycles simulated per core actually stepped) benchmarks gate.
     steps_executed: u64,
@@ -102,6 +109,7 @@ impl Machine {
             engine: Engine::EventDriven,
             heap: BinaryHeap::new(),
             scheduled: vec![NEVER; core_count],
+            batch: Vec::new(),
             steps_executed: 0,
         }
     }
@@ -164,7 +172,7 @@ impl Machine {
     pub fn add_thread_on(&mut self, core: CoreId, thread: Box<dyn SimThread>) -> CoreId {
         assert!(core < self.cores.len(), "core {core} out of range");
         assert!(
-            !self.active.contains(&core),
+            !self.cores[core].has_thread(),
             "core {core} already has a thread"
         );
         self.cores[core].attach(thread);
@@ -253,15 +261,16 @@ impl Machine {
         min_wake.map_or(limit, |t| t.max(now + 1))
     }
 
-    /// Settle sparse observations at run exit: charge open stall runs up to
-    /// `last` (the final simulated cycle any core stepped in) and stamp
-    /// per-core cycle counts, so totals do not depend on which cycles the
-    /// engine happened to observe. Harmless no-ops for cores observed at
-    /// every cycle.
+    /// Settle sparse observations at run exit: apply skipped nop runs and
+    /// charge open stall runs up to `last` (the final simulated cycle any
+    /// core stepped in) and stamp per-core cycle counts, so totals do not
+    /// depend on which cycles the engine happened to observe. Harmless
+    /// no-ops for cores observed at every cycle.
     fn finalize(&mut self, last: Option<Cycle>) {
         let Some(last) = last else { return };
         for i in 0..self.active.len() {
             let id = self.active[i];
+            self.cores[id].settle_nop_run(last);
             self.cores[id].settle_stall_run(last);
             self.cores[id].finalize_cycles(last);
         }
@@ -349,10 +358,11 @@ impl Machine {
     }
 
     /// The event-driven loop: pop the earliest wake events and step exactly
-    /// those cores. Relies on the [`Core::next_wake`] contract — between a
-    /// core's own wake events its state cannot change (stepping it would be
-    /// a no-op), and the only cross-core influence on a core with no wake
-    /// (parked on a line) arrives through the directory waiter lists.
+    /// those cores. Relies on the [`Core::next_wake_skipping_nops`] contract
+    /// — between a core's own wake events nothing observable about it can
+    /// change (stepping it would be a no-op, or a nop-run cycle applied
+    /// lazily later), and the only cross-core influence on a core with no
+    /// wake (parked on a line) arrives through the directory waiter lists.
     fn run_event(&mut self, max_cycles: Cycle, keep_going: impl Fn(&Machine) -> bool) -> RunStats {
         let limit = self.now.saturating_add(max_cycles);
         if self.active.is_empty() {
@@ -378,7 +388,10 @@ impl Machine {
             .filter(|&&id| self.cores[id].quiesced())
             .count();
         let mut last: Option<Cycle> = None;
-        let mut batch: Vec<CoreId> = Vec::new();
+        let mut batch = std::mem::take(&mut self.batch);
+        // `Some(halted)` once the run ends on a stepped cycle; still `None`
+        // if it runs into the cycle bound.
+        let mut ended = None;
         while self.now < limit {
             // Earliest live event, discarding superseded entries. A stale
             // wake in the past must never rewind time: re-aim it at the
@@ -408,9 +421,18 @@ impl Machine {
                 break;
             };
             if t >= limit {
-                // The next event sits at/past the bound. Advance to it and
-                // exit — the oracle's jump exposes the same overshoot.
-                self.now = t;
+                if self.active.iter().any(|&id| self.cores[id].in_nop_run()) {
+                    // A core mid nop run heartbeats under the oracle, which
+                    // therefore observes every cycle up to the bound and
+                    // stops exactly on it.
+                    self.now = limit;
+                    last = Some(limit - 1);
+                } else {
+                    // The next event sits at/past the bound. Advance to it
+                    // and exit — the oracle's jump exposes the same
+                    // overshoot.
+                    self.now = t;
+                }
                 break;
             }
             self.now = t;
@@ -443,7 +465,7 @@ impl Machine {
                     (true, false) => quiesced -= 1,
                     _ => {}
                 }
-                if let Some(w) = self.cores[id].next_wake(t) {
+                if let Some(w) = self.cores[id].next_wake_skipping_nops(t) {
                     self.schedule(id, w.max(t + 1));
                 }
             }
@@ -452,25 +474,20 @@ impl Machine {
             self.drain_wakes(t, true);
             if quiesced == self.active.len() {
                 self.now = t + 1;
-                self.finalize(last);
-                return RunStats {
-                    cycles: self.now,
-                    halted: true,
-                };
+                ended = Some(true);
+                break;
             }
             if !keep_going(self) {
                 self.now = t + 1;
-                self.finalize(last);
-                return RunStats {
-                    cycles: self.now,
-                    halted: false,
-                };
+                ended = Some(false);
+                break;
             }
         }
+        self.batch = batch;
         self.finalize(last);
         RunStats {
             cycles: self.now,
-            halted: self.all_quiesced(),
+            halted: ended.unwrap_or_else(|| self.all_quiesced()),
         }
     }
 }
@@ -1000,6 +1017,53 @@ mod tests {
         assert!(m.run(1_000_000).halted);
         assert_eq!(m.read_memory(0x5100), 7);
         assert_engines_agree(mk, &[0x5000, 0x5100]);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 64 out of range")]
+    fn add_thread_on_rejects_an_unknown_core() {
+        let mut m = Machine::new(Platform::kunpeng916());
+        m.add_thread_on(64, Box::new(Script::new(vec![])));
+    }
+
+    #[test]
+    #[should_panic(expected = "core 3 already has a thread")]
+    fn add_thread_on_rejects_a_busy_core() {
+        let mut m = Machine::new(Platform::kunpeng916());
+        m.add_thread_on(3, Box::new(Script::new(vec![])));
+        m.add_thread_on(3, Box::new(Script::new(vec![])));
+    }
+
+    #[test]
+    fn nop_runs_cost_one_step_and_settle_to_the_per_cycle_state() {
+        // A store still draining when the nops start, then a long pure run.
+        // Stopping at a cycle bound in the middle of it and resuming must
+        // read exactly like the oracle's per-cycle stepping, at a handful
+        // of steps instead of one per cycle.
+        let mk = |engine| {
+            let mut m = Machine::new(Platform::kunpeng916());
+            m.set_engine(engine);
+            m.add_thread_on(
+                0,
+                Box::new(Script::new(vec![
+                    Op::store(0x100, 1),
+                    Op::Nops(100_000),
+                    Op::IterationMark,
+                    Op::store(0x140, 2),
+                ])),
+            );
+            m
+        };
+        let mut ev = mk(Engine::EventDriven);
+        let mut or = mk(Engine::LockstepOracle);
+        for budget in [10_000, 1, 7_777, 1 << 40] {
+            assert_eq!(ev.run(budget), or.run(budget), "budget {budget}");
+            assert_eq!(ev.now(), or.now(), "budget {budget}");
+            assert_eq!(ev.core_stats(0), or.core_stats(0), "budget {budget}");
+        }
+        assert_eq!(ev.read_memory(0x140), 2);
+        assert!(or.steps_executed() > 25_000, "{}", or.steps_executed());
+        assert!(ev.steps_executed() < 300, "{}", ev.steps_executed());
     }
 
     #[test]

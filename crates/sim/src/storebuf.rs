@@ -96,9 +96,6 @@ pub struct StoreBuffer {
     /// Drain strictly in program order (ablation; ARM buffers are not
     /// ordered).
     fifo: bool,
-    /// Worst distance among drains since the last barrier window reset —
-    /// consulted when a barrier computes its response scope.
-    pub worst_recent_distance: DistanceClass,
 }
 
 impl StoreBuffer {
@@ -120,7 +117,6 @@ impl StoreBuffer {
             drain_ports,
             draining: 0,
             fifo,
-            worst_recent_distance: DistanceClass::Local,
         }
     }
 
@@ -160,11 +156,6 @@ impl StoreBuffer {
     /// store sits between them.
     pub fn push_gate(&mut self, seq: Seq) {
         let had_priors = !self.entries.is_empty() || !self.gates.is_empty();
-        self.push_gate_with_meta(seq, had_priors);
-    }
-
-    /// Place a gate, stating explicitly whether stores were outstanding.
-    pub fn push_gate_with_meta(&mut self, seq: Seq, had_priors: bool) {
         self.gates.push(SbGate {
             seq,
             open_at: None,
@@ -176,12 +167,6 @@ impl StoreBuffer {
     /// Iterate gates immutably.
     pub fn gates_iter(&self) -> impl Iterator<Item = &SbGate> {
         self.gates.iter()
-    }
-
-    /// Oldest un-drained sequence number, if any.
-    #[must_use]
-    pub fn oldest_pending_seq(&self) -> Option<Seq> {
-        self.entries.iter().map(|e| e.seq).min()
     }
 
     /// All entries older than `seq` have fully drained?
@@ -283,40 +268,34 @@ impl StoreBuffer {
         None
     }
 
-    /// Mark entry `i` as draining until `done_at`.
-    pub fn start_drain(&mut self, i: usize, done_at: Cycle, distance: DistanceClass) {
-        self.start_drain_with_meta(i, done_at, distance);
-    }
-
     /// Mark entry `i` as draining until `done_at`, recording the distance
     /// class on the entry for barrier-scope tracking.
-    pub fn start_drain_with_meta(&mut self, i: usize, done_at: Cycle, distance: DistanceClass) {
+    pub fn start_drain(&mut self, i: usize, done_at: Cycle, distance: DistanceClass) {
         let e = &mut self.entries[i];
         debug_assert!(matches!(e.state, SbState::Pending));
         e.state = SbState::Draining { done_at };
         e.drain_distance = Some(distance);
         self.draining += 1;
-        if distance > self.worst_recent_distance {
-            self.worst_recent_distance = distance;
+    }
+
+    /// Remove and return the oldest entry whose drain completed at or
+    /// before `now` (for memory commit), if any.
+    pub fn pop_completed_drain(&mut self, now: Cycle) -> Option<SbEntry> {
+        if self.draining == 0 {
+            return None;
         }
+        let i = self
+            .entries
+            .iter()
+            .position(|e| matches!(e.state, SbState::Draining { done_at } if done_at <= now))?;
+        self.draining -= 1;
+        Some(self.entries.remove(i))
     }
 
     /// Remove entries whose drains completed at or before `now`; returns
-    /// the drained entries (for memory commit).
+    /// the drained entries, oldest first.
     pub fn complete_drains(&mut self, now: Cycle) -> Vec<SbEntry> {
-        let mut done = Vec::new();
-        let mut i = 0;
-        while i < self.entries.len() {
-            if let SbState::Draining { done_at } = self.entries[i].state {
-                if done_at <= now {
-                    done.push(self.entries.remove(i));
-                    self.draining -= 1;
-                    continue;
-                }
-            }
-            i += 1;
-        }
-        done
+        std::iter::from_fn(|| self.pop_completed_drain(now)).collect()
     }
 
     /// Earliest future event inside the buffer (drain completion, gate
@@ -514,6 +493,5 @@ mod tests {
         let done = sb.complete_drains(7);
         assert_eq!(done.len(), 1);
         assert!(sb.is_empty());
-        assert_eq!(sb.worst_recent_distance, DistanceClass::SameCluster);
     }
 }

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 
-use armbar_sim::{Machine, Op, Platform, PlatformKind, RmwKind, SimThread, ThreadCtx};
+use armbar_sim::{
+    CoreStats, Engine, Machine, Op, Platform, PlatformKind, RmwKind, RunStats, SimThread, ThreadCtx,
+};
 
 /// A generated op for the random-program property tests (kept closed so
 /// programs are always well formed: no dangling dependencies, addresses in
@@ -190,6 +192,138 @@ proptest! {
             .collect();
         let (m, _) = run_program(&platform, &progs);
         prop_assert_eq!(m.read_memory(addr_of(7)), total);
+    }
+}
+
+/// Emits `IterationMark`s `tick` nops apart (the stop condition of the
+/// nop-skip property's `run_until_iterations` calls), publishing each count
+/// to a line the nop-running core also touches.
+struct Ticker {
+    tick: u32,
+    marks: u64,
+    phase: u8,
+}
+
+impl SimThread for Ticker {
+    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
+        if ctx.iterations >= self.marks {
+            return Op::Halt;
+        }
+        self.phase = (self.phase + 1) % 3;
+        match self.phase {
+            1 => Op::Nops(self.tick),
+            2 => Op::store(addr_of(0), ctx.iterations + 1),
+            _ => Op::IterationMark,
+        }
+    }
+}
+
+/// One call of a stop-and-resume schedule.
+#[derive(Debug, Clone, Copy)]
+enum RunCall {
+    /// `run(max_cycles)`.
+    Cycles(u16),
+    /// `run_until_iterations` until the ticker has made this many more marks.
+    Marks(u8),
+}
+
+const RUNNER: usize = 0;
+const TICKER: usize = 4;
+
+/// Everything the engines must agree on after a `run*` call returns.
+type Observed = (RunStats, u64, CoreStats, CoreStats, Vec<u64>);
+
+/// Build the nop-run machine and drive it through `schedule`, then to
+/// quiescence, recording what is observable after every call.
+fn run_schedule(
+    engine: Engine,
+    (rob_size, issue_width, retire_width): (u32, u32, u32),
+    ops: &[Op],
+    tick: u32,
+    schedule: &[RunCall],
+) -> Vec<Observed> {
+    let mut platform = Platform::kunpeng916();
+    platform.latency.rob_size = rob_size;
+    platform.latency.issue_width = issue_width;
+    platform.latency.retire_width = retire_width;
+    let mut m = Machine::new(platform);
+    m.set_engine(engine);
+    let ops = ops.to_vec();
+    m.add_thread_on(RUNNER, Box::new(Script { ops, pos: 0 }));
+    m.add_thread_on(
+        TICKER,
+        Box::new(Ticker {
+            tick,
+            marks: 400,
+            phase: 0,
+        }),
+    );
+    let mut seen = Vec::new();
+    let mut observe = |m: &Machine, stats: RunStats| {
+        seen.push((
+            stats,
+            m.now(),
+            m.core_stats(RUNNER).clone(),
+            m.core_stats(TICKER).clone(),
+            (0..16).map(|slot| m.read_memory(addr_of(slot))).collect(),
+        ));
+    };
+    for &call in schedule {
+        let stats = match call {
+            RunCall::Cycles(n) => m.run(u64::from(n)),
+            RunCall::Marks(k) => {
+                let target = m.core_stats(TICKER).iterations + u64::from(k);
+                m.run_until_iterations(TICKER, target, 80_000_000)
+            }
+        };
+        observe(&m, stats);
+    }
+    let stats = m.run(80_000_000);
+    assert!(stats.halted, "{engine:?}: the machine must quiesce");
+    observe(&m, stats);
+    seen
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The event engine's lazy nop runs are invisible: for any pipeline
+    /// shape, any nop-run length, any prefix that leaves stores, loads,
+    /// `DMB st` gates or fences in flight when the run starts, and any
+    /// schedule of `run`/`run_until_iterations` calls that stop the machine
+    /// mid-run and resume it, both engines report the same `RunStats`,
+    /// time, memory and per-core `CoreStats` (issued, retired, cycles,
+    /// iterations, stall breakdown, latency histogram) after every call.
+    #[test]
+    fn lazy_nop_runs_match_per_cycle_stepping(
+        shape in (1u32..=160, 1u32..=8, 1u32..=8),
+        prefix in prop::collection::vec(gen_op(), 0..12),
+        nops in 1u32..=200_000,
+        suffix in prop::collection::vec(gen_op(), 0..6),
+        tick in 1u32..=3_000,
+        schedule in prop::collection::vec(
+            prop_oneof![
+                (1u16..=u16::MAX).prop_map(RunCall::Cycles),
+                (1u8..40).prop_map(RunCall::Marks),
+            ],
+            0..6,
+        ),
+    ) {
+        let mut ops: Vec<Op> = prefix.iter().copied().map(to_op).collect();
+        ops.push(Op::Nops(nops));
+        ops.push(Op::IterationMark);
+        ops.extend(suffix.iter().copied().map(to_op));
+        ops.push(Op::Nops(nops / 7 + 1));
+        ops.push(Op::IterationMark);
+        let event = run_schedule(Engine::EventDriven, shape, &ops, tick, &schedule);
+        let oracle = run_schedule(Engine::LockstepOracle, shape, &ops, tick, &schedule);
+        for (call, (ev, or)) in event.iter().zip(&oracle).enumerate() {
+            prop_assert_eq!(
+                ev, or,
+                "after call {} of {:?} on {:?} running {:?}:\n event: {:?}\noracle: {:?}",
+                call, &schedule, shape, &ops, ev, or
+            );
+        }
     }
 }
 
