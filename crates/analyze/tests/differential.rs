@@ -1,4 +1,4 @@
-//! Corpus-wide differential suite: the DPOR engine vs the SipHash oracle
+//! Corpus-wide differential suite: the DPOR engine vs the enumerative oracle
 //! on every lint-corpus program and every barrier-site cut the lint
 //! actually explores, plus random barrier-mutants, at worker counts 1
 //! and 4 — and a replay check over every counterexample witness the
@@ -13,9 +13,7 @@ use proptest::prelude::*;
 use armbar_analyze::corpus::corpus;
 use armbar_analyze::lint::{analyze_corpus, Proof};
 use armbar_wmm::mutate::{barrier_sites, remove_site};
-use armbar_wmm::{
-    explore_dpor_uncached, explore_with_sip_hasher, MemoryModel, OutcomeSet, Program,
-};
+use armbar_wmm::{explore_dpor_uncached, explore_oracle, MemoryModel, OutcomeSet, Program};
 
 const MODEL: MemoryModel = MemoryModel::ArmWmm;
 
@@ -30,7 +28,7 @@ fn litmus_sized(p: &Program) -> bool {
 
 /// Engine at 1 and 4 workers vs the oracle; returns (oracle, engine).
 fn check(p: &Program, what: &str) -> (OutcomeSet, OutcomeSet) {
-    let oracle = explore_with_sip_hasher(p, MODEL);
+    let oracle = explore_oracle(p, MODEL);
     let serial = explore_dpor_uncached(p, MODEL, 1);
     let parallel = explore_dpor_uncached(p, MODEL, 4);
     assert_eq!(

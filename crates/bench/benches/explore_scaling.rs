@@ -7,8 +7,7 @@ use std::hint::black_box;
 
 use armbar_analyze::corpus;
 use armbar_wmm::{
-    explore, explore_dpor_uncached, explore_memo_clear, explore_oracle, explore_with_sip_hasher,
-    MemoryModel, Program,
+    explore, explore_dpor_uncached, explore_memo_clear, explore_oracle, MemoryModel, Program,
 };
 
 const MODEL: MemoryModel = MemoryModel::ArmWmm;
@@ -28,22 +27,14 @@ fn litmus_programs() -> Vec<Program> {
         .collect()
 }
 
-/// Litmus-corpus exploration: oracle (FxHash and SipHash flavours) vs
-/// the engine — the headline serial speedup.
+/// Litmus-corpus exploration: oracle vs the engine — the headline serial speedup.
 fn corpus_serial(c: &mut Criterion) {
     let ps = litmus_programs();
     let mut g = c.benchmark_group("explore_corpus_serial");
-    g.bench_function("oracle_fx", |b| {
+    g.bench_function("oracle", |b| {
         b.iter(|| {
             for p in &ps {
                 black_box(explore_oracle(black_box(p), MODEL));
-            }
-        });
-    });
-    g.bench_function("oracle_sip", |b| {
-        b.iter(|| {
-            for p in &ps {
-                black_box(explore_with_sip_hasher(black_box(p), MODEL));
             }
         });
     });

@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Engine, Machine, Op, Platform, SimThread, ThreadCtx};
+use armbar_sim::{Cpu, Engine, Machine, Op, Platform, Script};
 
 /// The line everyone parks on.
 const FLAG: u64 = 0x9000;
@@ -47,47 +47,18 @@ const NOP_REQUESTS: u32 = 8;
 const COUNTER: u64 = 0xA000;
 
 /// Parks on [`FLAG`] until it changes, records what it saw, halts.
-struct Spinner {
-    id: u64,
-    state: u8,
-}
-
-impl SimThread for Spinner {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        self.state += 1;
-        match self.state {
-            1 => Op::wait_change(FLAG, 0),
-            2 => Op::store(OUT_BASE + self.id * 64, ctx.last_value()),
-            _ => Op::Halt,
-        }
-    }
+async fn spinner(cpu: Cpu, id: u64) {
+    let seen = cpu.op(Op::wait_change(FLAG, 0)).await;
+    cpu.op(Op::store(OUT_BASE + id * 64, seen)).await;
 }
 
 /// Runs [`BATCHES`] nop batches fenced by `DSB`s, then releases the flag.
-struct Writer {
-    remaining: u32,
-    state: u8,
-}
-
-impl SimThread for Writer {
-    fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-        match self.state {
-            0 if self.remaining > 0 => {
-                self.remaining -= 1;
-                self.state = 1;
-                Op::Nops(200)
-            }
-            0 => {
-                self.state = 2;
-                Op::store(FLAG, 1)
-            }
-            1 => {
-                self.state = 0;
-                Op::Fence(Barrier::DsbFull)
-            }
-            _ => Op::Halt,
-        }
+async fn writer(cpu: Cpu) {
+    for _ in 0..BATCHES {
+        cpu.op(Op::Nops(200)).await;
+        cpu.op(Op::Fence(Barrier::DsbFull)).await;
     }
+    cpu.op(Op::store(FLAG, 1)).await;
 }
 
 /// A fresh parked-spinner machine: core 0 busy, cores `1..cores` parked.
@@ -95,43 +66,19 @@ impl SimThread for Writer {
 #[must_use]
 pub fn parked_spinner_machine(cores: usize) -> Machine {
     let mut m = Machine::new(Platform::manycore(cores));
-    m.add_thread_on(
-        0,
-        Box::new(Writer {
-            remaining: BATCHES,
-            state: 0,
-        }),
-    );
+    m.add_thread_on(0, Box::new(Script::new(writer)));
     for c in 1..cores {
-        m.add_thread_on(
-            c,
-            Box::new(Spinner {
-                id: c as u64,
-                state: 0,
-            }),
-        );
+        m.add_thread_on(c, Box::new(Script::new(|cpu| spinner(cpu, c as u64))));
     }
     m
 }
 
 /// [`NOP_REQUESTS`] rounds of: contended fetch-add, [`NOP_INTERVAL`] nops.
-struct NopClient {
-    remaining: u32,
-    state: u8,
-}
-
-impl SimThread for NopClient {
-    fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-        self.state = (self.state + 1) % 3;
-        match self.state {
-            1 if self.remaining == 0 => Op::Halt,
-            1 => {
-                self.remaining -= 1;
-                Op::fetch_add_acq_rel(COUNTER, 1)
-            }
-            2 => Op::Nops(NOP_INTERVAL),
-            _ => Op::IterationMark,
-        }
+async fn nop_client(cpu: Cpu) {
+    for _ in 0..NOP_REQUESTS {
+        cpu.op(Op::fetch_add_acq_rel(COUNTER, 1)).await;
+        cpu.op(Op::Nops(NOP_INTERVAL)).await;
+        cpu.op(Op::IterationMark).await;
     }
 }
 
@@ -169,13 +116,7 @@ fn run_point(cores: usize, engine: Engine) -> Point {
 fn run_nop_point(engine: Engine) -> Point {
     let mut m = Machine::new(Platform::kunpeng916());
     for c in 0..NOP_CLIENTS {
-        m.add_thread_on(
-            c,
-            Box::new(NopClient {
-                remaining: NOP_REQUESTS,
-                state: 0,
-            }),
-        );
+        m.add_thread_on(c, Box::new(Script::new(nop_client)));
     }
     let (m, point) = measure(m, engine);
     let requests = NOP_CLIENTS as u64 * u64::from(NOP_REQUESTS);

@@ -20,8 +20,9 @@
 //!   **domain** boundary (Observations 3 & 5);
 //! * per-platform latency profiles for the paper's four machines (Table 2).
 //!
-//! Workloads are [`op::SimThread`] state machines that feed an operation
-//! stream to a core; stores and value-unused loads are fire-and-forget, so
+//! Workloads feed an operation stream to a core through [`op::SimThread`];
+//! they are written as straight-line `async` code and adapted by
+//! [`script::Script`]. Stores and value-unused loads are fire-and-forget, so
 //! independent work overlaps outstanding misses just as on real hardware.
 //!
 //! The simulator is deterministic: the same machine + threads produce the
@@ -30,25 +31,19 @@
 //! # Example
 //!
 //! ```
-//! use armbar_sim::{Machine, Platform, op::{Op, SimThread, ThreadCtx}};
+//! use armbar_sim::{Machine, Op, Platform, Script};
 //!
 //! /// Stores a value then halts.
-//! struct OneStore(bool);
-//! impl SimThread for OneStore {
-//!     fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-//!         if std::mem::replace(&mut self.0, true) {
-//!             Op::Halt
-//!         } else {
-//!             Op::store(0x1000, 7)
-//!         }
-//!     }
-//! }
+//! let one_store = Script::new(|cpu| async move {
+//!     cpu.op(Op::store(0x1000, 7)).await;
+//! });
 //!
 //! let mut m = Machine::new(Platform::kunpeng916());
-//! let core = m.add_thread_on(0, Box::new(OneStore(false)));
+//! let core = m.add_thread_on(0, Box::new(one_store));
 //! let stats = m.run(1_000_000);
 //! assert!(stats.halted);
 //! assert!(m.core_stats(core).cycles > 0);
+//! assert_eq!(m.read_memory(0x1000), 7);
 //! ```
 
 #![warn(missing_docs)]
@@ -60,6 +55,7 @@ pub mod machine;
 pub mod op;
 pub mod platform;
 pub mod rob;
+pub mod script;
 pub mod stats;
 pub mod storebuf;
 pub mod topology;
@@ -69,6 +65,7 @@ pub mod types;
 pub use machine::{Engine, Machine, RunStats};
 pub use op::{Op, RmwKind, SimThread, ThreadCtx};
 pub use platform::{LatencyParams, Platform, PlatformKind};
+pub use script::{Cpu, Script};
 pub use stats::{CoreStats, LatencyHistogram, StallBreakdown, StallCause};
 pub use topology::{Placement, Topology};
 pub use trace::{Event, Trace};

@@ -868,6 +868,12 @@ mod tests {
         assert_send::<Machine>();
         assert_send::<Platform>();
         assert_send::<RunStats>();
+        // A script's body holds its `Cpu` and its locals across `.await`s.
+        fn assert_send_value<T: Send>(_: &T) {}
+        assert_send_value(&crate::Script::new(|cpu| async move {
+            let v = cpu.op(Op::load_use(8)).await;
+            cpu.op(Op::store(16, v)).await;
+        }));
     }
 
     /// Same program, both engines: the full per-core statistics (stalls,

@@ -1,7 +1,8 @@
 //! The workload-to-core interface: operations and simulated threads.
 //!
-//! A workload is a [`SimThread`] — a state machine the core polls for its
-//! next [`Op`] whenever issue bandwidth is available. Two coupling levels
+//! A workload is a [`SimThread`] the core polls for its next [`Op`] whenever
+//! issue bandwidth is available — written as straight-line `async` code and
+//! adapted by [`Script`](crate::script::Script). Two coupling levels
 //! exist, mirroring real hardware:
 //!
 //! * **Fire-and-forget** ops ([`Op::Store`], value-unused [`Op::Load`],
@@ -249,7 +250,8 @@ impl ThreadCtx {
     }
 }
 
-/// A simulated thread: a deterministic state machine emitting operations.
+/// A simulated thread: a deterministic source of operations (in practice
+/// a [`Script`](crate::script::Script)).
 ///
 /// `Send` is a supertrait so whole [`Machine`](crate::machine::Machine)s
 /// (which own their threads) can move between worker threads of a parallel
@@ -260,12 +262,6 @@ pub trait SimThread: Send {
     /// after a value-consuming op, called only once the value is available
     /// (read it from [`ThreadCtx::last_value`]).
     fn next(&mut self, ctx: &mut ThreadCtx) -> Op;
-
-    /// Called when the thread's most recent op completed an *iteration* of
-    /// the measured loop; workloads override nothing — cores call
-    /// [`crate::machine::Machine`] accounting instead. Provided for
-    /// workloads that want cycle-stamped progress callbacks.
-    fn on_iteration(&mut self, _now: Cycle) {}
 }
 
 #[cfg(test)]

@@ -2,15 +2,16 @@
 //! event loop and `Core::step` perform **zero** heap allocations. A counting
 //! global allocator (this test crate's own — the library forbids `unsafe`)
 //! tallies allocations made by the test thread while a 16-core machine runs
-//! spinners on one line, a store / `DMB st` / drain publisher and contended
-//! RMWs. (Parking on `Op::WaitChange` is left out: each park/wake round still
+//! spinners on one line (hand-written `SimThread`s and one `Script`, so the
+//! gate covers the coroutine adapter), a store / `DMB st` / drain publisher
+//! and contended RMWs. (Parking on `Op::WaitChange` is left out: each park/wake round still
 //! allocates the line's waiter list.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Machine, Op, Platform, SimThread, ThreadCtx};
+use armbar_sim::{Cpu, Machine, Op, Platform, Script, SimThread, ThreadCtx};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -114,6 +115,22 @@ impl SimThread for Poller {
     }
 }
 
+/// [`Poller`] as a [`Script`] body.
+async fn script_poller(cpu: Cpu) {
+    let mut seen = 0;
+    loop {
+        let mut flag = cpu.op(Op::load_use(FLAG)).await;
+        while flag == seen {
+            flag = cpu.op(Op::load_use(FLAG)).await;
+        }
+        seen = flag;
+        cpu.op(Op::Fence(Barrier::DmbLd)).await;
+        cpu.op(Op::load_use(DATA)).await;
+        cpu.op(Op::fetch_add_acq_rel(COUNTER, 1)).await;
+        cpu.op(Op::IterationMark).await;
+    }
+}
+
 #[test]
 fn steady_state_steps_do_not_allocate() {
     let mut m = Machine::new(Platform::kunpeng916());
@@ -122,6 +139,7 @@ fn steady_state_steps_do_not_allocate() {
         // Spread over both NUMA nodes: cores 4, 8, …, 60.
         m.add_thread_on(id * 4, Box::new(Poller { seen: 0, state: 0 }));
     }
+    m.add_thread_on(2, Box::new(Script::new(script_poller)));
     // Warm-up: every map, queue and scratch vector reaches its working size
     // (two runs, because re-seeding a resumed run is the wake heap's peak).
     m.run(50_000);

@@ -19,10 +19,10 @@
 //! location, and the nop count.
 
 use armbar_barriers::{Acquire, Barrier};
-use armbar_sim::{Machine, Op, Platform, SimThread, ThreadCtx};
+use armbar_sim::{Cpu, Machine, Op, Platform, Script};
 
 use crate::bind::BindConfig;
-use crate::lower::fence_op;
+use crate::lower::fence;
 
 /// Which access Algorithm 1's line 4 / line 8 performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -105,102 +105,72 @@ const LOOP_ALU_OPS: u32 = 5;
 const BUF1_BASE: u64 = 0x1000_0000;
 const BUF2_BASE: u64 = 0x2000_0000;
 
-/// The Algorithm 1 thread.
-struct ModelThread {
-    spec: ModelSpec,
-    iterations: u64,
-    done: u64,
-    step: u8,
-}
-
-impl ModelThread {
-    fn new(spec: ModelSpec, iterations: u64) -> ModelThread {
-        ModelThread {
-            spec,
-            iterations,
-            done: 0,
-            step: 0,
-        }
-    }
-
-    fn mem_op(&self, which: u8) -> Option<Op> {
-        let (kind, base) = match which {
-            1 => (self.spec.op1?, BUF1_BASE),
-            _ => (self.spec.op2?, BUF2_BASE),
-        };
-        let addr = base + self.done * 64;
-        Some(match kind {
-            MemOpKind::Load => {
-                if which == 1 && self.spec.barrier == Barrier::Ldar {
-                    // LDAR attaches to the first access.
-                    Op::Load {
-                        addr,
-                        use_value: false,
-                        acquire: Acquire::Sc,
-                        dep_on_last_load: false,
-                    }
-                } else {
-                    Op::load(addr)
-                }
-            }
-            MemOpKind::Store => {
-                let release = which == 2 && self.spec.barrier == Barrier::Stlr;
-                let dep = which == 2
-                    && matches!(
-                        self.spec.barrier,
-                        Barrier::DataDep | Barrier::AddrDep | Barrier::Ctrl
-                    );
-                Op::Store {
+/// Line 4's (`which` = 1) or line 8's (2) access of iteration `done`, if
+/// the spec has one.
+fn mem_op(spec: ModelSpec, which: u8, done: u64) -> Option<Op> {
+    let (kind, base) = match which {
+        1 => (spec.op1?, BUF1_BASE),
+        _ => (spec.op2?, BUF2_BASE),
+    };
+    let addr = base + done * 64;
+    Some(match kind {
+        MemOpKind::Load => {
+            if which == 1 && spec.barrier == Barrier::Ldar {
+                // LDAR attaches to the first access.
+                Op::Load {
                     addr,
-                    value: self.done + 1,
-                    release,
-                    dep_on_last_load: dep,
+                    use_value: false,
+                    acquire: Acquire::Sc,
+                    dep_on_last_load: false,
                 }
+            } else {
+                Op::load(addr)
             }
-        })
-    }
-
-    /// Standalone barrier instruction for the given location, if the spec
-    /// places one there.
-    fn fence_at(&self, loc: BarrierLoc) -> Option<Op> {
-        if self.spec.location != loc {
-            return None;
         }
-        // CTRL+ISB: the ISB sits where the barrier would.
-        fence_op(self.spec.barrier)
-    }
+        MemOpKind::Store => {
+            let release = which == 2 && spec.barrier == Barrier::Stlr;
+            let dep = which == 2
+                && matches!(
+                    spec.barrier,
+                    Barrier::DataDep | Barrier::AddrDep | Barrier::Ctrl
+                );
+            Op::Store {
+                addr,
+                value: done + 1,
+                release,
+                dep_on_last_load: dep,
+            }
+        }
+    })
 }
 
-impl SimThread for ModelThread {
-    fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-        loop {
-            let op = match self.step {
-                0 => Some(Op::Nops(LOOP_ALU_OPS)),
-                1 => self.mem_op(1),
-                2 => self.fence_at(BarrierLoc::AfterOp1),
-                3 => {
-                    if self.spec.nops > 0 {
-                        Some(Op::Nops(self.spec.nops))
-                    } else {
-                        None
-                    }
-                }
-                4 => self.fence_at(BarrierLoc::BeforeOp2),
-                5 => self.mem_op(2),
-                _ => {
-                    self.step = 0;
-                    self.done += 1;
-                    if self.done >= self.iterations {
-                        return Op::Halt;
-                    }
-                    return Op::IterationMark;
-                }
-            };
-            self.step += 1;
-            if let Some(op) = op {
-                return op;
-            }
+/// The Algorithm 1 thread.
+async fn model_thread(cpu: Cpu, spec: ModelSpec, iterations: u64) {
+    let mut done = 0;
+    loop {
+        cpu.op(Op::Nops(LOOP_ALU_OPS)).await;
+        if let Some(op) = mem_op(spec, 1, done) {
+            cpu.op(op).await;
         }
+        // A standalone barrier instruction goes where the spec places it
+        // (CTRL+ISB: the ISB sits where the barrier would).
+        if spec.location == BarrierLoc::AfterOp1 {
+            fence(cpu, spec.barrier).await;
+        }
+        if spec.nops > 0 {
+            cpu.op(Op::Nops(spec.nops)).await;
+        }
+        if spec.location == BarrierLoc::BeforeOp2 {
+            fence(cpu, spec.barrier).await;
+        }
+        if let Some(op) = mem_op(spec, 2, done) {
+            cpu.op(op).await;
+        }
+        done += 1;
+        if done >= iterations {
+            return;
+        }
+        cpu.op(Op::IterationMark).await;
     }
 }
 
@@ -244,7 +214,10 @@ pub fn run_model_on(
     let span = iterations * 64 + 64;
     m.set_region_home(BUF1_BASE, BUF1_BASE + span, peer);
     m.set_region_home(BUF2_BASE, BUF2_BASE + span, peer);
-    m.add_thread_on(core, Box::new(ModelThread::new(spec, iterations)));
+    m.add_thread_on(
+        core,
+        Box::new(Script::new(|cpu| model_thread(cpu, spec, iterations))),
+    );
     // Generous budget: the heaviest spec is DSB with huge nop counts.
     let max_cycles = iterations * (u64::from(spec.nops) + 4096) + 100_000;
     let stats = m.run(max_cycles);

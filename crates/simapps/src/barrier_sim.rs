@@ -23,7 +23,7 @@
 //! cores (`armbar run manycore` sweeps the grid).
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Op, Platform, SimThread, StallBreakdown, ThreadCtx, Trace};
+use armbar_sim::{Cpu, Machine, Op, Platform, Script, StallBreakdown, Trace};
 
 use crate::harness::{machine, RunOpts};
 
@@ -117,83 +117,81 @@ pub struct BarrierResult {
 ///    level a `fetch_add` (acq+rel) on the level's counter; only the last
 ///    arriver of the round continues upward.
 /// 2. The last arriver at the root is the *releaser*: a `DMB st`, then a
-///    store of the new generation to the root flag and to any `fanout`
-///    flags (hierarchical reps push their cluster flag after waking).
+///    store of the new generation to the root flag and to the level's
+///    `fanout` flag (hierarchical reps push their cluster flag after waking).
 /// 3. Everyone else parks on the flag of the level that absorbed them
 ///    ([`Op::wait_change`] — the event engine delivers the line wake), then
 ///    orders the pass with a `DMB ld`.
-struct BarrierThread {
+struct Participant {
     rounds: u64,
     work_nops: u32,
-    /// Arrival ladder, leaf to root: `(counter line, arrivals per round)`.
-    path: Vec<(u64, u64)>,
-    /// Flag parked on when absorbed at the matching `path` level.
-    wait_flags: Vec<u64>,
-    /// Flags this thread re-publishes after passing level `i` (a
-    /// hierarchical representative fans the release out to its cluster).
-    fanout: Vec<Vec<u64>>,
-    /// Completed rounds.
-    round: u64,
-    /// Current ascent level.
-    depth: usize,
-    /// Pending fanout writes for this round's release.
-    writes: Vec<u64>,
-    state: u8,
+    /// Arrival ladder, leaf to root.
+    path: Vec<Level>,
 }
 
-impl SimThread for BarrierThread {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                // New round: local work, then start the ascent.
-                0 => {
-                    self.depth = 0;
-                    self.state = 1;
-                    if self.work_nops > 0 {
-                        return Op::Nops(self.work_nops);
-                    }
-                }
-                1 => {
-                    self.state = 2;
-                    return Op::fetch_add_acq_rel(self.path[self.depth].0, 1);
-                }
-                // Arrival outcome: last of the round at this level?
-                2 => {
-                    let (_, arrivals) = self.path[self.depth];
-                    if ctx.last_value() + 1 == (self.round + 1) * arrivals {
-                        self.depth += 1;
-                        if self.depth == self.path.len() {
-                            // Global releaser: publish root flag + own fanout.
-                            self.writes = self.fanout[self.depth - 1].clone();
-                            self.writes.push(self.wait_flags[self.depth - 1]);
-                            self.state = 4;
-                            return Op::Fence(Barrier::DmbSt);
-                        }
-                        self.state = 1;
-                    } else {
-                        self.state = 3;
-                        return Op::wait_change(self.wait_flags[self.depth], self.round);
-                    }
-                }
-                // Woken: order the pass, then fan the release downward.
-                3 => {
-                    self.writes = self.fanout[self.depth].clone();
-                    self.state = 4;
-                    return Op::Fence(Barrier::DmbLd);
-                }
-                4 => match self.writes.pop() {
-                    Some(flag) => return Op::store(flag, self.round + 1),
-                    None => {
-                        self.round += 1;
-                        self.state = if self.round >= self.rounds { 6 } else { 5 };
-                        return Op::IterationMark;
-                    }
-                },
-                5 => {
-                    self.state = 0;
-                }
-                _ => return Op::Halt,
+/// One level of a participant's arrival ladder.
+#[derive(Clone, Copy)]
+struct Level {
+    /// The level's counter line.
+    counter: u64,
+    /// Arrivals per round at that counter.
+    arrivals: u64,
+    /// Flag parked on when absorbed here (the root's is the release flag).
+    wait_flag: u64,
+    /// Flag re-published after passing this level (a hierarchical
+    /// representative fans the release out to its cluster).
+    fanout: Option<u64>,
+}
+
+impl Level {
+    /// A level released through [`GEN`] alone (centralized / tree): everyone
+    /// parks on it whatever level absorbed them, nobody fans out.
+    fn global(counter: u64, arrivals: u64) -> Level {
+        Level {
+            counter,
+            arrivals,
+            wait_flag: GEN,
+            fanout: None,
+        }
+    }
+}
+
+impl Participant {
+    async fn run(self, cpu: Cpu) {
+        for round in 0..self.rounds {
+            if self.work_nops > 0 {
+                cpu.op(Op::Nops(self.work_nops)).await;
             }
+            // Ascend while we are the last arriver of the round.
+            let mut depth = 0;
+            let releaser = loop {
+                let Level {
+                    counter, arrivals, ..
+                } = self.path[depth];
+                let arrived = cpu.op(Op::fetch_add_acq_rel(counter, 1)).await + 1;
+                if arrived != (round + 1) * arrivals {
+                    break false;
+                }
+                if depth + 1 == self.path.len() {
+                    break true;
+                }
+                depth += 1;
+            };
+            let level = self.path[depth];
+            if releaser {
+                // Global releaser: publish the root flag.
+                cpu.op(Op::Fence(Barrier::DmbSt)).await;
+                cpu.op(Op::store(level.wait_flag, round + 1)).await;
+            } else {
+                // Absorbed: park; once woken, order the pass.
+                cpu.op(Op::wait_change(level.wait_flag, round)).await;
+                cpu.op(Op::Fence(Barrier::DmbLd)).await;
+            }
+            // Fan the release downward.
+            if let Some(flag) = level.fanout {
+                cpu.op(Op::store(flag, round + 1)).await;
+            }
+            cpu.op(Op::IterationMark).await;
         }
     }
 }
@@ -275,7 +273,7 @@ pub fn run_barrier_with(
     match cfg.family {
         BarrierFamily::Centralized => {
             for core in 0..cfg.threads {
-                m.add_thread_on(core, Box::new(thread_for(cfg, vec![(SYS_COUNT, n)])));
+                add_participant(&mut m, core, cfg, vec![Level::global(SYS_COUNT, n)]);
             }
         }
         BarrierFamily::CombiningTree => {
@@ -290,10 +288,10 @@ pub fn run_barrier_with(
                 for &off in &offsets {
                     let local = unit / TREE_RADIX;
                     let node = off + local;
-                    path.push((TREE_BASE + node as u64 * 64, fan_in[node]));
+                    path.push(Level::global(TREE_BASE + node as u64 * 64, fan_in[node]));
                     unit = local;
                 }
-                m.add_thread_on(core, Box::new(thread_for(cfg, path)));
+                add_participant(&mut m, core, cfg, path);
             }
         }
         BarrierFamily::Hierarchical => {
@@ -307,13 +305,19 @@ pub fn run_barrier_with(
                 m.set_region_home(count, count + 64, members[0]);
                 m.set_region_home(flag, flag + 64, members[0]);
                 for &core in members {
-                    let mut t =
-                        thread_for(cfg, vec![(count, members.len() as u64), (SYS_COUNT, top)]);
-                    t.wait_flags = vec![flag, GEN];
+                    let cluster = Level {
+                        counter: count,
+                        arrivals: members.len() as u64,
+                        wait_flag: flag,
+                        fanout: None,
+                    };
                     // A representative woken at the system level re-publishes
                     // the release to its own cluster's flag.
-                    t.fanout = vec![vec![], vec![flag]];
-                    m.add_thread_on(core, Box::new(t));
+                    let system = Level {
+                        fanout: Some(flag),
+                        ..Level::global(SYS_COUNT, top)
+                    };
+                    add_participant(&mut m, core, cfg, vec![cluster, system]);
                 }
             }
         }
@@ -347,21 +351,13 @@ pub fn run_barrier_with(
     (result, m.take_trace())
 }
 
-/// A thread with a single-flag release (centralized / tree): everyone
-/// parks on [`GEN`] whatever level absorbed them, nobody fans out.
-fn thread_for(cfg: BarrierConfig, path: Vec<(u64, u64)>) -> BarrierThread {
-    let depth = path.len();
-    BarrierThread {
+fn add_participant(m: &mut Machine, core: usize, cfg: BarrierConfig, path: Vec<Level>) {
+    let participant = Participant {
         rounds: cfg.rounds,
         work_nops: cfg.work_nops,
         path,
-        wait_flags: vec![GEN; depth],
-        fanout: vec![Vec::new(); depth],
-        round: 0,
-        depth: 0,
-        writes: Vec::new(),
-        state: 0,
-    }
+    };
+    m.add_thread_on(core, Box::new(Script::new(|cpu| participant.run(cpu))));
 }
 
 #[cfg(test)]

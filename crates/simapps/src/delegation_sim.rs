@@ -2,12 +2,12 @@
 //!
 //! Five designs over the same request/response protocol (Algorithm 5):
 //!
-//! * **FFWD**, **RCL** — a dedicated `Server` core sweeps per-client
+//! * **FFWD**, **RCL** — a dedicated `server` core sweeps per-client
 //!   request lines, executing critical sections and publishing responses.
 //!   Responses of one sweep share the response barrier — FFWD's batching.
 //!   RCL's request word doubles as the completion channel.
 //! * **DSynch**, **flat combining** — migratory combiners: a client that
-//!   wins the baton (or the combiner lock) `Visit`s every publication
+//!   wins the baton (or the combiner lock) `visit`s every publication
 //!   record and serves the pending ones, including its own. No core is
 //!   dedicated.
 //! * **CC-Synch** — a swap-based FIFO of recycled nodes; the head of the
@@ -16,9 +16,9 @@
 //! All publish responses either the classic way — store `ret`, response
 //! barrier (strictly after the critical section's RMRs), store the flag —
 //! or via **Pilot** (Algorithm 6): `ret ^ hash` *is* the notification. The
-//! sequence is written once, in `Serve`; *where* the stores go is the
+//! sequence is written once, in `serve`; *where* the stores go is the
 //! per-design `Publish` value, which also drives the waiting side
-//! (`Await`).
+//! (`Response::poll`).
 //!
 //! Critical sections are parameterized by a [`CsProfile`] so the
 //! data-structure benchmarks of Figure 8 (queue/stack/list/hash table) map
@@ -26,10 +26,10 @@
 //! the dependent pointer-chase is, and how much ALU work it does.
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Op, Platform, SimThread, ThreadCtx, Trace};
+use armbar_sim::{Cpu, Op, Platform, RmwKind, Script, SimThread, Trace};
 
 use crate::harness::{machine, run_lock, RunOpts};
-use crate::lower::{fence_op, order_after_load};
+use crate::lower::{fence, order_after_load};
 use crate::metrics::DlockMetrics;
 use crate::ticket_sim::{modify_lines, run_ticket, LockResult, TicketConfig};
 
@@ -210,28 +210,19 @@ pub const FIG7B_COMBOS: [(&str, DelegationBarriers); 7] = [
     ),
 ];
 
-/// Ops issued to execute one delegated critical section. Returns the op for
-/// `cs_step`, or `None` when the CS is finished.
-///
-/// The dependent chase reads `DATA_BASE + k*64` with an address dependency
-/// on the previous load; independent lines are read+written.
-fn cs_op(profile: CsProfile, cs_step: &mut u32, last_value: u64, served: u64) -> Option<Op> {
-    let step = *cs_step;
-    *cs_step += 1;
-    if let Some(op) = modify_lines(DATA_BASE, profile.lines, step, last_value) {
-        return Some(op);
+/// One delegated critical section, the `served + 1`th this thread executes:
+/// independent lines are read+written, then the dependent chase reads
+/// `DATA_BASE + 0x1000 + k*64` with an address dependency on the previous
+/// load (each node is a distinct line), then the ALU work.
+async fn critical_section(cpu: Cpu, profile: CsProfile, served: u64) {
+    modify_lines(cpu, DATA_BASE, profile.lines).await;
+    for k in 0..u64::from(profile.chase) {
+        let addr = DATA_BASE + 0x1000 + k * 64 + (served % 4) * 0x4000;
+        cpu.op(Op::load_dep(addr, true)).await;
     }
-    let chase_step = step - profile.lines * 2; // load+store per line
-    if chase_step < profile.chase {
-        // Pointer chase: each node is a distinct line; the address depends
-        // on the previous load.
-        let addr = DATA_BASE + 0x1000 + u64::from(chase_step) * 64 + (served % 4) * 0x4000;
-        return Some(Op::load_dep(addr, true));
+    if profile.nops > 0 {
+        cpu.op(Op::Nops(profile.nops)).await;
     }
-    if chase_step == profile.chase && profile.nops > 0 {
-        return Some(Op::Nops(profile.nops));
-    }
-    None
 }
 
 /// The election of the lock-based combiners: CAS a free (0) lock word to 1
@@ -239,7 +230,7 @@ fn cs_op(profile: CsProfile, cs_step: &mut u32, last_value: u64, served: u64) ->
 fn try_lock(addr: u64) -> Op {
     Op::Rmw {
         addr,
-        kind: armbar_sim::RmwKind::Cas { expected: 0 },
+        kind: RmwKind::Cas { expected: 0 },
         operand: 1,
         acquire: true,
         release: false,
@@ -301,177 +292,85 @@ impl Publish {
     }
 }
 
-/// Serving one delegated request: the request barrier (Algorithm 5 line 4),
-/// the critical section (line 6), the published response (lines 7-8 /
-/// Algorithm 6).
-struct Serve {
-    barriers: DelegationBarriers,
-    mode: ResponseMode,
-    profile: CsProfile,
-    /// Requests served so far.
-    served: u64,
-    detect_addr: u64,
+/// Serving request `round`, whose detection the caller already ordered with
+/// the request barrier (Algorithm 5 line 4): the critical section (line 6)
+/// and the published response (lines 7-8 / Algorithm 6). `served` counts
+/// the requests this thread served. `publish` is `None` for the server's
+/// own request: the result is local, nobody needs notifying.
+async fn serve(
+    cpu: Cpu,
+    cfg: &DelegationConfig,
+    served: &mut u64,
     round: u64,
     publish: Option<Publish>,
-    cs_step: u32,
-    phase: u8,
-}
-
-impl Serve {
-    fn new(cfg: &DelegationConfig) -> Serve {
-        Serve {
-            barriers: cfg.barriers,
-            mode: cfg.mode,
-            profile: cfg.profile,
-            served: 0,
-            detect_addr: 0,
-            round: 0,
-            publish: None,
-            cs_step: 0,
-            phase: 0,
+) {
+    critical_section(cpu, cfg.profile, *served).await;
+    *served += 1;
+    let Some(publish) = publish else { return };
+    match cfg.mode {
+        ResponseMode::Flag => {
+            cpu.op(Op::store(publish.ret, round.wrapping_mul(3))).await;
+            fence(cpu, cfg.barriers.resp).await;
+            cpu.op(Op::store(publish.notify, publish.flag_value)).await;
         }
-    }
-
-    /// Start serving `round`, which the load of `detect_addr` just detected.
-    /// `publish` is `None` for the server's own request: the result is
-    /// local, nobody needs notifying.
-    fn begin(&mut self, detect_addr: u64, round: u64, publish: Option<Publish>) {
-        self.detect_addr = detect_addr;
-        self.begin_ordered(round, publish);
-        self.phase = 0;
-    }
-
-    /// As [`Serve::begin`], for a server that already issued the request
-    /// barrier itself (CC-Synch reads the request between the two).
-    fn begin_ordered(&mut self, round: u64, publish: Option<Publish>) {
-        self.round = round;
-        self.publish = publish;
-        self.phase = 1;
-    }
-
-    /// The next op, or `None` once the request is served.
-    fn step(&mut self, ctx: &ThreadCtx) -> Option<Op> {
-        loop {
-            match self.phase {
-                0 => {
-                    self.phase = 1;
-                    if let Some(op) = order_after_load(self.barriers.req, self.detect_addr) {
-                        return Some(op);
-                    }
-                }
-                1 => match cs_op(
-                    self.profile,
-                    &mut self.cs_step,
-                    ctx.last_value(),
-                    self.served,
-                ) {
-                    Some(op) => return Some(op),
-                    None => {
-                        self.cs_step = 0;
-                        self.served += 1;
-                        self.phase = 2;
-                    }
-                },
-                2 => {
-                    let publish = self.publish?;
-                    match self.mode {
-                        ResponseMode::Flag => {
-                            self.phase = 3;
-                            return Some(Op::store(publish.ret, self.round.wrapping_mul(3)));
-                        }
-                        ResponseMode::Pilot => {
-                            // The shuffled ret is the notification; hashing
-                            // is two local ALU ops, and no barrier follows.
-                            self.phase = 4;
-                            return Some(Op::Nops(2));
-                        }
-                    }
-                }
-                3 => {
-                    self.phase = 4;
-                    if let Some(op) = fence_op(self.barriers.resp) {
-                        return Some(op);
-                    }
-                }
-                4 => {
-                    let publish = self.publish?;
-                    self.phase = 5;
-                    let value = match self.mode {
-                        ResponseMode::Flag => publish.flag_value,
-                        ResponseMode::Pilot => publish.pilot_value,
-                    };
-                    return Some(Op::store(publish.notify, value));
-                }
-                _ => return None,
-            }
+        ResponseMode::Pilot => {
+            // The shuffled ret is the notification; hashing is two local
+            // ALU ops, and no barrier follows.
+            cpu.op(Op::Nops(2)).await;
+            cpu.op(Op::store(publish.notify, publish.pilot_value)).await;
         }
     }
 }
 
-/// Outcome of one [`Await::poll`] or [`Visit::step`] call.
-enum Polled {
-    /// Issue this op and call again.
-    Emit(Op),
-    /// The request has been served (and its response decoded).
-    Served,
-    /// Nothing yet; what to do next is the caller's policy.
-    Miss,
-}
-
-/// The waiting end of a [`Publish`]: one look at the word the response is
-/// announced in. Flag mode tests it against `flag_value` — an absolute
-/// test, immune to stale delta state — then reads the return value behind
-/// a dependency (the cheap client-side ordering). Pilot mode tests a packed
-/// word against `pilot_value`; a response slot is decoded by Algorithm 4:
-/// watch the response word for a change, fall back to the flag.
-struct Await {
+/// The waiting end of a [`Publish`]. Flag mode tests the announcing word
+/// against `flag_value` — an absolute test, immune to stale delta state —
+/// then reads the return value behind a dependency (the cheap client-side
+/// ordering). Pilot mode tests a packed word against `pilot_value`; a
+/// response slot is decoded by Algorithm 4: watch the response word for a
+/// change, fall back to the flag.
+struct Response {
     mode: ResponseMode,
     /// A response slot's fallback flag line (Algorithm 4 line 2); `None`
     /// when the response is a packed word.
     fallback: Option<u64>,
     old_resp: u64,
     old_flag: u64,
-    phase: u8,
 }
 
-impl Await {
-    fn new(cfg: &DelegationConfig, fallback: Option<u64>) -> Await {
-        Await {
+impl Response {
+    fn new(cfg: &DelegationConfig, fallback: Option<u64>) -> Response {
+        Response {
             mode: cfg.mode,
             fallback,
             old_resp: 0,
             old_flag: 0,
-            phase: 0,
         }
     }
 
-    fn poll(&mut self, expect: Publish, ctx: &ThreadCtx) -> Polled {
-        let (phase, v) = (self.phase, ctx.last_value());
-        self.phase = 0;
-        match (phase, self.mode, self.fallback) {
-            (0, _, _) => {
-                self.phase = 1;
-                Polled::Emit(Op::load_use(expect.notify))
+    /// One look at the word `expect` is announced in: `None` once the
+    /// request has been served (and its response decoded), else the word
+    /// just polled — what to do next is the caller's policy.
+    async fn poll(&mut self, cpu: Cpu, expect: Publish) -> Option<u64> {
+        let word = cpu.op(Op::load_use(expect.notify)).await;
+        match (self.mode, self.fallback) {
+            (ResponseMode::Flag, _) if word == expect.flag_value => {
+                cpu.op(Op::load_dep(expect.ret, true)).await;
+                None
             }
-            (1, ResponseMode::Flag, _) if v == expect.flag_value => {
-                self.phase = 3;
-                Polled::Emit(Op::load_dep(expect.ret, true))
+            (ResponseMode::Pilot, None) if word == expect.pilot_value => None,
+            (ResponseMode::Pilot, Some(_)) if word != self.old_resp => {
+                self.old_resp = word;
+                None
             }
-            (1, ResponseMode::Pilot, None) if v == expect.pilot_value => Polled::Served,
-            (1, ResponseMode::Pilot, Some(_)) if v != self.old_resp => {
-                self.old_resp = v;
-                Polled::Served
+            (ResponseMode::Pilot, Some(flag)) => {
+                let flag = cpu.op(Op::load_use(flag)).await;
+                if flag == self.old_flag {
+                    return Some(flag);
+                }
+                self.old_flag = flag;
+                None
             }
-            (1, ResponseMode::Pilot, Some(flag)) => {
-                self.phase = 2;
-                Polled::Emit(Op::load_use(flag))
-            }
-            (2, _, _) if v != self.old_flag => {
-                self.old_flag = v;
-                Polled::Served
-            }
-            (3, _, _) => Polled::Served,
-            _ => Polled::Miss,
+            _ => Some(word),
         }
     }
 
@@ -484,214 +383,85 @@ impl Await {
     }
 }
 
-/// A migratory combiner visiting one client's publication record: read the
+/// A migratory combiner visiting `client`'s publication record: read the
 /// posted round, compare it with the served-round marker, and claim and
-/// serve a new request. The marker is shared state: combiners migrate, so
-/// progress must live in memory, not in a core-local array. The response
-/// is published to the combiner itself too (uniform path).
-struct Visit {
-    id: usize,
-    serve: Serve,
-    /// Critical sections executed on behalf of *other* clients (the
-    /// combiner-subversion counter).
-    for_others: u64,
-    round: u64,
-    phase: u8,
+/// serve a new request; `false` if there was none. The marker is shared
+/// state: combiners migrate, so progress must live in memory, not in a
+/// core-local array. The response is published to the combiner itself too
+/// (uniform path).
+async fn visit(cpu: Cpu, cfg: &DelegationConfig, served: &mut u64, client: usize) -> bool {
+    let round = cpu.op(Op::load_use(req_addr(client))).await;
+    let marker = cpu.op(Op::load_use(served_round_addr(client))).await;
+    if round == marker {
+        return false;
+    }
+    cpu.op(Op::store(served_round_addr(client), round)).await;
+    order_after_load(cpu, cfg.barriers.req, req_addr(client)).await;
+    let publish = Publish::slot(client, round, cfg.mode);
+    serve(cpu, cfg, served, round, Some(publish)).await;
+    true
 }
 
-impl Visit {
-    fn new(id: usize, cfg: &DelegationConfig) -> Visit {
-        Visit {
-            id,
-            serve: Serve::new(cfg),
-            for_others: 0,
-            round: 0,
-            phase: 0,
-        }
+/// The end of a client's `round`th operation: mark the iteration and pace
+/// by the interval; `false` after the last one, when the client retires.
+async fn tail(cpu: Cpu, cfg: &DelegationConfig, round: u64) -> bool {
+    if round >= cfg.per_client {
+        return false;
     }
-
-    /// What a visit to the combiner's own record publishes for `round`.
-    fn own(&self, round: u64) -> Publish {
-        Publish::slot(self.id, round, self.serve.mode)
+    cpu.op(Op::IterationMark).await;
+    if cfg.interval_nops > 0 {
+        cpu.op(Op::Nops(cfg.interval_nops)).await;
     }
-
-    /// [`Polled::Served`] once `client`'s pending request has been served,
-    /// [`Polled::Miss`] if it had none.
-    fn step(&mut self, client: usize, ctx: &ThreadCtx) -> Polled {
-        match self.phase {
-            0 => {
-                self.phase = 1;
-                Polled::Emit(Op::load_use(req_addr(client)))
-            }
-            1 => {
-                self.round = ctx.last_value();
-                self.phase = 2;
-                Polled::Emit(Op::load_use(served_round_addr(client)))
-            }
-            2 if self.round == ctx.last_value() => {
-                self.phase = 0;
-                Polled::Miss
-            }
-            2 => {
-                let publish = Publish::slot(client, self.round, self.serve.mode);
-                self.serve
-                    .begin(req_addr(client), self.round, Some(publish));
-                self.phase = 3;
-                Polled::Emit(Op::store(served_round_addr(client), self.round))
-            }
-            _ => {
-                if let Some(op) = self.serve.step(ctx) {
-                    return Polled::Emit(op);
-                }
-                if client != self.id {
-                    self.for_others += 1;
-                }
-                self.phase = 0;
-                Polled::Served
-            }
-        }
-    }
-}
-
-/// The end of a client's operation: mark the iteration and pace by the
-/// interval, or — after the last one — retire.
-struct Tail {
-    iterations: u64,
-    done: u64,
-    interval_nops: u32,
-    /// Where a thread that can combine publishes its subversion counter
-    /// before `Halt`.
-    subv: Option<u64>,
-    phase: u8,
-}
-
-impl Tail {
-    fn new(cfg: &DelegationConfig, subv: Option<u64>) -> Tail {
-        Tail {
-            iterations: cfg.per_client,
-            done: 0,
-            interval_nops: cfg.interval_nops,
-            subv,
-            phase: 0,
-        }
-    }
-
-    /// The next op after a completed operation, or `None` when the next
-    /// request should be posted. `for_others` is the number of critical
-    /// sections this thread ran on behalf of other threads so far.
-    fn step(&mut self, for_others: u64) -> Option<Op> {
-        match self.phase {
-            0 => {
-                self.done += 1;
-                if self.done >= self.iterations {
-                    self.phase = 3;
-                    return Some(match self.subv {
-                        Some(addr) => Op::store(addr, for_others),
-                        None => Op::Halt,
-                    });
-                }
-                self.phase = if self.interval_nops > 0 { 1 } else { 2 };
-                Some(Op::IterationMark)
-            }
-            1 => {
-                self.phase = 2;
-                Some(Op::Nops(self.interval_nops))
-            }
-            2 => {
-                self.phase = 0;
-                None
-            }
-            _ => Some(Op::Halt),
-        }
-    }
+    true
 }
 
 // -------------------------------------------------------- dedicated server
 
 /// A dedicated server's client (FFWD): posts a request, awaits the response
 /// in its slot, repeats.
-struct Client {
-    id: usize,
-    round: u64,
-    resp: Await,
-    tail: Tail,
-    state: u8,
-}
-
-impl SimThread for Client {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
+async fn ffwd_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
+    let mut resp = Response::new(&cfg, Some(resp_flag_addr(id)));
+    let mut round = 0;
+    loop {
+        // Post the request: one store carrying round+payload.
+        round += 1;
+        cpu.op(Op::store(req_addr(id), round)).await;
+        // Await the response. In flag mode the client looks at the response
+        // line first, then at the flag word that signals.
+        let expect = Publish::slot(id, round, cfg.mode);
         loop {
-            match self.state {
-                // Post the request: one store carrying round+payload.
-                0 => {
-                    self.round += 1;
-                    self.state = 1;
-                    return Op::store(req_addr(self.id), self.round);
-                }
-                // Await the response. In flag mode the client looks at the
-                // response line first, then at the flag word that signals.
-                1 => {
-                    self.state = 2;
-                    if self.resp.mode == ResponseMode::Flag {
-                        return Op::load_use(resp_addr(self.id));
-                    }
-                }
-                2 => {
-                    let expect = Publish::slot(self.id, self.round, self.resp.mode);
-                    match self.resp.poll(expect, ctx) {
-                        Polled::Emit(op) => return op,
-                        Polled::Served => self.state = 3,
-                        Polled::Miss => {
-                            self.state = 1;
-                            return Op::Nops(1);
-                        }
-                    }
-                }
-                _ => match self.tail.step(0) {
-                    Some(op) => return op,
-                    None => self.state = 0,
-                },
+            if cfg.mode == ResponseMode::Flag {
+                cpu.op(Op::load_use(resp_addr(id))).await;
             }
+            if resp.poll(cpu, expect).await.is_none() {
+                break;
+            }
+            cpu.op(Op::Nops(1)).await;
+        }
+        if !tail(cpu, &cfg, round).await {
+            return;
         }
     }
 }
 
 /// An RCL client: the request word it spins on is also the completion
 /// channel, so one padded line round-trips per operation.
-struct RclClient {
-    id: usize,
-    round: u64,
-    resp: Await,
-    tail: Tail,
-    state: u8,
-}
-
-impl SimThread for RclClient {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                // Post the request: an even, non-zero word (round * 2).
-                0 => {
-                    self.round += 1;
-                    self.state = 1;
-                    return Op::store(req_addr(self.id), self.round * 2);
-                }
-                // Spin on the same word: cleared (flag) or odd (pilot: the
-                // notification and the payload in the word we already hold)
-                // means served.
-                1 => match self
-                    .resp
-                    .poll(Publish::request_word(self.id, self.round), ctx)
-                {
-                    Polled::Emit(op) => return op,
-                    Polled::Served => self.state = 2,
-                    Polled::Miss => return Op::Nops(1),
-                },
-                _ => match self.tail.step(0) {
-                    Some(op) => return op,
-                    None => self.state = 0,
-                },
-            }
+async fn rcl_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
+    let mut resp = Response::new(&cfg, None);
+    let mut round = 0;
+    loop {
+        // Post the request: an even, non-zero word (round * 2).
+        round += 1;
+        cpu.op(Op::store(req_addr(id), round * 2)).await;
+        // Spin on the same word: cleared (flag) or odd (pilot: the
+        // notification and the payload in the word we already hold) means
+        // served.
+        let expect = Publish::request_word(id, round);
+        while resp.poll(cpu, expect).await.is_some() {
+            cpu.op(Op::Nops(1)).await;
+        }
+        if !tail(cpu, &cfg, round).await {
+            return;
         }
     }
 }
@@ -730,249 +500,131 @@ impl Channel {
 }
 
 /// The dedicated server (FFWD, RCL): sweeps the request lines round-robin
-/// (Algorithm 5). Responses of one sweep share the response barrier.
-struct Server {
-    channel: Channel,
-    clients: usize,
-    total: u64,
-    serve: Serve,
-    scan_at: usize,
-    state: u8,
-}
-
-impl SimThread for Server {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                // Poll the next client's request line.
-                0 => {
-                    if self.serve.served >= self.total {
-                        // Every critical section a dedicated server runs is
-                        // on behalf of someone else: publish the subversion
-                        // counter, then retire.
-                        self.state = 4;
-                        return Op::store(subv_addr(0), self.serve.served);
-                    }
-                    self.state = 1;
-                    return Op::load_use(req_addr(self.scan_at));
-                }
-                1 => {
-                    let client = self.scan_at;
-                    if let Some(round) = self.channel.pending(client, ctx.last_value()) {
-                        let publish = self.channel.publish(client, round, self.serve.mode);
-                        self.serve.begin(req_addr(client), round, Some(publish));
-                        self.state = 2;
-                    } else {
-                        self.scan_at = (client + 1) % self.clients;
-                        self.state = 0;
-                    }
-                }
-                2 => match self.serve.step(ctx) {
-                    Some(op) => return op,
-                    None => {
-                        self.scan_at = (self.scan_at + 1) % self.clients;
-                        self.state = 3;
-                    }
-                },
-                3 => {
-                    self.state = 0;
-                    return Op::store(SERVED, self.serve.served);
-                }
-                _ => return Op::Halt,
-            }
+/// (Algorithm 5) until all `total` requests are served. Responses of one
+/// sweep share the response barrier.
+async fn server(cpu: Cpu, cfg: DelegationConfig, mut channel: Channel, total: u64) {
+    let mut served = 0;
+    let mut client = 0;
+    while served < total {
+        // Poll the next client's request line.
+        let word = cpu.op(Op::load_use(req_addr(client))).await;
+        if let Some(round) = channel.pending(client, word) {
+            order_after_load(cpu, cfg.barriers.req, req_addr(client)).await;
+            let publish = channel.publish(client, round, cfg.mode);
+            serve(cpu, &cfg, &mut served, round, Some(publish)).await;
+            cpu.op(Op::store(SERVED, served)).await;
         }
+        client = (client + 1) % cfg.clients;
     }
+    // Every critical section a dedicated server runs is on behalf of someone
+    // else: publish the subversion counter, then retire.
+    cpu.op(Op::store(subv_addr(0), served)).await;
 }
 
 // -------------------------------------------------------- DSynch combiner
 
 /// A DSynch-family client: posts its request, then either waits for
 /// service or grabs the baton and combines.
-struct CombinerClient {
-    id: usize,
-    clients: usize,
-    round: u64,
-    resp: Await,
-    visit: Visit,
-    tail: Tail,
-    scan_at: usize,
-    poll_misses: u64,
-    state: u8,
-}
-
-impl SimThread for CombinerClient {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                // Post own request.
-                0 => {
-                    self.round += 1;
-                    self.state = 1;
-                    return Op::store(req_addr(self.id), self.round);
-                }
-                // Try to become the combiner (baton CAS), else wait.
-                1 => {
-                    self.state = 2;
-                    return try_lock(BATON);
-                }
-                2 => {
-                    if ctx.last_value() == 0 {
-                        // We hold the baton: combine.
-                        self.scan_at = 0;
-                        self.state = 10;
-                    } else {
-                        // Someone is combining; wait for our response.
-                        self.state = 3;
+async fn dsynch_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
+    let mut resp = Response::new(&cfg, Some(resp_flag_addr(id)));
+    let (mut served, mut for_others) = (0, 0);
+    let mut poll_misses = 0u64;
+    let mut round = 0;
+    loop {
+        // Post own request.
+        round += 1;
+        cpu.op(Op::store(req_addr(id), round)).await;
+        let own = Publish::slot(id, round, cfg.mode);
+        // Try to become the combiner (baton CAS), else wait.
+        'operation: loop {
+            if cpu.op(try_lock(BATON)).await == 0 {
+                // We hold the baton: scan all clients once, serving pending
+                // requests — ours among them, we always serve ourselves.
+                for client in 0..cfg.clients {
+                    if visit(cpu, &cfg, &mut served, client).await && client != id {
+                        for_others += 1;
                     }
                 }
-                // ---------------- waiting side ----------------
-                // Spinning is local: the polled lines are ours, so until a
-                // combiner writes them the loads hit in our cache.
-                3 => match self.resp.poll(self.visit.own(self.round), ctx) {
-                    Polled::Emit(op) => return op,
-                    Polled::Served => self.state = 30,
-                    // Not served yet: spin locally, retrying the baton only
-                    // occasionally so a released lock cannot strand us.
-                    Polled::Miss => {
-                        self.poll_misses += 1;
-                        self.state = if self.poll_misses.is_multiple_of(8) {
-                            1
-                        } else {
-                            3
-                        };
-                        return Op::Nops(2);
-                    }
-                },
-                // ---------------- combiner side ----------------
-                // Scan all clients once, serving pending requests.
-                10 => {
-                    if self.scan_at >= self.clients {
-                        // Sweep done: release the baton (store-release keeps
-                        // the protocol sound; its cost is shared across the
-                        // whole sweep).
-                        self.state = 11;
-                        return Op::store_release(BATON, 0);
-                    }
-                    match self.visit.step(self.scan_at, ctx) {
-                        Polled::Emit(op) => return op,
-                        Polled::Served | Polled::Miss => self.scan_at += 1,
-                    }
-                }
-                11 => {
-                    // Our own request was served during the sweep (we always
-                    // serve ourselves).
-                    self.resp.served_self(self.visit.own(self.round));
-                    self.state = 30;
-                }
-                _ => match self.tail.step(self.visit.for_others) {
-                    Some(op) => return op,
-                    None => self.state = 0,
-                },
+                // Sweep done: release the baton (store-release keeps the
+                // protocol sound; its cost is shared across the whole sweep).
+                cpu.op(Op::store_release(BATON, 0)).await;
+                resp.served_self(own);
+                break;
             }
+            // Someone is combining; wait for our response. Spinning is
+            // local: the polled lines are ours, so until a combiner writes
+            // them the loads hit in our cache.
+            while resp.poll(cpu, own).await.is_some() {
+                // Not served yet: spin locally, retrying the baton only
+                // occasionally so a released lock cannot strand us.
+                poll_misses += 1;
+                cpu.op(Op::Nops(2)).await;
+                if poll_misses.is_multiple_of(8) {
+                    continue 'operation;
+                }
+            }
+            break;
+        }
+        if !tail(cpu, &cfg, round).await {
+            break;
         }
     }
+    cpu.op(Op::store(subv_addr(id), for_others)).await;
 }
 
 // ------------------------------------------------------- flat combining
 
 /// A flat-combining client: checks its own publication record first, then
 /// tries the combiner lock (test-and-test-and-set) and scans all records.
-struct FcClient {
-    id: usize,
-    clients: usize,
-    round: u64,
-    resp: Await,
-    visit: Visit,
-    tail: Tail,
-    scan_at: usize,
-    pass: u32,
-    pass_served: u32,
-    own_served: bool,
-    state: u8,
-}
-
-impl SimThread for FcClient {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                // Post own request into the publication record.
-                0 => {
-                    self.round += 1;
-                    self.own_served = false;
-                    self.state = 1;
-                    return Op::store(req_addr(self.id), self.round);
-                }
-                // Check own response before fighting for the lock.
-                1 => match self.resp.poll(self.visit.own(self.round), ctx) {
-                    Polled::Emit(op) => return op,
-                    Polled::Served => self.state = 30,
-                    Polled::Miss => self.state = 2,
-                },
-                // Test-and-test-and-set on the combiner lock.
-                2 => {
-                    self.state = 3;
-                    return Op::load_use(FC_LOCK);
-                }
-                3 => {
-                    if ctx.last_value() != 0 {
-                        self.state = 1;
-                        return Op::Nops(2);
-                    }
-                    self.state = 4;
-                    return try_lock(FC_LOCK);
-                }
-                4 => {
-                    if ctx.last_value() != 0 {
-                        self.state = 1;
-                        return Op::Nops(2);
-                    }
-                    self.pass = 0;
-                    self.pass_served = 0;
-                    self.scan_at = 0;
-                    self.state = 10;
-                }
-                // ---------------- combiner scan ----------------
-                10 => {
-                    if self.scan_at >= self.clients {
-                        // Pass done: go again only if this one served
-                        // anything and passes remain.
-                        if self.pass_served == 0 || self.pass + 1 >= FC_SCAN_PASSES {
-                            // Release the combiner lock.
-                            self.state = 11;
-                            return Op::store_release(FC_LOCK, 0);
-                        }
-                        self.pass += 1;
-                        self.pass_served = 0;
-                        self.scan_at = 0;
-                        continue;
-                    }
-                    match self.visit.step(self.scan_at, ctx) {
-                        Polled::Emit(op) => return op,
-                        Polled::Served => {
-                            self.pass_served += 1;
-                            self.own_served |= self.scan_at == self.id;
-                            self.scan_at += 1;
-                        }
-                        Polled::Miss => self.scan_at += 1,
-                    }
-                }
-                11 => {
-                    if self.own_served {
-                        self.resp.served_self(self.visit.own(self.round));
-                        self.state = 30;
-                    } else {
-                        // Someone else got to us first (or nobody yet):
-                        // back to watching our record.
-                        self.state = 1;
-                    }
-                }
-                _ => match self.tail.step(self.visit.for_others) {
-                    Some(op) => return op,
-                    None => self.state = 0,
-                },
+async fn fc_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
+    let mut resp = Response::new(&cfg, Some(resp_flag_addr(id)));
+    let (mut served, mut for_others) = (0, 0);
+    let mut round = 0;
+    loop {
+        // Post own request into the publication record.
+        round += 1;
+        cpu.op(Op::store(req_addr(id), round)).await;
+        let own = Publish::slot(id, round, cfg.mode);
+        // Check own response before fighting for the lock.
+        while resp.poll(cpu, own).await.is_some() {
+            // Test-and-test-and-set on the combiner lock.
+            if cpu.op(Op::load_use(FC_LOCK)).await != 0 || cpu.op(try_lock(FC_LOCK)).await != 0 {
+                cpu.op(Op::Nops(2)).await;
+                continue;
             }
+            // Combiner scan: go again only if the last pass served anything
+            // and passes remain.
+            let mut own_served = false;
+            for _pass in 0..FC_SCAN_PASSES {
+                let mut pass_served = 0;
+                for client in 0..cfg.clients {
+                    if visit(cpu, &cfg, &mut served, client).await {
+                        pass_served += 1;
+                        if client == id {
+                            own_served = true;
+                        } else {
+                            for_others += 1;
+                        }
+                    }
+                }
+                if pass_served == 0 {
+                    break;
+                }
+            }
+            // Release the combiner lock.
+            cpu.op(Op::store_release(FC_LOCK, 0)).await;
+            if own_served {
+                resp.served_self(own);
+                break;
+            }
+            // Someone else got to us first (or nobody yet): back to watching
+            // our record.
+        }
+        if !tail(cpu, &cfg, round).await {
+            break;
         }
     }
+    cpu.op(Op::store(subv_addr(id), for_others)).await;
 }
 
 // ------------------------------------------------------------- CC-Synch
@@ -980,127 +632,73 @@ impl SimThread for FcClient {
 /// A CC-Synch client: swaps its spare node into the shared tail, adopts
 /// the old tail as its request node, and spins on that node's status word
 /// alone. The head of the queue combines.
-struct CcClient {
-    resp: Await,
-    serve: Serve,
-    tail: Tail,
-    /// Node currently owned (spare before enqueue, request node after).
-    node: u64,
-    /// The node we just pushed as the new tail dummy.
-    enqueued: u64,
-    round: u64,
-    for_others: u64,
-    walk_at: u64,
-    walk_next: u64,
-    bound_served: u32,
-    state: u8,
-}
-
-impl SimThread for CcClient {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                // Reset the spare node before exposing it as the new tail.
-                0 => {
-                    self.round += 1;
-                    self.state = 1;
-                    return Op::store(node_status(self.node), CC_WAIT);
-                }
-                1 => {
-                    self.state = 2;
-                    return Op::store(node_next(self.node), 0);
-                }
-                // Swap it in; the old tail becomes our request node.
-                2 => {
-                    self.state = 3;
-                    return Op::Rmw {
-                        addr: CC_TAIL,
-                        kind: armbar_sim::RmwKind::Swap,
-                        operand: self.node,
-                        acquire: true,
-                        release: true,
-                    };
-                }
-                3 => {
-                    self.enqueued = self.node;
-                    self.node = ctx.last_value();
-                    self.state = 4;
-                    return Op::store(node_req(self.node), self.round);
-                }
-                // Linking publishes the request to the combiner.
-                4 => {
-                    self.state = 5;
-                    return Op::store_release(node_next(self.node), self.enqueued);
-                }
-                // Spin on our node's status word only: it announces the
-                // response, or hands us the combiner role.
-                5 => match self
-                    .resp
-                    .poll(Publish::status_word(self.node, self.round), ctx)
-                {
-                    Polled::Emit(op) => return op,
-                    Polled::Served => self.state = 30,
-                    Polled::Miss if ctx.last_value() == CC_COMBINER => {
-                        self.walk_at = self.node;
-                        self.bound_served = 0;
-                        self.state = 10;
-                    }
-                    Polled::Miss => return Op::Nops(2),
-                },
-                // ---------------- combiner walk ----------------
-                10 => {
-                    self.state = 11;
-                    return Op::load_use(node_next(self.walk_at));
-                }
-                11 => {
-                    let nxt = ctx.last_value();
-                    if nxt == 0 || self.bound_served >= CC_COMBINE_BOUND {
-                        // Tail dummy (no request) or bound hit: hand the
-                        // combiner role to this node's owner. Our own
-                        // request (served first in this walk) is complete.
-                        self.state = 30;
-                        return Op::store_release(node_status(self.walk_at), CC_COMBINER);
-                    }
-                    self.walk_next = nxt;
-                    // Request barrier: order the link detection before the
-                    // request read and the critical section.
-                    self.state = 12;
-                    let link = node_next(self.walk_at);
-                    if let Some(op) = order_after_load(self.serve.barriers.req, link) {
-                        return op;
-                    }
-                }
-                12 => {
-                    self.state = 13;
-                    return Op::load_use(node_req(self.walk_at));
-                }
-                13 => {
-                    let round = ctx.last_value();
-                    // Our own request: the result is local, no notification
-                    // needed.
-                    let publish = (self.walk_at != self.node)
-                        .then(|| Publish::status_word(self.walk_at, round));
-                    self.serve.begin_ordered(round, publish);
-                    self.state = 14;
-                }
-                14 => match self.serve.step(ctx) {
-                    Some(op) => return op,
-                    None => {
-                        self.bound_served += 1;
-                        if self.walk_at != self.node {
-                            self.for_others += 1;
-                        }
-                        self.walk_at = self.walk_next;
-                        self.state = 10;
-                    }
-                },
-                _ => match self.tail.step(self.for_others) {
-                    Some(op) => return op,
-                    None => self.state = 0,
-                },
+async fn cc_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
+    let mut resp = Response::new(&cfg, None);
+    let (mut served, mut for_others) = (0, 0);
+    // Node currently owned (spare before enqueue, request node after).
+    let mut node = id as u64 + 1;
+    let mut round = 0;
+    loop {
+        // Reset the spare node before exposing it as the new tail.
+        round += 1;
+        cpu.op(Op::store(node_status(node), CC_WAIT)).await;
+        cpu.op(Op::store(node_next(node), 0)).await;
+        // Swap it in; the old tail becomes our request node.
+        let enqueued = node;
+        node = cpu
+            .op(Op::Rmw {
+                addr: CC_TAIL,
+                kind: RmwKind::Swap,
+                operand: enqueued,
+                acquire: true,
+                release: true,
+            })
+            .await;
+        cpu.op(Op::store(node_req(node), round)).await;
+        // Linking publishes the request to the combiner.
+        cpu.op(Op::store_release(node_next(node), enqueued)).await;
+        // Spin on our node's status word only: it announces the response,
+        // or hands us the combiner role.
+        let expect = Publish::status_word(node, round);
+        while let Some(status) = resp.poll(cpu, expect).await {
+            if status != CC_COMBINER {
+                cpu.op(Op::Nops(2)).await;
+                continue;
             }
+            // Combiner walk, from our own node (served first).
+            let mut at = node;
+            let mut bound_served = 0;
+            loop {
+                let link = node_next(at);
+                let next = cpu.op(Op::load_use(link)).await;
+                if next == 0 || bound_served >= CC_COMBINE_BOUND {
+                    break;
+                }
+                // Request barrier: order the link detection before the
+                // request read and the critical section.
+                order_after_load(cpu, cfg.barriers.req, link).await;
+                let request = cpu.op(Op::load_use(node_req(at))).await;
+                // Our own request: the result is local, no notification
+                // needed.
+                let publish = (at != node).then(|| Publish::status_word(at, request));
+                serve(cpu, &cfg, &mut served, request, publish).await;
+                bound_served += 1;
+                if at != node {
+                    for_others += 1;
+                }
+                at = next;
+            }
+            // Tail dummy (no request) or bound hit: hand the combiner role
+            // to this node's owner. Our own request is complete.
+            cpu.op(Op::store_release(node_status(at), CC_COMBINER))
+                .await;
+            break;
+        }
+        if !tail(cpu, &cfg, round).await {
+            break;
         }
     }
+    cpu.op(Op::store(subv_addr(id), for_others)).await;
 }
 
 // ------------------------------------------------------------- run harness
@@ -1223,14 +821,7 @@ pub fn run_delegation_with(
         };
         m.add_thread_on(
             0,
-            Box::new(Server {
-                channel,
-                clients: cfg.clients,
-                total,
-                serve: Serve::new(&cfg),
-                scan_at: 0,
-                state: 0,
-            }),
+            Box::new(Script::new(|cpu| server(cpu, cfg, channel, total))),
         );
     }
     if cfg.kind == DelegationKind::CcSynch {
@@ -1241,64 +832,14 @@ pub fn run_delegation_with(
         m.preset_memory(node_status(dummy), CC_COMBINER);
     }
     for id in 0..cfg.clients {
-        let core = first_client + id;
-        let slot = Await::new(&cfg, Some(resp_flag_addr(id)));
-        let word = Await::new(&cfg, None);
-        let combiner_tail = Tail::new(&cfg, Some(subv_addr(core)));
         let thread: Box<dyn SimThread> = match cfg.kind {
-            DelegationKind::Ffwd => Box::new(Client {
-                id,
-                round: 0,
-                resp: slot,
-                tail: Tail::new(&cfg, None),
-                state: 0,
-            }),
-            DelegationKind::Rcl => Box::new(RclClient {
-                id,
-                round: 0,
-                resp: word,
-                tail: Tail::new(&cfg, None),
-                state: 0,
-            }),
-            DelegationKind::DSynch => Box::new(CombinerClient {
-                id,
-                clients: cfg.clients,
-                round: 0,
-                resp: slot,
-                visit: Visit::new(id, &cfg),
-                tail: combiner_tail,
-                scan_at: 0,
-                poll_misses: 0,
-                state: 0,
-            }),
-            DelegationKind::FlatCombining => Box::new(FcClient {
-                id,
-                clients: cfg.clients,
-                round: 0,
-                resp: slot,
-                visit: Visit::new(id, &cfg),
-                tail: combiner_tail,
-                scan_at: 0,
-                pass: 0,
-                pass_served: 0,
-                own_served: false,
-                state: 0,
-            }),
-            DelegationKind::CcSynch => Box::new(CcClient {
-                resp: word,
-                serve: Serve::new(&cfg),
-                tail: combiner_tail,
-                node: id as u64 + 1,
-                enqueued: 0,
-                round: 0,
-                for_others: 0,
-                walk_at: 0,
-                walk_next: 0,
-                bound_served: 0,
-                state: 0,
-            }),
+            DelegationKind::Ffwd => Box::new(Script::new(|cpu| ffwd_client(cpu, id, cfg))),
+            DelegationKind::Rcl => Box::new(Script::new(|cpu| rcl_client(cpu, id, cfg))),
+            DelegationKind::DSynch => Box::new(Script::new(|cpu| dsynch_client(cpu, id, cfg))),
+            DelegationKind::FlatCombining => Box::new(Script::new(|cpu| fc_client(cpu, id, cfg))),
+            DelegationKind::CcSynch => Box::new(Script::new(|cpu| cc_client(cpu, id, cfg))),
         };
-        m.add_thread_on(core, thread);
+        m.add_thread_on(first_client + id, thread);
     }
     let (mut metrics, trace) = run_lock("delegation", &mut m, total, first_client..active_cores);
     metrics.subverted = (0..active_cores).map(|c| m.read_memory(subv_addr(c))).sum();

@@ -1,8 +1,9 @@
 //! Simulator workloads for every experiment in the paper.
 //!
-//! Each module turns one of the paper's benchmark programs into
-//! [`SimThread`](armbar_sim::SimThread) state machines and a runner that
-//! reports throughput on a chosen [`Platform`](armbar_sim::Platform):
+//! Each module writes one of the paper's benchmark programs as simulated
+//! threads — straight-line `async fn`s over [`Script`](armbar_sim::Script) —
+//! and a runner that reports throughput on a chosen
+//! [`Platform`](armbar_sim::Platform):
 //!
 //! * [`abstract_model`] — Algorithm 1 (§3.2): the barrier micro-model
 //!   behind Figures 2, 3, 4, 5.
@@ -24,14 +25,17 @@
 //! takes [`RunOpts`] (pinned scheduling engine, event tracing) and returns
 //! the richest result it computes plus the trace: `run_x_with(.., RunOpts)`.
 //!
-//! A protocol piece that several threads share is written once, as a plain
-//! sub-state-machine the threads hold as a field and step from their own
-//! `match self.state`: `ticket_sim::InPlace` for the two in-place locks;
-//! the delegated *serve* step, the *await* at the other end of the same
-//! `Publish` descriptor, the combiners' record *visit* and the clients'
-//! iteration *tail* in [`delegation_sim`]; the producers' batch loop and
-//! the consumers' delivery in [`prodcons`]. A configured `Barrier` becomes
-//! ops in one private module, `lower`. DESIGN.md §11.1 has the table.
+//! A thread reads like the paper's pseudocode: every operation is
+//! `cpu.op(op).await`, which resolves to the value a load produced. A
+//! protocol piece that several threads share is written once, as an
+//! ordinary `async fn` they `.await`: `ticket_sim`'s `critical_section` and
+//! `pace` for the two in-place locks; the delegated `serve`, the waiting
+//! end of the same `Publish` descriptor (`Response::poll`), the combiners'
+//! record `visit` and the clients' iteration `tail` in [`delegation_sim`];
+//! Algorithms 3 and 4 on a ring slot in [`prodcons`]. A configured
+//! `Barrier` becomes ops in one private module, `lower`. No thread here
+//! implements `SimThread` by hand (CI checks). DESIGN.md §11.1 has the
+//! table and the adapter's contract.
 //!
 //! Calibration tests at the bottom of each module assert the paper's
 //! *observations* hold on the simulator — they are the contract between

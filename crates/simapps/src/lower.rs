@@ -7,11 +7,11 @@
 //! nothing standalone: they ride on the accesses the thread emits next.
 
 use armbar_barriers::{Acquire, Barrier};
-use armbar_sim::Op;
+use armbar_sim::{Cpu, Op};
 
-/// The standalone instruction `barrier` puts at a release/response site, if
-/// it is one (`Barrier::INSTRUCTIONS`, or the ISB of `CTRL+ISB`).
-pub(crate) fn fence_op(barrier: Barrier) -> Option<Op> {
+/// Issue the standalone instruction `barrier` puts at a release/response
+/// site, if it is one (`Barrier::INSTRUCTIONS`, or the ISB of `CTRL+ISB`).
+pub(crate) async fn fence(cpu: Cpu, barrier: Barrier) {
     match barrier {
         Barrier::None
         | Barrier::Ldar
@@ -19,22 +19,26 @@ pub(crate) fn fence_op(barrier: Barrier) -> Option<Op> {
         | Barrier::Stlr
         | Barrier::DataDep
         | Barrier::AddrDep
-        | Barrier::Ctrl => None,
-        f => Some(Op::Fence(f)),
+        | Barrier::Ctrl => {}
+        f => {
+            cpu.op(Op::Fence(f)).await;
+        }
     }
 }
 
-/// The op ordering later accesses after the load that just detected
-/// something at `detect_addr`. `LDAR` is modelled as the acquire variant of
-/// that check: the load re-issued as `LDAR` (cheap; no bus).
-pub(crate) fn order_after_load(barrier: Barrier, detect_addr: u64) -> Option<Op> {
-    match barrier {
-        Barrier::Ldar => Some(Op::Load {
+/// Order later accesses after the load that just detected something at
+/// `detect_addr`. `LDAR` is modelled as the acquire variant of that check:
+/// the load re-issued as `LDAR` (cheap; no bus).
+pub(crate) async fn order_after_load(cpu: Cpu, barrier: Barrier, detect_addr: u64) {
+    if barrier == Barrier::Ldar {
+        cpu.op(Op::Load {
             addr: detect_addr,
             use_value: false,
             acquire: Acquire::Sc,
             dep_on_last_load: false,
-        }),
-        other => fence_op(other),
+        })
+        .await;
+    } else {
+        fence(cpu, barrier).await;
     }
 }

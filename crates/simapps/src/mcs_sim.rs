@@ -9,17 +9,17 @@
 //! hand the lock to the linked successor or CAS the tail back to nil.
 //!
 //! The critical section, the release barrier and the end of the iteration
-//! are `ticket_sim`'s `InPlace` fragment — a configurable number of
-//! global lines read+written, a private counter, and ALU work — so MCS and
-//! ticket numbers are directly comparable.
+//! are `ticket_sim`'s `critical_section` and `pace` — a configurable number
+//! of global lines read+written, a private counter, and ALU work — so MCS
+//! and ticket numbers are directly comparable.
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Op, Platform, SimThread, ThreadCtx, Trace};
+use armbar_sim::{Cpu, Op, Platform, RmwKind, Script, Trace};
 
 use crate::harness::{machine, run_lock, RunOpts};
-use crate::lower::fence_op;
+use crate::lower::fence;
 use crate::metrics::DlockMetrics;
-use crate::ticket_sim::{InPlace, LockResult, TicketConfig};
+use crate::ticket_sim::{critical_section, pace, LockResult, TicketConfig};
 
 /// Shared-memory layout.
 const TAIL: u64 = 0x200;
@@ -35,124 +35,66 @@ fn next_addr(node: u64) -> u64 {
     NODE_BASE + node * 128 + 64
 }
 
-/// One competitor.
-struct McsThread {
-    /// Our queue node (thread id + 1; 0 is nil).
-    me: u64,
-    acquire_barrier: Barrier,
-    body: InPlace,
-    successor: u64,
-    state: u8,
-}
-
-impl SimThread for McsThread {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                // lock: reset our node…
-                0 => {
-                    self.state = 1;
-                    return Op::store(locked_addr(self.me), 1);
-                }
-                1 => {
-                    self.state = 2;
-                    return Op::store(next_addr(self.me), 0);
-                }
-                // …swap it into the tail…
-                2 => {
-                    self.state = 3;
-                    return Op::Rmw {
-                        addr: TAIL,
-                        kind: armbar_sim::RmwKind::Swap,
-                        operand: self.me,
-                        acquire: true,
-                        release: true,
-                    };
-                }
-                3 => {
-                    let prev = ctx.last_value();
-                    if prev == 0 {
-                        // Uncontended: we hold the lock.
-                        self.state = 6;
-                        continue;
-                    }
-                    // …and link behind the predecessor.
-                    self.state = 4;
-                    return Op::store(next_addr(prev), self.me);
-                }
-                // Spin on our own locked word (MCS's local spin).
-                4 => {
-                    self.state = 5;
-                    return Op::load_use(locked_addr(self.me));
-                }
-                5 => {
-                    if ctx.last_value() != 0 {
-                        self.state = 4;
-                        return Op::Nops(1);
-                    }
-                    self.state = 6;
-                }
-                // Acquire-side ordering.
-                6 => {
-                    self.state = 7;
-                    if let Some(op) = fence_op(self.acquire_barrier) {
-                        return op;
-                    }
-                }
-                7 => match self.body.critical_section(ctx) {
-                    Some(op) => return op,
-                    None => self.state = 8,
-                },
-                // unlock, after the barrier: hand off to the linked
-                // successor, or retire the tail.
-                8 => {
-                    self.state = 9;
-                    return Op::load_use(next_addr(self.me));
-                }
-                9 => {
-                    self.successor = ctx.last_value();
-                    if self.successor != 0 {
-                        self.state = 12;
-                        continue;
-                    }
-                    // No successor visible: try to swing the tail to nil.
-                    self.state = 10;
-                    return Op::Rmw {
-                        addr: TAIL,
-                        kind: armbar_sim::RmwKind::Cas { expected: self.me },
-                        operand: 0,
-                        acquire: false,
-                        release: true,
-                    };
-                }
-                10 => {
-                    if ctx.last_value() == self.me {
-                        // CAS succeeded: queue empty, lock free.
-                        self.state = 13;
-                        continue;
-                    }
-                    // A successor swapped in but has not linked yet: wait
-                    // for the link, then hand off.
-                    self.state = 11;
-                    return Op::load_use(next_addr(self.me));
-                }
-                11 => {
-                    self.successor = ctx.last_value();
-                    if self.successor == 0 {
-                        return Op::load_use(next_addr(self.me));
-                    }
-                    self.state = 12;
-                }
-                12 => {
-                    self.state = 13;
-                    return Op::store(locked_addr(self.successor), 0);
-                }
-                _ => match self.body.finish() {
-                    Some(op) => return op,
-                    None => self.state = 0,
-                },
+/// One competitor; `body` is its critical section and pacing.
+async fn competitor(cpu: Cpu, id: usize, acquire_barrier: Barrier, body: TicketConfig) {
+    // Our queue node (thread id + 1; 0 is nil).
+    let me = id as u64 + 1;
+    let mut done = 0;
+    loop {
+        // lock: reset our node…
+        cpu.op(Op::store(locked_addr(me), 1)).await;
+        cpu.op(Op::store(next_addr(me), 0)).await;
+        // …swap it into the tail…
+        let prev = cpu
+            .op(Op::Rmw {
+                addr: TAIL,
+                kind: RmwKind::Swap,
+                operand: me,
+                acquire: true,
+                release: true,
+            })
+            .await;
+        // …and unless uncontended, link behind the predecessor and spin on
+        // our own locked word (MCS's local spin).
+        if prev != 0 {
+            cpu.op(Op::store(next_addr(prev), me)).await;
+            while cpu.op(Op::load_use(locked_addr(me))).await != 0 {
+                cpu.op(Op::Nops(1)).await;
             }
         }
+        // Acquire-side ordering.
+        fence(cpu, acquire_barrier).await;
+        critical_section(cpu, id, &body, done).await;
+        // unlock, after the barrier: hand off to the linked successor, or
+        // retire the tail.
+        let mut successor = cpu.op(Op::load_use(next_addr(me))).await;
+        if successor == 0 {
+            // No successor visible: try to swing the tail to nil.
+            let tail = cpu
+                .op(Op::Rmw {
+                    addr: TAIL,
+                    kind: RmwKind::Cas { expected: me },
+                    operand: 0,
+                    acquire: false,
+                    release: true,
+                })
+                .await;
+            // CAS succeeded: queue empty, lock free. Failed: a successor
+            // swapped in but has not linked yet — wait for the link.
+            if tail != me {
+                while successor == 0 {
+                    successor = cpu.op(Op::load_use(next_addr(me))).await;
+                }
+            }
+        }
+        if successor != 0 {
+            cpu.op(Op::store(locked_addr(successor), 0)).await;
+        }
+        done += 1;
+        if done >= body.per_thread {
+            return;
+        }
+        pace(cpu, body.post_nops).await;
     }
 }
 
@@ -209,15 +151,12 @@ pub fn run_mcs_with(platform: &Platform, cfg: McsConfig, opts: RunOpts) -> (Dloc
         per_thread: cfg.per_thread,
     };
     for core in 0..cfg.threads {
+        let acquire_barrier = cfg.acquire_barrier;
         m.add_thread_on(
             core,
-            Box::new(McsThread {
-                me: core as u64 + 1,
-                acquire_barrier: cfg.acquire_barrier,
-                body: InPlace::new(core, body),
-                successor: 0,
-                state: 0,
-            }),
+            Box::new(Script::new(|cpu| {
+                competitor(cpu, core, acquire_barrier, body)
+            })),
         );
     }
     let total = cfg.per_thread * cfg.threads as u64;

@@ -13,11 +13,11 @@
 //! a wrong result but can serve as a reference").
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Op, SimThread, StallBreakdown, ThreadCtx, Trace};
+use armbar_sim::{Cpu, Op, Script, StallBreakdown, Trace};
 
 use crate::bind::BindConfig;
 use crate::harness::{machine, RunOpts};
-use crate::lower::{fence_op, order_after_load};
+use crate::lower::{fence, order_after_load};
 
 /// Shared-memory layout (each item on its own line).
 const PROD_CNT: u64 = 0x1000;
@@ -102,306 +102,142 @@ fn msg_value(seq: u64) -> u64 {
     seq.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1
 }
 
-/// What [`Production::step`] asks of the producer embedding it.
-enum Produce {
-    /// Issue this op.
-    Emit(Op),
-    /// Fill the slot of message `seq` — where the two producers differ.
-    Fill(u64),
-    /// A whole batch is in the ring (`prod_cnt` already counts it).
-    BatchDone,
-}
-
-/// The loop both producers run around their slot fill: wait until a whole
-/// batch fits (Algorithm 2 lines 1-3), do each message's local work, and
-/// end the iteration once the batch is out.
-struct Production {
-    avail: Barrier,
-    produce_nops: u32,
-    batch: u64,
-    iterations: u64,
-    prod_cnt: u64,
-    in_batch: u64,
-    phase: u8,
-}
-
-impl Production {
-    fn new(avail: Barrier, produce_nops: u32, batch: u64, iterations: u64) -> Production {
-        Production {
-            avail,
-            produce_nops,
-            batch,
-            iterations,
-            prod_cnt: 0,
-            in_batch: 0,
-            phase: 0,
+/// The producer. Both variants run one loop around their slot fill: wait
+/// until a whole batch fits (Algorithm 2 lines 1-3), do each message's
+/// local work and fill its slot, and end the iteration once the batch is
+/// out. The baseline fills with a plain store and publishes `prodCnt`
+/// behind its second barrier; the Pilot producer (§4.4) publishes each slot
+/// via Algorithm 3 and keeps `prodCnt` core-private.
+async fn producer(cpu: Cpu, variant: PcVariant, messages: u64, batch: u64, produce_nops: u32) {
+    let avail = match variant {
+        PcVariant::Baseline(barriers) => barriers.avail,
+        PcVariant::Pilot { avail } => avail,
+    };
+    let mut slots = PilotSlots::default();
+    let mut prod_cnt = 0;
+    loop {
+        // Line 1-3: availability check (whole batch must fit).
+        while prod_cnt + batch - cpu.op(Op::load_use(CONS_CNT)).await > BUF_SLOTS {
+            cpu.op(Op::Nops(1)).await; // spin
         }
-    }
-
-    fn step(&mut self, ctx: &ThreadCtx) -> Produce {
-        loop {
-            match self.phase {
-                // Line 1-2: availability check (whole batch must fit).
-                0 => {
-                    self.phase = 1;
-                    return Produce::Emit(Op::load_use(CONS_CNT));
+        order_after_load(cpu, avail, CONS_CNT).await;
+        for seq in prod_cnt..prod_cnt + batch {
+            // produceMsg(): local work.
+            if produce_nops > 0 {
+                cpu.op(Op::Nops(produce_nops)).await;
+            }
+            match variant {
+                // Line 4: fill the slot (likely an RMR).
+                PcVariant::Baseline(_) => {
+                    cpu.op(Op::store(slot_addr(seq), msg_value(seq))).await;
                 }
-                // Line 3.
-                1 => {
-                    if self.prod_cnt + self.batch - ctx.last_value() > BUF_SLOTS {
-                        self.phase = 0; // spin
-                        return Produce::Emit(Op::Nops(1));
-                    }
-                    self.phase = 2;
-                    self.in_batch = 0;
-                    if let Some(op) = order_after_load(self.avail, CONS_CNT) {
-                        return Produce::Emit(op);
-                    }
-                }
-                // produceMsg(): local work.
-                2 => {
-                    self.phase = 3;
-                    if self.produce_nops > 0 {
-                        return Produce::Emit(Op::Nops(self.produce_nops));
-                    }
-                }
-                3 => {
-                    self.phase = 4;
-                    return Produce::Fill(self.prod_cnt + self.in_batch);
-                }
-                4 => {
-                    self.in_batch += 1;
-                    if self.in_batch < self.batch {
-                        self.phase = 2; // next message of the batch
-                    } else {
-                        self.prod_cnt += self.batch;
-                        self.phase = 5;
-                        return Produce::BatchDone;
-                    }
-                }
-                _ => {
-                    self.phase = 0;
-                    return Produce::Emit(if self.prod_cnt >= self.iterations {
-                        Op::Halt
-                    } else {
-                        Op::IterationMark
-                    });
+                PcVariant::Pilot { .. } => {
+                    pilot_send(cpu, seq, &mut slots).await;
                 }
             }
         }
+        prod_cnt += batch;
+        if let PcVariant::Baseline(PcBarriers { publish, .. }) = variant {
+            // Line 5: the post-RMR barrier (once per batch).
+            fence(cpu, publish).await;
+            // Line 6: publish the counter. The STLR variant makes this store
+            // the release: it orders the buffer fill before the counter
+            // without a standalone barrier.
+            cpu.op(if publish == Barrier::Stlr {
+                Op::store_release(PROD_CNT, prod_cnt)
+            } else {
+                Op::store(PROD_CNT, prod_cnt)
+            })
+            .await;
+        }
+        if prod_cnt >= messages {
+            return;
+        }
+        cpu.op(Op::IterationMark).await;
     }
 }
 
-/// The baseline producer (Algorithm 2).
-struct Producer {
-    production: Production,
-    publish: Barrier,
-    state: u8,
+/// One end's Pilot state per ring slot (Algorithms 3 and 4): the data word
+/// and the fallback flag last sent, or last seen.
+#[derive(Default)]
+struct PilotSlots {
+    data: [u64; BUF_SLOTS as usize],
+    flags: [u64; BUF_SLOTS as usize],
 }
 
-impl SimThread for Producer {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                0 => match self.production.step(ctx) {
-                    Produce::Emit(op) => return op,
-                    // Line 4: fill the slot (likely an RMR).
-                    Produce::Fill(seq) => return Op::store(slot_addr(seq), msg_value(seq)),
-                    Produce::BatchDone => self.state = 1,
-                },
-                // Line 5: the post-RMR barrier (once per batch).
-                1 => {
-                    self.state = 2;
-                    if let Some(op) = fence_op(self.publish) {
-                        return op;
-                    }
-                }
-                // Line 6: publish the counter. The STLR variant makes this
-                // store the release: it orders the buffer fill before the
-                // counter without a standalone barrier.
-                _ => {
-                    self.state = 0;
-                    let prod_cnt = self.production.prod_cnt;
-                    if self.publish == Barrier::Stlr {
-                        return Op::store_release(PROD_CNT, prod_cnt);
-                    }
-                    return Op::store(PROD_CNT, prod_cnt);
-                }
-            }
-        }
+/// Algorithm 3 on the slot of message `seq`: the sequence-shuffled payload
+/// is the notification, the flag only when it repeats the slot's last one.
+async fn pilot_send(cpu: Cpu, seq: u64, sent: &mut PilotSlots) {
+    // The shuffle costs two local ALU ops (all-local, <5% worst case per
+    // §4.5).
+    cpu.op(Op::Nops(2)).await;
+    let idx = (seq % BUF_SLOTS) as usize;
+    let new_data = msg_value(seq);
+    if new_data == sent.data[idx] {
+        sent.flags[idx] ^= 1;
+        cpu.op(Op::store(flag_addr(seq), sent.flags[idx])).await;
+    } else {
+        sent.data[idx] = new_data;
+        cpu.op(Op::store(slot_addr(seq), new_data)).await;
     }
 }
 
 /// Running count of payload mismatches the consumer observed.
 const CONS_ERRORS: u64 = 0x1100;
 
-/// What either consumer does with a received message: check it, bump
-/// `consCnt`, publish the error count, and retire after the last one.
-struct Delivery {
-    iterations: u64,
-    cons_cnt: u64,
-    errors: u64,
-    phase: u8,
-}
-
-impl Delivery {
-    fn new(iterations: u64) -> Delivery {
-        Delivery {
-            iterations,
-            cons_cnt: 0,
-            errors: 0,
-            phase: 0,
-        }
-    }
-
-    /// The next op after receiving `payload` as message `cons_cnt`, or
-    /// `None` when the next message should be awaited.
-    fn step(&mut self, payload: u64) -> Option<Op> {
-        self.phase += 1;
-        match self.phase {
-            1 => {
-                if payload != msg_value(self.cons_cnt) {
-                    self.errors += 1;
-                }
-                self.cons_cnt += 1;
-                Some(Op::store(CONS_CNT, self.cons_cnt))
-            }
-            2 => Some(Op::store(CONS_ERRORS, self.errors)),
-            _ => {
-                self.phase = 0;
-                (self.cons_cnt >= self.iterations).then_some(Op::Halt)
-            }
-        }
-    }
-}
-
-/// The baseline consumer: spins on `prodCnt`, reads the slot behind a
-/// bogus address dependency (the cheap consumer side §4.1 describes),
-/// bumps `consCnt`.
-struct Consumer {
-    delivery: Delivery,
-    prod_seen: u64,
-    state: u8,
-}
-
-impl SimThread for Consumer {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            let cons_cnt = self.delivery.cons_cnt;
-            match self.state {
-                0 => {
-                    if self.prod_seen > cons_cnt {
-                        self.state = 2;
-                        continue;
+/// The consumer: receive each message, check it, bump `consCnt`, publish
+/// the error count, and retire after the last one. The baseline spins on
+/// `prodCnt` and reads the slot behind a bogus address dependency (the
+/// cheap consumer side §4.1 describes); the Pilot consumer runs Algorithm 4
+/// per slot.
+async fn consumer(cpu: Cpu, variant: PcVariant, messages: u64) {
+    let mut prod_seen = 0;
+    let mut slots = PilotSlots::default();
+    let mut errors = 0;
+    let mut cons_cnt = 0;
+    loop {
+        let payload = match variant {
+            PcVariant::Baseline(_) => {
+                while prod_seen <= cons_cnt {
+                    prod_seen = cpu.op(Op::load_use(PROD_CNT)).await;
+                    if prod_seen <= cons_cnt {
+                        cpu.op(Op::Nops(1)).await;
                     }
-                    self.state = 1;
-                    return Op::load_use(PROD_CNT);
                 }
-                1 => {
-                    self.prod_seen = ctx.last_value();
-                    if self.prod_seen <= cons_cnt {
-                        self.state = 0;
-                        return Op::Nops(1);
-                    }
-                    self.state = 2;
-                }
-                2 => {
-                    self.state = 3;
-                    return Op::load_dep(slot_addr(cons_cnt), true);
-                }
-                _ => match self.delivery.step(ctx.last_value()) {
-                    Some(op) => return op,
-                    None => self.state = 0,
-                },
+                cpu.op(Op::load_dep(slot_addr(cons_cnt), true)).await
             }
+            PcVariant::Pilot { .. } => pilot_receive(cpu, cons_cnt, &mut slots).await,
+        };
+        if payload != msg_value(cons_cnt) {
+            errors += 1;
+        }
+        cons_cnt += 1;
+        cpu.op(Op::store(CONS_CNT, cons_cnt)).await;
+        cpu.op(Op::store(CONS_ERRORS, errors)).await;
+        if cons_cnt >= messages {
+            return;
         }
     }
 }
 
-/// The Pilot producer (§4.4): slot published via Algorithm 3; `prodCnt`
-/// stays core-private.
-struct PilotProducer {
-    production: Production,
-    old_data: [u64; BUF_SLOTS as usize],
-    local_flags: [u64; BUF_SLOTS as usize],
-    /// The message whose slot is being piloted.
-    filling: Option<u64>,
-}
-
-impl SimThread for PilotProducer {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        if let Some(seq) = self.filling.take() {
-            let idx = (seq % BUF_SLOTS) as usize;
-            let new_data = msg_value(seq); // sequence-shuffled payload
-            if new_data == self.old_data[idx] {
-                self.local_flags[idx] ^= 1;
-                return Op::store(flag_addr(seq), self.local_flags[idx]);
-            }
-            self.old_data[idx] = new_data;
-            return Op::store(slot_addr(seq), new_data);
+/// Algorithm 4 on the slot of message `seq`: spin until the data word
+/// (line 1) or the fallback flag (line 2) changes; returns the payload.
+async fn pilot_receive(cpu: Cpu, seq: u64, seen: &mut PilotSlots) -> u64 {
+    let idx = (seq % BUF_SLOTS) as usize;
+    loop {
+        let data = cpu.op(Op::load_use(slot_addr(seq))).await;
+        if data != seen.data[idx] {
+            seen.data[idx] = data;
+            break;
         }
-        loop {
-            match self.production.step(ctx) {
-                Produce::Emit(op) => return op,
-                // Algorithm 3 on the slot: the shuffle costs two local ALU
-                // ops (all-local, <5% worst case per §4.5).
-                Produce::Fill(seq) => {
-                    self.filling = Some(seq);
-                    return Op::Nops(2);
-                }
-                // Nothing to publish: the piloted slots were the messages.
-                Produce::BatchDone => {}
-            }
+        let flag = cpu.op(Op::load_use(flag_addr(seq))).await;
+        if flag != seen.flags[idx] {
+            seen.flags[idx] = flag;
+            break;
         }
+        cpu.op(Op::Nops(1)).await;
     }
-}
-
-/// The Pilot consumer (Algorithm 4 per slot).
-struct PilotConsumer {
-    delivery: Delivery,
-    old_data: [u64; BUF_SLOTS as usize],
-    old_flags: [u64; BUF_SLOTS as usize],
-    state: u8,
-}
-
-impl SimThread for PilotConsumer {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            let cons_cnt = self.delivery.cons_cnt;
-            let idx = (cons_cnt % BUF_SLOTS) as usize;
-            match self.state {
-                // Line 1: watch the data word.
-                0 => {
-                    self.state = 1;
-                    return Op::load_use(slot_addr(cons_cnt));
-                }
-                1 => {
-                    let data = ctx.last_value();
-                    if data != self.old_data[idx] {
-                        self.old_data[idx] = data;
-                        self.state = 3;
-                        continue;
-                    }
-                    // Line 2: the fallback flag.
-                    self.state = 2;
-                    return Op::load_use(flag_addr(cons_cnt));
-                }
-                2 => {
-                    if ctx.last_value() != self.old_flags[idx] {
-                        self.old_flags[idx] = ctx.last_value();
-                        self.state = 3;
-                        continue;
-                    }
-                    self.state = 0;
-                    return Op::Nops(1);
-                }
-                _ => match self.delivery.step(self.old_data[idx]) {
-                    Some(op) => return op,
-                    None => self.state = 0,
-                },
-            }
-        }
-    }
+    seen.data[idx]
 }
 
 /// Which channel implementation to run.
@@ -471,46 +307,16 @@ pub fn run_prodcons_with(
     let prod_core = bind.primary_core();
     let cons_core = bind.peer_core();
     let mut m = machine("prodcons", &platform, prod_core.max(cons_core) + 1, opts);
-    match variant {
-        PcVariant::Baseline(barriers) => {
-            m.add_thread_on(
-                prod_core,
-                Box::new(Producer {
-                    production: Production::new(barriers.avail, produce_nops, batch, messages),
-                    publish: barriers.publish,
-                    state: 0,
-                }),
-            );
-            m.add_thread_on(
-                cons_core,
-                Box::new(Consumer {
-                    delivery: Delivery::new(messages),
-                    prod_seen: 0,
-                    state: 0,
-                }),
-            );
-        }
-        PcVariant::Pilot { avail } => {
-            m.add_thread_on(
-                prod_core,
-                Box::new(PilotProducer {
-                    production: Production::new(avail, produce_nops, batch, messages),
-                    old_data: [0; BUF_SLOTS as usize],
-                    local_flags: [0; BUF_SLOTS as usize],
-                    filling: None,
-                }),
-            );
-            m.add_thread_on(
-                cons_core,
-                Box::new(PilotConsumer {
-                    delivery: Delivery::new(messages),
-                    old_data: [0; BUF_SLOTS as usize],
-                    old_flags: [0; BUF_SLOTS as usize],
-                    state: 0,
-                }),
-            );
-        }
-    }
+    m.add_thread_on(
+        prod_core,
+        Box::new(Script::new(|cpu| {
+            producer(cpu, variant, messages, batch, produce_nops)
+        })),
+    );
+    m.add_thread_on(
+        cons_core,
+        Box::new(Script::new(|cpu| consumer(cpu, variant, messages))),
+    );
     let max_cycles = messages * 40_000 + 1_000_000;
     let stats = m.run(max_cycles);
     assert!(stats.halted, "producer-consumer must drain within budget");

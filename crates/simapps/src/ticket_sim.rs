@@ -9,15 +9,16 @@
 //! unlock barrier sits strictly after RMRs and its overhead becomes visible
 //! (Observation 2); with zero global lines it is nearly free.
 //!
-//! What the lock's owner does between acquiring and handing off — and after
-//! the handoff — is the `InPlace` fragment, shared with `mcs_sim` so the
-//! two in-place baselines differ in their lock protocol only.
+//! What the lock's owner does between acquiring and handing off
+//! ([`critical_section`]) and after the handoff ([`pace`]) is shared with
+//! `mcs_sim`, so the two in-place baselines differ in their lock protocol
+//! only.
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Op, Platform, SimThread, StallBreakdown, ThreadCtx, Trace};
+use armbar_sim::{Cpu, Op, Platform, RmwKind, Script, StallBreakdown, Trace};
 
 use crate::harness::{machine, run_lock, RunOpts};
-use crate::lower::fence_op;
+use crate::lower::fence;
 use crate::metrics::DlockMetrics;
 
 /// Shared-memory layout.
@@ -27,157 +28,68 @@ const GLOBALS_BASE: u64 = 0x1000;
 /// Per-thread private counters (distinct lines far from shared state).
 const PRIVATE_BASE: u64 = 0x10_0000;
 
-/// Op number `step` of a critical section's walk over the shared lines
-/// `base + k * 64` — each one read, then written with a data dependency on
-/// the value just read — or `None` once all `lines` are modified.
-pub(crate) fn modify_lines(base: u64, lines: u32, step: u32, last_value: u64) -> Option<Op> {
-    if step >= lines * 2 {
-        return None;
+/// A critical section's walk over the shared lines `base + k * 64`: each of
+/// the `lines` is read, then written with a data dependency on the value
+/// just read.
+pub(crate) async fn modify_lines(cpu: Cpu, base: u64, lines: u32) {
+    for k in 0..u64::from(lines) {
+        let addr = base + k * 64;
+        let value = cpu.op(Op::load_use(addr)).await;
+        cpu.op(Op::store_dep(addr, value.wrapping_add(1))).await;
     }
-    let addr = base + u64::from(step / 2) * 64;
-    Some(if step.is_multiple_of(2) {
-        Op::load_use(addr)
-    } else {
-        Op::store_dep(addr, last_value.wrapping_add(1))
-    })
 }
 
-/// The lock-independent half of an in-place competitor: the critical
-/// section with its release-side barrier, and the end of the iteration.
-pub(crate) struct InPlace {
-    id: u64,
-    cfg: TicketConfig,
-    done: u64,
-    cs_step: u32,
-    /// Where [`InPlace::finish`] stands.
-    phase: u8,
+/// The lock-independent part of in-place competitor `id`'s critical section
+/// after `done` acquisitions, and the unlock barrier that follows it.
+pub(crate) async fn critical_section(cpu: Cpu, id: usize, cfg: &TicketConfig, done: u64) {
+    // Read+modify each global line, plus the private counter and any local
+    // work.
+    modify_lines(cpu, GLOBALS_BASE, cfg.global_lines).await;
+    cpu.op(Op::store(PRIVATE_BASE + id as u64 * 64, done + 1))
+        .await;
+    if cfg.cs_nops > 0 {
+        cpu.op(Op::Nops(cfg.cs_nops)).await;
+    }
+    // unlock: the configurable barrier comes first.
+    fence(cpu, cfg.release_barrier).await;
 }
 
-impl InPlace {
-    pub(crate) fn new(id: usize, cfg: TicketConfig) -> InPlace {
-        InPlace {
-            id: id as u64,
-            cfg,
-            done: 0,
-            cs_step: 0,
-            phase: 0,
-        }
+/// Between a handoff and the next acquisition: the contention knob (Figure
+/// 7(c)'s interval), then the iteration mark.
+pub(crate) async fn pace(cpu: Cpu, post_nops: u32) {
+    if post_nops > 0 {
+        cpu.op(Op::Nops(post_nops)).await;
     }
-
-    /// The next op of the critical section and the unlock barrier after it;
-    /// `None` once the lock may be handed off.
-    pub(crate) fn critical_section(&mut self, ctx: &ThreadCtx) -> Option<Op> {
-        let lines = self.cfg.global_lines;
-        loop {
-            let step = self.cs_step;
-            self.cs_step += 1;
-            // Read+modify each global line…
-            if let Some(op) = modify_lines(GLOBALS_BASE, lines, step, ctx.last_value()) {
-                return Some(op);
-            }
-            match step - lines * 2 {
-                // …plus the private counter and any local work.
-                0 => return Some(Op::store(PRIVATE_BASE + self.id * 64, self.done + 1)),
-                1 if self.cfg.cs_nops > 0 => return Some(Op::Nops(self.cfg.cs_nops)),
-                1 => {}
-                // unlock: the configurable barrier comes first.
-                2 => {
-                    if let Some(op) = fence_op(self.cfg.release_barrier) {
-                        return Some(op);
-                    }
-                }
-                _ => {
-                    self.cs_step = 0;
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// The next op after the handoff — retire, or pace and mark the
-    /// iteration; `None` once the lock should be taken again.
-    pub(crate) fn finish(&mut self) -> Option<Op> {
-        match self.phase {
-            0 => {
-                self.done += 1;
-                if self.done >= self.cfg.per_thread {
-                    return Some(Op::Halt);
-                }
-                if self.cfg.post_nops > 0 {
-                    // Contention knob (Figure 7(c)'s interval).
-                    self.phase = 1;
-                    return Some(Op::Nops(self.cfg.post_nops));
-                }
-                self.phase = 2;
-                Some(Op::IterationMark)
-            }
-            1 => {
-                self.phase = 2;
-                Some(Op::IterationMark)
-            }
-            _ => {
-                self.phase = 0;
-                None
-            }
-        }
-    }
+    cpu.op(Op::IterationMark).await;
 }
 
 /// One competitor.
-struct TicketThread {
-    body: InPlace,
-    ticket: u64,
-    state: u8,
-}
-
-impl SimThread for TicketThread {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        loop {
-            match self.state {
-                // lock: take a ticket.
-                0 => {
-                    self.state = 1;
-                    return Op::Rmw {
-                        addr: NEXT_TICKET,
-                        kind: armbar_sim::RmwKind::FetchAdd,
-                        operand: 1,
-                        acquire: false,
-                        release: false,
-                    };
-                }
-                1 => {
-                    self.ticket = ctx.last_value();
-                    self.state = 2;
-                }
-                // Spin on the owner counter.
-                2 => {
-                    self.state = 3;
-                    return Op::load_use(OWNER);
-                }
-                3 => {
-                    if ctx.last_value() != self.ticket {
-                        self.state = 2;
-                        return Op::Nops(1);
-                    }
-                    // Acquire-side ordering (cheap, LDAR-class).
-                    self.state = 4;
-                    return Op::Fence(Barrier::DmbLd);
-                }
-                4 => match self.body.critical_section(ctx) {
-                    Some(op) => return op,
-                    None => self.state = 5,
-                },
-                // unlock: advance the owner.
-                5 => {
-                    self.state = 6;
-                    return Op::store(OWNER, self.ticket + 1);
-                }
-                _ => match self.body.finish() {
-                    Some(op) => return op,
-                    None => self.state = 0,
-                },
-            }
+async fn competitor(cpu: Cpu, id: usize, cfg: TicketConfig) {
+    let mut done = 0;
+    loop {
+        // lock: take a ticket and spin on the owner counter.
+        let ticket = cpu
+            .op(Op::Rmw {
+                addr: NEXT_TICKET,
+                kind: RmwKind::FetchAdd,
+                operand: 1,
+                acquire: false,
+                release: false,
+            })
+            .await;
+        while cpu.op(Op::load_use(OWNER)).await != ticket {
+            cpu.op(Op::Nops(1)).await;
         }
+        // Acquire-side ordering (cheap, LDAR-class).
+        cpu.op(Op::Fence(Barrier::DmbLd)).await;
+        critical_section(cpu, id, &cfg, done).await;
+        // unlock: advance the owner.
+        cpu.op(Op::store(OWNER, ticket + 1)).await;
+        done += 1;
+        if done >= cfg.per_thread {
+            return;
+        }
+        pace(cpu, cfg.post_nops).await;
     }
 }
 
@@ -247,11 +159,7 @@ pub fn run_ticket_with(
     for core in 0..cfg.threads {
         m.add_thread_on(
             core,
-            Box::new(TicketThread {
-                body: InPlace::new(core, cfg),
-                ticket: 0,
-                state: 0,
-            }),
+            Box::new(Script::new(|cpu| competitor(cpu, core, cfg))),
         );
     }
     let total = cfg.per_thread * cfg.threads as u64;

@@ -17,19 +17,17 @@
 //!   programs across redundancy/necessity checks and whole experiment
 //!   batteries revisit the same litmus shapes. `ARMBAR_EXPLORE_MEMO=0`
 //!   disables the cache; [`explore_memo_stats`] reports hits/misses.
-//! * [`explore_oracle`] (and [`explore_with_sip_hasher`]) enumerate every
-//!   interleaving by naive cloning DFS. They survive purely as the
-//!   differential reference the engine is tested against — the engine
-//!   itself has no size ceiling anymore (multi-word packed states kick in
-//!   past 64 total instructions), so nothing in the production path falls
-//!   back here.
+//! * [`explore_oracle`] enumerates every interleaving by naive cloning
+//!   DFS. It survives purely as the differential reference the engine is
+//!   tested against — the engine itself has no size ceiling anymore
+//!   (multi-word packed states kick in past 64 total instructions), so
+//!   nothing in the production path falls back here.
 
 use std::collections::{BTreeMap, HashSet};
-use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use armbar_fxhash::{FxBuildHasher, FxHashMap};
+use armbar_fxhash::{FxHashMap, FxHashSet};
 
 use crate::engine;
 use crate::model::{Instr, MemoryModel, Program, Src};
@@ -329,27 +327,6 @@ pub fn explore_dpor_configured(
 /// machinery — differential tests compare the engine against it.
 #[must_use]
 pub fn explore_oracle(program: &Program, model: MemoryModel) -> OutcomeSet {
-    // The visited-set is the oracle's hottest structure: every DFS step
-    // hashes a full `State`. States are never adversarial, so the unkeyed
-    // FxHash scheme replaces SipHash here.
-    explore_with_hasher::<FxBuildHasher>(program, model)
-}
-
-/// [`explore_oracle`] with `std`'s default SipHash tables.
-///
-/// Exists purely as a regression hook: the hasher choice must never change
-/// the resulting [`OutcomeSet`] (outcomes are sorted and `states_visited`
-/// counts distinct states, independent of bucket order). Tests compare this
-/// against [`explore_oracle`] and against the engine.
-#[must_use]
-pub fn explore_with_sip_hasher(program: &Program, model: MemoryModel) -> OutcomeSet {
-    explore_with_hasher::<std::collections::hash_map::RandomState>(program, model)
-}
-
-fn explore_with_hasher<S: BuildHasher + Default>(
-    program: &Program,
-    model: MemoryModel,
-) -> OutcomeSet {
     for t in &program.threads {
         assert!(
             t.instrs.len() <= 64,
@@ -363,8 +340,11 @@ fn explore_with_hasher<S: BuildHasher + Default>(
         memory: init_mem,
     };
 
-    let mut seen: HashSet<State, S> = HashSet::default();
-    let mut outcomes: HashSet<Outcome, S> = HashSet::default();
+    // The visited-set is the oracle's hottest structure: every DFS step
+    // hashes a full `State`. States are never adversarial, so the unkeyed
+    // FxHash scheme replaces SipHash here.
+    let mut seen: FxHashSet<State> = FxHashSet::default();
+    let mut outcomes: FxHashSet<Outcome> = FxHashSet::default();
     // Successors are deduplicated at *push* time: the stack only ever holds
     // states that are in `seen` and not yet expanded, so its peak length is
     // bounded by the number of distinct states instead of the number of
@@ -562,22 +542,16 @@ mod tests {
 
     /// Regression lock for the canonical-iteration contract that lint
     /// diffing and `lint.csv` byte-stability depend on: iteration order is
-    /// sorted, duplicate-free, and identical across hashers and repeats.
+    /// sorted, duplicate-free, and the oracle's and the engine's alike.
     #[test]
-    fn iteration_order_is_canonical_across_hashers_and_reruns() {
+    fn iteration_order_is_canonical() {
         let p = prog(vec![
             vec![Instr::store(0, 1), Instr::load(0, 1), Instr::store(2, 5)],
             vec![Instr::store(1, 1), Instr::load(0, 0), Instr::load(1, 2)],
         ]);
         let fx = explore(&p, MemoryModel::ArmWmm);
         let oracle = explore_oracle(&p, MemoryModel::ArmWmm);
-        for _ in 0..3 {
-            // SipHash is randomly keyed per process table, so equality here
-            // shows the ordering does not depend on hash-bucket order.
-            let sip = explore_with_sip_hasher(&p, MemoryModel::ArmWmm);
-            assert_eq!(oracle, sip, "hasher choice changed the canonical set");
-            assert_eq!(fx.outcomes, sip.outcomes, "engine diverged from oracle");
-        }
+        assert_eq!(fx.outcomes, oracle.outcomes, "engine diverged from oracle");
         let listed: Vec<&Outcome> = fx.iter().collect();
         let mut resorted = listed.clone();
         resorted.sort();

@@ -56,8 +56,7 @@ pub mod witness;
 
 pub use explore::{
     explore, explore_dpor_configured, explore_dpor_uncached, explore_memo_clear,
-    explore_memo_stats, explore_oracle, explore_parallel, explore_with_sip_hasher, Outcome,
-    OutcomeDiff, OutcomeSet,
+    explore_memo_stats, explore_oracle, explore_parallel, Outcome, OutcomeDiff, OutcomeSet,
 };
 pub use litmus::LitmusTest;
 pub use model::{Instr, MemoryModel, Program, Src, Thread};

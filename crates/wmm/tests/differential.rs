@@ -1,4 +1,4 @@
-//! Differential suite: the DPOR engine vs the enumerative SipHash oracle.
+//! Differential suite: the DPOR engine vs the enumerative oracle.
 //!
 //! The engine's partial-order reduction is only sound if its outcome set
 //! equals the oracle's on *every* program — these tests sweep the litmus
@@ -11,9 +11,7 @@ use proptest::prelude::*;
 
 use armbar_barriers::Barrier;
 use armbar_wmm::battery::battery;
-use armbar_wmm::explore::{
-    explore_dpor_configured, explore_dpor_uncached, explore_with_sip_hasher,
-};
+use armbar_wmm::explore::{explore_dpor_configured, explore_dpor_uncached, explore_oracle};
 use armbar_wmm::model::{Instr, MemoryModel, Program, Thread};
 use armbar_wmm::witness::find_witness;
 
@@ -60,7 +58,7 @@ fn gen_program() -> impl Strategy<Value = Program> {
 
 /// Engine (serial and 4-worker) vs oracle on one program under one model.
 fn check(p: &Program, model: MemoryModel) {
-    let oracle = explore_with_sip_hasher(p, model);
+    let oracle = explore_oracle(p, model);
     let serial = explore_dpor_uncached(p, model, 1);
     let parallel = explore_dpor_uncached(p, model, 4);
     assert_eq!(
@@ -131,7 +129,7 @@ proptest! {
             init: vec![],
         };
         for model in MemoryModel::ALL {
-            let oracle = explore_with_sip_hasher(&p, model);
+            let oracle = explore_oracle(&p, model);
             let quotient = explore_dpor_configured(&p, model, 1, true);
             let full = explore_dpor_configured(&p, model, 1, false);
             prop_assert_eq!(&quotient.outcomes, &oracle.outcomes,

@@ -10,7 +10,7 @@
 //! replays through the independent checker.
 
 use armbar_barriers::{Acquire, Barrier};
-use armbar_wmm::explore::{explore_dpor_uncached, explore_with_sip_hasher};
+use armbar_wmm::explore::{explore_dpor_uncached, explore_oracle};
 use armbar_wmm::litmus::{
     acq_name, isa2_rel_acq, message_passing, release_sequence_rel_acq, store_buffering_rel_acq,
     wrc_rel_acq,
@@ -50,7 +50,7 @@ fn engine_matches_oracle_on_every_shape_model_and_worker_count() {
         for acq in [Acquire::Sc, Acquire::Pc] {
             let t = shape(acq);
             for model in MemoryModel::ALL {
-                let oracle = explore_with_sip_hasher(&t.program, model);
+                let oracle = explore_oracle(&t.program, model);
                 for workers in [1, 4] {
                     let engine = explore_dpor_uncached(&t.program, model, workers);
                     assert_eq!(
