@@ -1191,9 +1191,11 @@ impl Core {
                     }
                     let seq = self.next_seq;
                     self.next_seq += 1;
-                    let occupies = kind.occupies_rob_until_response()
-                        || (matches!(kind, Barrier::DmbFull | Barrier::DmbLd)
-                            && self.params_cache.dmb_holds_rob);
+                    let occupies = if matches!(kind, Barrier::DmbFull | Barrier::DmbLd) {
+                        self.params_cache.dmb_holds_rob
+                    } else {
+                        kind.occupies_rob_until_response()
+                    };
                     let slot = self.rob.push_instr(!occupies).expect("checked free()");
                     let waits_loads_now = self.loads.iter().any(|l| l.done_at > now);
                     let waits_stores_now = !self.sb.is_empty();
