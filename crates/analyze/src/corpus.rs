@@ -1,4 +1,4 @@
-//! The lint corpus: every [`Program`] `armbar-lint` analyzes by default.
+//! The lint corpus: every [`Program`] `armbar lint` analyzes by default.
 //!
 //! Three families, mirroring the paper's measurement targets:
 //!

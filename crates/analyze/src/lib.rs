@@ -1,4 +1,5 @@
-//! `armbar-lint`: a witness-backed static analyzer for ARM barrier usage.
+//! The analyzer behind `armbar lint` and `armbar synth`: witness-backed
+//! static analysis of ARM barrier usage.
 //!
 //! The paper's Table 3 tells you which order-preserving approach a given
 //! requirement *needs*; this crate turns that advice into a checker that
@@ -39,5 +40,5 @@ pub mod synth;
 
 pub use corpus::{corpus, LintCase};
 pub use lint::{analyze_case, analyze_corpus, Finding, FindingKind, Proof};
-pub use replay::{replay_cycles, saved_cycles};
+pub use replay::{replay_cycles, saved_cycles, REPLAY_ITERS};
 pub use synth::{chosen_point, pareto_fronts, synthesize, FrontPoint, Placement, SynthResult};

@@ -29,11 +29,11 @@ use armbar_wmm::mutate::{
     barrier_sites, remove_site, replace_fence, rewrite_acquire, BarrierSite, SiteKind,
 };
 use armbar_wmm::witness::{find_witness, Witness};
-use armbar_wmm::{MemoryModel, Program};
+use armbar_wmm::{MemoryModel, OutcomeDiff, OutcomeSet, Program};
 
 use crate::corpus::LintCase;
 
-/// The verdict classes `armbar-lint` emits.
+/// The verdict classes `armbar lint` emits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FindingKind {
     /// Deleting the site provably changes nothing: the mutated program's
@@ -131,6 +131,55 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// The verdict `kind` on `site` (`None`: the case as a whole) as the
+    /// explorer measured it: `base` is the original program's outcome
+    /// set, `mutated` the set after the mutation that decided the verdict
+    /// (`base` itself when there was none) and `diff` their difference.
+    /// Carries no suggestion; [`Finding::suggesting`] adds one.
+    fn new(
+        case: &LintCase,
+        site: Option<BarrierSite>,
+        kind: FindingKind,
+        base: &OutcomeSet,
+        mutated: &OutcomeSet,
+        diff: &OutcomeDiff,
+        proof: Proof,
+    ) -> Finding {
+        let original = site.map_or(Barrier::None, |s| s.kind.as_barrier());
+        Finding {
+            case: case.name.clone(),
+            site,
+            kind,
+            original,
+            suggestion: None,
+            caveat: false,
+            rank_before: cost_rank(original),
+            rank_after: cost_rank(original),
+            outcomes_base: base.len(),
+            outcomes_after: mutated.len(),
+            added: diff.added.len(),
+            removed: diff.removed.len(),
+            states_base: base.states_visited,
+            states_after: mutated.states_visited,
+            pruned_base: base.states_pruned,
+            pruned_after: mutated.states_pruned,
+            proof,
+            rewritten: None,
+        }
+    }
+
+    /// This finding, suggesting `to` (`Barrier::None`: delete the site) as
+    /// applied in `rewritten`.
+    fn suggesting(self, to: Barrier, caveat: bool, rewritten: Program) -> Finding {
+        Finding {
+            suggestion: Some(to),
+            caveat,
+            rank_after: cost_rank(to),
+            rewritten: Some(rewritten),
+            ..self
+        }
+    }
+
     /// `T0#1`-style site label, `-` for case-level findings.
     #[must_use]
     pub fn site_label(&self) -> String {
@@ -224,7 +273,7 @@ fn cheaper_candidates(req: OrderReq, orig: Barrier) -> Vec<(Barrier, bool)> {
 /// The exploration backend `analyze_case_with` runs: same signature as
 /// [`explore`]. Benchmarks pass [`armbar_wmm::explore_oracle`] to price
 /// the whole pipeline on the pre-DPOR explorer.
-pub type ExploreFn = fn(&Program, MemoryModel) -> armbar_wmm::OutcomeSet;
+pub type ExploreFn = fn(&Program, MemoryModel) -> OutcomeSet;
 
 /// Analyze one case: every site classified, plus the case-level missing
 /// verdict, in deterministic (site, then kind) order. Uses the default
@@ -239,6 +288,9 @@ pub fn analyze_case(case: &LintCase) -> Vec<Finding> {
 pub fn analyze_case_with(case: &LintCase, explorer: ExploreFn) -> Vec<Finding> {
     let model = MemoryModel::ArmWmm;
     let base = explorer(&case.program, model);
+    let verdict = |site, kind, mutated: &OutcomeSet, diff: &OutcomeDiff, proof| {
+        Finding::new(case, site, kind, &base, mutated, diff, proof)
+    };
     let mut findings = Vec::new();
 
     // Case-level: is the forbidden intent reachable right now?
@@ -251,26 +303,9 @@ pub fn analyze_case_with(case: &LintCase, explorer: ExploreFn) -> Vec<Finding> {
                 Some(&w.outcome),
                 "missing-ordering witness must replay"
             );
-            findings.push(Finding {
-                case: case.name.clone(),
-                site: None,
-                kind: FindingKind::Missing,
-                original: Barrier::None,
-                suggestion: None,
-                caveat: false,
-                rank_before: CostRank::Free,
-                rank_after: CostRank::Free,
-                outcomes_base: base.len(),
-                outcomes_after: base.len(),
-                added: 0,
-                removed: 0,
-                states_base: base.states_visited,
-                states_after: base.states_visited,
-                pruned_base: base.states_pruned,
-                pruned_after: base.states_pruned,
-                proof: Proof::CounterExample(w),
-                rewritten: None,
-            });
+            let (unchanged, proof) = (OutcomeDiff::default(), Proof::CounterExample(w));
+            let found = verdict(None, FindingKind::Missing, &base, &unchanged, proof);
+            findings.push(found);
         }
     }
 
@@ -284,148 +319,79 @@ pub fn analyze_case_with(case: &LintCase, explorer: ExploreFn) -> Vec<Finding> {
             "removal must only relax the outcome set"
         );
         if diff.is_equal() {
-            findings.push(Finding {
-                case: case.name.clone(),
-                site: Some(site),
-                kind: FindingKind::Redundant,
-                original: orig,
-                suggestion: Some(Barrier::None),
-                caveat: false,
-                rank_before: cost_rank(orig),
-                rank_after: CostRank::Free,
-                outcomes_base: base.len(),
-                outcomes_after: cut_set.len(),
-                added: 0,
-                removed: 0,
+            let proof = Proof::OutcomesEqual {
                 states_base: base.states_visited,
-                states_after: cut_set.states_visited,
-                pruned_base: base.states_pruned,
-                pruned_after: cut_set.states_pruned,
-                proof: Proof::OutcomesEqual {
-                    states_base: base.states_visited,
-                    states_mutated: cut_set.states_visited,
-                },
-                rewritten: Some(cut),
-            });
+                states_mutated: cut_set.states_visited,
+            };
+            let found = verdict(Some(site), FindingKind::Redundant, &cut_set, &diff, proof);
+            findings.push(found.suggesting(Barrier::None, false, cut));
             continue;
         }
 
-        // Necessary. The first (canonically smallest) newly-admitted
-        // outcome, executed, is the counterexample that kills removal.
-        let first_added = diff.added[0].clone();
-        let witness = find_witness(&cut, model, |o| *o == first_added)
-            .expect("added outcome must be reachable in the mutated program");
-        debug_assert_eq!(
-            witness.replay(&cut, model).as_ref(),
-            Some(&witness.outcome),
-            "kill witness must replay on the mutated program"
-        );
-
-        // Over-strong check for fences: can a cheaper verified substitute
-        // discharge the same requirement?
-        let mut substituted = false;
-        if matches!(site.kind, SiteKind::Fence(_)) {
-            if let Some(req) = fence_requirement(&case.program, site) {
-                for (cand, caveat) in cheaper_candidates(req, orig) {
-                    let Some(rewritten) = replace_fence(&case.program, site, cand) else {
-                        continue;
-                    };
-                    let sub_set = explorer(&rewritten, model);
-                    let sub_diff = base.diff(&sub_set);
-                    if !sub_diff.added.is_empty() {
-                        continue; // substitute would widen — rejected.
-                    }
-                    findings.push(Finding {
-                        case: case.name.clone(),
-                        site: Some(site),
-                        kind: FindingKind::OverStrong,
-                        original: orig,
-                        suggestion: Some(cand),
-                        caveat,
-                        rank_before: cost_rank(orig),
-                        rank_after: cost_rank(cand),
-                        outcomes_base: base.len(),
-                        outcomes_after: sub_set.len(),
-                        added: 0,
-                        removed: sub_diff.removed.len(),
-                        states_base: base.states_visited,
-                        states_after: sub_set.states_visited,
-                        pruned_base: base.states_pruned,
-                        pruned_after: sub_set.states_pruned,
-                        proof: Proof::OutcomesPreserved {
-                            removed: sub_diff.removed.len(),
-                        },
-                        rewritten: Some(rewritten),
-                    });
-                    substituted = true;
-                    break;
-                }
-            }
-        }
-
-        // Over-strong check for RCsc acquires: does dialling LDAR down to
-        // LDAPR (keeping acquire-vs-younger ordering, dropping only the
-        // earlier-release-before-this-load rule) admit any new outcome? A
-        // relaxation can only grow the set, so an empty diff here is full
-        // outcome-set equality, not mere preservation.
-        if site.kind == SiteKind::Acquire {
-            if let Some(rewritten) = rewrite_acquire(&case.program, site, Acquire::Pc) {
+        // Over-strong? The cheaper substitutes worth proving, cheapest
+        // first: for a fence, the advisor's candidates for the requirement
+        // it discharges; for an RCsc acquire, LDAPR (keeping
+        // acquire-vs-younger ordering, dropping only the
+        // earlier-release-before-this-load rule).
+        let substitutes: Vec<(Barrier, bool, Program)> = match site.kind {
+            SiteKind::Fence(_) => fence_requirement(&case.program, site)
+                .map_or_else(Vec::new, |req| cheaper_candidates(req, orig))
+                .into_iter()
+                .filter_map(|(cand, caveat)| {
+                    Some((cand, caveat, replace_fence(&case.program, site, cand)?))
+                })
+                .collect(),
+            SiteKind::Acquire => rewrite_acquire(&case.program, site, Acquire::Pc)
+                .map(|rewritten| (Barrier::Ldapr, false, rewritten))
+                .into_iter()
+                .collect(),
+            _ => Vec::new(),
+        };
+        let substituted = substitutes
+            .into_iter()
+            .find_map(|(cand, caveat, rewritten)| {
                 let sub_set = explorer(&rewritten, model);
                 let sub_diff = base.diff(&sub_set);
-                debug_assert!(
-                    sub_diff.removed.is_empty(),
-                    "weakening LDAR to LDAPR can only relax the outcome set"
-                );
-                if sub_diff.added.is_empty() {
-                    findings.push(Finding {
-                        case: case.name.clone(),
-                        site: Some(site),
-                        kind: FindingKind::OverStrong,
-                        original: orig,
-                        suggestion: Some(Barrier::Ldapr),
-                        caveat: false,
-                        rank_before: cost_rank(orig),
-                        rank_after: cost_rank(Barrier::Ldapr),
-                        outcomes_base: base.len(),
-                        outcomes_after: sub_set.len(),
-                        added: 0,
-                        removed: 0,
-                        states_base: base.states_visited,
-                        states_after: sub_set.states_visited,
-                        pruned_base: base.states_pruned,
-                        pruned_after: sub_set.states_pruned,
-                        proof: Proof::OutcomesEqual {
-                            states_base: base.states_visited,
-                            states_mutated: sub_set.states_visited,
-                        },
-                        rewritten: Some(rewritten),
-                    });
-                    substituted = true;
+                if !sub_diff.added.is_empty() {
+                    return None; // substitute would widen — rejected.
                 }
-            }
-        }
-        if !substituted {
-            findings.push(Finding {
-                case: case.name.clone(),
-                site: Some(site),
-                kind: FindingKind::Necessary,
-                original: orig,
-                suggestion: None,
-                caveat: false,
-                rank_before: cost_rank(orig),
-                rank_after: cost_rank(orig),
-                outcomes_base: base.len(),
-                outcomes_after: cut_set.len(),
-                added: diff.added.len(),
-                removed: 0,
-                states_base: base.states_visited,
-                states_after: cut_set.states_visited,
-                pruned_base: base.states_pruned,
-                pruned_after: cut_set.states_pruned,
-                proof: Proof::CounterExample(witness),
-                rewritten: None,
+                // Weakening LDAR to LDAPR can only grow the set, so an empty
+                // diff there is full equality, not mere preservation.
+                let proof = if site.kind == SiteKind::Acquire {
+                    debug_assert!(sub_diff.removed.is_empty());
+                    Proof::OutcomesEqual {
+                        states_base: base.states_visited,
+                        states_mutated: sub_set.states_visited,
+                    }
+                } else {
+                    Proof::OutcomesPreserved {
+                        removed: sub_diff.removed.len(),
+                    }
+                };
+                let found = verdict(
+                    Some(site),
+                    FindingKind::OverStrong,
+                    &sub_set,
+                    &sub_diff,
+                    proof,
+                );
+                Some(found.suggesting(cand, caveat, rewritten))
             });
-        }
+
+        // Necessary otherwise. The first (canonically smallest)
+        // newly-admitted outcome, executed, is the counterexample that
+        // kills removal.
+        findings.push(substituted.unwrap_or_else(|| {
+            let witness = find_witness(&cut, model, |o| *o == diff.added[0])
+                .expect("added outcome must be reachable in the mutated program");
+            debug_assert_eq!(
+                witness.replay(&cut, model).as_ref(),
+                Some(&witness.outcome),
+                "kill witness must replay on the mutated program"
+            );
+            let proof = Proof::CounterExample(witness);
+            verdict(Some(site), FindingKind::Necessary, &cut_set, &diff, proof)
+        }));
     }
     findings
 }

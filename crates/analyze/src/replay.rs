@@ -3,7 +3,7 @@
 //! lint suggestion actually saves on each platform profile.
 //!
 //! The static analyzer proves a rewrite *safe*; this module prices it.
-//! Each `wmm` thread becomes a [`SimThread`] that re-issues its body for a
+//! Each `wmm` thread becomes a [`Script`] that re-issues its body for a
 //! fixed number of iterations (barrier costs are per-execution, so a
 //! single pass would drown in startup noise), one thread per core, and the
 //! machine runs to quiescence. The difference in total machine cycles
@@ -11,9 +11,12 @@
 //! [`PlatformKind`] — is the `saved_*` column of `lint.csv`.
 
 use armbar_barriers::Barrier;
-use armbar_sim::op::{Op, SimThread, ThreadCtx};
-use armbar_sim::{Machine, Platform, PlatformKind};
+use armbar_sim::{Cpu, Machine, Op, Platform, PlatformKind, Script};
 use armbar_wmm::{Instr, Program, Src};
+
+/// Body repetitions every caller prices a program with (`lint.csv`,
+/// `synth.csv`, `rcpc.csv` and the `armbar lint|synth` reports).
+pub const REPLAY_ITERS: u64 = 200;
 
 /// Locations are mapped to line-disjoint addresses so coherence traffic,
 /// not false sharing, dominates — matching the litmus intent.
@@ -64,37 +67,13 @@ fn op_of(instr: &Instr) -> Option<Op> {
     }
 }
 
-/// A thread replaying one litmus thread body `iterations` times.
-struct ReplayThread {
-    ops: Vec<Op>,
-    pos: usize,
-    iterations: u64,
-}
-
-impl ReplayThread {
-    fn new(instrs: &[Instr], iterations: u64) -> ReplayThread {
-        let mut ops: Vec<Op> = instrs.iter().filter_map(op_of).collect();
-        ops.push(Op::IterationMark);
-        ReplayThread {
-            ops,
-            pos: 0,
-            iterations,
+/// One litmus thread body, re-issued `iterations` times.
+async fn replay(cpu: Cpu, ops: Vec<Op>, iterations: u64) {
+    for _ in 0..iterations {
+        for &op in &ops {
+            cpu.op(op).await;
         }
-    }
-}
-
-impl SimThread for ReplayThread {
-    fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-        if self.iterations == 0 {
-            return Op::Halt;
-        }
-        let op = self.ops[self.pos];
-        self.pos += 1;
-        if self.pos == self.ops.len() {
-            self.pos = 0;
-            self.iterations -= 1;
-        }
-        op
+        cpu.op(Op::IterationMark).await;
     }
 }
 
@@ -105,7 +84,11 @@ impl SimThread for ReplayThread {
 pub fn replay_cycles(program: &Program, platform: Platform, iterations: u64) -> u64 {
     let mut m = Machine::new(platform);
     for (tid, thread) in program.threads.iter().enumerate() {
-        m.add_thread_on(tid, Box::new(ReplayThread::new(&thread.instrs, iterations)));
+        let ops: Vec<Op> = thread.instrs.iter().filter_map(op_of).collect();
+        m.add_thread_on(
+            tid,
+            Box::new(Script::new(|cpu| replay(cpu, ops, iterations))),
+        );
     }
     for &(loc, v) in &program.init {
         m.preset_memory(loc_addr(loc), v);
@@ -121,13 +104,11 @@ pub fn replay_cycles(program: &Program, platform: Platform, iterations: u64) -> 
 /// its measure-first caveat).
 #[must_use]
 pub fn saved_cycles(original: &Program, rewritten: &Program, iterations: u64) -> [i64; 4] {
-    let mut out = [0i64; 4];
-    for (i, kind) in PlatformKind::ALL.iter().enumerate() {
-        let base = replay_cycles(original, Platform::of(*kind), iterations);
-        let var = replay_cycles(rewritten, Platform::of(*kind), iterations);
-        out[i] = i64::try_from(base).unwrap_or(i64::MAX) - i64::try_from(var).unwrap_or(i64::MAX);
-    }
-    out
+    PlatformKind::ALL.map(|kind| {
+        let base = replay_cycles(original, Platform::of(kind), iterations);
+        let var = replay_cycles(rewritten, Platform::of(kind), iterations);
+        i64::try_from(base).unwrap_or(i64::MAX) - i64::try_from(var).unwrap_or(i64::MAX)
+    })
 }
 
 #[cfg(test)]

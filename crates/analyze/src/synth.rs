@@ -1,6 +1,6 @@
 //! Whole-program barrier-placement synthesis.
 //!
-//! `armbar-lint` judges each site in isolation; this module searches the
+//! `armbar lint` judges each site in isolation; this module searches the
 //! *joint* rewrite space — every combination of fence swaps,
 //! acquire/release attachment, constructed `addr`/`data`/`ctrl`
 //! dependencies, `LDAR`→`LDAPR` downgrades, and outright removals over all
@@ -50,7 +50,7 @@
 //! whether the cap was hit. Regardless of the cap, the result is never
 //! worse than the best *single-site* rewrite: every individually-safe
 //! option from step 1 is seeded into the incumbent table before the
-//! search starts, which is exactly the space `armbar-lint` reports on.
+//! search starts, which is exactly the space `armbar lint` reports on.
 
 use std::collections::BTreeMap;
 
@@ -410,7 +410,7 @@ pub fn synthesize_with(case: &LintCase, explorer: ExploreFn) -> SynthResult {
     let mut incumbents = Incumbents::new();
     incumbents.offer(seed.clone());
     // Seed every individually-verified single-site rewrite: this is the
-    // space `armbar-lint` reports on, so whatever the joint search does
+    // space `armbar lint` reports on, so whatever the joint search does
     // the result is at least as cheap as any accepted lint suggestion.
     for (rewrite, mutated, removed) in singles {
         let choices: Vec<(BarrierSite, Barrier)> = seed_choices

@@ -1,5 +1,5 @@
 //! The degenerate-case acceptance criterion for the synthesizer: every
-//! single-site rewrite `armbar-lint` accepts is a point in the joint
+//! single-site rewrite `armbar lint` accepts is a point in the joint
 //! search space, so whole-program synthesis must always land at a
 //! placement at least as cheap (by cost-rank score) as applying any one
 //! lint suggestion alone — and never above the untouched seed.

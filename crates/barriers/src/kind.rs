@@ -264,12 +264,6 @@ impl Barrier {
         )
     }
 
-    /// Whether this approach flushes the pipeline (fixed refill cost).
-    #[must_use]
-    pub fn flushes_pipeline(self) -> bool {
-        matches!(self, Barrier::Isb | Barrier::CtrlIsb)
-    }
-
     /// Whether the approach is a dependency idiom rather than an instruction.
     #[must_use]
     pub fn is_dependency(self) -> bool {
@@ -277,13 +271,6 @@ impl Barrier {
             self,
             Barrier::DataDep | Barrier::AddrDep | Barrier::Ctrl | Barrier::CtrlIsb
         )
-    }
-
-    /// Whether the approach is attached to a specific access rather than
-    /// standing alone in the instruction stream (LDAR, STLR, dependencies).
-    #[must_use]
-    pub fn is_access_attached(self) -> bool {
-        matches!(self, Barrier::Ldar | Barrier::Ldapr | Barrier::Stlr) || self.is_dependency()
     }
 
     /// The mnemonic used in the paper's figures (e.g. `DMB full`, `LDAR`).

@@ -1,14 +1,14 @@
-//! The worker pool behind the sweep engine: a crossbeam work-stealing
-//! deque per worker fed from a shared injector, sized by `ARMBAR_JOBS`.
+//! The worker pool behind the sweep engine: `ARMBAR_JOBS` scoped threads
+//! claiming jobs off one shared queue.
 //!
-//! Jobs are independent closures; results come back in submission order,
-//! so callers observe exactly what a serial loop would have produced.
-//! `ARMBAR_JOBS=1` (or a single job) bypasses the pool entirely and runs
-//! the jobs inline on the calling thread — the old serial path.
+//! Jobs are independent closures, milliseconds each, and nothing ever
+//! spawns a job from inside a job — so there is no local queue to steal
+//! from and one mutex-guarded iterator is the whole hand-off. Results come
+//! back in submission order, so callers observe exactly what a serial loop
+//! would have produced. `ARMBAR_JOBS=1` (or a single job) bypasses the
+//! pool entirely and runs the jobs inline on the calling thread.
 
 use std::sync::Mutex;
-
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 
 /// Number of sweep workers: `ARMBAR_JOBS` when set to a positive integer,
 /// otherwise the number of available cores — with one stderr line when the
@@ -47,13 +47,14 @@ pub fn resolve_jobs(var: Option<&str>, cores: usize) -> (usize, Option<String>) 
 /// Run every job and return their results in submission order.
 ///
 /// With `workers <= 1` or fewer than two jobs this is a plain serial loop.
-/// Otherwise `workers` (capped at the job count) scoped threads drain a
-/// shared [`Injector`], falling back to stealing from each other's local
-/// deques, and park each result in its submission slot.
+/// Otherwise `workers` (capped at the job count) scoped threads claim jobs
+/// from the front of a shared queue until it is empty; each hands back the
+/// `(submission index, result)` pairs it produced through its join handle.
 ///
 /// # Panics
 ///
-/// Propagates panics from the jobs themselves (the scope unwinds).
+/// Propagates the panic of a job (the first one in worker order), after
+/// every worker has stopped.
 pub fn run_jobs<T, F>(jobs: Vec<F>, workers: usize) -> Vec<T>
 where
     T: Send,
@@ -62,65 +63,30 @@ where
     if workers <= 1 || jobs.len() <= 1 {
         return jobs.into_iter().map(|f| f()).collect();
     }
-    let slots: Vec<Mutex<Option<T>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-    let injector: Injector<(usize, F)> = Injector::new();
     let worker_n = workers.min(jobs.len());
-    for pair in jobs.into_iter().enumerate() {
-        injector.push(pair);
-    }
-    let locals: Vec<Worker<(usize, F)>> = (0..worker_n).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(usize, F)>> = locals.iter().map(Worker::stealer).collect();
-    std::thread::scope(|scope| {
-        for (me, local) in locals.iter().enumerate() {
-            let (injector, stealers, slots) = (&injector, &stealers, &slots);
-            scope.spawn(move || {
-                while let Some((ix, job)) = find_task(local, injector, stealers, me) {
-                    let out = job();
-                    *slots[ix].lock().expect("result slot poisoned") = Some(out);
-                }
-            });
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    // A worker never holds the lock while it runs a job, so a panicking
+    // job cannot poison the queue for the others.
+    let claim = || queue.lock().expect("job queue poisoned").next();
+    let drain = || {
+        let mut done = Vec::new();
+        while let Some((ix, job)) = claim() {
+            done.push((ix, job()));
         }
+        done
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..worker_n).map(|_| scope.spawn(drain)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every job ran")
-        })
-        .collect()
-}
-
-/// Local deque first, then the shared injector, then the other workers.
-fn find_task<T>(
-    local: &Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-    me: usize,
-) -> Option<T> {
-    if let Some(task) = local.pop() {
-        return Some(task);
-    }
-    loop {
-        match injector.steal() {
-            Steal::Success(task) => return Some(task),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    for (other, stealer) in stealers.iter().enumerate() {
-        if other == me {
-            continue;
-        }
-        loop {
-            match stealer.steal() {
-                Steal::Success(task) => return Some(task),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-    }
-    None
+    done.sort_unstable_by_key(|&(ix, _)| ix);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]
@@ -168,5 +134,39 @@ mod tests {
         let none: Vec<fn() -> u8> = Vec::new();
         assert!(run_jobs(none, 4).is_empty());
         assert_eq!(run_jobs(vec![|| 9u8], 4), vec![9]);
+    }
+
+    #[test]
+    fn a_panicking_job_propagates_out_of_the_pool() {
+        let jobs: Vec<_> = (0..16u32)
+            .map(|i| move || assert_ne!(i, 11, "job eleven gives up"))
+            .collect();
+        let caught = std::panic::catch_unwind(|| run_jobs(jobs, 4)).expect_err("must unwind");
+        let message = caught
+            .downcast_ref::<String>()
+            .expect("the job's own payload");
+        assert!(message.contains("job eleven gives up"), "{message}");
+    }
+
+    #[test]
+    fn a_thousand_small_jobs_on_eight_workers_each_run_exactly_once() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let runs: Vec<AtomicU32> = (0..1000).map(|_| AtomicU32::new(0)).collect();
+        let jobs: Vec<_> = runs
+            .iter()
+            .enumerate()
+            .map(|(i, count)| {
+                move || {
+                    let until = std::time::Instant::now() + std::time::Duration::from_micros(1);
+                    while std::time::Instant::now() < until {
+                        std::hint::spin_loop();
+                    }
+                    count.fetch_add(1, Ordering::Relaxed);
+                    i
+                }
+            })
+            .collect();
+        assert_eq!(run_jobs(jobs, 8), (0..1000).collect::<Vec<_>>());
+        assert!(runs.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 }

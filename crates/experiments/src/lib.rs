@@ -3,16 +3,16 @@
 //! land as CSV under `results/`.
 //!
 //! Experiments declare their configuration grids as [`sweep::SweepSpec`]
-//! cells; the sweep engine executes independent cells on a work-stealing
-//! pool sized by `ARMBAR_JOBS` ([`jobs`]) and memoizes completed runs in a
-//! content-addressed cache under `results/.cache/` ([`cache`]), while
-//! keeping the CSV output byte-identical to a serial run.
+//! cells; the sweep engine executes independent cells on a pool of
+//! `ARMBAR_JOBS` threads claiming them off one queue ([`jobs`]) and
+//! memoizes completed runs in a content-addressed cache under
+//! `results/.cache/` ([`cache`]), while keeping the CSV output
+//! byte-identical to a serial run.
 //!
 //! [`EXPERIMENTS`] is the only place an experiment is named. The `armbar`
-//! binary (`list`, `run <id…|all>`, `verify [id…]`, `bench sim|explore`)
-//! drives it, [`verify`] holds the byte-identity ladder once, and the
-//! Criterion benches in `armbar-bench` wrap the same workloads for
-//! regression tracking.
+//! binary (`list`, `run <id…|all>`, `verify [id…]`, `bench sim|explore`,
+//! plus the analyzer front-ends `lint`, `synth`, `lift`) drives it, and
+//! [`verify`] holds the byte-identity ladder once.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

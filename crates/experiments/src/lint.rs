@@ -1,4 +1,4 @@
-//! `armbar run lint`: sweep the `armbar-lint` corpus through the sweep engine +
+//! `armbar run lint`: sweep the `armbar lint` corpus through the sweep engine +
 //! run cache and write `results/lint.csv` — one row per finding, carrying
 //! the verdict, the suggested replacement, the outcome-set delta that
 //! proves it, and the cycles the rewrite saves on each platform profile.
@@ -15,16 +15,12 @@ use std::fmt::Write as _;
 
 use armbar_analyze::corpus::corpus;
 use armbar_analyze::lint::{analyze_case, FindingKind, Proof};
-use armbar_analyze::replay::saved_cycles;
+use armbar_analyze::replay::{saved_cycles, REPLAY_ITERS};
 use armbar_barriers::Barrier;
 
 use crate::cache::{code_in, model_key};
 use crate::report::{escape, platform_columns, Table};
 use crate::sweep::{SweepCtx, SweepSpec};
-
-/// Replay depth used by the real experiment (the determinism test runs
-/// shallower).
-pub const LINT_REPLAY_ITERS: u64 = 200;
 
 /// Everything `lint.csv` needs about one finding, in cache-encodable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -291,7 +287,7 @@ pub fn lint(ctx: &SweepCtx) -> Vec<Table> {
     // Wall time goes to stdout only: lint.csv must stay byte-identical
     // across hosts and worker counts (`armbar verify` diffs it).
     let t0 = std::time::Instant::now();
-    let (csv, rows) = lint_results(ctx, LINT_REPLAY_ITERS);
+    let (csv, rows) = lint_results(ctx, REPLAY_ITERS);
     let wall = t0.elapsed();
     ctx.write_side_csv("lint.csv", &csv);
     let mut columns = vec!["findings".to_string()];

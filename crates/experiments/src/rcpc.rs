@@ -11,7 +11,7 @@
 //! STLR; the controls show identical outcome sets, pinning the semantic
 //! delta to the release-before-acquire rule and nothing else.
 
-use armbar_analyze::replay::replay_cycles;
+use armbar_analyze::replay::{replay_cycles, REPLAY_ITERS};
 use armbar_barriers::{Acquire, Barrier};
 use armbar_sim::{Platform, PlatformKind};
 use armbar_wmm::explore::explore;
@@ -23,10 +23,6 @@ use armbar_wmm::{LitmusTest, MemoryModel};
 use crate::cache::model_key;
 use crate::report::{platform_columns, Table};
 use crate::sweep::{CellId, SweepCtx, SweepSpec};
-
-/// Replay depth for the priced columns (mirrors the lint experiment:
-/// per-execution barrier costs need repetition to dominate startup).
-pub const RCPC_REPLAY_ITERS: u64 = 200;
 
 /// The swept shapes: every RCpc/RCsc-distinguishing litmus pattern the
 /// model knows, plus the non-distinguishing controls.
@@ -76,7 +72,7 @@ pub fn rcpc_grid(sweep: &mut SweepSpec, replay_iters: u64) -> Vec<(String, CellI
 #[must_use]
 pub fn rcpc(ctx: &SweepCtx) -> Vec<Table> {
     let mut sweep = SweepSpec::new("rcpc");
-    let rows = rcpc_grid(&mut sweep, RCPC_REPLAY_ITERS);
+    let rows = rcpc_grid(&mut sweep, REPLAY_ITERS);
     let r = sweep.run(ctx);
     let mut columns = vec!["outcomes".to_string(), "relaxed_allowed".to_string()];
     columns.extend(platform_columns("cycles"));

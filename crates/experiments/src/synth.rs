@@ -18,16 +18,13 @@
 use std::fmt::Write as _;
 
 use armbar_analyze::corpus::corpus;
+use armbar_analyze::replay::REPLAY_ITERS;
 use armbar_analyze::synth::{chosen_point, pareto_fronts, synthesize};
 use armbar_sim::PlatformKind;
 
 use crate::cache::{code_in, model_key};
 use crate::report::{escape, platform_columns, Table};
 use crate::sweep::{SweepCtx, SweepSpec};
-
-/// Replay depth used by the real experiment (the determinism test runs
-/// shallower).
-pub const SYNTH_REPLAY_ITERS: u64 = 200;
 
 /// One Pareto-front point, in cache-encodable form.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,7 +277,7 @@ pub fn synth(ctx: &SweepCtx) -> Vec<Table> {
     // Wall time goes to stdout only: synth.csv must stay byte-identical
     // across hosts and worker counts (`armbar verify` diffs it).
     let t0 = std::time::Instant::now();
-    let (csv, rows) = synth_results(ctx, SYNTH_REPLAY_ITERS);
+    let (csv, rows) = synth_results(ctx, REPLAY_ITERS);
     let wall = t0.elapsed();
     ctx.write_side_csv("synth.csv", &csv);
     let mut columns = vec![

@@ -1,6 +1,8 @@
-//! The `armbar` binary end to end: exit codes (0 ok, 1 a gate failed or an
-//! output was not written, 2 nothing matched), the `run` output layout,
-//! and `verify` against a reference that is right and one that is not.
+//! The `armbar` binary end to end: exit codes (0 ok, 1 a gate failed, an
+//! output was not written or the analyzer found work, 2 nothing matched,
+//! 3 an assembly file could not be read or lifted), the `run` output
+//! layout, `verify` against a reference that is right and one that is
+//! not, and `lint`/`synth`/`lift` on the corpus and on real `.s` files.
 //!
 //! Every invocation runs in a scratch directory of its own: the binary
 //! reads and writes `results/` relative to where it is started.
@@ -33,19 +35,27 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// `rel` of this checkout (the binary runs in a scratch directory).
+fn repo_path(rel: &str) -> String {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    root.join(rel).to_string_lossy().into_owned()
+}
+
 /// The committed `results/<file>` of this checkout.
 fn committed(file: &str) -> Vec<u8> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results")
-        .join(file);
-    fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    let path = repo_path(&format!("results/{file}"));
+    fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
 }
 
 #[test]
 fn list_prints_every_registry_id() {
     let out = armbar(&scratch("list"), &["list"]);
     assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stdout = stdout(&out);
     let ids: Vec<&str> = stdout.lines().collect();
     let registry: Vec<&str> = EXPERIMENTS.iter().map(|e| e.id).collect();
     assert_eq!(ids, registry);
@@ -85,7 +95,7 @@ fn run_prints_the_banner_layout_and_writes_the_reference_bytes() {
     let dir = scratch("run");
     let out = armbar(&dir, &["run", "table1", "table3"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let stdout = stdout(&out);
     for needle in [
         "\n########## table1 ##########\n",
         "[table1 took ",
@@ -159,4 +169,81 @@ fn verify_passes_on_the_committed_reference_and_names_a_flipped_byte() {
     let err = stderr(&out);
     assert!(err.contains("results/table1.csv: line 2 differs"), "{err}");
     assert!(err.contains("verify failed for table1"), "{err}");
+}
+
+#[test]
+fn linting_the_ticket_fixture_finds_the_seeded_overstrong_fence() {
+    let fixture = repo_path("corpus/asm/ticket_lock.s");
+    let out = armbar(&scratch("lint_ticket"), &["lint", &fixture]);
+    let stdout = stdout(&out);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "seeded fixture must yield an actionable finding; stdout:\n{stdout}"
+    );
+    assert!(stdout.contains("lifted"), "missing lift banner:\n{stdout}");
+    assert!(
+        stdout.contains("DSB st") && stdout.contains("use DMB st"),
+        "expected the over-strong DSB st downgrade:\n{stdout}"
+    );
+    assert!(
+        stdout.contains("symbol grant @ m62"),
+        "expected the symbol map in the report:\n{stdout}"
+    );
+}
+
+#[test]
+fn malformed_asm_exits_3_with_line_and_col() {
+    let fixture = repo_path("corpus/asm/bad/unbounded_loop.s");
+    let out = armbar(&scratch("lint_bad"), &["lint", &fixture]);
+    assert_eq!(out.status.code(), Some(3));
+    let err = stderr(&out);
+    assert!(
+        err.contains("unbounded_loop.s:9:5:"),
+        "expected path:line:col diagnostic, got:\n{err}"
+    );
+    assert!(err.contains("unbounded loop"), "{err}");
+}
+
+#[test]
+fn missing_file_exits_3() {
+    for command in ["lint", "lift"] {
+        let out = armbar(
+            &scratch(&format!("missing_{command}")),
+            &[command, "definitely_missing_file.s"],
+        );
+        assert_eq!(out.status.code(), Some(3), "{command}");
+        assert!(stderr(&out).contains("cannot read file"), "{command}");
+    }
+}
+
+#[test]
+fn empty_corpus_filter_exits_2() {
+    for command in ["lint", "synth"] {
+        let out = armbar(
+            &scratch(&format!("nomatch_{command}")),
+            &[command, "no-such-corpus-case-substring"],
+        );
+        assert_eq!(out.status.code(), Some(2), "{command}");
+    }
+}
+
+#[test]
+fn synth_exits_1_when_a_case_has_a_cheaper_placement() {
+    let out = armbar(&scratch("synth_mp"), &["synth", "MP"]);
+    let stdout = stdout(&out);
+    assert_eq!(out.status.code(), Some(1), "{stdout}");
+    assert!(stdout.contains("with cheaper placements"), "{stdout}");
+    assert!(stdout.contains("front: "), "{stdout}");
+}
+
+#[test]
+fn lift_prints_the_symbol_map_and_the_recovered_program() {
+    let fixture = repo_path("corpus/asm/ticket_lock.s");
+    let out = armbar(&scratch("lift"), &["lift", &fixture]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = stdout(&out);
+    assert!(stdout.contains("symbol grant @ m62"), "{stdout}");
+    assert!(stdout.contains("T0:\n  str #20, [m1]\n"), "{stdout}");
+    assert!(stdout.contains("\n  dsb ishst\n"), "{stdout}");
 }

@@ -3,7 +3,7 @@
 //!
 //! The parser is purely syntactic — it validates mnemonics, operand
 //! shapes, and pragma grammar, and records a [`SrcPos`] for every item so
-//! later passes (and the `armbar-lint <file.s>` CLI) can report
+//! later passes (and the `armbar lint <file.s>` CLI) can report
 //! `line:col`-located diagnostics. Whether a symbol exists, a loop is
 //! bounded, or a register holds a usable value is the lifter's business.
 //!

@@ -12,7 +12,7 @@
 //! This is a deliberately *naive* port on the barrier axis: it ships with
 //! `DMB ISH` for both the request and response barriers — the placement a
 //! straight x86→ARM translation produces — so it is the suite's worked
-//! example of what `armbar-lint` should flag (Observation 6: the request
+//! example of what `armbar lint` should flag (Observation 6: the request
 //! barrier can weaken to an acquire load, the response barrier to
 //! `DMB ISHST`). Use [`CcSynch::with_barriers`] for the tuned pairs.
 //!
@@ -95,7 +95,7 @@ pub struct CcSynch<T> {
 
 impl<T: Send> CcSynch<T> {
     /// Flag-completion CC-Synch with the naive full-fence pair a direct
-    /// port ships with (see the module docs; `armbar-lint` weakens both).
+    /// port ships with (see the module docs; `armbar lint` weakens both).
     #[must_use]
     pub fn new(max_threads: usize, state: T, ops: OpTable<T>) -> CcSynch<T> {
         CcSynch::with_barriers(

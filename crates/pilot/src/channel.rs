@@ -46,12 +46,6 @@ impl BarrierPair {
         avail: Barrier::DmbFull,
         publish: Barrier::DmbFull,
     };
-    /// "Ideal": no barriers at all — incorrect on ARM, the paper's upper
-    /// reference line.
-    pub const IDEAL: BarrierPair = BarrierPair {
-        avail: Barrier::None,
-        publish: Barrier::None,
-    };
 }
 
 /// Execute one of the configurable barrier points on the host.

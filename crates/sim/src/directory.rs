@@ -102,12 +102,6 @@ impl Directory {
         }
     }
 
-    /// Number of shards the line space is split across.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_of(&self, line: Line) -> usize {
         (line.0 % self.shards.len() as u64) as usize
     }

@@ -116,16 +116,6 @@ impl LatencyParams {
             DistanceClass::Memory => self.t_memory,
         }
     }
-
-    /// Memory-barrier transaction response latency for the given snoop scope.
-    #[must_use]
-    pub fn membar_latency(&self, crossed_node: bool) -> Cycle {
-        if crossed_node {
-            self.t_membar_domain
-        } else {
-            self.t_membar_bisection
-        }
-    }
 }
 
 /// A complete simulated machine model.

@@ -2,16 +2,15 @@
 //! event loop and `Core::step` perform **zero** heap allocations. A counting
 //! global allocator (this test crate's own — the library forbids `unsafe`)
 //! tallies allocations made by the test thread while a 16-core machine runs
-//! spinners on one line (hand-written `SimThread`s and one `Script`, so the
-//! gate covers the coroutine adapter), a store / `DMB st` / drain publisher
-//! and contended RMWs. (Parking on `Op::WaitChange` is left out: each park/wake round still
+//! spinners on one line (`Script` bodies, so the gate covers the coroutine
+//! adapter too), a store / `DMB st` / drain publisher and contended RMWs. (Parking on `Op::WaitChange` is left out: each park/wake round still
 //! allocates the line's waiter list.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Cpu, Machine, Op, Platform, Script, SimThread, ThreadCtx};
+use armbar_sim::{Cpu, Machine, Op, Platform, Script};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -56,67 +55,21 @@ const FLAG: u64 = 0x1040;
 const COUNTER: u64 = 0x1080;
 
 /// Publishes forever: data, `DMB st`, flag, some work, a contended RMW.
-struct Publisher {
-    round: u64,
-    state: u8,
-}
-
-impl SimThread for Publisher {
-    fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-        self.state = (self.state + 1) % 7;
-        match self.state {
-            1 => {
-                self.round += 1;
-                Op::store(DATA, self.round)
-            }
-            2 => Op::Fence(Barrier::DmbSt),
-            3 => Op::store(FLAG, self.round),
-            4 => Op::Nops(40),
-            5 => Op::fetch_add_acq_rel(COUNTER, 1),
-            6 => Op::Fence(Barrier::DmbFull),
-            _ => Op::IterationMark,
-        }
+async fn publisher(cpu: Cpu) {
+    for round in 1.. {
+        cpu.op(Op::store(DATA, round)).await;
+        cpu.op(Op::Fence(Barrier::DmbSt)).await;
+        cpu.op(Op::store(FLAG, round)).await;
+        cpu.op(Op::Nops(40)).await;
+        cpu.op(Op::fetch_add_acq_rel(COUNTER, 1)).await;
+        cpu.op(Op::Fence(Barrier::DmbFull)).await;
+        cpu.op(Op::IterationMark).await;
     }
 }
 
 /// Polls the flag with plain loads; on every change reads the data behind a
 /// `DMB ld` and bumps the shared counter.
-struct Poller {
-    seen: u64,
-    state: u8,
-}
-
-impl SimThread for Poller {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        match self.state {
-            0 => {
-                self.state = 1;
-                Op::load_use(FLAG)
-            }
-            1 if ctx.last_value() == self.seen => Op::load_use(FLAG),
-            1 => {
-                self.seen = ctx.last_value();
-                self.state = 2;
-                Op::Fence(Barrier::DmbLd)
-            }
-            2 => {
-                self.state = 3;
-                Op::load_use(DATA)
-            }
-            3 => {
-                self.state = 4;
-                Op::fetch_add_acq_rel(COUNTER, 1)
-            }
-            _ => {
-                self.state = 0;
-                Op::IterationMark
-            }
-        }
-    }
-}
-
-/// [`Poller`] as a [`Script`] body.
-async fn script_poller(cpu: Cpu) {
+async fn poller(cpu: Cpu) {
     let mut seen = 0;
     loop {
         let mut flag = cpu.op(Op::load_use(FLAG)).await;
@@ -134,12 +87,12 @@ async fn script_poller(cpu: Cpu) {
 #[test]
 fn steady_state_steps_do_not_allocate() {
     let mut m = Machine::new(Platform::kunpeng916());
-    m.add_thread_on(0, Box::new(Publisher { round: 0, state: 0 }));
+    m.add_thread_on(0, Box::new(Script::new(publisher)));
     for id in 1..16 {
         // Spread over both NUMA nodes: cores 4, 8, …, 60.
-        m.add_thread_on(id * 4, Box::new(Poller { seen: 0, state: 0 }));
+        m.add_thread_on(id * 4, Box::new(Script::new(poller)));
     }
-    m.add_thread_on(2, Box::new(Script::new(script_poller)));
+    m.add_thread_on(2, Box::new(Script::new(poller)));
     // Warm-up: every map, queue and scratch vector reaches its working size
     // (two runs, because re-seeding a resumed run is the wake heap's peak).
     m.run(50_000);

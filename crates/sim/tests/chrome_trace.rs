@@ -4,7 +4,7 @@
 //! timestamps per track.
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Machine, Op, Platform, SimThread, ThreadCtx};
+use armbar_sim::{Machine, Op, Platform, Script, SimThread};
 
 /// A minimal JSON value for validation.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,18 +218,13 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Runs a fixed script of ops, then halts.
-struct Script {
-    ops: Vec<Op>,
-    pos: usize,
-}
-
-impl SimThread for Script {
-    fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-        let op = self.ops.get(self.pos).copied().unwrap_or(Op::Halt);
-        self.pos += 1;
-        op
-    }
+/// Runs a fixed list of ops, then halts.
+fn ops_thread(ops: Vec<Op>) -> Box<dyn SimThread> {
+    Box::new(Script::new(|cpu| async move {
+        for op in ops {
+            cpu.op(op).await;
+        }
+    }))
 }
 
 fn traced_run() -> String {
@@ -253,20 +248,8 @@ fn traced_run() -> String {
         Op::load_use(0x140),
         Op::IterationMark,
     ];
-    m.add_thread_on(
-        0,
-        Box::new(Script {
-            ops: producer,
-            pos: 0,
-        }),
-    );
-    m.add_thread_on(
-        32,
-        Box::new(Script {
-            ops: consumer,
-            pos: 0,
-        }),
-    );
+    m.add_thread_on(0, ops_thread(producer));
+    m.add_thread_on(32, ops_thread(consumer));
     assert!(m.run(1_000_000).halted);
     m.take_trace().to_chrome_json()
 }

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 
 use armbar_sim::{
-    CoreStats, Engine, Machine, Op, Platform, PlatformKind, RmwKind, RunStats, SimThread, ThreadCtx,
+    CoreStats, Cpu, Engine, Machine, Op, Platform, PlatformKind, RmwKind, RunStats, Script,
+    SimThread, ThreadCtx,
 };
 
 /// A generated op for the random-program property tests (kept closed so
@@ -62,17 +63,13 @@ fn gen_op() -> impl Strategy<Value = GenOp> {
     ]
 }
 
-struct Script {
-    ops: Vec<Op>,
-    pos: usize,
-}
-
-impl SimThread for Script {
-    fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-        let op = self.ops.get(self.pos).copied().unwrap_or(Op::Halt);
-        self.pos += 1;
-        op
-    }
+/// Runs a fixed list of ops, then halts.
+fn ops_thread(ops: Vec<Op>) -> Box<dyn SimThread> {
+    Box::new(Script::new(|cpu| async move {
+        for op in ops {
+            cpu.op(op).await;
+        }
+    }))
 }
 
 fn run_program(platform: &Platform, programs: &[Vec<GenOp>]) -> (Machine, u64) {
@@ -80,7 +77,7 @@ fn run_program(platform: &Platform, programs: &[Vec<GenOp>]) -> (Machine, u64) {
     let step = platform.topology.core_count() / programs.len().max(1);
     for (i, p) in programs.iter().enumerate() {
         let ops: Vec<Op> = p.iter().copied().map(to_op).collect();
-        m.add_thread_on(i * step.max(1), Box::new(Script { ops, pos: 0 }));
+        m.add_thread_on(i * step.max(1), ops_thread(ops));
     }
     let stats = m.run(80_000_000);
     assert!(
@@ -249,7 +246,7 @@ fn run_schedule(
     let mut m = Machine::new(platform);
     m.set_engine(engine);
     let ops = ops.to_vec();
-    m.add_thread_on(RUNNER, Box::new(Script { ops, pos: 0 }));
+    m.add_thread_on(RUNNER, ops_thread(ops));
     m.add_thread_on(
         TICKER,
         Box::new(Ticker {
@@ -331,31 +328,19 @@ proptest! {
 /// one observes the old value 0.
 #[test]
 fn cas_winner_is_unique() {
-    struct CasOnce {
-        id: u64,
-        done: bool,
-        won_addr: u64,
-    }
-    impl SimThread for CasOnce {
-        fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-            if !self.done {
-                self.done = true;
-                return Op::Rmw {
-                    addr: 0x9000,
-                    kind: RmwKind::Cas { expected: 0 },
-                    operand: self.id,
-                    acquire: true,
-                    release: false,
-                };
-            }
-            if self.won_addr == 0 {
-                self.won_addr = 1;
-                if ctx.last_value == 0 {
-                    // We won: record it.
-                    return Op::store(0xA000 + self.id * 64, 1);
-                }
-            }
-            Op::Halt
+    async fn cas_once(cpu: Cpu, id: u64) {
+        let old = cpu
+            .op(Op::Rmw {
+                addr: 0x9000,
+                kind: RmwKind::Cas { expected: 0 },
+                operand: id,
+                acquire: true,
+                release: false,
+            })
+            .await;
+        if old == 0 {
+            // We won: record it.
+            cpu.op(Op::store(0xA000 + id * 64, 1)).await;
         }
     }
     let platform = Platform::kunpeng916();
@@ -363,11 +348,7 @@ fn cas_winner_is_unique() {
     for i in 0..6u64 {
         m.add_thread_on(
             i as usize * 8,
-            Box::new(CasOnce {
-                id: i + 1,
-                done: false,
-                won_addr: 0,
-            }),
+            Box::new(Script::new(|cpu| cas_once(cpu, i + 1))),
         );
     }
     let stats = m.run(10_000_000);

@@ -10,7 +10,7 @@
 //! stale data. A `DMB st` gate (or STLR on the flag) restores order.
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Machine, Op, Platform, SimThread, ThreadCtx};
+use armbar_sim::{Cpu, Machine, Op, Platform, Script};
 
 const SLOW: u64 = 0x100; // lines the producer's load chain walks (remote)
 const SLOW2: u64 = 0x140;
@@ -18,82 +18,50 @@ const DATA: u64 = 0x8000;
 const FLAG: u64 = 0x8040;
 const SEEN: u64 = 0x8080; // consumer's observation, written back for asserts
 
-struct Producer {
-    barrier: Barrier,
-    state: u8,
-}
-
-impl SimThread for Producer {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        let state = self.state;
-        self.state += 1;
-        match state {
-            // A slow remote load chain the data store will depend on: two
-            // *fire-and-forget* dependent loads (the thread keeps running,
-            // so the flag store issues immediately) push the data's drain
-            // start past the flag drain's completion.
-            0 => {
-                let _ = ctx.last_value();
-                Op::load(SLOW)
-            }
-            1 => Op::load_dep(SLOW2, false),
-            // DATA = f(loaded): drain gated on the chain's completion.
-            2 => Op::store_dep(DATA, 23),
-            3 => match self.barrier {
-                Barrier::None => {
-                    self.state = 5; // skip the separate flag state
-                    Op::store(FLAG, 1)
-                }
-                Barrier::Stlr => {
-                    self.state = 5;
-                    Op::store_release(FLAG, 1)
-                }
-                f => Op::Fence(f),
-            },
-            4 => Op::store(FLAG, 1),
-            _ => Op::Halt,
+async fn producer(cpu: Cpu, barrier: Barrier) {
+    // A slow remote load chain the data store will depend on: two
+    // *fire-and-forget* dependent loads (the thread keeps running, so the
+    // flag store issues immediately) push the data's drain start past the
+    // flag drain's completion.
+    cpu.op(Op::load(SLOW)).await;
+    cpu.op(Op::load_dep(SLOW2, false)).await;
+    // DATA = f(loaded): drain gated on the chain's completion.
+    cpu.op(Op::store_dep(DATA, 23)).await;
+    let flag = match barrier {
+        Barrier::None => Op::store(FLAG, 1),
+        Barrier::Stlr => Op::store_release(FLAG, 1),
+        fence => {
+            cpu.op(Op::Fence(fence)).await;
+            Op::store(FLAG, 1)
         }
+    };
+    cpu.op(flag).await;
+}
+
+async fn consumer(cpu: Cpu) {
+    while cpu.op(Op::load_use(FLAG)).await == 0 {
+        cpu.op(Op::Nops(1)).await;
     }
+    // Read the data immediately (address dependency only, which cannot
+    // save us from the *producer's* reorder).
+    let data = cpu.op(Op::load_dep(DATA, true)).await;
+    cpu.op(Op::store(SEEN, data)).await;
 }
 
-struct Consumer {
-    phase: u8,
-}
-
-impl SimThread for Consumer {
-    fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-        match self.phase {
-            0 => {
-                self.phase = 1;
-                Op::load_use(FLAG)
-            }
-            1 => {
-                if ctx.last_value() == 0 {
-                    self.phase = 0;
-                    return Op::Nops(1);
-                }
-                self.phase = 2;
-                // Read the data immediately (address dependency only,
-                // which cannot save us from the *producer's* reorder).
-                Op::load_dep(DATA, true)
-            }
-            2 => {
-                self.phase = 3;
-                Op::store(SEEN, ctx.last_value())
-            }
-            _ => Op::Halt,
-        }
-    }
-}
-
-fn observed_data(barrier: Barrier) -> u64 {
+/// The producer on core 0 and the consumer across the node boundary.
+fn machine(barrier: Barrier) -> Machine {
     let mut m = Machine::new(Platform::kunpeng916());
     // The slow line lives on the far node, the mailbox lines start at the
     // consumer (it polled them last round).
     m.set_region_home(SLOW, SLOW2 + 64, 40);
     m.set_region_home(DATA, FLAG + 64, 32);
-    m.add_thread_on(0, Box::new(Producer { barrier, state: 0 }));
-    m.add_thread_on(32, Box::new(Consumer { phase: 0 }));
+    m.add_thread_on(0, Box::new(Script::new(|cpu| producer(cpu, barrier))));
+    m.add_thread_on(32, Box::new(Script::new(consumer)));
+    m
+}
+
+fn observed_data(barrier: Barrier) -> u64 {
+    let mut m = machine(barrier);
     let stats = m.run(5_000_000);
     assert!(stats.halted, "{barrier}: run must finish");
     m.read_memory(SEEN)
@@ -133,12 +101,7 @@ fn the_fix_costs_cycles() {
     // The repaired runs must be slower than the racy one — order is not
     // free, which is the entire subject of the paper.
     let cycles = |barrier| {
-        let mut m = Machine::new(Platform::kunpeng916());
-        m.set_region_home(SLOW, SLOW2 + 64, 40);
-        m.set_region_home(DATA, FLAG + 64, 32);
-        m.add_thread_on(0, Box::new(Producer { barrier, state: 0 }));
-        m.add_thread_on(32, Box::new(Consumer { phase: 0 }));
-        let stats = m.run(5_000_000);
+        let stats = machine(barrier).run(5_000_000);
         assert!(stats.halted);
         stats.cycles
     };

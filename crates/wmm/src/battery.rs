@@ -7,8 +7,6 @@
 //! like WRC+addrs and IRIW+addrs are forbidden even without full barriers,
 //! while plain non-MCA machines (e.g. POWER) allow them.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use armbar_barriers::Barrier;
@@ -16,6 +14,7 @@ use armbar_barriers::Barrier;
 use crate::explore::explore;
 use crate::litmus::LitmusTest;
 use crate::model::{Instr, MemoryModel, Program, Thread};
+use crate::pool::claim_fold;
 
 fn thread(instrs: Vec<Instr>) -> Thread {
     Thread { instrs }
@@ -230,25 +229,15 @@ pub fn run_battery(model: MemoryModel, workers: usize) -> Vec<BatteryRun> {
     if workers <= 1 {
         return tests.iter().map(run_one).collect();
     }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<BatteryRun>>> = tests.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(tests.len()) {
-            scope.spawn(|| loop {
-                let ix = next.fetch_add(1, Ordering::Relaxed);
-                let Some(test) = tests.get(ix) else { break };
-                *slots[ix].lock().expect("battery slot poisoned") = Some(run_one(test));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("battery slot poisoned")
-                .expect("battery slot unfilled")
+    let mut runs: Vec<(usize, BatteryRun)> =
+        claim_fold(&tests, workers, Vec::new, |done, ix, test| {
+            done.push((ix, run_one(test)));
         })
-        .collect()
+        .into_iter()
+        .flatten()
+        .collect();
+    runs.sort_unstable_by_key(|&(ix, _)| ix);
+    runs.into_iter().map(|(_, run)| run).collect()
 }
 
 #[cfg(test)]

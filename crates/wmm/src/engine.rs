@@ -67,18 +67,21 @@
 //!
 //! 4. **Parallel frontier.** [`run`] with `workers > 1` expands the search
 //!    tree breadth-first until it holds enough independent `(state, sleep)`
-//!    subtree roots, then drains them on a crossbeam work-stealing pool
-//!    (shared injector + per-worker deques, the same shape as the sweep
-//!    engine's pool) against a sharded mutex-protected visited-set. The
+//!    subtree roots, then drains them with the crate's claim loop
+//!    ([`crate::pool::claim_fold`]: scoped threads taking roots off one
+//!    shared cursor — subtrees never spawn subtrees, so there is nothing
+//!    to steal) against a sharded mutex-protected visited-set. The
 //!    visited-set stores exact canonical `(packed state, sleep mask)`
 //!    pairs, and a pair's subtree is a pure function of the pair — so the
 //!    set of *expanded* canonical pairs is the same closure regardless of
 //!    schedule, making `states_visited`/`states_pruned` and the canonical
 //!    outcome set byte-identical at any worker count. Programs below
 //!    [`PARALLEL_MIN_INSTRS`] total instructions always run the serial
-//!    walk — litmus-sized state spaces are microsecond-scale and pool
+//!    walk — litmus-sized state spaces are microsecond-scale and thread
 //!    setup would dominate — and large programs get more shards and more,
-//!    finer frontier tasks so they actually scale with `ARMBAR_JOBS`.
+//!    finer frontier tasks. No production caller passes `workers > 1`
+//!    today (the sweeps parallelize a level up, across cells); the
+//!    differential suites and `armbar bench explore` do.
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
@@ -86,17 +89,17 @@ use std::hash::Hasher;
 use std::sync::Mutex;
 
 use armbar_fxhash::{FxHashSet, FxHasher};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 
 use crate::explore::{Outcome, OutcomeSet};
 use crate::mask::{word_count, Mask, WideMask};
 use crate::model::{Instr, MemoryModel, Program, Src};
+use crate::pool::claim_fold;
 use crate::symmetry::{self, factorial, SlotGroup, Symmetry, MAX_ORBIT};
 use crate::witness::{Witness, WitnessStep};
 
 /// Below this many total instructions, [`run`] ignores `workers` and runs
 /// the serial walk: litmus-sized explorations finish in microseconds and
-/// pool/shard setup would cost more than the whole search (the result is
+/// thread/shard setup would cost more than the whole search (the result is
 /// byte-identical either way; only wall time changes).
 pub(crate) const PARALLEL_MIN_INSTRS: usize = 32;
 
@@ -627,7 +630,7 @@ fn advance<M: Mask>(
 
 /// One subtree root of the parallel frontier.
 struct Task<M> {
-    state: Box<[u64]>,
+    state: Vec<u64>,
     sleep: M,
 }
 
@@ -652,13 +655,30 @@ struct Walker<'a, M: Mask> {
     stats: Stats,
 }
 
-impl<M: Mask> Walker<'_, M> {
-    /// Depth-first exploration of the subtree rooted at `(st, sleep)`.
-    /// `st` is restored before returning.
-    fn walk(&mut self, st: &mut Vec<u64>, sleep: M) {
-        let mut sleep = sleep;
+impl<'a, M: Mask> Walker<'a, M> {
+    fn new(lay: &'a Layout<M>, seen: &'a SharedSeen) -> Self {
+        Walker {
+            lay,
+            seen,
+            scratch: Scratch::new(lay.total()),
+            terminals: FxHashSet::default(),
+            stats: Stats::default(),
+        }
+    }
+
+    /// Run the forced chain from `(st, sleep)`: record the terminal or
+    /// the prune it ends in, or — at a branch state seen for the first
+    /// time — hand every awake enabled transition's `(child state, child
+    /// sleep set)` to `child`. `st` is restored before returning.
+    fn expand(
+        &mut self,
+        st: &mut Vec<u64>,
+        mut sleep: M,
+        mut child: impl FnMut(&mut Self, &mut Vec<u64>, M),
+    ) {
+        let lay = self.lay;
         let mut undo = Vec::new();
-        match advance(self.lay, st, &mut sleep, &mut undo, &mut self.scratch) {
+        match advance(lay, st, &mut sleep, &mut undo, &mut self.scratch) {
             Advanced::Terminal => {
                 self.terminals.insert(st[..].into());
             }
@@ -666,20 +686,19 @@ impl<M: Mask> Walker<'_, M> {
                 self.stats.pruned += 1;
             }
             Advanced::Branch { enabled } => {
-                if self.seen.insert(&branch_key(self.lay, st, &sleep)) {
+                if self.seen.insert(&branch_key(lay, st, &sleep)) {
                     self.stats.visited += 1;
-                    let mut local_sleep = sleep;
                     for g in enabled.bits() {
-                        if local_sleep.get(g) {
+                        if sleep.get(g) {
                             self.stats.pruned += 1;
                             continue;
                         }
-                        let u = apply(self.lay, st, g);
-                        let mut child_sleep = local_sleep.clone();
-                        child_sleep.and_not_assign(&self.lay.conflict[g]);
-                        self.walk(st, child_sleep);
+                        let u = apply(lay, st, g);
+                        let mut child_sleep = sleep.clone();
+                        child_sleep.and_not_assign(&lay.conflict[g]);
+                        child(self, st, child_sleep);
                         revert(st, g, u);
-                        local_sleep.set(g);
+                        sleep.set(g);
                     }
                 } else {
                     self.stats.pruned += 1;
@@ -690,136 +709,68 @@ impl<M: Mask> Walker<'_, M> {
             revert(st, g, u);
         }
     }
-}
 
-/// How many subtree roots the parallel frontier accumulates per worker
-/// before handing the frontier to the pool. Large programs get more,
-/// finer chunks: their subtrees are deep and uneven, and a fatter
-/// frontier is what lets work stealing balance them.
-fn tasks_per_worker(total_instrs: usize) -> usize {
-    if total_instrs > 64 {
-        32
-    } else {
-        4
+    /// Depth-first exploration of the subtree rooted at `(st, sleep)`.
+    fn walk(&mut self, st: &mut Vec<u64>, sleep: M) {
+        self.expand(st, sleep, |w, st, child_sleep| w.walk(st, child_sleep));
     }
 }
 
 /// Explore `program` (whose [`Layout`] this is) and return the canonical
 /// [`OutcomeSet`]. Serial DFS when `workers <= 1` or the program is below
 /// [`PARALLEL_MIN_INSTRS`]; otherwise the frontier is expanded
-/// breadth-first and drained on a work-stealing pool.
+/// breadth-first and drained on `workers` threads.
 pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
     let total = lay.total();
     let seen = SharedSeen::new(total);
-    let mut terminals: FxHashSet<Box<[u64]>> = FxHashSet::default();
-    let mut stats = Stats::default();
+    let mut root = Walker::new(lay, &seen);
+    let init = Task {
+        state: lay.init.clone(),
+        sleep: M::zeros(total),
+    };
 
     if workers <= 1 || total < PARALLEL_MIN_INSTRS {
-        let mut w = Walker {
-            lay,
-            seen: &seen,
-            scratch: Scratch::new(total),
-            terminals: FxHashSet::default(),
-            stats: Stats::default(),
-        };
-        let mut st = lay.init.clone();
-        w.walk(&mut st, M::zeros(total));
-        terminals = w.terminals;
-        stats = w.stats;
+        let mut st = init.state;
+        root.walk(&mut st, init.sleep);
     } else {
-        // Breadth-first frontier expansion: pop a subtree root, run its
-        // forced chain, and either record the terminal or expand the
-        // branch's children as new roots — exactly the serial walk, with
-        // scheduling (not search order) changed.
-        let target = workers * tasks_per_worker(total);
-        let mut scratch = Scratch::new(total);
-        let mut queue: VecDeque<Task<M>> = VecDeque::new();
-        queue.push_back(Task {
-            state: lay.init.clone().into(),
-            sleep: M::zeros(total),
-        });
+        // Breadth-first frontier expansion: pop a subtree root and queue
+        // its children as new roots instead of descending into them —
+        // exactly the serial walk, with scheduling (not search order)
+        // changed.
+        // Large programs get more, finer roots per worker: their subtrees
+        // are deep and uneven, and a fatter frontier is what lets the
+        // claim loop balance them.
+        let target = workers * if total > 64 { 32 } else { 4 };
+        let mut queue = VecDeque::from([init]);
         while queue.len() < target {
-            let Some(task) = queue.pop_front() else { break };
-            let mut st: Vec<u64> = task.state.into_vec();
-            let mut sleep = task.sleep;
-            let mut undo = Vec::new();
-            match advance(lay, &mut st, &mut sleep, &mut undo, &mut scratch) {
-                Advanced::Terminal => {
-                    terminals.insert(st[..].into());
-                }
-                Advanced::SleepBlocked => {
-                    stats.pruned += 1;
-                }
-                Advanced::Branch { enabled } => {
-                    if seen.insert(&branch_key(lay, &st, &sleep)) {
-                        stats.visited += 1;
-                        let mut local_sleep = sleep;
-                        for g in enabled.bits() {
-                            if local_sleep.get(g) {
-                                stats.pruned += 1;
-                                continue;
-                            }
-                            let u = apply(lay, &mut st, g);
-                            let mut child_sleep = local_sleep.clone();
-                            child_sleep.and_not_assign(&lay.conflict[g]);
-                            queue.push_back(Task {
-                                state: st[..].into(),
-                                sleep: child_sleep,
-                            });
-                            revert(&mut st, g, u);
-                            local_sleep.set(g);
-                        }
-                    } else {
-                        stats.pruned += 1;
-                    }
-                }
-            }
+            let Some(Task { mut state, sleep }) = queue.pop_front() else {
+                break;
+            };
+            root.expand(&mut state, sleep, |_, st, sleep| {
+                queue.push_back(Task {
+                    state: st.clone(),
+                    sleep,
+                });
+            });
         }
 
-        // Drain the frontier on the work-stealing pool — unless the
-        // expansion already finished the whole search, in which case
-        // spinning up threads would be pure overhead.
-        if !queue.is_empty() {
-            let worker_n = workers.min(queue.len());
-            let injector: Injector<Task<M>> = Injector::new();
-            for task in queue {
-                injector.push(task);
-            }
-            let locals: Vec<Worker<Task<M>>> = (0..worker_n).map(|_| Worker::new_fifo()).collect();
-            let stealers: Vec<Stealer<Task<M>>> = locals.iter().map(Worker::stealer).collect();
-            type WorkerResult = Option<(FxHashSet<Box<[u64]>>, Stats)>;
-            let results: Vec<Mutex<WorkerResult>> =
-                (0..worker_n).map(|_| Mutex::new(None)).collect();
-            std::thread::scope(|scope| {
-                for (me, local) in locals.iter().enumerate() {
-                    let (injector, stealers, results, seen) =
-                        (&injector, &stealers, &results, &seen);
-                    scope.spawn(move || {
-                        let mut w = Walker {
-                            lay,
-                            seen,
-                            scratch: Scratch::new(total),
-                            terminals: FxHashSet::default(),
-                            stats: Stats::default(),
-                        };
-                        while let Some(task) = find_task(local, injector, stealers, me) {
-                            let mut st = task.state.into_vec();
-                            w.walk(&mut st, task.sleep);
-                        }
-                        *results[me].lock().expect("worker slot poisoned") =
-                            Some((w.terminals, w.stats));
-                    });
-                }
-            });
-            for slot in results {
-                if let Some((t, s)) = slot.into_inner().expect("worker slot poisoned") {
-                    terminals.extend(t);
-                    stats.visited += s.visited;
-                    stats.pruned += s.pruned;
-                }
-            }
+        // Drain what is left of the frontier (nothing, when the expansion
+        // already finished the search) on the claim loop; terminals are a
+        // set union and the counters a sum, so worker order is immaterial.
+        let roots: Vec<Task<M>> = queue.into();
+        let walkers = claim_fold(
+            &roots,
+            workers,
+            || Walker::new(lay, &seen),
+            |w, _, task| w.walk(&mut task.state.clone(), task.sleep.clone()),
+        );
+        for w in walkers {
+            root.terminals.extend(w.terminals);
+            root.stats.visited += w.stats.visited;
+            root.stats.pruned += w.stats.pruned;
         }
     }
+    let (terminals, stats) = (root.terminals, root.stats);
 
     // Terminal outcomes, closed over the symmetry group: a quotient
     // terminal stands for its whole orbit, and every orbit member's
@@ -845,39 +796,6 @@ pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
     };
     set.canonicalize();
     set
-}
-
-/// Local deque first, then the shared injector, then the other workers
-/// (the sweep pool's claim order).
-fn find_task<T>(
-    local: &Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-    me: usize,
-) -> Option<T> {
-    if let Some(task) = local.pop() {
-        return Some(task);
-    }
-    loop {
-        match injector.steal() {
-            Steal::Success(task) => return Some(task),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
-    }
-    for (other, stealer) in stealers.iter().enumerate() {
-        if other == me {
-            continue;
-        }
-        loop {
-            match stealer.steal() {
-                Steal::Success(task) => return Some(task),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
-        }
-    }
-    None
 }
 
 /// Witness search on the engine: the same pruned DFS carrying the applied

@@ -11,12 +11,13 @@
 //!
 //! Two implementations compute the exact set of final [`Outcome`]s:
 //!
-//! * [`explore`] / [`explore_parallel`] run the packed-state sleep-set DPOR
+//! * [`explore`] runs the packed-state sleep-set DPOR
 //!   engine ([`crate::engine`]) behind an in-process memo cache keyed by
 //!   `(program, model)` — `analyze::lint` re-explores identical cut
 //!   programs across redundancy/necessity checks and whole experiment
-//!   batteries revisit the same litmus shapes. `ARMBAR_EXPLORE_MEMO=0`
-//!   disables the cache; [`explore_memo_stats`] reports hits/misses.
+//!   batteries revisit the same litmus shapes. The cache is always on
+//!   ([`explore_dpor_uncached`] is the cold path); [`explore_memo_stats`]
+//!   reports hits/misses.
 //! * [`explore_oracle`] enumerates every interleaving by naive cloning
 //!   DFS. It survives purely as the differential reference the engine is
 //!   tested against — the engine itself has no size ceiling anymore
@@ -164,7 +165,7 @@ impl<'a> IntoIterator for &'a OutcomeSet {
 
 /// The two-sided difference of a pair of [`OutcomeSet`]s
 /// (see [`OutcomeSet::diff`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OutcomeDiff {
     /// Outcomes the second set reaches that the first does not.
     pub added: Vec<Outcome>,
@@ -211,18 +212,6 @@ static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
 /// lint corpus needs a few hundred).
 const MEMO_CAP: usize = 1 << 16;
 
-/// `ARMBAR_EXPLORE_MEMO` parsing, separated from the environment for
-/// testability: only the literal `0` (optionally padded) disables.
-#[must_use]
-pub fn memo_enabled_from(var: Option<&str>) -> bool {
-    var.is_none_or(|v| v.trim() != "0")
-}
-
-fn memo_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| memo_enabled_from(std::env::var("ARMBAR_EXPLORE_MEMO").ok().as_deref()))
-}
-
 /// Memo cache counters since process start: `(hits, misses)`.
 #[must_use]
 pub fn explore_memo_stats() -> (u64, u64) {
@@ -247,9 +236,6 @@ fn memoized(
     model: MemoryModel,
     compute: impl FnOnce() -> OutcomeSet,
 ) -> OutcomeSet {
-    if !memo_enabled() {
-        return compute();
-    }
     let memo = MEMO.get_or_init(|| Mutex::new(FxHashMap::default()));
     let key = (memo_prehash(program, model), model);
     {
@@ -286,20 +272,6 @@ pub fn explore(program: &Program, model: MemoryModel) -> OutcomeSet {
     memoized(program, model, || explore_dpor_uncached(program, model, 1))
 }
 
-/// [`explore`] with the engine's parallel frontier on `workers` threads
-/// (also memoized). The result — outcomes *and* the `states_*` counters —
-/// is byte-identical to the serial run at any worker count; only wall
-/// time changes. Programs below the engine's parallel threshold run the
-/// serial walk regardless of `workers` (pool setup costs more than a
-/// litmus-sized search). Callers that are already parallel at a coarser
-/// grain (the experiment sweeps) should keep calling [`explore`].
-#[must_use]
-pub fn explore_parallel(program: &Program, model: MemoryModel, workers: usize) -> OutcomeSet {
-    memoized(program, model, || {
-        explore_dpor_uncached(program, model, workers)
-    })
-}
-
 /// The DPOR engine without the memo cache (benchmarks and differential
 /// tests measure cold explorations through this). Thread-symmetry
 /// reduction on, no size ceiling, no oracle fallback.
@@ -311,7 +283,7 @@ pub fn explore_dpor_uncached(program: &Program, model: MemoryModel, workers: usi
 /// The DPOR engine with thread-symmetry reduction explicitly switched:
 /// benchmarks measure the quotient's state cut through this, and
 /// differential tests check that `symmetry` never changes the outcome
-/// set. Production callers want [`explore`] / [`explore_parallel`].
+/// set. Production callers want [`explore`].
 #[must_use]
 pub fn explore_dpor_configured(
     program: &Program,
@@ -643,22 +615,14 @@ mod tests {
         let first = explore(&p, MemoryModel::ArmWmm);
         let (hits_before, _) = explore_memo_stats();
         let second = explore(&p, MemoryModel::ArmWmm);
-        let third = explore_parallel(&p, MemoryModel::ArmWmm, 4);
+        let third = explore_dpor_uncached(&p, MemoryModel::ArmWmm, 4);
         let (hits_after, _) = explore_memo_stats();
         assert_eq!(first, second);
-        assert_eq!(first, third, "parallel shares the memo and the bytes");
-        if memo_enabled_from(std::env::var("ARMBAR_EXPLORE_MEMO").ok().as_deref()) {
-            assert!(hits_after >= hits_before + 2, "repeat explorations hit");
-        }
-    }
-
-    #[test]
-    fn memo_knob_parsing() {
-        assert!(memo_enabled_from(None));
-        assert!(memo_enabled_from(Some("1")));
-        assert!(memo_enabled_from(Some("yes")));
-        assert!(!memo_enabled_from(Some("0")));
-        assert!(!memo_enabled_from(Some(" 0 ")));
+        assert_eq!(
+            first, third,
+            "the cold parallel path returns the same bytes"
+        );
+        assert!(hits_after > hits_before, "repeat explorations hit");
     }
 
     #[test]

@@ -49,6 +49,7 @@ pub mod litmus;
 mod mask;
 pub mod model;
 pub mod mutate;
+mod pool;
 mod symmetry;
 pub mod text;
 pub mod unroll;
@@ -56,7 +57,7 @@ pub mod witness;
 
 pub use explore::{
     explore, explore_dpor_configured, explore_dpor_uncached, explore_memo_clear,
-    explore_memo_stats, explore_oracle, explore_parallel, Outcome, OutcomeDiff, OutcomeSet,
+    explore_memo_stats, explore_oracle, Outcome, OutcomeDiff, OutcomeSet,
 };
 pub use litmus::LitmusTest;
 pub use model::{Instr, MemoryModel, Program, Src, Thread};
@@ -64,4 +65,3 @@ pub use mutate::{
     barrier_sites, remove_site, replace_fence, rewrite_acquire, BarrierSite, Rewrite, RewritePlan,
     SiteKind,
 };
-pub use text::TextError;

@@ -1,7 +1,7 @@
 //! Program mutation: enumerate the order-preserving *sites* of a
 //! [`Program`], delete them, or substitute a different approach.
 //!
-//! This is the surgical half of `armbar-lint`: the analyzer proposes a
+//! This is the surgical half of `armbar lint`: the analyzer proposes a
 //! mutation (drop a barrier, downgrade `DSB` to `DMB st`, turn a
 //! `DMB full` into a bogus address dependency) and the explorer then
 //! compares the mutated program's [`OutcomeSet`](crate::explore::OutcomeSet)

@@ -1,6 +1,6 @@
-//! Textual round-trip for [`Instr`] and [`Program`]: an assembly-like
-//! litmus syntax shared by witness rendering, parser diagnostics in
-//! `armbar-extract`, and the lint report.
+//! [`Display`](fmt::Display) for [`Instr`] and [`Program`]: an
+//! assembly-like litmus syntax shared by witness rendering, `armbar lift`,
+//! and the lint report.
 //!
 //! The grammar is deliberately close to AArch64 assembly so a reader can
 //! diff a lifted program against the `.s` file it came from:
@@ -28,50 +28,15 @@
 //! fence-position placeholder in mutation experiments) print as
 //! `fence <mnemonic>` using [`Barrier::mnemonic`].
 //!
-//! [`Display`](fmt::Display) and [`FromStr`] are exact inverses on every
-//! representable value (property-tested in `tests/text_roundtrip.rs`).
+//! The text is write-only: nothing parses it back (a `.s` file is the
+//! input format, through `armbar-extract`). Its exact bytes are pinned by
+//! the golden in `crates/extract/tests/display_golden.rs`.
 
 use core::fmt;
-use core::str::FromStr;
 
 use armbar_barriers::{Acquire, Barrier};
 
-use crate::model::{Instr, Program, Src, Thread};
-
-/// A parse failure, located at a 1-based source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TextError {
-    /// 1-based line number within the parsed text.
-    pub line: usize,
-    /// Human-readable description of the failure.
-    pub msg: String,
-}
-
-impl fmt::Display for TextError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: {}", self.line, self.msg)
-    }
-}
-
-impl std::error::Error for TextError {}
-
-fn err<T>(line: usize, msg: impl Into<String>) -> Result<T, TextError> {
-    Err(TextError {
-        line,
-        msg: msg.into(),
-    })
-}
-
-/// The instruction-fence spellings (`Barrier` ↔ mnemonic text).
-const FENCE_MNEMONICS: [(Barrier, &str); 7] = [
-    (Barrier::DmbFull, "dmb ish"),
-    (Barrier::DmbSt, "dmb ishst"),
-    (Barrier::DmbLd, "dmb ishld"),
-    (Barrier::DsbFull, "dsb ish"),
-    (Barrier::DsbSt, "dsb ishst"),
-    (Barrier::DsbLd, "dsb ishld"),
-    (Barrier::Isb, "isb"),
-];
+use crate::model::{Instr, Program, Src};
 
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -115,14 +80,16 @@ impl fmt::Display for Instr {
                 }
                 Ok(())
             }
-            Instr::Fence(b) => {
-                for (kind, text) in FENCE_MNEMONICS {
-                    if kind == *b {
-                        return f.write_str(text);
-                    }
-                }
-                write!(f, "fence {}", b.mnemonic())
-            }
+            Instr::Fence(b) => match b {
+                Barrier::DmbFull => f.write_str("dmb ish"),
+                Barrier::DmbSt => f.write_str("dmb ishst"),
+                Barrier::DmbLd => f.write_str("dmb ishld"),
+                Barrier::DsbFull => f.write_str("dsb ish"),
+                Barrier::DsbSt => f.write_str("dsb ishst"),
+                Barrier::DsbLd => f.write_str("dsb ishld"),
+                Barrier::Isb => f.write_str("isb"),
+                taxonomy => write!(f, "fence {}", taxonomy.mnemonic()),
+            },
         }
     }
 }
@@ -146,195 +113,10 @@ impl fmt::Display for Program {
     }
 }
 
-fn parse_prefixed(token: &str, prefix: char, what: &str, line: usize) -> Result<u8, TextError> {
-    let Some(rest) = token.strip_prefix(prefix) else {
-        return err(
-            line,
-            format!("expected {what} (`{prefix}N`), found `{token}`"),
-        );
-    };
-    match rest.parse::<u8>() {
-        Ok(n) if !rest.is_empty() && rest.chars().all(|c| c.is_ascii_digit()) => Ok(n),
-        _ => err(line, format!("bad {what} index `{token}`")),
-    }
-}
-
-fn parse_reg(token: &str, line: usize) -> Result<u8, TextError> {
-    parse_prefixed(token, 'r', "register", line)
-}
-
-fn parse_loc(token: &str, line: usize) -> Result<u8, TextError> {
-    parse_prefixed(token, 'm', "location", line)
-}
-
-fn parse_src(token: &str, line: usize) -> Result<Src, TextError> {
-    if let Some(rest) = token.strip_prefix('#') {
-        if let Some((value, reg)) = rest.split_once('^') {
-            let Ok(value) = value.parse::<u64>() else {
-                return err(line, format!("bad store value `{token}`"));
-            };
-            return Ok(Src::DepConst {
-                reg: parse_reg(reg, line)?,
-                value,
-            });
-        }
-        let Ok(value) = rest.parse::<u64>() else {
-            return err(line, format!("bad store value `{token}`"));
-        };
-        return Ok(Src::Const(value));
-    }
-    Ok(Src::Reg(parse_reg(token, line)?))
-}
-
-/// Parse a `[mN]` / `[mN, rD]` address operand.
-fn parse_addr(token: &str, line: usize) -> Result<(u8, Option<u8>), TextError> {
-    let Some(inner) = token.strip_prefix('[').and_then(|t| t.strip_suffix(']')) else {
-        return err(
-            line,
-            format!("expected `[mN]` address operand, found `{token}`"),
-        );
-    };
-    match inner.split_once(',') {
-        None => Ok((parse_loc(inner.trim(), line)?, None)),
-        Some((loc, dep)) => Ok((
-            parse_loc(loc.trim(), line)?,
-            Some(parse_reg(dep.trim(), line)?),
-        )),
-    }
-}
-
-/// Parse one instruction from `text` (leading/trailing whitespace and a
-/// trailing `// comment` are tolerated), reporting errors at `line`.
-fn parse_instr(text: &str, line: usize) -> Result<Instr, TextError> {
-    let text = match text.split_once("//") {
-        Some((code, _)) => code.trim(),
-        None => text.trim(),
-    };
-    for (kind, spelling) in FENCE_MNEMONICS {
-        if text == spelling {
-            return Ok(Instr::Fence(kind));
-        }
-    }
-    if let Some(rest) = text.strip_prefix("fence ") {
-        let rest = rest.trim();
-        for b in Barrier::ALL {
-            if b.mnemonic() == rest {
-                return Ok(Instr::Fence(b));
-            }
-        }
-        return err(line, format!("unknown barrier mnemonic `{rest}`"));
-    }
-    let Some((mnemonic, operands)) = text.split_once(' ') else {
-        return err(line, format!("unrecognized instruction `{text}`"));
-    };
-    match mnemonic {
-        "ldr" | "ldar" | "ldapr" => {
-            let acquire = match mnemonic {
-                "ldr" => Acquire::No,
-                "ldapr" => Acquire::Pc,
-                _ => Acquire::Sc,
-            };
-            let Some((reg, addr)) = operands.split_once(", ") else {
-                return err(line, format!("`{mnemonic}` needs `rN, [mN]` operands"));
-            };
-            let (loc, addr_dep) = parse_addr(addr.trim(), line)?;
-            Ok(Instr::Load {
-                reg: parse_reg(reg.trim(), line)?,
-                loc,
-                acquire,
-                addr_dep,
-            })
-        }
-        "str" | "stlr" => {
-            let (operands, ctrl_dep) = match operands.split_once(" if ") {
-                Some((ops, cond)) => (ops, Some(parse_reg(cond.trim(), line)?)),
-                None => (operands, None),
-            };
-            let Some((src, addr)) = operands.split_once(", ") else {
-                return err(line, format!("`{mnemonic}` needs `src, [mN]` operands"));
-            };
-            let (loc, addr_dep) = parse_addr(addr.trim(), line)?;
-            Ok(Instr::Store {
-                loc,
-                src: parse_src(src.trim(), line)?,
-                release: mnemonic == "stlr",
-                addr_dep,
-                ctrl_dep,
-            })
-        }
-        _ => err(line, format!("unrecognized instruction `{text}`")),
-    }
-}
-
-impl FromStr for Instr {
-    type Err = TextError;
-
-    fn from_str(s: &str) -> Result<Instr, TextError> {
-        parse_instr(s, 1)
-    }
-}
-
-impl FromStr for Program {
-    type Err = TextError;
-
-    fn from_str(s: &str) -> Result<Program, TextError> {
-        let mut init = Vec::new();
-        let mut threads: Vec<Thread> = Vec::new();
-        for (idx, raw) in s.lines().enumerate() {
-            let line = idx + 1;
-            let text = match raw.split_once("//") {
-                Some((code, _)) => code.trim(),
-                None => raw.trim(),
-            };
-            if text.is_empty() {
-                continue;
-            }
-            if let Some(rest) = text.strip_prefix("init:") {
-                if !threads.is_empty() || !init.is_empty() {
-                    return err(line, "`init:` must be the first non-empty line");
-                }
-                for pair in rest.split_whitespace() {
-                    let Some((loc, value)) = pair.split_once('=') else {
-                        return err(line, format!("bad init entry `{pair}` (want `mN=V`)"));
-                    };
-                    let Ok(value) = value.parse::<u64>() else {
-                        return err(line, format!("bad init value in `{pair}`"));
-                    };
-                    init.push((parse_loc(loc, line)?, value));
-                }
-                continue;
-            }
-            if let Some(header) = text.strip_suffix(':') {
-                if let Some(n) = header.strip_prefix('T') {
-                    let Ok(tid) = n.parse::<usize>() else {
-                        return err(line, format!("bad thread header `{text}`"));
-                    };
-                    if tid != threads.len() {
-                        return err(
-                            line,
-                            format!(
-                                "thread headers must be sequential; expected T{}",
-                                threads.len()
-                            ),
-                        );
-                    }
-                    threads.push(Thread { instrs: Vec::new() });
-                    continue;
-                }
-                return err(line, format!("bad thread header `{text}`"));
-            }
-            let Some(current) = threads.last_mut() else {
-                return err(line, "instruction before the first `T0:` header");
-            };
-            current.instrs.push(parse_instr(text, line)?);
-        }
-        Ok(Program { threads, init })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Thread;
 
     #[test]
     fn instr_display_examples() {
@@ -366,16 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn every_fence_round_trips() {
-        for b in Barrier::ALL {
-            let i = Instr::Fence(b);
-            let back: Instr = i.to_string().parse().expect("fence text parses");
-            assert_eq!(back, i, "{b} fence round-trip");
-        }
-    }
-
-    #[test]
-    fn store_reg_src_round_trips() {
+    fn store_reg_src_display() {
         let i = Instr::Store {
             loc: 4,
             src: Src::Reg(2),
@@ -384,11 +157,10 @@ mod tests {
             ctrl_dep: None,
         };
         assert_eq!(i.to_string(), "str r2, [m4]");
-        assert_eq!(i.to_string().parse::<Instr>().unwrap(), i);
     }
 
     #[test]
-    fn program_round_trips_with_init() {
+    fn program_display_with_init() {
         let p = Program {
             threads: vec![
                 Thread {
@@ -404,33 +176,10 @@ mod tests {
             ],
             init: vec![(0, 7), (9, 1)],
         };
-        let text = p.to_string();
-        assert!(text.starts_with("init: m0=7 m9=1\n"));
-        let back: Program = text.parse().expect("program text parses");
-        assert_eq!(back, p);
-    }
-
-    #[test]
-    fn parse_errors_carry_line_numbers() {
-        let bad = "T0:\n  ldr r0, [m1]\n  frob r1, [m2]\n";
-        let e = bad.parse::<Program>().unwrap_err();
-        assert_eq!(e.line, 3);
-        assert!(e.msg.contains("frob"), "{e}");
-
-        let e = "  ldr r0, [m1]\n".parse::<Program>().unwrap_err();
-        assert_eq!(e.line, 1);
-        assert!(e.msg.contains("T0"), "{e}");
-
-        let e = "T0:\ninit: m1=2\n".parse::<Program>().unwrap_err();
-        assert_eq!(e.line, 2);
-    }
-
-    #[test]
-    fn comments_and_blank_lines_are_tolerated() {
-        let text = "T0:\n\n  str #1, [m0]  // publish\n  dmb ishst // fence\nT1:\n  ldr r0, [m0]\n";
-        let p: Program = text.parse().expect("commented text parses");
-        assert_eq!(p.threads.len(), 2);
-        assert_eq!(p.threads[0].instrs.len(), 2);
-        assert_eq!(p.threads[0].instrs[1], Instr::Fence(Barrier::DmbSt));
+        assert_eq!(
+            p.to_string(),
+            "init: m0=7 m9=1\nT0:\n  str #23, [m0]\n  dmb ishst\n  str #1, [m1]\n\
+             T1:\n  ldar r0, [m1]\n  ldr r1, [m0]\n"
+        );
     }
 }
