@@ -6,7 +6,9 @@
 //!    baseline, produces identical cycles, stall attribution, latency
 //!    histograms, fairness, and subversion counters under the
 //!    event-driven engine and the lockstep oracle, at 1 and 4 clients
-//!    across the platform grid.
+//!    across the platform grid, and at 8 and 16 occupied cores on the two
+//!    platforms that have them — enough clients queued behind one server or
+//!    combiner that a waiting client polls for hundreds of iterations.
 //! 2. **Response-time invariants** — on every grid cell the latency
 //!    quantiles are monotone (p50 ≤ p99 ≤ p999 ≤ max), fairness lies in
 //!    (0, 1], and in-place locks never subvert while dedicated servers
@@ -89,6 +91,41 @@ fn event_engine_matches_oracle_on_every_delegation_design() {
                     let ev = run_delegation_with(&platform, cfg, EVENT).0;
                     let or = run_delegation_with(&platform, cfg, ORACLE).0;
                     let what = format!("{name}/{}-{}/{clients}", kind.label(), mode.label());
+                    assert_metrics_equal(&ev, &or, &what);
+                }
+            }
+        }
+    }
+}
+
+/// 8 and 16 occupied cores, ten requests each: with this many clients a
+/// request waits behind a whole sweep or combining pass, so the poll loops
+/// the small grid above leaves after a few iterations run long here.
+#[test]
+fn event_engine_matches_oracle_on_long_waits() {
+    for (name, platform) in [
+        ("kunpeng916", Platform::kunpeng916()),
+        ("manycore64", Platform::manycore(64)),
+    ] {
+        for kind in DelegationKind::ALL {
+            for mode in ResponseMode::ALL {
+                for occupied in [8usize, 16] {
+                    let clients = occupied - usize::from(kind.has_server_core());
+                    let cfg = DelegationConfig {
+                        kind,
+                        clients,
+                        barriers: DelegationBarriers {
+                            req: Barrier::Ldar,
+                            resp: Barrier::DmbSt,
+                        },
+                        mode,
+                        profile: CsProfile::counter(),
+                        per_client: 10,
+                        interval_nops: 0,
+                    };
+                    let ev = run_delegation_with(&platform, cfg, EVENT).0;
+                    let or = run_delegation_with(&platform, cfg, ORACLE).0;
+                    let what = format!("{name}/{}-{}/{occupied}", kind.label(), mode.label());
                     assert_metrics_equal(&ev, &or, &what);
                 }
             }

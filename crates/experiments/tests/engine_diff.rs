@@ -4,7 +4,9 @@
 //! barrier families — the event engine must be *observationally equivalent*
 //! to the lockstep oracle (`Machine::step_all` every cycle): same final
 //! memory, same throughput, same stall attribution. Figure 7(c)'s longest
-//! contention interval pins the lazy nop runs the same way. A last test runs the
+//! contention interval pins the lazy nop runs the same way, and 12 threads
+//! on one ticket or MCS lock plus Figure 8(b)'s 500-member list cells pin
+//! the long waits (a dozen cores polling while one works). A last test runs the
 //! equivalence grid itself through the sweep worker pool at one and four
 //! workers, mirroring the `ARMBAR_JOBS` smoke configurations.
 
@@ -17,9 +19,10 @@ use armbar_simapps::delegation_sim::{
     run_delegation_with, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
     ResponseMode,
 };
+use armbar_simapps::mcs_sim::run_mcs_with;
 use armbar_simapps::prodcons::{run_prodcons_with, PcBarriers, PcVariant};
 use armbar_simapps::ticket_sim::{run_ticket_with, TicketConfig};
-use armbar_simapps::{BindConfig, RunOpts};
+use armbar_simapps::{BindConfig, DlockMetrics, McsConfig, RunOpts};
 
 const COMBO: PcBarriers = PcBarriers {
     avail: Barrier::DmbFull,
@@ -132,6 +135,67 @@ fn event_engine_matches_oracle_on_fig7c_long_nop_intervals() {
             assert_eq!(ev.result, or.result, "{kind:?} / {mode:?}");
             assert_eq!(ev.latency, or.latency, "{kind:?} / {mode:?}");
             assert_eq!(ev.subverted, or.subverted, "{kind:?} / {mode:?}");
+        }
+    }
+}
+
+/// Everything a lock run reports: cycles and throughput, the stall
+/// breakdown, the latency histogram, fairness, and the subversion counters
+/// (read back from final memory; each harness also asserts its own final
+/// lock words).
+fn assert_lock_runs_equal(ev: &DlockMetrics, or: &DlockMetrics, what: &str) {
+    assert_eq!(ev.result, or.result, "{what}");
+    assert_eq!(ev.latency, or.latency, "{what}");
+    assert_eq!(ev.fairness.to_bits(), or.fairness.to_bits(), "{what}");
+    assert_eq!(ev.subverted, or.subverted, "{what}");
+}
+
+/// Twelve competitors on one lock: eleven of them wait at any time, each
+/// for up to eleven critical sections.
+#[test]
+fn event_engine_matches_oracle_on_twelve_thread_in_place_locks() {
+    let platform = Platform::kunpeng916();
+    let ticket = TicketConfig {
+        threads: 12,
+        per_thread: 20,
+        ..Default::default()
+    };
+    let ev = run_ticket_with(&platform, ticket, EVENT).0;
+    let or = run_ticket_with(&platform, ticket, ORACLE).0;
+    assert_lock_runs_equal(&ev, &or, "ticket");
+    let mcs = McsConfig {
+        threads: 12,
+        per_thread: 20,
+        ..Default::default()
+    };
+    let ev = run_mcs_with(&platform, mcs, EVENT).0;
+    let or = run_mcs_with(&platform, mcs, ORACLE).0;
+    assert_lock_runs_equal(&ev, &or, "mcs");
+}
+
+/// Figure 8(b)'s rightmost column: a 500-member sorted list, so every
+/// critical section is a 250-load pointer chase and the 12 clients wait
+/// thousands of cycles per request.
+#[test]
+fn event_engine_matches_oracle_on_fig8b_500_member_list() {
+    let platform = Platform::kunpeng916();
+    for kind in [DelegationKind::Ffwd, DelegationKind::DSynch] {
+        for mode in [ResponseMode::Flag, ResponseMode::Pilot] {
+            let cfg = DelegationConfig {
+                kind,
+                clients: 12,
+                barriers: DelegationBarriers {
+                    req: Barrier::Ldar,
+                    resp: Barrier::DmbSt,
+                },
+                mode,
+                profile: CsProfile::sorted_list(500),
+                per_client: 20,
+                interval_nops: 0,
+            };
+            let ev = run_delegation_with(&platform, cfg, EVENT).0;
+            let or = run_delegation_with(&platform, cfg, ORACLE).0;
+            assert_lock_runs_equal(&ev, &or, &format!("{kind:?} / {mode:?}"));
         }
     }
 }
