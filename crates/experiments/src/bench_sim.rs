@@ -17,6 +17,13 @@
 //! client through every nop cycle; the event engine wakes a client once per
 //! nop run and applies the skipped cycles lazily.
 //!
+//! A third row, `spin`, gates the third: Figure 8(b)'s rightmost FFWD cell,
+//! 12 flag-mode clients waiting on a server that walks a 500-member list
+//! per request. The oracle steps every client through every poll of its
+//! response line; the event engine parks a client whose marked poll loop
+//! has settled and applies the skipped polls in closed form when the
+//! server's write ends the wait.
+//!
 //! Correctness is asserted inline: every point first checks that both
 //! engines produce identical run statistics and final memory — a
 //! benchmark of a wrong answer is worthless.
@@ -26,6 +33,11 @@ use std::time::Instant;
 
 use armbar_barriers::Barrier;
 use armbar_sim::{Cpu, Engine, Machine, Op, Platform, Script};
+use armbar_simapps::delegation_sim::{
+    delegation_machine, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
+    ResponseMode,
+};
+use armbar_simapps::RunOpts;
 
 /// The line everyone parks on.
 const FLAG: u64 = 0x9000;
@@ -45,6 +57,12 @@ const NOP_INTERVAL: u32 = 128_000;
 const NOP_REQUESTS: u32 = 8;
 /// The shared counter the `nop_run` clients contend on.
 const COUNTER: u64 = 0xA000;
+
+/// Clients, list members and requests per client of the `spin` row
+/// (Figure 8(b)'s 500 column).
+const SPIN_CLIENTS: usize = 12;
+const SPIN_MEMBERS: u32 = 500;
+const SPIN_REQUESTS: u64 = 20;
 
 /// Parks on [`FLAG`] until it changes, records what it saw, halts.
 async fn spinner(cpu: Cpu, id: u64) {
@@ -82,10 +100,12 @@ async fn nop_client(cpu: Cpu) {
     }
 }
 
-/// One measured point: cycles, steps, and wall time under `engine`.
+/// One measured point: cycles, steps, skipped poll-loop periods and wall
+/// time under `engine`.
 struct Point {
     cycles: u64,
     steps: u64,
+    spin_periods_skipped: u64,
     wall_ns: u64,
 }
 
@@ -99,6 +119,7 @@ fn measure(mut m: Machine, engine: Engine) -> (Machine, Point) {
     let point = Point {
         cycles: stats.cycles,
         steps: m.steps_executed(),
+        spin_periods_skipped: m.spin_periods_skipped(),
         wall_ns,
     };
     (m, point)
@@ -124,6 +145,23 @@ fn run_nop_point(engine: Engine) -> Point {
     point
 }
 
+fn run_spin_point(engine: Engine) -> Point {
+    let cfg = DelegationConfig {
+        kind: DelegationKind::Ffwd,
+        clients: SPIN_CLIENTS,
+        barriers: DelegationBarriers {
+            req: Barrier::Ldar,
+            resp: Barrier::DmbSt,
+        },
+        mode: ResponseMode::Flag,
+        profile: CsProfile::sorted_list(SPIN_MEMBERS),
+        per_client: SPIN_REQUESTS,
+        interval_nops: 0,
+    };
+    let m = delegation_machine(&Platform::kunpeng916(), cfg, RunOpts::default());
+    measure(m, engine).1
+}
+
 fn steps_ratio(ev: &Point, or: &Point) -> f64 {
     or.steps as f64 / ev.steps.max(1) as f64
 }
@@ -138,9 +176,9 @@ pub(crate) fn ms(ns: u64) -> f64 {
 /// # Panics
 ///
 /// Panics when the engines disagree on any point, or when the
-/// steps-executed ratio at [`GATE_CORES`] cores or on the `nop_run` row
-/// falls below [`MIN_STEPS_RATIO`] — the scaling the event engine exists to
-/// deliver.
+/// steps-executed ratio at [`GATE_CORES`] cores, on the `nop_run` row or on
+/// the `spin` row falls below [`MIN_STEPS_RATIO`] — the scaling the event
+/// engine exists to deliver.
 #[must_use]
 pub fn bench_sim_json() -> String {
     // Both engines at the sizes the oracle can still afford…
@@ -176,6 +214,19 @@ pub fn bench_sim_json() -> String {
     assert!(
         nop_ratio >= MIN_STEPS_RATIO,
         "steps ratio on the nop_run row is {nop_ratio:.1}, below the {MIN_STEPS_RATIO}x floor"
+    );
+
+    let spin_ev = run_spin_point(Engine::EventDriven);
+    let spin_or = run_spin_point(Engine::LockstepOracle);
+    assert_eq!(spin_ev.cycles, spin_or.cycles, "engines disagree on spin");
+    assert_eq!(
+        spin_or.spin_periods_skipped, 0,
+        "the oracle runs every poll"
+    );
+    let spin_ratio = steps_ratio(&spin_ev, &spin_or);
+    assert!(
+        spin_ratio >= MIN_STEPS_RATIO,
+        "steps ratio on the spin row is {spin_ratio:.1}, below the {MIN_STEPS_RATIO}x floor"
     );
 
     let mut j = String::from("{\n");
@@ -223,6 +274,20 @@ pub fn bench_sim_json() -> String {
         ms(nop_ev.wall_ns),
         ms(nop_or.wall_ns),
     );
+    let _ = writeln!(
+        j,
+        "  \"spin\": {{\"clients\": {SPIN_CLIENTS}, \"list_members\": {SPIN_MEMBERS}, \
+         \"requests\": {SPIN_REQUESTS}, \"cycles\": {}, \"event_steps\": {}, \
+         \"oracle_steps\": {}, \"steps_ratio\": {spin_ratio:.3}, \
+         \"spin_periods_skipped\": {}, \"min_steps_ratio\": {MIN_STEPS_RATIO}, \
+         \"event_wall_ms\": {:.3}, \"oracle_wall_ms\": {:.3}}},",
+        spin_ev.cycles,
+        spin_ev.steps,
+        spin_or.steps,
+        spin_ev.spin_periods_skipped,
+        ms(spin_ev.wall_ns),
+        ms(spin_or.wall_ns),
+    );
     let _ = writeln!(j, "  \"floor\": {{");
     let _ = writeln!(j, "    \"cores\": {GATE_CORES},");
     let _ = writeln!(j, "    \"min_steps_ratio\": {MIN_STEPS_RATIO},");
@@ -247,6 +312,7 @@ mod tests {
             "\"points\"",
             "\"event_only\"",
             "\"nop_run\"",
+            "\"spin\"",
             "\"floor\"",
             "\"steps_ratio\"",
             "\"pass\": true",

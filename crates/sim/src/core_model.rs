@@ -27,6 +27,7 @@ use crate::directory::Directory;
 use crate::op::{Op, RmwKind, SimThread, ThreadCtx};
 use crate::platform::LatencyParams;
 use crate::rob::{Rob, SlotId};
+use crate::spin::{MarkPoint, Parked, SpinRecord};
 use crate::stats::{CoreStats, StallCause};
 use crate::storebuf::{SbEntry, SbState, Seq, StoreBuffer};
 use crate::topology::Topology;
@@ -171,6 +172,19 @@ struct NopRun {
     issued: u64,
 }
 
+/// What [`Core::spin_resume`] did to bring a parked poller up to date.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SpinResumed {
+    /// Whole periods applied in closed form.
+    pub periods: u64,
+    /// `Core::step`s replayed after them.
+    pub steps: u64,
+    /// Cycle of the last step the core has now taken.
+    pub last_step: Cycle,
+    /// Its next one, for the event heap.
+    pub next_wake: Option<Cycle>,
+}
+
 /// One simulated core.
 pub struct Core {
     id: CoreId,
@@ -205,6 +219,10 @@ pub struct Core {
     /// Cycle up to which this core's state is current: its last step, or
     /// later once [`Core::settle_nop_run`] has applied a skipped nop run.
     settled_to: Cycle,
+    /// The marked poll loop this core is in or was last in, created at its
+    /// first [`Op::SpinMark`] and reused: a core that never spins carries a
+    /// null pointer.
+    spin: Option<Box<SpinRecord>>,
     ctx: ThreadCtx,
     stats: CoreStats,
     /// Per-gate cross-node tracking parallel to `sb` gates is folded into
@@ -253,6 +271,7 @@ impl Core {
             last_load: None,
             last_iteration_at: 0,
             settled_to: 0,
+            spin: None,
             ctx: ThreadCtx {
                 now: 0,
                 last_value: 0,
@@ -409,15 +428,22 @@ impl Core {
     #[must_use]
     pub(crate) fn in_nop_run(&self) -> bool {
         self.nops_remaining > 0
-            && self.loads.is_empty()
-            && self.sb.is_empty()
-            && self.sb.gates_iter().next().is_none()
-            && self.pending_barrier.is_none()
-            && self.stall_run.is_none()
+            && self.nothing_in_flight()
             && self.issue_blocked_until <= self.settled_to
             && !self.parked
             // A core that never retires fills its ROB and wedges; step it.
             && self.params_cache.retire_width > 0
+    }
+
+    /// No load or RMW outstanding (so no acquire gate either), nothing
+    /// buffered or gated, no pending barrier, no stall run open: every ROB
+    /// entry is complete and the core's future is its thread's alone.
+    fn nothing_in_flight(&self) -> bool {
+        self.loads.is_empty()
+            && self.sb.is_empty()
+            && self.sb.gates_iter().next().is_none()
+            && self.pending_barrier.is_none()
+            && self.stall_run.is_none()
     }
 
     /// Iterate the per-cycle `(used, remaining)` recurrence of a pure nop
@@ -483,6 +509,125 @@ impl Core {
         self.stats.retired += run.retired;
         self.stats.issued += run.issued;
         self.settled_to = upto;
+    }
+
+    /// The core as a mark fetched at `now` with `budget` issue slots left
+    /// finds it.
+    fn mark_point(&self, now: Cycle, budget: u32) -> MarkPoint {
+        MarkPoint {
+            at: now,
+            rob_used: self.rob.used(),
+            budget,
+            // An op is only fetched with no issue block and no nops left.
+            clean: self.nothing_in_flight(),
+        }
+    }
+
+    /// Whether the event engine has this core parked in a settled poll loop.
+    #[must_use]
+    pub(crate) fn spin_parked(&self) -> bool {
+        self.spin.as_ref().is_some_and(|r| r.parked.is_some())
+    }
+
+    /// Whether the core's last mark found its poll loop settled — the cheap
+    /// test the event loop makes after every step before
+    /// [`Core::spin_park`]'s full one.
+    #[inline]
+    pub(crate) fn spin_settled(&self) -> bool {
+        self.spin.as_ref().is_some_and(|r| r.settled())
+    }
+
+    /// Event engine, after this core's step at `now`: if that step found a
+    /// marked poll loop settled (see [`crate::spin`]) and the loop still
+    /// holds every line it polls shared, with the values it last loaded,
+    /// park the core on those lines' waiter lists and say so. From here the
+    /// core repeats one period until a polled line is written, which the
+    /// directory reports (the exclusive access that invalidates the copy, or
+    /// the commit); [`Core::spin_resume`] then brings it up to date.
+    pub(crate) fn spin_park(&mut self, now: Cycle, shared: &mut SharedState) -> bool {
+        let Some(rec) = &mut self.spin else {
+            return false;
+        };
+        let Some(period) = rec.settled_at(now) else {
+            return false;
+        };
+        // A write since the loop last looked found nobody parked to tell.
+        let undisturbed = rec.polled().all(|(addr, value)| {
+            shared.read(addr) == value
+                && shared.directory.is_sharer(Line::containing(addr), self.id)
+        });
+        if !undisturbed {
+            return false;
+        }
+        for (addr, _) in rec.polled() {
+            shared
+                .directory
+                .park_waiter(Line::containing(addr), self.id);
+        }
+        shared.directory.spin_parked += 1;
+        rec.parked = Some(Parked { base: now, period });
+        true
+    }
+
+    /// Bring a core parked by [`Core::spin_park`] to the state stepping it
+    /// through every cycle up to and including `reach` would have left:
+    /// whole periods in closed form — the core's three time fields and the
+    /// record move, the period's counters are added — and the rest of a
+    /// period by [`Core::step`] itself, at the core's own wake cycles,
+    /// against `frozen`: a private image in which the polled lines are still
+    /// shared and hold the values the loop last saw (the live state may
+    /// already show the write that ended the spin). Replaying the tail with
+    /// the real step is what makes the phase right for any pipeline shape.
+    pub(crate) fn spin_resume(
+        &mut self,
+        reach: Cycle,
+        topo: &Topology,
+        lat: &LatencyParams,
+        frozen: &mut SharedState,
+        trace: &mut Trace,
+    ) -> SpinResumed {
+        let rec = self.spin.as_mut().expect("a parked poller has a record");
+        let Parked { base, period } = rec.parked.take().expect("only a parked poller is resumed");
+        for (addr, value) in rec.polled() {
+            frozen.memory.insert(addr, value);
+            frozen
+                .directory
+                .access(topo, lat, self.id, Line::containing(addr), false, 0);
+        }
+        debug_assert!(base <= reach, "resumed to before it parked");
+        let periods = (reach - base) / period.cycles;
+        let by = periods * period.cycles;
+        rec.shift(by);
+        for l in &mut self.loads {
+            l.done_at += by;
+        }
+        if let Some((_, done_at)) = &mut self.last_load {
+            *done_at += by;
+        }
+        self.settled_to += by;
+        self.stats.cycles += by;
+        self.stats.loads += periods * period.loads;
+        self.stats.issued += periods * period.issued;
+        self.stats.retired += periods * period.issued;
+        let mut resumed = SpinResumed {
+            periods,
+            steps: 0,
+            last_step: base + by,
+            next_wake: None,
+        };
+        loop {
+            resumed.next_wake = self
+                .next_wake_skipping_nops(resumed.last_step)
+                .map(|w| w.max(resumed.last_step + 1));
+            match resumed.next_wake {
+                Some(w) if w <= reach => {
+                    self.step(w, topo, lat, frozen, trace);
+                    resumed.steps += 1;
+                    resumed.last_step = w;
+                }
+                _ => return resumed,
+            }
+        }
     }
 
     /// Whether the core is parked on a [`Op::WaitChange`] line.
@@ -683,6 +828,9 @@ impl Core {
             if l.wants_value && self.suspended_on == Some(l.id) {
                 self.ctx.last_value = value;
                 self.suspended_on = None;
+                if let Some(rec) = &mut self.spin {
+                    rec.loaded(value);
+                }
             }
         }
 
@@ -885,7 +1033,13 @@ impl Core {
             let op = match self.pending_op.take() {
                 Some(op) => op,
                 None => match &mut self.thread {
-                    Some(t) => t.next(&mut self.ctx),
+                    Some(t) => {
+                        let op = t.next(&mut self.ctx);
+                        if let Some(rec) = &mut self.spin {
+                            rec.fetched(self.id, op);
+                        }
+                        op
+                    }
                     None => break,
                 },
             };
@@ -985,6 +1139,9 @@ impl Core {
                         }
                         (start + out.latency, out.distance, None)
                     };
+                    if let Some(rec) = &mut self.spin {
+                        rec.issued_load(forwarded.is_none() && distance == DistanceClass::Local);
+                    }
                     let slot = self.rob.push_instr(false).expect("checked free()");
                     let id = self.next_load_id;
                     self.next_load_id += 1;
@@ -1143,6 +1300,12 @@ impl Core {
                     continue;
                 }
                 Op::Fence(Barrier::None) => {}
+                Op::SpinMark => {
+                    let point = self.mark_point(now, budget);
+                    self.spin
+                        .get_or_insert_with(Box::default)
+                        .mark(self.id, point);
+                }
                 Op::Fence(Barrier::DmbSt) => {
                     if self.rob.is_full() {
                         self.pending_op = Some(op);

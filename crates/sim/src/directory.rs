@@ -30,7 +30,10 @@
 //!   (crate::op::Op::WaitChange) on a line whose value has not changed yet
 //!   parks on the line's waiter list; the machine wakes exactly those cores
 //!   when a store commits to the line, instead of polling every parked core
-//!   every cycle.
+//!   every cycle. A core the event engine parked in a settled poll loop
+//!   ([`Op::SpinMark`](crate::op::Op::SpinMark)) waits on the same lists,
+//!   and — because its next poll must miss once its copy is gone — also
+//!   hears of the exclusive access that invalidates it.
 
 use armbar_fxhash::FxHashMap;
 
@@ -82,6 +85,13 @@ pub struct Directory {
     /// paper's alternating-thread construction in §3.2) without simulating
     /// the peer's warm-up pass.
     region_homes: Vec<(Line, Line, CoreId)>,
+    /// How many cores the event engine has parked in a settled poll loop.
+    /// Each holds its polled lines shared; while there are any, an exclusive
+    /// access lists the sharers it invalidates in `invalidated` and the
+    /// machine resumes the parked ones among them.
+    pub(crate) spin_parked: usize,
+    /// See `spin_parked`; drained by the machine after every step.
+    pub(crate) invalidated: Vec<CoreId>,
 }
 
 impl Directory {
@@ -99,6 +109,8 @@ impl Directory {
         Directory {
             shards: vec![Shard::default(); shards.max(1)],
             region_homes: Vec::new(),
+            spin_parked: 0,
+            invalidated: Vec::new(),
         }
     }
 
@@ -194,7 +206,12 @@ impl Directory {
         let transfer = lat.transfer_latency(distance);
         let latency = if write {
             let latency = state.busy_until.saturating_sub(now) + transfer;
-            // Writer takes exclusive ownership; all other copies invalidated.
+            // Writer takes exclusive ownership; all other copies invalidated
+            // (the owner is always among the sharers).
+            if self.spin_parked > 0 {
+                let others = state.sharers.iter().filter(|&&c| c != requester);
+                self.invalidated.extend(others);
+            }
             state.owner = Some(requester);
             state.sharers.clear();
             state.sharers.push(requester);
@@ -222,6 +239,15 @@ impl Directory {
             .and_then(|s| s.owner)
     }
 
+    /// Whether `core` holds a copy of `line`, so that its reads hit.
+    #[must_use]
+    pub(crate) fn is_sharer(&self, line: Line, core: CoreId) -> bool {
+        self.shards[self.shard_of(line)]
+            .lines
+            .get(&line)
+            .is_some_and(|s| s.sharers.contains(&core))
+    }
+
     /// Park `core` on `line`: it will be reported by
     /// [`Directory::take_waiters_into`] when a store commits to the line.
     /// Idempotent per (line, core).
@@ -235,11 +261,11 @@ impl Directory {
 
     /// Drain the waiter list of `line` into `out` (called on every committed
     /// store to the line). Waiters re-park themselves if their condition
-    /// still holds.
+    /// still holds; the emptied list keeps its place and capacity for them.
     pub fn take_waiters_into(&mut self, line: Line, out: &mut Vec<CoreId>) {
         let shard = self.shard_of(line);
-        if let Some(mut list) = self.shards[shard].waiters.remove(&line) {
-            out.append(&mut list);
+        if let Some(list) = self.shards[shard].waiters.get_mut(&line) {
+            out.append(list);
         }
     }
 

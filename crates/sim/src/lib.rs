@@ -26,7 +26,13 @@
 //! independent work overlaps outstanding misses just as on real hardware.
 //!
 //! The simulator is deterministic: the same machine + threads produce the
-//! same cycle counts on every host.
+//! same cycle counts on every host, under either scheduling engine
+//! ([`machine::Engine`]). The default, event-driven one steps a core only
+//! when it can act, and not at all through three kinds of wait it can
+//! account for in closed form: a core parked on [`Op::WaitChange`], a run
+//! of nops, and a poll loop a thread has marked with [`Op::SpinMark`] once
+//! it has settled. The lockstep oracle steps everything and is what the
+//! differential tests hold the event engine to.
 //!
 //! # Example
 //!
@@ -56,6 +62,7 @@ pub mod op;
 pub mod platform;
 pub mod rob;
 pub mod script;
+mod spin;
 pub mod stats;
 pub mod storebuf;
 pub mod topology;

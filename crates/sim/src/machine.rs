@@ -9,9 +9,12 @@
 //!   [`WaitChange`](crate::op::Op::WaitChange) line report no wake at all
 //!   and are woken through the directory's per-line waiter lists when
 //!   another core commits a store to the line — so a thousand parked
-//!   spinners cost nothing per simulated cycle — and a core grinding
+//!   spinners cost nothing per simulated cycle — a core grinding
 //!   through a nop run is woken once, at the cycle the run ends, with the
-//!   skipped cycles applied lazily.
+//!   skipped cycles applied lazily, and a core whose marked poll loop
+//!   ([`Op::SpinMark`](crate::op::Op::SpinMark)) has settled is parked until
+//!   another core writes a polled line, its skipped iterations applied in
+//!   closed form (`Core::spin_park`, `Core::spin_resume`).
 //! * [`Engine::LockstepOracle`] is the original loop: every active core is
 //!   stepped at every observed cycle ([`Core::next_wake`]'s heartbeat
 //!   contract), with time jumping over dead cycles.
@@ -20,9 +23,9 @@
 //!
 //! Both engines are cycle-accurate and byte-deterministic: within a cycle,
 //! cores step in id order — that order is the deterministic tie-break for
-//! same-cycle coherence races (the heap yields equal-cycle events in
-//! ascending core id). The soundness argument for why the two engines are
-//! equivalent lives in `DESIGN.md` §10.
+//! same-cycle coherence races (the oracle walks its cores in ascending id,
+//! the heap yields equal-cycle events the same way). The soundness argument
+//! for why the two engines are equivalent lives in `DESIGN.md` §10.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -61,7 +64,7 @@ const NEVER: Cycle = Cycle::MAX;
 pub struct Machine {
     platform: Platform,
     cores: Vec<Core>,
-    /// Ids of cores that have workloads attached, in attach order.
+    /// Ids of cores that have workloads attached, ascending.
     active: Vec<CoreId>,
     shared: SharedState,
     now: Cycle,
@@ -78,9 +81,14 @@ pub struct Machine {
     /// Scratch for the cores woken in the current cycle (kept across runs
     /// so the event loop never allocates in steady state).
     batch: Vec<CoreId>,
+    /// The image `Core::spin_resume` replays the tail of a spin against:
+    /// lines parked pollers hold, with the values they last saw.
+    frozen: SharedState,
     /// Total `Core::step` invocations across all runs — the engine-quality
     /// metric (cycles simulated per core actually stepped) benchmarks gate.
     steps_executed: u64,
+    /// Poll-loop periods applied in closed form instead of stepped.
+    spin_periods_skipped: u64,
 }
 
 impl Machine {
@@ -110,7 +118,9 @@ impl Machine {
             heap: BinaryHeap::new(),
             scheduled: vec![NEVER; core_count],
             batch: Vec::new(),
+            frozen: SharedState::default(),
             steps_executed: 0,
+            spin_periods_skipped: 0,
         }
     }
 
@@ -129,6 +139,14 @@ impl Machine {
     #[must_use]
     pub fn steps_executed(&self) -> u64 {
         self.steps_executed
+    }
+
+    /// Total number of poll-loop periods the event engine applied in closed
+    /// form instead of stepping through (all runs; always 0 under the
+    /// oracle).
+    #[must_use]
+    pub fn spin_periods_skipped(&self) -> u64 {
+        self.spin_periods_skipped
     }
 
     /// Switch on event tracing with a ring of `capacity` events; all cores
@@ -176,7 +194,10 @@ impl Machine {
             "core {core} already has a thread"
         );
         self.cores[core].attach(thread);
-        self.active.push(core);
+        // Ascending, whatever the attach order: the oracle walks this list
+        // and must break same-cycle ties the way the event heap does.
+        let at = self.active.partition_point(|&c| c < core);
+        self.active.insert(at, core);
         core
     }
 
@@ -233,6 +254,11 @@ impl Machine {
         }
         let mut wakes = std::mem::take(&mut self.shared.pending_wakes);
         for &c in &wakes {
+            // (A poller that parked on several lines stays listed on those
+            // that did not end its spin; such an entry names a running core.)
+            if !self.cores[c].parked() {
+                continue;
+            }
             self.cores[c].unpark();
             if reschedule {
                 self.schedule(c, now + 1);
@@ -357,12 +383,108 @@ impl Machine {
         }
     }
 
+    /// The earliest live wake event, discarding superseded heap entries. A
+    /// stale wake in the past must never rewind time: it is re-aimed at the
+    /// current cycle instead (defensive — `schedule` clamps at the call
+    /// sites, but the invariant is cheap to enforce here). Inlined: the
+    /// event loop asks twice per step, and a call costs it a tenth of a
+    /// dense single-core run.
+    #[inline(always)]
+    fn next_event(&mut self) -> Option<(Cycle, CoreId)> {
+        loop {
+            let &Reverse((at, c)) = self.heap.peek()?;
+            if self.scheduled[c] != at {
+                self.heap.pop();
+            } else if at < self.now {
+                self.heap.pop();
+                self.scheduled[c] = NEVER;
+                self.schedule(c, self.now);
+            } else {
+                return Some((at, c));
+            }
+        }
+    }
+
+    /// Bring parked poller `s` up to date through cycle `reach`
+    /// (`Core::spin_resume`) and put its next step on the heap. Returns
+    /// the cycle of the last step it has now taken.
+    fn resume_spinner(&mut self, s: CoreId, reach: Cycle) -> Cycle {
+        let resumed = self.cores[s].spin_resume(
+            reach,
+            &self.platform.topology,
+            &self.platform.latency,
+            &mut self.frozen,
+            &mut self.trace,
+        );
+        self.shared.directory.spin_parked -= 1;
+        self.steps_executed += resumed.steps;
+        self.spin_periods_skipped += resumed.periods;
+        if let Some(w) = resumed.next_wake {
+            self.schedule(s, w);
+        }
+        resumed.last_step
+    }
+
+    /// Resume every parked poller through cycle `reach`; the latest step
+    /// any of them took, if there were any.
+    fn resume_spinners(&mut self, reach: Cycle) -> Option<Cycle> {
+        if self.shared.directory.spin_parked == 0 {
+            return None;
+        }
+        let mut last = None;
+        for i in 0..self.active.len() {
+            let id = self.active[i];
+            if self.cores[id].spin_parked() {
+                last = last.max(Some(self.resume_spinner(id, reach)));
+            }
+        }
+        last
+    }
+
+    /// End the spins that core `w`'s step at cycle `t` disturbed: every
+    /// parked poller whose copy of a polled line that step invalidated
+    /// (drain start, RMW) or whose polled line it committed to is resumed to
+    /// just before `(t, w)` in `(cycle, core id)` order — the order both
+    /// engines step in — so a poller with a lower id has taken its step of
+    /// cycle `t` and one with a higher id will take it next, after `w`.
+    /// Called while any poller is parked.
+    fn end_spins(&mut self, t: Cycle, w: CoreId) {
+        let mut invalidated = std::mem::take(&mut self.shared.directory.invalidated);
+        // The committed lines' `WaitChange` waiters stay listed for
+        // `drain_wakes`, which wakes them when the cycle ends.
+        let committed = std::mem::take(&mut self.shared.pending_wakes);
+        for &s in invalidated.iter().chain(&committed) {
+            if self.cores[s].spin_parked() {
+                self.resume_spinner(s, if s < w { t } else { t - 1 });
+            }
+        }
+        invalidated.clear();
+        self.shared.directory.invalidated = invalidated;
+        self.shared.pending_wakes = committed;
+    }
+
+    /// After core `id`'s step at cycle `t`, with a poller parked or `id` in
+    /// a settled poll loop: end the spins the step disturbed, then park `id`
+    /// if its own loop has settled and say so. Out of line: the event loop
+    /// of a machine that polls nothing pays two tests for it.
+    #[inline(never)]
+    fn end_and_begin_spins(&mut self, t: Cycle, id: CoreId) -> bool {
+        if self.shared.directory.spin_parked > 0 {
+            self.end_spins(t, id);
+        }
+        self.cores[id].spin_park(t, &mut self.shared)
+    }
+
     /// The event-driven loop: pop the earliest wake events and step exactly
     /// those cores. Relies on the [`Core::next_wake_skipping_nops`] contract
     /// — between a core's own wake events nothing observable about it can
     /// change (stepping it would be a no-op, or a nop-run cycle applied
-    /// lazily later), and the only cross-core influence on a core with no
-    /// wake (parked on a line) arrives through the directory waiter lists.
+    /// lazily later) — and on the directory for the cores with no wake: one
+    /// parked on a `WaitChange` line is woken by a commit to it, one parked
+    /// in a settled poll loop by a commit or an exclusive access to a polled
+    /// line. While a poller is parked, events are popped one `(cycle, core
+    /// id)` at a time, so that one resumed by a lower-numbered core still
+    /// takes its step of that cycle, in its turn.
     fn run_event(&mut self, max_cycles: Cycle, keep_going: impl Fn(&Machine) -> bool) -> RunStats {
         let limit = self.now.saturating_add(max_cycles);
         if self.active.is_empty() {
@@ -388,85 +510,94 @@ impl Machine {
             .filter(|&&id| self.cores[id].quiesced())
             .count();
         let mut last: Option<Cycle> = None;
-        let mut batch = std::mem::take(&mut self.batch);
         // `Some(halted)` once the run ends on a stepped cycle; still `None`
         // if it runs into the cycle bound.
         let mut ended = None;
+        let mut batch = std::mem::take(&mut self.batch);
         while self.now < limit {
-            // Earliest live event, discarding superseded entries. A stale
-            // wake in the past must never rewind time: re-aim it at the
-            // current cycle instead (defensive — `schedule` clamps at the
-            // call sites, but the invariant is cheap to enforce here).
-            let t = loop {
-                match self.heap.peek() {
-                    None => break None,
-                    Some(&Reverse((at, c))) => {
-                        if self.scheduled[c] != at {
-                            self.heap.pop();
-                        } else if at < self.now {
-                            self.heap.pop();
-                            self.scheduled[c] = NEVER;
-                            self.schedule(c, self.now);
-                        } else {
-                            break Some(at);
-                        }
-                    }
+            let next = self.next_event();
+            let Some((t, _)) = next.filter(|&(t, _)| t < limit) else {
+                // Nothing is due before the bound.
+                if self.shared.directory.spin_parked > 0 {
+                    // But the oracle keeps stepping the parked pollers up to
+                    // it: take them there. Their next steps, at or past the
+                    // bound, join the heap and decide the exit below.
+                    last = last.max(self.resume_spinners(limit - 1));
+                    continue;
                 }
-            };
-            let Some(t) = t else {
-                // No core will ever self-wake again (all quiesced or parked
-                // with nobody to wake them): jump straight to the bound,
-                // mirroring the oracle's empty-candidate jump.
-                self.now = limit;
-                break;
-            };
-            if t >= limit {
-                if self.active.iter().any(|&id| self.cores[id].in_nop_run()) {
+                self.now = match next {
+                    // No core will ever self-wake again (all quiesced or
+                    // parked with nobody to wake them): jump straight to the
+                    // bound, mirroring the oracle's empty-candidate jump.
+                    None => limit,
                     // A core mid nop run heartbeats under the oracle, which
                     // therefore observes every cycle up to the bound and
                     // stops exactly on it.
-                    self.now = limit;
-                    last = Some(limit - 1);
-                } else {
+                    Some(_) if self.active.iter().any(|&id| self.cores[id].in_nop_run()) => {
+                        last = Some(limit - 1);
+                        limit
+                    }
                     // The next event sits at/past the bound. Advance to it
                     // and exit — the oracle's jump exposes the same
                     // overshoot.
-                    self.now = t;
-                }
+                    Some((t, _)) => t,
+                };
                 break;
-            }
+            };
             self.now = t;
             last = Some(t);
-            // Collect every core woken at `t`; the heap yields equal-cycle
-            // entries in ascending core id — the deterministic tie-break.
-            batch.clear();
-            while let Some(&Reverse((at, c))) = self.heap.peek() {
-                if at != t {
-                    break;
-                }
-                self.heap.pop();
-                if self.scheduled[c] == t {
+            // The heap yields equal-cycle events in ascending core id — the
+            // deterministic tie-break. `event` is the cycle's next one, while
+            // it has one.
+            let mut event = next;
+            while let Some((_, first)) = event.filter(|&(at, _)| at == t) {
+                // A step can put one more event into this very cycle only by
+                // resuming a poller that was parked before it: while any is
+                // parked the events are taken one at a time; with none
+                // parked the rest of the cycle is known and popped in one
+                // go, which keeps the heap out of the stepped cores' way in
+                // the cache.
+                let one_at_a_time = self.shared.directory.spin_parked > 0;
+                batch.clear();
+                let mut c = first;
+                loop {
+                    self.heap.pop();
                     self.scheduled[c] = NEVER;
                     batch.push(c);
+                    if one_at_a_time {
+                        break;
+                    }
+                    event = self.next_event();
+                    match event {
+                        Some((at, another)) if at == t => c = another,
+                        _ => break,
+                    }
                 }
-            }
-            for &id in &batch {
-                let was_quiesced = self.cores[id].quiesced();
-                self.cores[id].step(
-                    t,
-                    &self.platform.topology,
-                    &self.platform.latency,
-                    &mut self.shared,
-                    &mut self.trace,
-                );
-                self.steps_executed += 1;
-                match (was_quiesced, self.cores[id].quiesced()) {
-                    (false, true) => quiesced += 1,
-                    (true, false) => quiesced -= 1,
-                    _ => {}
+                for &id in &batch {
+                    let was_quiesced = self.cores[id].quiesced();
+                    self.cores[id].step(
+                        t,
+                        &self.platform.topology,
+                        &self.platform.latency,
+                        &mut self.shared,
+                        &mut self.trace,
+                    );
+                    self.steps_executed += 1;
+                    match (was_quiesced, self.cores[id].quiesced()) {
+                        (false, true) => quiesced += 1,
+                        (true, false) => quiesced -= 1,
+                        _ => {}
+                    }
+                    let spinning =
+                        self.shared.directory.spin_parked > 0 || self.cores[id].spin_settled();
+                    if !(spinning && self.end_and_begin_spins(t, id)) {
+                        if let Some(w) = self.cores[id].next_wake_skipping_nops(t) {
+                            self.schedule(id, w.max(t + 1));
+                        }
+                    }
                 }
-                if let Some(w) = self.cores[id].next_wake_skipping_nops(t) {
-                    self.schedule(id, w.max(t + 1));
+                if one_at_a_time {
+                    event = self.next_event();
                 }
             }
             // Stores committed this cycle wake their line's parked waiters
@@ -484,6 +615,12 @@ impl Machine {
             }
         }
         self.batch = batch;
+        // A stopped run leaves nobody parked in a poll loop: each poller is
+        // where the oracle's last observed cycle left it, and the next run
+        // seeds it like any other core.
+        if let Some(last) = last {
+            self.resume_spinners(last);
+        }
         self.finalize(last);
         RunStats {
             cycles: self.now,
@@ -1070,6 +1207,89 @@ mod tests {
         assert_eq!(ev.read_memory(0x140), 2);
         assert!(or.steps_executed() > 25_000, "{}", or.steps_executed());
         assert!(ev.steps_executed() < 300, "{}", ev.steps_executed());
+    }
+
+    /// Polls `addr` in a marked loop until it is non-zero, then publishes
+    /// what it saw to `out`.
+    fn marked_poller(addr: Addr, pad: u32, out: Addr) -> Box<dyn crate::op::SimThread> {
+        Box::new(crate::Script::new(move |cpu| async move {
+            let seen = loop {
+                cpu.spin_mark().await;
+                let v = cpu.op(Op::load_use(addr)).await;
+                if v != 0 {
+                    break v;
+                }
+                if pad > 0 {
+                    cpu.op(Op::Nops(pad)).await;
+                }
+            };
+            cpu.op(Op::store(out, seen)).await;
+        }))
+    }
+
+    #[test]
+    fn settled_poll_loops_cost_a_handful_of_steps_and_read_like_the_oracle() {
+        // Pollers below and above the writer, which first touches the
+        // neighbouring word (a wake that changes nothing they read), then
+        // publishes. Stopping mid-spin at a cycle bound and resuming must
+        // read exactly like the oracle's per-iteration polling.
+        let mk = |engine| {
+            let mut m = Machine::new(Platform::kunpeng916());
+            m.set_engine(engine);
+            m.add_thread_on(1, marked_poller(0x5000, 1, 0x5100));
+            m.add_thread_on(40, marked_poller(0x5000, 0, 0x5140));
+            m.add_thread_on(
+                5,
+                Box::new(Script::new(vec![
+                    Op::Nops(20_000),
+                    Op::store(0x5008, 3),
+                    Op::Nops(20_000),
+                    Op::fetch_add_acq_rel(0x5000, 7),
+                ])),
+            );
+            m
+        };
+        let mut ev = mk(Engine::EventDriven);
+        let mut or = mk(Engine::LockstepOracle);
+        for budget in [5_000, 1, 3, 12_345, 1 << 40] {
+            assert_eq!(ev.run(budget), or.run(budget), "budget {budget}");
+            assert_eq!(ev.now(), or.now(), "budget {budget}");
+            for core in [1, 5, 40] {
+                assert_eq!(ev.core_stats(core), or.core_stats(core), "budget {budget}");
+            }
+        }
+        assert_eq!(ev.read_memory(0x5100), 7);
+        assert_eq!(ev.read_memory(0x5140), 7);
+        assert!(or.steps_executed() > 40_000, "{}", or.steps_executed());
+        assert!(ev.steps_executed() < 400, "{}", ev.steps_executed());
+        assert!(ev.spin_periods_skipped() > 8_000);
+        assert_eq!(or.spin_periods_skipped(), 0, "the oracle runs every poll");
+    }
+
+    #[test]
+    fn same_cycle_races_break_ties_by_core_id_whatever_the_attach_order() {
+        // Four cores race one CAS(0 -> id) in the same cycle: the lowest id
+        // must win under both engines, attached ascending or descending.
+        for engine in [Engine::EventDriven, Engine::LockstepOracle] {
+            for order in [[0, 1, 2, 3], [3, 2, 1, 0]] {
+                let mut m = Machine::new(Platform::kunpeng916());
+                m.set_engine(engine);
+                for core in order {
+                    m.add_thread_on(
+                        core,
+                        Box::new(Script::new(vec![Op::Rmw {
+                            addr: 0x9000,
+                            kind: crate::op::RmwKind::Cas { expected: 0 },
+                            operand: core as u64 + 1,
+                            acquire: true,
+                            release: false,
+                        }])),
+                    );
+                }
+                assert!(m.run(1_000_000).halted);
+                assert_eq!(m.read_memory(0x9000), 1, "{engine:?}, attached {order:?}");
+            }
+        }
     }
 
     #[test]

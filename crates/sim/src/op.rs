@@ -108,6 +108,15 @@ pub enum Op {
     /// loop (increments [`CoreStats::iterations`]
     /// (crate::stats::CoreStats::iterations)).
     IterationMark,
+    /// Zero-cost marker at the top of a *pure* poll loop: no ROB entry, no
+    /// issue slot, no statistic. It declares that until the next mark the
+    /// op stream is a function of the values loaded since this one — the
+    /// loop keeps no counter of its own — which is what lets the event
+    /// engine apply the iterations of a settled spin in closed form (see
+    /// `DESIGN.md` §10). Every engine checks the claim: a marked iteration
+    /// that departs from the previous one before any load returned a
+    /// different value panics.
+    SpinMark,
     /// Thread is finished; the core goes idle.
     Halt,
 }
@@ -217,6 +226,21 @@ impl Op {
     #[must_use]
     pub fn wait_change(addr: Addr, expect: u64) -> Op {
         Op::WaitChange { addr, expect }
+    }
+
+    /// Is this the one kind of load a marked poll loop may repeat: a plain
+    /// [`Op::load_use`] (no acquire, no dependency)?
+    #[must_use]
+    pub(crate) fn is_plain_load_use(&self) -> bool {
+        matches!(
+            self,
+            Op::Load {
+                use_value: true,
+                acquire: Acquire::No,
+                dep_on_last_load: false,
+                ..
+            }
+        )
     }
 
     /// Does this op touch memory?
@@ -344,5 +368,6 @@ mod tests {
         assert!(!Op::Fence(Barrier::DmbFull).is_memory());
         assert!(!Op::Halt.is_memory());
         assert!(!Op::IterationMark.is_memory());
+        assert!(!Op::SpinMark.is_memory());
     }
 }

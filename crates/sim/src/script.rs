@@ -11,7 +11,12 @@
 //!
 //! const FLAG: u64 = 0x1000;
 //! let waiter = Script::new(|cpu| async move {
-//!     while cpu.op(Op::load_use(FLAG)).await == 0 {
+//!     loop {
+//!         // What follows depends on the loaded value alone.
+//!         cpu.spin_mark().await;
+//!         if cpu.op(Op::load_use(FLAG)).await != 0 {
+//!             break;
+//!         }
 //!         cpu.op(Op::Nops(1)).await;
 //!     }
 //!     cpu.op(Op::store(0x2000, 1)).await;
@@ -33,6 +38,12 @@
 //!   runs inside that call, exactly where a hand-written machine would
 //!   have read `ctx.last_value()`.
 //! * When the body returns, `next()` answers [`Op::Halt`], then and forever.
+//! * [`Cpu::spin_mark`] at the top of a poll loop hands the core an
+//!   [`Op::SpinMark`]: free in simulated time, and a promise that until the
+//!   next mark the body's ops depend only on the values it loads — no
+//!   iteration counter, no back-off state. The event engine uses it to skip
+//!   a settled loop's iterations; every engine panics on a marked loop that
+//!   breaks the promise.
 //!
 //! The op travels from `cpu.op` to `next()`, and the value back, through a
 //! thread-local mailbox that is live only while one `next()` call is on the
@@ -72,6 +83,13 @@ impl Cpu {
     pub fn op(self, op: Op) -> Issue {
         ISSUED.set(Some(op));
         Issue { suspended: false }
+    }
+
+    /// [`Op::SpinMark`]: the top of a poll loop whose every iteration is
+    /// decided by the values it loads alone.
+    #[inline]
+    pub fn spin_mark(self) -> Issue {
+        self.op(Op::SpinMark)
     }
 }
 

@@ -1,0 +1,221 @@
+//! The record a core keeps of a marked poll loop.
+//!
+//! [`Op::SpinMark`] declares that, until the next mark, a thread's op stream
+//! is a function of the values it loads. [`SpinRecord`] holds the last two
+//! iterations between marks and answers two questions about them:
+//!
+//! * **Is the claim true?** An iteration that departs from the previous one
+//!   — another op, or a mark where an op was — although every load so far
+//!   returned what it returned one iteration earlier, panics. Both engines
+//!   record, so the lockstep oracle, which executes every iteration, checks
+//!   the loops the event engine skips through.
+//! * **Has the loop settled?** Two consecutive iterations of the same ops,
+//!   values and length in cycles, every load a local hit, begun from the
+//!   same pipeline state ([`MarkPoint`]) with nothing else in flight, repeat
+//!   until a polled line is written: the event engine parks the core there
+//!   and applies the skipped iterations in closed form (`DESIGN.md` §10).
+//!
+//! Only plain [`Op::load_use`]s and [`Op::Nops`] are recorded, at most
+//! [`MAX_OPS`] of them; any other op closes the record until the next mark.
+
+use crate::op::Op;
+use crate::types::{Addr, CoreId, Cycle};
+
+/// Ops a recorded iteration may hold; a longer one is not recorded.
+const MAX_OPS: usize = 8;
+
+/// A core at the moment it fetches a mark: everything that decides how a
+/// pure iteration unfolds from there.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MarkPoint {
+    /// Cycle of the mark.
+    pub at: Cycle,
+    /// ROB occupancy (every entry complete when `clean`).
+    pub rob_used: u32,
+    /// Issue slots left in the mark's cycle.
+    pub budget: u32,
+    /// Nothing but the loop in flight: no loads, buffered stores, gates,
+    /// pending barrier or open stall run.
+    pub clean: bool,
+}
+
+impl MarkPoint {
+    /// Whether a pure iteration begun at `self` unfolds as one begun at
+    /// `other` does.
+    fn same_stance(&self, other: &MarkPoint) -> bool {
+        self.clean && other.clean && self.rob_used == other.rob_used && self.budget == other.budget
+    }
+}
+
+/// One period of a settled loop: its length and what it adds to the core's
+/// counters (it retires what it issues: ROB occupancy is the same at both
+/// ends).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Period {
+    pub cycles: Cycle,
+    pub loads: u64,
+    pub issued: u64,
+}
+
+/// A settled loop the event engine stopped stepping: the core's state is
+/// that after its step at `base`, and repeats every `period.cycles`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Parked {
+    pub base: Cycle,
+    pub period: Period,
+}
+
+/// The ops between two marks and the values their loads returned.
+#[derive(Debug, Clone, Copy)]
+struct Iteration {
+    mark: MarkPoint,
+    ops: [(Op, u64); MAX_OPS],
+    len: usize,
+    /// Every load issued so far was a local directory hit, not forwarded.
+    all_hit: bool,
+}
+
+impl Default for Iteration {
+    fn default() -> Iteration {
+        Iteration {
+            mark: MarkPoint::default(),
+            ops: [(Op::Halt, 0); MAX_OPS],
+            len: 0,
+            all_hit: true,
+        }
+    }
+}
+
+/// See the [module docs](self).
+#[derive(Debug, Default)]
+pub(crate) struct SpinRecord {
+    /// The last complete iteration, if there is one to repeat.
+    prev: Iteration,
+    /// The iteration since the last mark, while `open`.
+    cur: Iteration,
+    open: bool,
+    /// `prev` is complete and `cur` has so far repeated it op for op and
+    /// value for value.
+    repeats: bool,
+    /// Set by the mark that closed the second of two identical iterations.
+    settled: Option<Period>,
+    /// Set while the event engine has the core parked in this loop.
+    pub parked: Option<Parked>,
+}
+
+impl SpinRecord {
+    /// The mark's claim, checked as the thread hands over `op` (`None`: the
+    /// next mark) while `cur` repeats `prev`.
+    fn check_pure(&self, core: CoreId, op: Option<Op>) {
+        let at = self.cur.len;
+        let before = self.prev.ops[..self.prev.len].get(at).map(|&(op, _)| op);
+        assert!(
+            !self.repeats || before == op,
+            "core {core}: a marked poll loop is not pure: op {at} of this iteration is {op:?} \
+             where the previous one had {before:?} (None = the next mark), though every load \
+             returned the same value"
+        );
+    }
+
+    /// The thread handed over `op`; a mark is [`SpinRecord::mark`]'s.
+    pub fn fetched(&mut self, core: CoreId, op: Op) {
+        if !self.open || op == Op::SpinMark {
+            return;
+        }
+        self.check_pure(core, Some(op));
+        let at = self.cur.len;
+        let recordable = op.is_plain_load_use() || matches!(op, Op::Nops(_));
+        if !recordable || at == MAX_OPS {
+            self.open = false;
+            return;
+        }
+        self.cur.ops[at] = (op, 0);
+        self.cur.len = at + 1;
+    }
+
+    /// The load just fetched issued; `hit` if it was a local directory hit
+    /// that forwarded nothing from the store buffer.
+    pub fn issued_load(&mut self, hit: bool) {
+        if self.open {
+            self.cur.all_hit &= hit;
+        }
+    }
+
+    /// The load the thread is suspended on returned `value`.
+    pub fn loaded(&mut self, value: u64) {
+        if !self.open {
+            return;
+        }
+        let at = self.cur.len - 1;
+        self.cur.ops[at].1 = value;
+        self.repeats &= self.prev.ops[at].1 == value;
+    }
+
+    /// The thread handed over a mark while the core was at `point`.
+    pub fn mark(&mut self, core: CoreId, point: MarkPoint) {
+        self.settled = None;
+        if self.open {
+            self.check_pure(core, None);
+            let cycles = point.at - self.cur.mark.at;
+            if self.repeats
+                && self.prev.all_hit
+                && self.cur.all_hit
+                && cycles > 0
+                && cycles == self.cur.mark.at - self.prev.mark.at
+                && self.prev.mark.same_stance(&self.cur.mark)
+                && self.cur.mark.same_stance(&point)
+            {
+                let mut period = Period {
+                    cycles,
+                    loads: 0,
+                    issued: 0,
+                };
+                for &(op, _) in &self.cur.ops[..self.cur.len] {
+                    match op {
+                        Op::Nops(n) => period.issued += u64::from(n),
+                        _ => {
+                            period.loads += 1;
+                            period.issued += 1;
+                        }
+                    }
+                }
+                self.settled = Some(period);
+            }
+            std::mem::swap(&mut self.prev, &mut self.cur);
+        }
+        self.repeats = self.open;
+        self.open = true;
+        self.cur.mark = point;
+        self.cur.len = 0;
+        self.cur.all_hit = true;
+    }
+
+    /// Whether the last mark found the loop settled.
+    #[inline]
+    pub fn settled(&self) -> bool {
+        self.settled.is_some()
+    }
+
+    /// The period of the settled loop, if the step at `now` fetched the
+    /// mark that found it settled and has since only begun to repeat it.
+    pub fn settled_at(&self, now: Cycle) -> Option<Period> {
+        self.settled
+            .filter(|_| self.open && self.repeats && self.cur.all_hit && self.cur.mark.at == now)
+    }
+
+    /// The addresses the settled loop polls and the values it found there.
+    pub fn polled(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
+        self.prev.ops[..self.prev.len]
+            .iter()
+            .filter_map(|&(op, value)| match op {
+                Op::Load { addr, .. } => Some((addr, value)),
+                _ => None,
+            })
+    }
+
+    /// Move the record `by` cycles into the future, with the core.
+    pub fn shift(&mut self, by: Cycle) {
+        self.prev.mark.at += by;
+        self.cur.mark.at += by;
+    }
+}

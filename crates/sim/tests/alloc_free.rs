@@ -1,10 +1,12 @@
 //! Machine-independent gate on the simulator's hot path: once warm, the
 //! event loop and `Core::step` perform **zero** heap allocations. A counting
 //! global allocator (this test crate's own — the library forbids `unsafe`)
-//! tallies allocations made by the test thread while a 16-core machine runs
-//! spinners on one line (`Script` bodies, so the gate covers the coroutine
-//! adapter too), a store / `DMB st` / drain publisher and contended RMWs. (Parking on `Op::WaitChange` is left out: each park/wake round still
-//! allocates the line's waiter list.)
+//! tallies allocations made by the test thread while a 24-core machine runs
+//! a store / `DMB st` / drain publisher, contended RMWs, pollers in a marked
+//! loop on the publisher's flag (`Script` bodies, so the gate covers the
+//! coroutine adapter too) and `Op::WaitChange` waiters on the same line —
+//! so every round of the publisher parks and wakes each of them once, one
+//! kind through the poll-loop elision and one through the waiter list.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -72,11 +74,13 @@ async fn publisher(cpu: Cpu) {
 async fn poller(cpu: Cpu) {
     let mut seen = 0;
     loop {
-        let mut flag = cpu.op(Op::load_use(FLAG)).await;
-        while flag == seen {
-            flag = cpu.op(Op::load_use(FLAG)).await;
-        }
-        seen = flag;
+        seen = loop {
+            cpu.spin_mark().await;
+            let flag = cpu.op(Op::load_use(FLAG)).await;
+            if flag != seen {
+                break flag;
+            }
+        };
         cpu.op(Op::Fence(Barrier::DmbLd)).await;
         cpu.op(Op::load_use(DATA)).await;
         cpu.op(Op::fetch_add_acq_rel(COUNTER, 1)).await;
@@ -84,30 +88,61 @@ async fn poller(cpu: Cpu) {
     }
 }
 
+/// Parks on the flag until it changes, over and over.
+async fn waiter(cpu: Cpu) {
+    let mut seen = 0;
+    loop {
+        seen = cpu.op(Op::wait_change(FLAG, seen)).await;
+        cpu.op(Op::IterationMark).await;
+    }
+}
+
+const POLLERS: [usize; 8] = [2, 4, 12, 20, 28, 36, 44, 52];
+const WAITERS: [usize; 8] = [1, 8, 16, 24, 32, 40, 48, 56];
+
+fn rounds(m: &Machine, cores: &[usize]) -> u64 {
+    cores.iter().map(|&c| m.core_stats(c).iterations).sum()
+}
+
 #[test]
 fn steady_state_steps_do_not_allocate() {
     let mut m = Machine::new(Platform::kunpeng916());
     m.add_thread_on(0, Box::new(Script::new(publisher)));
-    for id in 1..16 {
-        // Spread over both NUMA nodes: cores 4, 8, …, 60.
-        m.add_thread_on(id * 4, Box::new(Script::new(poller)));
+    // Spread over both NUMA nodes, below and above each other.
+    for core in POLLERS {
+        m.add_thread_on(core, Box::new(Script::new(poller)));
     }
-    m.add_thread_on(2, Box::new(Script::new(poller)));
+    for core in WAITERS {
+        m.add_thread_on(core, Box::new(Script::new(waiter)));
+    }
     // Warm-up: every map, queue and scratch vector reaches its working size
     // (two runs, because re-seeding a resumed run is the wake heap's peak).
     m.run(50_000);
     let warm = m.run(50_000);
     assert!(!warm.halted, "the workload never halts");
-    let rounds_before = m.read_memory(FLAG);
-    let steps_before = m.steps_executed();
+    let published_before = m.read_memory(FLAG);
+    let (polled_before, waited_before) = (rounds(&m, &POLLERS), rounds(&m, &WAITERS));
+    let (steps_before, skipped_before) = (m.steps_executed(), m.spin_periods_skipped());
     let before = ALLOCATIONS.with(Cell::get);
-    m.run(400_000);
+    m.run(2_000_000);
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     let steps = m.steps_executed() - steps_before;
+    let published = m.read_memory(FLAG) - published_before;
+    let polled = rounds(&m, &POLLERS) - polled_before;
+    let waited = rounds(&m, &WAITERS) - waited_before;
+    let skipped = m.spin_periods_skipped() - skipped_before;
     assert!(steps >= 100_000, "only {steps} steps measured");
     assert!(
-        m.read_memory(FLAG) > rounds_before + 100 && m.read_memory(COUNTER) > 0,
+        published > 1_000 && m.read_memory(COUNTER) > 0,
         "the workload must keep publishing"
+    );
+    // Every round a poller or a waiter completes is one park and one wake:
+    // a round lasts hundreds of cycles, a poll four.
+    assert!(waited >= 10_000, "only {waited} WaitChange rounds");
+    assert!(polled >= 10_000, "only {polled} poll-loop rounds");
+    assert!(
+        skipped >= 10 * polled,
+        "{polled} poll-loop rounds skipped only {skipped} periods"
     );
     assert_eq!(
         allocations, 0,

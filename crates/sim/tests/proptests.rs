@@ -324,6 +324,317 @@ proptest! {
     }
 }
 
+/// A marked poll loop of the spin-elision property: after `prefix`, forever
+/// — poll `lines` (a change of any polled word ends the wait), pad; on a
+/// change publish what was seen and mark the iteration.
+#[derive(Debug, Clone)]
+struct Poller {
+    prefix: Vec<GenOp>,
+    /// Indices into the polled-line pool, 1–3 of them.
+    lines: Vec<u8>,
+    pad: u32,
+}
+
+/// One write of a spin-elision writer, `delay` nops after its previous one.
+#[derive(Debug, Clone, Copy)]
+struct Poke {
+    delay: u16,
+    /// Which pool line.
+    line: u8,
+    /// The polled word, or its neighbour on the same line (a wake that
+    /// changes nothing the loop reads).
+    neighbour: bool,
+    how: PokeKind,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum PokeKind {
+    Store,
+    StoreRelease,
+    FetchAdd,
+    Swap,
+}
+
+/// The polled-line pool: four lines the pollers share.
+fn polled_addr(line: u8) -> u64 {
+    0x8000 + u64::from(line % 4) * 64
+}
+
+async fn poller(cpu: Cpu, id: u64, p: Poller) {
+    for g in p.prefix {
+        cpu.op(to_op(g)).await;
+    }
+    let mut seen = vec![0u64; p.lines.len()];
+    loop {
+        'wait: loop {
+            cpu.spin_mark().await;
+            for (i, &line) in p.lines.iter().enumerate() {
+                let v = cpu.op(Op::load_use(polled_addr(line))).await;
+                if v != seen[i] {
+                    seen[i] = v;
+                    break 'wait;
+                }
+            }
+            if p.pad > 0 {
+                cpu.op(Op::Nops(p.pad)).await;
+            }
+        }
+        cpu.op(Op::store(0xC000 + id * 64, seen.iter().sum())).await;
+        cpu.op(Op::IterationMark).await;
+    }
+}
+
+async fn poke_writer(cpu: Cpu, id: u64, pokes: Vec<Poke>) {
+    for (n, poke) in pokes.into_iter().enumerate() {
+        if poke.delay > 0 {
+            cpu.op(Op::Nops(u32::from(poke.delay))).await;
+        }
+        let addr = polled_addr(poke.line) + if poke.neighbour { 8 } else { 0 };
+        // Never a value the word held before: every poke is a change.
+        let value = (id + 1) << 32 | (n as u64 + 1);
+        cpu.op(match poke.how {
+            PokeKind::Store => Op::store(addr, value),
+            PokeKind::StoreRelease => Op::store_release(addr, value),
+            PokeKind::FetchAdd => Op::fetch_add_acq_rel(addr, 1 << 48),
+            PokeKind::Swap => Op::Rmw {
+                addr,
+                kind: RmwKind::Swap,
+                operand: value,
+                acquire: false,
+                release: false,
+            },
+        })
+        .await;
+    }
+}
+
+/// Cores of the spin-elision machine: a writer below and one above the
+/// pollers, so wakes come from lower and from higher core ids.
+const LOW_WRITER: usize = 1;
+const POLLERS: [usize; 2] = [2, 9];
+const HIGH_WRITER: usize = 33;
+const SPIN_CORES: [usize; 5] = [LOW_WRITER, POLLERS[0], TICKER, POLLERS[1], HIGH_WRITER];
+
+/// What the engines must agree on after a `run*` call of the spin-elision
+/// machine: outcome, time, every active core's statistics, and memory.
+type SpinObserved = (RunStats, u64, Vec<CoreStats>, Vec<u64>);
+
+fn run_spin_schedule(
+    engine: Engine,
+    (rob_size, issue_width, retire_width): (u32, u32, u32),
+    pollers: &[Poller; 2],
+    pokes: &[Vec<Poke>; 2],
+    tick: u32,
+    schedule: &[RunCall],
+) -> (Vec<SpinObserved>, u64) {
+    let mut platform = Platform::kunpeng916();
+    platform.latency.rob_size = rob_size;
+    platform.latency.issue_width = issue_width;
+    platform.latency.retire_width = retire_width;
+    let mut m = Machine::new(platform);
+    m.set_engine(engine);
+    for (i, (&core, p)) in POLLERS.iter().zip(pollers).enumerate() {
+        let p = p.clone();
+        m.add_thread_on(core, Box::new(Script::new(|cpu| poller(cpu, i as u64, p))));
+    }
+    for (i, (core, w)) in [LOW_WRITER, HIGH_WRITER].into_iter().zip(pokes).enumerate() {
+        let w = w.clone();
+        m.add_thread_on(
+            core,
+            Box::new(Script::new(|cpu| poke_writer(cpu, i as u64, w))),
+        );
+    }
+    m.add_thread_on(
+        TICKER,
+        Box::new(Ticker {
+            tick,
+            marks: 60,
+            phase: 0,
+        }),
+    );
+    let mut seen = Vec::new();
+    let mut observe = |m: &Machine, stats: RunStats| {
+        let memory = (0..4u8)
+            .flat_map(|l| [polled_addr(l), polled_addr(l) + 8])
+            .chain([0xC000, 0xC040, addr_of(0)])
+            .chain((0..16).map(addr_of))
+            .map(|a| m.read_memory(a))
+            .collect();
+        let cores = SPIN_CORES
+            .iter()
+            .map(|&c| m.core_stats(c).clone())
+            .collect();
+        seen.push((stats, m.now(), cores, memory));
+    };
+    for &call in schedule {
+        let stats = match call {
+            RunCall::Cycles(n) => m.run(u64::from(n)),
+            RunCall::Marks(k) => {
+                let target = m.core_stats(TICKER).iterations + u64::from(k);
+                m.run_until_iterations(TICKER, target, 20_000)
+            }
+        };
+        observe(&m, stats);
+    }
+    // The pollers never halt: the last call runs into its cycle bound with
+    // both of them, in the end, parked.
+    let stats = m.run(20_000);
+    observe(&m, stats);
+    (seen, m.spin_periods_skipped())
+}
+
+/// The first thing two observations disagree on (whole `CoreStats` of five
+/// cores twice over is unreadable).
+fn spin_difference(ev: &SpinObserved, or: &SpinObserved) -> String {
+    if (&ev.0, ev.1) != (&or.0, or.1) {
+        return format!(
+            "event {:?} at {}, oracle {:?} at {}",
+            ev.0, ev.1, or.0, or.1
+        );
+    }
+    for ((core, e), o) in SPIN_CORES.iter().zip(&ev.2).zip(&or.2) {
+        if e != o {
+            return format!("core {core}:\n event: {e:?}\noracle: {o:?}");
+        }
+    }
+    format!("memory:\n event: {:?}\noracle: {:?}", ev.3, or.3)
+}
+
+fn gen_poller() -> impl Strategy<Value = Poller> {
+    (
+        prop::collection::vec(gen_op(), 0..8),
+        // A long nop tail still issuing when the loop starts, or none.
+        prop_oneof![Just(0u8), 1u8..=255],
+        prop::collection::vec(0u8..4, 1..4),
+        // Mostly a branch-sized pad; sometimes one long enough to be a
+        // nop run of its own inside every period.
+        prop_oneof![0u32..=3, 0u32..=3, 0u32..=3, 4u32..=60],
+    )
+        .prop_map(|(mut prefix, tail, lines, pad)| {
+            if tail > 0 {
+                prefix.push(GenOp::Nops(tail));
+            }
+            Poller { prefix, lines, pad }
+        })
+}
+
+fn gen_pokes() -> impl Strategy<Value = Vec<Poke>> {
+    let how = prop_oneof![
+        Just(PokeKind::Store),
+        Just(PokeKind::StoreRelease),
+        Just(PokeKind::FetchAdd),
+        Just(PokeKind::Swap),
+    ];
+    let poke = (0u16..400, 0u8..4, any::<bool>(), how).prop_map(|(delay, line, nb, how)| Poke {
+        delay,
+        line,
+        // One poke in four goes to the neighbouring word.
+        neighbour: nb && delay % 2 == 0,
+        how,
+    });
+    prop::collection::vec(poke, 0..24)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Parking a settled poll loop is invisible: for any pipeline shape, any
+    /// loop of one to three polled lines and a pad, entered with stores,
+    /// gates, fences or a nop tail still in flight, any writers on lower and
+    /// higher core ids whose drain starts, RMWs and commits land anywhere in
+    /// the period (the polled word or its neighbour on the line), and any
+    /// schedule of `run`/`run_until_iterations` calls that stop the machine
+    /// mid-spin and resume it, both engines report the same `RunStats`,
+    /// time, memory and per-core `CoreStats` after every call.
+    #[test]
+    fn elided_spins_match_per_iteration_polling(
+        shape in (1u32..=160, 1u32..=8, 1u32..=8),
+        pollers in (gen_poller(), gen_poller()),
+        pokes in (gen_pokes(), gen_pokes()),
+        tick_and_schedule in (
+            1u32..=400,
+            prop::collection::vec(
+                prop_oneof![
+                    (1u16..=6_000).prop_map(RunCall::Cycles),
+                    (1u8..20).prop_map(RunCall::Marks),
+                ],
+                0..6,
+            ),
+        ),
+    ) {
+        let pollers = [pollers.0, pollers.1];
+        let pokes = [pokes.0, pokes.1];
+        let (tick, schedule) = tick_and_schedule;
+        let (event, skipped) =
+            run_spin_schedule(Engine::EventDriven, shape, &pollers, &pokes, tick, &schedule);
+        let (oracle, _) =
+            run_spin_schedule(Engine::LockstepOracle, shape, &pollers, &pokes, tick, &schedule);
+        for (call, (ev, or)) in event.iter().zip(&oracle).enumerate() {
+            prop_assert!(
+                ev == or,
+                "after call {} of {:?} on {:?}, tick {}:\n{:?}\n{:?}\n{}",
+                call, &schedule, shape, tick, &pollers, &pokes, spin_difference(ev, or)
+            );
+        }
+        // The property is about elision: the last call at least must have
+        // skipped something. (A long pad on a pipeline that issues faster
+        // than it retires can alternate between two stances at its marks
+        // and never settle; it is stepped, and still equal.)
+        prop_assert!(
+            skipped > 0 || pollers.iter().all(|p| p.pad > 3),
+            "nothing was elided on {:?} {:?}", shape, &pollers
+        );
+    }
+}
+
+/// A marked loop that keeps a counter of its own — DSynch's client retries
+/// the baton every eighth miss — breaks the mark's contract; the oracle,
+/// which executes every iteration, must say so.
+async fn counting_poller(cpu: Cpu) {
+    let mut misses = 0u64;
+    loop {
+        cpu.spin_mark().await;
+        if cpu.op(Op::load_use(0x8000)).await != 0 {
+            return;
+        }
+        misses += 1;
+        cpu.op(Op::Nops(2)).await;
+        if misses.is_multiple_of(8) {
+            cpu.op(Op::fetch_add_acq_rel(0x8040, 1)).await;
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "core 3: a marked poll loop is not pure")]
+fn a_marked_loop_with_a_miss_counter_trips_the_purity_check() {
+    let mut m = Machine::new(Platform::kunpeng916());
+    m.set_engine(Engine::LockstepOracle);
+    m.add_thread_on(3, Box::new(Script::new(counting_poller)));
+    m.run(10_000);
+}
+
+#[test]
+#[should_panic(expected = "core 0: a marked poll loop is not pure")]
+fn a_marked_loop_that_ends_early_trips_the_purity_check() {
+    // Every other iteration skips its pad, on no evidence from memory.
+    let mut m = Machine::new(Platform::kunpeng916());
+    m.set_engine(Engine::LockstepOracle);
+    m.add_thread_on(
+        0,
+        Box::new(Script::new(|cpu| async move {
+            for round in 0u64.. {
+                cpu.spin_mark().await;
+                cpu.op(Op::load_use(0x8000)).await;
+                if round % 2 == 0 {
+                    cpu.op(Op::Nops(1)).await;
+                }
+            }
+        })),
+    );
+    m.run(10_000);
+}
+
 /// CAS success is exclusive: of N cores racing one CAS(0 -> id), exactly
 /// one observes the old value 0.
 #[test]

@@ -26,7 +26,7 @@
 //! the dependent pointer-chase is, and how much ALU work it does.
 
 use armbar_barriers::Barrier;
-use armbar_sim::{Cpu, Op, Platform, RmwKind, Script, SimThread, Trace};
+use armbar_sim::{Cpu, Machine, Op, Platform, RmwKind, Script, SimThread, Trace};
 
 use crate::harness::{machine, run_lock, RunOpts};
 use crate::lower::{fence, order_after_load};
@@ -430,6 +430,7 @@ async fn ffwd_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
         // line first, then at the flag word that signals.
         let expect = Publish::slot(id, round, cfg.mode);
         loop {
+            cpu.spin_mark().await;
             if cfg.mode == ResponseMode::Flag {
                 cpu.op(Op::load_use(resp_addr(id))).await;
             }
@@ -457,7 +458,11 @@ async fn rcl_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
         // notification and the payload in the word we already hold) means
         // served.
         let expect = Publish::request_word(id, round);
-        while resp.poll(cpu, expect).await.is_some() {
+        loop {
+            cpu.spin_mark().await;
+            if resp.poll(cpu, expect).await.is_none() {
+                break;
+            }
             cpu.op(Op::Nops(1)).await;
         }
         if !tail(cpu, &cfg, round).await {
@@ -553,7 +558,9 @@ async fn dsynch_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
             }
             // Someone is combining; wait for our response. Spinning is
             // local: the polled lines are ours, so until a combiner writes
-            // them the loads hit in our cache.
+            // them the loads hit in our cache. (No `spin_mark`: the miss
+            // counter below makes an iteration depend on more than the
+            // values it loads.)
             while resp.poll(cpu, own).await.is_some() {
                 // Not served yet: spin locally, retrying the baton only
                 // occasionally so a released lock cannot strand us.
@@ -586,7 +593,11 @@ async fn fc_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
         cpu.op(Op::store(req_addr(id), round)).await;
         let own = Publish::slot(id, round, cfg.mode);
         // Check own response before fighting for the lock.
-        while resp.poll(cpu, own).await.is_some() {
+        loop {
+            cpu.spin_mark().await;
+            if resp.poll(cpu, own).await.is_none() {
+                break;
+            }
             // Test-and-test-and-set on the combiner lock.
             if cpu.op(Op::load_use(FC_LOCK)).await != 0 || cpu.op(try_lock(FC_LOCK)).await != 0 {
                 cpu.op(Op::Nops(2)).await;
@@ -660,7 +671,11 @@ async fn cc_client(cpu: Cpu, id: usize, cfg: DelegationConfig) {
         // Spin on our node's status word only: it announces the response,
         // or hands us the combiner role.
         let expect = Publish::status_word(node, round);
-        while let Some(status) = resp.poll(cpu, expect).await {
+        loop {
+            cpu.spin_mark().await;
+            let Some(status) = resp.poll(cpu, expect).await else {
+                break;
+            };
             if status != CC_COMBINER {
                 cpu.op(Op::Nops(2)).await;
                 continue;
@@ -796,21 +811,14 @@ pub fn run_delegation(platform: &Platform, cfg: DelegationConfig) -> LockResult 
         .result
 }
 
-/// [`run_delegation`] under explicit [`RunOpts`], with the full
-/// response-time science — per-operation latency histogram (merged over
-/// clients), Jain's fairness index over per-client throughput, and the
-/// combiner-subversion counter — and the recorded trace.
+/// The machine of one delegation run under `opts`: server and client
+/// threads attached, nothing run yet.
 #[must_use]
-pub fn run_delegation_with(
-    platform: &Platform,
-    cfg: DelegationConfig,
-    opts: RunOpts,
-) -> (DlockMetrics, Trace) {
+pub fn delegation_machine(platform: &Platform, cfg: DelegationConfig, opts: RunOpts) -> Machine {
     // Dedicated-server layouts use core 0 for the server plus one core per
     // client, combiner layouts place the clients on cores 0..clients.
     let first_client = usize::from(cfg.kind.has_server_core());
-    let active_cores = first_client + cfg.clients;
-    let mut m = machine("delegation", platform, active_cores, opts);
+    let mut m = machine("delegation", platform, first_client + cfg.clients, opts);
     let total = cfg.per_client * cfg.clients as u64;
     if cfg.kind.has_server_core() {
         let channel = match cfg.kind {
@@ -841,6 +849,23 @@ pub fn run_delegation_with(
         };
         m.add_thread_on(first_client + id, thread);
     }
+    m
+}
+
+/// [`run_delegation`] under explicit [`RunOpts`], with the full
+/// response-time science — per-operation latency histogram (merged over
+/// clients), Jain's fairness index over per-client throughput, and the
+/// combiner-subversion counter — and the recorded trace.
+#[must_use]
+pub fn run_delegation_with(
+    platform: &Platform,
+    cfg: DelegationConfig,
+    opts: RunOpts,
+) -> (DlockMetrics, Trace) {
+    let mut m = delegation_machine(platform, cfg, opts);
+    let first_client = usize::from(cfg.kind.has_server_core());
+    let active_cores = first_client + cfg.clients;
+    let total = cfg.per_client * cfg.clients as u64;
     let (mut metrics, trace) = run_lock("delegation", &mut m, total, first_client..active_cores);
     metrics.subverted = (0..active_cores).map(|c| m.read_memory(subv_addr(c))).sum();
     (metrics, trace)

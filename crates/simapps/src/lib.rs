@@ -34,8 +34,13 @@
 //! record `visit` and the clients' iteration `tail` in [`delegation_sim`];
 //! Algorithms 3 and 4 on a ring slot in [`prodcons`]. A configured
 //! `Barrier` becomes ops in one private module, `lower`. No thread here
-//! implements `SimThread` by hand (CI checks). DESIGN.md §11.1 has the
-//! table and the adapter's contract.
+//! implements `SimThread` by hand (CI checks). Every wait that polls starts
+//! each iteration with `cpu.spin_mark().await` — free in simulated time, it
+//! tells the event engine the loop is decided by the values it loads, so a
+//! settled wait is skipped in closed form; the one loop with a counter of
+//! its own (`dsynch_client`'s every-eighth-miss baton retry) is left
+//! unmarked. DESIGN.md §11.1 has the table, the adapter's contract and the
+//! mark's.
 //!
 //! Calibration tests at the bottom of each module assert the paper's
 //! *observations* hold on the simulator — they are the contract between

@@ -58,7 +58,11 @@ async fn competitor(cpu: Cpu, id: usize, acquire_barrier: Barrier, body: TicketC
         // our own locked word (MCS's local spin).
         if prev != 0 {
             cpu.op(Op::store(next_addr(prev), me)).await;
-            while cpu.op(Op::load_use(locked_addr(me))).await != 0 {
+            loop {
+                cpu.spin_mark().await;
+                if cpu.op(Op::load_use(locked_addr(me))).await == 0 {
+                    break;
+                }
                 cpu.op(Op::Nops(1)).await;
             }
         }
@@ -83,6 +87,7 @@ async fn competitor(cpu: Cpu, id: usize, acquire_barrier: Barrier, body: TicketC
             // swapped in but has not linked yet — wait for the link.
             if tail != me {
                 while successor == 0 {
+                    cpu.spin_mark().await;
                     successor = cpu.op(Op::load_use(next_addr(me))).await;
                 }
             }

@@ -117,7 +117,11 @@ async fn producer(cpu: Cpu, variant: PcVariant, messages: u64, batch: u64, produ
     let mut prod_cnt = 0;
     loop {
         // Line 1-3: availability check (whole batch must fit).
-        while prod_cnt + batch - cpu.op(Op::load_use(CONS_CNT)).await > BUF_SLOTS {
+        loop {
+            cpu.spin_mark().await;
+            if prod_cnt + batch - cpu.op(Op::load_use(CONS_CNT)).await <= BUF_SLOTS {
+                break;
+            }
             cpu.op(Op::Nops(1)).await; // spin
         }
         order_after_load(cpu, avail, CONS_CNT).await;
@@ -199,6 +203,7 @@ async fn consumer(cpu: Cpu, variant: PcVariant, messages: u64) {
         let payload = match variant {
             PcVariant::Baseline(_) => {
                 while prod_seen <= cons_cnt {
+                    cpu.spin_mark().await;
                     prod_seen = cpu.op(Op::load_use(PROD_CNT)).await;
                     if prod_seen <= cons_cnt {
                         cpu.op(Op::Nops(1)).await;
@@ -225,6 +230,7 @@ async fn consumer(cpu: Cpu, variant: PcVariant, messages: u64) {
 async fn pilot_receive(cpu: Cpu, seq: u64, seen: &mut PilotSlots) -> u64 {
     let idx = (seq % BUF_SLOTS) as usize;
     loop {
+        cpu.spin_mark().await;
         let data = cpu.op(Op::load_use(slot_addr(seq))).await;
         if data != seen.data[idx] {
             seen.data[idx] = data;

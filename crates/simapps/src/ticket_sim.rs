@@ -77,7 +77,11 @@ async fn competitor(cpu: Cpu, id: usize, cfg: TicketConfig) {
                 release: false,
             })
             .await;
-        while cpu.op(Op::load_use(OWNER)).await != ticket {
+        loop {
+            cpu.spin_mark().await;
+            if cpu.op(Op::load_use(OWNER)).await == ticket {
+                break;
+            }
             cpu.op(Op::Nops(1)).await;
         }
         // Acquire-side ordering (cheap, LDAR-class).
