@@ -21,6 +21,8 @@
 //! Every emitted finding therefore carries a machine-checked [`Proof`];
 //! nothing is reported on the advisor's word alone.
 
+use std::sync::Arc;
+
 use armbar_barriers::advisor::{recommend, Approach, Multiplicity, OrderReq};
 use armbar_barriers::strength::cost_rank;
 use armbar_barriers::{AccessType, Acquire, Barrier, CostRank};
@@ -271,9 +273,9 @@ fn cheaper_candidates(req: OrderReq, orig: Barrier) -> Vec<(Barrier, bool)> {
 }
 
 /// The exploration backend `analyze_case_with` runs: same signature as
-/// [`explore`]. Benchmarks pass [`armbar_wmm::explore_oracle`] to price
+/// [`explore`]. Benchmarks wrap [`armbar_wmm::explore_oracle`] to price
 /// the whole pipeline on the pre-DPOR explorer.
-pub type ExploreFn = fn(&Program, MemoryModel) -> OutcomeSet;
+pub type ExploreFn = fn(&Program, MemoryModel) -> Arc<OutcomeSet>;
 
 /// Analyze one case: every site classified, plus the case-level missing
 /// verdict, in deterministic (site, then kind) order. Uses the default

@@ -1,19 +1,27 @@
 //! Corpus-wide differential suite: the DPOR engine vs the enumerative oracle
 //! on every lint-corpus program and every barrier-site cut the lint
 //! actually explores, plus random barrier-mutants, at worker counts 1
-//! and 4 — and a replay check over every counterexample witness the
-//! analyzer emits.
+//! and 4 — a replay check over every counterexample witness the
+//! analyzer emits, and `OutcomeSet::diff` against its definition on every
+//! pair of sets lint and synthesis compare.
 //!
 //! This is also where the acceptance criterion for the engine's state
 //! reduction lives: summed over the MP-placement family, the engine must
 //! visit at least 5x fewer states than the enumerative oracle.
 
+use std::cell::RefCell;
+use std::collections::HashSet;
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
-use armbar_analyze::corpus::corpus;
-use armbar_analyze::lint::{analyze_corpus, Proof};
+use armbar_analyze::corpus::{corpus, LintCase};
+use armbar_analyze::lint::{analyze_case_with, analyze_corpus, Proof};
+use armbar_analyze::synth::synthesize_with;
 use armbar_wmm::mutate::{barrier_sites, remove_site};
-use armbar_wmm::{explore_dpor_uncached, explore_oracle, MemoryModel, OutcomeSet, Program};
+use armbar_wmm::{
+    explore, explore_dpor_uncached, explore_oracle, MemoryModel, Outcome, OutcomeSet, Program,
+};
 
 const MODEL: MemoryModel = MemoryModel::ArmWmm;
 
@@ -145,6 +153,57 @@ fn every_counterexample_witness_replays() {
         replayed += 1;
     }
     assert!(replayed > 0, "corpus produced no counterexample witnesses");
+}
+
+thread_local! {
+    /// Every set [`recording`] handed out on this thread, in call order.
+    static EXPLORED: RefCell<Vec<Arc<OutcomeSet>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The default explorer, keeping a handle on every set it returns.
+fn recording(p: &Program, model: MemoryModel) -> Arc<OutcomeSet> {
+    let set = explore(p, model);
+    EXPLORED.with(|sets| sets.borrow_mut().push(Arc::clone(&set)));
+    set
+}
+
+/// `base.diff(other)` by its definition — membership each way, in each
+/// side's own iteration order, with no reliance on how either is sorted.
+fn diff_by_definition(base: &OutcomeSet, other: &OutcomeSet) -> (Vec<Outcome>, Vec<Outcome>) {
+    let mine: HashSet<&Outcome> = base.iter().collect();
+    let theirs: HashSet<&Outcome> = other.iter().collect();
+    let added = other.iter().filter(|o| !mine.contains(o));
+    let removed = base.iter().filter(|o| !theirs.contains(o));
+    (added.cloned().collect(), removed.cloned().collect())
+}
+
+/// Lint and synthesis both explore the case first and then diff every
+/// mutant's set against that base: the merge diff must give each of those
+/// pairs the definition's `added` and `removed`, content and order
+/// (`added[0]` is the outcome lint's kill witness executes).
+#[test]
+fn every_diff_lint_and_synth_form_matches_the_definition() {
+    let lint: fn(&LintCase) = |case| drop(analyze_case_with(case, recording));
+    let synth: fn(&LintCase) = |case| drop(synthesize_with(case, recording));
+    let (mut pairs, mut unequal) = (0usize, 0usize);
+    for case in corpus() {
+        for (pass, run) in [("lint", lint), ("synth", synth)] {
+            EXPLORED.with(|sets| sets.borrow_mut().clear());
+            run(&case);
+            let sets = EXPLORED.with(|sets| sets.borrow().clone());
+            let (base, mutants) = sets.split_first().expect("the case itself is explored");
+            for mutant in mutants {
+                let diff = base.diff(mutant);
+                let (added, removed) = diff_by_definition(base, mutant);
+                assert_eq!(diff.added, added, "{} {pass}: added", case.name);
+                assert_eq!(diff.removed, removed, "{} {pass}: removed", case.name);
+                pairs += 1;
+                unequal += usize::from(!diff.is_equal());
+            }
+        }
+    }
+    assert!(pairs >= 200, "lint + synth compared only {pairs} pairs");
+    assert!(unequal >= 20, "only {unequal} pairs differed at all");
 }
 
 /// Derive a random barrier-mutant of a corpus case by cutting `cuts`

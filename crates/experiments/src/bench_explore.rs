@@ -9,11 +9,13 @@
 //! whatever the host produced.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::bench_sim::ms;
 use armbar_analyze::corpus::corpus;
 use armbar_analyze::lint::analyze_case_with;
+use armbar_analyze::synth::synthesize_with;
 use armbar_wmm::unroll::{identical_contenders, mcs_handoff_unrolled};
 use armbar_wmm::{
     explore_dpor_configured, explore_dpor_uncached, explore_oracle, MemoryModel, OutcomeSet,
@@ -35,6 +37,9 @@ const LINT_REPS: u32 = 3;
 /// scale per program).
 const LARGE_REPS: u32 = 10;
 
+/// Repetitions for timing one outcome-set diff (tens of microseconds).
+const DIFF_REPS: u32 = 200;
+
 /// Floor on the oracle/engine state ratio over the `MP+…` cases.
 const MIN_MP_REDUCTION: f64 = 5.0;
 
@@ -53,7 +58,9 @@ struct CaseBench {
 
 /// One implementation-sized corpus case: engine-only (the oracle is not a
 /// baseline at this size, it is a liability), quotient vs full, with
-/// walls.
+/// walls; then cold lint and cold synthesis of the case, the search behind
+/// the placement synthesis settles on (its heaviest leaf by far), and one
+/// diff of that leaf's outcome set against the seed's.
 struct LargeBench {
     name: String,
     total_instrs: usize,
@@ -63,14 +70,24 @@ struct LargeBench {
     wall_1_ns: u64,
     wall_4_ns: u64,
     lint_ns: u64,
+    synth_ns: u64,
+    leaf_states: usize,
+    leaf_pruned: usize,
+    diff_ns: u64,
 }
 
 fn total_instrs(p: &Program) -> usize {
     p.threads.iter().map(|t| t.instrs.len()).sum()
 }
 
-fn engine_serial(p: &Program, m: MemoryModel) -> OutcomeSet {
-    explore_dpor_uncached(p, m, 1)
+/// The two cold backends the lint comparison runs, as
+/// [`armbar_analyze::lint::ExploreFn`]s.
+fn engine_serial(p: &Program, m: MemoryModel) -> Arc<OutcomeSet> {
+    Arc::new(explore_dpor_uncached(p, m, 1))
+}
+
+fn oracle(p: &Program, m: MemoryModel) -> Arc<OutcomeSet> {
+    Arc::new(explore_oracle(p, m))
 }
 
 /// Average nanoseconds per invocation of `f` over `reps` runs.
@@ -146,7 +163,7 @@ pub fn bench_explore_json() -> String {
     // -- End-to-end lint analysis, cold (no memo), oracle vs engine. ----
     let lint_oracle_ns = time_ns(LINT_REPS, || {
         for case in &cases {
-            std::hint::black_box(analyze_case_with(case, explore_oracle));
+            std::hint::black_box(analyze_case_with(case, oracle));
         }
     });
     let lint_engine_ns = time_ns(LINT_REPS, || {
@@ -174,6 +191,24 @@ pub fn bench_explore_json() -> String {
         let lint_ns = time_ns(1, || {
             std::hint::black_box(analyze_case_with(case, engine_serial));
         });
+        let synth_t0 = Instant::now();
+        let best = synthesize_with(case, engine_serial).best;
+        let synth_ns = u64::try_from(synth_t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let leaf = explore_dpor_uncached(&best.program, MODEL, 1);
+        assert_eq!(
+            leaf,
+            explore_dpor_uncached(&best.program, MODEL, 4),
+            "{}: worker count changed the synthesized placement's search",
+            case.name
+        );
+        assert!(
+            quotient.diff(&leaf).added.is_empty(),
+            "{}: the synthesized placement widened the outcome set",
+            case.name
+        );
+        let diff_ns = time_ns(DIFF_REPS, || {
+            std::hint::black_box(quotient.diff(&leaf));
+        });
         large_rows.push(LargeBench {
             name: case.name.clone(),
             total_instrs: total_instrs(&case.program),
@@ -183,6 +218,10 @@ pub fn bench_explore_json() -> String {
             wall_1_ns,
             wall_4_ns,
             lint_ns,
+            synth_ns,
+            leaf_states: leaf.states_visited,
+            leaf_pruned: leaf.states_pruned,
+            diff_ns,
         });
     }
 
@@ -231,8 +270,11 @@ pub fn bench_explore_json() -> String {
     assert!(
         large_rows.iter().all(|r| r.total_instrs > 64
             && 0 < r.engine_states
-            && r.engine_states <= r.engine_full_states),
-        "implementation-sized cases: over 64 instructions, quotient no larger than the full graph"
+            && r.engine_states <= r.engine_full_states
+            && 0 < r.leaf_states
+            && 0 < r.leaf_pruned),
+        "implementation-sized cases: over 64 instructions, quotient no larger than the full \
+         graph, a synthesized placement that was searched"
     );
     assert!(
         total_instrs(&crossover) > 64 && cross_engine.states_visited < cross_oracle.states_visited,
@@ -330,7 +372,9 @@ pub fn bench_explore_json() -> String {
             j,
             "      {{\"name\": \"{}\", \"total_instrs\": {}, \"engine_states\": {}, \
              \"engine_full_states\": {}, \"engine_pruned\": {}, \"wall_ms_1\": {:.3}, \
-             \"wall_ms_4\": {:.3}, \"states_per_sec\": {:.0}, \"lint_wall_ms\": {:.3}}}{comma}",
+             \"wall_ms_4\": {:.3}, \"states_per_sec\": {:.0}, \"lint_wall_ms\": {:.3}, \
+             \"synth_wall_ms\": {:.3}, \"leaf_states\": {}, \"leaf_pruned\": {}, \
+             \"diff_us\": {:.1}}}{comma}",
             r.name.replace('"', "\\\""),
             r.total_instrs,
             r.engine_states,
@@ -339,7 +383,11 @@ pub fn bench_explore_json() -> String {
             ms(r.wall_1_ns),
             ms(r.wall_4_ns),
             per_sec(r.engine_states, r.wall_1_ns),
-            ms(r.lint_ns)
+            ms(r.lint_ns),
+            ms(r.synth_ns),
+            r.leaf_states,
+            r.leaf_pruned,
+            r.diff_ns as f64 / 1e3
         );
     }
     let _ = writeln!(j, "    ]");

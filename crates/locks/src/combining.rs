@@ -47,7 +47,7 @@ struct Node {
     /// 1 while the waiter must keep spinning (flag mode).
     wait: CachePadded<AtomicU64>,
     /// 1 when the request was executed by a combiner (vs. becoming the next
-    /// combiner).
+    /// combiner). Flag mode only: Pilot's response word is the notification.
     completed: AtomicU64,
     /// Successor node index + 1.
     next: CachePadded<AtomicUsize>,
@@ -215,9 +215,8 @@ impl<T: Send> CombiningLock<T> {
                         return cur_node.ret.load(Ordering::Relaxed)
                             ^ self.pool.seed_at(round as usize);
                     }
-                    // Combiner role? `wait` drops without completion.
+                    // Combiner role? `wait` drops without a response.
                     if cur_node.wait.load(Ordering::Acquire) == 0 {
-                        debug_assert_eq!(cur_node.completed.load(Ordering::Relaxed), 0);
                         break;
                     }
                     backoff.snooze();
@@ -296,7 +295,10 @@ impl<T: Send> CombiningLock<T> {
                         let f = node.flag.load(Ordering::Relaxed) ^ 1;
                         node.flag.store(f, Ordering::Release);
                     }
-                    node.completed.store(1, Ordering::Relaxed);
+                    // Nothing may follow the notification: the waiter is
+                    // gone the moment it lands and may already be reusing
+                    // the node (`completed` is flag mode's, a late store to
+                    // it would land in the node's next life).
                 } else {
                     // Our own result travels by return value; still keep the
                     // stored word fresh so future rounds' old-value sampling

@@ -13,7 +13,14 @@
 //!    instruction across all threads), the rest are slot values.
 //!    Transitions apply and undo in place on a single mutable vector — no
 //!    per-transition clone of `Vec<BTreeMap>` — and the visited-set hashes
-//!    the packed words directly. The engine is generic over the bitmask
+//!    the packed words directly, once, into an arena-backed exact key set
+//!    ([`KeySet`]). The *enabled set* travels with the state: performing
+//!    `g` can only enable `g`'s immediate successors in the per-thread
+//!    order ([`Layout::isucc`]), so it is updated from those instead of
+//!    re-derived from every unperformed instruction at every macro-step,
+//!    and the walk's undo trail, visited key and child sleep sets live in
+//!    per-walk buffers and inline masks — a visited state costs no heap
+//!    allocation of its own. The engine is generic over the bitmask
 //!    width ([`Mask`]): `u64` for programs of at most 64 instructions (the
 //!    whole litmus corpus — monomorphized to the original single-word
 //!    code) and [`WideMask`] beyond, so implementation-sized programs
@@ -70,7 +77,8 @@
 //!    subtree roots, then drains them with the crate's claim loop
 //!    ([`crate::pool::claim_fold`]: scoped threads taking roots off one
 //!    shared cursor — subtrees never spawn subtrees, so there is nothing
-//!    to steal) against a sharded mutex-protected visited-set. The
+//!    to steal) against the visited-set, sharded by the top bits of the
+//!    key's hash (the serial walk uses the same set with one shard). The
 //!    visited-set stores exact canonical `(packed state, sleep mask)`
 //!    pairs, and a pair's subtree is a pure function of the pair — so the
 //!    set of *expanded* canonical pairs is the same closure regardless of
@@ -88,7 +96,7 @@ use std::collections::VecDeque;
 use std::hash::Hasher;
 use std::sync::Mutex;
 
-use armbar_fxhash::{FxHashSet, FxHasher};
+use armbar_fxhash::FxHasher;
 
 use crate::explore::{Outcome, OutcomeSet};
 use crate::mask::{word_count, Mask, WideMask};
@@ -136,8 +144,23 @@ pub(crate) struct Layout<M: Mask> {
     /// Bitmask with one bit per instruction.
     all_mask: M,
     /// `pred[g]`: global done-bits that must be set before `g` is enabled
-    /// (its `MemoryModel::ordered` predecessors).
+    /// (its `MemoryModel::ordered` predecessors) — the definition of
+    /// enabledness, which [`Layout::enabled_at`] evaluates.
     pred: Vec<M>,
+    /// `ipred[g]`: the *immediate* predecessors of `g` — the transitive
+    /// reduction of the closure of `pred` (`ordered` is a per-pair
+    /// relation and not transitive, so the closure comes first). A
+    /// reachable done-set is downward-closed under that closure (nothing
+    /// performs before its `pred`, hence before its ancestors), and a
+    /// downward-closed set contains `pred[g]` iff it contains `g`'s whole
+    /// ancestry iff it contains `ipred[g]`. So on every state the walk can
+    /// reach, `ipred` decides enabledness exactly as `pred` does.
+    ipred: Vec<M>,
+    /// `isucc[g]`: the transitions `g` is an immediate predecessor of —
+    /// the only ones performing `g` can enable. (If `g` were a farther
+    /// ancestor of a newly enabled `h`, some `x` between them would be
+    /// performed with its ancestor `g` unperformed.)
+    isucc: Vec<M>,
     /// `conflict[g]`: transitions *dependent* on `g` (may not commute).
     conflict: Vec<M>,
     /// `ordered_after[g]`: same-thread transitions ordered after `g`
@@ -165,7 +188,7 @@ pub(crate) struct Layout<M: Mask> {
 pub(crate) enum EngineLayout {
     /// Single-word masks (≤ 64 total instructions).
     Narrow(Layout<u64>),
-    /// Boxed multi-word masks.
+    /// Multi-word masks.
     Wide(Layout<WideMask>),
 }
 
@@ -313,6 +336,29 @@ fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layo
         }
     }
 
+    // Immediate predecessors and successors. Order edges point forward in
+    // program order, so one ascending pass closes `pred` transitively;
+    // `ipred[j]` is then what is left of `j`'s ancestors once every
+    // ancestor of an ancestor is struck.
+    let mut ancestors: Vec<M> = Vec::with_capacity(total);
+    let mut ipred = Vec::with_capacity(total);
+    let mut isucc = vec![M::zeros(total); total];
+    for (j, direct) in pred.iter().enumerate() {
+        let mut all = direct.clone();
+        for i in direct.bits() {
+            all.or_assign(&ancestors[i]);
+        }
+        let mut immediate = all.clone();
+        for i in all.bits() {
+            immediate.and_not_assign(&ancestors[i]);
+        }
+        for i in immediate.bits() {
+            isucc[i].set(j);
+        }
+        ancestors.push(all);
+        ipred.push(immediate);
+    }
+
     // The static conflict (dependence) relation. Sound over-approximation:
     // a pair left out of `conflict` must commute in *every* state where
     // both are enabled, and neither may disable the other.
@@ -383,6 +429,8 @@ fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layo
         mask_words,
         all_mask,
         pred,
+        ipred,
+        isucc,
         conflict,
         ordered_after,
         effect,
@@ -429,7 +477,7 @@ fn build_symmetry(
     if groups.is_empty() || orbit > MAX_ORBIT {
         None
     } else {
-        Some(Symmetry { groups, orbit })
+        Some(Symmetry { groups })
     }
 }
 
@@ -437,6 +485,19 @@ impl<M: Mask> Layout<M> {
     /// Total instruction count.
     fn total(&self) -> usize {
         self.tid.len()
+    }
+
+    /// The enabled set of the state whose done words are `done`, from its
+    /// definition: unperformed, and every `pred` performed. The walk
+    /// starts from this and carries the set incrementally from there.
+    fn enabled_at(&self, done: &[u64]) -> M {
+        let mut enabled = M::zeros(self.total());
+        for g in 0..self.total() {
+            if done[g / 64] >> (g % 64) & 1 == 0 && self.pred[g].subset_of_words(done) {
+                enabled.set(g);
+            }
+        }
+        enabled
     }
 
     /// The [`Outcome`] a terminal packed state denotes. Every load and
@@ -455,10 +516,13 @@ impl<M: Mask> Layout<M> {
     }
 }
 
-/// Perform transition `g`, returning the undo record `(slot, old value)`
+/// What [`revert`] needs to undo a transition: `(slot, old value)`
 /// (`usize::MAX` when no slot changed).
+type Undo = (usize, u64);
+
+/// Perform transition `g`, returning its undo record.
 #[inline]
-fn apply<M: Mask>(lay: &Layout<M>, st: &mut [u64], g: usize) -> (usize, u64) {
+fn apply<M: Mask>(lay: &Layout<M>, st: &mut [u64], g: usize) -> Undo {
     st[g / 64] |= 1 << (g % 64);
     match lay.effect[g] {
         Effect::Fence => (usize::MAX, 0),
@@ -481,14 +545,14 @@ fn apply<M: Mask>(lay: &Layout<M>, st: &mut [u64], g: usize) -> (usize, u64) {
 
 /// Undo [`apply`].
 #[inline]
-fn revert(st: &mut [u64], g: usize, undo: (usize, u64)) {
+fn revert(st: &mut [u64], g: usize, undo: Undo) {
     st[g / 64] &= !(1 << (g % 64));
     if undo.0 != usize::MAX {
         st[undo.0] = undo.1;
     }
 }
 
-/// FxHash over packed words, for shard selection.
+/// FxHash over packed words: the one hash an insert into a [`KeySet`] pays.
 fn hash_words(words: &[u64]) -> u64 {
     let mut h = FxHasher::default();
     for &w in words {
@@ -497,135 +561,170 @@ fn hash_words(words: &[u64]) -> u64 {
     h.finish()
 }
 
-/// The sharded `(packed state, sleep mask)` visited-set shared between
-/// workers, sized per program: 16 shards for litmus-sized programs, 64
-/// beyond 64 instructions (large state spaces see real shard contention).
-/// Keys are exact canonical pairs, so skipping a hit is sound: an
-/// orbit-equivalent continuation was (or is being) explored by the first
-/// inserter.
+/// Bytes per arena chunk of a [`KeySet`]. Deliberately below the
+/// allocator's mmap threshold (128 KiB in glibc): chunks that size come
+/// from the ordinary heap, next to the outcome sets the memo retains, and
+/// the space a finished exploration frees is reused by the next one
+/// (a lint + synth pass of the corpus peaks at 119.8 MB with these and at
+/// 120.8 MB with 1 MiB chunks; the last chunk's slack is also smaller).
+const CHUNK_BYTES: usize = 64 << 10;
+
+/// An exact, grow-only set of fixed-width `u64` keys that allocates per
+/// chunk, not per key. Keys are appended to an arena of equal-sized chunks
+/// and found through an open-addressing (linear-probe) table whose slots
+/// store the key's hash and its ordinal in the arena: a lookup compares
+/// hashes first and the full key words on a hash match — membership is
+/// exact, the hash only finds the slot — and growth re-places ordinals by
+/// their stored hashes without touching a key.
+struct KeySet {
+    /// Words per key.
+    width: usize,
+    /// `log2` of the keys per chunk.
+    chunk_shift: u32,
+    /// The arena: every chunk but the last holds `1 << chunk_shift` keys.
+    chunks: Vec<Vec<u64>>,
+    /// Keys stored.
+    len: usize,
+    /// Per slot: the hash of the key it holds (meaningless when empty).
+    hashes: Vec<u64>,
+    /// Per slot: the key's arena ordinal plus one, `0` for an empty slot.
+    /// The slot count is a power of two, at least twice `len`.
+    ords: Vec<u32>,
+}
+
+impl KeySet {
+    /// Slots of a new table.
+    const MIN_SLOTS: usize = 64;
+
+    fn new(width: usize) -> Self {
+        let per_chunk = (CHUNK_BYTES / 8 / width.max(1)).max(1);
+        KeySet {
+            width,
+            chunk_shift: per_chunk.ilog2(),
+            chunks: Vec::new(),
+            len: 0,
+            hashes: vec![0; Self::MIN_SLOTS],
+            ords: vec![0; Self::MIN_SLOTS],
+        }
+    }
+
+    /// The `ord`-th key inserted.
+    fn key(&self, ord: usize) -> &[u64] {
+        let at = (ord & ((1 << self.chunk_shift) - 1)) * self.width;
+        &self.chunks[ord >> self.chunk_shift][at..at + self.width]
+    }
+
+    /// Every key, in insertion order.
+    fn iter(&self) -> impl Iterator<Item = &[u64]> {
+        (0..self.len).map(|ord| self.key(ord))
+    }
+
+    /// The slot `hash` probes first: its top bits, which a multiply-rotate
+    /// hash mixes best.
+    fn home(hash: u64, slots: usize) -> usize {
+        (hash >> (64 - slots.ilog2())) as usize
+    }
+
+    /// Insert `key`, whose hash is `hash`; `false` when it was already
+    /// present.
+    fn insert(&mut self, key: &[u64], hash: u64) -> bool {
+        debug_assert_eq!(key.len(), self.width);
+        if (self.len + 1) * 2 > self.ords.len() {
+            self.grow();
+        }
+        let mask = self.ords.len() - 1;
+        let mut slot = Self::home(hash, self.ords.len());
+        while self.ords[slot] != 0 {
+            if self.hashes[slot] == hash && self.key(self.ords[slot] as usize - 1) == key {
+                return false;
+            }
+            slot = (slot + 1) & mask;
+        }
+        if self.len >> self.chunk_shift == self.chunks.len() {
+            self.chunks
+                .push(Vec::with_capacity(self.width << self.chunk_shift));
+        }
+        self.chunks
+            .last_mut()
+            .expect("a chunk was just ensured")
+            .extend_from_slice(key);
+        self.len += 1;
+        self.ords[slot] = u32::try_from(self.len).expect("a key set holds under 2^32 keys");
+        self.hashes[slot] = hash;
+        true
+    }
+
+    /// Double the table, re-placing every ordinal by its stored hash.
+    fn grow(&mut self) {
+        let slots = self.ords.len() * 2;
+        let mut hashes = vec![0; slots];
+        let mut ords = vec![0; slots];
+        for (&hash, &ord) in self.hashes.iter().zip(&self.ords) {
+            if ord == 0 {
+                continue;
+            }
+            let mut slot = Self::home(hash, slots);
+            while ords[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            hashes[slot] = hash;
+            ords[slot] = ord;
+        }
+        self.hashes = hashes;
+        self.ords = ords;
+    }
+}
+
+/// The `(packed state, sleep mask)` visited-set of one exploration: one
+/// [`KeySet`] for the serial walk, and for the parallel frontier one per
+/// shard — 16 for litmus-sized programs, 64 beyond 64 instructions (large
+/// state spaces see real shard contention). Keys are exact canonical
+/// pairs, so skipping a hit is sound: an orbit-equivalent continuation was
+/// (or is being) explored by the first inserter.
 struct SharedSeen {
-    shards: Vec<Mutex<FxHashSet<Box<[u64]>>>>,
-    /// Hash bits above this select the shard.
-    shift: u32,
+    shards: Vec<Mutex<KeySet>>,
+    /// The top `shard_bits` bits of a key's hash select its shard.
+    shard_bits: u32,
 }
 
 impl SharedSeen {
-    fn new(total_instrs: usize) -> Self {
-        let n: usize = if total_instrs > 64 { 64 } else { 16 };
+    fn new<M: Mask>(lay: &Layout<M>, serial: bool) -> Self {
+        let shards: usize = match (serial, lay.total() > 64) {
+            (true, _) => 1,
+            (false, false) => 16,
+            (false, true) => 64,
+        };
+        let width = lay.init.len() + lay.mask_words;
         SharedSeen {
-            shards: (0..n).map(|_| Mutex::new(FxHashSet::default())).collect(),
-            shift: 64 - n.trailing_zeros(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(KeySet::new(width)))
+                .collect(),
+            shard_bits: shards.ilog2(),
         }
     }
 
-    /// Insert the pair; `false` when it was already present.
+    /// Insert the pair; `false` when it was already present. The key is
+    /// hashed once: the top bits pick the shard, the rest place it there.
     fn insert(&self, key: &[u64]) -> bool {
-        let shard = (hash_words(key) >> self.shift) as usize;
-        let mut set = self.shards[shard].lock().expect("seen shard poisoned");
-        if set.contains(key) {
-            false
-        } else {
-            set.insert(key.into());
-            true
-        }
+        let hash = hash_words(key);
+        let shard = hash.checked_shr(64 - self.shard_bits).unwrap_or(0) as usize;
+        self.shards[shard]
+            .lock()
+            .expect("seen shard poisoned")
+            .insert(key, hash << self.shard_bits)
     }
 }
 
-/// The visited key of a branch state: packed state words followed by the
-/// sleep mask, canonicalized under thread symmetry when enabled.
-fn branch_key<M: Mask>(lay: &Layout<M>, st: &[u64], sleep: &M) -> Vec<u64> {
-    let mut key = Vec::with_capacity(st.len() + lay.mask_words);
-    key.extend_from_slice(st);
-    key.extend_from_slice(sleep.words());
-    if let Some(sym) = &lay.sym {
-        sym.canonicalize(&mut key, st.len());
-    }
-    key
-}
-
-/// Reused per-walk scratch masks, so the wide path does not allocate two
-/// bitsets per [`advance`] iteration (for `u64` these are two plain
-/// words on the stack).
-struct Scratch<M> {
-    undone: M,
-    enabled: M,
-}
-
-impl<M: Mask> Scratch<M> {
-    fn new(total: usize) -> Self {
-        Scratch {
-            undone: M::zeros(total),
-            enabled: M::zeros(total),
-        }
-    }
-}
-
-/// What [`advance`] found after consuming the forced macro-step chain.
-enum Advanced<M> {
+/// What [`Walker::advance`] found after consuming the forced macro-step
+/// chain.
+enum Advanced {
     /// All instructions performed — the state denotes an outcome.
     Terminal,
     /// The single persistent transition is asleep: the whole continuation
     /// was already explored from a sibling. Prune.
     SleepBlocked,
     /// No forced transition; the enabled set must be enumerated.
-    Branch { enabled: M },
-}
-
-/// Run the forced macro-step chain in place: while some enabled transition
-/// is independent of every unperformed transition that could fire before
-/// it, execute it alone (singleton persistent set) and filter the sleep
-/// set. Applied transitions are recorded in `undo` (and `path` when the
-/// caller wants a witness trace).
-fn advance<M: Mask>(
-    lay: &Layout<M>,
-    st: &mut [u64],
-    sleep: &mut M,
-    undo: &mut Vec<(usize, (usize, u64))>,
-    scr: &mut Scratch<M>,
-) -> Advanced<M> {
-    loop {
-        let forced = {
-            let done = &st[..lay.mask_words];
-            if done == lay.all_mask.words() {
-                return Advanced::Terminal;
-            }
-            let Scratch { undone, enabled } = scr;
-            undone.assign_and_not(&lay.all_mask, done);
-            enabled.clear_all();
-            for g in undone.bits() {
-                if lay.pred[g].subset_of_words(done) {
-                    enabled.set(g);
-                }
-            }
-            debug_assert!(
-                enabled.words().iter().any(|&w| w != 0),
-                "well-formed programs never deadlock"
-            );
-            let mut forced = None;
-            for g in enabled.bits() {
-                // Transitions that could fire while `g` stays unperformed:
-                // everything unperformed except same-thread instructions
-                // ordered after `g` (`conflict[g]` never contains `g`).
-                if !lay.conflict[g].meets_and_not(undone, &lay.ordered_after[g]) {
-                    forced = Some(g);
-                    break;
-                }
-            }
-            match forced {
-                None => {
-                    return Advanced::Branch {
-                        enabled: enabled.clone(),
-                    }
-                }
-                Some(g) => g,
-            }
-        };
-        if sleep.get(forced) {
-            return Advanced::SleepBlocked;
-        }
-        undo.push((forced, apply(lay, st, forced)));
-        sleep.and_not_assign(&lay.conflict[forced]);
-    }
+    Branch,
 }
 
 /// One subtree root of the parallel frontier.
@@ -645,74 +744,217 @@ struct Stats {
     pruned: usize,
 }
 
-/// One worker's walk over a set of subtrees: local outcome accumulation,
-/// shared visited-set.
-struct Walker<'a, M: Mask> {
+/// What a walk does with the terminal states it reaches: an exploration
+/// collects them (a [`KeySet`]), a witness search tests them ([`Seek`]).
+trait Terminals<M: Mask> {
+    /// Take the terminal state `st`, reached from the walk's root by
+    /// performing `trail` in order; `true` ends the walk.
+    fn reach(&mut self, lay: &Layout<M>, st: &[u64], trail: &[(usize, Undo)]) -> bool;
+}
+
+impl<M: Mask> Terminals<M> for KeySet {
+    fn reach(&mut self, _: &Layout<M>, st: &[u64], _: &[(usize, Undo)]) -> bool {
+        self.insert(st, hash_words(st));
+        false
+    }
+}
+
+/// A witness search's [`Terminals`]: stop at the first terminal whose
+/// outcome satisfies `goal`, keeping the execution that reached it.
+struct Seek<'a> {
+    goal: &'a dyn Fn(&Outcome) -> bool,
+    found: Option<Witness>,
+}
+
+impl<M: Mask> Terminals<M> for Seek<'_> {
+    fn reach(&mut self, lay: &Layout<M>, st: &[u64], trail: &[(usize, Undo)]) -> bool {
+        let outcome = lay.outcome_of(st);
+        if !(self.goal)(&outcome) {
+            return false;
+        }
+        let steps = trail.iter().map(|&(g, _)| WitnessStep {
+            tid: lay.tid[g],
+            idx: lay.idx[g],
+        });
+        self.found = Some(Witness {
+            steps: steps.collect(),
+            outcome,
+        });
+        true
+    }
+}
+
+/// One worker's walk over a set of subtrees: the packed state it edits in
+/// place, per-walk buffers that are reused at every node (so a visited
+/// state costs no allocation of its own), what it does with terminals, and
+/// the shared visited-set.
+struct Walker<'a, M: Mask, T> {
     lay: &'a Layout<M>,
     seen: &'a SharedSeen,
-    scratch: Scratch<M>,
-    terminals: FxHashSet<Box<[u64]>>,
+    /// The packed state the walk is at.
+    st: Vec<u64>,
+    /// The enabled transitions of `st` (unperformed, every `pred`
+    /// performed), carried along the walk: [`Walker::perform`] and
+    /// [`Walker::unperform`] update it from `isucc` instead of re-deriving
+    /// it from every unperformed instruction.
+    enabled: M,
+    /// Every transition performed since the walk's root, in order, with
+    /// its undo record.
+    trail: Vec<(usize, Undo)>,
+    /// Scratch: the unperformed transitions of `st`.
+    undone: M,
+    /// Scratch: the visited key of the branch state at hand.
+    key: Vec<u64>,
+    terminals: T,
     stats: Stats,
 }
 
-impl<'a, M: Mask> Walker<'a, M> {
-    fn new(lay: &'a Layout<M>, seen: &'a SharedSeen) -> Self {
+impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
+    fn new(lay: &'a Layout<M>, seen: &'a SharedSeen, terminals: T) -> Self {
         Walker {
             lay,
             seen,
-            scratch: Scratch::new(lay.total()),
-            terminals: FxHashSet::default(),
+            st: lay.init.clone(),
+            enabled: lay.enabled_at(&lay.init[..lay.mask_words]),
+            trail: Vec::new(),
+            undone: M::zeros(lay.total()),
+            key: Vec::with_capacity(lay.init.len() + lay.mask_words),
+            terminals,
             stats: Stats::default(),
         }
     }
 
-    /// Run the forced chain from `(st, sleep)`: record the terminal or
-    /// the prune it ends in, or — at a branch state seen for the first
-    /// time — hand every awake enabled transition's `(child state, child
-    /// sleep set)` to `child`. `st` is restored before returning.
-    fn expand(
-        &mut self,
-        st: &mut Vec<u64>,
-        mut sleep: M,
-        mut child: impl FnMut(&mut Self, &mut Vec<u64>, M),
-    ) {
+    /// Perform transition `g`. It was enabled, so it leaves the enabled
+    /// set, and the only transitions it can enable are its immediate
+    /// successors (see [`Layout::isucc`]).
+    #[inline]
+    fn perform(&mut self, g: usize) {
         let lay = self.lay;
-        let mut undo = Vec::new();
-        match advance(lay, st, &mut sleep, &mut undo, &mut self.scratch) {
-            Advanced::Terminal => {
-                self.terminals.insert(st[..].into());
+        self.trail.push((g, apply(lay, &mut self.st, g)));
+        self.enabled.clear(g);
+        let done = &self.st[..lay.mask_words];
+        for h in lay.isucc[g].bits() {
+            if lay.ipred[h].subset_of_words(done) {
+                self.enabled.set(h);
             }
-            Advanced::SleepBlocked => {
-                self.stats.pruned += 1;
-            }
-            Advanced::Branch { enabled } => {
-                if self.seen.insert(&branch_key(lay, st, &sleep)) {
-                    self.stats.visited += 1;
-                    for g in enabled.bits() {
-                        if sleep.get(g) {
-                            self.stats.pruned += 1;
-                            continue;
-                        }
-                        let u = apply(lay, st, g);
-                        let mut child_sleep = sleep.clone();
-                        child_sleep.and_not_assign(&lay.conflict[g]);
-                        child(self, st, child_sleep);
-                        revert(st, g, u);
-                        sleep.set(g);
-                    }
-                } else {
-                    self.stats.pruned += 1;
-                }
-            }
-        }
-        for &(g, u) in undo.iter().rev() {
-            revert(st, g, u);
         }
     }
 
-    /// Depth-first exploration of the subtree rooted at `(st, sleep)`.
-    fn walk(&mut self, st: &mut Vec<u64>, sleep: M) {
-        self.expand(st, sleep, |w, st, child_sleep| w.walk(st, child_sleep));
+    /// Undo the last [`perform`](Self::perform): the transition is enabled
+    /// again and none of its immediate successors is.
+    #[inline]
+    fn unperform(&mut self) {
+        let (g, undo) = self.trail.pop().expect("a performed transition");
+        revert(&mut self.st, g, undo);
+        self.enabled.and_not_assign(&self.lay.isucc[g]);
+        self.enabled.set(g);
+    }
+
+    /// Run the forced macro-step chain in place: while some enabled
+    /// transition is independent of every unperformed transition that
+    /// could fire before it, execute it alone (singleton persistent set)
+    /// and filter the sleep set.
+    fn advance(&mut self, sleep: &mut M) -> Advanced {
+        let lay = self.lay;
+        loop {
+            let done = &self.st[..lay.mask_words];
+            debug_assert!(
+                self.enabled == lay.enabled_at(done),
+                "the carried enabled set left the from-scratch one"
+            );
+            if done == lay.all_mask.words() {
+                return Advanced::Terminal;
+            }
+            debug_assert!(
+                self.enabled.words().iter().any(|&w| w != 0),
+                "well-formed programs never deadlock"
+            );
+            self.undone.assign_and_not(&lay.all_mask, done);
+            let undone = &self.undone;
+            // Transitions that could fire while `g` stays unperformed:
+            // everything unperformed except same-thread instructions
+            // ordered after `g` (`conflict[g]` never contains `g`).
+            let forced = self
+                .enabled
+                .bits()
+                .find(|&g| !lay.conflict[g].meets_and_not(undone, &lay.ordered_after[g]));
+            let Some(g) = forced else {
+                return Advanced::Branch;
+            };
+            if sleep.get(g) {
+                return Advanced::SleepBlocked;
+            }
+            self.perform(g);
+            sleep.and_not_assign(&lay.conflict[g]);
+        }
+    }
+
+    /// Is this the first visit of the branch state `(st, sleep)`? The
+    /// visited key is the packed state words followed by the sleep mask,
+    /// canonicalized under thread symmetry when enabled.
+    fn first_visit(&mut self, sleep: &M) -> bool {
+        self.key.clear();
+        self.key.extend_from_slice(&self.st);
+        self.key.extend_from_slice(sleep.words());
+        if let Some(sym) = &self.lay.sym {
+            sym.canonicalize(&mut self.key, self.st.len());
+        }
+        self.seen.insert(&self.key)
+    }
+
+    /// Run the forced chain from the current state under `sleep`: record
+    /// the terminal or the prune it ends in, or — at a branch state seen
+    /// for the first time — perform every awake enabled transition in turn
+    /// and hand the child's sleep set to `child` (the walker then stands
+    /// on the child state). Returns `true`, leaving the state where it is,
+    /// as soon as a witness search is over; otherwise restores the state
+    /// and returns `false`.
+    fn expand(&mut self, mut sleep: M, mut child: impl FnMut(&mut Self, M) -> bool) -> bool {
+        let lay = self.lay;
+        let mark = self.trail.len();
+        match self.advance(&mut sleep) {
+            Advanced::Terminal => {
+                if self.terminals.reach(lay, &self.st, &self.trail) {
+                    return true;
+                }
+            }
+            Advanced::SleepBlocked => self.stats.pruned += 1,
+            Advanced::Branch if self.first_visit(&sleep) => {
+                self.stats.visited += 1;
+                let enabled = self.enabled.clone();
+                for g in enabled.bits() {
+                    if sleep.get(g) {
+                        self.stats.pruned += 1;
+                        continue;
+                    }
+                    self.perform(g);
+                    let mut child_sleep = sleep.clone();
+                    child_sleep.and_not_assign(&lay.conflict[g]);
+                    if child(self, child_sleep) {
+                        return true;
+                    }
+                    self.unperform();
+                    sleep.set(g);
+                }
+            }
+            Advanced::Branch => self.stats.pruned += 1,
+        }
+        while self.trail.len() > mark {
+            self.unperform();
+        }
+        false
+    }
+
+    /// Depth-first exploration of the subtree below the current state.
+    fn walk(&mut self, sleep: M) -> bool {
+        self.expand(sleep, Self::walk)
+    }
+
+    /// Move the walker to a subtree root of the parallel frontier.
+    fn jump_to(&mut self, state: &[u64]) {
+        debug_assert!(self.trail.is_empty(), "jumps happen between walks");
+        self.st.copy_from_slice(state);
+        self.enabled = self.lay.enabled_at(&state[..self.lay.mask_words]);
     }
 }
 
@@ -722,16 +964,13 @@ impl<'a, M: Mask> Walker<'a, M> {
 /// breadth-first and drained on `workers` threads.
 pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
     let total = lay.total();
-    let seen = SharedSeen::new(total);
-    let mut root = Walker::new(lay, &seen);
-    let init = Task {
-        state: lay.init.clone(),
-        sleep: M::zeros(total),
-    };
+    let serial = workers <= 1 || total < PARALLEL_MIN_INSTRS;
+    let seen = SharedSeen::new(lay, serial);
+    let collector = || Walker::new(lay, &seen, KeySet::new(lay.init.len()));
+    let mut walkers = vec![collector()];
 
-    if workers <= 1 || total < PARALLEL_MIN_INSTRS {
-        let mut st = init.state;
-        root.walk(&mut st, init.sleep);
+    if serial {
+        walkers[0].walk(M::zeros(total));
     } else {
         // Breadth-first frontier expansion: pop a subtree root and queue
         // its children as new roots instead of descending into them —
@@ -741,16 +980,22 @@ pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
         // are deep and uneven, and a fatter frontier is what lets the
         // claim loop balance them.
         let target = workers * if total > 64 { 32 } else { 4 };
-        let mut queue = VecDeque::from([init]);
+        let mut queue = VecDeque::from([Task {
+            state: lay.init.clone(),
+            sleep: M::zeros(total),
+        }]);
+        let root = &mut walkers[0];
         while queue.len() < target {
-            let Some(Task { mut state, sleep }) = queue.pop_front() else {
+            let Some(Task { state, sleep }) = queue.pop_front() else {
                 break;
             };
-            root.expand(&mut state, sleep, |_, st, sleep| {
+            root.jump_to(&state);
+            root.expand(sleep, |w, sleep| {
                 queue.push_back(Task {
-                    state: st.clone(),
+                    state: w.st.clone(),
                     sleep,
                 });
+                false
             });
         }
 
@@ -758,50 +1003,56 @@ pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
         // already finished the search) on the claim loop; terminals are a
         // set union and the counters a sum, so worker order is immaterial.
         let roots: Vec<Task<M>> = queue.into();
-        let walkers = claim_fold(
-            &roots,
-            workers,
-            || Walker::new(lay, &seen),
-            |w, _, task| w.walk(&mut task.state.clone(), task.sleep.clone()),
-        );
-        for w in walkers {
-            root.terminals.extend(w.terminals);
-            root.stats.visited += w.stats.visited;
-            root.stats.pruned += w.stats.pruned;
+        walkers.extend(claim_fold(&roots, workers, collector, |w, _, task| {
+            w.jump_to(&task.state);
+            w.walk(task.sleep.clone());
+        }));
+    }
+
+    // Terminal rows, closed over the symmetry group: a quotient terminal
+    // stands for its whole orbit, and every orbit member's outcome is
+    // reachable in the full graph.
+    let mut stats = Stats::default();
+    let mut rows: Vec<u64> = Vec::new();
+    for w in &walkers {
+        stats.visited += w.stats.visited;
+        stats.pruned += w.stats.pruned;
+        for t in w.terminals.iter() {
+            match &lay.sym {
+                Some(sym) => sym.expand_terminal(t, |img| rows.extend_from_slice(img)),
+                None => rows.extend_from_slice(t),
+            }
         }
     }
-    let (terminals, stats) = (root.terminals, root.stats);
 
-    // Terminal outcomes, closed over the symmetry group: a quotient
-    // terminal stands for its whole orbit, and every orbit member's
-    // outcome is reachable in the full graph.
-    let outcomes = match &lay.sym {
-        Some(sym) => {
-            let mut out = Vec::with_capacity(terminals.len() * sym.orbit);
-            for t in &terminals {
-                sym.expand_terminal(t, |img| out.push(lay.outcome_of(img)));
-            }
-            out
-        }
-        None => terminals.iter().map(|t| lay.outcome_of(t)).collect(),
-    };
-
-    let mut set = OutcomeSet {
-        outcomes,
+    // Canonical order on the packed rows, before any nested `Outcome` is
+    // built. A terminal's done words are all ones and a location no store
+    // or `init` entry names keeps its 0, so two rows differ only in the
+    // register and memory slots `outcome_of` reads — and those are laid
+    // out by (thread, register) and then by location, which is the order
+    // `Outcome`'s derived `Ord` compares them in.
+    let mut sorted: Vec<&[u64]> = rows.chunks_exact(lay.init.len()).collect();
+    sorted.sort_unstable();
+    sorted.dedup();
+    let set = OutcomeSet {
+        outcomes: sorted.into_iter().map(|row| lay.outcome_of(row)).collect(),
         // Forced macro-states and terminals are never materialized; the
         // count is branch states only, floored at 1 for the root.
         states_visited: stats.visited.max(1),
         states_pruned: stats.pruned,
         peak_frontier: 0,
     };
-    set.canonicalize();
+    debug_assert!(
+        set.is_canonical(),
+        "packed row order must be the canonical outcome order"
+    );
     set
 }
 
-/// Witness search on the engine: the same pruned DFS carrying the applied
-/// transition order, returning the first complete execution whose outcome
-/// satisfies `pred`. Sound because persistent+sleep search reaches every
-/// terminal state: if any execution reaches a matching outcome, some
+/// Witness search on the engine: the same pruned DFS, returning the first
+/// complete execution — the transitions on the walker's trail — whose
+/// outcome satisfies `pred`. Sound because persistent+sleep search reaches
+/// every terminal state: if any execution reaches a matching outcome, some
 /// explored path reaches its terminal state. Deterministic: transitions
 /// are always tried in `(thread, index)` order. The layout must have been
 /// built without symmetry — a canonical-key skip could otherwise suppress
@@ -811,89 +1062,14 @@ pub(crate) fn find_witness_dpor<M: Mask>(
     pred: &dyn Fn(&Outcome) -> bool,
 ) -> Option<Witness> {
     debug_assert!(lay.sym.is_none(), "witness search must not quotient");
-    let seen = SharedSeen::new(lay.total());
-    let mut st = lay.init.clone();
-    let mut path: Vec<WitnessStep> = Vec::new();
-    let mut scratch = Scratch::new(lay.total());
-    search(
-        lay,
-        &seen,
-        &mut st,
-        M::zeros(lay.total()),
-        &mut path,
-        pred,
-        &mut scratch,
-    )
-}
-
-/// Recursive step of [`find_witness_dpor`]; `st` and `path` are restored
-/// before returning `None`.
-#[allow(clippy::too_many_arguments)]
-fn search<M: Mask>(
-    lay: &Layout<M>,
-    seen: &SharedSeen,
-    st: &mut Vec<u64>,
-    sleep: M,
-    path: &mut Vec<WitnessStep>,
-    pred: &dyn Fn(&Outcome) -> bool,
-    scratch: &mut Scratch<M>,
-) -> Option<Witness> {
-    let mut sleep = sleep;
-    let mut undo = Vec::new();
-    let found = 'walk: {
-        match advance(lay, st, &mut sleep, &mut undo, scratch) {
-            Advanced::Terminal => {
-                let outcome = lay.outcome_of(st);
-                if pred(&outcome) {
-                    let mut steps = path.clone();
-                    steps.extend(undo.iter().map(|&(g, _)| WitnessStep {
-                        tid: lay.tid[g],
-                        idx: lay.idx[g],
-                    }));
-                    break 'walk Some(Witness { steps, outcome });
-                }
-                None
-            }
-            Advanced::SleepBlocked => None,
-            Advanced::Branch { enabled } => {
-                if !seen.insert(&branch_key(lay, st, &sleep)) {
-                    break 'walk None;
-                }
-                path.extend(undo.iter().map(|&(g, _)| WitnessStep {
-                    tid: lay.tid[g],
-                    idx: lay.idx[g],
-                }));
-                let pushed = undo.len();
-                let mut local_sleep = sleep;
-                for g in enabled.bits() {
-                    if local_sleep.get(g) {
-                        continue;
-                    }
-                    let u = apply(lay, st, g);
-                    path.push(WitnessStep {
-                        tid: lay.tid[g],
-                        idx: lay.idx[g],
-                    });
-                    let mut child_sleep = local_sleep.clone();
-                    child_sleep.and_not_assign(&lay.conflict[g]);
-                    if let Some(w) = search(lay, seen, st, child_sleep, path, pred, scratch) {
-                        break 'walk Some(w);
-                    }
-                    path.pop();
-                    revert(st, g, u);
-                    local_sleep.set(g);
-                }
-                path.truncate(path.len() - pushed);
-                None
-            }
-        }
+    let seen = SharedSeen::new(lay, true);
+    let seek = Seek {
+        goal: pred,
+        found: None,
     };
-    if found.is_none() {
-        for &(g, u) in undo.iter().rev() {
-            revert(st, g, u);
-        }
-    }
-    found
+    let mut walker = Walker::new(lay, &seen, seek);
+    walker.walk(M::zeros(lay.total()));
+    walker.terminals.found
 }
 
 #[cfg(test)]
@@ -995,6 +1171,66 @@ mod tests {
             // The fences still forbid MP's r0=1 ∧ r1=0 at every size.
             assert!(serial.all(|o| o.reg(1, 0) != 1 || o.reg(1, 1) == 1));
         }
+    }
+
+    /// `ordered` is decided pair by pair and is not transitive: a
+    /// same-location edge followed by a dependency edge leaves the two ends
+    /// unordered as a pair. `ipred`/`isucc` are the reduction of the
+    /// *closure*, and decide enabledness on every downward-closed done-set
+    /// exactly as `pred` does.
+    #[test]
+    fn immediate_predecessors_reduce_the_closure_of_a_non_transitive_order() {
+        let p = prog(vec![vec![
+            Instr::store(0, 1),             // 0
+            Instr::load(0, 0),              // 1: same location as 0
+            Instr::store_data_dep(1, 1, 0), // 2: depends on 1, unordered with 0
+            Instr::load(1, 0),              // 3: same location as 0 and 1
+        ]]);
+        let model = MemoryModel::ArmWmm;
+        let t = &p.threads[0];
+        assert!(model.ordered(t, 0, 1) && model.ordered(t, 1, 2) && !model.ordered(t, 0, 2));
+        let lay: Layout<u64> = build(&p, model, false);
+        assert_eq!(lay.pred, [0b0000, 0b0001, 0b0010, 0b0011]);
+        assert_eq!(
+            lay.ipred,
+            [0b0000, 0b0001, 0b0010, 0b0010],
+            "0 precedes 3 through 1"
+        );
+        assert_eq!(lay.isucc, [0b0010, 0b1100, 0b0000, 0b0000]);
+        for done in [0b0000u64, 0b0001, 0b0011, 0b0111, 0b1011, 0b1111] {
+            let by_ipred = (0..4)
+                .filter(|&g| done >> g & 1 == 0 && lay.ipred[g].subset_of_words(&[done]))
+                .fold(0u64, |m, g| m | 1 << g);
+            assert_eq!(lay.enabled_at(&[done]), by_ipred, "done {done:#06b}");
+        }
+        // The serial walk carries the enabled set (and, in a debug build,
+        // checks it against `enabled_at` at every macro-step).
+        assert_eq!(run(&lay, 1).outcomes.len(), 1);
+    }
+
+    /// Membership is decided by the key words, never by the hash: keys
+    /// that all collide stay distinct, across table growth and arena chunk
+    /// boundaries, and come back in insertion order.
+    #[test]
+    fn key_set_is_exact_under_colliding_hashes_and_growth() {
+        let width = 3;
+        let n = (2u64 << KeySet::new(width).chunk_shift) + 5;
+        let key = |i: u64| [i, !i, 7];
+        let mut colliding = KeySet::new(width);
+        for i in 0..300 {
+            assert!(colliding.insert(&key(i), 42));
+        }
+        assert!((0..300).all(|i| !colliding.insert(&key(i), 42)));
+        assert_eq!(colliding.len, 300);
+
+        let mut set = KeySet::new(width);
+        for i in 0..n {
+            assert!(set.insert(&key(i), hash_words(&key(i))), "{i} is new");
+            assert!(!set.insert(&key(i), hash_words(&key(i))), "{i} is present");
+        }
+        assert_eq!(set.chunks.len(), 3);
+        assert!(set.ords.len() >= 2 * set.len);
+        assert!(set.iter().eq((0..n).map(key)), "insertion order");
     }
 
     #[test]

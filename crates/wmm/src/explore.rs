@@ -16,17 +16,19 @@
 //!   `(program, model)` — `analyze::lint` re-explores identical cut
 //!   programs across redundancy/necessity checks and whole experiment
 //!   batteries revisit the same litmus shapes. The cache is always on
-//!   ([`explore_dpor_uncached`] is the cold path); [`explore_memo_stats`]
-//!   reports hits/misses.
+//!   ([`explore_dpor_uncached`] is the cold path) and hands out shared
+//!   `Arc<OutcomeSet>`s, so neither a hit nor an insert copies a set;
+//!   [`explore_memo_stats`] reports hits/misses.
 //! * [`explore_oracle`] enumerates every interleaving by naive cloning
 //!   DFS. It survives purely as the differential reference the engine is
 //!   tested against — the engine itself has no size ceiling anymore
 //!   (multi-word packed states kick in past 64 total instructions), so
 //!   nothing in the production path falls back here.
 
-use std::collections::{BTreeMap, HashSet};
+use std::cmp::Ordering as Cmp;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use armbar_fxhash::{FxHashMap, FxHashSet};
 
@@ -101,7 +103,8 @@ impl OutcomeSet {
     /// derived `Ord`, with no duplicates. This ordering is a stable public
     /// contract — lint reports and CSVs serialize outcomes in iteration
     /// order and must be byte-identical across worker counts, hashers, and
-    /// reruns ([`canonicalize`](Self::canonicalize) enforces it).
+    /// reruns, and [`diff`](Self::diff) merges over it
+    /// ([`canonicalize`](Self::canonicalize) enforces it).
     pub fn iter(&self) -> std::slice::Iter<'_, Outcome> {
         self.outcomes.iter()
     }
@@ -121,10 +124,15 @@ impl OutcomeSet {
 
     /// Restore the canonical sorted + deduplicated order. [`explore`]
     /// always returns canonical sets; call this after constructing an
-    /// `OutcomeSet` by hand.
+    /// `OutcomeSet` by hand — [`diff`](Self::diff) relies on it.
     pub fn canonicalize(&mut self) {
         self.outcomes.sort();
         self.outcomes.dedup();
+    }
+
+    /// Is the set in canonical (strictly ascending) order?
+    pub(crate) fn is_canonical(&self) -> bool {
+        self.outcomes.windows(2).all(|w| w[0] < w[1])
     }
 
     /// Set difference against `other` in both directions.
@@ -134,8 +142,44 @@ impl OutcomeSet {
     /// Both sides are in canonical order, so a diff renders identically
     /// on every run. Two sets are outcome-equivalent iff both sides are
     /// empty (`states_visited` is diagnostic only and never compared).
+    ///
+    /// One linear merge over the canonical order of both sets, cloning
+    /// only the outcomes that differ; both sets must be canonical
+    /// (checked in debug builds).
     #[must_use]
     pub fn diff(&self, other: &OutcomeSet) -> OutcomeDiff {
+        debug_assert!(
+            self.is_canonical() && other.is_canonical(),
+            "diff merges over the canonical order: canonicalize hand-built sets first"
+        );
+        let mut diff = OutcomeDiff::default();
+        let (mut mine, mut theirs) = (self.outcomes.as_slice(), other.outcomes.as_slice());
+        while let (Some((a, rest_a)), Some((b, rest_b))) =
+            (mine.split_first(), theirs.split_first())
+        {
+            match a.cmp(b) {
+                Cmp::Less => {
+                    diff.removed.push(a.clone());
+                    mine = rest_a;
+                }
+                Cmp::Greater => {
+                    diff.added.push(b.clone());
+                    theirs = rest_b;
+                }
+                Cmp::Equal => (mine, theirs) = (rest_a, rest_b),
+            }
+        }
+        diff.removed.extend_from_slice(mine);
+        diff.added.extend_from_slice(theirs);
+        diff
+    }
+
+    /// [`diff`](Self::diff) by its definition — two hash sets and a filter
+    /// each way, no assumption about order: what the merge is tested
+    /// against.
+    #[cfg(test)]
+    fn diff_reference(&self, other: &OutcomeSet) -> OutcomeDiff {
+        use std::collections::HashSet;
         let mine: HashSet<&Outcome> = self.outcomes.iter().collect();
         let theirs: HashSet<&Outcome> = other.outcomes.iter().collect();
         OutcomeDiff {
@@ -192,25 +236,67 @@ struct State {
 }
 
 /// The shared memo cache: canonical outcome sets keyed by the full
-/// `(program, model)` pair. The outer map is keyed by a 64-bit FxHash
-/// *prehash* of that pair so a lookup never has to clone the program just
-/// to build a key (synthesis probes this cache thousands of times per
-/// case); each bucket stores the exact programs for an `Eq` check, so a
-/// hash collision can never alias two programs — it only shares a bucket.
-type MemoMap = FxHashMap<(u64, MemoryModel), Vec<(Program, OutcomeSet)>>;
+/// `(program, model)` pair. The map is keyed by a 64-bit FxHash *prehash*
+/// of that pair so a lookup never has to clone the program just to build a
+/// key (synthesis probes this cache thousands of times per case); each
+/// bucket stores the exact programs for an `Eq` check, so a hash collision
+/// can never alias two programs — it only shares a bucket. Sets are held
+/// and handed out as `Arc`s: a hit is a reference-count bump.
+struct Memo {
+    map: FxHashMap<MemoKey, Vec<(Program, Arc<OutcomeSet>)>>,
+    /// Outcomes the stored sets hold between them (sum of `len()`) — what
+    /// the memory the memo retains is proportional to.
+    retained: usize,
+    /// A set that would take `retained` past this is not stored.
+    cap: usize,
+}
+
+/// A memo key: the prehash of `(program, model)`, and the model.
+type MemoKey = (u64, MemoryModel);
+
+/// Retained-outcome bound of the process-wide memo (runaway-corpus
+/// backstop: the lint + synth corpus retains ~85 k outcomes, and the
+/// densest sets cost ~640 bytes an outcome, so this is ~0.3 GB at worst).
+const MEMO_CAP: usize = 1 << 19;
+
+impl Memo {
+    fn with_cap(cap: usize) -> Self {
+        Memo {
+            map: FxHashMap::default(),
+            retained: 0,
+            cap,
+        }
+    }
+
+    fn get(&self, key: MemoKey, program: &Program) -> Option<Arc<OutcomeSet>> {
+        let bucket = self.map.get(&key)?;
+        let (_, set) = bucket.iter().find(|(p, _)| p == program)?;
+        Some(Arc::clone(set))
+    }
+
+    /// Store `set` for `program` unless it is already there (a racing
+    /// explorer of the same program got in first) or would take the memo
+    /// past its cap.
+    fn insert(&mut self, key: MemoKey, program: &Program, set: &Arc<OutcomeSet>) {
+        if self.retained + set.len() > self.cap {
+            return;
+        }
+        let bucket = self.map.entry(key).or_default();
+        if !bucket.iter().any(|(p, _)| p == program) {
+            bucket.push((program.clone(), Arc::clone(set)));
+            self.retained += set.len();
+        }
+    }
+}
 
 /// FxHash prehash of a memo key, computed from borrowed data.
 fn memo_prehash(program: &Program, model: MemoryModel) -> u64 {
     armbar_fxhash::hash64(&(program, model))
 }
 
-static MEMO: OnceLock<Mutex<MemoMap>> = OnceLock::new();
+static MEMO: OnceLock<Mutex<Memo>> = OnceLock::new();
 static MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 static MEMO_MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Entries beyond this are not inserted (runaway-corpus backstop; the
-/// lint corpus needs a few hundred).
-const MEMO_CAP: usize = 1 << 16;
 
 /// Memo cache counters since process start: `(hits, misses)`.
 #[must_use]
@@ -225,7 +311,7 @@ pub fn explore_memo_stats() -> (u64, u64) {
 /// this to measure cold explorations).
 pub fn explore_memo_clear() {
     if let Some(memo) = MEMO.get() {
-        memo.lock().expect("explore memo poisoned").clear();
+        *memo.lock().expect("explore memo poisoned") = Memo::with_cap(MEMO_CAP);
     }
     MEMO_HITS.store(0, Ordering::Relaxed);
     MEMO_MISSES.store(0, Ordering::Relaxed);
@@ -235,28 +321,22 @@ fn memoized(
     program: &Program,
     model: MemoryModel,
     compute: impl FnOnce() -> OutcomeSet,
-) -> OutcomeSet {
-    let memo = MEMO.get_or_init(|| Mutex::new(FxHashMap::default()));
+) -> Arc<OutcomeSet> {
+    let memo = MEMO.get_or_init(|| Mutex::new(Memo::with_cap(MEMO_CAP)));
     let key = (memo_prehash(program, model), model);
+    if let Some(set) = memo
+        .lock()
+        .expect("explore memo poisoned")
+        .get(key, program)
     {
-        let map = memo.lock().expect("explore memo poisoned");
-        let hit = map
-            .get(&key)
-            .and_then(|bucket| bucket.iter().find(|(p, _)| p == program));
-        if let Some((_, set)) = hit {
-            MEMO_HITS.fetch_add(1, Ordering::Relaxed);
-            return set.clone();
-        }
+        MEMO_HITS.fetch_add(1, Ordering::Relaxed);
+        return set;
     }
     MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let set = compute();
-    let mut map = memo.lock().expect("explore memo poisoned");
-    if map.len() < MEMO_CAP {
-        let bucket = map.entry(key).or_default();
-        if !bucket.iter().any(|(p, _)| p == program) {
-            bucket.push((program.clone(), set.clone()));
-        }
-    }
+    let set = Arc::new(compute());
+    memo.lock()
+        .expect("explore memo poisoned")
+        .insert(key, program, &set);
     set
 }
 
@@ -266,9 +346,11 @@ fn memoized(
 /// on) behind the process-wide memo cache, at any program size: programs
 /// up to 64 total instructions take the single-word fast path, larger
 /// ones the multi-word layout. The returned set is canonical and
-/// byte-identical across hashers, worker counts, and reruns.
+/// byte-identical across hashers, worker counts, and reruns; it is shared
+/// with the memo (and every other caller asking about the same program),
+/// not copied.
 #[must_use]
-pub fn explore(program: &Program, model: MemoryModel) -> OutcomeSet {
+pub fn explore(program: &Program, model: MemoryModel) -> Arc<OutcomeSet> {
     memoized(program, model, || explore_dpor_uncached(program, model, 1))
 }
 
@@ -393,6 +475,7 @@ mod tests {
     use super::*;
     use crate::model::Thread;
     use armbar_barriers::Barrier;
+    use proptest::prelude::*;
 
     fn prog(threads: Vec<Vec<Instr>>) -> Program {
         Program {
@@ -618,8 +701,9 @@ mod tests {
         let third = explore_dpor_uncached(&p, MemoryModel::ArmWmm, 4);
         let (hits_after, _) = explore_memo_stats();
         assert_eq!(first, second);
+        assert!(Arc::ptr_eq(&first, &second), "a hit shares the stored set");
         assert_eq!(
-            first, third,
+            *first, third,
             "the cold parallel path returns the same bytes"
         );
         assert!(hits_after > hits_before, "repeat explorations hit");
@@ -662,5 +746,103 @@ mod tests {
         let rev = w.diff(&s);
         assert_eq!(rev.removed, d.added);
         assert!(rev.added.is_empty());
+    }
+
+    fn handmade(outcomes: Vec<Outcome>) -> OutcomeSet {
+        OutcomeSet {
+            outcomes,
+            states_visited: 0,
+            states_pruned: 0,
+            peak_frontier: 0,
+        }
+    }
+
+    /// Random canonical sets over a value range narrow enough that two of
+    /// them share, miss and interleave outcomes in one draw.
+    fn gen_set() -> impl Strategy<Value = OutcomeSet> {
+        let outcome = (0u64..3, 0u64..3, 0u64..2).prop_map(|(a, b, m)| Outcome {
+            regs: vec![vec![(0, a)], vec![(0, b), (1, a ^ b)]],
+            memory: vec![(0, m)],
+        });
+        prop::collection::vec(outcome, 0..16).prop_map(|outcomes| {
+            let mut set = handmade(outcomes);
+            set.canonicalize();
+            set
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The merge against the definition it replaced: same outcomes on
+        /// each side, in the same order (`added[0]` picks lint's kill
+        /// witness).
+        #[test]
+        fn merge_diff_equals_its_definition(a in gen_set(), b in gen_set()) {
+            prop_assert_eq!(a.diff(&b), a.diff_reference(&b));
+        }
+    }
+
+    /// The same check on explored sets: every battery program against each
+    /// of its single-site mutants — the pairs lint forms.
+    #[test]
+    fn merge_diff_equals_its_definition_on_mutants() {
+        use crate::mutate::{barrier_sites, remove_site};
+        let mut unequal = 0;
+        for (test, _) in crate::battery::battery() {
+            let base = explore(&test.program, MemoryModel::ArmWmm);
+            for site in barrier_sites(&test.program) {
+                let cut = explore(&remove_site(&test.program, site), MemoryModel::ArmWmm);
+                let diff = base.diff(&cut);
+                assert_eq!(diff, base.diff_reference(&cut), "{} {site:?}", test.name);
+                assert_eq!(cut.diff(&base), cut.diff_reference(&base));
+                unequal += usize::from(!diff.is_equal());
+            }
+        }
+        assert!(unequal > 0, "some removal must change an outcome set");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "canonical order")]
+    fn diff_rejects_an_uncanonicalized_set() {
+        let o = |v| Outcome {
+            regs: vec![vec![(0, v)]],
+            memory: vec![],
+        };
+        let unsorted = handmade(vec![o(2), o(1)]);
+        let _ = handmade(vec![o(1)]).diff(&unsorted);
+    }
+
+    /// The memo's backstop counts what its memory is proportional to —
+    /// outcomes retained — not map buckets: a set that would cross the cap
+    /// is not stored, and smaller ones still are.
+    #[test]
+    fn memo_is_bounded_by_retained_outcomes() {
+        let model = MemoryModel::ArmWmm;
+        let programs: Vec<Program> = (1..=3)
+            .map(|v| prog(vec![vec![Instr::store(0, v)]]))
+            .collect();
+        let key = |p: &Program| (memo_prehash(p, model), model);
+        let set = |n: u64| {
+            let outcomes = (0..n).map(|v| Outcome {
+                regs: vec![],
+                memory: vec![(0, v)],
+            });
+            Arc::new(handmade(outcomes.collect()))
+        };
+        let mut memo = Memo::with_cap(3);
+        memo.insert(key(&programs[0]), &programs[0], &set(2));
+        memo.insert(key(&programs[1]), &programs[1], &set(2));
+        assert_eq!(memo.retained, 2, "the second set would retain 4 > 3");
+        assert!(memo.get(key(&programs[0]), &programs[0]).is_some());
+        assert!(memo.get(key(&programs[1]), &programs[1]).is_none());
+        memo.insert(key(&programs[2]), &programs[2], &set(1));
+        assert_eq!(memo.retained, 3);
+        assert_eq!(memo.get(key(&programs[2]), &programs[2]).unwrap().len(), 1);
+        // Re-inserting a stored program neither duplicates nor recounts it.
+        memo.insert(key(&programs[2]), &programs[2], &set(0));
+        assert_eq!(memo.retained, 3);
+        assert_eq!(memo.get(key(&programs[2]), &programs[2]).unwrap().len(), 1);
     }
 }

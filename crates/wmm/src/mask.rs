@@ -8,9 +8,11 @@
 //!   shift-and-mask code the engine had when `u64` was hard-wired, so they
 //!   pay zero overhead for the generalization (`armbar bench explore` gates
 //!   this).
-//! * [`WideMask`] — a boxed `[u64]` bitset sized per program, lifting the
-//!   old 64-instruction ceiling for implementation-sized programs (unrolled
-//!   lock handoffs, channel round-trips).
+//! * [`WideMask`] — a multi-word bitset sized per program, lifting the old
+//!   64-instruction ceiling for implementation-sized programs (unrolled
+//!   lock handoffs, channel round-trips). Up to [`INLINE_WORDS`] words (256
+//!   instructions) live inline, so cloning a sleep set per explored child
+//!   never touches the heap; only larger programs spill to a boxed slice.
 //!
 //! All default methods are word-wise loops over [`Mask::words`]; for `u64`
 //! the slice is a compile-time single element and the loops vanish.
@@ -57,6 +59,20 @@ pub(crate) trait Mask: Clone + Eq + Hash + Send + Sync {
         self.words_mut()[i / 64] |= 1 << (i % 64);
     }
 
+    /// Clear bit `i`.
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.words_mut()[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// `self |= other`.
+    #[inline]
+    fn or_assign(&mut self, other: &Self) {
+        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
+            *w |= o;
+        }
+    }
+
     /// `self &= !other`.
     #[inline]
     fn and_not_assign(&mut self, other: &Self) {
@@ -71,14 +87,6 @@ pub(crate) trait Mask: Clone + Eq + Hash + Send + Sync {
     fn assign_and_not(&mut self, a: &Self, b: &[u64]) {
         for ((w, x), y) in self.words_mut().iter_mut().zip(a.words()).zip(b) {
             *w = x & !y;
-        }
-    }
-
-    /// Clear every bit.
-    #[inline]
-    fn clear_all(&mut self) {
-        for w in self.words_mut() {
-            *w = 0;
         }
     }
 
@@ -148,6 +156,11 @@ impl Mask for u64 {
     }
 
     #[inline]
+    fn clear(&mut self, i: usize) {
+        *self &= !(1 << i);
+    }
+
+    #[inline]
     fn and_not_assign(&mut self, other: &Self) {
         *self &= !other;
     }
@@ -155,11 +168,6 @@ impl Mask for u64 {
     #[inline]
     fn assign_and_not(&mut self, a: &Self, b: &[u64]) {
         *self = a & !b[0];
-    }
-
-    #[inline]
-    fn clear_all(&mut self) {
-        *self = 0;
     }
 
     #[inline]
@@ -173,23 +181,52 @@ impl Mask for u64 {
     }
 }
 
-/// A boxed multi-word bitset for programs beyond 64 instructions.
+/// Words a [`WideMask`] holds without a heap block.
+pub(crate) const INLINE_WORDS: usize = 4;
+
+/// A multi-word bitset for programs beyond 64 instructions: a small vector
+/// of words, inline up to [`INLINE_WORDS`]. Inline words past `len` stay
+/// zero, so the derived equality and hash see only the mask's bits.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct WideMask(Box<[u64]>);
+pub(crate) enum WideMask {
+    /// At most `INLINE_WORDS * 64` bits; the first `len` words are live.
+    Inline {
+        /// Live word count.
+        len: u8,
+        /// The words, zero past `len`.
+        words: [u64; INLINE_WORDS],
+    },
+    /// Anything wider.
+    Heap(Box<[u64]>),
+}
 
 impl Mask for WideMask {
     fn zeros(bits: usize) -> Self {
-        WideMask(vec![0u64; word_count(bits)].into_boxed_slice())
+        let n = word_count(bits);
+        if n <= INLINE_WORDS {
+            WideMask::Inline {
+                len: n as u8,
+                words: [0; INLINE_WORDS],
+            }
+        } else {
+            WideMask::Heap(vec![0u64; n].into_boxed_slice())
+        }
     }
 
     #[inline]
     fn words(&self) -> &[u64] {
-        &self.0
+        match self {
+            WideMask::Inline { len, words } => &words[..usize::from(*len)],
+            WideMask::Heap(words) => words,
+        }
     }
 
     #[inline]
     fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.0
+        match self {
+            WideMask::Inline { len, words } => &mut words[..usize::from(*len)],
+            WideMask::Heap(words) => words,
+        }
     }
 }
 
@@ -230,6 +267,9 @@ mod tests {
         m.set(9);
         assert!(m.get(0) && m.get(9) && !m.get(5));
         assert_eq!(m.bits().collect::<Vec<_>>(), vec![0, 9]);
+        let mut cleared = m;
+        cleared.clear(9);
+        assert_eq!(cleared, 1);
         assert_eq!(u64::ones(10), 0x3ff);
         assert_eq!(u64::ones(64), u64::MAX);
         assert!(m.subset_of_words(&[0x3ff]));
@@ -261,6 +301,24 @@ mod tests {
         let mut scratch = WideMask::zeros(130);
         scratch.assign_and_not(&all, m.words());
         assert_eq!(scratch, undone);
+    }
+
+    /// The inline/heap split is invisible through the trait, and sits at
+    /// exactly 256 bits.
+    #[test]
+    fn wide_mask_spills_to_the_heap_past_256_bits() {
+        for (bits, inline) in [(65, true), (256, true), (257, false), (600, false)] {
+            let mut m = WideMask::zeros(bits);
+            assert_eq!(matches!(m, WideMask::Inline { .. }), inline, "{bits} bits");
+            assert_eq!(m.words().len(), word_count(bits));
+            m.set(bits - 1);
+            m.set(0);
+            assert_eq!(m.bits().collect::<Vec<_>>(), vec![0, bits - 1]);
+            m.clear(0);
+            assert!(!m.get(0) && m.get(bits - 1));
+            assert_eq!(m.clone(), m);
+            assert_eq!(WideMask::ones(bits).bits().count(), bits);
+        }
     }
 
     #[test]

@@ -149,10 +149,9 @@ pub(crate) struct SlotGroup {
 
 /// The slot-level symmetry tables the engine canonicalizes with.
 pub(crate) struct Symmetry {
-    /// All groups (each with ≥2 members).
+    /// All groups (each with ≥2 members); the product of their
+    /// member-count factorials is at most [`MAX_ORBIT`].
     pub groups: Vec<SlotGroup>,
-    /// Product of member-count factorials (≤ [`MAX_ORBIT`]).
-    pub orbit: usize,
 }
 
 /// `n!`, saturating (only used to gate against [`MAX_ORBIT`]).
