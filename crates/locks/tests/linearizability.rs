@@ -3,12 +3,109 @@
 //! value must be explainable by *some* total order, which for the
 //! commutative counter ops below reduces to exact sums and strictly
 //! monotone per-thread observations.
+//!
+//! All seven designs run through [`Executor`], the delegation ones in both
+//! response modes; the shape tests below pin what the shared skeletons must
+//! keep: the bounded combiner hand-off, node recycling, a combiner that
+//! serves nobody but itself, and a dedicated server told to stop while a
+//! request is in flight.
+
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use proptest::prelude::*;
 
-use armbar_locks::{CombiningLock, Executor, Ffwd, McsLock, OpTable, TicketLock};
+use armbar_locks::ffwd::{FfwdExecutor, ResponseMode};
+use armbar_locks::rcl::RclExecutor;
+use armbar_locks::{
+    CcSynch, CombiningLock, Executor, Ffwd, FlatCombining, McsLock, OpId, OpTable, Rcl, TicketLock,
+};
 
-fn ops_table() -> (OpTable<u64>, armbar_locks::OpId, armbar_locks::OpId) {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Design {
+    Ticket,
+    Mcs,
+    DSynch,
+    Ffwd,
+    Rcl,
+    FlatCombining,
+    CcSynch,
+}
+
+const DESIGNS: [Design; 7] = [
+    Design::Ticket,
+    Design::Mcs,
+    Design::DSynch,
+    Design::Ffwd,
+    Design::Rcl,
+    Design::FlatCombining,
+    Design::CcSynch,
+];
+
+/// The two queue combiners, whose sweep is bounded.
+const QUEUE_COMBINERS: [Design; 2] = [Design::DSynch, Design::CcSynch];
+
+/// Every design × mode (the in-place locks have no response mode and appear
+/// once).
+fn all_variants() -> Vec<(Design, ResponseMode)> {
+    let mut v = Vec::new();
+    for d in DESIGNS {
+        v.push((d, ResponseMode::Flag));
+        if !matches!(d, Design::Ticket | Design::Mcs) {
+            v.push((d, ResponseMode::Pilot));
+        }
+    }
+    v
+}
+
+/// Build `design` over `state` for handles `0..handles`, run `body` against
+/// it as an [`Executor`], and tear it down (dedicated servers are stopped
+/// and joined).
+fn with_lock<T: Send + 'static, R>(
+    (design, mode): (Design, ResponseMode),
+    handles: usize,
+    state: T,
+    ops: OpTable<T>,
+    body: impl FnOnce(&dyn Executor<T>) -> R,
+) -> R {
+    let pilot = mode == ResponseMode::Pilot;
+    match design {
+        Design::Ticket => body(&TicketLock::new(state, ops)),
+        Design::Mcs => body(&McsLock::new(handles, state, ops)),
+        Design::DSynch if pilot => body(&CombiningLock::new_pilot(handles, state, ops)),
+        Design::DSynch => body(&CombiningLock::new(handles, state, ops)),
+        Design::FlatCombining if pilot => body(&FlatCombining::new_pilot(handles, state, ops)),
+        Design::FlatCombining => body(&FlatCombining::new(handles, state, ops)),
+        Design::CcSynch if pilot => body(&CcSynch::new_pilot(handles, state, ops)),
+        Design::CcSynch => body(&CcSynch::new(handles, state, ops)),
+        Design::Ffwd => {
+            let lock = if pilot {
+                Ffwd::new_pilot(handles, state, ops)
+            } else {
+                Ffwd::new(handles, state, ops)
+            };
+            let server = lock.start_server();
+            let r = body(&FfwdExecutor::new(&lock, handles));
+            lock.shutdown();
+            server.join().unwrap();
+            r
+        }
+        Design::Rcl => {
+            let lock = if pilot {
+                Rcl::new_pilot(handles, state, ops)
+            } else {
+                Rcl::new(handles, state, ops)
+            };
+            let server = lock.start_server();
+            let r = body(&RclExecutor::new(&lock, handles));
+            lock.shutdown();
+            server.join().unwrap();
+            r
+        }
+    }
+}
+
+fn ops_table() -> (OpTable<u64>, OpId, OpId) {
     let mut t = OpTable::new();
     let add = t.register(|s, by| {
         *s += by;
@@ -20,10 +117,9 @@ fn ops_table() -> (OpTable<u64>, armbar_locks::OpId, armbar_locks::OpId) {
 
 /// Drive `per_thread` adds from each of `threads` workers through any
 /// executor; assert exactness and per-thread monotonicity.
-fn hammer<E: Executor<u64>>(lock: &E, threads: usize, per_thread: u64, add: armbar_locks::OpId) {
+fn hammer(lock: &dyn Executor<u64>, threads: usize, per_thread: u64, add: OpId) {
     std::thread::scope(|s| {
         for h in 0..threads {
-            let lock = &lock;
             s.spawn(move || {
                 let mut last = 0u64;
                 for _ in 0..per_thread {
@@ -37,64 +133,22 @@ fn hammer<E: Executor<u64>>(lock: &E, threads: usize, per_thread: u64, add: armb
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn ticket_lock_linearizes(threads in 2usize..5, per in 200u64..800) {
+    fn every_design_linearizes(
+        design in 0usize..7,
+        pilot in any::<bool>(),
+        threads in 2usize..5,
+        per in 100u64..500,
+    ) {
+        let mode = if pilot { ResponseMode::Pilot } else { ResponseMode::Flag };
         let (t, add, get) = ops_table();
-        let lock = TicketLock::new(0u64, t);
-        hammer(&lock, threads, per, add);
-        prop_assert_eq!(lock.execute(0, get, 0), threads as u64 * per);
-    }
-
-    #[test]
-    fn mcs_lock_linearizes(threads in 2usize..5, per in 200u64..800) {
-        let (t, add, get) = ops_table();
-        let lock = McsLock::new(threads, 0u64, t);
-        hammer(&lock, threads, per, add);
-        prop_assert_eq!(lock.execute(0, get, 0), threads as u64 * per);
-    }
-
-    #[test]
-    fn combining_lock_linearizes(threads in 2usize..5, per in 200u64..800, pilot in any::<bool>()) {
-        let (t, add, get) = ops_table();
-        if pilot {
-            let lock = CombiningLock::new_pilot(threads, 0u64, t);
-            hammer(&lock, threads, per, add);
-            prop_assert_eq!(lock.execute(0, get, 0), threads as u64 * per);
-        } else {
-            let lock = CombiningLock::new(threads, 0u64, t);
-            hammer(&lock, threads, per, add);
-            prop_assert_eq!(lock.execute(0, get, 0), threads as u64 * per);
-        }
-    }
-
-    #[test]
-    fn ffwd_linearizes(threads in 2usize..5, per in 100u64..400, pilot in any::<bool>()) {
-        let (t, add, get) = ops_table();
-        let lock = if pilot {
-            Ffwd::new_pilot(threads + 1, 0u64, t)
-        } else {
-            Ffwd::new(threads + 1, 0u64, t)
-        };
-        let server = lock.start_server();
-        std::thread::scope(|s| {
-            for h in 0..threads {
-                let mut client = lock.client(h);
-                s.spawn(move || {
-                    let mut last = 0u64;
-                    for _ in 0..per {
-                        let r = client.execute(add, 1);
-                        assert!(r > last);
-                        last = r;
-                    }
-                });
-            }
+        let total = with_lock((DESIGNS[design], mode), threads, 0u64, t, |lock| {
+            hammer(lock, threads, per, add);
+            lock.execute(0, get, 0)
         });
-        let mut checker = lock.client(threads);
-        prop_assert_eq!(checker.execute(get, 0), threads as u64 * per);
-        lock.shutdown();
-        server.join().unwrap();
+        prop_assert_eq!(total, threads as u64 * per, "{:?} {:?}", DESIGNS[design], mode);
     }
 }
 
@@ -102,18 +156,157 @@ proptest! {
 /// when every thread uses a different addend.
 #[test]
 fn distinct_addends_sum_exactly() {
-    let (t, add, get) = ops_table();
-    let lock = CombiningLock::new(4, 0u64, t);
-    std::thread::scope(|s| {
-        for h in 0..4usize {
-            let lock = &lock;
-            s.spawn(move || {
-                for _ in 0..1_000 {
-                    lock.execute(h, add, h as u64 + 1);
+    for variant in all_variants() {
+        let (t, add, get) = ops_table();
+        let total = with_lock(variant, 4, 0u64, t, |lock| {
+            std::thread::scope(|s| {
+                for h in 0..4usize {
+                    s.spawn(move || {
+                        for _ in 0..1_000 {
+                            lock.execute(h, add, h as u64 + 1);
+                        }
+                    });
                 }
             });
+            lock.execute(0, get, 0)
+        });
+        // 1000 * (1+2+3+4)
+        assert_eq!(total, 10_000, "{variant:?}");
+    }
+}
+
+/// One handle, nobody else: in the combining designs every operation is a
+/// combiner serving its own request and nothing more, and each one adopts
+/// the node the previous one retired.
+#[test]
+fn a_lone_handle_serves_only_itself() {
+    for variant in all_variants() {
+        let (t, add, get) = ops_table();
+        with_lock(variant, 1, 0u64, t, |lock| {
+            for i in 1..=300 {
+                assert_eq!(lock.execute(0, add, 2), 2 * i, "{variant:?}");
+            }
+            assert_eq!(lock.execute(0, get, 0), 600, "{variant:?}");
+        });
+    }
+}
+
+/// Node (and slot, and publication-record) recycling: 10⁴ operations per
+/// handle go through a pool of `handles + 1` nodes, so every node is
+/// adopted, served, retired and re-enqueued thousands of times, and the
+/// Pilot variants walk their 64-seed schedule over a hundred times.
+#[test]
+fn nodes_recycle_over_ten_thousand_operations_per_handle() {
+    const THREADS: usize = 3;
+    const PER: u64 = 10_000;
+    for variant in all_variants() {
+        let (t, add, get) = ops_table();
+        let total = with_lock(variant, THREADS, 0u64, t, |lock| {
+            hammer(lock, THREADS, PER, add);
+            lock.execute(0, get, 0)
+        });
+        assert_eq!(total, THREADS as u64 * PER, "{variant:?}");
+    }
+}
+
+thread_local! {
+    /// The handle the current worker thread submits under.
+    static HANDLE: Cell<u64> = const { Cell::new(u64::MAX) };
+}
+
+/// Lengths of combiner tenures, recovered inside the critical sections: a
+/// combiner serves its own request first, so an operation whose requester
+/// is the executing thread opens a new tenure.
+#[derive(Default)]
+struct Tenures {
+    current: u64,
+    longest: u64,
+    total: u64,
+}
+
+/// More pending requests than one combiner may serve: the critical section
+/// yields, so while one thread combines the other 79 enqueue behind it and
+/// the sweep runs into `COMBINE_BOUND` (64). No tenure may be longer, and
+/// the bound must actually be reached — the hand-off to a waiting owner ran.
+#[test]
+fn queue_combiners_hand_off_at_the_bound() {
+    const THREADS: usize = 80;
+    const PER: u64 = 12;
+    for design in QUEUE_COMBINERS {
+        for mode in ResponseMode::ALL {
+            let mut t: OpTable<Tenures> = OpTable::new();
+            let record = t.register(|s, requester| {
+                if HANDLE.get() == requester {
+                    s.current = 0;
+                }
+                s.current += 1;
+                s.longest = s.longest.max(s.current);
+                s.total += 1;
+                std::thread::yield_now();
+                s.total
+            });
+            let longest = t.register(|s, _| s.longest);
+            with_lock((design, mode), THREADS, Tenures::default(), t, |lock| {
+                std::thread::scope(|s| {
+                    for h in 0..THREADS {
+                        s.spawn(move || {
+                            HANDLE.set(h as u64);
+                            let mut last = 0;
+                            for _ in 0..PER {
+                                let r = lock.execute(h, record, h as u64);
+                                assert!(r > last, "{design:?} {mode:?}");
+                                last = r;
+                            }
+                        });
+                    }
+                });
+                assert_eq!(lock.execute(0, longest, 0), 64, "{design:?} {mode:?}");
+            });
         }
-    });
-    // 1000 * (1+2+3+4)
-    assert_eq!(lock.execute(0, get, 0), 10_000);
+    }
+}
+
+/// A dedicated server told to stop while it is inside a critical section
+/// must still publish that request's response, then drain and exit; a
+/// request completed earlier is unaffected.
+macro_rules! shutdown_in_flight {
+    ($Lock:ident, $Executor:ident, $pilot:expr) => {{
+        static ENTERED: AtomicBool = AtomicBool::new(false);
+        static RELEASE: AtomicBool = AtomicBool::new(false);
+        let (mut t, add, _) = ops_table();
+        let gate = t.register(|s, by| {
+            ENTERED.store(true, Ordering::Release);
+            while !RELEASE.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            *s += by;
+            *s
+        });
+        let lock = if $pilot {
+            $Lock::new_pilot(2, 0u64, t)
+        } else {
+            $Lock::new(2, 0u64, t)
+        };
+        let server = lock.start_server();
+        let exec = $Executor::new(&lock, 2);
+        assert_eq!(exec.execute(1, add, 5), 5);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| exec.execute(0, gate, 2));
+            while !ENTERED.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            lock.shutdown();
+            RELEASE.store(true, Ordering::Release);
+            assert_eq!(waiter.join().unwrap(), 7);
+        });
+        server.join().unwrap();
+    }};
+}
+
+#[test]
+fn dedicated_servers_finish_the_request_in_flight_at_shutdown() {
+    shutdown_in_flight!(Ffwd, FfwdExecutor, false);
+    shutdown_in_flight!(Ffwd, FfwdExecutor, true);
+    shutdown_in_flight!(Rcl, RclExecutor, false);
+    shutdown_in_flight!(Rcl, RclExecutor, true);
 }
