@@ -168,7 +168,7 @@ impl ListOps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armbar_locks::Ffwd;
+    use armbar_locks::{Ffwd, ResponseMode};
 
     #[test]
     fn sorted_insert_remove_contains() {
@@ -211,7 +211,7 @@ mod tests {
         let mut preloaded = SortedList::preloaded(50, 2);
         let _ = &mut preloaded;
         const THREADS: usize = 3;
-        let lock = Ffwd::new(THREADS + 1, preloaded, table);
+        let lock = Ffwd::new(THREADS + 1, preloaded, table, ResponseMode::Flag);
         let server = lock.start_server();
         std::thread::scope(|s| {
             for h in 0..THREADS {

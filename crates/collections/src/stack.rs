@@ -69,7 +69,7 @@ impl StackOps {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use armbar_locks::{CombiningLock, Executor};
+    use armbar_locks::{CombiningLock, Executor, ResponseMode};
 
     #[test]
     fn lifo_order_through_ops() {
@@ -88,7 +88,7 @@ mod tests {
         let mut table = OpTable::new();
         let ops = StackOps::register(&mut table);
         const THREADS: usize = 4;
-        let lock = CombiningLock::new(THREADS, SeqStack::new(), table);
+        let lock = CombiningLock::new(THREADS, SeqStack::new(), table, ResponseMode::Flag);
         std::thread::scope(|s| {
             for h in 0..THREADS {
                 let lock = &lock;

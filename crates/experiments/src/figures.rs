@@ -943,7 +943,12 @@ pub fn fig8d(_ctx: &SweepCtx) -> Vec<Table> {
     );
     let threads = 4usize;
     let mut times: Vec<(&str, Vec<f64>)> = Vec::new();
-    for variant in ["Ticket", "DSynch", "DSynch-P"] {
+    let variants = [
+        ("Ticket", None),
+        ("DSynch", Some(ResponseMode::Flag)),
+        ("DSynch-P", Some(ResponseMode::Pilot)),
+    ];
+    for (variant, mode) in variants {
         let vals = inputs
             .iter()
             .map(|&n| {
@@ -953,16 +958,12 @@ pub fn fig8d(_ctx: &SweepCtx) -> Vec<Table> {
                 let mut table = OpTable::new();
                 let ops = BoundOps::register(&mut table);
                 let bound = SharedBound::new();
-                let area = match variant {
-                    "Ticket" => {
+                let area = match mode {
+                    None => {
                         solve_parallel(&p, threads, &TicketLock::new(bound, table), ops, 64).area
                     }
-                    "DSynch" => {
-                        let lock = CombiningLock::new(threads, bound, table);
-                        solve_parallel(&p, threads, &lock, ops, 64).area
-                    }
-                    _ => {
-                        let lock = CombiningLock::new_pilot(threads, bound, table);
+                    Some(mode) => {
+                        let lock = CombiningLock::new(threads, bound, table, mode);
                         solve_parallel(&p, threads, &lock, ops, 64).area
                     }
                 };

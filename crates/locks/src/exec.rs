@@ -75,6 +75,18 @@ pub trait Executor<T>: Sync {
     fn execute(&self, handle: usize, id: OpId, arg: u64) -> u64;
 }
 
+/// The counter every in-crate test drives: `(table, inc, get)` over a `u64`.
+#[cfg(test)]
+pub(crate) fn counter_ops() -> (OpTable<u64>, OpId, OpId) {
+    let mut t = OpTable::new();
+    let inc = t.register(|s, by| {
+        *s += by;
+        *s
+    });
+    let get = t.register(|s, _| *s);
+    (t, inc, get)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

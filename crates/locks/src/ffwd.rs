@@ -2,8 +2,8 @@
 //! with the paper's Pilot response path as a variant.
 //!
 //! A dedicated server thread owns the protected state and executes every
-//! critical section. Each client has a padded request/response slot; the
-//! hand-off is Algorithm 5:
+//! critical section ([`crate::dedicated`] is the server loop). Each client
+//! has a padded request/response slot; the hand-off is Algorithm 5:
 //!
 //! ```text
 //! server:  1-3  detect a flipped request flag
@@ -16,333 +16,129 @@
 //!
 //! The response barrier is the expensive one; Algorithm 6 (Pilot) replaces
 //! lines 7-8 by publishing `ret ^ hash` as the notification itself, with the
-//! flag fallback for collisions. The server also batches: it scans all
-//! client slots per sweep, so one barrier covers several responses — the
-//! store-buffer-friendliness the paper credits for FFWD's resilience.
+//! flag fallback for collisions — [`PilotCell`] in its local-cursor form:
+//! server and client are a fixed pair per slot, each walking its own copy of
+//! the seed schedule.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam::utils::{Backoff, CachePadded};
+use crossbeam::utils::CachePadded;
 
-use armbar_barriers::Barrier;
-use armbar_pilot::HashPool;
+use armbar_barriers::native::run_barrier;
+use armbar_barriers::{Barrier, ResponseMode};
+use armbar_pilot::cell::Last;
+use armbar_pilot::{HashPool, PilotCell};
 
-use crate::exec::{Executor, OpId, OpTable};
-use crate::ticket::run_barrier;
+use crate::core::Core;
+use crate::dedicated::{Client, ClientPool, Dedicated, Slot};
+use crate::exec::OpId;
 
-pub use armbar_barriers::ResponseMode;
+/// The FFWD delegation lock. Construct with [`Ffwd::new`], then
+/// [`Ffwd::start_server`](Dedicated::start_server).
+pub type Ffwd<T> = Dedicated<T, FfwdSlot>;
+/// A client handle: everything one thread needs to submit requests.
+pub type FfwdClient<T> = Client<T, FfwdSlot>;
+/// A sharable pool of client handles implementing
+/// [`Executor`](crate::Executor).
+pub type FfwdExecutor<T> = ClientPool<T, FfwdSlot>;
 
 /// One client's communication slot. Request and response live on separate
 /// padded lines so the server's response stores do not fight the client's
 /// request stores.
-struct ClientSlot {
+#[doc(hidden)]
+#[derive(Default)]
+pub struct FfwdSlot {
     /// Request: flag (flip = new request), op id, argument.
     req_flag: CachePadded<AtomicU64>,
     op: AtomicU64,
     arg: AtomicU64,
-    /// Response: payload word and fallback flag share a line (Pilot touches
-    /// only this line on the common path).
-    ret: CachePadded<AtomicU64>,
-    resp_flag: AtomicU64,
+    /// Response: payload word and flag share a line (Pilot touches only
+    /// this line on the common path; flag mode flips the flag).
+    resp: PilotCell,
 }
 
-struct Shared<T> {
-    slots: Vec<ClientSlot>,
-    stop: AtomicBool,
-    state: std::cell::UnsafeCell<T>,
-}
-
-// SAFETY: `state` is touched exclusively by the server thread; clients only
-// exchange request/response words through atomics.
-unsafe impl<T: Send> Sync for Shared<T> {}
-unsafe impl<T: Send> Send for Shared<T> {}
-
-/// The FFWD delegation lock. Construct with [`Ffwd::new`] (flag responses)
-/// or [`Ffwd::new_pilot`], then [`Ffwd::start_server`].
-pub struct Ffwd<T> {
-    shared: Arc<Shared<T>>,
-    ops: Arc<OpTable<T>>,
-    mode: ResponseMode,
-    /// Barrier between detecting a request and reading/executing it
-    /// (Algorithm 5 line 4).
-    pub req_barrier: Barrier,
-    /// Barrier between the critical section and the response flag
-    /// (Algorithm 5 line 7); unused on the Pilot path.
-    pub resp_barrier: Barrier,
-    /// Seed schedule shared by server and clients (Pilot mode).
+/// One end of a slot: the flag it last saw (the request flag at the server,
+/// the flag-mode response flag at the client) and its side of Algorithm 6.
+#[doc(hidden)]
+pub struct FfwdEnd {
+    seen_flag: u64,
+    last: Last,
     pool: HashPool,
 }
 
-/// A client handle: everything one thread needs to submit requests.
-pub struct FfwdClient<T> {
-    shared: Arc<Shared<T>>,
-    mode: ResponseMode,
-    id: usize,
-    /// Pilot decode state (client side of Algorithm 6).
-    old_ret: u64,
-    old_flag: u64,
-    pool: HashPool,
-}
+impl Slot for FfwdSlot {
+    type End = FfwdEnd;
 
-impl<T: Send + 'static> Ffwd<T> {
-    /// Flag-response FFWD with the paper's best barrier pair
-    /// (`LDAR`-strength request barrier, `DMB st` response barrier).
-    #[must_use]
-    pub fn new(max_clients: usize, state: T, ops: OpTable<T>) -> Ffwd<T> {
-        Ffwd::with_barriers(
-            max_clients,
-            state,
-            ops,
-            ResponseMode::Flag,
-            Barrier::Ldar,
-            Barrier::DmbSt,
-        )
-    }
-
-    /// Pilot-response FFWD (Algorithm 6).
-    #[must_use]
-    pub fn new_pilot(max_clients: usize, state: T, ops: OpTable<T>) -> Ffwd<T> {
-        Ffwd::with_barriers(
-            max_clients,
-            state,
-            ops,
-            ResponseMode::Pilot,
-            Barrier::Ldar,
-            Barrier::DmbSt,
-        )
-    }
-
-    /// Fully explicit constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_clients == 0`.
-    #[must_use]
-    pub fn with_barriers(
-        max_clients: usize,
-        state: T,
-        ops: OpTable<T>,
-        mode: ResponseMode,
-        req_barrier: Barrier,
-        resp_barrier: Barrier,
-    ) -> Ffwd<T> {
-        assert!(max_clients > 0);
-        let shared = Arc::new(Shared {
-            slots: (0..max_clients)
-                .map(|_| ClientSlot {
-                    req_flag: CachePadded::new(AtomicU64::new(0)),
-                    op: AtomicU64::new(0),
-                    arg: AtomicU64::new(0),
-                    ret: CachePadded::new(AtomicU64::new(0)),
-                    resp_flag: AtomicU64::new(0),
-                })
-                .collect(),
-            stop: AtomicBool::new(false),
-            state: std::cell::UnsafeCell::new(state),
-        });
-        Ffwd {
-            shared,
-            ops: Arc::new(ops),
-            mode,
-            req_barrier,
-            resp_barrier,
-            pool: HashPool::default_pool(),
+    fn end(pool: &HashPool) -> FfwdEnd {
+        FfwdEnd {
+            seen_flag: 0,
+            last: Last::default(),
+            pool: pool.clone(),
         }
     }
 
-    /// Obtain the client handle for slot `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn client(&self, id: usize) -> FfwdClient<T> {
-        assert!(id < self.shared.slots.len(), "client id out of range");
-        FfwdClient {
-            shared: Arc::clone(&self.shared),
-            mode: self.mode,
-            id,
-            old_ret: 0,
-            old_flag: 0,
-            pool: self.pool.clone(),
-        }
-    }
-
-    /// Spawn the dedicated server thread. Stop it with [`Ffwd::shutdown`].
-    #[must_use]
-    pub fn start_server(&self) -> JoinHandle<()> {
-        let shared = Arc::clone(&self.shared);
-        let ops = Arc::clone(&self.ops);
-        let mode = self.mode;
-        let req_barrier = self.req_barrier;
-        let resp_barrier = self.resp_barrier;
-        let mut pools: Vec<HashPool> = (0..shared.slots.len()).map(|_| self.pool.clone()).collect();
-        std::thread::spawn(move || {
-            let n = shared.slots.len();
-            let mut seen_req = vec![0u64; n];
-            let mut old_ret = vec![0u64; n];
-            let mut local_flag = vec![0u64; n];
-            let backoff = Backoff::new();
-            loop {
-                let mut served = 0u32;
-                for i in 0..n {
-                    let slot = &shared.slots[i];
-                    // Lines 1-3: new request?
-                    let rf = slot.req_flag.load(Ordering::Relaxed);
-                    if rf == seen_req[i] {
-                        continue;
-                    }
-                    seen_req[i] = rf;
-                    // Line 4.
-                    run_barrier(req_barrier);
-                    let op = OpId(slot.op.load(Ordering::Relaxed) as usize);
-                    let arg = slot.arg.load(Ordering::Relaxed);
-                    // Line 6: the critical section.
-                    // SAFETY: only the server thread touches `state`.
-                    let raw = (ops.get(op))(unsafe { &mut *shared.state.get() }, arg);
-                    match mode {
-                        ResponseMode::Flag => {
-                            slot.ret.store(raw, Ordering::Relaxed);
-                            // Line 7: the post-RMR barrier.
-                            run_barrier(resp_barrier);
-                            // Line 8.
-                            let f = slot.resp_flag.load(Ordering::Relaxed) ^ 1;
-                            slot.resp_flag.store(f, Ordering::Relaxed);
-                        }
-                        ResponseMode::Pilot => {
-                            // Algorithm 6, lines 6-13.
-                            let hash = pools[i].next_seed();
-                            let new = raw ^ hash;
-                            if new != old_ret[i] {
-                                slot.ret.store(new, Ordering::Relaxed);
-                            } else {
-                                local_flag[i] ^= 1;
-                                slot.resp_flag.store(local_flag[i], Ordering::Relaxed);
-                            }
-                            old_ret[i] = new;
-                        }
-                    }
-                    served += 1;
-                }
-                if served == 0 {
-                    if shared.stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    backoff.snooze();
-                } else {
-                    backoff.reset();
-                }
-            }
-        })
-    }
-
-    /// Ask the server loop to exit once it drains outstanding requests.
-    pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-impl<T> FfwdClient<T> {
-    /// Submit one critical section and wait for its result.
-    pub fn execute(&mut self, op: OpId, arg: u64) -> u64 {
-        let slot = &self.shared.slots[self.id];
-        slot.op.store(op.0 as u64, Ordering::Relaxed);
-        slot.arg.store(arg, Ordering::Relaxed);
+    fn post(&self, _end: &mut FfwdEnd, op: OpId, arg: u64) {
+        self.op.store(op.0 as u64, Ordering::Relaxed);
+        self.arg.store(arg, Ordering::Relaxed);
         // Publish the request: the flag flip must not overtake op/arg.
         run_barrier(Barrier::DmbSt);
-        let rf = slot.req_flag.load(Ordering::Relaxed) ^ 1;
-        slot.req_flag.store(rf, Ordering::Relaxed);
-        // Await the response.
-        let backoff = Backoff::new();
-        match self.mode {
+        let flipped = self.req_flag.load(Ordering::Relaxed) ^ 1;
+        self.req_flag.store(flipped, Ordering::Relaxed);
+    }
+
+    fn poll<T>(&self, core: &Core<T>, end: &mut FfwdEnd) -> Option<u64> {
+        match core.mode {
             ResponseMode::Flag => {
-                loop {
-                    let f = slot.resp_flag.load(Ordering::Relaxed);
-                    if f != self.old_flag {
-                        self.old_flag = f;
-                        break;
-                    }
-                    backoff.snooze();
+                if !self.resp.flipped(&mut end.seen_flag) {
+                    return None;
                 }
                 // Order the flag load before the ret load.
                 run_barrier(Barrier::DmbLd);
-                slot.ret.load(Ordering::Relaxed)
+                Some(self.resp.load_raw())
             }
+            // Algorithm 4 on the response line.
+            ResponseMode::Pilot => self.resp.poll(&mut end.last, &mut end.pool),
+        }
+    }
+
+    fn detect(&self, end: &mut FfwdEnd) -> Option<u64> {
+        let now = self.req_flag.load(Ordering::Relaxed);
+        (now != std::mem::replace(&mut end.seen_flag, now)).then_some(now)
+    }
+
+    fn request(&self, _detected: u64) -> (OpId, u64) {
+        let op = OpId(self.op.load(Ordering::Relaxed) as usize);
+        (op, self.arg.load(Ordering::Relaxed))
+    }
+
+    fn respond<T>(&self, core: &Core<T>, end: &mut FfwdEnd, raw: u64) {
+        match core.mode {
+            ResponseMode::Flag => {
+                self.resp.store_raw(raw);
+                // Line 7: the post-RMR barrier.
+                run_barrier(core.resp_barrier);
+                // Line 8.
+                self.resp.flip();
+            }
+            // Algorithm 6, lines 6-13.
             ResponseMode::Pilot => {
-                // Algorithm 4 on the response word.
-                loop {
-                    let data = slot.ret.load(Ordering::Relaxed);
-                    if data != self.old_ret {
-                        self.old_ret = data;
-                        break;
-                    }
-                    let f = slot.resp_flag.load(Ordering::Relaxed);
-                    if f != self.old_flag {
-                        self.old_flag = f;
-                        break;
-                    }
-                    backoff.snooze();
-                }
-                self.old_ret ^ self.pool.next_seed()
+                self.resp.publish(&mut end.last, raw, &mut end.pool);
             }
         }
-    }
-}
-
-/// A sharable pool of client handles implementing [`Executor`], one per
-/// pre-registered thread.
-pub struct FfwdExecutor<T> {
-    clients: Vec<std::sync::Mutex<FfwdClient<T>>>,
-}
-
-impl<T: Send + 'static> FfwdExecutor<T> {
-    /// Wrap `lock`, creating handles `0..max_clients`.
-    #[must_use]
-    pub fn new(lock: &Ffwd<T>, max_clients: usize) -> FfwdExecutor<T> {
-        FfwdExecutor {
-            clients: (0..max_clients)
-                .map(|i| std::sync::Mutex::new(lock.client(i)))
-                .collect(),
-        }
-    }
-}
-
-impl<T: Send + 'static> Executor<T> for FfwdExecutor<T> {
-    fn execute(&self, handle: usize, id: OpId, arg: u64) -> u64 {
-        // Each handle is used by exactly one thread; the Mutex is
-        // uncontended and only satisfies the `&self` signature.
-        self.clients[handle]
-            .lock()
-            .expect("client poisoned")
-            .execute(id, arg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn counter_ops() -> (OpTable<u64>, OpId, OpId) {
-        let mut t = OpTable::new();
-        let inc = t.register(|s, by| {
-            *s += by;
-            *s
-        });
-        let get = t.register(|s, _| *s);
-        (t, inc, get)
-    }
+    use crate::exec::{counter_ops, Executor, OpTable};
 
     fn exercise(mode: ResponseMode) {
         // Slot 4 stays untouched by the workers so the checker's fresh
         // client state matches it (client decode state is per-slot and a
         // slot must not be re-claimed by a second client).
         let (table, inc, get) = counter_ops();
-        let lock = match mode {
-            ResponseMode::Flag => Ffwd::new(5, 0u64, table),
-            ResponseMode::Pilot => Ffwd::new_pilot(5, 0u64, table),
-        };
+        let lock = Ffwd::new(5, 0u64, table, mode);
         let server = lock.start_server();
         const PER: u64 = 3_000;
         std::thread::scope(|s| {
@@ -378,7 +174,7 @@ mod tests {
         // engineered rest. Correctness = every call returns 7.
         let mut table = OpTable::new();
         let seven = table.register(|_s: &mut u64, _| 7);
-        let lock = Ffwd::new_pilot(1, 0u64, table);
+        let lock = Ffwd::new(1, 0u64, table, ResponseMode::Pilot);
         let server = lock.start_server();
         let mut client = lock.client(0);
         for _ in 0..500 {
@@ -391,7 +187,7 @@ mod tests {
     #[test]
     fn distinct_clients_get_distinct_answers() {
         let (table, inc, _) = counter_ops();
-        let lock = Ffwd::new(2, 0u64, table);
+        let lock = Ffwd::new(2, 0u64, table, ResponseMode::Flag);
         let server = lock.start_server();
         let mut a = lock.client(0);
         let mut b = lock.client(1);
@@ -403,11 +199,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "one server")]
+    fn a_second_server_is_refused() {
+        let (table, ..) = counter_ops();
+        let lock = Ffwd::new(1, 0u64, table, ResponseMode::Flag);
+        lock.shutdown();
+        lock.start_server().join().unwrap();
+        let _ = lock.start_server();
+    }
+
+    #[test]
     fn executor_wrapper_works() {
         let (table, inc, get) = counter_ops();
-        let lock = Ffwd::new(4, 0u64, table);
+        let lock = Ffwd::new(4, 0u64, table, ResponseMode::Flag);
         let server = lock.start_server();
-        let exec = FfwdExecutor::new(&lock, 3);
+        let exec = FfwdExecutor::new(&lock);
         std::thread::scope(|s| {
             for h in 0..3 {
                 let exec = &exec;
@@ -418,8 +224,7 @@ mod tests {
                 });
             }
         });
-        let mut c = lock.client(3);
-        assert_eq!(c.execute(get, 0), 3_000);
+        assert_eq!(exec.execute(3, get, 0), 3_000);
         lock.shutdown();
         server.join().unwrap();
     }

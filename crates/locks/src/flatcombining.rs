@@ -13,20 +13,21 @@
 //! detecting a posted request and executing it, and a response barrier
 //! between the critical section's stores and the completion store. The
 //! Pilot variant (Algorithm 6) publishes `ret ^ hash` as the notification
-//! itself and needs neither the response barrier nor the completion store
-//! on the waiter's hot path.
+//! itself — [`PilotCell`] in its shared-round form, the combiner being
+//! whoever holds the lock — and needs neither the response barrier nor the
+//! completion store on the waiter's hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crossbeam::utils::{Backoff, CachePadded};
 
-use armbar_barriers::Barrier;
-use armbar_pilot::HashPool;
+use armbar_barriers::native::run_barrier;
+use armbar_barriers::{Barrier, ResponseMode};
+use armbar_pilot::cell::Sampled;
+use armbar_pilot::PilotCell;
 
+use crate::core::Core;
 use crate::exec::{Executor, OpId, OpTable};
-use crate::ffwd::ResponseMode;
-use crate::ticket::run_barrier;
 
 /// Scan passes one combiner performs per lock tenure. A second pass picks
 /// up requests posted while the first was running, amortizing the lock
@@ -35,185 +36,75 @@ const SCAN_PASSES: u32 = 2;
 
 /// One thread's publication record. The request word lives on its own
 /// line; response state shares a second line.
+#[derive(Default)]
 struct PubRecord {
     /// `op + 1` while a request is pending, 0 otherwise (the combiner
     /// clears it, which is the flag-mode completion signal).
     req: CachePadded<AtomicU64>,
     arg: AtomicU64,
-    /// Response word (raw, or `ret ^ hash` in Pilot mode).
-    ret: CachePadded<AtomicU64>,
-    /// Pilot fallback flag for shuffle collisions.
-    flag: AtomicU64,
-    /// Pilot hash-schedule position of this record.
-    round: AtomicU64,
+    /// Response line: the raw return value, or `ret ^ hash` plus fallback
+    /// flag in Pilot mode.
+    resp: PilotCell,
 }
-
-struct Shared<T> {
-    records: Vec<PubRecord>,
-    /// The combiner lock: 0 free, 1 held.
-    lock: CachePadded<AtomicU64>,
-    state: std::cell::UnsafeCell<T>,
-}
-
-// SAFETY: `state` is only touched while holding the combiner lock.
-unsafe impl<T: Send> Sync for Shared<T> {}
-unsafe impl<T: Send> Send for Shared<T> {}
 
 /// The flat-combining lock. Per-thread handles index the publication list.
 pub struct FlatCombining<T> {
-    shared: Arc<Shared<T>>,
-    ops: Arc<OpTable<T>>,
-    mode: ResponseMode,
-    /// Barrier between detecting a posted request and executing it
-    /// (Algorithm 5 line 4).
-    pub req_barrier: Barrier,
-    /// Barrier between the critical section and the completion store
-    /// (Algorithm 5 line 7); unused on the Pilot path.
-    pub resp_barrier: Barrier,
-    pool: HashPool,
+    core: Core<T>,
+    records: Vec<PubRecord>,
+    /// The combiner lock: 0 free, 1 held.
+    lock: CachePadded<AtomicU64>,
 }
 
 impl<T: Send> FlatCombining<T> {
-    /// Flag-completion flat combining with the paper's best barrier pair.
-    #[must_use]
-    pub fn new(max_threads: usize, state: T, ops: OpTable<T>) -> FlatCombining<T> {
-        FlatCombining::with_barriers(
-            max_threads,
-            state,
-            ops,
-            ResponseMode::Flag,
-            Barrier::Ldar,
-            Barrier::DmbSt,
-        )
-    }
-
-    /// Pilot-completion flat combining (Algorithm 6 applied to the
-    /// publication list).
-    #[must_use]
-    pub fn new_pilot(max_threads: usize, state: T, ops: OpTable<T>) -> FlatCombining<T> {
-        FlatCombining::with_barriers(
-            max_threads,
-            state,
-            ops,
-            ResponseMode::Pilot,
-            Barrier::Ldar,
-            Barrier::DmbSt,
-        )
-    }
-
-    /// Fully explicit constructor.
+    /// Flat combining for handles `0..max_threads` completing requests in
+    /// `mode`, with the paper's best barrier pair.
     ///
     /// # Panics
     ///
     /// Panics if `max_threads == 0`.
     #[must_use]
-    pub fn with_barriers(
-        max_threads: usize,
-        state: T,
-        ops: OpTable<T>,
-        mode: ResponseMode,
-        req_barrier: Barrier,
-        resp_barrier: Barrier,
-    ) -> FlatCombining<T> {
+    pub fn new(max_threads: usize, state: T, ops: OpTable<T>, mode: ResponseMode) -> Self {
         assert!(max_threads > 0);
         FlatCombining {
-            shared: Arc::new(Shared {
-                records: (0..max_threads)
-                    .map(|_| PubRecord {
-                        req: CachePadded::new(AtomicU64::new(0)),
-                        arg: AtomicU64::new(0),
-                        ret: CachePadded::new(AtomicU64::new(0)),
-                        flag: AtomicU64::new(0),
-                        round: AtomicU64::new(0),
-                    })
-                    .collect(),
-                lock: CachePadded::new(AtomicU64::new(0)),
-                state: std::cell::UnsafeCell::new(state),
-            }),
-            ops: Arc::new(ops),
-            mode,
-            req_barrier,
-            resp_barrier,
-            pool: HashPool::default_pool(),
+            core: Core::new(state, ops, mode),
+            records: (0..max_threads).map(|_| PubRecord::default()).collect(),
+            lock: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
-    /// Submit one critical section from handle `h` and wait for the result.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is out of range.
-    pub fn execute_on(&self, h: usize, op: OpId, arg: u64) -> u64 {
-        let rec = &self.shared.records[h];
-        // Pilot decode state must be sampled before the request is visible.
-        let old_ret = rec.ret.load(Ordering::Relaxed);
-        let old_flag = rec.flag.load(Ordering::Relaxed);
-        let round = rec.round.load(Ordering::Acquire);
-        // Post: op/arg first, then the request word that publishes them.
-        rec.arg.store(arg, Ordering::Relaxed);
-        rec.req.store(op.0 as u64 + 1, Ordering::Release);
-
-        let backoff = Backoff::new();
-        loop {
-            // Served while we waited?
-            match self.mode {
-                ResponseMode::Flag => {
-                    if rec.req.load(Ordering::Acquire) == 0 {
-                        // Order the completion load before the ret load.
-                        run_barrier(Barrier::DmbLd);
-                        return rec.ret.load(Ordering::Relaxed);
-                    }
-                }
-                ResponseMode::Pilot => {
-                    let data = rec.ret.load(Ordering::Relaxed);
-                    if data != old_ret {
-                        return data ^ self.pool.seed_at(round as usize);
-                    }
-                    if rec.flag.load(Ordering::Relaxed) != old_flag {
-                        return rec.ret.load(Ordering::Relaxed) ^ self.pool.seed_at(round as usize);
-                    }
-                }
-            }
-            // Otherwise try to become the combiner.
-            if self.shared.lock.load(Ordering::Relaxed) == 0
-                && self
-                    .shared
-                    .lock
-                    .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                let mine = self.combine(h);
-                self.shared.lock.store(0, Ordering::Release);
-                if let Some(raw) = mine {
-                    return raw;
-                }
-                // Someone served us just before our tenure; decode on the
-                // next loop turn (the response is already published).
-                continue;
-            }
-            backoff.snooze();
+    /// One look at our own record: the result, if a combiner served it while
+    /// we waited.
+    fn served(&self, rec: &PubRecord, sample: &Sampled) -> Option<u64> {
+        match self.core.mode {
+            ResponseMode::Flag => (rec.req.load(Ordering::Acquire) == 0).then(|| {
+                // Order the completion load before the ret load.
+                run_barrier(Barrier::DmbLd);
+                rec.resp.load_raw()
+            }),
+            ResponseMode::Pilot => rec.resp.poll_sampled(sample, &self.core.pool),
         }
     }
 
     /// Scan the publication list while holding the combiner lock; returns
     /// our own result if our own record was still pending when scanned.
+    #[allow(unsafe_code)]
     fn combine(&self, h: usize) -> Option<u64> {
-        let shared = &self.shared;
         let mut mine = None;
         for _ in 0..SCAN_PASSES {
             let mut served = 0u32;
-            for (i, rec) in shared.records.iter().enumerate() {
+            for (i, rec) in self.records.iter().enumerate() {
                 let req = rec.req.load(Ordering::Relaxed);
                 if req == 0 {
                     continue;
                 }
                 // Algorithm 5 line 4: order the request detection before
                 // reading op/arg and touching the protected state.
-                run_barrier(self.req_barrier);
-                let op = OpId((req - 1) as usize);
+                run_barrier(self.core.req_barrier);
                 let arg = rec.arg.load(Ordering::Relaxed);
-                // SAFETY: we hold the combiner lock.
-                let raw = (self.ops.get(op))(unsafe { &mut *shared.state.get() }, arg);
+                // SAFETY: `combine`'s only caller holds the combiner lock — it
+                // won the Acquire compare-exchange on `lock` and stores 0
+                // (Release) only after this scan returns.
+                let raw = unsafe { self.core.serve(OpId((req - 1) as usize), arg) };
                 if i == h {
                     mine = Some(raw);
                 }
@@ -230,85 +121,90 @@ impl<T: Send> FlatCombining<T> {
     /// Publish one completed request. `notify` is false for our own record
     /// (the result travels by return value).
     fn publish(&self, rec: &PubRecord, raw: u64, notify: bool) {
-        match self.mode {
+        match self.core.mode {
             ResponseMode::Flag => {
-                rec.ret.store(raw, Ordering::Relaxed);
+                rec.resp.store_raw(raw);
                 if notify {
                     // Line 7: the post-RMR barrier, then the completion
                     // store (clearing the request word).
-                    run_barrier(self.resp_barrier);
+                    run_barrier(self.core.resp_barrier);
                 }
                 rec.req.store(0, Ordering::Release);
             }
             ResponseMode::Pilot => {
-                let round = rec.round.load(Ordering::Relaxed);
-                rec.round.store(round + 1, Ordering::Release);
-                // Bookkeeping only: Pilot waiters watch `ret`, not `req`.
+                // Bookkeeping only: Pilot waiters watch the response line,
+                // not `req`.
                 rec.req.store(0, Ordering::Relaxed);
-                let new = raw ^ self.pool.seed_at(round as usize);
-                if notify {
-                    let old = rec.ret.load(Ordering::Relaxed);
-                    if new != old {
-                        rec.ret.store(new, Ordering::Release);
-                    } else {
-                        let f = rec.flag.load(Ordering::Relaxed) ^ 1;
-                        rec.flag.store(f, Ordering::Release);
-                    }
-                } else {
-                    rec.ret.store(new, Ordering::Relaxed);
-                }
+                rec.resp.publish_round(raw, &self.core.pool, notify);
             }
         }
     }
 }
 
 impl<T: Send> Executor<T> for FlatCombining<T> {
-    fn execute(&self, handle: usize, id: OpId, arg: u64) -> u64 {
-        self.execute_on(handle, id, arg)
+    fn execute(&self, h: usize, op: OpId, arg: u64) -> u64 {
+        let rec = &self.records[h];
+        // Pilot decode state must be sampled before the request is visible.
+        let sample = rec.resp.sample();
+        // Post: op/arg first, then the request word that publishes them.
+        rec.arg.store(arg, Ordering::Relaxed);
+        rec.req.store(op.0 as u64 + 1, Ordering::Release);
+
+        let backoff = Backoff::new();
+        loop {
+            if let Some(ret) = self.served(rec, &sample) {
+                return ret;
+            }
+            // Otherwise try to become the combiner.
+            if self.lock.load(Ordering::Relaxed) == 0
+                && self
+                    .lock
+                    .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+                    .is_ok()
+            {
+                let mine = self.combine(h);
+                self.lock.store(0, Ordering::Release);
+                if let Some(raw) = mine {
+                    return raw;
+                }
+                // Someone served us just before our tenure; decode on the
+                // next loop turn (the response is already published).
+                continue;
+            }
+            backoff.snooze();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn counter_ops() -> (OpTable<u64>, OpId, OpId) {
-        let mut t = OpTable::new();
-        let inc = t.register(|s, by| {
-            *s += by;
-            *s
-        });
-        let get = t.register(|s, _| *s);
-        (t, inc, get)
-    }
+    use crate::exec::counter_ops;
 
     #[test]
     fn single_thread_sequence() {
         let (table, inc, get) = counter_ops();
-        let lock = FlatCombining::new(1, 0u64, table);
+        let lock = FlatCombining::new(1, 0u64, table, ResponseMode::Flag);
         for i in 1..=50 {
-            assert_eq!(lock.execute_on(0, inc, 1), i);
+            assert_eq!(lock.execute(0, inc, 1), i);
         }
-        assert_eq!(lock.execute_on(0, get, 0), 50);
+        assert_eq!(lock.execute(0, get, 0), 50);
     }
 
     fn hammer(mode: ResponseMode, threads: usize, per: u64) {
         let (table, inc, get) = counter_ops();
-        let lock = match mode {
-            ResponseMode::Flag => FlatCombining::new(threads, 0u64, table),
-            ResponseMode::Pilot => FlatCombining::new_pilot(threads, 0u64, table),
-        };
+        let lock = FlatCombining::new(threads, 0u64, table, mode);
         std::thread::scope(|s| {
             for h in 0..threads {
                 let lock = &lock;
                 s.spawn(move || {
                     for _ in 0..per {
-                        lock.execute_on(h, inc, 1);
+                        lock.execute(h, inc, 1);
                     }
                 });
             }
         });
-        assert_eq!(lock.execute_on(0, get, 0), threads as u64 * per);
+        assert_eq!(lock.execute(0, get, 0), threads as u64 * per);
     }
 
     #[test]
@@ -325,13 +221,13 @@ mod tests {
     fn pilot_mode_with_constant_returns() {
         let mut table = OpTable::new();
         let seven = table.register(|_s: &mut u64, _| 7);
-        let lock = FlatCombining::new_pilot(2, 0u64, table);
+        let lock = FlatCombining::new(2, 0u64, table, ResponseMode::Pilot);
         std::thread::scope(|s| {
             for h in 0..2 {
                 let lock = &lock;
                 s.spawn(move || {
                     for _ in 0..1_000 {
-                        assert_eq!(lock.execute_on(h, seven, 0), 7);
+                        assert_eq!(lock.execute(h, seven, 0), 7);
                     }
                 });
             }
@@ -345,14 +241,14 @@ mod tests {
             *s += by;
             *s
         });
-        let lock = FlatCombining::new(3, 0u64, table);
+        let lock = FlatCombining::new(3, 0u64, table, ResponseMode::Flag);
         std::thread::scope(|s| {
             for h in 0..3 {
                 let lock = &lock;
                 s.spawn(move || {
                     let mut last = 0;
                     for _ in 0..2_000 {
-                        let r = lock.execute_on(h, add, 1);
+                        let r = lock.execute(h, add, 1);
                         assert!(r > last, "running total must strictly grow for this thread");
                         last = r;
                     }

@@ -8,19 +8,31 @@
 //!   procedures; Figure 7(a) varies the *unlock* barrier because it is the
 //!   one that ends up strictly after the critical section's remote memory
 //!   references.
-//! * **Delegation locks** — a server executes every critical section. Two
-//!   are dedicated-server designs: [`ffwd::Ffwd`] (FFWD [42]) and
-//!   [`rcl::Rcl`] (remote core locking, where the request word doubles as
-//!   the completion channel). Three elect the server among the waiters:
-//!   [`combining::CombiningLock`] (migratory server of the
-//!   CC-Synch/DSM-Synch family [14]; the experiments label it `DSynch`),
-//!   [`ccsynch::CcSynch`] (textbook CC-Synch with node recycling and a
-//!   packed status word, shipped with deliberately naive full fences), and
-//!   [`flatcombining::FlatCombining`] (publication list + combiner lock).
+//! * **Delegation locks** — a server executes every critical section.
 //!   Barriers order request/response hand-offs (Algorithm 5, lines 4 and 7);
 //!   the response-side barrier follows the critical section's stores — the
-//!   expensive pattern — and each design's Pilot variant (`new_pilot`)
-//!   removes it per Algorithm 6.
+//!   expensive pattern — and constructing a design with
+//!   [`ResponseMode::Pilot`] removes it per Algorithm 6.
+//!
+//! The five delegation designs are two skeletons, each generic over a
+//! static protocol, plus one stand-alone lock:
+//!
+//! | design | skeleton | protocol |
+//! |---|---|---|
+//! | [`ffwd::Ffwd`] (FFWD) | [`dedicated`] server | request flag + response line |
+//! | [`rcl::Rcl`] (remote core locking) | [`dedicated`] server | one dual-role request word |
+//! | [`combining::CombiningLock`] (`DSynch`) | [`queue`] combiner | wait/completed flags + response line |
+//! | [`ccsynch::CcSynch`] (naive full fences) | [`queue`] combiner | one packed status word |
+//! | [`flatcombining::FlatCombining`] | — (publication list + combiner lock) | request word + response line |
+//!
+//! All five sit on one private core that owns the protected state, the
+//! [`OpTable`], the mode, the barrier pair and the seed pool; the protected
+//! state is dereferenced in exactly one function, an `unsafe fn` the in-place
+//! locks share, called where a protocol has made its thread the unique
+//! server (one `#[allow(unsafe_code)]` site per protocol, five in all).
+//! Every Pilot response goes through `armbar-pilot`'s one cell
+//! (Algorithms 3, 4 and 6 live in `armbar_pilot::cell`): a *response line*
+//! above is a `PilotCell`, the two packed words use `HashPool::pack`.
 //!
 //! Critical sections are registered up front as plain functions
 //! (`fn(&mut T, u64) -> u64`) so delegation servers can run them without
@@ -28,16 +40,22 @@
 //! locks one interface, which the data-structure benchmarks build on.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod ccsynch;
 pub mod combining;
+#[allow(unsafe_code)]
+mod core;
+pub mod dedicated;
 pub mod exec;
 pub mod ffwd;
 pub mod flatcombining;
 pub mod mcs;
+pub mod queue;
 pub mod rcl;
 pub mod ticket;
 
+pub use armbar_barriers::ResponseMode;
 pub use ccsynch::CcSynch;
 pub use combining::CombiningLock;
 pub use exec::{Executor, OpId, OpTable};

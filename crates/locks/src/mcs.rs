@@ -9,10 +9,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam::utils::{Backoff, CachePadded};
 
+use armbar_barriers::native::run_barrier;
 use armbar_barriers::Barrier;
 
+use crate::core::StateCell;
 use crate::exec::{Executor, OpId, OpTable};
-use crate::ticket::run_barrier;
 
 const NO_NODE: usize = 0;
 
@@ -31,15 +32,9 @@ pub struct McsLock<T> {
     pub acquire_barrier: Barrier,
     /// Barrier after the critical section, before releasing.
     pub release_barrier: Barrier,
-    state: std::cell::UnsafeCell<T>,
+    state: StateCell<T>,
     ops: OpTable<T>,
 }
-
-// SAFETY: `state` is only accessed by the queue head between acquire and
-// release; the MCS protocol (tail swap + per-node hand-off with
-// acquire/release orderings) makes that mutually exclusive.
-unsafe impl<T: Send> Sync for McsLock<T> {}
-unsafe impl<T: Send> Send for McsLock<T> {}
 
 impl<T> McsLock<T> {
     /// An MCS lock for up to `max_threads` concurrent handles, with the
@@ -73,7 +68,7 @@ impl<T> McsLock<T> {
                 .collect(),
             acquire_barrier,
             release_barrier,
-            state: std::cell::UnsafeCell::new(state),
+            state: StateCell::new(state),
             ops,
         }
     }
@@ -128,11 +123,15 @@ impl<T> McsLock<T> {
     /// # Panics
     ///
     /// Panics if `handle` is out of range.
+    #[allow(unsafe_code)]
     pub fn with<R>(&self, handle: usize, f: impl FnOnce(&mut T) -> R) -> R {
         assert!(handle < self.nodes.len(), "handle out of range");
         self.acquire(handle);
-        // SAFETY: we hold the lock (see `Sync` impl).
-        let r = f(unsafe { &mut *self.state.get() });
+        // SAFETY: only the queue head is between acquire and release (each
+        // handle being one thread's): the tail swap admits one enqueuer at a
+        // time and the per-node `locked` hand-off (Release store / Acquire
+        // spin) passes the head on, ordering successive holders.
+        let r = unsafe { self.state.as_server(f) };
         self.release(handle);
         r
     }

@@ -2,304 +2,137 @@
 //! where the *request word itself* is the completion channel.
 //!
 //! Like FFWD, a server thread owns the protected state and sweeps
-//! per-client slots. The RCL twist is the slot protocol: a client posts
-//! `(op + 1) << 1` (even, non-zero) into its request word and spins on
-//! that same word — one line round-trip per operation instead of two.
+//! per-client slots ([`crate::dedicated`] is the server loop). The RCL twist
+//! is the slot protocol: a client posts `(op + 1) << 1` (even, non-zero)
+//! into its request word and spins on that same word — one line round-trip
+//! per operation instead of two.
 //!
 //! * **Flag mode** (Algorithm 5 shape): the server stores `ret` to the
 //!   response word, runs the response barrier, then *clears the request
 //!   word*; the cleared word is the completion flag.
 //! * **Pilot mode** (Algorithm 6 shape): the server stores
-//!   `((ret ^ hash) << 1) | 1` — odd — straight into the request word. An
-//!   odd value can never equal the even request the client wrote, so the
-//!   single store is notification and payload at once and no response
-//!   barrier or fallback flag is needed (returns are limited to 63 bits).
+//!   `((ret ^ hash) << 1) | 1` — odd — straight into the request word
+//!   ([`HashPool::pack`] with a 1-bit tag). An odd value can never equal the
+//!   even request the client wrote, so the single store is notification and
+//!   payload at once and no response barrier or fallback flag is needed. A
+//!   return value that needs all 64 bits completes the flag-mode way, which
+//!   a waiter accepts in either mode.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossbeam::utils::{Backoff, CachePadded};
+use crossbeam::utils::CachePadded;
 
-use armbar_barriers::Barrier;
+use armbar_barriers::native::run_barrier;
+use armbar_barriers::{Barrier, ResponseMode};
 use armbar_pilot::HashPool;
 
-use crate::exec::{Executor, OpId, OpTable};
-use crate::ffwd::ResponseMode;
-use crate::ticket::run_barrier;
+use crate::core::Core;
+use crate::dedicated::{Client, ClientPool, Dedicated, Slot};
+use crate::exec::OpId;
 
-/// Pilot responses ride in the request word above the 1-bit tag, so the
-/// payload and the hash it is shuffled with live in 63 bits.
-const PILOT_MASK: u64 = (1 << 63) - 1;
+/// Pilot responses ride in the request word above a 1-bit tag.
+const TAG_BITS: u32 = 1;
+
+/// The RCL lock. Construct with [`Rcl::new`], then
+/// [`Rcl::start_server`](Dedicated::start_server).
+pub type Rcl<T> = Dedicated<T, RclSlot>;
+/// A client handle: everything one thread needs to submit requests.
+pub type RclClient<T> = Client<T, RclSlot>;
+/// A sharable pool of client handles implementing
+/// [`Executor`](crate::Executor).
+pub type RclExecutor<T> = ClientPool<T, RclSlot>;
 
 /// One client's slot: the dual-role request word on its own line, the
 /// argument next to it, and the flag-mode response word on a second line.
-struct RclSlot {
-    /// `(op + 1) << 1` while a request is pending; 0 (flag mode) or an
-    /// odd packed response (pilot mode) once served.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct RclSlot {
+    /// `(op + 1) << 1` while a request is pending; 0 (flag completion) or an
+    /// odd packed response (pilot completion) once served.
     req: CachePadded<AtomicU64>,
     arg: AtomicU64,
-    /// Flag-mode response word (unused in pilot mode).
+    /// Flag-completion response word.
     ret: CachePadded<AtomicU64>,
 }
 
-struct Shared<T> {
-    slots: Vec<RclSlot>,
-    stop: AtomicBool,
-    state: std::cell::UnsafeCell<T>,
+/// One end of a slot: the request word last posted (client side) and the
+/// rounds completed — the slot's seed-schedule position.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct RclEnd {
+    posted: u64,
+    round: u64,
 }
 
-// SAFETY: `state` is touched exclusively by the server thread; clients only
-// exchange request/response words through atomics.
-unsafe impl<T: Send> Sync for Shared<T> {}
-unsafe impl<T: Send> Send for Shared<T> {}
+impl Slot for RclSlot {
+    type End = RclEnd;
 
-/// The RCL lock. Construct with [`Rcl::new`] (flag responses) or
-/// [`Rcl::new_pilot`], then [`Rcl::start_server`].
-pub struct Rcl<T> {
-    shared: Arc<Shared<T>>,
-    ops: Arc<OpTable<T>>,
-    mode: ResponseMode,
-    /// Barrier between detecting a request and reading/executing it.
-    pub req_barrier: Barrier,
-    /// Barrier between the critical section and clearing the request word
-    /// (flag mode only).
-    pub resp_barrier: Barrier,
-    /// Seed schedule shared by server and clients (Pilot mode).
-    pool: HashPool,
-}
-
-/// A client handle: everything one thread needs to submit requests.
-pub struct RclClient<T> {
-    shared: Arc<Shared<T>>,
-    mode: ResponseMode,
-    id: usize,
-    pool: HashPool,
-}
-
-impl<T: Send + 'static> Rcl<T> {
-    /// Flag-response RCL with the paper's best barrier pair.
-    #[must_use]
-    pub fn new(max_clients: usize, state: T, ops: OpTable<T>) -> Rcl<T> {
-        Rcl::with_barriers(
-            max_clients,
-            state,
-            ops,
-            ResponseMode::Flag,
-            Barrier::Ldar,
-            Barrier::DmbSt,
-        )
+    fn end(_pool: &HashPool) -> RclEnd {
+        RclEnd::default()
     }
 
-    /// Pilot-response RCL: the packed store into the request word replaces
-    /// both the response barrier and the completion store.
-    #[must_use]
-    pub fn new_pilot(max_clients: usize, state: T, ops: OpTable<T>) -> Rcl<T> {
-        Rcl::with_barriers(
-            max_clients,
-            state,
-            ops,
-            ResponseMode::Pilot,
-            Barrier::Ldar,
-            Barrier::DmbSt,
-        )
-    }
-
-    /// Fully explicit constructor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_clients == 0`.
-    #[must_use]
-    pub fn with_barriers(
-        max_clients: usize,
-        state: T,
-        ops: OpTable<T>,
-        mode: ResponseMode,
-        req_barrier: Barrier,
-        resp_barrier: Barrier,
-    ) -> Rcl<T> {
-        assert!(max_clients > 0);
-        Rcl {
-            shared: Arc::new(Shared {
-                slots: (0..max_clients)
-                    .map(|_| RclSlot {
-                        req: CachePadded::new(AtomicU64::new(0)),
-                        arg: AtomicU64::new(0),
-                        ret: CachePadded::new(AtomicU64::new(0)),
-                    })
-                    .collect(),
-                stop: AtomicBool::new(false),
-                state: std::cell::UnsafeCell::new(state),
-            }),
-            ops: Arc::new(ops),
-            mode,
-            req_barrier,
-            resp_barrier,
-            pool: HashPool::default_pool(),
-        }
-    }
-
-    /// Obtain the client handle for slot `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn client(&self, id: usize) -> RclClient<T> {
-        assert!(id < self.shared.slots.len(), "client id out of range");
-        RclClient {
-            shared: Arc::clone(&self.shared),
-            mode: self.mode,
-            id,
-            pool: self.pool.clone(),
-        }
-    }
-
-    /// Spawn the dedicated server thread. Stop it with [`Rcl::shutdown`].
-    #[must_use]
-    pub fn start_server(&self) -> JoinHandle<()> {
-        let shared = Arc::clone(&self.shared);
-        let ops = Arc::clone(&self.ops);
-        let mode = self.mode;
-        let req_barrier = self.req_barrier;
-        let resp_barrier = self.resp_barrier;
-        let mut pools: Vec<HashPool> = (0..shared.slots.len()).map(|_| self.pool.clone()).collect();
-        std::thread::spawn(move || {
-            let backoff = Backoff::new();
-            loop {
-                let mut served = 0u32;
-                for (i, slot) in shared.slots.iter().enumerate() {
-                    // A pending request is even and non-zero; anything else
-                    // is an empty slot or our own earlier response.
-                    let req = slot.req.load(Ordering::Relaxed);
-                    if req == 0 || req & 1 == 1 {
-                        continue;
-                    }
-                    // Order the request detection before op/arg and the CS.
-                    run_barrier(req_barrier);
-                    let op = OpId(((req >> 1) - 1) as usize);
-                    let arg = slot.arg.load(Ordering::Relaxed);
-                    // SAFETY: only the server thread touches `state`.
-                    let raw = (ops.get(op))(unsafe { &mut *shared.state.get() }, arg);
-                    match mode {
-                        ResponseMode::Flag => {
-                            slot.ret.store(raw, Ordering::Relaxed);
-                            // Post-RMR barrier, then the completion store:
-                            // clearing the word the client spins on.
-                            run_barrier(resp_barrier);
-                            slot.req.store(0, Ordering::Relaxed);
-                        }
-                        ResponseMode::Pilot => {
-                            debug_assert!(
-                                raw <= PILOT_MASK,
-                                "pilot returns are limited to 63 bits"
-                            );
-                            let hash = pools[i].next_seed() & PILOT_MASK;
-                            slot.req.store(((raw ^ hash) << 1) | 1, Ordering::Relaxed);
-                        }
-                    }
-                    served += 1;
-                }
-                if served == 0 {
-                    if shared.stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    backoff.snooze();
-                } else {
-                    backoff.reset();
-                }
-            }
-        })
-    }
-
-    /// Ask the server loop to exit once it drains outstanding requests.
-    pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-    }
-}
-
-impl<T> RclClient<T> {
-    /// Submit one critical section and wait for its result.
-    pub fn execute(&mut self, op: OpId, arg: u64) -> u64 {
-        let slot = &self.shared.slots[self.id];
-        slot.arg.store(arg, Ordering::Relaxed);
+    fn post(&self, end: &mut RclEnd, op: OpId, arg: u64) {
+        self.arg.store(arg, Ordering::Relaxed);
         // Publish the request: the request-word store must not overtake
         // the argument store.
         run_barrier(Barrier::DmbSt);
-        let posted = (op.0 as u64 + 1) << 1;
-        slot.req.store(posted, Ordering::Relaxed);
-        // Await completion on the same word.
-        let backoff = Backoff::new();
-        match self.mode {
-            ResponseMode::Flag => {
-                while slot.req.load(Ordering::Relaxed) != 0 {
-                    backoff.snooze();
-                }
-                // Order the completion load before the ret load.
-                run_barrier(Barrier::DmbLd);
-                slot.ret.load(Ordering::Relaxed)
+        end.posted = (op.0 as u64 + 1) << 1;
+        self.req.store(end.posted, Ordering::Relaxed);
+    }
+
+    fn poll<T>(&self, core: &Core<T>, end: &mut RclEnd) -> Option<u64> {
+        // Completion arrives on the word the request went out in.
+        let word = self.req.load(Ordering::Relaxed);
+        if word == end.posted {
+            return None;
+        }
+        end.round += 1;
+        core.pool.unpack(end.round - 1, word, TAG_BITS).or_else(|| {
+            // Cleared: order the completion load before the ret load.
+            run_barrier(Barrier::DmbLd);
+            Some(self.ret.load(Ordering::Relaxed))
+        })
+    }
+
+    fn detect(&self, _end: &mut RclEnd) -> Option<u64> {
+        // A pending request is even and non-zero; anything else is an empty
+        // slot or our own earlier response.
+        let req = self.req.load(Ordering::Relaxed);
+        (req != 0 && req & 1 == 0).then_some(req)
+    }
+
+    fn request(&self, detected: u64) -> (OpId, u64) {
+        let op = OpId(((detected >> 1) - 1) as usize);
+        (op, self.arg.load(Ordering::Relaxed))
+    }
+
+    fn respond<T>(&self, core: &Core<T>, end: &mut RclEnd, raw: u64) {
+        let packed = match core.mode {
+            ResponseMode::Flag => None,
+            ResponseMode::Pilot => core.pool.pack(end.round, raw, TAG_BITS),
+        };
+        end.round += 1;
+        match packed {
+            Some(word) => self.req.store(word, Ordering::Relaxed),
+            None => {
+                self.ret.store(raw, Ordering::Relaxed);
+                // Post-RMR barrier, then the completion store: clearing
+                // the word the client spins on.
+                run_barrier(core.resp_barrier);
+                self.req.store(0, Ordering::Relaxed);
             }
-            ResponseMode::Pilot => loop {
-                let v = slot.req.load(Ordering::Relaxed);
-                if v & 1 == 1 {
-                    return (v >> 1) ^ (self.pool.next_seed() & PILOT_MASK);
-                }
-                backoff.snooze();
-            },
         }
-    }
-}
-
-/// A sharable pool of client handles implementing [`Executor`], one per
-/// pre-registered thread.
-pub struct RclExecutor<T> {
-    clients: Vec<std::sync::Mutex<RclClient<T>>>,
-}
-
-impl<T: Send + 'static> RclExecutor<T> {
-    /// Wrap `lock`, creating handles `0..max_clients`.
-    #[must_use]
-    pub fn new(lock: &Rcl<T>, max_clients: usize) -> RclExecutor<T> {
-        RclExecutor {
-            clients: (0..max_clients)
-                .map(|i| std::sync::Mutex::new(lock.client(i)))
-                .collect(),
-        }
-    }
-}
-
-impl<T: Send + 'static> Executor<T> for RclExecutor<T> {
-    fn execute(&self, handle: usize, id: OpId, arg: u64) -> u64 {
-        // Each handle is used by exactly one thread; the Mutex is
-        // uncontended and only satisfies the `&self` signature.
-        self.clients[handle]
-            .lock()
-            .expect("client poisoned")
-            .execute(id, arg)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn counter_ops() -> (OpTable<u64>, OpId, OpId) {
-        let mut t = OpTable::new();
-        let inc = t.register(|s, by| {
-            *s += by;
-            *s
-        });
-        let get = t.register(|s, _| *s);
-        (t, inc, get)
-    }
+    use crate::exec::{counter_ops, Executor, OpTable};
 
     fn exercise(mode: ResponseMode) {
         let (table, inc, get) = counter_ops();
-        let lock = match mode {
-            ResponseMode::Flag => Rcl::new(5, 0u64, table),
-            ResponseMode::Pilot => Rcl::new_pilot(5, 0u64, table),
-        };
+        let lock = Rcl::new(5, 0u64, table, mode);
         let server = lock.start_server();
         const PER: u64 = 3_000;
         std::thread::scope(|s| {
@@ -334,7 +167,7 @@ mod tests {
         // response word is always odd, every request always even.
         let mut table = OpTable::new();
         let seven = table.register(|_s: &mut u64, _| 7);
-        let lock = Rcl::new_pilot(1, 0u64, table);
+        let lock = Rcl::new(1, 0u64, table, ResponseMode::Pilot);
         let server = lock.start_server();
         let mut client = lock.client(0);
         for _ in 0..500 {
@@ -347,7 +180,7 @@ mod tests {
     #[test]
     fn distinct_clients_get_distinct_answers() {
         let (table, inc, _) = counter_ops();
-        let lock = Rcl::new(2, 0u64, table);
+        let lock = Rcl::new(2, 0u64, table, ResponseMode::Flag);
         let server = lock.start_server();
         let mut a = lock.client(0);
         let mut b = lock.client(1);
@@ -361,9 +194,9 @@ mod tests {
     #[test]
     fn executor_wrapper_works() {
         let (table, inc, get) = counter_ops();
-        let lock = Rcl::new(4, 0u64, table);
+        let lock = Rcl::new(4, 0u64, table, ResponseMode::Flag);
         let server = lock.start_server();
-        let exec = RclExecutor::new(&lock, 3);
+        let exec = RclExecutor::new(&lock);
         std::thread::scope(|s| {
             for h in 0..3 {
                 let exec = &exec;
@@ -374,8 +207,7 @@ mod tests {
                 });
             }
         });
-        let mut c = lock.client(3);
-        assert_eq!(c.execute(get, 0), 3_000);
+        assert_eq!(exec.execute(3, get, 0), 3_000);
         lock.shutdown();
         server.join().unwrap();
     }

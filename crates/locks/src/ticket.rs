@@ -13,27 +13,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::utils::CachePadded;
 
-use armbar_barriers::{native, Barrier};
+use armbar_barriers::native::run_barrier;
+use armbar_barriers::Barrier;
 
+use crate::core::StateCell;
 use crate::exec::{Executor, OpId, OpTable};
-
-/// Execute a configurable barrier point on the host, degrading
-/// access-attached idioms to the nearest standalone equivalent (the
-/// simulator models them precisely; the host path needs correctness only).
-pub(crate) fn run_barrier(b: Barrier) {
-    match b {
-        Barrier::None => {}
-        Barrier::Ldar | Barrier::DmbLd | Barrier::AddrDep | Barrier::DataDep | Barrier::Ctrl => {
-            native::dmb_ld();
-        }
-        Barrier::CtrlIsb => {
-            native::dmb_ld();
-            native::isb();
-        }
-        Barrier::Stlr => native::dmb_full(),
-        other => native::execute(other),
-    }
-}
 
 /// A ticket lock protecting state `T`.
 #[derive(Debug)]
@@ -44,15 +28,9 @@ pub struct TicketLock<T> {
     pub acquire_barrier: Barrier,
     /// Barrier executed after the critical section, before releasing.
     pub release_barrier: Barrier,
-    state: std::cell::UnsafeCell<T>,
+    state: StateCell<T>,
     ops: OpTable<T>,
 }
-
-// SAFETY: `state` is only accessed between a successful acquire and the
-// corresponding release, which the ticket protocol makes mutually exclusive;
-// the acquire/release orderings on `owner` publish the state hand-off.
-unsafe impl<T: Send> Sync for TicketLock<T> {}
-unsafe impl<T: Send> Send for TicketLock<T> {}
 
 impl<T> TicketLock<T> {
     /// A ticket lock with the paper's default barriers (acquire-side load
@@ -75,7 +53,7 @@ impl<T> TicketLock<T> {
             owner: CachePadded::new(AtomicU64::new(0)),
             acquire_barrier,
             release_barrier,
-            state: std::cell::UnsafeCell::new(state),
+            state: StateCell::new(state),
             ops,
         }
     }
@@ -100,10 +78,13 @@ impl<T> TicketLock<T> {
     }
 
     /// Run `f` under the lock (closure form for host code).
+    #[allow(unsafe_code)]
     pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         self.acquire();
-        // SAFETY: we hold the lock (see `Sync` impl).
-        let r = f(unsafe { &mut *self.state.get() });
+        // SAFETY: tickets are unique and `owner` equals ours until `release`
+        // below, so no other thread is between its acquire and release; the
+        // Release store / Acquire spin on `owner` order successive holders.
+        let r = unsafe { self.state.as_server(f) };
         self.release();
         r
     }

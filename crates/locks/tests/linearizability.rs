@@ -15,10 +15,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use proptest::prelude::*;
 
-use armbar_locks::ffwd::{FfwdExecutor, ResponseMode};
+use armbar_locks::dedicated::{ClientPool, Dedicated, Slot};
+use armbar_locks::ffwd::FfwdExecutor;
 use armbar_locks::rcl::RclExecutor;
 use armbar_locks::{
-    CcSynch, CombiningLock, Executor, Ffwd, FlatCombining, McsLock, OpId, OpTable, Rcl, TicketLock,
+    CcSynch, CombiningLock, Executor, Ffwd, FlatCombining, McsLock, OpId, OpTable, Rcl,
+    ResponseMode, TicketLock,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,41 +70,27 @@ fn with_lock<T: Send + 'static, R>(
     ops: OpTable<T>,
     body: impl FnOnce(&dyn Executor<T>) -> R,
 ) -> R {
-    let pilot = mode == ResponseMode::Pilot;
     match design {
         Design::Ticket => body(&TicketLock::new(state, ops)),
         Design::Mcs => body(&McsLock::new(handles, state, ops)),
-        Design::DSynch if pilot => body(&CombiningLock::new_pilot(handles, state, ops)),
-        Design::DSynch => body(&CombiningLock::new(handles, state, ops)),
-        Design::FlatCombining if pilot => body(&FlatCombining::new_pilot(handles, state, ops)),
-        Design::FlatCombining => body(&FlatCombining::new(handles, state, ops)),
-        Design::CcSynch if pilot => body(&CcSynch::new_pilot(handles, state, ops)),
-        Design::CcSynch => body(&CcSynch::new(handles, state, ops)),
-        Design::Ffwd => {
-            let lock = if pilot {
-                Ffwd::new_pilot(handles, state, ops)
-            } else {
-                Ffwd::new(handles, state, ops)
-            };
-            let server = lock.start_server();
-            let r = body(&FfwdExecutor::new(&lock, handles));
-            lock.shutdown();
-            server.join().unwrap();
-            r
-        }
-        Design::Rcl => {
-            let lock = if pilot {
-                Rcl::new_pilot(handles, state, ops)
-            } else {
-                Rcl::new(handles, state, ops)
-            };
-            let server = lock.start_server();
-            let r = body(&RclExecutor::new(&lock, handles));
-            lock.shutdown();
-            server.join().unwrap();
-            r
-        }
+        Design::DSynch => body(&CombiningLock::new(handles, state, ops, mode)),
+        Design::FlatCombining => body(&FlatCombining::new(handles, state, ops, mode)),
+        Design::CcSynch => body(&CcSynch::new(handles, state, ops, mode)),
+        Design::Ffwd => with_server(Ffwd::new(handles, state, ops, mode), body),
+        Design::Rcl => with_server(Rcl::new(handles, state, ops, mode), body),
     }
+}
+
+/// Run `body` against a dedicated-server lock with its server thread up.
+fn with_server<T: Send + 'static, S: Slot, R>(
+    lock: Dedicated<T, S>,
+    body: impl FnOnce(&dyn Executor<T>) -> R,
+) -> R {
+    let server = lock.start_server();
+    let r = body(&ClientPool::new(&lock));
+    lock.shutdown();
+    server.join().unwrap();
+    r
 }
 
 fn ops_table() -> (OpTable<u64>, OpId, OpId) {
@@ -209,6 +197,43 @@ fn nodes_recycle_over_ten_thousand_operations_per_handle() {
     }
 }
 
+/// Return values that need all 64 bits — `u64::MAX` is `NOT_FOUND` in the
+/// collections and floorplan's bound before the first solution — must come
+/// back intact from every design in both modes, also when another thread
+/// serves the request (the packed Pilot words of RCL and CC-Synch have room
+/// for 63 and 62 payload bits and fall back to a flag completion beyond).
+#[test]
+fn wide_return_values_survive_every_design() {
+    const WIDE: [u64; 5] = [u64::MAX, 1 << 62, 1 << 63, (1 << 62) - 1, 5];
+    const THREADS: usize = 3;
+    for variant in all_variants() {
+        let mut t: OpTable<u64> = OpTable::new();
+        let echo = t.register(|calls, value| {
+            *calls += 1;
+            value
+        });
+        let calls = t.register(|calls, _| *calls);
+        with_lock(variant, THREADS, 0u64, t, |lock| {
+            // Alone first: a combiner serving itself, a server with one client.
+            for value in WIDE {
+                assert_eq!(lock.execute(0, echo, value), value, "{variant:?}");
+            }
+            std::thread::scope(|s| {
+                for h in 0..THREADS {
+                    s.spawn(move || {
+                        for i in 0..2_000 {
+                            let value = WIDE[(i + h) % WIDE.len()];
+                            assert_eq!(lock.execute(h, echo, value), value, "{variant:?}");
+                        }
+                    });
+                }
+            });
+            let total = (WIDE.len() + THREADS * 2_000) as u64;
+            assert_eq!(lock.execute(0, calls, 0), total, "{variant:?}");
+        });
+    }
+}
+
 thread_local! {
     /// The handle the current worker thread submits under.
     static HANDLE: Cell<u64> = const { Cell::new(u64::MAX) };
@@ -270,7 +295,7 @@ fn queue_combiners_hand_off_at_the_bound() {
 /// must still publish that request's response, then drain and exit; a
 /// request completed earlier is unaffected.
 macro_rules! shutdown_in_flight {
-    ($Lock:ident, $Executor:ident, $pilot:expr) => {{
+    ($Lock:ident, $Executor:ident, $mode:expr) => {{
         static ENTERED: AtomicBool = AtomicBool::new(false);
         static RELEASE: AtomicBool = AtomicBool::new(false);
         let (mut t, add, _) = ops_table();
@@ -282,13 +307,9 @@ macro_rules! shutdown_in_flight {
             *s += by;
             *s
         });
-        let lock = if $pilot {
-            $Lock::new_pilot(2, 0u64, t)
-        } else {
-            $Lock::new(2, 0u64, t)
-        };
+        let lock = $Lock::new(2, 0u64, t, $mode);
         let server = lock.start_server();
-        let exec = $Executor::new(&lock, 2);
+        let exec = $Executor::new(&lock);
         assert_eq!(exec.execute(1, add, 5), 5);
         std::thread::scope(|s| {
             let waiter = s.spawn(|| exec.execute(0, gate, 2));
@@ -305,8 +326,8 @@ macro_rules! shutdown_in_flight {
 
 #[test]
 fn dedicated_servers_finish_the_request_in_flight_at_shutdown() {
-    shutdown_in_flight!(Ffwd, FfwdExecutor, false);
-    shutdown_in_flight!(Ffwd, FfwdExecutor, true);
-    shutdown_in_flight!(Rcl, RclExecutor, false);
-    shutdown_in_flight!(Rcl, RclExecutor, true);
+    shutdown_in_flight!(Ffwd, FfwdExecutor, ResponseMode::Flag);
+    shutdown_in_flight!(Ffwd, FfwdExecutor, ResponseMode::Pilot);
+    shutdown_in_flight!(Rcl, RclExecutor, ResponseMode::Flag);
+    shutdown_in_flight!(Rcl, RclExecutor, ResponseMode::Pilot);
 }

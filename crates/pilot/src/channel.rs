@@ -21,9 +21,12 @@ use std::sync::Arc;
 
 use crossbeam::utils::CachePadded;
 
-use armbar_barriers::{native, Barrier};
+use armbar_barriers::native::run_barrier;
+use armbar_barriers::Barrier;
 
+use crate::cell::{Last, PilotCell};
 use crate::hashpool::HashPool;
+use crate::spin_until;
 
 /// The two configurable barriers of the baseline producer/consumer
 /// (`X - Y` in the paper's Figure 6(a) legend).
@@ -48,48 +51,19 @@ impl BarrierPair {
     };
 }
 
-/// Execute one of the configurable barrier points on the host.
-///
-/// `LDAR`/`STLR`/dependency idioms are access-attached; in this host channel
-/// they degrade to the nearest standalone equivalent (`DMB ld` for the
-/// acquire-ish side, `DMB st`-strength for STLR is *not* correct so STLR maps
-/// to a full barrier on the publish side). The simulator models them
-/// precisely; the host path only needs correctness.
-fn run_barrier(b: Barrier) {
-    match b {
-        Barrier::None => {}
-        Barrier::Ldar | Barrier::DmbLd | Barrier::AddrDep | Barrier::DataDep | Barrier::Ctrl => {
-            native::dmb_ld();
-        }
-        Barrier::CtrlIsb => {
-            native::dmb_ld();
-            native::isb();
-        }
-        Barrier::Stlr => native::dmb_full(),
-        other => native::execute(other),
-    }
-}
-
 struct RingShared {
     slots: Vec<CachePadded<AtomicU64>>,
     prod_cnt: CachePadded<AtomicU64>,
     cons_cnt: CachePadded<AtomicU64>,
 }
 
-impl RingShared {
-    fn new(capacity: usize) -> Arc<RingShared> {
-        assert!(
-            capacity > 0 && capacity.is_power_of_two(),
-            "capacity must be a power of two"
-        );
-        Arc::new(RingShared {
-            slots: (0..capacity)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
-            prod_cnt: CachePadded::new(AtomicU64::new(0)),
-            cons_cnt: CachePadded::new(AtomicU64::new(0)),
-        })
-    }
+/// `capacity` zeroed slots; a power of two, so positions wrap with a mask.
+fn fresh_slots<S: Default>(capacity: usize) -> Vec<S> {
+    assert!(
+        capacity > 0 && capacity.is_power_of_two(),
+        "capacity must be a power of two"
+    );
+    (0..capacity).map(|_| S::default()).collect()
 }
 
 /// Producer half of the baseline ring.
@@ -112,7 +86,11 @@ pub struct SpscReceiver {
 /// (power of two).
 #[must_use]
 pub fn spsc_ring(capacity: usize, barriers: BarrierPair) -> (SpscSender, SpscReceiver) {
-    let shared = RingShared::new(capacity);
+    let shared = Arc::new(RingShared {
+        slots: fresh_slots(capacity),
+        prod_cnt: CachePadded::default(),
+        cons_cnt: CachePadded::default(),
+    });
     let mask = capacity as u64 - 1;
     (
         SpscSender {
@@ -153,10 +131,7 @@ impl SpscSender {
 
     /// Blocking send.
     pub fn send(&mut self, msg: u64) {
-        let backoff = crossbeam::utils::Backoff::new();
-        while !self.try_send(msg) {
-            backoff.snooze();
-        }
+        spin_until(|| self.try_send(msg).then_some(()));
     }
 }
 
@@ -187,22 +162,14 @@ impl SpscReceiver {
 
     /// Blocking receive.
     pub fn recv(&mut self) -> u64 {
-        let backoff = crossbeam::utils::Backoff::new();
-        loop {
-            if let Some(v) = self.try_recv() {
-                return v;
-            }
-            backoff.snooze();
-        }
+        spin_until(|| self.try_recv())
     }
 }
 
-/// Per-slot Pilot state shared between the halves of a [`PilotSenderRing`].
+/// State shared between the halves of a [`PilotSenderRing`].
 struct PilotRingShared {
-    /// Payload words, published via Pilot.
-    slots: Vec<CachePadded<AtomicU64>>,
-    /// Fallback flags, one per slot.
-    flags: Vec<CachePadded<AtomicU64>>,
+    /// One Pilot cell per slot: payload word and fallback flag.
+    cells: Vec<PilotCell>,
     /// Consumer progress — the only counter line that still ping-pongs.
     cons_cnt: CachePadded<AtomicU64>,
 }
@@ -211,8 +178,7 @@ struct PilotRingShared {
 pub struct PilotSenderRing {
     shared: Arc<PilotRingShared>,
     pool: HashPool,
-    old_data: Vec<u64>,
-    local_flags: Vec<u64>,
+    last: Vec<Last>,
     prod_cnt: u64,
     mask: u64,
     avail_barrier: Barrier,
@@ -224,8 +190,7 @@ pub struct PilotSenderRing {
 pub struct PilotReceiverRing {
     shared: Arc<PilotRingShared>,
     pool: HashPool,
-    old_data: Vec<u64>,
-    old_flags: Vec<u64>,
+    last: Vec<Last>,
     cons_cnt: u64,
     mask: u64,
 }
@@ -240,26 +205,16 @@ pub fn pilot_ring(
     pool: &HashPool,
     avail: Barrier,
 ) -> (PilotSenderRing, PilotReceiverRing) {
-    assert!(
-        capacity > 0 && capacity.is_power_of_two(),
-        "capacity must be a power of two"
-    );
     let shared = Arc::new(PilotRingShared {
-        slots: (0..capacity)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-        flags: (0..capacity)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-        cons_cnt: CachePadded::new(AtomicU64::new(0)),
+        cells: fresh_slots(capacity),
+        cons_cnt: CachePadded::default(),
     });
     let mask = capacity as u64 - 1;
     (
         PilotSenderRing {
             shared: Arc::clone(&shared),
             pool: pool.clone(),
-            old_data: vec![0; capacity],
-            local_flags: vec![0; capacity],
+            last: vec![Last::default(); capacity],
             prod_cnt: 0,
             mask,
             avail_barrier: avail,
@@ -268,8 +223,7 @@ pub fn pilot_ring(
         PilotReceiverRing {
             shared,
             pool: pool.clone(),
-            old_data: vec![0; capacity],
-            old_flags: vec![0; capacity],
+            last: vec![Last::default(); capacity],
             cons_cnt: 0,
             mask,
         },
@@ -285,16 +239,9 @@ impl PilotSenderRing {
         }
         run_barrier(self.avail_barrier);
         let idx = (self.prod_cnt & self.mask) as usize;
-        // Algorithm 3, per slot.
-        let new_data = msg ^ self.pool.next_seed();
-        if new_data == self.old_data[idx] {
-            self.local_flags[idx] ^= 1;
-            self.shared.flags[idx].store(self.local_flags[idx], Ordering::Relaxed);
-            self.fallbacks += 1;
-        } else {
-            self.shared.slots[idx].store(new_data, Ordering::Relaxed);
-        }
-        self.old_data[idx] = new_data;
+        // Algorithm 3, per slot; the seed schedule runs ring-wide.
+        let fell_back = self.shared.cells[idx].publish(&mut self.last[idx], msg, &mut self.pool);
+        self.fallbacks += u64::from(fell_back);
         // No publish barrier, no shared prod_cnt: the slot itself announces.
         self.prod_cnt += 1;
         true
@@ -302,10 +249,7 @@ impl PilotSenderRing {
 
     /// Blocking send.
     pub fn send(&mut self, msg: u64) {
-        let backoff = crossbeam::utils::Backoff::new();
-        while !self.try_send(msg) {
-            backoff.snooze();
-        }
+        spin_until(|| self.try_send(msg).then_some(()));
     }
 }
 
@@ -314,17 +258,7 @@ impl PilotReceiverRing {
     pub fn try_recv(&mut self) -> Option<u64> {
         let idx = (self.cons_cnt & self.mask) as usize;
         // Algorithm 4, per slot.
-        let data = self.shared.slots[idx].load(Ordering::Relaxed);
-        if data != self.old_data[idx] {
-            self.old_data[idx] = data;
-        } else {
-            let flag = self.shared.flags[idx].load(Ordering::Relaxed);
-            if flag == self.old_flags[idx] {
-                return None;
-            }
-            self.old_flags[idx] = flag;
-        }
-        let msg = self.old_data[idx] ^ self.pool.next_seed();
+        let msg = self.shared.cells[idx].poll(&mut self.last[idx], &mut self.pool)?;
         self.cons_cnt += 1;
         self.shared.cons_cnt.store(self.cons_cnt, Ordering::Relaxed);
         Some(msg)
@@ -332,13 +266,7 @@ impl PilotReceiverRing {
 
     /// Blocking receive.
     pub fn recv(&mut self) -> u64 {
-        let backoff = crossbeam::utils::Backoff::new();
-        loop {
-            if let Some(v) = self.try_recv() {
-                return v;
-            }
-            backoff.snooze();
-        }
+        spin_until(|| self.try_recv())
     }
 }
 

@@ -17,14 +17,23 @@
 //!    one, the sender flips a separate shared flag instead; the receiver
 //!    notices either the data changing or the flag changing.
 //!
+//! Algorithms 3 and 4 — and Algorithm 6, which is the same two applied to a
+//! delegation lock's response — live in one file, [`cell`]: every Pilot user
+//! in the workspace (the slot and ring here; FFWD, DSynch, flat combining,
+//! RCL and CC-Synch in `armbar-locks`) publishes and polls through
+//! [`PilotCell`] or the packed-word [`HashPool::pack`].
+//!
 //! This crate provides:
 //!
 //! * [`HashPool`] — the shared seed schedule.
+//! * [`PilotCell`] — payload word + fallback flag on one padded line, with
+//!   publish / sample-before-post / poll-and-decode in a local-cursor form
+//!   (fixed sender) and a shared-round form (migratory sender).
 //! * [`slot::PilotSender`]/[`slot::PilotReceiver`] — the bare Algorithms 3 & 4
-//!   over one shared (data, flag) pair.
-//! * [`channel::SpscRing`] — the baseline barrier-configurable
+//!   over one cell.
+//! * [`channel::spsc_ring`] — the baseline barrier-configurable
 //!   producer-consumer ring (Algorithm 2) for comparison.
-//! * [`channel::PilotRing`] — the ring with Pilot applied (§4.4): the
+//! * [`channel::pilot_ring`] — the ring with Pilot applied (§4.4): the
 //!   post-RMR barrier and the consumer's flag line are gone.
 //! * [`batch`] — batched (n × 8-byte) transfers (§4.5, Figure 6(c)).
 //!
@@ -35,13 +44,27 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+pub mod cell;
 pub mod channel;
 pub mod hashpool;
 pub mod slot;
 
+pub use cell::PilotCell;
 pub use channel::{
     pilot_ring, spsc_ring, BarrierPair, PilotReceiverRing, PilotSenderRing, SpscReceiver,
     SpscSender,
 };
 pub use hashpool::HashPool;
 pub use slot::{pilot_pair, PilotReceiver, PilotSender};
+
+/// Spin on a non-blocking attempt until it yields, with polite exponential
+/// backoff so oversubscribed hosts still make progress.
+pub fn spin_until<T>(mut attempt: impl FnMut() -> Option<T>) -> T {
+    let backoff = crossbeam::utils::Backoff::new();
+    loop {
+        if let Some(v) = attempt() {
+            return v;
+        }
+        backoff.snooze();
+    }
+}

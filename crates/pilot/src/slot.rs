@@ -1,5 +1,5 @@
-//! The bare Pilot mechanism over one shared (data, flag) pair —
-//! Algorithms 3 & 4 of the paper.
+//! The bare Pilot mechanism over one shared [`PilotCell`] — Algorithms 3 & 4
+//! of the paper, in the cell's local-cursor form.
 //!
 //! One sender transfers a sequence of 64-bit payloads to one receiver,
 //! strictly alternating: the receiver must consume round *k* before the
@@ -9,41 +9,18 @@
 //! Every shared access is a relaxed 64-bit atomic — the only hardware
 //! guarantee Pilot needs is single-copy atomicity of the aligned store.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crossbeam::utils::CachePadded;
-
+use crate::cell::{Last, PilotCell};
 use crate::hashpool::HashPool;
-
-/// The shared state: payload word and fallback flag.
-///
-/// They sit on one padded cache line on purpose: the flag is touched only on
-/// the rare fallback path, so co-locating it costs nothing and keeps the
-/// common path at a single touched line — the cache-line reduction §4.5
-/// credits for part of Pilot's win.
-#[derive(Debug)]
-pub struct PilotShared {
-    data: CachePadded<AtomicU64>,
-    flag: AtomicU64,
-}
-
-impl PilotShared {
-    fn new() -> PilotShared {
-        PilotShared {
-            data: CachePadded::new(AtomicU64::new(0)),
-            flag: AtomicU64::new(0),
-        }
-    }
-}
+use crate::spin_until;
 
 /// Sender half (Algorithm 3).
 #[derive(Debug)]
 pub struct PilotSender {
-    shared: Arc<PilotShared>,
+    cell: Arc<PilotCell>,
     pool: HashPool,
-    old_data: u64,
-    local_flag: u64,
+    last: Last,
     /// Fallback-path activations (diagnostics; the paper's worst case).
     pub fallbacks: u64,
 }
@@ -51,29 +28,26 @@ pub struct PilotSender {
 /// Receiver half (Algorithm 4).
 #[derive(Debug)]
 pub struct PilotReceiver {
-    shared: Arc<PilotShared>,
+    cell: Arc<PilotCell>,
     pool: HashPool,
-    old_data: u64,
-    old_flag: u64,
+    last: Last,
 }
 
-/// Create a connected Pilot pair over fresh shared state.
+/// Create a connected Pilot pair over a fresh cell.
 #[must_use]
 pub fn pilot_pair(pool: &HashPool) -> (PilotSender, PilotReceiver) {
-    let shared = Arc::new(PilotShared::new());
+    let cell = Arc::new(PilotCell::default());
     (
         PilotSender {
-            shared: Arc::clone(&shared),
+            cell: Arc::clone(&cell),
             pool: pool.clone(),
-            old_data: 0,
-            local_flag: 0,
+            last: Last::default(),
             fallbacks: 0,
         },
         PilotReceiver {
-            shared,
+            cell,
             pool: pool.clone(),
-            old_data: 0,
-            old_flag: 0,
+            last: Last::default(),
         },
     )
 }
@@ -86,19 +60,8 @@ impl PilotSender {
     /// without an intervening receive loses the first payload (exactly like
     /// overwriting an unconsumed buffer slot).
     pub fn send(&mut self, payload: u64) {
-        // Line 1: shuffle with the next seed.
-        let new_data = payload ^ self.pool.next_seed();
-        if new_data == self.old_data {
-            // Lines 2-3: fallback — flip the flag instead.
-            self.local_flag ^= 1;
-            self.shared.flag.store(self.local_flag, Ordering::Relaxed);
-            self.fallbacks += 1;
-        } else {
-            // Line 5: the piggybacked publish.
-            self.shared.data.store(new_data, Ordering::Relaxed);
-        }
-        // Line 6: remember for the next round.
-        self.old_data = new_data;
+        let fell_back = self.cell.publish(&mut self.last, payload, &mut self.pool);
+        self.fallbacks += u64::from(fell_back);
     }
 }
 
@@ -106,36 +69,20 @@ impl PilotReceiver {
     /// Non-blocking poll (one trip round Algorithm 4's loop): `Some(payload)`
     /// when a new round has been published.
     pub fn try_recv(&mut self) -> Option<u64> {
-        let data = self.shared.data.load(Ordering::Relaxed);
-        if data != self.old_data {
-            self.old_data = data;
-        } else {
-            let flag = self.shared.flag.load(Ordering::Relaxed);
-            if flag == self.old_flag {
-                return None;
-            }
-            self.old_flag = flag;
-        }
-        // Line 6: unshuffle.
-        Some(self.old_data ^ self.pool.next_seed())
+        self.cell.poll(&mut self.last, &mut self.pool)
     }
 
     /// Blocking receive: spin until the next round arrives (with polite
     /// exponential backoff so oversubscribed hosts still make progress).
     pub fn recv(&mut self) -> u64 {
-        let backoff = crossbeam::utils::Backoff::new();
-        loop {
-            if let Some(v) = self.try_recv() {
-                return v;
-            }
-            backoff.snooze();
-        }
+        spin_until(|| self.try_recv())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn single_transfer() {

@@ -9,22 +9,18 @@
 use std::time::Instant;
 
 use armbar::collections::{ListOps, SortedList};
-use armbar::locks::{CombiningLock, Executor, Ffwd, OpTable};
+use armbar::locks::{CombiningLock, Executor, Ffwd, OpTable, ResponseMode};
 
 const THREADS: usize = 4;
 const OPS_PER_THREAD: u64 = 20_000;
 
-fn bench_combining(pilot: bool) -> f64 {
+fn bench_combining(mode: ResponseMode) -> f64 {
     let mut table = OpTable::new();
     let inc = table.register(|s: &mut u64, by| {
         *s += by;
         *s
     });
-    let lock = if pilot {
-        CombiningLock::new_pilot(THREADS, 0u64, table)
-    } else {
-        CombiningLock::new(THREADS, 0u64, table)
-    };
+    let lock = CombiningLock::new(THREADS, 0u64, table, mode);
     let start = Instant::now();
     std::thread::scope(|s| {
         for h in 0..THREADS {
@@ -41,17 +37,13 @@ fn bench_combining(pilot: bool) -> f64 {
     THREADS as u64 as f64 * OPS_PER_THREAD as f64 / dt
 }
 
-fn bench_ffwd(pilot: bool) -> f64 {
+fn bench_ffwd(mode: ResponseMode) -> f64 {
     let mut table = OpTable::new();
     let inc = table.register(|s: &mut u64, by| {
         *s += by;
         *s
     });
-    let lock = if pilot {
-        Ffwd::new_pilot(THREADS, 0u64, table)
-    } else {
-        Ffwd::new(THREADS, 0u64, table)
-    };
+    let lock = Ffwd::new(THREADS, 0u64, table, mode);
     let server = lock.start_server();
     let start = Instant::now();
     std::thread::scope(|s| {
@@ -75,7 +67,12 @@ fn list_demo() {
     // miniature: 10 queries, one insert, one remove, repeated.
     let mut table = OpTable::new();
     let ops = ListOps::register(&mut table);
-    let lock = CombiningLock::new_pilot(THREADS, SortedList::preloaded(50, 2), table);
+    let lock = CombiningLock::new(
+        THREADS,
+        SortedList::preloaded(50, 2),
+        table,
+        ResponseMode::Pilot,
+    );
     std::thread::scope(|s| {
         for h in 0..THREADS {
             let lock = &lock;
@@ -101,19 +98,19 @@ fn main() {
     println!("(wall-clock on this host; the calibrated comparison is `armbar run fig7c`)\n");
     println!(
         "  DSynch (combining)      {:>8.2}M ops/s",
-        bench_combining(false) / 1e6
+        bench_combining(ResponseMode::Flag) / 1e6
     );
     println!(
         "  DSynch-P (Pilot)        {:>8.2}M ops/s",
-        bench_combining(true) / 1e6
+        bench_combining(ResponseMode::Pilot) / 1e6
     );
     println!(
         "  FFWD (dedicated server) {:>8.2}M ops/s",
-        bench_ffwd(false) / 1e6
+        bench_ffwd(ResponseMode::Flag) / 1e6
     );
     println!(
         "  FFWD-P (Pilot)          {:>8.2}M ops/s",
-        bench_ffwd(true) / 1e6
+        bench_ffwd(ResponseMode::Pilot) / 1e6
     );
     println!();
     list_demo();

@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use armbar::collections::workload::{MixedWorkload, Step};
 use armbar::collections::{LockedHashTable, SortedList};
-use armbar::locks::{CombiningLock, TicketLock};
+use armbar::locks::{CombiningLock, ResponseMode, TicketLock};
 
 const THREADS: usize = 4;
 const ROUNDS: u64 = 400;
@@ -53,7 +53,7 @@ fn main() {
         // Combining-with-Pilot per bucket.
         let pilot: LockedHashTable<CombiningLock<SortedList>> =
             LockedHashTable::new(buckets, PRELOAD, |_b, list, ops| {
-                CombiningLock::new_pilot(THREADS, list, ops)
+                CombiningLock::new(THREADS, list, ops, ResponseMode::Pilot)
             });
         let p_rate = drive(&pilot);
         assert_eq!(pilot.len(0), PRELOAD as u64, "size preserved");

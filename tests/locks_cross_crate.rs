@@ -4,7 +4,7 @@
 use armbar::collections::NOT_FOUND;
 use armbar::collections::{LockedHashTable, QueueOps, SeqQueue, SeqStack, SortedList, StackOps};
 use armbar::floorplan::{bots_input, solve_parallel, solve_sequential, BoundOps, SharedBound};
-use armbar::locks::{CombiningLock, Executor, Ffwd, McsLock, OpTable, TicketLock};
+use armbar::locks::{CombiningLock, Executor, Ffwd, McsLock, OpTable, ResponseMode, TicketLock};
 
 const THREADS: usize = 4;
 const PER: u64 = 2_000;
@@ -50,13 +50,9 @@ fn every_lock_family_counts_exactly() {
     assert_eq!(mcs.with(0, |v| *v), THREADS as u64 * PER);
 
     // Combining (flag + pilot).
-    for pilot in [false, true] {
+    for mode in ResponseMode::ALL {
         let (t, inc) = counter_ops();
-        let lock = if pilot {
-            CombiningLock::new_pilot(THREADS, 0u64, t)
-        } else {
-            CombiningLock::new(THREADS, 0u64, t)
-        };
+        let lock = CombiningLock::new(THREADS, 0u64, t, mode);
         std::thread::scope(|s| {
             for h in 0..THREADS {
                 let lock = &lock;
@@ -67,21 +63,13 @@ fn every_lock_family_counts_exactly() {
                 });
             }
         });
-        assert_eq!(
-            lock.execute(0, inc, 0),
-            THREADS as u64 * PER,
-            "pilot={pilot}"
-        );
+        assert_eq!(lock.execute(0, inc, 0), THREADS as u64 * PER, "{mode:?}");
     }
 
     // FFWD (flag + pilot).
-    for pilot in [false, true] {
+    for mode in ResponseMode::ALL {
         let (t, inc) = counter_ops();
-        let lock = if pilot {
-            Ffwd::new_pilot(THREADS, 0u64, t)
-        } else {
-            Ffwd::new(THREADS, 0u64, t)
-        };
+        let lock = Ffwd::new(THREADS, 0u64, t, mode);
         let server = lock.start_server();
         std::thread::scope(|s| {
             for h in 0..THREADS {
@@ -119,7 +107,7 @@ fn queue_and_stack_balance_under_every_executor() {
     // Stack under combining-pilot.
     let mut t = OpTable::new();
     let sops = StackOps::register(&mut t);
-    let st = CombiningLock::new_pilot(THREADS, SeqStack::new(), t);
+    let st = CombiningLock::new(THREADS, SeqStack::new(), t, ResponseMode::Pilot);
     std::thread::scope(|s| {
         for h in 0..THREADS {
             let st = &st;
@@ -138,7 +126,7 @@ fn queue_and_stack_balance_under_every_executor() {
 fn hash_table_mixed_workload_with_combining_buckets() {
     let table: LockedHashTable<CombiningLock<SortedList>> =
         LockedHashTable::new(8, 256, |_b, list, ops| {
-            CombiningLock::new(THREADS, list, ops)
+            CombiningLock::new(THREADS, list, ops, ResponseMode::Flag)
         });
     std::thread::scope(|s| {
         for h in 0..THREADS {
@@ -168,16 +156,11 @@ fn floorplan_all_lock_variants_agree_on_the_optimum() {
     let lock = TicketLock::new(SharedBound::new(), t);
     assert_eq!(solve_parallel(&p, THREADS, &lock, ops, 64).area, reference);
     // Combining, flag and pilot.
-    for pilot in [false, true] {
+    for mode in ResponseMode::ALL {
         let mut t = OpTable::new();
         let ops = BoundOps::register(&mut t);
-        if pilot {
-            let lock = CombiningLock::new_pilot(THREADS, SharedBound::new(), t);
-            assert_eq!(solve_parallel(&p, THREADS, &lock, ops, 64).area, reference);
-        } else {
-            let lock = CombiningLock::new(THREADS, SharedBound::new(), t);
-            assert_eq!(solve_parallel(&p, THREADS, &lock, ops, 64).area, reference);
-        }
+        let lock = CombiningLock::new(THREADS, SharedBound::new(), t, mode);
+        assert_eq!(solve_parallel(&p, THREADS, &lock, ops, 64).area, reference);
     }
 }
 
