@@ -3,7 +3,9 @@
 //! placements, the ticket lock on four platforms, and the three many-core
 //! barrier families — the event engine must be *observationally equivalent*
 //! to the lockstep oracle (`Machine::step_all` every cycle): same final
-//! memory, same throughput, same stall attribution. Figure 7(c)'s longest
+//! memory, same throughput, same stall attribution (and, at 64 and 256
+//! threads on both many-core flavours, the same `CoreStats` on every core).
+//! Figure 7(c)'s longest
 //! contention interval pins the lazy nop runs the same way, and 12 threads
 //! on one ticket or MCS lock plus Figure 8(b)'s 500-member list cells pin
 //! the long waits (a dozen cores polling while one works). A last test runs the
@@ -13,8 +15,10 @@
 use armbar_barriers::Barrier;
 use armbar_experiments::sweep::{SweepCtx, SweepSpec};
 use armbar_experiments::RunCache;
-use armbar_sim::{Engine, Platform};
-use armbar_simapps::barrier_sim::{run_barrier_with, BarrierConfig, BarrierFamily};
+use armbar_sim::{Engine, Platform, StallBreakdown};
+use armbar_simapps::barrier_sim::{
+    barrier_machine, run_barrier_with, BarrierConfig, BarrierFamily,
+};
 use armbar_simapps::delegation_sim::{
     run_delegation_with, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
     ResponseMode,
@@ -91,6 +95,46 @@ fn event_engine_matches_oracle_on_barrier_families() {
             let ev = run_barrier_with(&platform, cfg, EVENT).0;
             let or = run_barrier_with(&platform, cfg, ORACLE).0;
             assert_eq!(ev, or, "{family:?} × {threads} on {label}");
+        }
+    }
+}
+
+/// The many-core grid's own regime, core by core: every family at 64 and 256
+/// threads on both platform flavours. A waiter there spends most of its steps
+/// retiring behind a suspended arrival `fetch_add` or pushing nops under a
+/// prior-free `DMB ld`, so the engines must agree on every core's whole
+/// `CoreStats` — `issued` and `retired` included — not just on the totals a
+/// `BarrierResult` carries.
+#[test]
+fn event_engine_matches_oracle_core_by_core_on_manycore_barriers() {
+    for (flavour, platform_of) in [
+        ("manycore", Platform::manycore as fn(usize) -> Platform),
+        ("manycore-mca", Platform::manycore_mca),
+    ] {
+        for threads in [64usize, 256] {
+            let platform = platform_of(threads);
+            for family in BarrierFamily::ALL {
+                let what = format!("{family:?} × {threads} on {flavour}");
+                let cfg = BarrierConfig {
+                    family,
+                    threads,
+                    rounds: 4,
+                    work_nops: 30,
+                };
+                let mut ev = barrier_machine(&platform, cfg, EVENT);
+                let mut or = barrier_machine(&platform, cfg, ORACLE);
+                assert_eq!(ev.run(1 << 40), or.run(1 << 40), "{what}");
+                let mut stall = [StallBreakdown::default(), StallBreakdown::default()];
+                for core in 0..threads {
+                    let (e, o) = (ev.core_stats(core), or.core_stats(core));
+                    assert_eq!(e, o, "{what}: core {core}");
+                    assert_eq!(e.iterations, cfg.rounds, "{what}: core {core}");
+                    stall[0].merge(&e.stall);
+                    stall[1].merge(&o.stall);
+                }
+                assert_eq!(stall[0], stall[1], "{what}");
+                assert!(ev.steps_executed() < or.steps_executed(), "{what}");
+            }
         }
     }
 }

@@ -63,6 +63,64 @@ fn gen_op() -> impl Strategy<Value = GenOp> {
     ]
 }
 
+/// A stretch of the nop-skip property's program that leaves the core with
+/// nothing to do but bookkeeping: retiring behind an access it is suspended
+/// on, or pushing nops under a barrier that lets them issue.
+#[derive(Debug, Clone, Copy)]
+enum Stretch {
+    /// `nops` nops, then a value-consuming load (or a `fetch_add`): the core
+    /// is suspended while what it just issued retires.
+    Suspend { nops: u8, rmw: bool, slot: u8 },
+    /// A `DMB ld` / `DMB full` / `DSB`, behind a store or a plain load still
+    /// outstanding (`prior`) or behind nothing, then `nops` nops.
+    Barrier {
+        prior: Option<bool>,
+        kind: u8,
+        nops: u8,
+    },
+}
+
+fn stretch_ops(s: Stretch, ops: &mut Vec<Op>) {
+    use armbar_barriers::Barrier;
+    match s {
+        Stretch::Suspend { nops, rmw, slot } => {
+            ops.push(Op::Nops(u32::from(nops % 200) + 1));
+            ops.push(if rmw {
+                Op::fetch_add_acq_rel(addr_of(slot), 1)
+            } else {
+                Op::load_use(addr_of(slot))
+            });
+        }
+        Stretch::Barrier { prior, kind, nops } => {
+            match prior {
+                Some(true) => ops.push(Op::store(addr_of(kind), 7)),
+                Some(false) => ops.push(Op::load(addr_of(kind))),
+                None => {}
+            }
+            ops.push(Op::Fence(
+                [Barrier::DmbLd, Barrier::DmbFull, Barrier::DsbFull][usize::from(kind) % 3],
+            ));
+            ops.push(Op::Nops(u32::from(nops % 200) + 1));
+        }
+    }
+}
+
+fn gen_stretch() -> impl Strategy<Value = Stretch> {
+    prop_oneof![
+        (any::<u8>(), any::<bool>(), any::<u8>()).prop_map(|(nops, rmw, slot)| Stretch::Suspend {
+            nops,
+            rmw,
+            slot
+        }),
+        (
+            prop_oneof![Just(None), any::<bool>().prop_map(Some)],
+            any::<u8>(),
+            any::<u8>()
+        )
+            .prop_map(|(prior, kind, nops)| Stretch::Barrier { prior, kind, nops }),
+    ]
+}
+
 /// Runs a fixed list of ops, then halts.
 fn ops_thread(ops: Vec<Op>) -> Box<dyn SimThread> {
     Box::new(Script::new(|cpu| async move {
@@ -286,27 +344,36 @@ proptest! {
 
     /// The event engine's lazy nop runs are invisible: for any pipeline
     /// shape, any nop-run length, any prefix that leaves stores, loads,
-    /// `DMB st` gates or fences in flight when the run starts, and any
-    /// schedule of `run`/`run_until_iterations` calls that stop the machine
-    /// mid-run and resume it, both engines report the same `RunStats`,
-    /// time, memory and per-core `CoreStats` (issued, retired, cycles,
-    /// iterations, stall breakdown, latency histogram) after every call.
+    /// `DMB st` gates or fences in flight when the run starts, any stretches
+    /// in which the core only retires behind a `load_use`/`fetch_add` it is
+    /// suspended on or only pushes nops under a `DMB ld`/`DMB full`/`DSB`
+    /// issued with or without outstanding priors, and any schedule of
+    /// `run`/`run_until_iterations` calls that stop the machine mid-run
+    /// (short bounds land inside those stretches and on their last cycle)
+    /// and resume it, both engines report the same `RunStats`, time, memory
+    /// and per-core `CoreStats` (issued, retired, cycles, iterations, stall
+    /// breakdown, latency histogram) after every call.
     #[test]
     fn lazy_nop_runs_match_per_cycle_stepping(
         shape in (1u32..=160, 1u32..=8, 1u32..=8),
         prefix in prop::collection::vec(gen_op(), 0..12),
+        stretches in prop::collection::vec(gen_stretch(), 0..8),
         nops in 1u32..=200_000,
         suffix in prop::collection::vec(gen_op(), 0..6),
         tick in 1u32..=3_000,
         schedule in prop::collection::vec(
             prop_oneof![
+                (1u16..=80).prop_map(RunCall::Cycles),
                 (1u16..=u16::MAX).prop_map(RunCall::Cycles),
                 (1u8..40).prop_map(RunCall::Marks),
             ],
-            0..6,
+            0..10,
         ),
     ) {
         let mut ops: Vec<Op> = prefix.iter().copied().map(to_op).collect();
+        for &s in &stretches {
+            stretch_ops(s, &mut ops);
+        }
         ops.push(Op::Nops(nops));
         ops.push(Op::IterationMark);
         ops.extend(suffix.iter().copied().map(to_op));
@@ -320,6 +387,44 @@ proptest! {
                 "after call {} of {:?} on {:?} running {:?}:\n event: {:?}\noracle: {:?}",
                 call, &schedule, shape, &ops, ev, or
             );
+        }
+    }
+}
+
+/// Every bound position, not a sample of them: a program of retire-only and
+/// nops-under-a-barrier stretches is run `step` cycles at a time to its end
+/// under both engines, which must agree after every single call — so every
+/// stretch is stopped on its first cycle, inside, and on its last.
+#[test]
+fn a_bound_on_every_cycle_of_a_quiet_stretch_reads_like_the_oracle() {
+    let mut ops = Vec::new();
+    for (i, nops) in [0u8, 2, 8, 39, 198].into_iter().enumerate() {
+        let i = i as u8;
+        let suspend = Stretch::Suspend {
+            nops,
+            rmw: i.is_multiple_of(2),
+            slot: i,
+        };
+        stretch_ops(suspend, &mut ops);
+        for prior in [None, Some(true), Some(false)] {
+            let kind = i + u8::from(prior == Some(false));
+            stretch_ops(Stretch::Barrier { prior, kind, nops }, &mut ops);
+        }
+    }
+    ops.push(Op::IterationMark);
+    for shape in [(128, 4, 4), (16, 2, 1), (6, 3, 5)] {
+        for step in [1u16, 2, 3, 7] {
+            let schedule = vec![RunCall::Cycles(step); 9_000 / usize::from(step)];
+            let event = run_schedule(Engine::EventDriven, shape, &ops, 50, &schedule);
+            let oracle = run_schedule(Engine::LockstepOracle, shape, &ops, 50, &schedule);
+            let runner = &event[schedule.len() - 1].2;
+            assert!(runner.halted_at.is_some(), "the calls cover the program");
+            for (call, (ev, or)) in event.iter().zip(&oracle).enumerate() {
+                assert!(
+                    ev == or,
+                    "after call {call} of {step}-cycle runs on {shape:?}:\n event: {ev:?}\noracle: {or:?}"
+                );
+            }
         }
     }
 }

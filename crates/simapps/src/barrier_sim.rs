@@ -254,14 +254,15 @@ pub fn run_barrier(platform: &Platform, cfg: BarrierConfig) -> BarrierResult {
     run_barrier_with(platform, cfg, RunOpts::default()).0
 }
 
-/// [`run_barrier`] under explicit [`RunOpts`]; also returns the recorded
-/// trace.
+/// The machine of one barrier run under `opts`: every participant attached
+/// to its core, nothing run yet.
+///
+/// # Panics
+///
+/// Panics if the configuration is infeasible (`threads` exceeding the
+/// platform, zero rounds).
 #[must_use]
-pub fn run_barrier_with(
-    platform: &Platform,
-    cfg: BarrierConfig,
-    opts: RunOpts,
-) -> (BarrierResult, Trace) {
+pub fn barrier_machine(platform: &Platform, cfg: BarrierConfig, opts: RunOpts) -> Machine {
     assert!(cfg.threads >= 1, "a barrier needs at least one participant");
     assert!(cfg.rounds >= 1, "zero rounds measures nothing");
     let mut m = machine("barrier", platform, cfg.threads, opts);
@@ -322,7 +323,18 @@ pub fn run_barrier_with(
             }
         }
     }
+    m
+}
 
+/// [`run_barrier`] under explicit [`RunOpts`]; also returns the recorded
+/// trace.
+#[must_use]
+pub fn run_barrier_with(
+    platform: &Platform,
+    cfg: BarrierConfig,
+    opts: RunOpts,
+) -> (BarrierResult, Trace) {
+    let mut m = barrier_machine(platform, cfg, opts);
     let max_cycles = cfg.rounds * 500_000 + 10_000_000;
     let stats = m.run(max_cycles);
     assert!(
