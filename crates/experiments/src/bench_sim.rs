@@ -24,6 +24,16 @@
 //! has settled and applies the skipped polls in closed form when the
 //! server's write ends the wait.
 //!
+//! A fourth row, `barrier`, pins what is left once those skips have been
+//! taken: the centralized and the hierarchical barrier at 1024 threads and
+//! 120 rounds, the deepest cells of the `manycore-scale` ledger workload. A
+//! waiter's round is four events — wake and re-read, order the pass and
+//! start the local work, arrive, park — and the cycles between them, in
+//! which it only retires behind the arrival `fetch_add` or pushes nops under
+//! a prior-free `DMB ld`, are a quiet run applied without a step. The
+//! event engine's step count is pinned with a ceiling per family; the
+//! oracle, which steps every one of those cycles, is compared at 64 threads.
+//!
 //! Correctness is asserted inline: every point first checks that both
 //! engines produce identical run statistics and final memory — a
 //! benchmark of a wrong answer is worthless.
@@ -33,11 +43,14 @@ use std::time::Instant;
 
 use armbar_barriers::Barrier;
 use armbar_sim::{Cpu, Engine, Machine, Op, Platform, Script};
+use armbar_simapps::barrier_sim::{barrier_machine, BarrierConfig, BarrierFamily};
 use armbar_simapps::delegation_sim::{
     delegation_machine, CsProfile, DelegationBarriers, DelegationConfig, DelegationKind,
     ResponseMode,
 };
 use armbar_simapps::RunOpts;
+
+use crate::manycore::WORK_NOPS;
 
 /// The line everyone parks on.
 const FLAG: u64 = 0x9000;
@@ -63,6 +76,20 @@ const COUNTER: u64 = 0xA000;
 const SPIN_CLIENTS: usize = 12;
 const SPIN_MEMBERS: u32 = 500;
 const SPIN_REQUESTS: u64 = 20;
+
+/// Threads and rounds of the `barrier` row (the deepest cells of
+/// `manycore_grid(_, 120)`, with that grid's local work), the size at which
+/// the oracle is run beside the event engine, and per family the most
+/// `Core::step`s the event engine may take at full size: the measured
+/// count, so a change that steps a waiter through its quiet runs again
+/// fails here.
+const BARRIER_THREADS: usize = 1024;
+const BARRIER_ROUNDS: u64 = 120;
+const BARRIER_CHECKED_THREADS: usize = 64;
+const BARRIER_FAMILIES: [(BarrierFamily, u64); 2] = [
+    (BarrierFamily::Centralized, 513_037),
+    (BarrierFamily::Hierarchical, 785_582),
+];
 
 /// Parks on [`FLAG`] until it changes, records what it saw, halts.
 async fn spinner(cpu: Cpu, id: u64) {
@@ -162,6 +189,21 @@ fn run_spin_point(engine: Engine) -> Point {
     measure(m, engine).1
 }
 
+fn run_barrier_point(family: BarrierFamily, threads: usize, engine: Engine) -> Point {
+    let cfg = BarrierConfig {
+        family,
+        threads,
+        rounds: BARRIER_ROUNDS,
+        work_nops: WORK_NOPS,
+    };
+    let m = barrier_machine(&Platform::manycore(threads), cfg, RunOpts::default());
+    let (m, point) = measure(m, engine);
+    for core in 0..threads {
+        assert_eq!(m.core_stats(core).iterations, BARRIER_ROUNDS, "core {core}");
+    }
+    point
+}
+
 fn steps_ratio(ev: &Point, or: &Point) -> f64 {
     or.steps as f64 / ev.steps.max(1) as f64
 }
@@ -175,10 +217,10 @@ pub(crate) fn ms(ns: u64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics when the engines disagree on any point, or when the
-/// steps-executed ratio at [`GATE_CORES`] cores, on the `nop_run` row or on
-/// the `spin` row falls below [`MIN_STEPS_RATIO`] — the scaling the event
-/// engine exists to deliver.
+/// Panics when the engines disagree on any point, when the steps-executed
+/// ratio at [`GATE_CORES`] cores, on the `nop_run` row or on the `spin` row
+/// falls below [`MIN_STEPS_RATIO`] — the scaling the event engine exists to
+/// deliver — or when a `barrier` row takes more steps than its ceiling.
 #[must_use]
 pub fn bench_sim_json() -> String {
     // Both engines at the sizes the oracle can still afford…
@@ -228,6 +270,27 @@ pub fn bench_sim_json() -> String {
         spin_ratio >= MIN_STEPS_RATIO,
         "steps ratio on the spin row is {spin_ratio:.1}, below the {MIN_STEPS_RATIO}x floor"
     );
+
+    let barrier: Vec<(BarrierFamily, u64, Point, Point, Point)> = BARRIER_FAMILIES
+        .into_iter()
+        .map(|(family, ceiling)| {
+            let label = family.label();
+            let small_ev = run_barrier_point(family, BARRIER_CHECKED_THREADS, Engine::EventDriven);
+            let small_or =
+                run_barrier_point(family, BARRIER_CHECKED_THREADS, Engine::LockstepOracle);
+            assert_eq!(
+                small_ev.cycles, small_or.cycles,
+                "engines disagree on the {label} barrier"
+            );
+            let ev = run_barrier_point(family, BARRIER_THREADS, Engine::EventDriven);
+            assert!(
+                ev.steps <= ceiling,
+                "the {label} barrier took {} steps, above its ceiling of {ceiling}",
+                ev.steps
+            );
+            (family, ceiling, ev, small_ev, small_or)
+        })
+        .collect();
 
     let mut j = String::from("{\n");
     let _ = writeln!(j, "  \"workload\": \"parked-spinner\",");
@@ -288,6 +351,26 @@ pub fn bench_sim_json() -> String {
         ms(spin_ev.wall_ns),
         ms(spin_or.wall_ns),
     );
+    let _ = writeln!(j, "  \"barrier\": [");
+    for (i, (family, ceiling, ev, small_ev, small_or)) in barrier.iter().enumerate() {
+        let comma = if i + 1 == barrier.len() { "" } else { "," };
+        let _ = writeln!(
+            j,
+            "    {{\"family\": \"{}\", \"threads\": {BARRIER_THREADS}, \
+             \"rounds\": {BARRIER_ROUNDS}, \"cycles\": {}, \"event_steps\": {}, \
+             \"max_event_steps\": {ceiling}, \"event_wall_ms\": {:.3}, \
+             \"checked_threads\": {BARRIER_CHECKED_THREADS}, \"checked_cycles\": {}, \
+             \"checked_event_steps\": {}, \"checked_oracle_steps\": {}}}{comma}",
+            family.label(),
+            ev.cycles,
+            ev.steps,
+            ms(ev.wall_ns),
+            small_ev.cycles,
+            small_ev.steps,
+            small_or.steps,
+        );
+    }
+    let _ = writeln!(j, "  ],");
     let _ = writeln!(j, "  \"floor\": {{");
     let _ = writeln!(j, "    \"cores\": {GATE_CORES},");
     let _ = writeln!(j, "    \"min_steps_ratio\": {MIN_STEPS_RATIO},");
@@ -313,6 +396,8 @@ mod tests {
             "\"event_only\"",
             "\"nop_run\"",
             "\"spin\"",
+            "\"barrier\"",
+            "\"max_event_steps\"",
             "\"floor\"",
             "\"steps_ratio\"",
             "\"pass\": true",

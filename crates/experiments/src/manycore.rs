@@ -34,7 +34,7 @@ pub const THREAD_COUNTS: [usize; 6] = [4, 16, 64, 256, 512, 1024];
 /// Full-depth rounds per cell.
 const ROUNDS: u64 = 6;
 /// Local work between barrier episodes.
-const WORK_NOPS: u32 = 30;
+pub(crate) const WORK_NOPS: u32 = 30;
 
 /// The two platform flavours the grid visits: the measured-latency
 /// many-core descriptor and its MCA (internally terminated barriers)

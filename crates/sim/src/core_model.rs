@@ -131,6 +131,25 @@ impl PendingBarrier {
     fn blocks_all(&self) -> bool {
         self.kind.blocks_issue_of_non_memory()
     }
+
+    /// Cycles from the moment every prior access is done to the response.
+    fn response_latency(&self, pc: &CoreParams) -> Cycle {
+        match self.kind {
+            Barrier::DmbFull => {
+                if !self.had_priors {
+                    pc.t_membar_idle
+                } else if self.crossed_node {
+                    pc.t_membar_domain
+                } else {
+                    pc.t_membar_bisection
+                }
+            }
+            Barrier::DmbLd => 1,
+            Barrier::DsbFull | Barrier::DsbSt | Barrier::DsbLd => pc.t_syncbar,
+            Barrier::CtrlIsb => pc.t_isb_flush,
+            other => unreachable!("{other} never becomes a pending barrier"),
+        }
+    }
 }
 
 /// Why issue made no progress this cycle (for stall accounting).
@@ -160,16 +179,38 @@ struct StallRun {
     charged_to: Cycle,
 }
 
-/// The cycles of a pure nop run ([`Core::in_nop_run`]) that can be applied
-/// in bulk, and their summed effect on the core.
+/// What a core does in the cycles between two of its own events — a *quiet
+/// run*, in which only its ROB and its issue/retire counters move, by a
+/// recurrence that needs no step ([`Core::quiet`]).
 #[derive(Debug, Clone, Copy)]
+enum Quiet {
+    /// Issues nothing — suspended on a load or RMW value, or parked on a
+    /// [`Op::WaitChange`] line — and retires what has completed.
+    Idle,
+    /// Pushes the nops it has left, and retires.
+    Nops,
+}
+
+/// The cycles of a [`Quiet::Nops`] run that can be applied in bulk, and
+/// their summed effect on the core.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct NopRun {
     /// Whole cycles covered; the cycle after them is the first that may
-    /// push the run's last nop (and so fetch the next op) or lies past the
+    /// push the run's last nop (and so fetch the next op), finds the ROB
+    /// full behind a pending barrier (a stall run opens), or lies past the
     /// requested horizon.
     cycles: Cycle,
     retired: u64,
     issued: u64,
+}
+
+/// Skipped stretches up to this long are recomputed cycle by cycle when a
+/// settle path applies them with assertions live.
+const CHECKED_GAP: Cycle = 256;
+
+/// The earlier of `wake` and `t`.
+fn sooner(wake: Option<Cycle>, t: Cycle) -> Option<Cycle> {
+    Some(wake.map_or(t, |w| w.min(t)))
 }
 
 /// What [`Core::spin_resume`] did to bring a parked poller up to date.
@@ -217,7 +258,7 @@ pub struct Core {
     /// Cycle of the previous `Op::IterationMark` (response-time baseline).
     last_iteration_at: Cycle,
     /// Cycle up to which this core's state is current: its last step, or
-    /// later once [`Core::settle_nop_run`] has applied a skipped nop run.
+    /// later once [`Core::settle_quiet_run`] has applied skipped cycles.
     settled_to: Cycle,
     /// The marked poll loop this core is in or was last in, created at its
     /// first [`Op::SpinMark`] and reused: a core that never spins carries a
@@ -322,6 +363,63 @@ impl Core {
         &self.stats
     }
 
+    /// The next completion of what the core has in flight besides its
+    /// pipeline and its pending barrier: a load or RMW finishing, a drain
+    /// landing, a store's data becoming ready, a `DMB st` gate opening.
+    fn in_flight_event(&self, now: Cycle) -> Option<Cycle> {
+        let mut wake = None;
+        for l in &self.loads {
+            wake = sooner(wake, l.done_at.max(now + 1));
+        }
+        if let Some(t) = self.sb.next_event(now) {
+            wake = sooner(wake, t);
+        }
+        // A DMB st gate placed with nothing older left to drain requests its
+        // response at the very next step.
+        if let Some(g) = self.sb.gates_iter().find(|g| g.open_at.is_none()) {
+            if self.sb.drained_before(g.seq) {
+                wake = sooner(wake, now + 1);
+            }
+        }
+        wake
+    }
+
+    /// Whether a barrier forbids issuing anything at all at `now`: an ISB
+    /// flush or a DSB-class response window, or a pending barrier of that
+    /// class still waiting for its priors.
+    fn blocked_all(&self, now: Cycle) -> bool {
+        self.issue_blocked_until > now
+            || self
+                .pending_barrier
+                .as_ref()
+                .is_some_and(|b| b.blocks_all())
+    }
+
+    /// The core's next *event*: the earliest cycle after `now` whose step
+    /// does more than retire completed instructions and push nops. `None`
+    /// if nothing it has in flight will ever produce one.
+    fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        let mut wake = self.in_flight_event(now);
+        if self.issue_blocked_until > now {
+            wake = sooner(wake, self.issue_blocked_until);
+        }
+        if self.blocked_all(now) && self.stall_run.is_none() && !self.parked {
+            // The barrier issued this cycle, so the next one is the first
+            // fully stalled: observe it, or its stall run never opens.
+            wake = sooner(wake, now + 1);
+        }
+        if let Some(b) = &self.pending_barrier {
+            match b.resp_at {
+                Some(t) => wake = sooner(wake, t.max(now + 1)),
+                // Issued with nothing left to wait for: the very next step
+                // schedules its response.
+                None if self.priors_done(b, now) => wake = sooner(wake, now + 1),
+                None => {}
+            }
+        }
+        wake
+    }
+
     /// Earliest cycle at which this core can make progress on its own,
     /// `None` if it never will without outside help.
     ///
@@ -340,55 +438,14 @@ impl Core {
         if self.quiesced() {
             return None;
         }
-        // If anything is issuable or retirable right now, act next cycle.
-        let mut wake: Option<Cycle> = None;
-        let mut consider = |t: Cycle| {
-            let t = t.max(now + 1);
-            wake = Some(wake.map_or(t, |w| w.min(t)));
-        };
-        // Retirement pending?
-        if !self.rob.is_empty() && !self.rob.head_stalled() {
-            consider(now + 1);
+        let retires = !self.rob.is_empty() && !self.rob.head_stalled();
+        let issues =
+            !self.blocked_all(now) && !self.parked && !self.halted && self.suspended_on.is_none();
+        if retires || issues {
+            // Anything issuable or retirable right now acts next cycle.
+            return Some(now + 1);
         }
-        // Issue possible?
-        let blocked_all = self.issue_blocked_until > now
-            || self
-                .pending_barrier
-                .as_ref()
-                .is_some_and(|b| b.blocks_all());
-        if !blocked_all && !self.parked && !self.halted && self.suspended_on.is_none() {
-            consider(now + 1);
-        }
-        if self.issue_blocked_until > now {
-            consider(self.issue_blocked_until);
-        }
-        if blocked_all && self.stall_run.is_none() && !self.parked {
-            // The barrier issued this cycle, so the next one is the first
-            // fully stalled: observe it, or its stall run never opens.
-            consider(now + 1);
-        }
-        for l in &self.loads {
-            consider(l.done_at);
-        }
-        if let Some(t) = self.sb.next_event(now) {
-            consider(t);
-        }
-        // A DMB st gate placed with nothing older left to drain requests its
-        // response at the very next step.
-        if let Some(g) = self.sb.gates_iter().find(|g| g.open_at.is_none()) {
-            if self.sb.drained_before(g.seq) {
-                consider(now + 1);
-            }
-        }
-        if let Some(b) = &self.pending_barrier {
-            match b.resp_at {
-                Some(t) => consider(t),
-                // Issued with nothing left to wait for: the very next step
-                // schedules its response.
-                None if self.priors_done(b, now) => consider(now + 1),
-                None => {}
-            }
-        }
+        let wake = self.next_event(now);
         if self.parked {
             // A parked core only self-schedules for the in-flight work it
             // still has (drains, outstanding loads, barrier responses);
@@ -409,30 +466,60 @@ impl Core {
     /// [`Core::next_wake`] under the event engine's weaker *skip* contract:
     /// between `now` and the returned cycle, stepping this core changes
     /// nothing another core or the run loop can observe, and the next
-    /// `step` (or the machine's run-exit settle) brings the core to exactly the
-    /// per-cycle state. Differs from the heartbeat only inside a pure nop
-    /// run, whose wake is the cycle the run ends in — a real step, because
-    /// it may fetch the next op.
+    /// `step` (or the machine's run-exit settle) brings the core to exactly
+    /// the per-cycle state. Differs from the heartbeat only inside a quiet
+    /// run (`Core::quiet`): retirement alone never wakes the core — one
+    /// that issues nothing sleeps until its next event — and one pushing
+    /// nops wakes at the cycle that ends the run, a real step because it
+    /// may fetch the next op (or open a stall run), or at its next event if
+    /// that comes first.
     #[must_use]
     pub fn next_wake_skipping_nops(&self, now: Cycle) -> Option<Cycle> {
-        if self.in_nop_run() {
-            return Some(now + 1 + self.nop_run(Cycle::MAX).cycles);
+        match self.quiet() {
+            None => self.next_wake(now),
+            Some(Quiet::Idle) => self.next_event(now),
+            Some(Quiet::Nops) => {
+                let horizon = self
+                    .in_flight_event(now)
+                    .map_or(Cycle::MAX, |event| event - now - 1);
+                Some((now + 1).saturating_add(self.nop_run(now, horizon, true).cycles))
+            }
         }
-        self.next_wake(now)
     }
 
-    /// Whether the core is in a pure nop run: nops left to issue and nothing
-    /// else in flight. Every ROB entry is then complete, no stall run is
-    /// open, and until the run's last nop issues a step only retires and
-    /// pushes nops — state no other core reads.
-    #[must_use]
-    pub(crate) fn in_nop_run(&self) -> bool {
-        self.nops_remaining > 0
-            && self.nothing_in_flight()
-            && self.issue_blocked_until <= self.settled_to
-            && !self.parked
-            // A core that never retires fills its ROB and wedges; step it.
-            && self.params_cache.retire_width > 0
+    /// Whether, and how, the core is in a *quiet run*: until its next event
+    /// ([`Core::next_event`]) a step only retires completed instructions
+    /// and, in a [`Quiet::Nops`] run, pushes nops — state no other core
+    /// reads, moved by a recurrence in ROB occupancy alone. No stall run is
+    /// open in one: the step that suspended or parked the core, or pushed
+    /// its first nop, closed it.
+    fn quiet(&self) -> Option<Quiet> {
+        // A core that never retires fills its ROB and wedges; step it.
+        if self.params_cache.retire_width == 0 || self.stall_run.is_some() {
+            return None;
+        }
+        if self.suspended_on.is_some() || self.parked {
+            return Some(Quiet::Idle);
+        }
+        (self.nops_remaining > 0 && !self.blocked_all(self.settled_to)).then_some(Quiet::Nops)
+    }
+
+    /// The last cycle through which the lockstep oracle keeps stepping this
+    /// core although it is in a quiet run (`None` outside one): while it
+    /// has completed instructions to retire, and through every cycle of a
+    /// nop run — up to the run's wake, which the event engine has on its
+    /// heap.
+    pub(crate) fn heartbeat_through(&self) -> Option<Cycle> {
+        match self.quiet()? {
+            Quiet::Idle => {
+                let retiring = self
+                    .rob
+                    .completed_prefix()
+                    .div_ceil(self.params_cache.retire_width);
+                Some(self.settled_to + Cycle::from(retiring))
+            }
+            Quiet::Nops => Some(Cycle::MAX),
+        }
     }
 
     /// No load or RMW outstanding (so no acquire gate either), nothing
@@ -446,15 +533,39 @@ impl Core {
             && self.stall_run.is_none()
     }
 
-    /// Iterate the per-cycle `(used, remaining)` recurrence of a pure nop
-    /// run — retire `min(retire_width, used)`, push
-    /// `min(remaining, issue_width, free)` — over at most `horizon` cycles,
-    /// stopping before the cycle that would push the last nop. Once ROB
-    /// occupancy reaches its fixed point the rest is one multiplication.
-    fn nop_run(&self, horizon: Cycle) -> NopRun {
+    /// Iterate the per-cycle recurrence of a [`Quiet::Nops`] run — retire
+    /// `min(retire_width, completed prefix)`, push
+    /// `min(remaining, issue_width, free)` — over the cycles
+    /// `from + 1 ..= from + horizon`, none of which holds an event other
+    /// than the pending barrier's response, stopping before the cycle that
+    /// would push the last nop or open a stall run. The response of a
+    /// barrier that lets nops issue is part of the recurrence: in its cycle
+    /// the barrier's ROB slot completes and the barrier is gone. With
+    /// `leap`, once ROB occupancy reaches its fixed point the rest is one
+    /// division; without, every cycle is walked — the reference the settle
+    /// path checks short gaps against.
+    fn nop_run(&self, from: Cycle, horizon: Cycle, leap: bool) -> NopRun {
         let pc = &self.params_cache;
         let capacity = self.rob.used() + self.rob.free();
         let mut used = self.rob.used();
+        let mut prefix = self.rob.completed_prefix();
+        let barrier = self.pending_barrier.as_ref();
+        debug_assert!(
+            barrier.is_none_or(|b| b.resp_at.is_some() || !self.priors_done(b, from)),
+            "a barrier with nothing to wait for has its response scheduled"
+        );
+        let resp_at = barrier.and_then(|b| b.resp_at);
+        let mut pending = barrier.is_some();
+        // What the barrier's ROB slot holds back until the response.
+        let mut held = barrier.and_then(|b| b.rob_slot).map_or(0, |slot| {
+            self.rob.completed_prefix_past(Some(slot)) - prefix
+        });
+        // Pushed nops are complete, but retire only once everything ahead
+        // of them is: they extend the prefix while nothing in the ROB is
+        // incomplete, and what the slot holds back while nothing behind it
+        // is.
+        let mut joins_prefix = prefix == used;
+        let mut joins_held = !joins_prefix && prefix + held == used;
         let mut remaining = self.nops_remaining;
         let mut run = NopRun {
             cycles: 0,
@@ -462,52 +573,133 @@ impl Core {
             issued: 0,
         };
         while run.cycles < horizon {
-            let retire = pc.retire_width.min(used);
+            let cycle = from + 1 + run.cycles;
+            if resp_at == Some(cycle) {
+                prefix += held;
+                held = 0;
+                joins_prefix |= joins_held;
+                joins_held = false;
+                pending = false;
+            }
+            let retire = pc.retire_width.min(prefix);
             let push = pc.issue_width.min(capacity - (used - retire));
-            if remaining <= push {
+            if remaining <= push || (push == 0 && pending) {
                 break;
             }
             let next_used = used - retire + push;
-            let n = if next_used == used {
-                Cycle::from((remaining - 1) / push).min(horizon - run.cycles)
+            let next_prefix = prefix - retire + if joins_prefix { push } else { 0 };
+            let n = if leap && (next_used, next_prefix) == (used, prefix) {
+                // As far as the horizon, the cycle before the last nop's,
+                // and the response allow.
+                let mut n = horizon - run.cycles;
+                if let Some(cycles) = (remaining - 1).checked_div(push) {
+                    n = n.min(Cycle::from(cycles));
+                }
+                if let Some(t) = resp_at.filter(|&t| t > cycle) {
+                    n = n.min(t - cycle);
+                }
+                n
             } else {
                 1
             };
+            // `n * push < remaining`, so this fits.
+            let pushed = (n * Cycle::from(push)) as u32;
             run.cycles += n;
             run.retired += n * Cycle::from(retire);
-            run.issued += n * Cycle::from(push);
-            // `n * push < remaining`, so this fits.
-            remaining -= (n * Cycle::from(push)) as u32;
+            run.issued += Cycle::from(pushed);
+            remaining -= pushed;
+            if joins_held {
+                held += pushed;
+            }
             used = next_used;
+            prefix = next_prefix;
         }
         run
     }
 
-    /// Apply the cycles `settled_to + 1 ..= upto` of a pure nop run that the
-    /// event engine skipped, so the core reads exactly as if it had been
-    /// stepped through them. No-op outside a nop run or when already
-    /// current — in particular under the oracle, which never skips.
-    pub(crate) fn settle_nop_run(&mut self, upto: Cycle) {
-        if upto <= self.settled_to || !self.in_nop_run() {
-            return;
-        }
-        let run = self.nop_run(upto - self.settled_to);
-        debug_assert_eq!(
-            run.cycles,
-            upto - self.settled_to,
-            "stepped past the run's end"
+    /// Apply the cycles `settled_to + 1 ..= upto` of a [`Quiet::Nops`] run
+    /// (the pending barrier's response not among them) to the ROB and the
+    /// counters.
+    fn apply_nop_run(&mut self, upto: Cycle) {
+        let gap = upto - self.settled_to;
+        let run = self.nop_run(self.settled_to, gap, true);
+        debug_assert_eq!(run.cycles, gap, "stepped past the run's end");
+        debug_assert!(
+            gap > CHECKED_GAP || run == self.nop_run(self.settled_to, gap, false),
+            "core {}: the skipped cycles were not the recurrence's",
+            self.id
         );
-        // All entries are complete, so the ROB is a plain queue: the run's
-        // retirements come off the old contents first, and what is left of
-        // its pushes joins the tail as one coalesced nop entry.
-        let old = self.rob.used();
-        let from_old = run.retired.min(Cycle::from(old)) as u32;
-        self.rob.retire(from_old);
+        // Nops pushed behind an incomplete entry never retire within the
+        // run, and a ROB of complete entries is a plain queue: either way
+        // the run's retirements come off the old contents first, and what
+        // is left of its pushes joins the tail as one coalesced nop entry.
+        let from_old = run.retired.min(Cycle::from(self.rob.used())) as u32;
+        let retired = self.rob.retire(from_old);
+        debug_assert_eq!(retired, from_old, "retired past an incomplete entry");
         self.rob
             .push_nops((run.issued - (run.retired - Cycle::from(from_old))) as u32);
         self.nops_remaining -= run.issued as u32;
         self.stats.retired += run.retired;
         self.stats.issued += run.issued;
+        self.settled_to = upto;
+    }
+
+    /// Apply the cycles `settled_to + 1 ..= upto` the event engine skipped,
+    /// so the core reads exactly as if it had been stepped through them: by
+    /// the skip contract they lie inside a quiet run and hold no event. A
+    /// no-op when already current — in particular under the oracle, which
+    /// never skips a cycle in which anything retires or issues.
+    pub(crate) fn settle_quiet_run(&mut self, upto: Cycle, trace: &mut Trace) {
+        if upto <= self.settled_to {
+            return;
+        }
+        match self.quiet() {
+            None => debug_assert!(
+                self.params_cache.retire_width == 0 || self.rob.completed_prefix() == 0,
+                "core {}: skipped cycles {}..={upto} with retirement pending",
+                self.id,
+                self.settled_to + 1
+            ),
+            Some(Quiet::Idle) => {
+                debug_assert!(
+                    self.next_event(self.settled_to).is_none_or(|e| e > upto),
+                    "core {}: slept through an event before cycle {upto}",
+                    self.id
+                );
+                let gap = upto - self.settled_to;
+                let width = self.params_cache.retire_width;
+                let per_cycle = (cfg!(debug_assertions) && gap <= CHECKED_GAP).then(|| {
+                    let mut prefix = self.rob.completed_prefix();
+                    (0..gap).fold(0, |retired, _| {
+                        let retire = width.min(prefix);
+                        prefix -= retire;
+                        retired + retire
+                    })
+                });
+                let reach = gap.saturating_mul(Cycle::from(width));
+                let retired = self.rob.retire(u32::try_from(reach).unwrap_or(u32::MAX));
+                debug_assert!(
+                    per_cycle.is_none_or(|n| n == retired),
+                    "core {}: the skipped cycles were not retire-only",
+                    self.id
+                );
+                self.stats.retired += u64::from(retired);
+            }
+            Some(Quiet::Nops) => {
+                debug_assert!(
+                    self.in_flight_event(self.settled_to)
+                        .is_none_or(|e| e > upto),
+                    "core {}: ran nops through an event before cycle {upto}",
+                    self.id
+                );
+                let resp_at = self.pending_barrier.as_ref().and_then(|b| b.resp_at);
+                if let Some(t) = resp_at.filter(|&t| t <= upto) {
+                    self.apply_nop_run(t - 1);
+                    self.barrier_responded(t, trace);
+                }
+                self.apply_nop_run(upto);
+            }
+        }
         self.settled_to = upto;
     }
 
@@ -636,9 +828,11 @@ impl Core {
         self.parked
     }
 
-    /// Deliver a line-change wake: the core re-checks its parked
-    /// [`Op::WaitChange`] condition at its next step.
-    pub(crate) fn unpark(&mut self) {
+    /// Deliver a line-change wake at the end of cycle `now`: the core,
+    /// parked through that cycle, re-checks its [`Op::WaitChange`]
+    /// condition at its next step.
+    pub(crate) fn unpark(&mut self, now: Cycle, trace: &mut Trace) {
+        self.settle_quiet_run(now, trace);
         self.parked = false;
     }
 
@@ -892,54 +1086,40 @@ impl Core {
         self.sb.expire_gates(now);
 
         // Resolve the pending barrier.
-        let mut barrier_done = false;
         let priors_done = self
             .pending_barrier
             .as_ref()
             .is_some_and(|b| b.resp_at.is_none() && self.priors_done(b, now));
         if let Some(b) = &mut self.pending_barrier {
             if priors_done {
-                let resp = match b.kind {
-                    Barrier::DmbFull => {
-                        now + if !b.had_priors {
-                            pc.t_membar_idle
-                        } else if b.crossed_node {
-                            pc.t_membar_domain
-                        } else {
-                            pc.t_membar_bisection
-                        }
-                    }
-                    Barrier::DmbLd => now + 1,
-                    Barrier::DsbFull | Barrier::DsbSt | Barrier::DsbLd => now + pc.t_syncbar,
-                    Barrier::CtrlIsb => now + pc.t_isb_flush,
-                    other => unreachable!("{other} never becomes a pending barrier"),
-                };
+                let resp = now + b.response_latency(&pc);
                 b.resp_at = Some(resp);
                 if b.blocks_all() {
                     self.issue_blocked_until = resp;
                     self.issue_block_kind = b.kind;
                 }
             }
-            if let Some(t) = b.resp_at {
-                if t <= now {
-                    if let Some(slot) = b.rob_slot {
-                        self.rob.complete(slot);
-                    }
-                    barrier_done = true;
-                }
+            if b.resp_at.is_some_and(|t| t <= now) {
+                self.barrier_responded(now, trace);
             }
         }
-        if barrier_done {
-            let kind = self.pending_barrier.take().expect("checked above").kind;
-            if trace.enabled {
-                trace.record(
-                    now,
-                    Event::BarrierDone {
-                        core: self.id,
-                        what: kind.mnemonic(),
-                    },
-                );
-            }
+    }
+
+    /// The pending barrier's response arrived at `now`: its ROB slot, if it
+    /// held one, completes, and the barrier is gone.
+    fn barrier_responded(&mut self, now: Cycle, trace: &mut Trace) {
+        let b = self.pending_barrier.take().expect("a barrier is pending");
+        if let Some(slot) = b.rob_slot {
+            self.rob.complete(slot);
+        }
+        if trace.enabled {
+            trace.record(
+                now,
+                Event::BarrierDone {
+                    core: self.id,
+                    what: b.kind.mnemonic(),
+                },
+            );
         }
     }
 
@@ -1387,6 +1567,14 @@ impl Core {
                             }
                         }
                     }
+                    if !b.blocks_all() && self.priors_done(&b, now) {
+                        // Nothing to wait for and nothing but memory ops to
+                        // hold back: the next cycle would find the priors
+                        // done and schedule the response, so it is known
+                        // now, and the nops behind the barrier can run
+                        // through it in closed form.
+                        b.resp_at = Some(now + 1 + b.response_latency(&pc));
+                    }
                     self.pending_barrier = Some(b);
                     self.stats.fences += 1;
                     self.stats.issued += 1;
@@ -1500,7 +1688,7 @@ impl Core {
         // transition can only happen at a cycle where the core acts — so
         // both engines record the same final cycle count.
         let was_quiesced = self.quiesced();
-        self.settle_nop_run(now.saturating_sub(1));
+        self.settle_quiet_run(now.saturating_sub(1), trace);
         self.complete_phase(now, shared, trace);
         self.drain_phase(now, topo, lat, shared);
         self.retire_phase();

@@ -28,11 +28,21 @@
 //! The simulator is deterministic: the same machine + threads produce the
 //! same cycle counts on every host, under either scheduling engine
 //! ([`machine::Engine`]). The default, event-driven one steps a core only
-//! when it can act, and not at all through three kinds of wait it can
-//! account for in closed form: a core parked on [`Op::WaitChange`], a run
-//! of nops, and a poll loop a thread has marked with [`Op::SpinMark`] once
-//! it has settled. The lockstep oracle steps everything and is what the
-//! differential tests hold the event engine to.
+//! at its *events* and accounts for everything between them in closed
+//! form: a core parked on [`Op::WaitChange`] is woken by the write it waits
+//! for, a core that only retires completed instructions or pushes nops is
+//! in a *quiet run* whose cycles are applied when it is next looked at, and
+//! a poll loop a thread has marked with [`Op::SpinMark`] is parked once it
+//! has settled. The lockstep oracle steps every cycle in which anything
+//! retires or issues and is what the differential tests hold the event
+//! engine to. A core states the two contracts side by side:
+//! [`Core::next_wake`](core_model::Core::next_wake) is the oracle's
+//! *heartbeat* (before the returned cycle a step is a no-op, so retirement
+//! and nops report the next cycle), and
+//! [`Core::next_wake_skipping_nops`](core_model::Core::next_wake_skipping_nops)
+//! the event engine's *skip* (before the returned cycle a step changes
+//! nothing another core, the thread or the run loop can observe, and the
+//! next step brings the core to exactly the per-cycle state).
 //!
 //! # Example
 //!

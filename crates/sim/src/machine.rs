@@ -9,9 +9,12 @@
 //!   [`WaitChange`](crate::op::Op::WaitChange) line report no wake at all
 //!   and are woken through the directory's per-line waiter lists when
 //!   another core commits a store to the line — so a thousand parked
-//!   spinners cost nothing per simulated cycle — a core grinding
-//!   through a nop run is woken once, at the cycle the run ends, with the
-//!   skipped cycles applied lazily, and a core whose marked poll loop
+//!   spinners cost nothing per simulated cycle — a core in a quiet run,
+//!   which only retires what has completed (suspended on a load or RMW
+//!   value, or parked) or only pushes nops (a barrier's response arriving
+//!   underneath included), is woken at its next event or at the cycle the
+//!   nops end, with the skipped cycles applied lazily, and a core whose
+//!   marked poll loop
 //!   ([`Op::SpinMark`](crate::op::Op::SpinMark)) has settled is parked until
 //!   another core writes a polled line, its skipped iterations applied in
 //!   closed form (`Core::spin_park`, `Core::spin_resume`).
@@ -259,7 +262,7 @@ impl Machine {
             if !self.cores[c].parked() {
                 continue;
             }
-            self.cores[c].unpark();
+            self.cores[c].unpark(now, &mut self.trace);
             if reschedule {
                 self.schedule(c, now + 1);
             }
@@ -287,16 +290,16 @@ impl Machine {
         min_wake.map_or(limit, |t| t.max(now + 1))
     }
 
-    /// Settle sparse observations at run exit: apply skipped nop runs and
-    /// charge open stall runs up to `last` (the final simulated cycle any
-    /// core stepped in) and stamp per-core cycle counts, so totals do not
-    /// depend on which cycles the engine happened to observe. Harmless
-    /// no-ops for cores observed at every cycle.
+    /// Settle sparse observations at run exit: apply skipped quiet-run
+    /// cycles and charge open stall runs up to `last` (the final simulated
+    /// cycle any core stepped in) and stamp per-core cycle counts, so totals
+    /// do not depend on which cycles the engine happened to observe.
+    /// Harmless no-ops for cores observed at every cycle.
     fn finalize(&mut self, last: Option<Cycle>) {
         let Some(last) = last else { return };
         for i in 0..self.active.len() {
             let id = self.active[i];
-            self.cores[id].settle_nop_run(last);
+            self.cores[id].settle_quiet_run(last, &mut self.trace);
             self.cores[id].settle_stall_run(last);
             self.cores[id].finalize_cycles(last);
         }
@@ -478,7 +481,7 @@ impl Machine {
     /// The event-driven loop: pop the earliest wake events and step exactly
     /// those cores. Relies on the [`Core::next_wake_skipping_nops`] contract
     /// — between a core's own wake events nothing observable about it can
-    /// change (stepping it would be a no-op, or a nop-run cycle applied
+    /// change (stepping it would be a no-op, or a quiet-run cycle applied
     /// lazily later) — and on the directory for the cores with no wake: one
     /// parked on a `WaitChange` line is woken by a commit to it, one parked
     /// in a settled poll loop by a commit or an exclusive access to a polled
@@ -525,18 +528,22 @@ impl Machine {
                     last = last.max(self.resume_spinners(limit - 1));
                     continue;
                 }
+                // A core in a quiet run still heartbeats under the oracle,
+                // which therefore observes its cycles up to the bound.
+                let heartbeat = self
+                    .active
+                    .iter()
+                    .filter_map(|&id| self.cores[id].heartbeat_through())
+                    .max();
+                last = last.max(heartbeat.map(|h| h.min(limit - 1)));
                 self.now = match next {
+                    // The heartbeats reach the bound: the oracle stops
+                    // exactly on it.
+                    _ if heartbeat.is_some_and(|h| h >= limit) => limit,
                     // No core will ever self-wake again (all quiesced or
                     // parked with nobody to wake them): jump straight to the
                     // bound, mirroring the oracle's empty-candidate jump.
                     None => limit,
-                    // A core mid nop run heartbeats under the oracle, which
-                    // therefore observes every cycle up to the bound and
-                    // stops exactly on it.
-                    Some(_) if self.active.iter().any(|&id| self.cores[id].in_nop_run()) => {
-                        last = Some(limit - 1);
-                        limit
-                    }
                     // The next event sits at/past the bound. Advance to it
                     // and exit — the oracle's jump exposes the same
                     // overshoot.
@@ -1207,6 +1214,46 @@ mod tests {
         assert_eq!(ev.read_memory(0x140), 2);
         assert!(or.steps_executed() > 25_000, "{}", or.steps_executed());
         assert!(ev.steps_executed() < 300, "{}", ev.steps_executed());
+    }
+
+    #[test]
+    fn quiet_runs_cost_no_step_and_settle_to_the_per_cycle_state() {
+        // A many-core barrier waiter's round, twice: local work, an arrival
+        // `fetch_add` the core is suspended on while the work retires, then
+        // a prior-free `DMB ld` whose response arrives under the next
+        // round's nops. Between the events — the RMW issuing and returning,
+        // the fence issuing, the nop run ending — only the ROB moves, so
+        // the event engine takes a step per event where the oracle takes
+        // one per cycle, and a run stopped anywhere in between reads the
+        // same.
+        let mk = |engine| {
+            let mut m = Machine::new(Platform::kunpeng916());
+            m.set_engine(engine);
+            m.set_region_home(0x3000, 0x3040, 40);
+            let mut ops = Vec::new();
+            for _ in 0..2 {
+                ops.extend([
+                    Op::Nops(120),
+                    Op::fetch_add_acq_rel(0x3000, 1),
+                    Op::Fence(Barrier::DmbLd),
+                    Op::IterationMark,
+                ]);
+            }
+            ops.push(Op::Nops(120));
+            m.add_thread_on(0, Box::new(Script::new(ops)));
+            m
+        };
+        let mut ev = mk(Engine::EventDriven);
+        let mut or = mk(Engine::LockstepOracle);
+        for budget in [20, 1, 1, 9, 13, 1, 2, 1, 40, 1 << 40] {
+            assert_eq!(ev.run(budget), or.run(budget), "budget {budget}");
+            assert_eq!(ev.now(), or.now(), "budget {budget}");
+            assert_eq!(ev.core_stats(0), or.core_stats(0), "budget {budget}");
+        }
+        assert_eq!(ev.read_memory(0x3000), 2);
+        assert!(or.steps_executed() > 100, "{}", or.steps_executed());
+        // Nine stops re-seed a step each; the program itself is a dozen.
+        assert!(ev.steps_executed() < 30, "{}", ev.steps_executed());
     }
 
     /// Polls `addr` in a marked loop until it is non-zero, then publishes

@@ -99,15 +99,61 @@ impl Rob {
     }
 
     /// Mark a previously pushed instruction complete.
+    ///
+    /// Instruction ids ascend from head to tail and nop runs, which carry
+    /// none, never sit next to each other (pushes coalesce them), so the
+    /// entry is found by binary search, stepping off a nop run onto the
+    /// instruction before it.
     pub fn complete(&mut self, id: SlotId) {
-        for e in &mut self.entries {
-            if let EntryKind::Instr { id: eid, complete } = e {
-                if *eid == id {
+        let (mut lo, mut hi) = (0, self.entries.len());
+        while lo < hi {
+            let mut mid = lo + (hi - lo) / 2;
+            if matches!(self.entries[mid], EntryKind::Nops { .. }) {
+                if mid == lo {
+                    lo += 1;
+                    continue;
+                }
+                mid -= 1;
+            }
+            let EntryKind::Instr { id: eid, complete } = &mut self.entries[mid] else {
+                unreachable!("two nop runs side by side");
+            };
+            match (*eid).cmp(&id) {
+                std::cmp::Ordering::Equal => {
                     *complete = true;
                     return;
                 }
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
             }
         }
+        debug_assert!(false, "completed instruction {id}, which is not in flight");
+    }
+
+    /// Instructions retirement can reach: everything ahead of the first
+    /// incomplete instruction (all of [`Rob::used`] when there is none).
+    #[must_use]
+    pub fn completed_prefix(&self) -> u32 {
+        self.completed_prefix_past(None)
+    }
+
+    /// [`Rob::completed_prefix`] as it will read once instruction `id`
+    /// completes.
+    #[must_use]
+    pub fn completed_prefix_past(&self, id: Option<SlotId>) -> u32 {
+        let mut prefix = 0;
+        for e in &self.entries {
+            match *e {
+                EntryKind::Nops { count } => prefix += count,
+                EntryKind::Instr { id: eid, complete } => {
+                    if !complete && Some(eid) != id {
+                        break;
+                    }
+                    prefix += 1;
+                }
+            }
+        }
+        prefix
     }
 
     /// Retire up to `width` instructions from the head, in order, stopping
@@ -215,6 +261,92 @@ mod tests {
         rob.complete(a);
         assert_eq!(rob.retire(4), 2);
         let _ = b;
+    }
+
+    #[test]
+    fn complete_finds_any_instr_among_coalesced_nops() {
+        // Every layout of eight slots, each a nop or an instruction (adjacent
+        // nops coalesce into one entry): completing the instructions one by
+        // one, in any rotation of their order, marks exactly the one named.
+        for layout in 0u32..256 {
+            let instrs = layout.count_ones() as usize;
+            for first in 0..instrs.max(1) {
+                let mut rob = Rob::new(8);
+                let mut ids = Vec::new();
+                for slot in 0..8 {
+                    if layout >> slot & 1 == 1 {
+                        ids.push(rob.push_instr(false).unwrap());
+                    } else {
+                        rob.push_nops(1);
+                    }
+                }
+                ids.rotate_left(first);
+                let mut done = Vec::new();
+                for &id in &ids {
+                    rob.complete(id);
+                    done.push(id);
+                    for e in &rob.entries {
+                        if let EntryKind::Instr { id, complete } = *e {
+                            assert_eq!(complete, done.contains(&id), "{layout:#b}: {id}");
+                        }
+                    }
+                }
+                assert_eq!(rob.completed_prefix(), 8, "{layout:#b}");
+                assert_eq!(rob.retire(8), 8, "{layout:#b}");
+            }
+        }
+    }
+
+    #[test]
+    fn complete_still_finds_ids_after_the_head_retired() {
+        let mut rob = Rob::new(16);
+        rob.push_nops(3);
+        let a = rob.push_instr(true).unwrap();
+        rob.push_nops(2);
+        let b = rob.push_instr(false).unwrap();
+        let c = rob.push_instr(false).unwrap();
+        assert_eq!(rob.retire(5), 5, "three nops, `a`, one nop");
+        let _ = a;
+        rob.complete(c);
+        assert_eq!(rob.completed_prefix(), 1, "the nop ahead of `b`");
+        rob.complete(b);
+        assert_eq!(rob.completed_prefix(), 3);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not in flight")]
+    fn completing_an_instruction_that_is_not_in_flight_is_a_bug() {
+        let mut rob = Rob::new(4);
+        let a = rob.push_instr(true).unwrap();
+        rob.push_nops(1);
+        rob.retire(1);
+        rob.complete(a);
+    }
+
+    #[test]
+    fn completed_prefix_stops_at_the_first_incomplete_instr() {
+        let mut rob = Rob::new(64);
+        assert_eq!(rob.completed_prefix(), 0, "empty");
+        rob.push_nops(5);
+        assert_eq!(rob.completed_prefix(), 5, "all nops");
+        rob.push_instr(true).unwrap();
+        let load = rob.push_instr(false).unwrap();
+        rob.push_nops(3);
+        let fence = rob.push_instr(false).unwrap();
+        rob.push_nops(2);
+        assert_eq!(rob.completed_prefix(), 6, "nops and the store");
+        // What retirement will reach once an instruction completes.
+        assert_eq!(rob.completed_prefix_past(Some(load)), 10, "up to the fence");
+        assert_eq!(rob.completed_prefix_past(Some(fence)), 6, "behind the load");
+        assert_eq!(rob.retire(4), 4);
+        assert_eq!(rob.completed_prefix(), 2, "retirement comes off the prefix");
+        rob.complete(load);
+        assert_eq!(rob.completed_prefix(), 6);
+        assert_eq!(rob.completed_prefix_past(Some(fence)), rob.used());
+        rob.complete(fence);
+        assert_eq!(rob.completed_prefix(), rob.used());
+        assert_eq!(rob.retire(64), 9);
     }
 
     #[test]

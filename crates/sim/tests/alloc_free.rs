@@ -6,7 +6,9 @@
 //! loop on the publisher's flag (`Script` bodies, so the gate covers the
 //! coroutine adapter too) and `Op::WaitChange` waiters on the same line —
 //! so every round of the publisher parks and wakes each of them once, one
-//! kind through the poll-loop elision and one through the waiter list.
+//! kind through the poll-loop elision and one through the waiter list, and
+//! every round of a waiter is a nop run through a `DMB ld`'s response and a
+//! suspended `fetch_add` behind it, both settled without a step.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -55,6 +57,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 const DATA: u64 = 0x1000;
 const FLAG: u64 = 0x1040;
 const COUNTER: u64 = 0x1080;
+const ARRIVALS: u64 = 0x10C0;
 
 /// Publishes forever: data, `DMB st`, flag, some work, a contended RMW.
 async fn publisher(cpu: Cpu) {
@@ -88,11 +91,17 @@ async fn poller(cpu: Cpu) {
     }
 }
 
-/// Parks on the flag until it changes, over and over.
+/// Parks on the flag until it changes, over and over — and passes each
+/// round the way a many-core barrier's waiter does: a prior-free `DMB ld`,
+/// local work, an arrival `fetch_add` it is suspended on while the work
+/// retires (the quiet runs the event engine applies without stepping).
 async fn waiter(cpu: Cpu) {
     let mut seen = 0;
     loop {
         seen = cpu.op(Op::wait_change(FLAG, seen)).await;
+        cpu.op(Op::Fence(Barrier::DmbLd)).await;
+        cpu.op(Op::Nops(30)).await;
+        cpu.op(Op::fetch_add_acq_rel(ARRIVALS, 1)).await;
         cpu.op(Op::IterationMark).await;
     }
 }
