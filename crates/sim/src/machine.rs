@@ -2,27 +2,28 @@
 //!
 //! Two scheduling engines drive the same cores:
 //!
+//! * [`Engine::LockstepOracle`] is the reference loop: every active core is
+//!   stepped at every observed cycle, and time jumps over the cycles in
+//!   which stepping any core would be a no-op ([`Core::next_wake`]'s
+//!   *heartbeat* contract). It steps every cycle in which anything retires
+//!   or issues, and is what the differential suites hold the event engine
+//!   to.
 //! * [`Engine::EventDriven`] (the default) keeps a lazy-deletion min-heap of
-//!   `(wake cycle, core id)` events fed by each core's
-//!   [`Core::next_wake_skipping_nops`] contract, and steps **only** the
-//!   cores whose wake cycle arrived. Cores parked on a
-//!   [`WaitChange`](crate::op::Op::WaitChange) line report no wake at all
-//!   and are woken through the directory's per-line waiter lists when
-//!   another core commits a store to the line — so a thousand parked
-//!   spinners cost nothing per simulated cycle — a core in a quiet run,
-//!   which only retires what has completed (suspended on a load or RMW
-//!   value, or parked) or only pushes nops (a barrier's response arriving
-//!   underneath included), is woken at its next event or at the cycle the
-//!   nops end, with the skipped cycles applied lazily, and a core whose
-//!   marked poll loop
-//!   ([`Op::SpinMark`](crate::op::Op::SpinMark)) has settled is parked until
-//!   another core writes a polled line, its skipped iterations applied in
-//!   closed form (`Core::spin_park`, `Core::spin_resume`).
-//! * [`Engine::LockstepOracle`] is the original loop: every active core is
-//!   stepped at every observed cycle ([`Core::next_wake`]'s heartbeat
-//!   contract), with time jumping over dead cycles.
-//!   It survives as the differential oracle the event engine is validated
-//!   against ([`Machine::run_lockstep_oracle`]).
+//!   `(wake cycle, core id)` events and steps **only** the cores whose wake
+//!   arrived. After each step it asks the core one question, `Core::sleep`:
+//!   the cycle of its next *event* — retirement and the pushing of nops are
+//!   bookkeeping the core applies when it is next looked at
+//!   (`Core::catch_up`), not events — or nothing at all, for a core parked
+//!   on a [`WaitChange`](crate::op::Op::WaitChange) line or in a settled
+//!   poll loop ([`Op::SpinMark`](crate::op::Op::SpinMark)), which the
+//!   directory wakes when another core writes the line. A thousand parked
+//!   spinners cost nothing per simulated cycle.
+//!
+//! A run ends the same way under both: on the cycle after the one in which
+//! every workload quiesced or the caller's condition fell, or exactly on its
+//! cycle bound; and every active core is caught up through the run's last
+//! cycle, so what a stopped machine reports does not depend on which cycles
+//! its engine happened to step.
 //!
 //! Both engines are cycle-accurate and byte-deterministic: within a cycle,
 //! cores step in id order — that order is the deterministic tie-break for
@@ -84,14 +85,9 @@ pub struct Machine {
     /// Scratch for the cores woken in the current cycle (kept across runs
     /// so the event loop never allocates in steady state).
     batch: Vec<CoreId>,
-    /// The image `Core::spin_resume` replays the tail of a spin against:
-    /// lines parked pollers hold, with the values they last saw.
+    /// The image `Core::catch_up` replays the tail of a spin against: lines
+    /// parked pollers hold, with the values they last saw.
     frozen: SharedState,
-    /// Total `Core::step` invocations across all runs — the engine-quality
-    /// metric (cycles simulated per core actually stepped) benchmarks gate.
-    steps_executed: u64,
-    /// Poll-loop periods applied in closed form instead of stepped.
-    spin_periods_skipped: u64,
 }
 
 impl Machine {
@@ -122,8 +118,6 @@ impl Machine {
             scheduled: vec![NEVER; core_count],
             batch: Vec::new(),
             frozen: SharedState::default(),
-            steps_executed: 0,
-            spin_periods_skipped: 0,
         }
     }
 
@@ -138,10 +132,12 @@ impl Machine {
         self.engine
     }
 
-    /// Total number of `Core::step` invocations so far (all runs).
+    /// Total number of `Core::step` invocations so far (all runs) — the
+    /// engine-quality metric (cycles simulated per core actually stepped)
+    /// benchmarks gate.
     #[must_use]
     pub fn steps_executed(&self) -> u64 {
-        self.steps_executed
+        self.cores.iter().map(Core::steps).sum()
     }
 
     /// Total number of poll-loop periods the event engine applied in closed
@@ -149,7 +145,7 @@ impl Machine {
     /// oracle).
     #[must_use]
     pub fn spin_periods_skipped(&self) -> u64 {
-        self.spin_periods_skipped
+        self.cores.iter().map(Core::spin_periods_skipped).sum()
     }
 
     /// Switch on event tracing with a ring of `capacity` events; all cores
@@ -240,7 +236,6 @@ impl Machine {
         for &id in &self.active {
             self.cores[id].step(self.now, topo, lat, &mut self.shared, &mut self.trace);
         }
-        self.steps_executed += self.active.len() as u64;
     }
 
     fn all_quiesced(&self) -> bool {
@@ -262,7 +257,13 @@ impl Machine {
             if !self.cores[c].parked() {
                 continue;
             }
-            self.cores[c].unpark(now, &mut self.trace);
+            self.cores[c].unpark(
+                now,
+                &self.platform.topology,
+                &self.platform.latency,
+                &mut self.frozen,
+                &mut self.trace,
+            );
             if reschedule {
                 self.schedule(c, now + 1);
             }
@@ -283,29 +284,45 @@ impl Machine {
     }
 
     /// The oracle's time jump: advance to the earliest wake, clamped so a
-    /// stale wake (`<= now`) still moves time forward by a full cycle, and
-    /// an empty candidate set jumps straight to the limit so the loop exits
-    /// in O(1) steps instead of crawling one cycle at a time to the bound.
+    /// stale wake (`<= now`) still moves time forward by a full cycle and no
+    /// wake takes it past the bound; an empty candidate set jumps straight
+    /// to the bound, so the loop exits in O(1) steps instead of crawling
+    /// there one cycle at a time.
     fn resolve_jump(min_wake: Option<Cycle>, now: Cycle, limit: Cycle) -> Cycle {
-        min_wake.map_or(limit, |t| t.max(now + 1))
+        min_wake.map_or(limit, |t| t.max(now + 1).min(limit))
     }
 
-    /// Settle sparse observations at run exit: apply skipped quiet-run
-    /// cycles and charge open stall runs up to `last` (the final simulated
-    /// cycle any core stepped in) and stamp per-core cycle counts, so totals
-    /// do not depend on which cycles the engine happened to observe.
-    /// Harmless no-ops for cores observed at every cycle.
-    fn finalize(&mut self, last: Option<Cycle>) {
-        let Some(last) = last else { return };
+    /// Bring core `id` up to date through cycle `upto` (`Core::catch_up`); a
+    /// poller parked in its loop leaves it.
+    fn catch_up(&mut self, id: CoreId, upto: Cycle) {
+        if self.cores[id].spin_parked() {
+            self.shared.directory.spin_parked -= 1;
+        }
+        self.cores[id].catch_up(
+            upto,
+            &self.platform.topology,
+            &self.platform.latency,
+            &mut self.frozen,
+            &mut self.trace,
+        );
+    }
+
+    /// Run exit, the same for both engines: every active core is caught up
+    /// through the run's last cycle, `now - 1` — quiet runs applied, open
+    /// stall runs charged, cycle counts stamped, nobody left parked in a
+    /// poll loop — so totals do not depend on which cycles the engine
+    /// observed, and the next run seeds every core alike.
+    fn finalize(&mut self) {
+        let Some(last) = self.now.checked_sub(1) else {
+            return;
+        };
         for i in 0..self.active.len() {
-            let id = self.active[i];
-            self.cores[id].settle_quiet_run(last, &mut self.trace);
-            self.cores[id].settle_stall_run(last);
-            self.cores[id].finalize_cycles(last);
+            self.catch_up(self.active[i], last);
         }
     }
 
-    /// Run until every workload halts and quiesces, or `max_cycles` elapse.
+    /// Run until every workload halts and quiesces, or `max_cycles` elapse:
+    /// a run that reaches its bound ends exactly on it.
     pub fn run(&mut self, max_cycles: Cycle) -> RunStats {
         self.run_while(max_cycles, |_| true)
     }
@@ -323,66 +340,36 @@ impl Machine {
         })
     }
 
-    /// Run under the lockstep oracle regardless of the selected engine
-    /// (restores the selection afterwards). Differential harnesses use this
-    /// to validate the event engine against the reference loop on the same
-    /// machine type without re-plumbing engine selection everywhere.
-    pub fn run_lockstep_oracle(&mut self, max_cycles: Cycle) -> RunStats {
-        let prev = self.engine;
-        self.engine = Engine::LockstepOracle;
-        let out = self.run(max_cycles);
-        self.engine = prev;
-        out
-    }
-
     fn run_while(&mut self, max_cycles: Cycle, keep_going: impl Fn(&Machine) -> bool) -> RunStats {
+        let limit = self.now.saturating_add(max_cycles);
         match self.engine {
-            Engine::EventDriven => self.run_event(max_cycles, keep_going),
-            Engine::LockstepOracle => self.run_lockstep(max_cycles, keep_going),
+            Engine::EventDriven => self.run_event(limit, keep_going),
+            Engine::LockstepOracle => self.run_lockstep(limit, keep_going),
+        }
+        self.finalize();
+        RunStats {
+            cycles: self.now,
+            halted: self.all_quiesced(),
         }
     }
 
     /// The reference loop: step every active core at every observed cycle,
     /// jumping over cycles where no core has anything to do.
-    fn run_lockstep(
-        &mut self,
-        max_cycles: Cycle,
-        keep_going: impl Fn(&Machine) -> bool,
-    ) -> RunStats {
-        let limit = self.now.saturating_add(max_cycles);
-        let mut last: Option<Cycle> = None;
+    fn run_lockstep(&mut self, limit: Cycle, keep_going: impl Fn(&Machine) -> bool) {
         while self.now < limit {
             let t = self.now;
             self.step_all();
-            last = Some(t);
             self.drain_wakes(t, false);
-            if self.all_quiesced() {
-                self.now += 1;
-                self.finalize(last);
-                return RunStats {
-                    cycles: self.now,
-                    halted: true,
-                };
-            }
-            if !keep_going(self) {
-                self.now += 1;
-                self.finalize(last);
-                return RunStats {
-                    cycles: self.now,
-                    halted: false,
-                };
+            if self.all_quiesced() || !keep_going(self) {
+                self.now = t + 1;
+                return;
             }
             let next = self
                 .active
                 .iter()
-                .filter_map(|&id| self.cores[id].next_wake(self.now))
+                .filter_map(|&id| self.cores[id].next_wake(t))
                 .min();
-            self.now = Self::resolve_jump(next, self.now, limit);
-        }
-        self.finalize(last);
-        RunStats {
-            cycles: self.now,
-            halted: self.all_quiesced(),
+            self.now = Self::resolve_jump(next, t, limit);
         }
     }
 
@@ -408,49 +395,15 @@ impl Machine {
         }
     }
 
-    /// Bring parked poller `s` up to date through cycle `reach`
-    /// (`Core::spin_resume`) and put its next step on the heap. Returns
-    /// the cycle of the last step it has now taken.
-    fn resume_spinner(&mut self, s: CoreId, reach: Cycle) -> Cycle {
-        let resumed = self.cores[s].spin_resume(
-            reach,
-            &self.platform.topology,
-            &self.platform.latency,
-            &mut self.frozen,
-            &mut self.trace,
-        );
-        self.shared.directory.spin_parked -= 1;
-        self.steps_executed += resumed.steps;
-        self.spin_periods_skipped += resumed.periods;
-        if let Some(w) = resumed.next_wake {
-            self.schedule(s, w);
-        }
-        resumed.last_step
-    }
-
-    /// Resume every parked poller through cycle `reach`; the latest step
-    /// any of them took, if there were any.
-    fn resume_spinners(&mut self, reach: Cycle) -> Option<Cycle> {
-        if self.shared.directory.spin_parked == 0 {
-            return None;
-        }
-        let mut last = None;
-        for i in 0..self.active.len() {
-            let id = self.active[i];
-            if self.cores[id].spin_parked() {
-                last = last.max(Some(self.resume_spinner(id, reach)));
-            }
-        }
-        last
-    }
-
     /// End the spins that core `w`'s step at cycle `t` disturbed: every
     /// parked poller whose copy of a polled line that step invalidated
-    /// (drain start, RMW) or whose polled line it committed to is resumed to
-    /// just before `(t, w)` in `(cycle, core id)` order — the order both
+    /// (drain start, RMW) or whose polled line it committed to is caught up
+    /// to just before `(t, w)` in `(cycle, core id)` order — the order both
     /// engines step in — so a poller with a lower id has taken its step of
     /// cycle `t` and one with a higher id will take it next, after `w`.
-    /// Called while any poller is parked.
+    /// Called while any poller is parked. Out of line: the event loop of a
+    /// machine that polls nothing pays one test for it.
+    #[inline(never)]
     fn end_spins(&mut self, t: Cycle, w: CoreId) {
         let mut invalidated = std::mem::take(&mut self.shared.directory.invalidated);
         // The committed lines' `WaitChange` waiters stay listed for
@@ -458,7 +411,11 @@ impl Machine {
         let committed = std::mem::take(&mut self.shared.pending_wakes);
         for &s in invalidated.iter().chain(&committed) {
             if self.cores[s].spin_parked() {
-                self.resume_spinner(s, if s < w { t } else { t - 1 });
+                let reach = if s < w { t } else { t - 1 };
+                self.catch_up(s, reach);
+                if let Some(wake) = self.cores[s].skip_wake(reach) {
+                    self.schedule(s, wake);
+                }
             }
         }
         invalidated.clear();
@@ -466,97 +423,45 @@ impl Machine {
         self.shared.pending_wakes = committed;
     }
 
-    /// After core `id`'s step at cycle `t`, with a poller parked or `id` in
-    /// a settled poll loop: end the spins the step disturbed, then park `id`
-    /// if its own loop has settled and say so. Out of line: the event loop
-    /// of a machine that polls nothing pays two tests for it.
-    #[inline(never)]
-    fn end_and_begin_spins(&mut self, t: Cycle, id: CoreId) -> bool {
-        if self.shared.directory.spin_parked > 0 {
-            self.end_spins(t, id);
-        }
-        self.cores[id].spin_park(t, &mut self.shared)
-    }
-
     /// The event-driven loop: pop the earliest wake events and step exactly
-    /// those cores. Relies on the [`Core::next_wake_skipping_nops`] contract
-    /// — between a core's own wake events nothing observable about it can
-    /// change (stepping it would be a no-op, or a quiet-run cycle applied
-    /// lazily later) — and on the directory for the cores with no wake: one
-    /// parked on a `WaitChange` line is woken by a commit to it, one parked
-    /// in a settled poll loop by a commit or an exclusive access to a polled
+    /// those cores. Relies on `Core::sleep`'s skip contract — between a
+    /// core's own wake events nothing observable about it can change
+    /// (stepping it would be a no-op, or a cycle `Core::catch_up` applies
+    /// later) — and on the directory for the cores with no wake: one parked
+    /// on a `WaitChange` line is woken by a commit to it, one parked in a
+    /// settled poll loop by a commit or an exclusive access to a polled
     /// line. While a poller is parked, events are popped one `(cycle, core
     /// id)` at a time, so that one resumed by a lower-numbered core still
     /// takes its step of that cycle, in its turn.
-    fn run_event(&mut self, max_cycles: Cycle, keep_going: impl Fn(&Machine) -> bool) -> RunStats {
-        let limit = self.now.saturating_add(max_cycles);
+    fn run_event(&mut self, limit: Cycle, keep_going: impl Fn(&Machine) -> bool) {
         if self.active.is_empty() {
-            // Mirror the oracle: an empty machine quiesces in one tick.
-            if self.now < limit {
-                self.now += 1;
-            }
-            return RunStats {
-                cycles: self.now,
-                halted: true,
-            };
+            // Like the oracle: an empty machine quiesces in one tick.
+            self.now = (self.now + 1).min(limit);
+            return;
         }
         // Seed: every active core is observed at the entry cycle, exactly
         // like the oracle's first `step_all` (stale heap entries from an
         // earlier run are superseded and dropped lazily).
         for i in 0..self.active.len() {
-            let id = self.active[i];
-            self.schedule(id, self.now);
+            self.schedule(self.active[i], self.now);
         }
         let mut quiesced = self
             .active
             .iter()
             .filter(|&&id| self.cores[id].quiesced())
             .count();
-        let mut last: Option<Cycle> = None;
-        // `Some(halted)` once the run ends on a stepped cycle; still `None`
-        // if it runs into the cycle bound.
-        let mut ended = None;
         let mut batch = std::mem::take(&mut self.batch);
-        while self.now < limit {
-            let next = self.next_event();
-            let Some((t, _)) = next.filter(|&(t, _)| t < limit) else {
-                // Nothing is due before the bound.
-                if self.shared.directory.spin_parked > 0 {
-                    // But the oracle keeps stepping the parked pollers up to
-                    // it: take them there. Their next steps, at or past the
-                    // bound, join the heap and decide the exit below.
-                    last = last.max(self.resume_spinners(limit - 1));
-                    continue;
-                }
-                // A core in a quiet run still heartbeats under the oracle,
-                // which therefore observes its cycles up to the bound.
-                let heartbeat = self
-                    .active
-                    .iter()
-                    .filter_map(|&id| self.cores[id].heartbeat_through())
-                    .max();
-                last = last.max(heartbeat.map(|h| h.min(limit - 1)));
-                self.now = match next {
-                    // The heartbeats reach the bound: the oracle stops
-                    // exactly on it.
-                    _ if heartbeat.is_some_and(|h| h >= limit) => limit,
-                    // No core will ever self-wake again (all quiesced or
-                    // parked with nobody to wake them): jump straight to the
-                    // bound, mirroring the oracle's empty-candidate jump.
-                    None => limit,
-                    // The next event sits at/past the bound. Advance to it
-                    // and exit — the oracle's jump exposes the same
-                    // overshoot.
-                    Some((t, _)) => t,
-                };
-                break;
-            };
-            self.now = t;
-            last = Some(t);
+        loop {
             // The heap yields equal-cycle events in ascending core id — the
             // deterministic tie-break. `event` is the cycle's next one, while
             // it has one.
-            let mut event = next;
+            let mut event = self.next_event();
+            let Some((t, _)) = event.filter(|&(at, _)| at < limit) else {
+                // Nothing is due before the bound: the run ends on it.
+                self.now = limit;
+                break;
+            };
+            self.now = t;
             while let Some((_, first)) = event.filter(|&(at, _)| at == t) {
                 // A step can put one more event into this very cycle only by
                 // resuming a poller that was parked before it: while any is
@@ -589,18 +494,16 @@ impl Machine {
                         &mut self.shared,
                         &mut self.trace,
                     );
-                    self.steps_executed += 1;
                     match (was_quiesced, self.cores[id].quiesced()) {
                         (false, true) => quiesced += 1,
                         (true, false) => quiesced -= 1,
                         _ => {}
                     }
-                    let spinning =
-                        self.shared.directory.spin_parked > 0 || self.cores[id].spin_settled();
-                    if !(spinning && self.end_and_begin_spins(t, id)) {
-                        if let Some(w) = self.cores[id].next_wake_skipping_nops(t) {
-                            self.schedule(id, w.max(t + 1));
-                        }
+                    if self.shared.directory.spin_parked > 0 {
+                        self.end_spins(t, id);
+                    }
+                    if let Some(w) = self.cores[id].sleep(t, &mut self.shared) {
+                        self.schedule(id, w);
                     }
                 }
                 if one_at_a_time {
@@ -610,29 +513,12 @@ impl Machine {
             // Stores committed this cycle wake their line's parked waiters
             // one cycle later.
             self.drain_wakes(t, true);
-            if quiesced == self.active.len() {
+            if quiesced == self.active.len() || !keep_going(self) {
                 self.now = t + 1;
-                ended = Some(true);
-                break;
-            }
-            if !keep_going(self) {
-                self.now = t + 1;
-                ended = Some(false);
                 break;
             }
         }
         self.batch = batch;
-        // A stopped run leaves nobody parked in a poll loop: each poller is
-        // where the oracle's last observed cycle left it, and the next run
-        // seeds it like any other core.
-        if let Some(last) = last {
-            self.resume_spinners(last);
-        }
-        self.finalize(last);
-        RunStats {
-            cycles: self.now,
-            halted: ended.unwrap_or_else(|| self.all_quiesced()),
-        }
     }
 }
 
@@ -1357,6 +1243,84 @@ mod tests {
             let stats = m.run(1 << 50);
             assert!(!stats.halted, "{engine:?}: a parked core is not quiesced");
             assert_eq!(stats.cycles, 1 << 50, "{engine:?}: ran to the bound");
+        }
+    }
+
+    #[test]
+    fn a_run_that_reaches_its_bound_ends_on_it_caught_up_and_resumes_seamlessly() {
+        // What straddles the bound: a remote load the only core is suspended
+        // on, a `DSB` draining a remote store and then waiting out its
+        // window, and a parked `WaitChange` waiter whose writer is itself
+        // suspended — in each, nothing steps for long stretches, so a bound
+        // inside one is reached by neither engine's own events.
+        type Case = (&'static str, fn() -> Machine);
+        const CASES: [Case; 3] = [
+            ("a remote load", || {
+                let mut m = Machine::new(Platform::kunpeng916());
+                m.set_region_home(0x100, 0x140, 40);
+                let ops = vec![Op::Nops(3), Op::load_use(0x100), Op::store(0x200, 1)];
+                m.add_thread_on(0, Box::new(Script::new(ops)));
+                m
+            }),
+            ("a DSB window", || {
+                let mut m = Machine::new(Platform::kunpeng916());
+                m.set_region_home(0x100, 0x140, 40);
+                let ops = vec![
+                    Op::store(0x100, 1),
+                    Op::Fence(Barrier::DsbFull),
+                    Op::store(0x200, 2),
+                ];
+                m.add_thread_on(0, Box::new(Script::new(ops)));
+                m
+            }),
+            ("a parked waiter", || {
+                let mut m = Machine::new(Platform::kunpeng916());
+                m.set_region_home(0x100, 0x140, 0);
+                let waiter = Waiter {
+                    expect: 0,
+                    phase: 0,
+                };
+                m.add_thread_on(1, Box::new(waiter));
+                let ops = vec![Op::load_use(0x100), Op::store(0x5000, 9)];
+                m.add_thread_on(40, Box::new(Script::new(ops)));
+                m
+            }),
+        ];
+        let observe = |m: &Machine| {
+            let cores = [0, 1, 40].map(|c| m.core_stats(c).clone());
+            (cores, [0x200, 0x5000, 0x5100].map(|a| m.read_memory(a)))
+        };
+        for (what, mk) in CASES {
+            // The reference: the oracle one cycle at a time, which steps
+            // every core in every cycle. `truth[n]` is the machine after
+            // `n` cycles.
+            let mut tick = mk();
+            tick.set_engine(Engine::LockstepOracle);
+            let mut truth = vec![observe(&tick)];
+            while !tick.run(1).halted {
+                truth.push(observe(&tick));
+            }
+            let end = truth.len() as Cycle;
+            let finished = observe(&tick);
+            assert!(end > 100, "{what}: {end} cycles straddle nothing");
+            for engine in [Engine::EventDriven, Engine::LockstepOracle] {
+                for n in 1..end {
+                    let mut m = mk();
+                    m.set_engine(engine);
+                    let stopped = m.run(n);
+                    let at = format!("{what}, {engine:?}, bound {n}");
+                    assert_eq!((stopped.cycles, m.now(), stopped.halted), (n, n, false), "{at}");
+                    assert!(observe(&m) == truth[n as usize], "{at}: not caught up");
+                    let resumed = m.run(1 << 40);
+                    assert_eq!((resumed.cycles, resumed.halted), (end, true), "{at}");
+                    assert!(observe(&m) == finished, "{at}: the resumed run differs");
+                }
+            }
+            if what == "a DSB window" {
+                let stalled = |n: usize| truth[n].0[0].stall.total;
+                let window = (1..truth.len()).filter(|&n| stalled(n) == stalled(n - 1) + 1);
+                assert!(window.count() > 100, "a bound inside the stall is charged up to it");
+            }
         }
     }
 

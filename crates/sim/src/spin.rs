@@ -57,14 +57,6 @@ pub(crate) struct Period {
     pub issued: u64,
 }
 
-/// A settled loop the event engine stopped stepping: the core's state is
-/// that after its step at `base`, and repeats every `period.cycles`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Parked {
-    pub base: Cycle,
-    pub period: Period,
-}
-
 /// The ops between two marks and the values their loads returned.
 #[derive(Debug, Clone, Copy)]
 struct Iteration {
@@ -99,8 +91,12 @@ pub(crate) struct SpinRecord {
     repeats: bool,
     /// Set by the mark that closed the second of two identical iterations.
     settled: Option<Period>,
-    /// Set while the event engine has the core parked in this loop.
-    pub parked: Option<Parked>,
+    /// Set while the event engine has the core parked in this loop: the
+    /// core's state is that at its watermark, and repeats every
+    /// `cycles` of this.
+    pub parked: Option<Period>,
+    /// Periods applied in closed form so far.
+    pub skipped: u64,
 }
 
 impl SpinRecord {
@@ -188,12 +184,6 @@ impl SpinRecord {
         self.cur.mark = point;
         self.cur.len = 0;
         self.cur.all_hit = true;
-    }
-
-    /// Whether the last mark found the loop settled.
-    #[inline]
-    pub fn settled(&self) -> bool {
-        self.settled.is_some()
     }
 
     /// The period of the settled loop, if the step at `now` fetched the
