@@ -32,7 +32,6 @@
 
 pub mod advisor;
 pub mod deps;
-pub mod hwbench;
 pub mod kind;
 pub mod native;
 pub mod strength;

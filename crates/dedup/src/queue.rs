@@ -12,10 +12,7 @@ use std::sync::{Condvar, Mutex};
 use crossbeam::utils::Backoff;
 
 use armbar_barriers::Barrier;
-use armbar_pilot::{
-    pilot_ring, spsc_ring, BarrierPair, HashPool, PilotReceiverRing, PilotSenderRing, SpscReceiver,
-    SpscSender,
-};
+use armbar_pilot::{pilot_ring, spsc_ring, BarrierPair, HashPool};
 
 /// Which queue implementation connects two stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,27 +77,13 @@ pub fn make_queue(kind: QueueKind, capacity: usize) -> (Box<dyn PipeQueue>, Box<
             )
         }
         QueueKind::RingBuffer => {
-            let (tx, rx) = spsc_ring(capacity, BarrierPair::LD_ST);
-            let closed = std::sync::Arc::new(AtomicBool::new(false));
-            (
-                Box::new(RingProducer {
-                    tx,
-                    closed: closed.clone(),
-                }),
-                Box::new(RingConsumer { rx, closed }),
-            )
+            let (mut tx, mut rx) = spsc_ring(capacity, BarrierPair::LD_ST);
+            ring_queue(move |v| tx.send(v), move || rx.try_recv())
         }
         QueueKind::RingBufferPilot => {
             let pool = HashPool::default_pool();
-            let (tx, rx) = pilot_ring(capacity, &pool, Barrier::DmbLd);
-            let closed = std::sync::Arc::new(AtomicBool::new(false));
-            (
-                Box::new(PilotProducer {
-                    tx,
-                    closed: closed.clone(),
-                }),
-                Box::new(PilotConsumer { rx, closed }),
-            )
+            let (mut tx, mut rx) = pilot_ring(capacity, &pool, Barrier::DmbLd);
+            ring_queue(move |v| tx.send(v), move || rx.try_recv())
         }
     }
 }
@@ -156,19 +139,36 @@ impl PipeQueue for LockQueueHandle {
 
 // ------------------------------------------------------------------ RB / RB-P
 
-struct RingProducer {
-    tx: SpscSender,
+/// The two ends of a ring — either ring: `send` is its blocking send,
+/// `try_recv` its non-blocking receive — sharing an end-of-stream flag.
+fn ring_queue(
+    send: impl FnMut(u64) + Send + 'static,
+    try_recv: impl FnMut() -> Option<u64> + Send + 'static,
+) -> (Box<dyn PipeQueue>, Box<dyn PipeQueue>) {
+    let closed = std::sync::Arc::new(AtomicBool::new(false));
+    let producer = RingProducer {
+        send,
+        closed: closed.clone(),
+    };
+    (
+        Box::new(producer),
+        Box::new(RingConsumer { try_recv, closed }),
+    )
+}
+
+struct RingProducer<S> {
+    send: S,
     closed: std::sync::Arc<AtomicBool>,
 }
 
-struct RingConsumer {
-    rx: SpscReceiver,
+struct RingConsumer<R> {
+    try_recv: R,
     closed: std::sync::Arc<AtomicBool>,
 }
 
-impl PipeQueue for RingProducer {
+impl<S: FnMut(u64) + Send> PipeQueue for RingProducer<S> {
     fn push(&mut self, v: u64) {
-        self.tx.send(v);
+        (self.send)(v);
     }
     fn pop(&mut self) -> Option<u64> {
         unreachable!("producer handle never pops");
@@ -178,60 +178,19 @@ impl PipeQueue for RingProducer {
     }
 }
 
-impl PipeQueue for RingConsumer {
+impl<R: FnMut() -> Option<u64> + Send> PipeQueue for RingConsumer<R> {
     fn push(&mut self, _v: u64) {
         unreachable!("consumer handle never pushes");
     }
     fn pop(&mut self) -> Option<u64> {
         let backoff = Backoff::new();
         loop {
-            if let Some(v) = self.rx.try_recv() {
+            if let Some(v) = (self.try_recv)() {
                 return Some(v);
             }
             if self.closed.load(Ordering::Acquire) {
                 // Drain anything that raced with the close.
-                return self.rx.try_recv();
-            }
-            backoff.snooze();
-        }
-    }
-    fn close(&mut self) {}
-}
-
-struct PilotProducer {
-    tx: PilotSenderRing,
-    closed: std::sync::Arc<AtomicBool>,
-}
-
-struct PilotConsumer {
-    rx: PilotReceiverRing,
-    closed: std::sync::Arc<AtomicBool>,
-}
-
-impl PipeQueue for PilotProducer {
-    fn push(&mut self, v: u64) {
-        self.tx.send(v);
-    }
-    fn pop(&mut self) -> Option<u64> {
-        unreachable!("producer handle never pops");
-    }
-    fn close(&mut self) {
-        self.closed.store(true, Ordering::Release);
-    }
-}
-
-impl PipeQueue for PilotConsumer {
-    fn push(&mut self, _v: u64) {
-        unreachable!("consumer handle never pushes");
-    }
-    fn pop(&mut self) -> Option<u64> {
-        let backoff = Backoff::new();
-        loop {
-            if let Some(v) = self.rx.try_recv() {
-                return Some(v);
-            }
-            if self.closed.load(Ordering::Acquire) {
-                return self.rx.try_recv();
+                return (self.try_recv)();
             }
             backoff.snooze();
         }

@@ -53,18 +53,6 @@ impl HashPool {
         HashPool::new(0xA5A5, DEFAULT_POOL_SIZE)
     }
 
-    /// Number of seeds before the schedule repeats.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.seeds.len()
-    }
-
-    /// Never empty (constructor enforces it), provided for completeness.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
-    }
-
     /// The next seed (`hashPool[cnt++ % SIZE]`).
     #[inline]
     pub fn next_seed(&mut self) -> u64 {
@@ -77,12 +65,6 @@ impl HashPool {
     #[must_use]
     pub fn seed_at(&self, i: usize) -> u64 {
         self.seeds[i % self.seeds.len()]
-    }
-
-    /// Current cursor position (rounds completed).
-    #[must_use]
-    pub fn cursor(&self) -> usize {
-        self.cursor
     }
 }
 
@@ -119,12 +101,26 @@ mod tests {
     }
 
     #[test]
-    fn schedule_wraps() {
-        let mut p = HashPool::new(3, 4);
-        let first: Vec<u64> = (0..4).map(|_| p.next_seed()).collect();
-        let second: Vec<u64> = (0..4).map(|_| p.next_seed()).collect();
-        assert_eq!(first, second);
-        assert_eq!(p.cursor(), 8);
+    fn schedule_wraps_in_step_on_both_endpoints() {
+        // Each endpoint walks its own clone on its own thread, three times
+        // round a four-seed pool: every wire word decodes, and the schedule
+        // repeats with the pool's length.
+        let mut tx = HashPool::new(3, 4);
+        let mut rx = tx.clone();
+        let (wire_in, wire_out) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for payload in 0..12u64 {
+                    let seed = tx.next_seed();
+                    assert_eq!(seed, tx.seed_at(payload as usize % 4));
+                    wire_in.send(payload ^ seed).expect("the receiver is alive");
+                }
+            });
+            s.spawn(move || {
+                let got: Vec<u64> = wire_out.iter().map(|w| w ^ rx.next_seed()).collect();
+                assert_eq!(got, (0..12).collect::<Vec<u64>>());
+            });
+        });
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! * [`channel::spsc_ring`] — the baseline barrier-configurable
 //!   producer-consumer ring (Algorithm 2) for comparison.
 //! * [`channel::pilot_ring`] — the ring with Pilot applied (§4.4): the
-//!   post-RMR barrier and the consumer's flag line are gone.
-//! * [`batch`] — batched (n × 8-byte) transfers (§4.5, Figure 6(c)).
+//!   post-RMR barrier and the consumer's flag line are gone. A batched
+//!   (n × 8-byte) transfer (§4.5, Figure 6(c)) is `n` sends over either.
 //!
 //! On x86 hosts everything is correct (TSO is stronger than the barriers
 //! requested); on aarch64 the configured barriers compile to the real
@@ -43,7 +43,6 @@
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod cell;
 pub mod channel;
 pub mod hashpool;

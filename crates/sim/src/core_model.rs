@@ -23,9 +23,9 @@
 //! engine need not observe every cycle. `pipeline` is the cycle itself,
 //! `wake` says when the next one that matters comes — [`Core::next_wake`]
 //! for the lockstep oracle, `Core::sleep` for the event engine — and `skip`
-//! accounts for the cycles in between: [`Core::settled_to`](Core) is the
-//! single watermark of what has been applied, `Core::catch_up` the single
-//! path that moves it (`DESIGN.md` §10).
+//! accounts for the cycles in between: `settled_to` is the single
+//! watermark of what has been applied, `Core::catch_up` the single path
+//! that moves it (`DESIGN.md` §10).
 
 mod pipeline;
 mod skip;
@@ -329,7 +329,7 @@ impl Core {
 
     /// [`Core::step`] invocations so far.
     #[must_use]
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.steps
     }
 

@@ -376,8 +376,8 @@ impl Core {
                 stall = Stall::Barrier(StallCause::ResponseWindow, self.issue_block_kind);
                 break;
             }
-            if self.pending_barrier.as_ref().is_some_and(|b| b.blocks_all()) {
-                // A DSB-class barrier still waiting for its priors.
+            if self.blocked_all(now) {
+                // By a DSB-class barrier still waiting for its priors.
                 if let Some((cause, kind)) = self.memory_block(now) {
                     stall = Stall::Barrier(cause, kind);
                     break;
@@ -697,8 +697,8 @@ impl Core {
                     crossed_node: false,
                     had_priors: false,
                 };
-                b.had_priors = (b.waits_loads() && waits_loads_now)
-                    || (b.waits_stores() && waits_stores_now);
+                b.had_priors =
+                    (b.waits_loads() && waits_loads_now) || (b.waits_stores() && waits_stores_now);
                 // Seed scope from accesses already outstanding.
                 if b.waits_loads() {
                     for l in &self.loads {

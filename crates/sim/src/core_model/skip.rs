@@ -388,7 +388,7 @@ impl Core {
         self.stats.loads += periods * period.loads;
         self.stats.issued += periods * period.issued;
         self.stats.retired += periods * period.issued;
-        while let Some(w) = self.skip_wake(self.settled_to).filter(|&w| w <= upto) {
+        while let Some(w) = self.skip_wake().filter(|&w| w <= upto) {
             self.step(w, topo, lat, frozen, trace);
         }
     }

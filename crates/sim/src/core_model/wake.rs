@@ -103,16 +103,17 @@ impl Core {
     }
 
     /// [`Core::next_wake`] under the event engine's weaker *skip* contract,
-    /// asked at the watermark: between `now` and the returned cycle,
-    /// stepping this core changes nothing another core, its thread or the
-    /// run loop can observe, and `Core::catch_up` brings it to exactly the
-    /// per-cycle state. Differs from the heartbeat only in a quiet run:
+    /// asked at the watermark: between it and the returned cycle, stepping
+    /// this core changes nothing another core, its thread or the run loop
+    /// can observe, and `Core::catch_up` brings it to exactly the per-cycle
+    /// state. Differs from the heartbeat only in the two quiet states:
     /// retirement alone never wakes the core — one that issues nothing
-    /// sleeps until its next event — and one pushing nops wakes at the
-    /// cycle that ends the run, a real step because it may fetch the next
-    /// op (or open a stall run), or at its next event if that comes first.
-    pub(crate) fn skip_wake(&self, now: Cycle) -> Option<Cycle> {
-        debug_assert_eq!(now, self.settled_to, "asked away from the watermark");
+    /// ([`Between::Idle`]) sleeps until its next event — and one pushing
+    /// nops ([`Between::Nops`]) wakes at the cycle that ends the run, a real
+    /// step because it may fetch the next op (or open a stall run), or at
+    /// its next event if that comes first.
+    pub(crate) fn skip_wake(&self) -> Option<Cycle> {
+        let now = self.settled_to;
         let wake = match self.between() {
             Between::Still | Between::Stalled(..) => self.next_wake(now),
             Between::Idle => self.next_event(now),
@@ -134,7 +135,7 @@ impl Core {
     pub(crate) fn sleep(&mut self, now: Cycle, shared: &mut SharedState) -> Option<Cycle> {
         match self.spin.as_ref().and_then(|rec| rec.settled_at(now)) {
             Some(period) if self.park(period, shared) => None,
-            _ => self.skip_wake(now),
+            _ => self.skip_wake(),
         }
     }
 }

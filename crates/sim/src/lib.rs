@@ -27,22 +27,24 @@
 //!
 //! The simulator is deterministic: the same machine + threads produce the
 //! same cycle counts on every host, under either scheduling engine
-//! ([`machine::Engine`]). The default, event-driven one steps a core only
-//! at its *events* and accounts for everything between them in closed
-//! form: a core parked on [`Op::WaitChange`] is woken by the write it waits
-//! for, a core that only retires completed instructions or pushes nops is
-//! in a *quiet run* whose cycles are applied when it is next looked at, and
-//! a poll loop a thread has marked with [`Op::SpinMark`] is parked once it
-//! has settled. The lockstep oracle steps every cycle in which anything
-//! retires or issues and is what the differential tests hold the event
-//! engine to. A core states the two contracts side by side:
+//! ([`machine::Engine`]). The lockstep oracle steps every cycle in which
+//! anything retires or issues and is what the differential tests hold the
+//! default, event-driven engine to. That one steps a core only at its
+//! *events*; in the cycles between two observations a core is still,
+//! stalled behind a barrier (each cycle charged to the open stall run),
+//! retiring what has completed while it waits for a value or parked on
+//! [`Op::WaitChange`], pushing nops, or repeating the settled period of a
+//! poll loop its thread marked with [`Op::SpinMark`] — five closed forms,
+//! applied by one function against one watermark per core when the core is
+//! next looked at (`core_model::Core::catch_up`), so a run stopped anywhere
+//! reads as if every cycle had been stepped. A core states the two wake
+//! contracts side by side:
 //! [`Core::next_wake`](core_model::Core::next_wake) is the oracle's
 //! *heartbeat* (before the returned cycle a step is a no-op, so retirement
-//! and nops report the next cycle), and
-//! [`Core::next_wake_skipping_nops`](core_model::Core::next_wake_skipping_nops)
-//! the event engine's *skip* (before the returned cycle a step changes
-//! nothing another core, the thread or the run loop can observe, and the
-//! next step brings the core to exactly the per-cycle state).
+//! and nops report the next cycle), and `Core::sleep` the event engine's
+//! *skip* (before the returned cycle a step changes nothing another core,
+//! the thread or the run loop can observe; a parked core returns none and
+//! is woken by the write it waits for).
 //!
 //! # Example
 //!

@@ -413,7 +413,7 @@ impl Machine {
             if self.cores[s].spin_parked() {
                 let reach = if s < w { t } else { t - 1 };
                 self.catch_up(s, reach);
-                if let Some(wake) = self.cores[s].skip_wake(reach) {
+                if let Some(wake) = self.cores[s].skip_wake() {
                     self.schedule(s, wake);
                 }
             }
@@ -1309,7 +1309,11 @@ mod tests {
                     m.set_engine(engine);
                     let stopped = m.run(n);
                     let at = format!("{what}, {engine:?}, bound {n}");
-                    assert_eq!((stopped.cycles, m.now(), stopped.halted), (n, n, false), "{at}");
+                    assert_eq!(
+                        (stopped.cycles, m.now(), stopped.halted),
+                        (n, n, false),
+                        "{at}"
+                    );
                     assert!(observe(&m) == truth[n as usize], "{at}: not caught up");
                     let resumed = m.run(1 << 40);
                     assert_eq!((resumed.cycles, resumed.halted), (end, true), "{at}");
@@ -1319,7 +1323,10 @@ mod tests {
             if what == "a DSB window" {
                 let stalled = |n: usize| truth[n].0[0].stall.total;
                 let window = (1..truth.len()).filter(|&n| stalled(n) == stalled(n - 1) + 1);
-                assert!(window.count() > 100, "a bound inside the stall is charged up to it");
+                assert!(
+                    window.count() > 100,
+                    "a bound inside the stall is charged up to it"
+                );
             }
         }
     }

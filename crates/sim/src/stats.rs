@@ -77,7 +77,7 @@ impl StallCause {
 ///   comparisons of Figures 6–7.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallBreakdown {
-    /// Total fully stalled issue cycles (the former `barrier_stall_cycles`).
+    /// Total fully stalled issue cycles.
     pub total: Cycle,
     /// Cycles inside a DSB/ISB response window.
     pub response_window: Cycle,
@@ -353,8 +353,7 @@ pub struct CoreStats {
 }
 
 impl CoreStats {
-    /// Total barrier-stall cycles (the scalar this struct used to carry
-    /// before the breakdown existed).
+    /// Total barrier-stall cycles, over every cause and kind.
     #[must_use]
     pub fn barrier_stall_cycles(&self) -> Cycle {
         self.stall.total
