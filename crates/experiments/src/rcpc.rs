@@ -47,7 +47,7 @@ pub fn rcpc_grid(sweep: &mut SweepSpec, replay_iters: u64) -> Vec<(String, CellI
     let mut rows = Vec::new();
     for acquire in [Acquire::Sc, Acquire::Pc] {
         for test in shapes(acquire) {
-            let key = model_key(&("rcpc-v1", &test.name, &test.program, replay_iters));
+            let key = model_key(&("rcpc", &test.name, &test.program, replay_iters));
             let name = test.name.clone();
             let id = sweep.cell(key, move || {
                 let set = explore(&test.program, MemoryModel::ArmWmm);
