@@ -31,7 +31,7 @@ use armbar_sim::{Cpu, Machine, Op, Platform, RmwKind, Script, SimThread, Trace};
 use crate::harness::{machine, run_lock, RunOpts};
 use crate::lower::{fence, order_after_load};
 use crate::metrics::DlockMetrics;
-use crate::ticket_sim::{modify_lines, run_ticket, LockResult, TicketConfig};
+use crate::ticket_sim::{modify_lines, LockResult};
 
 /// Shared layout: per-client slots are fully padded; request and response
 /// live on different lines.
@@ -871,54 +871,6 @@ pub fn run_delegation_with(
     (metrics, trace)
 }
 
-/// Figure 7(c): throughput of the five lock variants at one contention
-/// interval (`10^n × 128` nops).
-#[must_use]
-pub fn fig7c_point(
-    platform: &Platform,
-    clients: usize,
-    interval_nops: u32,
-    per: u64,
-) -> [(String, f64); 5] {
-    let delegation = |kind, mode| {
-        let cfg = DelegationConfig {
-            kind,
-            clients,
-            barriers: DelegationBarriers {
-                req: Barrier::Ldar,
-                resp: Barrier::DmbSt,
-            },
-            mode,
-            profile: CsProfile::counter(),
-            per_client: per,
-            interval_nops,
-        };
-        run_delegation(platform, cfg).locks_per_sec
-    };
-    let ticket = run_ticket(
-        platform,
-        TicketConfig {
-            threads: clients,
-            global_lines: 1,
-            cs_nops: 4,
-            post_nops: interval_nops,
-            release_barrier: Barrier::DmbSt,
-            per_thread: per,
-        },
-    );
-    use {
-        DelegationKind::{DSynch, Ffwd},
-        ResponseMode::{Flag, Pilot},
-    };
-    [
-        ("Ticket".into(), ticket.locks_per_sec),
-        ("DSynch".into(), delegation(DSynch, Flag)),
-        ("DSynch-P".into(), delegation(DSynch, Pilot)),
-        ("FFWD".into(), delegation(Ffwd, Flag)),
-        ("FFWD-P".into(), delegation(Ffwd, Pilot)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1022,34 +974,40 @@ mod tests {
         );
     }
 
+    /// Figure 7(c)'s delegation cell: the counter critical section with
+    /// `interval_nops` between a client's requests.
+    fn fig7c(
+        kind: DelegationKind,
+        mode: ResponseMode,
+        clients: usize,
+        interval: u32,
+        per: u64,
+    ) -> f64 {
+        let cfg = DelegationConfig {
+            kind,
+            clients,
+            mode,
+            per_client: per,
+            interval_nops: interval,
+            ..DelegationConfig::default_ffwd()
+        };
+        run_delegation(&kunpeng(), cfg).locks_per_sec
+    }
+
     #[test]
     fn fig7c_pilot_helps_both_delegation_locks_at_high_contention() {
-        let p = kunpeng();
-        let point = fig7c_point(&p, 8, 0, 30);
-        let get = |name: &str| {
-            point
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, v)| v)
-                .expect("variant present")
-        };
-        assert!(get("DSynch-P") > get("DSynch"), "{point:?}");
-        assert!(get("FFWD-P") > get("FFWD"), "{point:?}");
+        for kind in [DelegationKind::DSynch, DelegationKind::Ffwd] {
+            let flag = fig7c(kind, ResponseMode::Flag, 8, 0, 30);
+            let pilot = fig7c(kind, ResponseMode::Pilot, 8, 0, 30);
+            assert!(pilot > flag, "{kind:?}: Pilot {pilot} vs Flag {flag}");
+        }
     }
 
     #[test]
     fn fig7c_pilot_gain_fades_at_low_contention() {
-        let p = kunpeng();
         let gain_at = |interval| {
-            let point = fig7c_point(&p, 6, interval, 20);
-            let get = |name: &str| {
-                point
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|&(_, v)| v)
-                    .expect("present")
-            };
-            get("DSynch-P") / get("DSynch")
+            let dsynch = |mode| fig7c(DelegationKind::DSynch, mode, 6, interval, 20);
+            dsynch(ResponseMode::Pilot) / dsynch(ResponseMode::Flag)
         };
         let high = gain_at(0);
         let low = gain_at(12_800);
