@@ -53,6 +53,14 @@ pub enum FindingKind {
 }
 
 impl FindingKind {
+    /// Every verdict class, in `lint_summary`'s row order.
+    pub const ALL: [FindingKind; 4] = [
+        FindingKind::Redundant,
+        FindingKind::OverStrong,
+        FindingKind::Missing,
+        FindingKind::Necessary,
+    ];
+
     /// Stable lowercase label used in reports and `lint.csv`.
     #[must_use]
     pub fn label(self) -> &'static str {

@@ -45,6 +45,24 @@ pub enum CostRank {
     SyncBarrier,
 }
 
+impl CostRank {
+    /// Stable lowercase label used in reports and `lint.csv`.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            CostRank::Free => "free",
+            CostRank::Dependency => "dependency",
+            CostRank::RcpcAcquire => "rcpc-acquire",
+            CostRank::LoadBarrier => "load-barrier",
+            CostRank::PipelineFlush => "pipeline-flush",
+            CostRank::StoreBarrier => "store-barrier",
+            CostRank::FullBarrier => "full-barrier",
+            CostRank::StoreRelease => "store-release",
+            CostRank::SyncBarrier => "sync-barrier",
+        }
+    }
+}
+
 /// Place a barrier on the empirical cost ranking.
 #[must_use]
 pub fn cost_rank(b: Barrier) -> CostRank {

@@ -12,11 +12,28 @@ const ITERS: u64 = 40;
 #[test]
 fn lint_csv_is_byte_identical_across_workers_and_cache_state() {
     let rungs = verify::ladder(|ctx| Ok(lint_results(ctx, ITERS))).expect("ladder holds");
-    let (_, rows) = &rungs.value;
-    assert!(!rows.is_empty(), "corpus must produce rows");
-    assert!(
-        rows.iter().any(|(_, r)| !r.is_empty()),
-        "corpus must produce findings"
+    let (csv, cells) = &rungs.value;
+    assert_eq!(
+        rungs.cells as usize,
+        cells.len(),
+        "one cell per corpus case"
     );
-    assert_eq!(rungs.cells as usize, rows.len(), "one cell per corpus case");
+    let mut lines = csv.lines();
+    let header = lines.next().expect("header line");
+    let committed = include_str!("../../../results/lint.csv");
+    assert_eq!(Some(header), committed.lines().next());
+    // Every cell counts the rows it wrote: after two exploration totals,
+    // a finding count leads each kind's five numbers.
+    let findings: f64 = cells.iter().flat_map(|c| c[2..].iter().step_by(5)).sum();
+    let rows: Vec<&str> = lines.collect();
+    assert!(!rows.is_empty(), "corpus must produce findings");
+    assert_eq!(rows.len() as f64, findings);
+    let columns = header.split(',').count();
+    for row in &rows {
+        assert_eq!(row.split(',').count(), columns, "ragged row: {row}");
+    }
+    assert!(
+        rows.iter().any(|r| r.contains(",witness:T")),
+        "counterexample proofs render their step chain"
+    );
 }
