@@ -55,7 +55,14 @@ fn lint_every_actionable_row_carries_a_proof_artifact() {
                 assert_eq!(r["outcomes_removed"], "0", "{r:?}");
             }
             "over-strong" => {
-                assert!(r["proof"].starts_with("outcomes-preserved"), "{r:?}");
+                // Only the acquire downgrade is proved by outcome-set equality.
+                let downgrade = r["barrier"] == "LDAR" && r["suggestion"] == "LDAPR";
+                let proof = if downgrade {
+                    "outcomes-equal"
+                } else {
+                    "outcomes-preserved"
+                };
+                assert!(r["proof"].starts_with(proof), "{r:?}");
                 assert_eq!(r["outcomes_added"], "0", "{r:?}");
             }
             _ => assert!(r["proof"].starts_with("witness:"), "{r:?}"),
