@@ -281,8 +281,8 @@ fn cheaper_candidates(req: OrderReq, orig: Barrier) -> Vec<(Barrier, bool)> {
 }
 
 /// The exploration backend `analyze_case_with` runs: same signature as
-/// [`explore`]. Benchmarks wrap [`armbar_wmm::explore_oracle`] to price
-/// the whole pipeline on the pre-DPOR explorer.
+/// [`explore`]. Tests substitute a recording explorer to see every
+/// outcome set the pipeline compares.
 pub type ExploreFn = fn(&Program, MemoryModel) -> Arc<OutcomeSet>;
 
 /// Analyze one case: every site classified, plus the case-level missing

@@ -1107,10 +1107,6 @@ pub fn attrib(ctx: &SweepCtx) -> Vec<Table> {
 /// The demo is the Kunpeng916 ticket lock — every competitor core fences,
 /// so all four tracks carry events.
 ///
-/// `ARMBAR_TRACE_CORES=<n|id,id,…>` restricts the exported JSON to the
-/// first `n` cores (or the listed core ids) — the escape hatch that keeps
-/// traces of many-core runs small enough to open.
-///
 /// # Errors
 ///
 /// Propagates filesystem errors.
@@ -1124,10 +1120,7 @@ pub fn export_trace(path: &std::path::Path) -> std::io::Result<()> {
         per_thread: 40,
         ..Default::default()
     };
-    let mut trace = run_ticket_with(&Platform::kunpeng916(), cfg, opts).1;
-    let cores =
-        armbar_sim::Trace::parse_core_filter(std::env::var("ARMBAR_TRACE_CORES").ok().as_deref());
-    trace.retain_cores(cores.as_deref());
+    let trace = run_ticket_with(&Platform::kunpeng916(), cfg, opts).1;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }

@@ -10,14 +10,13 @@
 //! byte-identical to a serial run.
 //!
 //! [`EXPERIMENTS`] is the only place an experiment is named. The `armbar`
-//! binary (`list`, `run <id…|all>`, `verify [id…]`, `bench sim|explore`,
-//! plus the analyzer front-ends `lint`, `synth`, `lift`) drives it, and
-//! [`verify`] holds the byte-identity ladder once.
+//! binary (`list`, `run <id…|all>`, `verify [id…]`, plus the analyzer
+//! front-ends `lint`, `synth`, `lift`) drives it, and [`verify`] holds the
+//! byte-identity ladder once.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench_explore;
 pub mod bench_sim;
 pub mod cache;
 pub mod dlock;

@@ -1,12 +1,11 @@
-//! `armbar`: the workspace's one binary — list, run, verify and benchmark
-//! every experiment in the registry, and run the analyzer on the corpus or
-//! on a real AArch64 assembly file.
+//! `armbar`: the workspace's one binary — list, run and verify every
+//! experiment in the registry, and run the analyzer on the corpus or on a
+//! real AArch64 assembly file.
 //!
 //! ```text
 //! armbar list                   every experiment id
 //! armbar run <id…|all>          print the tables, write results/*.csv
 //! armbar verify [id…]           serial == 4 workers == cold == warm cache == committed results/*.csv
-//! armbar bench sim|explore      write BENCH_sim.json / BENCH_explore.json (panics below the floors)
 //! armbar lint [FILTER|file.s]   every barrier site's verdict, with its proof artifact
 //! armbar synth [FILTER]         cheapest outcome-preserving placement per case, priced per platform
 //! armbar lift <file.s>          the litmus program the extractor recovers from an assembly file
@@ -40,9 +39,7 @@ use armbar_analyze::lint::{analyze_case, FindingKind, Proof};
 use armbar_analyze::replay::{saved_cycles, REPLAY_ITERS};
 use armbar_analyze::synth::{chosen_point, pareto_fronts, synthesize};
 use armbar_analyze::{corpus, LintCase};
-use armbar_experiments::{
-    bench_explore, bench_sim, find, verify, Experiment, SweepCtx, Table, EXPERIMENTS,
-};
+use armbar_experiments::{find, verify, Experiment, SweepCtx, Table, EXPERIMENTS};
 use armbar_sim::PlatformKind;
 
 /// Exit code and the line that explains it.
@@ -67,8 +64,6 @@ fn main() -> ExitCode {
         ["run", ids @ ..] if !ids.is_empty() => select(ids).and_then(run),
         ["verify"] => verify(EXPERIMENTS.iter().filter(|e| e.deterministic).collect()),
         ["verify", ids @ ..] => select(ids).and_then(verify),
-        ["bench", "sim"] => bench("BENCH_sim.json", &bench_sim::bench_sim_json()),
-        ["bench", "explore"] => bench("BENCH_explore.json", &bench_explore::bench_explore_json()),
         // A file, not a corpus filter (`.s`: a typo still gets the file diagnostic).
         ["lint", path] if path.ends_with(".s") || std::path::Path::new(path).is_file() => {
             lift(path).and_then(|case| lint(&[case]))
@@ -78,7 +73,7 @@ fn main() -> ExitCode {
         ["lift", path] => lift(path).map(|case| print!("{}", case.program)),
         _ => Err((
             NO_MATCH,
-            "usage: armbar list | run <id…|all> | verify [id…] | bench sim|explore | \
+            "usage: armbar list | run <id…|all> | verify [id…] | \
              lint [FILTER|file.s] | synth [FILTER] | lift <file.s>"
                 .to_string(),
         )),
@@ -153,14 +148,6 @@ fn verify(selected: Vec<&'static Experiment>) -> Result<(), Failure> {
     } else {
         Err((FAILED, format!("verify failed for {}", failed.join(" "))))
     }
-}
-
-/// Print a benchmark document and write it next to the committed one.
-fn bench(file: &str, json: &str) -> Result<(), Failure> {
-    print!("{json}");
-    std::fs::write(file, json).map_err(|e| (FAILED, format!("could not write {file}: {e}")))?;
-    eprintln!("wrote {file}");
-    Ok(())
 }
 
 /// The corpus cases whose name contains `filter` (all of them without

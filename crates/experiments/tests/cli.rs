@@ -75,7 +75,7 @@ fn unknown_id_exits_2_with_one_line_listing_the_valid_ids() {
 #[test]
 fn no_command_and_unknown_commands_exit_2_with_usage() {
     let dir = scratch("usage");
-    let cases: [&[&str]; 4] = [&[], &["frobnicate"], &["run"], &["bench", "everything"]];
+    let cases: [&[&str]; 4] = [&[], &["frobnicate"], &["run"], &["bench", "sim"]];
     for args in cases {
         let out = armbar(&dir, args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

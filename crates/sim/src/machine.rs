@@ -157,13 +157,6 @@ impl Machine {
         self.trace.enabled = true;
     }
 
-    /// Restrict the trace to `cores` (see [`Trace::set_core_filter`]);
-    /// `None` records every core. On a many-core machine the filter is what
-    /// keeps traces small: un-filtered, a thousand cores share one ring.
-    pub fn set_trace_core_filter(&mut self, cores: Option<Vec<CoreId>>) {
-        self.trace.set_core_filter(cores);
-    }
-
     /// The machine's event trace (empty unless enabled).
     #[must_use]
     pub fn trace(&self) -> &Trace {
@@ -1399,45 +1392,6 @@ mod tests {
             m.steps_executed() < 40_000,
             "parked spinners must not burn steps: {}",
             m.steps_executed()
-        );
-    }
-
-    #[test]
-    fn thousand_core_quiet_run_traces_small() {
-        // Tracing a 1024-core machine where only core 0 is interesting:
-        // the filter plus lazy track allocation keep the export tiny even
-        // though a thousand other cores park, wake, and publish.
-        let mut m = Machine::new(Platform::manycore(1024));
-        m.enable_trace(200_000);
-        m.set_trace_core_filter(Trace::parse_core_filter(Some("1")));
-        for c in 1..1024 {
-            m.add_thread_on(
-                c,
-                Box::new(Waiter {
-                    expect: 0,
-                    phase: 0,
-                }),
-            );
-        }
-        m.add_thread_on(
-            0,
-            Box::new(Script::new(vec![
-                Op::Nops(50),
-                Op::Fence(Barrier::DmbFull),
-                Op::store(0x5000, 1),
-            ])),
-        );
-        assert!(m.run(10_000_000).halted);
-        let json = m.take_trace().to_chrome_json();
-        assert!(
-            json.len() < 16 * 1024,
-            "filtered 1024-core trace stays small: {} bytes",
-            json.len()
-        );
-        assert!(json.contains("\"tid\":0"), "core 0's track is present");
-        assert!(
-            !json.contains("\"tid\":40"),
-            "other cores' tracks are filtered out"
         );
     }
 

@@ -171,11 +171,6 @@ pub struct Trace {
     pub enabled: bool,
     ring: VecDeque<Stamped>,
     capacity: usize,
-    /// When set, only events of these cores are retained. Tracks are
-    /// allocated lazily either way (a core with no events has no track in
-    /// the export); the filter is what keeps a many-core trace small when
-    /// only a few cores are interesting.
-    core_filter: Option<Vec<CoreId>>,
 }
 
 impl Default for Trace {
@@ -194,60 +189,13 @@ impl Trace {
             enabled: false,
             ring: VecDeque::new(),
             capacity: capacity.max(1),
-            core_filter: None,
         }
     }
 
-    /// Restrict recording to `cores` (`None` lifts the restriction).
-    /// The filter list is kept sorted for the binary-search membership test.
-    pub fn set_core_filter(&mut self, cores: Option<Vec<CoreId>>) {
-        self.core_filter = cores.map(|mut v| {
-            v.sort_unstable();
-            v.dedup();
-            v
-        });
-    }
-
-    /// Parse an `ARMBAR_TRACE_CORES`-style selector: a single number `n`
-    /// means "the first `n` cores" (ids `0..n`), a comma-separated list
-    /// names specific core ids. `None`, an empty string, or anything
-    /// unparsable means no filter.
-    #[must_use]
-    pub fn parse_core_filter(var: Option<&str>) -> Option<Vec<CoreId>> {
-        let s = var?.trim();
-        if s.is_empty() {
-            return None;
-        }
-        if s.contains(',') {
-            let ids: Option<Vec<CoreId>> = s
-                .split(',')
-                .map(|p| p.trim().parse::<CoreId>().ok())
-                .collect();
-            ids.filter(|v| !v.is_empty())
-        } else {
-            s.parse::<CoreId>().ok().map(|n| (0..n).collect())
-        }
-    }
-
-    /// Drop already-recorded events from cores outside `cores` (`None` is
-    /// a no-op). The post-hoc counterpart of [`Trace::set_core_filter`] for
-    /// callers that only see a finished trace — e.g. the experiment
-    /// harness applying `ARMBAR_TRACE_CORES` to an exported run.
-    pub fn retain_cores(&mut self, cores: Option<&[CoreId]>) {
-        if let Some(cores) = cores {
-            self.ring.retain(|s| cores.contains(&s.event.core()));
-        }
-    }
-
-    /// Record an event (no-op while disabled or filtered out).
+    /// Record an event (no-op while disabled).
     pub fn record(&mut self, at: Cycle, event: Event) {
         if !self.enabled {
             return;
-        }
-        if let Some(f) = &self.core_filter {
-            if f.binary_search(&event.core()).is_err() {
-                return;
-            }
         }
         while self.ring.len() >= self.capacity {
             self.ring.pop_front();
@@ -515,50 +463,6 @@ mod tests {
         assert!(json.contains("barrier-done:DMB full"));
         // The begin instant is folded into the slice, not emitted twice.
         assert!(!json.contains("stall-begin"));
-    }
-
-    #[test]
-    fn core_filter_drops_other_cores_events() {
-        let mut t = Trace::new(16);
-        t.enabled = true;
-        t.set_core_filter(Some(vec![2, 0]));
-        for core in 0..4 {
-            t.record(core as Cycle, Event::Iteration { core, count: 1 });
-        }
-        let cores: Vec<CoreId> = t.events().map(|e| e.event.core()).collect();
-        assert_eq!(cores, vec![0, 2]);
-        t.set_core_filter(None);
-        t.record(9, Event::Iteration { core: 3, count: 2 });
-        assert_eq!(t.len(), 3, "lifting the filter records everything again");
-    }
-
-    #[test]
-    fn retain_cores_filters_a_finished_trace() {
-        let mut t = Trace::new(16);
-        t.enabled = true;
-        for core in 0..4 {
-            t.record(core as Cycle, Event::Iteration { core, count: 1 });
-        }
-        t.retain_cores(None);
-        assert_eq!(t.len(), 4, "no filter retains everything");
-        t.retain_cores(Some(&[1, 3]));
-        let cores: Vec<CoreId> = t.events().map(|e| e.event.core()).collect();
-        assert_eq!(cores, vec![1, 3]);
-    }
-
-    #[test]
-    fn core_filter_parsing() {
-        assert_eq!(Trace::parse_core_filter(None), None);
-        assert_eq!(Trace::parse_core_filter(Some("")), None);
-        assert_eq!(Trace::parse_core_filter(Some("  ")), None);
-        assert_eq!(Trace::parse_core_filter(Some("bogus")), None);
-        assert_eq!(Trace::parse_core_filter(Some("3")), Some(vec![0, 1, 2]));
-        assert_eq!(Trace::parse_core_filter(Some("0")), Some(vec![]));
-        assert_eq!(
-            Trace::parse_core_filter(Some("0, 4,40")),
-            Some(vec![0, 4, 40])
-        );
-        assert_eq!(Trace::parse_core_filter(Some("1,x")), None);
     }
 
     #[test]

@@ -230,34 +230,6 @@ pub fn run_model_on(
     }
 }
 
-/// Find the tipping point (Figure 4): the smallest nop count, scanning
-/// `candidates`, at which `DMB full-2` reaches ≥ `threshold` of the
-/// no-barrier throughput. Returns `(nops, full1/full2 throughput ratio)`.
-#[must_use]
-pub fn tipping_point(bind: BindConfig, candidates: &[u32], threshold: f64) -> Option<(u32, f64)> {
-    for &n in candidates {
-        let none = run_model(
-            bind,
-            ModelSpec::store_store(Barrier::None, BarrierLoc::BeforeOp2, n),
-            600,
-        );
-        let full2 = run_model(
-            bind,
-            ModelSpec::store_store(Barrier::DmbFull, BarrierLoc::BeforeOp2, n),
-            600,
-        );
-        if full2.loops_per_sec >= threshold * none.loops_per_sec {
-            let full1 = run_model(
-                bind,
-                ModelSpec::store_store(Barrier::DmbFull, BarrierLoc::AfterOp1, n),
-                600,
-            );
-            return Some((n, full1.loops_per_sec / full2.loops_per_sec));
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,21 +292,6 @@ mod tests {
         );
         assert!(full1 < 0.75 * full2, "X-1 {full1} must trail X-2 {full2}");
         assert!(full2 > 0.85 * none, "enough nops hide X-2 entirely");
-    }
-
-    #[test]
-    fn figure4_tipping_point_ratio_is_about_one_half() {
-        let (nops, ratio) = tipping_point(
-            BindConfig::KunpengCrossNodes,
-            &[100, 200, 300, 500, 700, 1000, 1500],
-            0.9,
-        )
-        .expect("a tipping point must exist");
-        assert!(nops >= 100);
-        assert!(
-            (0.35..=0.7).contains(&ratio),
-            "DMB full-1 ≈ half of DMB full-2 at the tipping point, got {ratio}"
-        );
     }
 
     #[test]

@@ -89,7 +89,7 @@
 //!    setup would dominate — and large programs get more shards and more,
 //!    finer frontier tasks. No production caller passes `workers > 1`
 //!    today (the sweeps parallelize a level up, across cells); the
-//!    differential suites and `armbar bench explore` do.
+//!    differential suites and the explorer pins do.
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;

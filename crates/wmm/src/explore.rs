@@ -363,7 +363,7 @@ pub fn explore_dpor_uncached(program: &Program, model: MemoryModel, workers: usi
 }
 
 /// The DPOR engine with thread-symmetry reduction explicitly switched:
-/// benchmarks measure the quotient's state cut through this, and
+/// tests pin the quotient's state cut through this, and
 /// differential tests check that `symmetry` never changes the outcome
 /// set. Production callers want [`explore`].
 #[must_use]

@@ -6,8 +6,8 @@
 //! * `u64` — the single-word fast path. Programs of at most 64 total
 //!   instructions (the whole litmus corpus) monomorphize to the same flat
 //!   shift-and-mask code the engine had when `u64` was hard-wired, so they
-//!   pay zero overhead for the generalization (`armbar bench explore` gates
-//!   this).
+//!   pay zero overhead for the generalization (the `benchmark/` ledger's
+//!   `wmm.explore.states_per_s` times this).
 //! * [`WideMask`] — a multi-word bitset sized per program, lifting the old
 //!   64-instruction ceiling for implementation-sized programs (unrolled
 //!   lock handoffs, channel round-trips). Up to [`INLINE_WORDS`] words (256

@@ -26,8 +26,8 @@
 //! and equivalence suites pin each lifted program structurally
 //! identical and outcome-set-equal to its hand-built twin here, so the
 //! two constructions check each other. They still feed the differential
-//! tests beyond 64 instructions and `armbar bench explore`'s
-//! `large_programs` section directly. Location and register numbering
+//! tests beyond 64 instructions and the root `tests/explorer_pins.rs`
+//! directly. Location and register numbering
 //! is part of each builder's documented contract so intent predicates
 //! (and the `.s` fixtures) can be written against it.
 

@@ -3,7 +3,7 @@
 //! advisor's recommendations).
 
 use armbar::prelude::*;
-use armbar_simapps::abstract_model::{run_model, tipping_point};
+use armbar_simapps::abstract_model::run_model;
 
 const ITERS: u64 = 300;
 
@@ -117,16 +117,4 @@ fn observation_6_bus_free_wins_and_is_sufficient() {
     // Semantics: the free idiom really forbids the reordering.
     let lb = armbar::wmm::litmus::load_buffering(Barrier::DataDep);
     assert!(!lb.allowed(MemoryModel::ArmWmm));
-}
-
-#[test]
-fn figure_4_tipping_ratio() {
-    let (nops, ratio) = tipping_point(
-        BindConfig::KunpengCrossNodes,
-        &[100, 300, 500, 700, 1000, 1500],
-        0.9,
-    )
-    .expect("tipping point exists");
-    assert!(nops >= 100);
-    assert!((0.35..=0.7).contains(&ratio), "≈ one half, got {ratio}");
 }

@@ -2,7 +2,7 @@
 //!
 //! `armbar verify` proves the CSVs are what the code produces; these tests
 //! prove that what is committed still says what EXPERIMENTS.md claims —
-//! proofs on every lint/synth row, LDAPR relaxing exactly the
+//! Figure 4's tipping ratio, proofs on every lint/synth row, LDAPR relaxing exactly the
 //! distinguishing shapes, cause shares summing to one, the many-core
 //! crossover, monotone latency quantiles. They only read files (std, no
 //! simulator), so they run in milliseconds under tier-1 `cargo test`.
@@ -38,6 +38,20 @@ fn num(row: &BTreeMap<String, String>, column: &str) -> f64 {
     row[column]
         .parse()
         .unwrap_or_else(|e| panic!("{column}={:?}: {e}", row[column]))
+}
+
+/// Figure 4: across nodes, enough nops hide DMB full-2, and at that point
+/// DMB full-1 still runs at about half its throughput.
+#[test]
+fn fig4_cross_node_tipping_point_has_full1_at_about_half_of_full2() {
+    let rows = read_csv("fig4.csv");
+    let cross = rows
+        .iter()
+        .find(|r| r["placement"] == "Kunpeng916 cross nodes")
+        .expect("a cross-node row");
+    assert!(num(cross, "tipping nops") >= 100.0, "{cross:?}");
+    let ratio = num(cross, "full1/full2 ratio");
+    assert!((0.35..=0.7).contains(&ratio), "≈ one half, got {ratio}");
 }
 
 #[test]
