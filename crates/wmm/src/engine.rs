@@ -10,11 +10,12 @@
 //!    load-destination register and every touched memory location a fixed
 //!    word slot, so a search state is a flat `Vec<u64>`: the first
 //!    `mask_words` words are a global performed-bitmask (one bit per
-//!    instruction across all threads), the rest are slot values.
-//!    Transitions apply and undo in place on a single mutable vector — no
-//!    per-transition clone of `Vec<BTreeMap>` — and the visited-set hashes
-//!    the packed words directly, once, into an arena-backed exact key set
-//!    ([`KeySet`]). The *enabled set* travels with the state: performing
+//!    instruction across all threads), the rest slot values as codes (a
+//!    value's index in a sorted dictionary). Transitions apply and undo in
+//!    place on a single mutable vector — no per-transition clone of
+//!    `Vec<BTreeMap>` — and the visited-set hashes each key once, slot
+//!    codes bit-packed, into an arena-backed exact key set ([`KeySet`]).
+//!    The *enabled set* travels with the state: performing
 //!    `g` can only enable `g`'s immediate successors in the per-thread
 //!    order ([`Layout::isucc`]), so it is updated from those instead of
 //!    re-derived from every unperformed instruction at every macro-step,
@@ -31,8 +32,8 @@
 //!    register or location is present in a map is a pure function of the
 //!    done-bitmask (a register is present iff some load writing it has
 //!    performed; a location iff it is in `init` or some store to it has
-//!    performed). Packed words default absent slots to 0, exactly the value
-//!    the oracle's `unwrap_or(0)` reads give them, so packed equality
+//!    performed). Absent slots hold code 0, value 0, exactly the value the
+//!    oracle's `unwrap_or(0)` reads give them, so packed equality
 //!    coincides with sparse-state equality and terminal packed states map
 //!    bijectively onto [`Outcome`]s.
 //!
@@ -168,6 +169,15 @@ pub(crate) struct Layout<M: Mask> {
     ordered_after: Vec<M>,
     /// Per-transition packed effect.
     effect: Vec<Effect>,
+    /// Every value a slot can hold, ascending: `0`, the `init` values and
+    /// the store constants — closed under every transition, since loads
+    /// copy slots and stores write constants or registers. Slots hold a
+    /// value's index here, its *code*; codes order like their values.
+    dict: Vec<u64>,
+    /// Bits per slot code in a visited key — the bit width of `dict.len()`
+    /// — and codes per word, `64 / code_bits`.
+    code_bits: u32,
+    codes_per_word: usize,
     /// The initial packed state.
     init: Vec<u64>,
     /// Per thread: sorted `(reg, slot)` of load-destination registers —
@@ -294,10 +304,25 @@ fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layo
             .expect("every accessed location has a slot")
     };
 
+    let mut dict: Vec<u64> = program.init.iter().map(|&(_, v)| v).chain([0]).collect();
+    for instr in program.threads.iter().flat_map(|t| &t.instrs) {
+        if let Instr::Store {
+            src: Src::Const(v) | Src::DepConst { value: v, .. },
+            ..
+        } = instr
+        {
+            dict.push(*v);
+        }
+    }
+    dict.sort_unstable();
+    dict.dedup();
+    let code = |v: u64| dict.binary_search(&v).expect("a dictionary value") as u64;
+    let code_bits = usize::BITS - dict.len().leading_zeros();
+
     let mut init = vec![0u64; words];
     for &(l, v) in &program.init {
         // Later duplicate entries win, matching the oracle's map collect.
-        init[mem_slot(l)] = v;
+        init[mem_slot(l)] = code(v);
     }
 
     let mut effect = Vec::with_capacity(total);
@@ -312,7 +337,7 @@ fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layo
             Instr::Store { loc, src, .. } => Effect::Store {
                 mem: mem_slot(*loc),
                 val: match src {
-                    Src::Const(v) | Src::DepConst { value: v, .. } => Val::Const(*v),
+                    Src::Const(v) | Src::DepConst { value: v, .. } => Val::Const(code(*v)),
                     // A register no load in the thread writes always reads
                     // as 0, exactly like the oracle's `unwrap_or(0)`.
                     Src::Reg(r) => reg_slot(tid[g], *r).map_or(Val::Const(0), Val::Slot),
@@ -434,6 +459,9 @@ fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layo
         conflict,
         ordered_after,
         effect,
+        code_bits,
+        codes_per_word: (64 / code_bits) as usize,
+        dict,
         init,
         out_regs,
         out_mem,
@@ -502,17 +530,52 @@ impl<M: Mask> Layout<M> {
 
     /// The [`Outcome`] a terminal packed state denotes. Every load and
     /// store has performed at a terminal, so every register slot and every
-    /// `out_mem` location carries its final value.
+    /// `out_mem` location carries the code of its final value.
     fn outcome_of(&self, st: &[u64]) -> Outcome {
         debug_assert_eq!(&st[..self.mask_words], self.all_mask.words());
+        let value = |s: usize| self.dict[st[s] as usize];
         Outcome {
             regs: self
                 .out_regs
                 .iter()
-                .map(|rs| rs.iter().map(|&(r, s)| (r, st[s])).collect())
+                .map(|rs| rs.iter().map(|&(r, s)| (r, value(s))).collect())
                 .collect(),
-            memory: self.out_mem.iter().map(|&(l, s)| (l, st[s])).collect(),
+            memory: self.out_mem.iter().map(|&(l, s)| (l, value(s))).collect(),
         }
+    }
+
+    /// Words of a visited key: the done words, the sleep words, then the
+    /// slot codes, `codes_per_word` to a word.
+    fn key_words(&self) -> usize {
+        let slots = self.init.len() - self.mask_words;
+        2 * self.mask_words + slots.div_ceil(self.codes_per_word)
+    }
+
+    /// Pack a full-width key — the state words, then the sleep words —
+    /// into `out`, [`key_words`](Self::key_words) long. Every code is below
+    /// `dict.len() < 1 << code_bits`, so packing is injective and a
+    /// visited-set lookup on the packed key stays exact.
+    fn pack(&self, key: &[u64], out: &mut Vec<u64>) {
+        let (state, sleep) = key.split_at(self.init.len());
+        let (done, slots) = state.split_at(self.mask_words);
+        out.clear();
+        out.extend_from_slice(done);
+        out.extend_from_slice(sleep);
+        let bits = self.code_bits;
+        let word = |cs: &[u64]| (0..).zip(cs).fold(0, |w, (i, &c)| w | (c << (i * bits)));
+        out.extend(slots.chunks(self.codes_per_word).map(word));
+    }
+
+    /// The full-width key [`pack`](Self::pack) packed.
+    fn unpack<'k>(&self, packed: &'k [u64]) -> impl Iterator<Item = u64> + use<'k, M> {
+        let (words, codes) = packed.split_at(2 * self.mask_words);
+        let (done, sleep) = words.split_at(self.mask_words);
+        let (per, bits) = (self.codes_per_word, self.code_bits);
+        let mask = u64::MAX >> (64 - bits);
+        let slots = (0..self.init.len() - self.mask_words)
+            .map(move |i| (codes[i / per] >> ((i % per) as u32 * bits)) & mask);
+        let (done, sleep) = (done.iter().copied(), sleep.iter().copied());
+        done.chain(slots).chain(sleep)
     }
 }
 
@@ -565,8 +628,8 @@ fn hash_words(words: &[u64]) -> u64 {
 /// allocator's mmap threshold (128 KiB in glibc): chunks that size come
 /// from the ordinary heap, next to the outcome sets the memo retains, and
 /// the space a finished exploration frees is reused by the next one
-/// (a lint + synth pass of the corpus peaks at 119.8 MB with these and at
-/// 120.8 MB with 1 MiB chunks; the last chunk's slack is also smaller).
+/// (a lint + synth pass of the corpus peaks at 33.2 MB with these and at
+/// 33.8 MB with 1 MiB chunks; the last chunk's slack is also smaller).
 const CHUNK_BYTES: usize = 64 << 10;
 
 /// An exact, grow-only set of fixed-width `u64` keys that allocates per
@@ -694,10 +757,9 @@ impl SharedSeen {
             (false, false) => 16,
             (false, true) => 64,
         };
-        let width = lay.init.len() + lay.mask_words;
         SharedSeen {
             shards: (0..shards)
-                .map(|_| Mutex::new(KeySet::new(width)))
+                .map(|_| Mutex::new(KeySet::new(lay.key_words())))
                 .collect(),
             shard_bits: shards.ilog2(),
         }
@@ -803,8 +865,10 @@ struct Walker<'a, M: Mask, T> {
     trail: Vec<(usize, Undo)>,
     /// Scratch: the unperformed transitions of `st`.
     undone: M,
-    /// Scratch: the visited key of the branch state at hand.
+    /// Scratch: the visited key of the branch state at hand, full width
+    /// and then packed.
     key: Vec<u64>,
+    packed: Vec<u64>,
     terminals: T,
     stats: Stats,
 }
@@ -819,6 +883,7 @@ impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
             trail: Vec::new(),
             undone: M::zeros(lay.total()),
             key: Vec::with_capacity(lay.init.len() + lay.mask_words),
+            packed: Vec::with_capacity(lay.key_words()),
             terminals,
             stats: Stats::default(),
         }
@@ -891,7 +956,8 @@ impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
 
     /// Is this the first visit of the branch state `(st, sleep)`? The
     /// visited key is the packed state words followed by the sleep mask,
-    /// canonicalized under thread symmetry when enabled.
+    /// canonicalized under thread symmetry when enabled, then
+    /// [packed](Layout::pack).
     fn first_visit(&mut self, sleep: &M) -> bool {
         self.key.clear();
         self.key.extend_from_slice(&self.st);
@@ -899,7 +965,12 @@ impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
         if let Some(sym) = &self.lay.sym {
             sym.canonicalize(&mut self.key, self.st.len());
         }
-        self.seen.insert(&self.key)
+        self.lay.pack(&self.key, &mut self.packed);
+        debug_assert!(
+            self.lay.unpack(&self.packed).eq(self.key.iter().copied()),
+            "a packed key must unpack to the key"
+        );
+        self.seen.insert(&self.packed)
     }
 
     /// Run the forced chain from the current state under `sleep`: record
@@ -1030,7 +1101,8 @@ pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
     // or `init` entry names keeps its 0, so two rows differ only in the
     // register and memory slots `outcome_of` reads — and those are laid
     // out by (thread, register) and then by location, which is the order
-    // `Outcome`'s derived `Ord` compares them in.
+    // `Outcome`'s derived `Ord` compares them in, and hold codes, which
+    // order like the values they decode to.
     let mut sorted: Vec<&[u64]> = rows.chunks_exact(lay.init.len()).collect();
     sorted.sort_unstable();
     sorted.dedup();
@@ -1231,6 +1303,110 @@ mod tests {
         assert_eq!(set.chunks.len(), 3);
         assert!(set.ords.len() >= 2 * set.len);
         assert!(set.iter().eq((0..n).map(key)), "insertion order");
+    }
+
+    /// Every state of `lay`'s full graph (no reduction): the code of
+    /// every slot indexes the dictionary.
+    fn assert_codes_index_the_dictionary(lay: &Layout<u64>, st: &mut Vec<u64>) {
+        assert!(st[lay.mask_words..]
+            .iter()
+            .all(|&c| c < lay.dict.len() as u64));
+        for g in lay.enabled_at(&st[..lay.mask_words]).bits() {
+            let undo = apply(lay, st, g);
+            assert_codes_index_the_dictionary(lay, st);
+            revert(st, g, undo);
+        }
+    }
+
+    /// The dictionary is ascending from 0 and holds every value a slot
+    /// takes on any path: `init` values (a location's duplicate entries
+    /// included), store constants of both kinds and values that reach a
+    /// store through a register — so the decoded outcomes are the oracle's.
+    #[test]
+    fn the_value_dictionary_is_ascending_and_closed() {
+        let p = Program {
+            threads: vec![
+                Thread {
+                    instrs: vec![
+                        Instr::store(0, 9),
+                        Instr::load(0, 1),
+                        Instr::store_data_dep(2, 5, 0),
+                    ],
+                },
+                Thread {
+                    instrs: vec![
+                        Instr::load(1, 0),
+                        Instr::Store {
+                            loc: 1,
+                            src: Src::Reg(1),
+                            release: false,
+                            addr_dep: None,
+                            ctrl_dep: None,
+                        },
+                    ],
+                },
+            ],
+            init: vec![(1, 7), (1, 3), (3, u64::MAX)],
+        };
+        let lay: Layout<u64> = build(&p, MemoryModel::ArmWmm, false);
+        assert_eq!(lay.dict, [0, 3, 5, 7, 9, u64::MAX]);
+        assert_eq!(lay.code_bits, 3);
+        assert_codes_index_the_dictionary(&lay, &mut lay.init.clone());
+        let oracle = crate::explore::explore_oracle(&p, MemoryModel::ArmWmm);
+        assert_eq!(run(&lay, 1).outcomes, oracle.outcomes);
+    }
+
+    /// Packing, then unpacking, returns the key exactly at every code
+    /// width, from one bit per code to one code per word (a width only a
+    /// dictionary of 2^63 values needs, so it is forced here), and the
+    /// packed key is [`Layout::key_words`] long.
+    #[test]
+    fn a_packed_key_unpacks_to_the_key() {
+        for (values, bits) in [(0, 1), (2, 2), (300, 9), (70_000, 17)] {
+            // `init` entries for one location all enter the dictionary.
+            let init = (1..=values).map(|v| ((v % 40) as u8, v)).collect();
+            let loads = (0..70).map(|i| Instr::load(i % 30, i % 50)).collect();
+            let p = Program {
+                threads: vec![Thread { instrs: loads }],
+                init,
+            };
+            let mut lay: Layout<WideMask> = build(&p, MemoryModel::ArmWmm, false);
+            assert_eq!((lay.dict.len() as u64, lay.code_bits), (values + 1, bits));
+            for bits in [bits, 32, 64] {
+                (lay.code_bits, lay.codes_per_word) = (bits, 64 / bits as usize);
+                let slots = lay.init.len() - lay.mask_words;
+                for seed in [0, 1, u64::MAX] {
+                    let done = (0..lay.mask_words).map(|w| seed.rotate_left(w as u32) ^ 0x5a5a);
+                    let codes = (0..slots as u64)
+                        .map(|s| (seed ^ s.wrapping_mul(0x9e37_79b9)) >> (64 - bits));
+                    let sleep = (0..lay.mask_words).map(|w| !seed >> w);
+                    let key: Vec<u64> = done.chain(codes).chain(sleep).collect();
+                    let mut packed = Vec::new();
+                    lay.pack(&key, &mut packed);
+                    assert_eq!(packed.len(), lay.key_words(), "{bits} bits");
+                    assert!(lay.unpack(&packed).eq(key.iter().copied()), "{bits} bits");
+                }
+            }
+        }
+    }
+
+    /// The visited keys of the two implementation-sized corpus twins: the
+    /// 113-instruction MCS hand-off's 32 slots take 38 values (6 bits, ten
+    /// codes a word), the Pilot round-trip's 12 slots four (3 bits).
+    #[test]
+    fn implementation_sized_keys_pack_to_a_quarter() {
+        use crate::unroll::{mcs_handoff_unrolled, pilot_roundtrip_unrolled};
+        let mut mcs = mcs_handoff_unrolled(5, 4, 6, Barrier::DmbFull, Barrier::DmbFull);
+        mcs.threads[1].instrs.push(Instr::Fence(Barrier::DmbSt));
+        let mut pilot = pilot_roundtrip_unrolled(19, 5);
+        pilot.threads[0]
+            .instrs
+            .insert(10, Instr::Fence(Barrier::DmbSt));
+        for (p, want) in [(mcs, (38, 36, 8)), (pilot, (4, 16, 5))] {
+            let lay: Layout<WideMask> = build(&p, MemoryModel::ArmWmm, true);
+            let full = lay.init.len() + lay.mask_words;
+            assert_eq!((lay.dict.len(), full, lay.key_words()), want);
+        }
     }
 
     #[test]

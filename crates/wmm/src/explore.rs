@@ -17,8 +17,9 @@
 //!   programs across redundancy/necessity checks and whole experiment
 //!   batteries revisit the same litmus shapes. The cache is always on
 //!   ([`explore_dpor_uncached`] is the cold path) and hands out shared
-//!   `Arc<OutcomeSet>`s, so neither a hit nor an insert copies a set;
-//!   [`explore_memo_stats`] reports hits/misses.
+//!   `Arc<OutcomeSet>`s, so neither a hit nor an insert copies a set, and
+//!   content-equal sets share one outcome list; [`explore_memo_stats`]
+//!   reports hits/misses and [`explore_memo_footprint`] what is held.
 //! * [`explore_oracle`] enumerates every interleaving by naive cloning
 //!   DFS. It survives purely as the differential reference the engine is
 //!   tested against — the engine itself has no size ceiling anymore
@@ -67,8 +68,9 @@ impl Outcome {
 /// The set of reachable outcomes of a program under a model.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutcomeSet {
-    /// All distinct final outcomes, sorted for deterministic display.
-    pub outcomes: Vec<Outcome>,
+    /// All distinct final outcomes, sorted for deterministic display. The
+    /// memo shares one list between every content-equal set it holds.
+    pub outcomes: Arc<[Outcome]>,
     /// States the exploration materialized. For the oracle this is every
     /// distinct reachable state; for the DPOR engine it is the branch
     /// states inserted into the visited-set (forced macro-steps and
@@ -126,8 +128,10 @@ impl OutcomeSet {
     /// always returns canonical sets; call this after constructing an
     /// `OutcomeSet` by hand — [`diff`](Self::diff) relies on it.
     pub fn canonicalize(&mut self) {
-        self.outcomes.sort();
-        self.outcomes.dedup();
+        let mut outcomes = self.outcomes.to_vec();
+        outcomes.sort();
+        outcomes.dedup();
+        self.outcomes = outcomes.into();
     }
 
     /// Is the set in canonical (strictly ascending) order?
@@ -153,7 +157,7 @@ impl OutcomeSet {
             "diff merges over the canonical order: canonicalize hand-built sets first"
         );
         let mut diff = OutcomeDiff::default();
-        let (mut mine, mut theirs) = (self.outcomes.as_slice(), other.outcomes.as_slice());
+        let (mut mine, mut theirs) = (&self.outcomes[..], &other.outcomes[..]);
         while let (Some((a, rest_a)), Some((b, rest_b))) =
             (mine.split_first(), theirs.split_first())
         {
@@ -241,28 +245,48 @@ struct State {
 /// key (synthesis probes this cache thousands of times per case); each
 /// bucket stores the exact programs for an `Eq` check, so a hash collision
 /// can never alias two programs — it only shares a bucket. Sets are held
-/// and handed out as `Arc`s: a hit is a reference-count bump.
+/// and handed out as `Arc`s: a hit is a reference-count bump. Programs
+/// that differ often reach the same outcomes (a fence synthesis weakens
+/// without effect), so every stored set's outcome list is interned by
+/// content: content-equal sets share one list and keep their own counts.
 struct Memo {
     map: FxHashMap<MemoKey, Vec<(Program, Arc<OutcomeSet>)>>,
-    /// Outcomes the stored sets hold between them (sum of `len()`) — what
-    /// the memory the memo retains is proportional to.
+    /// The distinct outcome lists the stored sets share, by content hash;
+    /// a bucket holds exact lists, so a collision only shares a bucket.
+    lists: FxHashMap<u64, Vec<Arc<[Outcome]>>>,
+    /// Outcomes the distinct lists hold between them — what the memory
+    /// the memo retains is proportional to.
     retained: usize,
-    /// A set that would take `retained` past this is not stored.
+    /// A set whose list is new and would take `retained` past this is not
+    /// stored.
     cap: usize,
 }
 
 /// A memo key: the prehash of `(program, model)`, and the model.
 type MemoKey = (u64, MemoryModel);
 
-/// Retained-outcome bound of the process-wide memo (runaway-corpus
-/// backstop: the lint + synth corpus retains ~85 k outcomes, and the
-/// densest sets cost ~640 bytes an outcome, so this is ~0.3 GB at worst).
+/// Retained-outcome bound of the process-wide memo, counted over distinct
+/// lists (runaway-corpus backstop: the lint + synth corpus retains ~14 k
+/// outcomes in the 33 lists its 218 entries share, and the densest sets
+/// cost ~640 bytes an outcome, so this is ~0.3 GB at worst).
 const MEMO_CAP: usize = 1 << 19;
+
+/// What the process-wide memo holds (see [`explore_memo_footprint`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoFootprint {
+    /// Stored `(program, model)` entries.
+    pub entries: usize,
+    /// Distinct outcome lists the entries share.
+    pub distinct_sets: usize,
+    /// Outcomes in the distinct lists — what the memo's cap bounds.
+    pub retained_outcomes: usize,
+}
 
 impl Memo {
     fn with_cap(cap: usize) -> Self {
         Memo {
             map: FxHashMap::default(),
+            lists: FxHashMap::default(),
             retained: 0,
             cap,
         }
@@ -274,17 +298,35 @@ impl Memo {
         Some(Arc::clone(set))
     }
 
-    /// Store `set` for `program` unless it is already there (a racing
-    /// explorer of the same program got in first) or would take the memo
-    /// past its cap.
-    fn insert(&mut self, key: MemoKey, program: &Program, set: &Arc<OutcomeSet>) {
-        if self.retained + set.len() > self.cap {
-            return;
+    /// Store `set` for `program` and return it, its outcome list now the
+    /// one every content-equal stored set shares. A program already stored
+    /// (a racing explorer got in first) keeps its set, and one whose new
+    /// list would take the memo past its cap is returned unstored.
+    fn insert(&mut self, key: MemoKey, program: &Program, mut set: OutcomeSet) -> Arc<OutcomeSet> {
+        if let Some(stored) = self.get(key, program) {
+            return stored;
         }
-        let bucket = self.map.entry(key).or_default();
-        if !bucket.iter().any(|(p, _)| p == program) {
-            bucket.push((program.clone(), Arc::clone(set)));
+        let hash = armbar_fxhash::hash64(&set.outcomes);
+        let lists = self.lists.entry(hash).or_default();
+        if let Some(list) = lists.iter().find(|&list| *list == set.outcomes) {
+            set.outcomes = Arc::clone(list);
+        } else if self.retained + set.len() <= self.cap {
             self.retained += set.len();
+            lists.push(Arc::clone(&set.outcomes));
+        } else {
+            return Arc::new(set);
+        }
+        let set = Arc::new(set);
+        let entry = (program.clone(), Arc::clone(&set));
+        self.map.entry(key).or_default().push(entry);
+        set
+    }
+
+    fn footprint(&self) -> MemoFootprint {
+        MemoFootprint {
+            entries: self.map.values().map(Vec::len).sum(),
+            distinct_sets: self.lists.values().map(Vec::len).sum(),
+            retained_outcomes: self.retained,
         }
     }
 }
@@ -307,8 +349,17 @@ pub fn explore_memo_stats() -> (u64, u64) {
     )
 }
 
-/// Drop every memoized outcome set and reset the counters (benchmarks use
-/// this to measure cold explorations).
+/// What the memo holds now: entries, the distinct outcome lists they
+/// share, and the outcomes those lists retain.
+#[must_use]
+pub fn explore_memo_footprint() -> MemoFootprint {
+    MEMO.get().map_or_else(MemoFootprint::default, |memo| {
+        memo.lock().expect("explore memo poisoned").footprint()
+    })
+}
+
+/// Drop every memoized outcome set and shared outcome list and reset the
+/// counters (benchmarks use this to measure cold explorations).
 pub fn explore_memo_clear() {
     if let Some(memo) = MEMO.get() {
         *memo.lock().expect("explore memo poisoned") = Memo::with_cap(MEMO_CAP);
@@ -333,11 +384,10 @@ fn memoized(
         return set;
     }
     MEMO_MISSES.fetch_add(1, Ordering::Relaxed);
-    let set = Arc::new(compute());
+    let set = compute();
     memo.lock()
         .expect("explore memo poisoned")
-        .insert(key, program, &set);
-    set
+        .insert(key, program, set)
 }
 
 /// Exhaustively explore `program` under `model`.
@@ -627,14 +677,9 @@ mod tests {
             regs: vec![vec![(0, 1)]],
             memory: vec![],
         };
-        let mut set = OutcomeSet {
-            outcomes: vec![o1.clone(), o0.clone(), o1.clone()],
-            states_visited: 0,
-            states_pruned: 0,
-            peak_frontier: 0,
-        };
+        let mut set = handmade(vec![o1.clone(), o0.clone(), o1.clone()]);
         set.canonicalize();
-        assert_eq!(set.outcomes, vec![o0, o1]);
+        assert_eq!(*set.outcomes, [o0, o1]);
     }
 
     /// Regression lock for the duplicate-successor fix: the oracle's stack
@@ -750,7 +795,7 @@ mod tests {
 
     fn handmade(outcomes: Vec<Outcome>) -> OutcomeSet {
         OutcomeSet {
-            outcomes,
+            outcomes: outcomes.into(),
             states_visited: 0,
             states_pruned: 0,
             peak_frontier: 0,
@@ -815,34 +860,66 @@ mod tests {
     }
 
     /// The memo's backstop counts what its memory is proportional to —
-    /// outcomes retained — not map buckets: a set that would cross the cap
-    /// is not stored, and smaller ones still are.
+    /// distinct outcomes retained — not map buckets or entries: a set
+    /// equal to a stored one costs nothing, a new one that would cross the
+    /// cap is not stored, and smaller ones still are.
     #[test]
     fn memo_is_bounded_by_retained_outcomes() {
         let model = MemoryModel::ArmWmm;
-        let programs: Vec<Program> = (1..=3)
+        let programs: Vec<Program> = (1..=4)
             .map(|v| prog(vec![vec![Instr::store(0, v)]]))
             .collect();
         let key = |p: &Program| (memo_prehash(p, model), model);
-        let set = |n: u64| {
+        let set = |n: u64, states: usize| {
             let outcomes = (0..n).map(|v| Outcome {
                 regs: vec![],
                 memory: vec![(0, v)],
             });
-            Arc::new(handmade(outcomes.collect()))
+            OutcomeSet {
+                states_visited: states,
+                ..handmade(outcomes.collect())
+            }
         };
         let mut memo = Memo::with_cap(3);
-        memo.insert(key(&programs[0]), &programs[0], &set(2));
-        memo.insert(key(&programs[1]), &programs[1], &set(2));
-        assert_eq!(memo.retained, 2, "the second set would retain 4 > 3");
-        assert!(memo.get(key(&programs[0]), &programs[0]).is_some());
-        assert!(memo.get(key(&programs[1]), &programs[1]).is_none());
-        memo.insert(key(&programs[2]), &programs[2], &set(1));
+        let first = memo.insert(key(&programs[0]), &programs[0], set(2, 1));
+        let equal = memo.insert(key(&programs[1]), &programs[1], set(2, 7));
+        assert!(Arc::ptr_eq(&first.outcomes, &equal.outcomes));
+        assert_eq!(equal.states_visited, 7, "an entry keeps its own counts");
+        assert_eq!(memo.retained, 2, "an equal set retains nothing new");
+        memo.insert(key(&programs[2]), &programs[2], set(3, 1));
+        assert_eq!(memo.retained, 2, "the third set would retain 5 > 3");
+        assert!(memo.get(key(&programs[2]), &programs[2]).is_none());
+        memo.insert(key(&programs[3]), &programs[3], set(1, 1));
         assert_eq!(memo.retained, 3);
-        assert_eq!(memo.get(key(&programs[2]), &programs[2]).unwrap().len(), 1);
+        assert_eq!(memo.get(key(&programs[3]), &programs[3]).unwrap().len(), 1);
         // Re-inserting a stored program neither duplicates nor recounts it.
-        memo.insert(key(&programs[2]), &programs[2], &set(0));
-        assert_eq!(memo.retained, 3);
-        assert_eq!(memo.get(key(&programs[2]), &programs[2]).unwrap().len(), 1);
+        let again = memo.insert(key(&programs[3]), &programs[3], set(0, 1));
+        assert_eq!((memo.retained, again.len()), (3, 1));
+        let footprint = memo.footprint();
+        assert_eq!((footprint.entries, footprint.distinct_sets), (3, 2));
+        assert_eq!(footprint.retained_outcomes, 3);
+    }
+
+    /// `explore` hands two programs that reach the same outcomes one shared
+    /// outcome list, each behind its own state counts: a consumer-side
+    /// `DMB ld` that changes nothing MP without a producer fence can reach.
+    #[test]
+    fn content_equal_sets_share_one_outcome_list() {
+        let producer = vec![Instr::store(0, 23), Instr::store(1, 1)];
+        let fenced = prog(vec![
+            producer.clone(),
+            vec![
+                Instr::load(0, 1),
+                Instr::Fence(Barrier::DmbLd),
+                Instr::load(1, 0),
+            ],
+        ]);
+        let bare = prog(vec![producer, vec![Instr::load(0, 1), Instr::load(1, 0)]]);
+        let (a, b) = (
+            explore(&fenced, MemoryModel::ArmWmm),
+            explore(&bare, MemoryModel::ArmWmm),
+        );
+        assert!(Arc::ptr_eq(&a.outcomes, &b.outcomes));
+        assert_ne!(a.states_visited, b.states_visited);
     }
 }

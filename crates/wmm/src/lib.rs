@@ -57,7 +57,8 @@ pub mod witness;
 
 pub use explore::{
     explore, explore_dpor_configured, explore_dpor_uncached, explore_memo_clear,
-    explore_memo_stats, explore_oracle, Outcome, OutcomeDiff, OutcomeSet,
+    explore_memo_footprint, explore_memo_stats, explore_oracle, MemoFootprint, Outcome,
+    OutcomeDiff, OutcomeSet,
 };
 pub use litmus::LitmusTest;
 pub use model::{Instr, MemoryModel, Program, Src, Thread};

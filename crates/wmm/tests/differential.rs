@@ -88,7 +88,7 @@ fn battery_witnesses_replay() {
             let set = explore_dpor_uncached(&test.program, model, 1);
             // Every reachable outcome must have a witness that replays to
             // exactly that outcome.
-            for target in &set.outcomes {
+            for target in set.iter() {
                 let w = find_witness(&test.program, model, |o| o == target)
                     .unwrap_or_else(|| panic!("{}: outcome lost under {model:?}", test.name));
                 assert_eq!(&w.outcome, target, "{}", test.name);
@@ -99,6 +99,79 @@ fn battery_witnesses_replay() {
                     test.name
                 );
             }
+        }
+    }
+}
+
+/// A writer publishing `values[0]` then `values[1]`, two identical readers
+/// that pass what they read on through a register, and a coherence chain
+/// of `values[2]` stores that takes the program past the engine's
+/// parallel threshold while keeping the oracle's graph small.
+fn dictionary_program(values: [u64; 3], init: Vec<(u8, u64)>) -> Program {
+    let reader = vec![
+        Instr::load(0, 1),
+        Instr::Fence(Barrier::DmbLd),
+        Instr::load(1, 0),
+        Instr::Store {
+            loc: 3,
+            src: armbar_wmm::Src::Reg(1),
+            release: false,
+            addr_dep: None,
+            ctrl_dep: None,
+        },
+    ];
+    let writer = vec![
+        Instr::store(0, values[0]),
+        Instr::Fence(Barrier::DmbSt),
+        Instr::store(1, values[1]),
+    ];
+    Program {
+        threads: [
+            writer,
+            reader.clone(),
+            reader,
+            vec![Instr::store(9, values[2]); 22],
+        ]
+        .into_iter()
+        .map(|instrs| Thread { instrs })
+        .collect(),
+        init,
+    }
+}
+
+/// The slot-code packing at the edges of its value dictionary: one value
+/// (one bit a code), past 256 values (nine bits, through `init` entries
+/// that a later entry for the same location overrides), and the two
+/// largest bit patterns. Engine at 1 and 4 workers, symmetry on and off,
+/// equals the oracle, and every outcome's witness replays.
+#[test]
+fn dictionary_edges_differential() {
+    let many = (0..300).map(|v| ((v % 3) as u8, 1000 + v)).collect();
+    for (name, p) in [
+        ("one value", dictionary_program([0, 0, 0], vec![])),
+        ("302 values", dictionary_program([7, 1299, 1298], many)),
+        (
+            "top bits",
+            dictionary_program([u64::MAX, 1 << 63, u64::MAX], vec![(3, 1 << 63)]),
+        ),
+    ] {
+        let instrs: usize = p.threads.iter().map(|t| t.instrs.len()).sum();
+        assert!(instrs >= 32, "{name}: {instrs} instructions stay serial");
+        let model = MemoryModel::ArmWmm;
+        let oracle = explore_oracle(&p, model);
+        for workers in [1, 4] {
+            for symmetry in [true, false] {
+                let engine = explore_dpor_configured(&p, model, workers, symmetry);
+                assert_eq!(
+                    engine.outcomes, oracle.outcomes,
+                    "{name}: {workers} worker(s), symmetry {symmetry}"
+                );
+            }
+        }
+        for target in oracle.iter() {
+            let w = find_witness(&p, model, |o| o == target)
+                .unwrap_or_else(|| panic!("{name}: outcome without a witness"));
+            assert_eq!(w.replay(&p, model).as_ref(), Some(target), "{name}");
         }
     }
 }
@@ -144,7 +217,7 @@ proptest! {
     #[test]
     fn random_program_witnesses_replay(p in gen_program()) {
         let set = explore_dpor_uncached(&p, MemoryModel::ArmWmm, 1);
-        for target in &set.outcomes {
+        for target in set.iter() {
             let w = find_witness(&p, MemoryModel::ArmWmm, |o| o == target);
             let w = w.expect("reachable outcome must have a witness");
             prop_assert_eq!(w.replay(&p, MemoryModel::ArmWmm).as_ref(), Some(target));

@@ -40,10 +40,10 @@ proptest! {
         let sc = explore(&p, MemoryModel::Sc);
         let tso = explore(&p, MemoryModel::X86Tso);
         let wmm = explore(&p, MemoryModel::ArmWmm);
-        for o in &sc.outcomes {
+        for o in sc.iter() {
             prop_assert!(tso.outcomes.contains(o), "SC outcome missing from TSO");
         }
-        for o in &tso.outcomes {
+        for o in tso.iter() {
             prop_assert!(wmm.outcomes.contains(o), "TSO outcome missing from WMM");
         }
     }
