@@ -1,17 +1,18 @@
-//! Content-addressed on-disk memoization of sweep cells.
+//! Content-addressed on-disk memoization of sweeps.
 //!
 //! Every sweep cell is keyed by a stable, human-readable string built from
 //! the platform profile fields, the cell's simulation configuration, and a
-//! code-version salt ([`CODE_SALT`]). The cache file name is the FxHash of
-//! that key (the hasher is unkeyed, so hashes are stable across runs); the
-//! file stores the full key on its first line — a lookup whose stored key
-//! does not match is treated as a hash collision and ignored — followed by
-//! one value per line as the hex `f64` bit pattern, so a warm read returns
-//! exactly the bits the cold run produced.
+//! code-version salt ([`CODE_SALT`]). A sweep's cells share one file named
+//! by the FxHash of its key list (unkeyed, so stable across runs): the cell
+//! count, every key in full — a file whose keys differ in any key or in
+//! their order is a collision and misses — then per cell its value count
+//! and the hex `f64` bit patterns, so a warm read returns exactly the bits
+//! the cold run produced, and last a checksum of all that, so a truncated
+//! or edited file misses too. A sweep hits or misses whole.
 //!
-//! The cache is best-effort: I/O errors degrade to recomputation, never to
-//! failure. Writes go through a uniquely named temp file and a rename, so
-//! concurrent workers storing the same key cannot tear each other's files.
+//! The cache is best-effort: I/O errors and malformed files degrade to
+//! recomputation, never to failure. Writes go through a uniquely named
+//! temp file and a rename, so concurrent stores cannot tear a file.
 
 use std::fmt;
 use std::fmt::Write as _;
@@ -30,7 +31,7 @@ pub const CODE_SALT: &str = include_str!(concat!(env!("OUT_DIR"), "/code_salt"))
 /// Where [`RunCache::from_env`] keeps its files.
 pub const DEFAULT_CACHE_DIR: &str = "results/.cache";
 
-/// A content-addressed store of completed sweep-cell results.
+/// A content-addressed store of completed sweeps.
 #[derive(Debug, Default)]
 pub struct RunCache {
     /// `None` disables the cache entirely.
@@ -67,53 +68,64 @@ impl RunCache {
         }
     }
 
-    /// Fetch the stored values for `key`, if a valid entry exists.
+    /// Fetch the stored values of the one-cell sweep `key`.
     #[must_use]
     pub fn lookup(&self, key: &str) -> Option<Vec<f64>> {
-        let dir = self.dir.as_ref()?;
-        let found = fs::read_to_string(dir.join(file_name(key)))
+        self.lookup_sweep(&[key.to_string()])?.pop()
+    }
+
+    /// Persist `values` as the one-cell sweep `key` (best-effort).
+    pub fn store(&self, key: &str, values: &[f64]) {
+        self.store_sweep(&[key.to_string()], &[values.to_vec()]);
+    }
+
+    /// The values of every cell of the sweep `keys`, in order, if a valid
+    /// file holds exactly that sweep. An empty sweep has no file.
+    pub(crate) fn lookup_sweep(&self, keys: &[String]) -> Option<Vec<Vec<f64>>> {
+        let dir = self.dir.as_ref().filter(|_| !keys.is_empty())?;
+        let found = fs::read_to_string(dir.join(file_name(keys)))
             .ok()
-            .and_then(|text| parse_entry(&text, key));
+            .and_then(|text| parse_sweep(&text, keys));
+        let cells = keys.len() as u64;
         match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
+            Some(_) => self.hits.fetch_add(cells, Ordering::Relaxed),
+            None => self.misses.fetch_add(cells, Ordering::Relaxed),
         };
         found
     }
 
-    /// Persist `values` under `key` (best-effort; errors are swallowed).
-    pub fn store(&self, key: &str, values: &[f64]) {
-        let Some(dir) = &self.dir else { return };
-        let seq = self.stores.fetch_add(1, Ordering::Relaxed);
-        let mut body = String::with_capacity(key.len() + 1 + 17 * values.len());
-        body.push_str(key);
-        body.push('\n');
-        for v in values {
-            let _ = writeln!(body, "{:016x}", v.to_bits());
-        }
+    /// Persist `values[i]` for every `keys[i]` as one sweep file
+    /// (best-effort; errors are swallowed).
+    pub(crate) fn store_sweep(&self, keys: &[String], values: &[Vec<f64>]) {
+        let Some(dir) = self.dir.as_ref().filter(|_| !keys.is_empty()) else {
+            return;
+        };
+        let seq = self.stores.fetch_add(keys.len() as u64, Ordering::Relaxed);
         if fs::create_dir_all(dir).is_err() {
             return;
         }
-        let name = file_name(key);
+        let name = file_name(keys);
         let tmp = dir.join(format!("{name}.{}.{seq}.tmp", std::process::id()));
-        if fs::write(&tmp, body).is_ok() && fs::rename(&tmp, dir.join(name)).is_err() {
+        if fs::write(&tmp, render_sweep(keys, values)).is_ok()
+            && fs::rename(&tmp, dir.join(name)).is_err()
+        {
             let _ = fs::remove_file(&tmp);
         }
     }
 
-    /// Lookups answered from disk so far.
+    /// Cells answered from disk so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Lookups that fell through to computation so far.
+    /// Cells that fell through to computation so far.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Entries written so far.
+    /// Cells written so far.
     #[must_use]
     pub fn stores(&self) -> u64 {
         self.stores.load(Ordering::Relaxed)
@@ -176,30 +188,65 @@ pub(crate) fn unpack_text(cell: &[f64], head: usize) -> (&[f64], String) {
     (numbers, text)
 }
 
-/// Keys live on the first line of a cache entry, so they must be one line.
+/// Keys take one line each in a sweep file.
 fn sanitize(key: &str) -> String {
     key.replace(['\n', '\r'], " ")
 }
 
-fn file_name(key: &str) -> String {
-    format!("{:016x}.run", hash64(key))
+fn file_name(keys: &[String]) -> String {
+    format!("{:016x}.sweep", hash64(keys))
 }
 
-/// First line must be the full key (collision check); every further line
-/// is one `f64` as 16 hex digits of its bit pattern.
-fn parse_entry(text: &str, key: &str) -> Option<Vec<f64>> {
-    let mut lines = text.lines();
-    if lines.next() != Some(key) {
+/// The sweep file of `values[i]` for every `keys[i]`.
+fn render_sweep(keys: &[String], values: &[Vec<f64>]) -> String {
+    let mut body = format!("{}\n", keys.len());
+    for key in keys {
+        body.push_str(key);
+        body.push('\n');
+    }
+    for cell in values {
+        let _ = write!(body, "{}", cell.len());
+        for v in cell {
+            let _ = write!(body, " {:016x}", v.to_bits());
+        }
+        body.push('\n');
+    }
+    let sum = hash64(body.as_str());
+    let _ = writeln!(body, "{sum:016x}");
+    body
+}
+
+/// Inverse of [`render_sweep`]: the values in `text` if it is an intact
+/// file of exactly the sweep `keys`.
+fn parse_sweep(text: &str, keys: &[String]) -> Option<Vec<Vec<f64>>> {
+    let hex = |word: &str| u64::from_str_radix(word, 16).ok();
+    let (body, sum) = text.split_at_checked(text.len().checked_sub(17)?)?;
+    if hex(sum.strip_suffix('\n')?)? != hash64(body) {
         return None;
     }
-    lines
-        .map(|l| u64::from_str_radix(l, 16).ok().map(f64::from_bits))
-        .collect()
+    let mut lines = body.split_terminator('\n');
+    let count: usize = lines.next()?.parse().ok()?;
+    if count != keys.len() || !keys.iter().all(|key| lines.next() == Some(key.as_str())) {
+        return None;
+    }
+    let values = keys
+        .iter()
+        .map(|_| {
+            let mut words = lines.next()?.split(' ');
+            let n: usize = words.next()?.parse().ok()?;
+            let cell: Vec<f64> = words
+                .map(|w| hex(w).map(f64::from_bits))
+                .collect::<Option<_>>()?;
+            (cell.len() == n).then_some(cell)
+        })
+        .collect::<Option<Vec<_>>>()?;
+    lines.next().is_none().then_some(values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use armbar_sim::{PlatformKind, Topology};
 
     fn temp_cache(tag: &str) -> RunCache {
         let dir =
@@ -208,17 +255,120 @@ mod tests {
         RunCache::at(dir)
     }
 
+    fn keys(names: &[&str]) -> Vec<String> {
+        names.iter().map(|k| (*k).to_string()).collect()
+    }
+
+    /// A valid file of three cells, one of them empty, one key not ASCII.
+    fn sample() -> (Vec<String>, Vec<Vec<f64>>, String) {
+        let keys = keys(&["cell|a", "cell|é", "cell|c"]);
+        let values = vec![vec![1.5, -0.0], vec![], vec![f64::NAN, 239.3e6, 0.25]];
+        let text = render_sweep(&keys, &values);
+        (keys, values, text)
+    }
+
+    fn bits(values: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        values
+            .iter()
+            .map(|cell| cell.iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
     #[test]
     fn round_trips_exact_bits() {
         let c = temp_cache("bits");
         let vals = [0.0, -0.0, 1.5, f64::NAN, f64::INFINITY, 1e-300, 239.3e6];
         c.store("k", &vals);
         let back = c.lookup("k").expect("stored entry");
-        assert_eq!(back.len(), vals.len());
-        for (a, b) in back.iter().zip(&vals) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_eq!(bits(&[back]), bits(&[vals.to_vec()]));
         assert_eq!((c.hits(), c.misses(), c.stores()), (1, 0, 1));
+
+        let (keys, values, text) = sample();
+        c.store_sweep(&keys, &values);
+        let back = c.lookup_sweep(&keys).expect("stored sweep");
+        assert_eq!(bits(&back), bits(&values));
+        assert_eq!((c.hits(), c.misses(), c.stores()), (4, 0, 4));
+        let on_disk = fs::read_to_string(c.dir.as_ref().unwrap().join(file_name(&keys)));
+        assert_eq!(on_disk.ok(), Some(text));
+    }
+
+    #[test]
+    fn every_truncation_is_a_miss() {
+        let (keys, _, text) = sample();
+        for end in 0..text.len() {
+            if let Some(prefix) = text.get(..end) {
+                assert_eq!(parse_sweep(prefix, &keys), None, "{prefix:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_flipped_hex_digit_is_a_miss() {
+        let (keys, _, text) = sample();
+        let mut flips = 0;
+        for (at, b) in text
+            .bytes()
+            .enumerate()
+            .filter(|(_, b)| b.is_ascii_hexdigit())
+        {
+            let other = if b == b'0' { "1" } else { "0" };
+            let flipped = format!("{}{other}{}", &text[..at], &text[at + 1..]);
+            assert_eq!(parse_sweep(&flipped, &keys), None, "{flipped:?}");
+            flips += 1;
+        }
+        assert!(flips > 100);
+    }
+
+    #[test]
+    fn wrong_counts_and_trailing_garbage_are_misses() {
+        let (keys, _, text) = sample();
+        assert!(parse_sweep(&text, &keys).is_some());
+        let rest = text.strip_prefix("3\n").expect("count line");
+        for count in ["2", "4", "03", " 3", "3 "] {
+            let recounted = format!("{count}\n{rest}");
+            assert_eq!(parse_sweep(&recounted, &keys), None, "{count:?}");
+        }
+        for tail in ["\n", "x", " ", "0000000000000000\n", "1 3ff0000000000000\n"] {
+            assert_eq!(
+                parse_sweep(&format!("{text}{tail}"), &keys),
+                None,
+                "{tail:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn collision_and_corruption_are_misses() {
+        let c = temp_cache("collide");
+        let (stored, values, text) = sample();
+        c.store_sweep(&stored, &values);
+        // A sweep whose key list differs in one key or in order never reads
+        // the stored file, even if it mapped to the same name (here it does
+        // not, but the full-key check is what guards the real collision).
+        let one_key = keys(&["cell|a", "cell|é", "cell|d"]);
+        let reordered = keys(&["cell|é", "cell|a", "cell|c"]);
+        let prefix = keys(&["cell|a", "cell|é"]);
+        for other in [&one_key, &reordered, &prefix] {
+            assert_eq!(parse_sweep(&text, other), None, "{other:?}");
+            assert_eq!(c.lookup_sweep(other), None);
+        }
+        assert_eq!((c.hits(), c.misses()), (0, 8));
+        // A corrupt file in place misses whole, counted per cell.
+        let path = c.dir.as_ref().unwrap().join(file_name(&stored));
+        fs::write(&path, text.replace("3ff8", "3ff9")).unwrap();
+        assert_eq!(c.lookup_sweep(&stored), None);
+        fs::write(&path, [0xff, 0xfe, b'\n']).unwrap();
+        assert_eq!(c.lookup_sweep(&stored), None);
+        assert_eq!((c.hits(), c.misses(), c.stores()), (0, 14, 3));
+    }
+
+    #[test]
+    fn an_empty_sweep_has_no_file() {
+        let c = temp_cache("empty");
+        c.store_sweep(&[], &[]);
+        assert_eq!(c.lookup_sweep(&[]), None);
+        assert_eq!((c.hits(), c.misses(), c.stores()), (0, 0, 0));
+        assert!(!c.dir.as_ref().unwrap().exists());
     }
 
     #[test]
@@ -240,19 +390,6 @@ mod tests {
                 assert_eq!((numbers, back.as_str()), (head, text.as_str()));
             }
         }
-    }
-
-    #[test]
-    fn collision_and_corruption_are_misses() {
-        let c = temp_cache("collide");
-        c.store("key-a", &[1.0]);
-        // A different key never reads key-a's entry, even if it mapped to
-        // the same file (here it does not, but the full-key check is what
-        // guards the real collision case).
-        assert_eq!(c.lookup("key-b"), None);
-        // Corrupt value lines are rejected wholesale.
-        assert_eq!(parse_entry("k\nnot-hex\n", "k"), None);
-        assert_eq!(parse_entry("other\n3ff0000000000000\n", "k"), None);
     }
 
     #[test]
@@ -285,5 +422,50 @@ mod tests {
         assert!(!k.contains('\n'));
         assert_ne!(k, cache_key(&Platform::kirin960(), &("fig", 3)));
         assert_ne!(model_key(&1), model_key(&2));
+    }
+
+    #[test]
+    fn platform_keys_stay_under_a_kilobyte() {
+        let platforms = PlatformKind::ALL.map(Platform::of);
+        for p in platforms.iter().chain([&Platform::manycore(1024)]) {
+            let k = cache_key(p, &("fig", 3));
+            assert!(k.len() < 1024, "{} bytes: {k}", k.len());
+        }
+    }
+
+    #[test]
+    fn topologies_print_alike_iff_equal() {
+        let topologies = [
+            Platform::kunpeng916().topology,
+            Topology::uniform(2, 8, 4),
+            Topology::uniform(16, 8, 8),
+            Topology::new(&[&[4, 4], &[4, 4]]),
+            Topology::new(&[&[4, 4, 4, 4]]),
+            Topology::new(&[&[8]]),
+            Topology::new(&[&[4, 4]]),
+        ];
+        assert_eq!(format!("{:?}", topologies[3]), "Topology[[4, 4], [4, 4]]");
+        for a in &topologies {
+            for b in &topologies {
+                assert_eq!(
+                    format!("{a:?}") == format!("{b:?}"),
+                    a == b,
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn model_flags_change_the_key() {
+        let base = Platform::kunpeng916();
+        let key = |p: &Platform| cache_key(p, &("fig", 3));
+        let mut rob = base.clone();
+        rob.latency.dmb_holds_rob = !rob.latency.dmb_holds_rob;
+        let mut sb = base.clone();
+        sb.latency.fifo_store_buffer = !sb.latency.fifo_store_buffer;
+        assert_ne!(key(&rob), key(&base));
+        assert_ne!(key(&sb), key(&base));
+        assert_ne!(key(&rob), key(&sb));
     }
 }

@@ -5,7 +5,7 @@
 //! Experiments declare their configuration grids as [`sweep::SweepSpec`]
 //! cells; the sweep engine executes independent cells on a pool of
 //! `ARMBAR_JOBS` threads claiming them off one queue ([`jobs`]) and
-//! memoizes completed runs in a content-addressed cache under
+//! memoizes completed sweeps in a content-addressed cache under
 //! `results/.cache/` ([`cache`]), while keeping the CSV output
 //! byte-identical to a serial run.
 //!

@@ -130,15 +130,25 @@ impl Table {
         csv
     }
 
-    /// Write [`Table::csv`] as `<dir>/<id>.csv`.
+    /// Write [`Table::csv`] as `<dir>/<id>.csv` ([`write_if_changed`]).
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
     pub fn write_csv(&self, dir: impl AsRef<Path>) -> io::Result<()> {
-        fs::create_dir_all(&dir)?;
-        fs::write(dir.as_ref().join(format!("{}.csv", self.id)), self.csv())
+        write_if_changed(&dir.as_ref().join(format!("{}.csv", self.id)), &self.csv())
     }
+}
+
+/// Write `text` to `path`, creating its directory, unless the file already
+/// holds exactly these bytes: a regeneration that changes nothing leaves
+/// the file, its mtime and `git status` alone.
+pub(crate) fn write_if_changed(path: &Path, text: &str) -> io::Result<()> {
+    if fs::read(path).is_ok_and(|old| old == text.as_bytes()) {
+        return Ok(());
+    }
+    path.parent().map_or(Ok(()), fs::create_dir_all)?;
+    fs::write(path, text)
 }
 
 fn format_value(v: f64) -> String {
@@ -179,6 +189,8 @@ pub(crate) fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SweepCtx;
+    use std::time::{Duration, SystemTime};
 
     fn sample() -> Table {
         let mut t = Table::new(
@@ -217,6 +229,68 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].starts_with("nops,10,700"));
         assert!(lines[1].starts_with("No Barrier,"));
+    }
+
+    /// A fresh directory holding `table`'s CSV, with its mtime set a day
+    /// back so that a rewrite cannot land on the same timestamp.
+    fn written(tag: &str, table: &Table) -> (std::path::PathBuf, SystemTime) {
+        let dir = std::env::temp_dir().join(format!("armbar_report_{tag}_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        table.write_csv(&dir).unwrap();
+        let path = dir.join(format!("{}.csv", table.id));
+        let old = SystemTime::now() - Duration::from_secs(86_400);
+        fs::File::options()
+            .write(true)
+            .open(&path)
+            .and_then(|f| f.set_modified(old))
+            .unwrap();
+        (path, old)
+    }
+
+    fn mtime(path: &Path) -> SystemTime {
+        fs::metadata(path).and_then(|m| m.modified()).unwrap()
+    }
+
+    #[test]
+    fn unchanged_csvs_are_left_alone() {
+        let table = sample();
+        let (path, old) = written("same", &table);
+        table.write_csv(path.parent().unwrap()).unwrap();
+        assert_eq!(mtime(&path), old);
+        assert_eq!(fs::read_to_string(&path).unwrap(), table.csv());
+    }
+
+    #[test]
+    fn changed_or_truncated_csvs_are_rewritten() {
+        let mut table = sample();
+        let (path, old) = written("changed", &table);
+        table.push_row("DMB st", vec![1.0, 2.0]);
+        table.write_csv(path.parent().unwrap()).unwrap();
+        assert_ne!(mtime(&path), old);
+        assert_eq!(fs::read_to_string(&path).unwrap(), table.csv());
+
+        let (path, old) = written("truncated", &table);
+        let csv = table.csv();
+        fs::write(&path, &csv[..csv.len() - 1]).unwrap();
+        table.write_csv(path.parent().unwrap()).unwrap();
+        assert_ne!(mtime(&path), old);
+        assert_eq!(fs::read_to_string(&path).unwrap(), csv);
+    }
+
+    #[test]
+    fn side_csvs_share_the_writer_and_count_failures() {
+        let (path, old) = written("side", &sample());
+        let ctx = SweepCtx::serial_uncached();
+        // An absolute `file` replaces the `results/` prefix it is joined to,
+        // which keeps the test out of the crate directory.
+        let file = path.to_str().unwrap();
+        ctx.write_side_csv(file, &sample().csv());
+        assert_eq!((mtime(&path), ctx.unwritten()), (old, 0));
+        ctx.write_side_csv(file, "changed\n");
+        assert_eq!(fs::read_to_string(&path).unwrap(), "changed\n");
+        // Below a file, not a directory: the write fails and is counted.
+        ctx.write_side_csv(&format!("{file}/below.csv"), "x\n");
+        assert_eq!(ctx.unwritten(), 1);
     }
 
     #[test]

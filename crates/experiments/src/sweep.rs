@@ -3,32 +3,28 @@
 //!
 //! A [`SweepSpec`] is an ordered list of *cells*; each cell pairs a
 //! content-addressed cache key with a closure producing that cell's CSV
-//! row values. [`SweepSpec::run`] answers as many cells as possible from
-//! the [`RunCache`], executes the misses on the [`jobs`](crate::jobs)
-//! worker pool, stores their results, and reassembles everything in
-//! declaration order — so the produced tables are byte-identical whether
+//! row values. [`SweepSpec::run`] answers the whole sweep from the
+//! [`RunCache`] when it can; otherwise it executes every cell on the
+//! [`jobs`](crate::jobs) worker pool and stores the sweep — results land
+//! in declaration order, so the produced tables are byte-identical whether
 //! the sweep ran serially, on eight workers, or straight out of the cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cache::{unpack_text, RunCache};
 use crate::jobs;
-use crate::report::RESULTS_DIR;
+use crate::report::{write_if_changed, RESULTS_DIR};
 
 /// Handle to one declared cell, used to read its values after the run.
 #[derive(Debug, Clone, Copy)]
 pub struct CellId(usize);
 
-/// One unit of sweep work: a cache key plus the computation it names.
-struct SweepCell {
-    key: String,
-    run: Box<dyn FnOnce() -> Vec<f64> + Send>,
-}
-
 /// An experiment's configuration grid, declared as data.
 pub struct SweepSpec {
     label: String,
-    cells: Vec<SweepCell>,
+    /// One cache key per cell, naming the computation in `runs`.
+    keys: Vec<String>,
+    runs: Vec<Box<dyn FnOnce() -> Vec<f64> + Send>>,
 }
 
 impl SweepSpec {
@@ -37,7 +33,8 @@ impl SweepSpec {
     pub fn new(label: &str) -> SweepSpec {
         SweepSpec {
             label: label.to_string(),
-            cells: Vec::new(),
+            keys: Vec::new(),
+            runs: Vec::new(),
         }
     }
 
@@ -46,56 +43,36 @@ impl SweepSpec {
     /// values and must be deterministic for caching and worker-count
     /// independence to hold.
     pub fn cell(&mut self, key: String, run: impl FnOnce() -> Vec<f64> + Send + 'static) -> CellId {
-        self.cells.push(SweepCell {
-            key,
-            run: Box::new(run),
-        });
-        CellId(self.cells.len() - 1)
+        self.keys.push(key);
+        self.runs.push(Box::new(run));
+        CellId(self.keys.len() - 1)
     }
 
     /// Number of declared cells.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.keys.len()
     }
 
     /// Whether no cells were declared.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.keys.is_empty()
     }
 
-    /// Execute the grid under `ctx`: cache lookups first, then the misses
-    /// on the worker pool, then cache stores; results land in declaration
-    /// order regardless of completion order.
+    /// Execute the grid under `ctx`: one cache lookup for the whole sweep,
+    /// or else every cell on the worker pool and one store; results land
+    /// in declaration order regardless of completion order.
     #[must_use]
     pub fn run(self, ctx: &SweepCtx) -> SweepResults {
-        let label = self.label;
-        let mut values: Vec<Option<Vec<f64>>> = Vec::with_capacity(self.cells.len());
-        let mut pending: Vec<(usize, SweepCell)> = Vec::new();
-        for (ix, cell) in self.cells.into_iter().enumerate() {
-            match ctx.cache.lookup(&cell.key) {
-                Some(cached) => values.push(Some(cached)),
-                None => {
-                    values.push(None);
-                    pending.push((ix, cell));
-                }
-            }
-        }
-        let keyed: Vec<(usize, String)> =
-            pending.iter().map(|(ix, c)| (*ix, c.key.clone())).collect();
-        let jobs: Vec<_> = pending.into_iter().map(|(_, c)| c.run).collect();
-        let computed = jobs::run_jobs(jobs, ctx.workers);
-        for ((ix, key), vals) in keyed.into_iter().zip(computed) {
-            ctx.cache.store(&key, &vals);
-            values[ix] = Some(vals);
-        }
+        let values = ctx.cache.lookup_sweep(&self.keys).unwrap_or_else(|| {
+            let computed = jobs::run_jobs(self.runs, ctx.workers);
+            ctx.cache.store_sweep(&self.keys, &computed);
+            computed
+        });
         SweepResults {
-            label,
-            values: values
-                .into_iter()
-                .map(|v| v.expect("every cell resolved"))
-                .collect(),
+            label: self.label,
+            values,
         }
     }
 }
@@ -136,15 +113,14 @@ impl SweepCtx {
     }
 
     /// Write `text` as `results/<file>`: the CSVs of `lint`, `synth` and
-    /// `extract`, whose string columns do not fit a [`Table`](crate::Table).
+    /// `extract`, whose string columns do not fit a [`Table`](crate::Table),
+    /// left alone when they already hold `text` as [`Table::write_csv`](crate::Table::write_csv) does.
     /// Experiments return tables, not `Result`s, so a failure is reported
     /// on stderr and counted; `armbar` exits 1 on a non-zero
     /// [`SweepCtx::unwritten`] rather than let a stale file pass for fresh.
     pub fn write_side_csv(&self, file: &str, text: &str) {
         let path = std::path::Path::new(RESULTS_DIR).join(file);
-        if let Err(e) =
-            std::fs::create_dir_all(RESULTS_DIR).and_then(|()| std::fs::write(&path, text))
-        {
+        if let Err(e) = write_if_changed(&path, text) {
             eprintln!("error: could not write {}: {e}", path.display());
             self.unwritten.fetch_add(1, Ordering::Relaxed);
         }
@@ -250,6 +226,8 @@ mod tests {
         let cold = spec.run(&cold_ctx);
         assert_eq!(cold_ctx.cache.hits(), 0);
         assert_eq!(cold_ctx.cache.stores(), 10);
+        // One file holds the whole sweep.
+        assert_eq!(std::fs::read_dir(&dir).map(Iterator::count).ok(), Some(1));
 
         let (spec, ids) = square_spec(10);
         let warm_ctx = SweepCtx::new(2, RunCache::at(&dir));

@@ -10,22 +10,6 @@
 
 use crate::types::{CoreId, DistanceClass};
 
-/// A physical core-cluster: a contiguous range of core ids inside one node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cluster {
-    /// First core id in the cluster.
-    pub first_core: CoreId,
-    /// Number of cores in the cluster.
-    pub cores: usize,
-}
-
-/// A NUMA node: one or more clusters behind a shared bi-section boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Node {
-    /// Clusters in this node.
-    pub clusters: Vec<Cluster>,
-}
-
 /// Where a core sits: `(node index, cluster index within node)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Placement {
@@ -36,9 +20,10 @@ pub struct Placement {
 }
 
 /// The full system topology.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Topology {
-    nodes: Vec<Node>,
+    /// The description [`Topology::new`] took.
+    desc: Vec<Vec<usize>>,
     /// Flattened `core id -> placement` map, computed at construction.
     placements: Vec<Placement>,
 }
@@ -55,31 +40,18 @@ impl Topology {
     #[must_use]
     pub fn new(desc: &[&[usize]]) -> Topology {
         assert!(!desc.is_empty(), "topology needs at least one node");
-        let mut nodes = Vec::with_capacity(desc.len());
         let mut placements = Vec::new();
-        let mut next_core = 0usize;
-        for (ni, clusters) in desc.iter().enumerate() {
-            assert!(!clusters.is_empty(), "node {ni} has no clusters");
-            let mut node = Node {
-                clusters: Vec::with_capacity(clusters.len()),
-            };
-            for (ci, &count) in clusters.iter().enumerate() {
-                assert!(count > 0, "cluster {ci} of node {ni} is empty");
-                node.clusters.push(Cluster {
-                    first_core: next_core,
-                    cores: count,
-                });
-                for _ in 0..count {
-                    placements.push(Placement {
-                        node: ni,
-                        cluster: ci,
-                    });
-                }
-                next_core += count;
+        for (node, clusters) in desc.iter().enumerate() {
+            assert!(!clusters.is_empty(), "node {node} has no clusters");
+            for (cluster, &count) in clusters.iter().enumerate() {
+                assert!(count > 0, "cluster {cluster} of node {node} is empty");
+                placements.extend((0..count).map(|_| Placement { node, cluster }));
             }
-            nodes.push(node);
         }
-        Topology { nodes, placements }
+        Topology {
+            desc: desc.iter().map(|clusters| clusters.to_vec()).collect(),
+            placements,
+        }
     }
 
     /// A uniform cluster-of-clusters topology: `nodes` NUMA nodes, each of
@@ -109,7 +81,7 @@ impl Topology {
     /// Number of NUMA nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.desc.len()
     }
 
     /// Placement of a core.
@@ -139,20 +111,14 @@ impl Topology {
             DistanceClass::SameCluster
         }
     }
+}
 
-    /// Core ids of every core in `node`, in id order.
-    #[must_use]
-    pub fn cores_in_node(&self, node: usize) -> Vec<CoreId> {
-        (0..self.core_count())
-            .filter(|&c| self.placements[c].node == node)
-            .collect()
-    }
-
-    /// Core ids of cluster `cluster` of node `node`.
-    #[must_use]
-    pub fn cores_in_cluster(&self, node: usize, cluster: usize) -> Vec<CoreId> {
-        let c = &self.nodes[node].clusters[cluster];
-        (c.first_core..c.first_core + c.cores).collect()
+/// Prints the description [`Topology::new`] took, `Topology[[4, 4], [4, 4]]`:
+/// the placements are derived from it, so two topologies print alike iff
+/// they are equal, and a cache key naming one stays short.
+impl std::fmt::Debug for Topology {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Topology{:?}", self.desc)
     }
 }
 
@@ -211,13 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn node_and_cluster_listing() {
-        let t = two_node();
-        assert_eq!(t.cores_in_node(0), vec![0, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(t.cores_in_cluster(1, 0), vec![8, 9, 10, 11]);
-    }
-
-    #[test]
     fn big_little_topology() {
         // Kirin-style: one node, big cluster + little cluster.
         let t = Topology::new(&[&[4, 4]]);
@@ -246,10 +205,12 @@ mod tests {
         assert_eq!(big.placement(1023).node, 15);
         assert_eq!(big.distance(0, 63), DistanceClass::CrossCluster);
         assert_eq!(big.distance(0, 64), DistanceClass::CrossNode);
-        assert_eq!(
-            big.cores_in_cluster(15, 7),
-            (1016..1024).collect::<Vec<_>>()
-        );
+        let last = Placement {
+            node: 15,
+            cluster: 7,
+        };
+        assert!((1016..1024).all(|c| big.placement(c) == last));
+        assert_ne!(big.placement(1015), last);
     }
 
     #[test]
