@@ -313,7 +313,7 @@ pub fn corpus() -> Vec<LintCase> {
     }
 
     // -- Delegation-lock handoffs (`dlock` ports; appended). --------------
-    // Each new design in `crates/locks` + `delegation_sim` reduces, at its
+    // Each design in `delegation_sim` reduces, at its
     // combiner/server → waiter boundary, to the same publish-then-flag
     // skeleton — seeded here with the fences the naive ports ship with.
 
@@ -327,8 +327,8 @@ pub fn corpus() -> Vec<LintCase> {
     ));
 
     // CC-Synch node handoff as ported: full fences on *both* sides of the
-    // status-word publish — the textbook x86-minded port the module docs
-    // call out. Store-side only needs ST ordering, the spinner LD.
+    // status-word publish — the textbook x86-minded port. Store-side only
+    // needs ST ordering, the spinner LD.
     cases.push(lock_handoff(
         "ccsynch-status+dmb.full+dmb.full",
         Barrier::DmbFull,

@@ -6,9 +6,9 @@
 //! area plus the unplaced cells' minimal areas cannot beat the incumbent.
 //!
 //! The incumbent bound is the only shared state. [`SharedBound`] exposes it
-//! through two registered critical sections (read / try-improve), so any
-//! in-place or delegation lock from `armbar-locks` can carry it — that is
-//! the pluggable piece Figure 8(d) varies.
+//! through two registered critical sections (read / try-improve), so
+//! either lock from `armbar-locks` — in-place ticket or delegation DSynch —
+//! can carry it; that is the pluggable piece Figure 8(d) varies.
 
 use armbar_locks::{Executor, OpId, OpTable};
 

@@ -1,23 +1,18 @@
-//! The one place that touches protected state: the state cell every lock
-//! family shares, and the delegation core built on it.
+//! The one place that touches protected state: the state cell both locks
+//! share.
 //!
 //! Each lock in this crate is a protocol over atomics that makes at most
-//! one thread at a time the *server* — the ticket or MCS holder, the
-//! dedicated server thread, the current combiner — and that thread alone
-//! may reach the protected `T`. The dereference lives here, once, behind an
-//! `unsafe fn`; each protocol calls it from the one place where it has made
-//! the calling thread the server, and says there why that holds.
+//! one thread at a time the *server* — the ticket holder, the current
+//! combiner — and that thread alone may reach the protected `T`. The
+//! dereference lives here, once, behind an `unsafe fn`; each protocol calls
+//! it from the one place where it has made the calling thread the server,
+//! and says there why that holds.
 
 use std::cell::UnsafeCell;
 #[cfg(debug_assertions)]
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use crossbeam::utils::CachePadded;
-
-use armbar_barriers::{Barrier, ResponseMode};
-use armbar_pilot::HashPool;
-
-use crate::exec::{OpId, OpTable};
 
 /// Protected state behind a lock protocol, on padded lines of its own: a
 /// critical section's stores must not false-share with the read-mostly
@@ -32,9 +27,9 @@ pub(crate) struct StateCell<T> {
 
 // SAFETY: `state` is reached only through `as_server`, an `unsafe fn` whose
 // contract makes the caller the unique server; successive servers are ordered
-// by the protocol's own acquire/release hand-off (owner word, queue links,
-// combiner lock, the dedicated server's single thread), which is what moves
-// `T` between threads — hence `T: Send`.
+// by the protocol's own acquire/release hand-off (the ticket owner word, the
+// combiner role's hand-off store), which is what moves `T` between threads —
+// hence `T: Send`.
 unsafe impl<T: Send> Sync for StateCell<T> {}
 
 /// Debug builds' record of a server inside the state; leaves on drop, so a
@@ -76,54 +71,6 @@ impl<T> StateCell<T> {
         };
         // No reference to the state outlives `f`.
         f(&mut *self.state.get())
-    }
-}
-
-/// What every delegation design shares: protected state, registered
-/// critical sections, response mode, the two barriers of Algorithm 5 and
-/// the Pilot seed schedule of Algorithm 6.
-pub struct Core<T> {
-    state: StateCell<T>,
-    ops: OpTable<T>,
-    pub(crate) mode: ResponseMode,
-    /// Between detecting a request and reading/executing it (line 4).
-    pub(crate) req_barrier: Barrier,
-    /// Between the critical section and a flag-mode completion store
-    /// (line 7 — the post-RMR barrier Pilot removes).
-    pub(crate) resp_barrier: Barrier,
-    pub(crate) pool: HashPool,
-}
-
-impl<T> Core<T> {
-    /// A core with the paper's best barrier pair (`LDAR`-strength request
-    /// barrier, `DMB st` response barrier).
-    pub(crate) fn new(state: T, ops: OpTable<T>, mode: ResponseMode) -> Core<T> {
-        Core {
-            state: StateCell::new(state),
-            ops,
-            mode,
-            req_barrier: Barrier::Ldar,
-            resp_barrier: Barrier::DmbSt,
-            pool: HashPool::default_pool(),
-        }
-    }
-
-    /// The same core with an explicit barrier pair.
-    pub(crate) fn with_barriers(mut self, req: Barrier, resp: Barrier) -> Core<T> {
-        self.req_barrier = req;
-        self.resp_barrier = resp;
-        self
-    }
-
-    /// Run critical section `op` as the unique server.
-    ///
-    /// # Safety
-    ///
-    /// [`StateCell::as_server`]'s contract, with the design's combiner or
-    /// dedicated server as the protocol's unique server.
-    pub(crate) unsafe fn serve(&self, op: OpId, arg: u64) -> u64 {
-        let op = self.ops.get(op);
-        self.state.as_server(|state| op(state, arg))
     }
 }
 

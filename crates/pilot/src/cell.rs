@@ -6,18 +6,11 @@
 //!
 //! * **Local cursor** ([`PilotCell::publish`] / [`PilotCell::poll`]): a fixed
 //!   sender/receiver pair, each end keeping its own [`Last`] and its own
-//!   [`HashPool`] cursor — the bare slot, the ring, FFWD's response lines.
+//!   [`HashPool`] cursor — the bare slot and the ring.
 //! * **Shared round** ([`PilotCell::sample`] / [`PilotCell::poll_sampled`] /
 //!   [`PilotCell::publish_round`]): the sender migrates (a combiner), so
 //!   previous word, flag and schedule position are read back from the cell,
 //!   and the waiter samples all three *before* it posts its request.
-//!
-//! A completion word that must stay distinguishable from other values
-//! stored in it (RCL's request word, CC-Synch's status word) carries the
-//! shuffled payload above an all-ones tag instead ([`HashPool::pack`] /
-//! [`HashPool::unpack`]): the tag replaces the fallback flag, and a payload
-//! too wide for the remaining bits is reported, so the caller completes
-//! that one response its flag-mode way.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -59,8 +52,8 @@ pub struct Sampled {
 
 impl PilotCell {
     /// Flag mode on the same line: park a raw return value in the word. The
-    /// notification is the caller's — [`PilotCell::flip`], or a word of its
-    /// own — after its response barrier.
+    /// notification is a word of the caller's own, after its response
+    /// barrier.
     pub fn store_raw(&self, raw: u64) {
         self.0.word.store(raw, Ordering::Relaxed);
     }
@@ -69,18 +62,6 @@ impl PilotCell {
     #[must_use]
     pub fn load_raw(&self) -> u64 {
         self.0.word.load(Ordering::Relaxed)
-    }
-
-    /// Flag-mode notification (Algorithm 5, line 8): flip the flag.
-    pub fn flip(&self) {
-        let flipped = self.0.flag.load(Ordering::Relaxed) ^ 1;
-        self.0.flag.store(flipped, Ordering::Relaxed);
-    }
-
-    /// Flag-mode waiter: whether the flag moved since `seen`.
-    pub fn flipped(&self, seen: &mut u64) -> bool {
-        let now = self.0.flag.load(Ordering::Relaxed);
-        now != std::mem::replace(seen, now)
     }
 
     /// Algorithm 3, lines 2-6: store the shuffled word unless it repeats the
@@ -168,27 +149,6 @@ impl PilotCell {
     }
 }
 
-impl HashPool {
-    /// The packed form of round `round`'s response: `payload ^ seed` in the
-    /// bits above an all-ones tag of `tag_bits` bits. `None` when the payload
-    /// needs those bits itself.
-    #[must_use]
-    pub fn pack(&self, round: u64, payload: u64, tag_bits: u32) -> Option<u64> {
-        let room = u64::MAX >> tag_bits;
-        let shuffled = payload ^ (self.seed_at(round as usize) & room);
-        (payload <= room).then_some((shuffled << tag_bits) | !(u64::MAX << tag_bits))
-    }
-
-    /// The payload of a word [`HashPool::pack`]ed for `round`; `None` when
-    /// the word does not carry the tag.
-    #[must_use]
-    pub fn unpack(&self, round: u64, word: u64, tag_bits: u32) -> Option<u64> {
-        let room = u64::MAX >> tag_bits;
-        let tag = !(u64::MAX << tag_bits);
-        (word & tag == tag).then_some((word >> tag_bits) ^ (self.seed_at(round as usize) & room))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,31 +195,6 @@ mod tests {
             // Next payload chosen so its shuffled word repeats this one
             // whenever the next round is a notifying one.
             expect = expect ^ pool.seed_at(round) ^ pool.seed_at(round + 1);
-        }
-    }
-
-    #[test]
-    fn packed_words_carry_the_tag_and_reject_wide_payloads() {
-        let pool = HashPool::default_pool();
-        for tag_bits in [1u32, 2] {
-            let tag = (1u64 << tag_bits) - 1;
-            let room = u64::MAX >> tag_bits;
-            for round in 0..130 {
-                for payload in [0, 1, 7, room - 1, room] {
-                    let word = pool.pack(round, payload, tag_bits).expect("fits");
-                    assert_eq!(word & tag, tag);
-                    assert_eq!(pool.unpack(round, word, tag_bits), Some(payload));
-                }
-                for wide in [room + 1, 1 << 63, u64::MAX] {
-                    assert_eq!(pool.pack(round, wide, tag_bits), None);
-                }
-            }
-            assert_eq!(pool.unpack(0, 0, tag_bits), None);
-            assert_eq!(
-                pool.unpack(0, 1 << tag_bits, tag_bits),
-                None,
-                "even/request-like"
-            );
         }
     }
 }

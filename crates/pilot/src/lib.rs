@@ -19,9 +19,8 @@
 //!
 //! Algorithms 3 and 4 — and Algorithm 6, which is the same two applied to a
 //! delegation lock's response — live in one file, [`cell`]: every Pilot user
-//! in the workspace (the slot and ring here; FFWD, DSynch, flat combining,
-//! RCL and CC-Synch in `armbar-locks`) publishes and polls through
-//! [`PilotCell`] or the packed-word [`HashPool::pack`].
+//! in the workspace (the slot and ring here; the DSynch combining lock in
+//! `armbar-locks`) publishes and polls through [`PilotCell`].
 //!
 //! This crate provides:
 //!

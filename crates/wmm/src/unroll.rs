@@ -1,6 +1,6 @@
 //! Bounded-unrolled implementation shapes: loop-free [`Program`]s that
-//! mirror the lock and channel idioms in `crates/locks` / `crates/pilot`
-//! at whole-function size (100+ instructions).
+//! mirror the lock idioms of `crates/simapps` and the channel idioms of
+//! `crates/pilot` at whole-function size (100+ instructions).
 //!
 //! The explorer only handles loop-free programs, so spin loops are
 //! bounded: each "spin until the flag flips" becomes a load of the flag

@@ -11,8 +11,7 @@
 //! | [`wmm`] | exhaustive operational weak-memory explorer + litmus suite |
 //! | [`barriers`] | barrier taxonomy, native `asm!` backend, Table 3 advisor |
 //! | [`pilot`] | the Pilot mechanism (Algorithms 3 & 4) and channels built on it |
-//! | [`locks`] | ticket/MCS in-place locks; FFWD/combining delegation locks with Pilot variants |
-//! | [`collections`] | lock-protected queue/stack/sorted-list/hash-table workloads |
+//! | [`locks`] | ticket in-place lock; DSynch combining delegation lock with a Pilot variant |
 //! | [`dedup`] | PARSEC-dedup-like pipeline compressor with pluggable queues |
 //! | [`floorplan`] | BOTS-style branch-and-bound floorplanner |
 //! | [`simapps`] | the paper's experiments as simulator workloads |
@@ -43,7 +42,6 @@
 #![forbid(unsafe_code)]
 
 pub use armbar_barriers as barriers;
-pub use armbar_collections as collections;
 pub use armbar_dedup as dedup;
 pub use armbar_floorplan as floorplan;
 pub use armbar_locks as locks;
