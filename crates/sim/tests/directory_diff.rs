@@ -253,3 +253,128 @@ proptest! {
         }
     }
 }
+
+/// A call on the many-core machine: core ids span all 1024 cores, and a
+/// read run lists a line into up to 1024 sharer sets before its write.
+#[derive(Debug, Clone, Copy)]
+enum WideCall {
+    Access {
+        core: u16,
+        line: u8,
+        write: bool,
+        gap: u8,
+    },
+    /// `len` reads of `line` by cores `first, first + step, …` (mod 1024),
+    /// then a write by `writer`.
+    ReadRun {
+        line: u8,
+        first: u16,
+        step: u16,
+        len: u16,
+        writer: u16,
+    },
+    Park {
+        core: u16,
+        line: u8,
+    },
+    Take {
+        line: u8,
+    },
+}
+
+fn gen_wide_call() -> impl Strategy<Value = WideCall> {
+    let access = || {
+        (any::<u16>(), any::<u8>(), any::<bool>(), any::<u8>()).prop_map(
+            |(core, line, write, gap)| WideCall::Access {
+                core,
+                line,
+                write,
+                gap,
+            },
+        )
+    };
+    let park =
+        || (any::<u16>(), any::<u8>()).prop_map(|(core, line)| WideCall::Park { core, line });
+    prop_oneof![
+        access(),
+        access(),
+        (
+            (any::<u8>(), any::<u16>()),
+            1u16..200,
+            1u16..1100,
+            any::<u16>()
+        )
+            .prop_map(|((line, first), step, len, writer)| WideCall::ReadRun {
+                line,
+                first,
+                step,
+                len,
+                writer
+            }),
+        park(),
+        park(),
+        any::<u8>().prop_map(|line| WideCall::Take { line }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn many_core_directory_matches_the_naive_reference(
+        calls in prop::collection::vec(gen_wide_call(), 1..120),
+    ) {
+        let p = Platform::manycore(1024);
+        let (topo, lat) = (&p.topology, &p.latency);
+        let core = |raw: u16| usize::from(raw) % 1024;
+        for shards in [1usize, 16] {
+            let mut dir = Directory::with_shards(shards);
+            let mut reference = RefDirectory::default();
+            for (start, end, home) in [(8 * 64, 16 * 64, 3), (16 * 64, 24 * 64, 1000)] {
+                dir.set_region_home(start, end, home);
+                reference.set_region_home(start, end, home);
+            }
+            let mut now: Cycle = 0;
+            let (mut woken, mut ref_woken) = (Vec::new(), Vec::new());
+            for (i, &call) in calls.iter().enumerate() {
+                let mut accesses = Vec::new();
+                let touched = match call {
+                    WideCall::Access { core: c, line, write, gap } => {
+                        now += Cycle::from(gap % 8) * 5;
+                        accesses.push((core(c), write));
+                        line_of(line)
+                    }
+                    WideCall::ReadRun { line, first, step, len, writer } => {
+                        let reader = |k: u16| core(first.wrapping_add(k.wrapping_mul(step)));
+                        accesses.extend((0..len).map(|k| (reader(k), false)));
+                        accesses.push((core(writer), true));
+                        line_of(line)
+                    }
+                    WideCall::Park { core: c, line } => {
+                        dir.park_waiter(line_of(line), core(c));
+                        reference.park_waiter(line_of(line), core(c));
+                        line_of(line)
+                    }
+                    WideCall::Take { line } => {
+                        dir.take_waiters_into(line_of(line), &mut woken);
+                        reference.take_waiters_into(line_of(line), &mut ref_woken);
+                        prop_assert_eq!(&woken, &ref_woken, "call {} ({:?})", i, call);
+                        line_of(line)
+                    }
+                };
+                for (k, &(c, write)) in accesses.iter().enumerate() {
+                    prop_assert_eq!(
+                        dir.access(topo, lat, c, touched, write, now),
+                        reference.access(topo, lat, c, touched, write, now),
+                        "call {} ({:?}) access {} at {} shard(s)", i, call, k, shards
+                    );
+                }
+                prop_assert_eq!(dir.owner(touched), reference.owner(touched), "call {}", i);
+                prop_assert_eq!(dir.waiter_count(), reference.waiter_count(), "call {}", i);
+            }
+            for raw in 0..24 {
+                prop_assert_eq!(dir.owner(line_of(raw)), reference.owner(line_of(raw)));
+            }
+        }
+    }
+}
