@@ -9,7 +9,8 @@
 //!   or issues, and is what the differential suites hold the event engine
 //!   to.
 //! * [`Engine::EventDriven`] (the default) keeps a lazy-deletion min-heap of
-//!   `(wake cycle, core id)` events and steps **only** the cores whose wake
+//!   `(wake cycle, core id)` events, packed into one word each
+//!   (`wake_key`), and steps **only** the cores whose wake
 //!   arrived. After each step it asks the core one question, `Core::sleep`:
 //!   the cycle of its next *event* — retirement and the pushing of nops are
 //!   bookkeeping the core applies when it is next looked at
@@ -64,6 +65,20 @@ pub enum Engine {
 /// Sentinel for "no event scheduled" in the lazy-deletion bookkeeping.
 const NEVER: Cycle = Cycle::MAX;
 
+/// Low bits of a heap key that hold the core id.
+const CORE_BITS: u32 = 16;
+
+/// The heap key of a wake event: the cycle above the core id in one word,
+/// so keys order exactly as `(cycle, core id)` pairs and compare in one
+/// instruction.
+fn wake_key(at: Cycle, c: CoreId) -> u64 {
+    assert!(
+        at >> (64 - CORE_BITS) == 0 && c >> CORE_BITS == 0,
+        "wake key out of range: cycle {at}, core {c}"
+    );
+    at << CORE_BITS | c as u64
+}
+
 /// A simulated machine.
 pub struct Machine {
     platform: Platform,
@@ -76,9 +91,10 @@ pub struct Machine {
     /// [`Machine::enable_trace`] is called).
     trace: Trace,
     engine: Engine,
-    /// Pending wake events, min-ordered by `(cycle, core id)`. Lazy
-    /// deletion: an entry is live iff it matches `scheduled[core]`.
-    heap: BinaryHeap<Reverse<(Cycle, CoreId)>>,
+    /// Pending wake events as [`wake_key`]s, min-ordered by `(cycle, core
+    /// id)`. Lazy deletion: an entry is live iff it matches
+    /// `scheduled[core]`.
+    heap: BinaryHeap<Reverse<u64>>,
     /// The single live wake cycle per core (`NEVER` = none). Superseded
     /// heap entries are dropped when popped.
     scheduled: Vec<Cycle>,
@@ -272,7 +288,7 @@ impl Machine {
     fn schedule(&mut self, c: CoreId, at: Cycle) {
         if at < self.scheduled[c] {
             self.scheduled[c] = at;
-            self.heap.push(Reverse((at, c)));
+            self.heap.push(Reverse(wake_key(at, c)));
         }
     }
 
@@ -375,7 +391,8 @@ impl Machine {
     #[inline(always)]
     fn next_event(&mut self) -> Option<(Cycle, CoreId)> {
         loop {
-            let &Reverse((at, c)) = self.heap.peek()?;
+            let &Reverse(key) = self.heap.peek()?;
+            let (at, c) = (key >> CORE_BITS, (key & ((1 << CORE_BITS) - 1)) as CoreId);
             if self.scheduled[c] != at {
                 self.heap.pop();
             } else if at < self.now {
@@ -1348,7 +1365,7 @@ mod tests {
         );
         let first = m.run(1_000_000);
         assert!(first.halted);
-        m.heap.push(Reverse((0, 0)));
+        m.heap.push(Reverse(wake_key(0, 0)));
         m.scheduled[0] = 0;
         let again = m.run(1 << 50);
         assert!(again.halted);
