@@ -30,7 +30,9 @@
 //! `synth` found a placement cheaper than the seed, so both double as CI
 //! gates; 2 nothing matched the command line or the corpus filter; 3 an
 //! assembly file could not be read or lifted (stderr carries
-//! `path:line:col: message`).
+//! `path:line:col: message`), or a lifted thread loads a location it
+//! stored to earlier — the explorer does not model store-to-load
+//! forwarding, so it would forbid outcomes ARMv8 and x86-TSO allow.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -41,6 +43,7 @@ use armbar_analyze::synth::{chosen_point, pareto_fronts, synthesize};
 use armbar_analyze::{corpus, LintCase};
 use armbar_experiments::{find, verify, Experiment, SweepCtx, Table, EXPERIMENTS};
 use armbar_sim::PlatformKind;
+use armbar_wmm::model::Instr;
 
 /// Exit code and the line that explains it.
 type Failure = (u8, String);
@@ -166,11 +169,28 @@ fn cases(filter: Option<&&str>) -> Result<Vec<LintCase>, Failure> {
 
 /// Lift an assembly file into a lint case (without an intent predicate)
 /// and print what was recovered (threads, instructions, the symbol map),
-/// or exit code 3 with the located diagnostic.
+/// or exit code 3 with the located diagnostic — also for a thread with a
+/// load that a store-to-load forwarding could satisfy.
 fn lift(path: &str) -> Result<LintCase, Failure> {
     let src = std::fs::read_to_string(path)
         .map_err(|e| (UNLIFTABLE, format!("{path}: cannot read file: {e}")))?;
     let lifted = armbar_extract::lift(&src).map_err(|e| (UNLIFTABLE, format!("{path}:{e}")))?;
+    for (t, thread) in lifted.program.threads.iter().enumerate() {
+        for (j, load) in thread.instrs.iter().enumerate() {
+            let Instr::Load { loc, .. } = load else {
+                continue;
+            };
+            let stored = |i: &Instr| matches!(i, Instr::Store { loc: l, .. } if l == loc);
+            if let Some(i) = thread.instrs[..j].iter().rposition(stored) {
+                let store = thread.instrs[i];
+                let message = format!(
+                    "{path}: T{t}: instruction {j} `{load}` reads m{loc} after instruction {i} \
+                     `{store}` stored to it; store-to-load forwarding is not modelled"
+                );
+                return Err((UNLIFTABLE, message));
+            }
+        }
+    }
     println!(
         "lifted {path}: {} thread(s), {} instruction(s), {} symbol(s)",
         lifted.program.threads.len(),
