@@ -242,15 +242,6 @@ impl Op {
             }
         )
     }
-
-    /// Does this op touch memory?
-    #[must_use]
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Op::Load { .. } | Op::Store { .. } | Op::Rmw { .. } | Op::WaitChange { .. }
-        )
-    }
 }
 
 /// Context handed to [`SimThread::next`].
@@ -356,18 +347,5 @@ mod tests {
             }
         ));
         assert_eq!(Op::wait_change(8, 3), Op::WaitChange { addr: 8, expect: 3 });
-    }
-
-    #[test]
-    fn memory_classification() {
-        assert!(Op::store(0, 0).is_memory());
-        assert!(Op::load(0).is_memory());
-        assert!(Op::fetch_add_acq_rel(0, 1).is_memory());
-        assert!(Op::wait_change(0, 0).is_memory());
-        assert!(!Op::Nops(3).is_memory());
-        assert!(!Op::Fence(Barrier::DmbFull).is_memory());
-        assert!(!Op::Halt.is_memory());
-        assert!(!Op::IterationMark.is_memory());
-        assert!(!Op::SpinMark.is_memory());
     }
 }

@@ -28,20 +28,17 @@ pub enum StallCause {
 }
 
 impl StallCause {
-    /// Stable text label (CSV column / trace track name).
+    /// Stable text label (CSV column / trace track name): this cause's
+    /// entry of [`StallBreakdown::CAUSE_LABELS`].
     #[must_use]
     pub fn label(self) -> &'static str {
-        match self {
-            StallCause::ResponseWindow => "response-window",
-            StallCause::MemoryBlock => "memory-block",
-            StallCause::DrainWait(DistanceClass::Local) => "drain-wait:local",
-            StallCause::DrainWait(DistanceClass::SameCluster) => "drain-wait:same-cluster",
-            StallCause::DrainWait(DistanceClass::CrossCluster) => "drain-wait:cross-cluster",
-            StallCause::DrainWait(DistanceClass::CrossNode) => "drain-wait:cross-node",
-            StallCause::DrainWait(DistanceClass::Memory) => "drain-wait:memory",
-            StallCause::RobFull => "rob-full",
-            StallCause::SbFull => "sb-full",
-        }
+        StallBreakdown::CAUSE_LABELS[match self {
+            StallCause::ResponseWindow => 0,
+            StallCause::MemoryBlock => 1,
+            StallCause::DrainWait(d) => 2 + d.index(),
+            StallCause::RobFull => 7,
+            StallCause::SbFull => 8,
+        }]
     }
 }
 
@@ -358,49 +355,11 @@ impl CoreStats {
     pub fn barrier_stall_cycles(&self) -> Cycle {
         self.stall.total
     }
-
-    /// Iterations per 1000 cycles — a clock-independent throughput figure.
-    #[must_use]
-    pub fn iterations_per_kcycle(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.iterations as f64 * 1000.0 / self.cycles as f64
-        }
-    }
-
-    /// Average cycles per iteration (`None` when nothing completed).
-    #[must_use]
-    pub fn cycles_per_iteration(&self) -> Option<f64> {
-        if self.iterations == 0 {
-            None
-        } else {
-            Some(self.cycles as f64 / self.iterations as f64)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn throughput_helpers() {
-        let s = CoreStats {
-            cycles: 2000,
-            iterations: 10,
-            ..CoreStats::default()
-        };
-        assert!((s.iterations_per_kcycle() - 5.0).abs() < 1e-9);
-        assert!((s.cycles_per_iteration().unwrap() - 200.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_division_guards() {
-        let s = CoreStats::default();
-        assert_eq!(s.iterations_per_kcycle(), 0.0);
-        assert!(s.cycles_per_iteration().is_none());
-    }
 
     #[test]
     fn charge_keeps_causes_and_kinds_in_sync() {

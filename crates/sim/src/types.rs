@@ -24,12 +24,6 @@ impl Line {
     pub fn containing(addr: Addr) -> Line {
         Line(addr / LINE_BYTES)
     }
-
-    /// First byte address of this line.
-    #[must_use]
-    pub fn base_addr(self) -> Addr {
-        self.0 * LINE_BYTES
-    }
 }
 
 impl fmt::Display for Line {
@@ -122,13 +116,6 @@ mod tests {
         assert_eq!(Line::containing(63), Line(0));
         assert_eq!(Line::containing(64), Line(1));
         assert_eq!(Line::containing(130), Line(2));
-    }
-
-    #[test]
-    fn line_base_addr_roundtrips() {
-        for a in [0u64, 64, 128, 4096, 1 << 40] {
-            assert_eq!(Line::containing(a).base_addr(), a);
-        }
     }
 
     #[test]
