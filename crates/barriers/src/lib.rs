@@ -38,4 +38,4 @@ pub mod strength;
 
 pub use advisor::{recommend, Approach, OrderReq, Recommendation};
 pub use kind::{AccessType, Acquire, Barrier, BusTransaction, ResponseMode};
-pub use strength::{cost_rank, orders, CostRank};
+pub use strength::{cost_rank, CostRank};

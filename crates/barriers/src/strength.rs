@@ -79,13 +79,6 @@ pub fn cost_rank(b: Barrier) -> CostRank {
     }
 }
 
-/// Convenience re-export of [`Barrier::orders`] as a free function, so the
-/// explorer and the advisor share one source of truth for semantics.
-#[must_use]
-pub fn orders(b: Barrier, earlier: AccessType, later: AccessType) -> bool {
-    b.orders(earlier, later)
-}
-
 /// Whether `b`'s expected cost is *stable* across platforms and placements.
 ///
 /// Only STLR is flagged unstable: "Performance comparison with DMB full is

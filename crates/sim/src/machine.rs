@@ -536,6 +536,7 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::op::{Op, ThreadCtx};
+    use crate::trace::Event;
     use armbar_barriers::Barrier;
 
     /// Runs a fixed script of ops, then halts.
@@ -895,10 +896,18 @@ mod tests {
         m.add_thread_on(0, Box::new(Script::new(ops)));
         assert!(m.run(1_000_000).halted);
         assert!(!m.trace().is_empty(), "enabled trace must record");
-        let text = m.trace().render();
-        assert!(text.contains("DMB full response"), "{text}");
+        assert!(
+            m.trace().events().any(|e| e.event
+                == Event::BarrierDone {
+                    core: 0,
+                    what: "DMB full"
+                }),
+            "{:?}",
+            m.trace().events().collect::<Vec<_>>()
+        );
         let json = m.take_trace().to_chrome_json();
         assert!(json.contains("\"traceEvents\""));
+        assert!(json.contains("barrier-done:DMB full"), "{json}");
         assert!(m.trace().is_empty(), "take_trace leaves an empty default");
     }
 

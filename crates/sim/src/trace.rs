@@ -1,51 +1,23 @@
-//! Optional execution tracing: a bounded ring of recent machine events for
-//! debugging workloads and calibrations.
+//! Optional execution tracing: a bounded ring of recent machine events,
+//! exported as Chrome-trace JSON.
 //!
 //! Tracing is off by default (zero overhead beyond a branch); switch it on
-//! with [`Trace::enabled`]. Events are deliberately coarse — one per
-//! architectural happening, not per cycle — so a trace of a few thousand
-//! entries typically covers the window a bug lives in.
-//!
-//! The ring is a building block for workloads: a [`SimThread`]
-//! (crate::op::SimThread) that owns a `Trace` can stamp its own protocol
-//! steps (`ctx.now` supplies the clock) and render the window when an
-//! assertion trips — see `armbar-simapps`' debugging pattern.
+//! with [`Machine::enable_trace`](crate::Machine::enable_trace). The core
+//! pipeline records four kinds of event — a barrier's response, a
+//! workload's iteration mark, and the begin and end of a barrier stall —
+//! so a trace of a few thousand entries covers the window a bug or a
+//! calibration question lives in. Read it back with [`Trace::events`], or
+//! take it with [`Machine::take_trace`](crate::Machine::take_trace) and
+//! write [`Trace::to_chrome_json`] for `chrome://tracing` or Perfetto
+//! (`ARMBAR_TRACE=trace.json armbar run attrib`).
 
 use std::collections::VecDeque;
-use std::fmt;
 
-use crate::types::{Addr, CoreId, Cycle};
+use crate::types::{CoreId, Cycle};
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// An instruction class was issued.
-    Issue {
-        /// Issuing core.
-        core: CoreId,
-        /// Mnemonic ("load", "store", "fence:DMB full", …).
-        what: &'static str,
-        /// Address, when the event concerns memory.
-        addr: Option<Addr>,
-    },
-    /// A load completed and delivered a value.
-    LoadDone {
-        /// Core.
-        core: CoreId,
-        /// Address.
-        addr: Addr,
-        /// Value observed.
-        value: u64,
-    },
-    /// A store drain landed in the global memory image.
-    StoreVisible {
-        /// Core.
-        core: CoreId,
-        /// Address.
-        addr: Addr,
-        /// Value committed.
-        value: u64,
-    },
     /// A barrier's response arrived (it no longer blocks anything).
     BarrierDone {
         /// Core.
@@ -88,10 +60,7 @@ impl Event {
     #[must_use]
     pub fn core(&self) -> CoreId {
         match self {
-            Event::Issue { core, .. }
-            | Event::LoadDone { core, .. }
-            | Event::StoreVisible { core, .. }
-            | Event::BarrierDone { core, .. }
+            Event::BarrierDone { core, .. }
             | Event::Iteration { core, .. }
             | Event::StallBegin { core, .. }
             | Event::StallEnd { core, .. } => *core,
@@ -106,59 +75,6 @@ pub struct Stamped {
     pub at: Cycle,
     /// What happened.
     pub event: Event,
-}
-
-impl fmt::Display for Stamped {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.event {
-            Event::Issue {
-                core,
-                what,
-                addr: Some(a),
-            } => {
-                write!(f, "[{:>8}] c{core} issue {what} @{a:#x}", self.at)
-            }
-            Event::Issue {
-                core,
-                what,
-                addr: None,
-            } => {
-                write!(f, "[{:>8}] c{core} issue {what}", self.at)
-            }
-            Event::LoadDone { core, addr, value } => {
-                write!(f, "[{:>8}] c{core} load @{addr:#x} -> {value}", self.at)
-            }
-            Event::StoreVisible { core, addr, value } => {
-                write!(
-                    f,
-                    "[{:>8}] c{core} store @{addr:#x} = {value} visible",
-                    self.at
-                )
-            }
-            Event::BarrierDone { core, what } => {
-                write!(f, "[{:>8}] c{core} {what} response", self.at)
-            }
-            Event::Iteration { core, count } => {
-                write!(f, "[{:>8}] c{core} iteration {count}", self.at)
-            }
-            Event::StallBegin { core, cause, what } => {
-                write!(f, "[{:>8}] c{core} stall begin {cause} ({what})", self.at)
-            }
-            Event::StallEnd {
-                core,
-                cause,
-                what,
-                since,
-            } => {
-                write!(
-                    f,
-                    "[{:>8}] c{core} stall end {cause} ({what}) after {}",
-                    self.at,
-                    self.at - since
-                )
-            }
-        }
-    }
 }
 
 /// Ring capacity of a [`Default`]-constructed trace.
@@ -220,17 +136,6 @@ impl Trace {
         self.ring.is_empty()
     }
 
-    /// Render the retained window as text.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for e in &self.ring {
-            out.push_str(&e.to_string());
-            out.push('\n');
-        }
-        out
-    }
-
     /// Export the retained window as Chrome-trace JSON (the "JSON Array
     /// Format" both `chrome://tracing` and Perfetto accept).
     ///
@@ -270,21 +175,6 @@ impl Trace {
                 }
                 other => {
                     let (core, name, args) = match other {
-                        Event::Issue { core, what, addr } => (
-                            *core,
-                            format!("issue:{what}"),
-                            addr.map(|a| format!("{{\"addr\":\"{a:#x}\"}}")),
-                        ),
-                        Event::LoadDone { core, addr, value } => (
-                            *core,
-                            "load-done".to_string(),
-                            Some(format!("{{\"addr\":\"{addr:#x}\",\"value\":{value}}}")),
-                        ),
-                        Event::StoreVisible { core, addr, value } => (
-                            *core,
-                            "store-visible".to_string(),
-                            Some(format!("{{\"addr\":\"{addr:#x}\",\"value\":{value}}}")),
-                        ),
                         Event::BarrierDone { core, what } => {
                             (*core, format!("barrier-done:{what}"), None)
                         }
@@ -363,40 +253,6 @@ mod tests {
         assert_eq!(t.len(), 3);
         let firsts: Vec<Cycle> = t.events().map(|e| e.at).collect();
         assert_eq!(firsts, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn rendering_is_line_per_event() {
-        let mut t = Trace::new(8);
-        t.enabled = true;
-        t.record(
-            10,
-            Event::Issue {
-                core: 1,
-                what: "store",
-                addr: Some(0x40),
-            },
-        );
-        t.record(
-            15,
-            Event::StoreVisible {
-                core: 1,
-                addr: 0x40,
-                value: 7,
-            },
-        );
-        t.record(
-            20,
-            Event::BarrierDone {
-                core: 1,
-                what: "DMB full",
-            },
-        );
-        let text = t.render();
-        assert_eq!(text.lines().count(), 3);
-        assert!(text.contains("c1 issue store @0x40"));
-        assert!(text.contains("store @0x40 = 7 visible"));
-        assert!(text.contains("DMB full response"));
     }
 
     #[test]
@@ -485,18 +341,5 @@ mod tests {
         assert_eq!(json_string("plain"), "\"plain\"");
         assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(json_string("x\ny"), "\"x\\ny\"");
-    }
-
-    #[test]
-    fn load_event_formatting() {
-        let s = Stamped {
-            at: 5,
-            event: Event::LoadDone {
-                core: 2,
-                addr: 0x80,
-                value: 23,
-            },
-        };
-        assert_eq!(s.to_string(), "[       5] c2 load @0x80 -> 23");
     }
 }

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use armbar_barriers::Barrier;
 
 use crate::explore::explore;
-use crate::litmus::LitmusTest;
+use crate::litmus::{woven, LitmusTest};
 use crate::model::{Instr, MemoryModel, Program, Thread};
 use crate::pool::claim_fold;
 
@@ -103,15 +103,12 @@ pub fn iriw_addrs() -> LitmusTest {
 pub fn s_shape(producer_barrier: Barrier) -> LitmusTest {
     // T0: x=2; <barrier>; y=1.  T1: r0=y; x=1 (ctrl dep).
     // Relaxed: r0=1 && final x == 2 (T1's overwrite lost *behind* T0's).
-    let t0 = match producer_barrier {
-        Barrier::None => vec![Instr::store(0, 2), Instr::store(1, 1)],
-        f => vec![Instr::store(0, 2), Instr::Fence(f), Instr::store(1, 1)],
-    };
+    let t0 = woven(producer_barrier, Instr::store(0, 2), Instr::store(1, 1));
     let t1 = vec![Instr::load(0, 1), Instr::store_ctrl_dep(0, 1, 0)];
     LitmusTest {
         name: format!("S+{producer_barrier}+ctrl"),
         program: Program {
-            threads: vec![thread(t0), thread(t1)],
+            threads: vec![t0, thread(t1)],
             init: vec![],
         },
         relaxed: Box::new(|o| o.reg(1, 0) == 1 && o.mem(0) == 2),
@@ -123,16 +120,12 @@ pub fn s_shape(producer_barrier: Barrier) -> LitmusTest {
 pub fn r_shape(barrier: Barrier) -> LitmusTest {
     // T0: x=1; <b>; y=1.  T1: y=2; <b>; r0=x.
     // Relaxed: final y == 2 && r0 == 0.
-    let weave = |first: Instr, second: Instr| match barrier {
-        Barrier::None => vec![first, second],
-        f => vec![first, Instr::Fence(f), second],
-    };
-    let t0 = weave(Instr::store(0, 1), Instr::store(1, 1));
-    let t1 = weave(Instr::store(1, 2), Instr::load(0, 0));
+    let t0 = woven(barrier, Instr::store(0, 1), Instr::store(1, 1));
+    let t1 = woven(barrier, Instr::store(1, 2), Instr::load(0, 0));
     LitmusTest {
         name: format!("R+{barrier}"),
         program: Program {
-            threads: vec![thread(t0), thread(t1)],
+            threads: vec![t0, t1],
             init: vec![],
         },
         relaxed: Box::new(|o| o.mem(1) == 2 && o.reg(1, 0) == 0),
@@ -150,16 +143,12 @@ pub fn two_plus_two_w(barrier: Barrier) -> LitmusTest {
     // the canonical one: final x == 2 && y == 2 requires both second writes
     // to lose, i.e. both first writes to land *after* — impossible under
     // store-store ordering on both sides.
-    let weave = |first: Instr, second: Instr| match barrier {
-        Barrier::None => vec![first, second],
-        f => vec![first, Instr::Fence(f), second],
-    };
-    let t0 = weave(Instr::store(0, 1), Instr::store(1, 2));
-    let t1 = weave(Instr::store(1, 1), Instr::store(0, 2));
+    let t0 = woven(barrier, Instr::store(0, 1), Instr::store(1, 2));
+    let t1 = woven(barrier, Instr::store(1, 1), Instr::store(0, 2));
     LitmusTest {
         name: format!("2+2W+{barrier}"),
         program: Program {
-            threads: vec![thread(t0), thread(t1)],
+            threads: vec![t0, t1],
             init: vec![],
         },
         relaxed: Box::new(|o| o.mem(0) == 1 && o.mem(1) == 1),

@@ -21,12 +21,11 @@
 //!    re-derived from every unperformed instruction at every macro-step,
 //!    and the walk's undo trail, visited key and child sleep sets live in
 //!    per-walk buffers and inline masks — a visited state costs no heap
-//!    allocation of its own. The engine is generic over the bitmask
-//!    width ([`Mask`]): `u64` for programs of at most 64 instructions (the
-//!    whole litmus corpus — monomorphized to the original single-word
-//!    code) and [`WideMask`] beyond, so implementation-sized programs
-//!    (unrolled lock handoffs, 100+ instructions) run through the same
-//!    engine instead of falling back to the oracle.
+//!    allocation of its own. Every program runs on one mask type,
+//!    [`WideMask`], sized to its instruction count (one word up to 64
+//!    instructions, inline up to 256, heap beyond), so litmus tests and
+//!    implementation-sized programs (unrolled lock handoffs, 100+
+//!    instructions) take the same code path.
 //!
 //!    *Why packing is lossless:* in the oracle's sparse state, whether a
 //!    register or location is present in a map is a pure function of the
@@ -100,7 +99,7 @@ use std::sync::Mutex;
 use armbar_fxhash::FxHasher;
 
 use crate::explore::{Outcome, OutcomeSet};
-use crate::mask::{word_count, Mask, WideMask};
+use crate::mask::{word_count, WideMask};
 use crate::model::{Instr, MemoryModel, Program, Src};
 use crate::pool::claim_fold;
 use crate::symmetry::{self, factorial, SlotGroup, Symmetry, MAX_ORBIT};
@@ -133,9 +132,8 @@ enum Val {
 }
 
 /// Static per-(program, model) tables: packing scheme, enabledness masks,
-/// and the conflict relation. Built once per exploration by [`layout`],
-/// generic over the bitmask width `M`.
-pub(crate) struct Layout<M: Mask> {
+/// and the conflict relation. Built once per exploration by [`layout`].
+pub(crate) struct Layout {
     /// Global transition index -> owning thread.
     tid: Vec<usize>,
     /// Global transition index -> index within its thread.
@@ -143,11 +141,11 @@ pub(crate) struct Layout<M: Mask> {
     /// Words of the done bitmask at the front of every packed state.
     mask_words: usize,
     /// Bitmask with one bit per instruction.
-    all_mask: M,
+    all_mask: WideMask,
     /// `pred[g]`: global done-bits that must be set before `g` is enabled
     /// (its `MemoryModel::ordered` predecessors) — the definition of
     /// enabledness, which [`Layout::enabled_at`] evaluates.
-    pred: Vec<M>,
+    pred: Vec<WideMask>,
     /// `ipred[g]`: the *immediate* predecessors of `g` — the transitive
     /// reduction of the closure of `pred` (`ordered` is a per-pair
     /// relation and not transitive, so the closure comes first). A
@@ -156,17 +154,17 @@ pub(crate) struct Layout<M: Mask> {
     /// downward-closed set contains `pred[g]` iff it contains `g`'s whole
     /// ancestry iff it contains `ipred[g]`. So on every state the walk can
     /// reach, `ipred` decides enabledness exactly as `pred` does.
-    ipred: Vec<M>,
+    ipred: Vec<WideMask>,
     /// `isucc[g]`: the transitions `g` is an immediate predecessor of —
     /// the only ones performing `g` can enable. (If `g` were a farther
     /// ancestor of a newly enabled `h`, some `x` between them would be
     /// performed with its ancestor `g` unperformed.)
-    isucc: Vec<M>,
+    isucc: Vec<WideMask>,
     /// `conflict[g]`: transitions *dependent* on `g` (may not commute).
-    conflict: Vec<M>,
+    conflict: Vec<WideMask>,
     /// `ordered_after[g]`: same-thread transitions ordered after `g`
     /// (they can never fire while `g` is unperformed).
-    ordered_after: Vec<M>,
+    ordered_after: Vec<WideMask>,
     /// Per-transition packed effect.
     effect: Vec<Effect>,
     /// Every value a slot can hold, ascending: `0`, the `init` values and
@@ -191,40 +189,14 @@ pub(crate) struct Layout<M: Mask> {
     sym: Option<Symmetry>,
 }
 
-/// The width dispatch: programs of at most 64 instructions monomorphize
-/// on `u64` (the zero-overhead fast path), larger ones on [`WideMask`].
-/// Every program gets a layout — there is no size ceiling and no oracle
-/// fallback anymore.
-pub(crate) enum EngineLayout {
-    /// Single-word masks (≤ 64 total instructions).
-    Narrow(Layout<u64>),
-    /// Multi-word masks.
-    Wide(Layout<WideMask>),
-}
-
-/// Build the width-dispatched [`Layout`] for `program` under `model`.
-/// `symmetry` enables thread-symmetry reduction (exploration wants it;
-/// witness search must not — see the module docs).
-pub(crate) fn layout(program: &Program, model: MemoryModel, symmetry: bool) -> EngineLayout {
-    let total: usize = program.threads.iter().map(|t| t.instrs.len()).sum();
-    if total <= 64 {
-        EngineLayout::Narrow(build(program, model, symmetry))
-    } else {
-        EngineLayout::Wide(build(program, model, symmetry))
-    }
-}
-
-/// Explore `program` end to end: layout, width dispatch, run.
+/// Explore `program` end to end: layout, then run.
 pub(crate) fn run_program(
     program: &Program,
     model: MemoryModel,
     workers: usize,
     symmetry: bool,
 ) -> OutcomeSet {
-    match layout(program, model, symmetry) {
-        EngineLayout::Narrow(lay) => run(&lay, workers),
-        EngineLayout::Wide(lay) => run(&lay, workers),
-    }
+    run(&layout(program, model, symmetry), workers)
 }
 
 /// Witness search for `program` at any size (symmetry disabled: the step
@@ -234,15 +206,13 @@ pub(crate) fn witness_program(
     model: MemoryModel,
     pred: &dyn Fn(&Outcome) -> bool,
 ) -> Option<Witness> {
-    match layout(program, model, false) {
-        EngineLayout::Narrow(lay) => find_witness_dpor(&lay, pred),
-        EngineLayout::Wide(lay) => find_witness_dpor(&lay, pred),
-    }
+    find_witness_dpor(&layout(program, model, false), pred)
 }
 
-/// Build one [`Layout`] instantiation. `M` must be wide enough for the
-/// program (callers go through [`layout`]).
-fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layout<M> {
+/// Build the [`Layout`] for `program` under `model`, masks sized to its
+/// instruction count. `symmetry` enables thread-symmetry reduction
+/// (exploration wants it; witness search must not — see the module docs).
+fn layout(program: &Program, model: MemoryModel, symmetry: bool) -> Layout {
     let total: usize = program.threads.iter().map(|t| t.instrs.len()).sum();
     let mask_words = word_count(total);
     let n_threads = program.threads.len();
@@ -256,7 +226,7 @@ fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layo
             idx.push(i);
         }
     }
-    let all_mask = M::ones(total);
+    let all_mask = WideMask::ones(total);
 
     // Slot discovery: load-destination registers per thread, then every
     // location any access or `init` entry mentions. Slots follow the done
@@ -347,8 +317,8 @@ fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layo
     }
 
     // Enabledness and same-thread ordering masks from the model relation.
-    let mut pred = vec![M::zeros(total); total];
-    let mut ordered_after = vec![M::zeros(total); total];
+    let mut pred = vec![WideMask::zeros(total); total];
+    let mut ordered_after = vec![WideMask::zeros(total); total];
     for (t, thread) in program.threads.iter().enumerate() {
         let n = thread.instrs.len();
         for j in 0..n {
@@ -365,9 +335,9 @@ fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layo
     // program order, so one ascending pass closes `pred` transitively;
     // `ipred[j]` is then what is left of `j`'s ancestors once every
     // ancestor of an ancestor is struck.
-    let mut ancestors: Vec<M> = Vec::with_capacity(total);
+    let mut ancestors: Vec<WideMask> = Vec::with_capacity(total);
     let mut ipred = Vec::with_capacity(total);
-    let mut isucc = vec![M::zeros(total); total];
+    let mut isucc = vec![WideMask::zeros(total); total];
     for (j, direct) in pred.iter().enumerate() {
         let mut all = direct.clone();
         for i in direct.bits() {
@@ -387,7 +357,7 @@ fn build<M: Mask>(program: &Program, model: MemoryModel, symmetry: bool) -> Layo
     // The static conflict (dependence) relation. Sound over-approximation:
     // a pair left out of `conflict` must commute in *every* state where
     // both are enabled, and neither may disable the other.
-    let mut conflict = vec![M::zeros(total); total];
+    let mut conflict = vec![WideMask::zeros(total); total];
     for g in 0..total {
         let ig = &program.threads[tid[g]].instrs[idx[g]];
         for h in (g + 1)..total {
@@ -509,7 +479,7 @@ fn build_symmetry(
     }
 }
 
-impl<M: Mask> Layout<M> {
+impl Layout {
     /// Total instruction count.
     fn total(&self) -> usize {
         self.tid.len()
@@ -518,8 +488,8 @@ impl<M: Mask> Layout<M> {
     /// The enabled set of the state whose done words are `done`, from its
     /// definition: unperformed, and every `pred` performed. The walk
     /// starts from this and carries the set incrementally from there.
-    fn enabled_at(&self, done: &[u64]) -> M {
-        let mut enabled = M::zeros(self.total());
+    fn enabled_at(&self, done: &[u64]) -> WideMask {
+        let mut enabled = WideMask::zeros(self.total());
         for g in 0..self.total() {
             if done[g / 64] >> (g % 64) & 1 == 0 && self.pred[g].subset_of_words(done) {
                 enabled.set(g);
@@ -567,7 +537,7 @@ impl<M: Mask> Layout<M> {
     }
 
     /// The full-width key [`pack`](Self::pack) packed.
-    fn unpack<'k>(&self, packed: &'k [u64]) -> impl Iterator<Item = u64> + use<'k, M> {
+    fn unpack<'k>(&self, packed: &'k [u64]) -> impl Iterator<Item = u64> + use<'k> {
         let (words, codes) = packed.split_at(2 * self.mask_words);
         let (done, sleep) = words.split_at(self.mask_words);
         let (per, bits) = (self.codes_per_word, self.code_bits);
@@ -585,7 +555,7 @@ type Undo = (usize, u64);
 
 /// Perform transition `g`, returning its undo record.
 #[inline]
-fn apply<M: Mask>(lay: &Layout<M>, st: &mut [u64], g: usize) -> Undo {
+fn apply(lay: &Layout, st: &mut [u64], g: usize) -> Undo {
     st[g / 64] |= 1 << (g % 64);
     match lay.effect[g] {
         Effect::Fence => (usize::MAX, 0),
@@ -751,7 +721,7 @@ struct SharedSeen {
 }
 
 impl SharedSeen {
-    fn new<M: Mask>(lay: &Layout<M>, serial: bool) -> Self {
+    fn new(lay: &Layout, serial: bool) -> Self {
         let shards: usize = match (serial, lay.total() > 64) {
             (true, _) => 1,
             (false, false) => 16,
@@ -790,9 +760,9 @@ enum Advanced {
 }
 
 /// One subtree root of the parallel frontier.
-struct Task<M> {
+struct Task {
     state: Vec<u64>,
-    sleep: M,
+    sleep: WideMask,
 }
 
 /// Exploration counters. Both are schedule-independent (see module docs),
@@ -808,14 +778,14 @@ struct Stats {
 
 /// What a walk does with the terminal states it reaches: an exploration
 /// collects them (a [`KeySet`]), a witness search tests them ([`Seek`]).
-trait Terminals<M: Mask> {
+trait Terminals {
     /// Take the terminal state `st`, reached from the walk's root by
     /// performing `trail` in order; `true` ends the walk.
-    fn reach(&mut self, lay: &Layout<M>, st: &[u64], trail: &[(usize, Undo)]) -> bool;
+    fn reach(&mut self, lay: &Layout, st: &[u64], trail: &[(usize, Undo)]) -> bool;
 }
 
-impl<M: Mask> Terminals<M> for KeySet {
-    fn reach(&mut self, _: &Layout<M>, st: &[u64], _: &[(usize, Undo)]) -> bool {
+impl Terminals for KeySet {
+    fn reach(&mut self, _: &Layout, st: &[u64], _: &[(usize, Undo)]) -> bool {
         self.insert(st, hash_words(st));
         false
     }
@@ -828,8 +798,8 @@ struct Seek<'a> {
     found: Option<Witness>,
 }
 
-impl<M: Mask> Terminals<M> for Seek<'_> {
-    fn reach(&mut self, lay: &Layout<M>, st: &[u64], trail: &[(usize, Undo)]) -> bool {
+impl Terminals for Seek<'_> {
+    fn reach(&mut self, lay: &Layout, st: &[u64], trail: &[(usize, Undo)]) -> bool {
         let outcome = lay.outcome_of(st);
         if !(self.goal)(&outcome) {
             return false;
@@ -850,8 +820,8 @@ impl<M: Mask> Terminals<M> for Seek<'_> {
 /// place, per-walk buffers that are reused at every node (so a visited
 /// state costs no allocation of its own), what it does with terminals, and
 /// the shared visited-set.
-struct Walker<'a, M: Mask, T> {
-    lay: &'a Layout<M>,
+struct Walker<'a, T> {
+    lay: &'a Layout,
     seen: &'a SharedSeen,
     /// The packed state the walk is at.
     st: Vec<u64>,
@@ -859,12 +829,12 @@ struct Walker<'a, M: Mask, T> {
     /// performed), carried along the walk: [`Walker::perform`] and
     /// [`Walker::unperform`] update it from `isucc` instead of re-deriving
     /// it from every unperformed instruction.
-    enabled: M,
+    enabled: WideMask,
     /// Every transition performed since the walk's root, in order, with
     /// its undo record.
     trail: Vec<(usize, Undo)>,
     /// Scratch: the unperformed transitions of `st`.
-    undone: M,
+    undone: WideMask,
     /// Scratch: the visited key of the branch state at hand, full width
     /// and then packed.
     key: Vec<u64>,
@@ -873,15 +843,15 @@ struct Walker<'a, M: Mask, T> {
     stats: Stats,
 }
 
-impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
-    fn new(lay: &'a Layout<M>, seen: &'a SharedSeen, terminals: T) -> Self {
+impl<'a, T: Terminals> Walker<'a, T> {
+    fn new(lay: &'a Layout, seen: &'a SharedSeen, terminals: T) -> Self {
         Walker {
             lay,
             seen,
             st: lay.init.clone(),
             enabled: lay.enabled_at(&lay.init[..lay.mask_words]),
             trail: Vec::new(),
-            undone: M::zeros(lay.total()),
+            undone: WideMask::zeros(lay.total()),
             key: Vec::with_capacity(lay.init.len() + lay.mask_words),
             packed: Vec::with_capacity(lay.key_words()),
             terminals,
@@ -919,7 +889,7 @@ impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
     /// transition is independent of every unperformed transition that
     /// could fire before it, execute it alone (singleton persistent set)
     /// and filter the sleep set.
-    fn advance(&mut self, sleep: &mut M) -> Advanced {
+    fn advance(&mut self, sleep: &mut WideMask) -> Advanced {
         let lay = self.lay;
         loop {
             let done = &self.st[..lay.mask_words];
@@ -958,7 +928,7 @@ impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
     /// visited key is the packed state words followed by the sleep mask,
     /// canonicalized under thread symmetry when enabled, then
     /// [packed](Layout::pack).
-    fn first_visit(&mut self, sleep: &M) -> bool {
+    fn first_visit(&mut self, sleep: &WideMask) -> bool {
         self.key.clear();
         self.key.extend_from_slice(&self.st);
         self.key.extend_from_slice(sleep.words());
@@ -980,7 +950,11 @@ impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
     /// on the child state). Returns `true`, leaving the state where it is,
     /// as soon as a witness search is over; otherwise restores the state
     /// and returns `false`.
-    fn expand(&mut self, mut sleep: M, mut child: impl FnMut(&mut Self, M) -> bool) -> bool {
+    fn expand(
+        &mut self,
+        mut sleep: WideMask,
+        mut child: impl FnMut(&mut Self, WideMask) -> bool,
+    ) -> bool {
         let lay = self.lay;
         let mark = self.trail.len();
         match self.advance(&mut sleep) {
@@ -1017,7 +991,7 @@ impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
     }
 
     /// Depth-first exploration of the subtree below the current state.
-    fn walk(&mut self, sleep: M) -> bool {
+    fn walk(&mut self, sleep: WideMask) -> bool {
         self.expand(sleep, Self::walk)
     }
 
@@ -1033,7 +1007,7 @@ impl<'a, M: Mask, T: Terminals<M>> Walker<'a, M, T> {
 /// [`OutcomeSet`]. Serial DFS when `workers <= 1` or the program is below
 /// [`PARALLEL_MIN_INSTRS`]; otherwise the frontier is expanded
 /// breadth-first and drained on `workers` threads.
-pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
+pub(crate) fn run(lay: &Layout, workers: usize) -> OutcomeSet {
     let total = lay.total();
     let serial = workers <= 1 || total < PARALLEL_MIN_INSTRS;
     let seen = SharedSeen::new(lay, serial);
@@ -1041,7 +1015,7 @@ pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
     let mut walkers = vec![collector()];
 
     if serial {
-        walkers[0].walk(M::zeros(total));
+        walkers[0].walk(WideMask::zeros(total));
     } else {
         // Breadth-first frontier expansion: pop a subtree root and queue
         // its children as new roots instead of descending into them —
@@ -1053,7 +1027,7 @@ pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
         let target = workers * if total > 64 { 32 } else { 4 };
         let mut queue = VecDeque::from([Task {
             state: lay.init.clone(),
-            sleep: M::zeros(total),
+            sleep: WideMask::zeros(total),
         }]);
         let root = &mut walkers[0];
         while queue.len() < target {
@@ -1073,7 +1047,7 @@ pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
         // Drain what is left of the frontier (nothing, when the expansion
         // already finished the search) on the claim loop; terminals are a
         // set union and the counters a sum, so worker order is immaterial.
-        let roots: Vec<Task<M>> = queue.into();
+        let roots: Vec<Task> = queue.into();
         walkers.extend(claim_fold(&roots, workers, collector, |w, _, task| {
             w.jump_to(&task.state);
             w.walk(task.sleep.clone());
@@ -1129,10 +1103,7 @@ pub(crate) fn run<M: Mask>(lay: &Layout<M>, workers: usize) -> OutcomeSet {
 /// are always tried in `(thread, index)` order. The layout must have been
 /// built without symmetry — a canonical-key skip could otherwise suppress
 /// the only path whose step list matches the requested outcome's threads.
-pub(crate) fn find_witness_dpor<M: Mask>(
-    lay: &Layout<M>,
-    pred: &dyn Fn(&Outcome) -> bool,
-) -> Option<Witness> {
+pub(crate) fn find_witness_dpor(lay: &Layout, pred: &dyn Fn(&Outcome) -> bool) -> Option<Witness> {
     debug_assert!(lay.sym.is_none(), "witness search must not quotient");
     let seen = SharedSeen::new(lay, true);
     let seek = Seek {
@@ -1140,7 +1111,7 @@ pub(crate) fn find_witness_dpor<M: Mask>(
         found: None,
     };
     let mut walker = Walker::new(lay, &seen, seek);
-    walker.walk(M::zeros(lay.total()));
+    walker.walk(WideMask::zeros(lay.total()));
     walker.terminals.found
 }
 
@@ -1170,18 +1141,12 @@ mod tests {
             vec![Instr::store(0, 1); 32],
             vec![Instr::store(1, 1); 32],
         ]);
-        assert!(matches!(
-            layout(&at, MemoryModel::ArmWmm, true),
-            EngineLayout::Narrow(_)
-        ));
+        assert_eq!(layout(&at, MemoryModel::ArmWmm, true).mask_words, 1);
         let over = prog(vec![
             vec![Instr::store(0, 1); 33],
             vec![Instr::store(1, 1); 32],
         ]);
-        assert!(matches!(
-            layout(&over, MemoryModel::ArmWmm, true),
-            EngineLayout::Wide(_)
-        ));
+        assert_eq!(layout(&over, MemoryModel::ArmWmm, true).mask_words, 2);
         // Same-location store chains are totally ordered: one outcome,
         // reached without any oracle fallback.
         let set = explore(&over, MemoryModel::ArmWmm, 1);
@@ -1213,24 +1178,15 @@ mod tests {
         ])
     }
 
-    /// The `debug_assert!(bits <= 64)` in `mask.rs` vanishes in release
-    /// builds, so layout selection at exactly 63/64/65 instructions is the
-    /// only thing standing between a narrow layout and silent shift
-    /// overflow. Pin the selection *and* engine==oracle equality at each
-    /// boundary size.
+    /// 64 instructions fill one mask word and 65 need a second: pin
+    /// engine==oracle equality on either side of that boundary.
     #[test]
     fn layout_boundary_63_64_65_matches_oracle() {
-        for (total, narrow) in [(63, true), (64, true), (65, false)] {
+        for total in [63, 64, 65] {
             let p = boundary_program(total);
             assert_eq!(
                 p.threads.iter().map(|t| t.instrs.len()).sum::<usize>(),
                 total
-            );
-            let lay = layout(&p, MemoryModel::ArmWmm, true);
-            assert_eq!(
-                matches!(lay, EngineLayout::Narrow(_)),
-                narrow,
-                "wrong layout at {total} instructions"
             );
             let oracle = crate::explore::explore_oracle(&p, MemoryModel::ArmWmm);
             let serial = explore(&p, MemoryModel::ArmWmm, 1);
@@ -1261,19 +1217,24 @@ mod tests {
         let model = MemoryModel::ArmWmm;
         let t = &p.threads[0];
         assert!(model.ordered(t, 0, 1) && model.ordered(t, 1, 2) && !model.ordered(t, 0, 2));
-        let lay: Layout<u64> = build(&p, model, false);
-        assert_eq!(lay.pred, [0b0000, 0b0001, 0b0010, 0b0011]);
+        let lay = layout(&p, model, false);
+        let word = |ms: &[WideMask]| ms.iter().map(|m| m.words()[0]).collect::<Vec<_>>();
+        assert_eq!(word(&lay.pred), [0b0000, 0b0001, 0b0010, 0b0011]);
         assert_eq!(
-            lay.ipred,
+            word(&lay.ipred),
             [0b0000, 0b0001, 0b0010, 0b0010],
             "0 precedes 3 through 1"
         );
-        assert_eq!(lay.isucc, [0b0010, 0b1100, 0b0000, 0b0000]);
+        assert_eq!(word(&lay.isucc), [0b0010, 0b1100, 0b0000, 0b0000]);
         for done in [0b0000u64, 0b0001, 0b0011, 0b0111, 0b1011, 0b1111] {
             let by_ipred = (0..4)
                 .filter(|&g| done >> g & 1 == 0 && lay.ipred[g].subset_of_words(&[done]))
                 .fold(0u64, |m, g| m | 1 << g);
-            assert_eq!(lay.enabled_at(&[done]), by_ipred, "done {done:#06b}");
+            assert_eq!(
+                lay.enabled_at(&[done]).words(),
+                [by_ipred],
+                "done {done:#06b}"
+            );
         }
         // The serial walk carries the enabled set (and, in a debug build,
         // checks it against `enabled_at` at every macro-step).
@@ -1307,7 +1268,7 @@ mod tests {
 
     /// Every state of `lay`'s full graph (no reduction): the code of
     /// every slot indexes the dictionary.
-    fn assert_codes_index_the_dictionary(lay: &Layout<u64>, st: &mut Vec<u64>) {
+    fn assert_codes_index_the_dictionary(lay: &Layout, st: &mut Vec<u64>) {
         assert!(st[lay.mask_words..]
             .iter()
             .all(|&c| c < lay.dict.len() as u64));
@@ -1348,7 +1309,7 @@ mod tests {
             ],
             init: vec![(1, 7), (1, 3), (3, u64::MAX)],
         };
-        let lay: Layout<u64> = build(&p, MemoryModel::ArmWmm, false);
+        let lay = layout(&p, MemoryModel::ArmWmm, false);
         assert_eq!(lay.dict, [0, 3, 5, 7, 9, u64::MAX]);
         assert_eq!(lay.code_bits, 3);
         assert_codes_index_the_dictionary(&lay, &mut lay.init.clone());
@@ -1370,7 +1331,7 @@ mod tests {
                 threads: vec![Thread { instrs: loads }],
                 init,
             };
-            let mut lay: Layout<WideMask> = build(&p, MemoryModel::ArmWmm, false);
+            let mut lay = layout(&p, MemoryModel::ArmWmm, false);
             assert_eq!((lay.dict.len() as u64, lay.code_bits), (values + 1, bits));
             for bits in [bits, 32, 64] {
                 (lay.code_bits, lay.codes_per_word) = (bits, 64 / bits as usize);
@@ -1403,7 +1364,7 @@ mod tests {
             .instrs
             .insert(10, Instr::Fence(Barrier::DmbSt));
         for (p, want) in [(mcs, (38, 36, 8)), (pilot, (4, 16, 5))] {
-            let lay: Layout<WideMask> = build(&p, MemoryModel::ArmWmm, true);
+            let lay = layout(&p, MemoryModel::ArmWmm, true);
             let full = lay.init.len() + lay.mask_words;
             assert_eq!((lay.dict.len(), full, lay.key_words()), want);
         }

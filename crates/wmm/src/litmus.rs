@@ -5,12 +5,20 @@
 //! recommended approach must make the relaxed outcome unreachable, and the
 //! too-weak approaches must leave it reachable.
 //!
+//! An approach goes between two accesses one way only: `weave` builds
+//! `earlier; fence; later` and hands the fence to
+//! [`replace_fence`](crate::mutate::replace_fence), which the lint also
+//! uses. Where that rewrite has no place for the approach (LDAR after a
+//! store, CTRL before a load, …), [`table3_cell`] is `None` and the fixed
+//! shapes below panic.
+//!
 //! Locations: `0 = data/x`, `1 = flag/y` by convention below.
 
 use armbar_barriers::{AccessType, Acquire, Barrier};
 
 use crate::explore::{explore, Outcome};
 use crate::model::{Instr, MemoryModel, Program, Thread};
+use crate::mutate::{replace_fence, BarrierSite, SiteKind};
 
 /// A named litmus test: a program plus the *relaxed* (weak-model-only)
 /// outcome predicate.
@@ -35,141 +43,35 @@ fn thread(instrs: Vec<Instr>) -> Thread {
     Thread { instrs }
 }
 
-/// How an ordering approach is woven into a litmus thread between an
-/// earlier and a later access.
-fn weave(approach: Barrier, earlier: Instr, later: Instr) -> Vec<Instr> {
-    match approach {
-        Barrier::None => vec![earlier, later],
-        Barrier::Ldar | Barrier::Ldapr => {
-            let Instr::Load {
-                reg, loc, addr_dep, ..
-            } = earlier
-            else {
-                panic!("LDAR/LDAPR requires the earlier access to be a load");
-            };
-            vec![
-                Instr::Load {
-                    reg,
-                    loc,
-                    acquire: if approach == Barrier::Ldar {
-                        Acquire::Sc
-                    } else {
-                        Acquire::Pc
-                    },
-                    addr_dep,
-                },
-                later,
-            ]
-        }
-        Barrier::Stlr => {
-            let Instr::Store {
-                loc,
-                src,
-                addr_dep,
-                ctrl_dep,
-                ..
-            } = later
-            else {
-                panic!("STLR requires the later access to be a store");
-            };
-            vec![
-                earlier,
-                Instr::Store {
-                    loc,
-                    src,
-                    release: true,
-                    addr_dep,
-                    ctrl_dep,
-                },
-            ]
-        }
-        Barrier::DataDep => {
-            let (
-                Instr::Load { reg, .. },
-                Instr::Store {
-                    loc,
-                    src,
-                    release,
-                    addr_dep,
-                    ctrl_dep,
-                },
-            ) = (&earlier, &later)
-            else {
-                panic!("DATA DEP requires load -> store");
-            };
-            let value = match src {
-                crate::model::Src::Const(v) | crate::model::Src::DepConst { value: v, .. } => *v,
-                crate::model::Src::Reg(_) => panic!("store value must be constant here"),
-            };
-            vec![
-                earlier,
-                Instr::Store {
-                    loc: *loc,
-                    src: crate::model::Src::DepConst { reg: *reg, value },
-                    release: *release,
-                    addr_dep: *addr_dep,
-                    ctrl_dep: *ctrl_dep,
-                },
-            ]
-        }
-        Barrier::AddrDep => {
-            let Instr::Load { reg, .. } = &earlier else {
-                panic!("ADDR DEP requires the earlier access to be a load");
-            };
-            let dep = Some(*reg);
-            let later = match later {
-                Instr::Load {
-                    reg, loc, acquire, ..
-                } => Instr::Load {
-                    reg,
-                    loc,
-                    acquire,
-                    addr_dep: dep,
-                },
-                Instr::Store {
-                    loc,
-                    src,
-                    release,
-                    ctrl_dep,
-                    ..
-                } => Instr::Store {
-                    loc,
-                    src,
-                    release,
-                    addr_dep: dep,
-                    ctrl_dep,
-                },
-                Instr::Fence(_) => panic!("cannot address-depend a fence"),
-            };
-            vec![earlier, later]
-        }
-        Barrier::Ctrl => {
-            let Instr::Load { reg, .. } = &earlier else {
-                panic!("CTRL requires the earlier access to be a load");
-            };
-            let Instr::Store {
-                loc,
-                src,
-                release,
-                addr_dep,
-                ..
-            } = later
-            else {
-                panic!("CTRL orders load -> store only");
-            };
-            vec![
-                earlier,
-                Instr::Store {
-                    loc,
-                    src,
-                    release,
-                    addr_dep,
-                    ctrl_dep: Some(*reg),
-                },
-            ]
-        }
-        fence => vec![earlier, Instr::Fence(fence), later],
-    }
+/// One thread running `earlier` then `later`, with `approach` placed
+/// between them by [`replace_fence`] — the same rewrite the lint uses to
+/// substitute a fence, so a litmus shape and a lint proposal cannot
+/// disagree on what an approach looks like. `None` where the approach
+/// cannot go between these two accesses: an acquire with no load before
+/// it, a release with no store after it, a dependency with no load to root
+/// it or no access of the right kind to carry it.
+pub(crate) fn weave(approach: Barrier, earlier: Instr, later: Instr) -> Option<Thread> {
+    let placeholder = Barrier::DmbFull;
+    let program = Program {
+        threads: vec![thread(vec![earlier, Instr::Fence(placeholder), later])],
+        init: vec![],
+    };
+    let site = BarrierSite {
+        tid: 0,
+        idx: 1,
+        kind: SiteKind::Fence(placeholder),
+    };
+    replace_fence(&program, site, approach).map(|mut p| p.threads.remove(0))
+}
+
+/// [`weave`] for a shape whose caller chose the approach.
+///
+/// # Panics
+///
+/// Panics when `approach` cannot be placed between `earlier` and `later`.
+pub(crate) fn woven(approach: Barrier, earlier: Instr, later: Instr) -> Thread {
+    weave(approach, earlier, later)
+        .unwrap_or_else(|| panic!("{approach} cannot be placed between `{earlier}` and `{later}`"))
 }
 
 /// **Table 1 / MP**: producer stores `data = 23` then `flag = 1` (ordered by
@@ -178,12 +80,12 @@ fn weave(approach: Barrier, earlier: Instr, later: Instr) -> Vec<Instr> {
 /// data (`local != 23`).
 #[must_use]
 pub fn message_passing(producer_barrier: Barrier, consumer_barrier: Barrier) -> LitmusTest {
-    let producer = weave(producer_barrier, Instr::store(0, 23), Instr::store(1, 1));
-    let consumer = weave(consumer_barrier, Instr::load(0, 1), Instr::load(1, 0));
+    let producer = woven(producer_barrier, Instr::store(0, 23), Instr::store(1, 1));
+    let consumer = woven(consumer_barrier, Instr::load(0, 1), Instr::load(1, 0));
     LitmusTest {
         name: format!("MP+{producer_barrier}+{consumer_barrier}"),
         program: Program {
-            threads: vec![thread(producer), thread(consumer)],
+            threads: vec![producer, consumer],
             init: vec![],
         },
         relaxed: Box::new(|o| o.reg(1, 0) == 1 && o.reg(1, 1) != 23),
@@ -194,12 +96,12 @@ pub fn message_passing(producer_barrier: Barrier, consumer_barrier: Barrier) -> 
 /// then loads the other's. Relaxed outcome: both load 0.
 #[must_use]
 pub fn store_buffering(barrier: Barrier) -> LitmusTest {
-    let t0 = weave(barrier, Instr::store(0, 1), Instr::load(0, 1));
-    let t1 = weave(barrier, Instr::store(1, 1), Instr::load(0, 0));
+    let t0 = woven(barrier, Instr::store(0, 1), Instr::load(0, 1));
+    let t1 = woven(barrier, Instr::store(1, 1), Instr::load(0, 0));
     LitmusTest {
         name: format!("SB+{barrier}"),
         program: Program {
-            threads: vec![thread(t0), thread(t1)],
+            threads: vec![t0, t1],
             init: vec![],
         },
         relaxed: Box::new(|o| o.reg(0, 0) == 0 && o.reg(1, 0) == 0),
@@ -211,12 +113,12 @@ pub fn store_buffering(barrier: Barrier) -> LitmusTest {
 /// but reachable by plain reordering).
 #[must_use]
 pub fn load_buffering(barrier: Barrier) -> LitmusTest {
-    let t0 = weave(barrier, Instr::load(0, 0), Instr::store(1, 1));
-    let t1 = weave(barrier, Instr::load(0, 1), Instr::store(0, 1));
+    let t0 = woven(barrier, Instr::load(0, 0), Instr::store(1, 1));
+    let t1 = woven(barrier, Instr::load(0, 1), Instr::store(0, 1));
     LitmusTest {
         name: format!("LB+{barrier}"),
         program: Program {
-            threads: vec![thread(t0), thread(t1)],
+            threads: vec![t0, t1],
             init: vec![],
         },
         relaxed: Box::new(|o| o.reg(0, 0) == 1 && o.reg(1, 0) == 1),
@@ -356,21 +258,39 @@ pub fn wrc_rel_acq(acquire: Acquire) -> LitmusTest {
 /// * `Load -> Store`: LB with the approach on both threads.
 /// * `Store -> Store`: MP producer side (consumer uses a known-good DMB ld).
 /// * `Store -> Load`: SB with the approach on both threads.
+///
+/// `None` where [`replace_fence`] cannot place `approach` between an
+/// `earlier` and a `later` access (e.g. LDAR after a store, CTRL before a
+/// load).
 #[must_use]
-pub fn table3_cell(earlier: AccessType, later: AccessType, approach: Barrier) -> LitmusTest {
-    match (earlier, later) {
+pub fn table3_cell(
+    earlier: AccessType,
+    later: AccessType,
+    approach: Barrier,
+) -> Option<LitmusTest> {
+    let access = |a| match a {
+        AccessType::Load => Instr::load(0, 0),
+        AccessType::Store => Instr::store(0, 1),
+    };
+    weave(approach, access(earlier), access(later))?;
+    Some(match (earlier, later) {
         (AccessType::Load, AccessType::Load) => message_passing(Barrier::DmbSt, approach),
         (AccessType::Load, AccessType::Store) => load_buffering(approach),
         (AccessType::Store, AccessType::Store) => message_passing(approach, Barrier::DmbLd),
         (AccessType::Store, AccessType::Load) => store_buffering(approach),
-    }
+    })
 }
 
-/// Run a whole Table 3 verdict: `true` when `approach` forbids the relaxed
-/// outcome of the `earlier -> later` cell under ARM WMM.
+/// Run a whole Table 3 verdict: `Some(true)` when `approach` forbids the
+/// relaxed outcome of the `earlier -> later` cell under ARM WMM, `None`
+/// where it cannot be placed in that cell ([`table3_cell`]).
 #[must_use]
-pub fn approach_suffices(earlier: AccessType, later: AccessType, approach: Barrier) -> bool {
-    !table3_cell(earlier, later, approach).allowed(MemoryModel::ArmWmm)
+pub fn approach_suffices(
+    earlier: AccessType,
+    later: AccessType,
+    approach: Barrier,
+) -> Option<bool> {
+    table3_cell(earlier, later, approach).map(|t| !t.allowed(MemoryModel::ArmWmm))
 }
 
 #[cfg(test)]
@@ -509,23 +429,11 @@ mod tests {
                         Approach::Use(b) => *b,
                         Approach::MeasureAgainst { candidate, .. } => *candidate,
                     };
-                    // CTRL and DATA DEP only weave into load->store shapes.
-                    if matches!(b, Barrier::Ctrl | Barrier::DataDep)
-                        && !(earlier == Load && later == Store)
-                    {
-                        continue;
-                    }
-                    // LDAR/LDAPR weave only when the earlier access is a
-                    // load; STLR only when the later is a store.
-                    if matches!(b, Barrier::Ldar | Barrier::Ldapr) && earlier != Load {
-                        continue;
-                    }
-                    if b == Barrier::Stlr && later != Store {
-                        continue;
-                    }
-                    assert!(
+                    assert_eq!(
                         approach_suffices(earlier, later, b),
-                        "{b} recommended for {earlier}->{later} but explorer finds a violation"
+                        Some(true),
+                        "{b} recommended for {earlier}->{later} but the explorer finds a \
+                         violation, or it cannot be placed there"
                     );
                 }
             }
@@ -535,8 +443,43 @@ mod tests {
     #[test]
     fn too_weak_approaches_fail_their_cells() {
         // DMB st cannot order loads; DMB ld cannot order stores.
-        assert!(!approach_suffices(Load, Load, Barrier::DmbSt));
-        assert!(!approach_suffices(Store, Store, Barrier::DmbLd));
-        assert!(!approach_suffices(Store, Load, Barrier::DmbSt));
+        assert_eq!(approach_suffices(Load, Load, Barrier::DmbSt), Some(false));
+        assert_eq!(approach_suffices(Store, Store, Barrier::DmbLd), Some(false));
+        assert_eq!(approach_suffices(Store, Load, Barrier::DmbSt), Some(false));
+    }
+
+    #[test]
+    fn table3_cells_are_none_exactly_where_the_approach_cannot_be_placed() {
+        let unplaceable = [
+            (Load, Load, Barrier::Stlr),
+            (Load, Load, Barrier::DataDep),
+            (Load, Load, Barrier::Ctrl),
+            (Store, Store, Barrier::Ldar),
+            (Store, Store, Barrier::Ldapr),
+            (Store, Store, Barrier::DataDep),
+            (Store, Store, Barrier::AddrDep),
+            (Store, Store, Barrier::Ctrl),
+            (Store, Load, Barrier::Ldar),
+            (Store, Load, Barrier::Ldapr),
+            (Store, Load, Barrier::Stlr),
+            (Store, Load, Barrier::DataDep),
+            (Store, Load, Barrier::AddrDep),
+            (Store, Load, Barrier::Ctrl),
+        ];
+        let mut placed = 0;
+        for earlier in [Load, Store] {
+            for later in [Load, Store] {
+                for b in Barrier::ALL {
+                    let cell = table3_cell(earlier, later, b);
+                    assert_eq!(
+                        cell.is_none(),
+                        unplaceable.contains(&(earlier, later, b)),
+                        "{b} in the {earlier}->{later} cell"
+                    );
+                    placed += usize::from(cell.is_some());
+                }
+            }
+        }
+        assert_eq!(placed, 46);
     }
 }

@@ -1,23 +1,13 @@
-//! Fixed- and variable-width bitmasks behind the packed DPOR engine.
+//! The variable-width bitmask behind the packed DPOR engine.
 //!
-//! The engine ([`crate::engine`]) is generic over [`Mask`], with exactly two
-//! instantiations:
-//!
-//! * `u64` — the single-word fast path. Programs of at most 64 total
-//!   instructions (the whole litmus corpus) monomorphize to the same flat
-//!   shift-and-mask code the engine had when `u64` was hard-wired, so they
-//!   pay zero overhead for the generalization (the `benchmark/` ledger's
-//!   `wmm.explore.states_per_s` times this).
-//! * [`WideMask`] — a multi-word bitset sized per program, lifting the old
-//!   64-instruction ceiling for implementation-sized programs (unrolled
-//!   lock handoffs, channel round-trips). Up to [`INLINE_WORDS`] words (256
-//!   instructions) live inline, so cloning a sleep set per explored child
-//!   never touches the heap; only larger programs spill to a boxed slice.
-//!
-//! All default methods are word-wise loops over [`Mask::words`]; for `u64`
-//! the slice is a compile-time single element and the loops vanish.
-
-use std::hash::Hash;
+//! Every program the engine ([`crate::engine`]) explores runs on one mask
+//! type, [`WideMask`]: a bitset over the program's global instruction
+//! indices, sized per program. Up to [`INLINE_WORDS`] words (256
+//! instructions — the whole litmus corpus and the unrolled lock handoffs)
+//! live inline, so cloning a sleep set per explored child never touches the
+//! heap; only larger programs spill to a boxed slice. Every operation is a
+//! word-wise loop, bounds-checked by the slice it walks, so no program size
+//! can overflow a shift.
 
 /// Number of `u64` words needed to hold `bits` bits (at least one, so the
 /// empty program still has a done word).
@@ -26,167 +16,12 @@ pub(crate) fn word_count(bits: usize) -> usize {
     bits.div_ceil(64).max(1)
 }
 
-/// A bitmask over the global instruction indices of one program.
-pub(crate) trait Mask: Clone + Eq + Hash + Send + Sync {
-    /// The all-zeros mask wide enough for `bits` bits.
-    fn zeros(bits: usize) -> Self;
-
-    /// The backing words, little-endian (bit `i` lives in word `i / 64`).
-    fn words(&self) -> &[u64];
-
-    /// Mutable view of the backing words.
-    fn words_mut(&mut self) -> &mut [u64];
-
-    /// The mask with bits `0..bits` set.
-    #[must_use]
-    fn ones(bits: usize) -> Self {
-        let mut m = Self::zeros(bits);
-        for i in 0..bits {
-            m.set(i);
-        }
-        m
-    }
-
-    /// Is bit `i` set?
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        self.words()[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    /// Set bit `i`.
-    #[inline]
-    fn set(&mut self, i: usize) {
-        self.words_mut()[i / 64] |= 1 << (i % 64);
-    }
-
-    /// Clear bit `i`.
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        self.words_mut()[i / 64] &= !(1 << (i % 64));
-    }
-
-    /// `self |= other`.
-    #[inline]
-    fn or_assign(&mut self, other: &Self) {
-        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
-            *w |= o;
-        }
-    }
-
-    /// `self &= !other`.
-    #[inline]
-    fn and_not_assign(&mut self, other: &Self) {
-        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
-            *w &= !o;
-        }
-    }
-
-    /// `self = a & !b` (the undone set, computed into a scratch mask
-    /// without allocating).
-    #[inline]
-    fn assign_and_not(&mut self, a: &Self, b: &[u64]) {
-        for ((w, x), y) in self.words_mut().iter_mut().zip(a.words()).zip(b) {
-            *w = x & !y;
-        }
-    }
-
-    /// Is `self` a subset of the bits in `ws`?
-    #[inline]
-    fn subset_of_words(&self, ws: &[u64]) -> bool {
-        self.words().iter().zip(ws).all(|(s, w)| s & !w == 0)
-    }
-
-    /// Does `self & other & !minus` have any bit set? (The forced-step
-    /// rival check: conflicting, still undone, and not ordered after.)
-    #[inline]
-    fn meets_and_not(&self, other: &Self, minus: &Self) -> bool {
-        self.words()
-            .iter()
-            .zip(other.words())
-            .zip(minus.words())
-            .any(|((s, o), m)| s & o & !m != 0)
-    }
-
-    /// Iterate the set bit indices in ascending order.
-    #[inline]
-    fn bits(&self) -> Bits<'_> {
-        Bits {
-            rest: self.words(),
-            cur: 0,
-            base: usize::MAX - 63, // wraps to 0 on the first word
-        }
-    }
-}
-
-impl Mask for u64 {
-    #[inline]
-    fn zeros(bits: usize) -> Self {
-        debug_assert!(bits <= 64, "u64 masks hold at most 64 bits");
-        0
-    }
-
-    #[inline]
-    fn words(&self) -> &[u64] {
-        std::slice::from_ref(self)
-    }
-
-    #[inline]
-    fn words_mut(&mut self) -> &mut [u64] {
-        std::slice::from_mut(self)
-    }
-
-    #[inline]
-    fn ones(bits: usize) -> Self {
-        debug_assert!(bits <= 64);
-        if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        *self >> i & 1 == 1
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize) {
-        *self |= 1 << i;
-    }
-
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        *self &= !(1 << i);
-    }
-
-    #[inline]
-    fn and_not_assign(&mut self, other: &Self) {
-        *self &= !other;
-    }
-
-    #[inline]
-    fn assign_and_not(&mut self, a: &Self, b: &[u64]) {
-        *self = a & !b[0];
-    }
-
-    #[inline]
-    fn subset_of_words(&self, ws: &[u64]) -> bool {
-        self & !ws[0] == 0
-    }
-
-    #[inline]
-    fn meets_and_not(&self, other: &Self, minus: &Self) -> bool {
-        self & other & !minus != 0
-    }
-}
-
 /// Words a [`WideMask`] holds without a heap block.
 pub(crate) const INLINE_WORDS: usize = 4;
 
-/// A multi-word bitset for programs beyond 64 instructions: a small vector
-/// of words, inline up to [`INLINE_WORDS`]. Inline words past `len` stay
-/// zero, so the derived equality and hash see only the mask's bits.
+/// A bitmask over the global instruction indices of one program: a small
+/// vector of words, inline up to [`INLINE_WORDS`]. Inline words past `len`
+/// stay zero, so the derived equality and hash see only the mask's bits.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum WideMask {
     /// At most `INLINE_WORDS * 64` bits; the first `len` words are live.
@@ -200,8 +35,9 @@ pub(crate) enum WideMask {
     Heap(Box<[u64]>),
 }
 
-impl Mask for WideMask {
-    fn zeros(bits: usize) -> Self {
+impl WideMask {
+    /// The all-zeros mask wide enough for `bits` bits.
+    pub(crate) fn zeros(bits: usize) -> Self {
         let n = word_count(bits);
         if n <= INLINE_WORDS {
             WideMask::Inline {
@@ -213,14 +49,16 @@ impl Mask for WideMask {
         }
     }
 
+    /// The backing words, little-endian (bit `i` lives in word `i / 64`).
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         match self {
             WideMask::Inline { len, words } => &words[..usize::from(*len)],
             WideMask::Heap(words) => words,
         }
     }
 
+    /// Mutable view of the backing words.
     #[inline]
     fn words_mut(&mut self) -> &mut [u64] {
         match self {
@@ -228,9 +66,89 @@ impl Mask for WideMask {
             WideMask::Heap(words) => words,
         }
     }
+
+    /// The mask with bits `0..bits` set.
+    #[must_use]
+    pub(crate) fn ones(bits: usize) -> Self {
+        let mut m = Self::zeros(bits);
+        for i in 0..bits {
+            m.set(i);
+        }
+        m
+    }
+
+    /// Is bit `i` set?
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> bool {
+        self.words()[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Set bit `i`.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize) {
+        self.words_mut()[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Clear bit `i`.
+    #[inline]
+    pub(crate) fn clear(&mut self, i: usize) {
+        self.words_mut()[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// `self |= other`.
+    #[inline]
+    pub(crate) fn or_assign(&mut self, other: &Self) {
+        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
+            *w |= o;
+        }
+    }
+
+    /// `self &= !other`.
+    #[inline]
+    pub(crate) fn and_not_assign(&mut self, other: &Self) {
+        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
+            *w &= !o;
+        }
+    }
+
+    /// `self = a & !b` (the undone set, computed into a scratch mask
+    /// without allocating).
+    #[inline]
+    pub(crate) fn assign_and_not(&mut self, a: &Self, b: &[u64]) {
+        for ((w, x), y) in self.words_mut().iter_mut().zip(a.words()).zip(b) {
+            *w = x & !y;
+        }
+    }
+
+    /// Is `self` a subset of the bits in `ws`?
+    #[inline]
+    pub(crate) fn subset_of_words(&self, ws: &[u64]) -> bool {
+        self.words().iter().zip(ws).all(|(s, w)| s & !w == 0)
+    }
+
+    /// Does `self & other & !minus` have any bit set? (The forced-step
+    /// rival check: conflicting, still undone, and not ordered after.)
+    #[inline]
+    pub(crate) fn meets_and_not(&self, other: &Self, minus: &Self) -> bool {
+        self.words()
+            .iter()
+            .zip(other.words())
+            .zip(minus.words())
+            .any(|((s, o), m)| s & o & !m != 0)
+    }
+
+    /// Iterate the set bit indices in ascending order.
+    #[inline]
+    pub(crate) fn bits(&self) -> Bits<'_> {
+        Bits {
+            rest: self.words(),
+            cur: 0,
+            base: usize::MAX - 63, // wraps to 0 on the first word
+        }
+    }
 }
 
-/// Ascending set-bit iterator over a word slice (see [`Mask::bits`]).
+/// Ascending set-bit iterator over a word slice (see [`WideMask::bits`]).
 pub(crate) struct Bits<'a> {
     rest: &'a [u64],
     cur: u64,
@@ -261,26 +179,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn u64_mask_ops() {
-        let mut m = u64::zeros(10);
-        m.set(0);
-        m.set(9);
-        assert!(m.get(0) && m.get(9) && !m.get(5));
-        assert_eq!(m.bits().collect::<Vec<_>>(), vec![0, 9]);
-        let mut cleared = m;
-        cleared.clear(9);
-        assert_eq!(cleared, 1);
-        assert_eq!(u64::ones(10), 0x3ff);
-        assert_eq!(u64::ones(64), u64::MAX);
-        assert!(m.subset_of_words(&[0x3ff]));
-        assert!(!m.subset_of_words(&[0x1]));
-        let other = 0x201u64;
-        let minus = 0x200u64;
-        assert!(m.meets_and_not(&other, &0u64));
-        assert!(!0x200u64.meets_and_not(&other, &minus));
-    }
-
-    #[test]
     fn wide_mask_crosses_word_boundaries() {
         let mut m = WideMask::zeros(130);
         assert_eq!(m.words().len(), 3);
@@ -303,7 +201,33 @@ mod tests {
         assert_eq!(scratch, undone);
     }
 
-    /// The inline/heap split is invisible through the trait, and sits at
+    /// One word: the shape every litmus-sized program runs on.
+    #[test]
+    fn wide_mask_ops_on_one_word() {
+        let mut m = WideMask::zeros(10);
+        assert_eq!(m.words().len(), 1);
+        m.set(0);
+        m.set(9);
+        assert!(m.get(0) && m.get(9) && !m.get(5));
+        assert_eq!(m.bits().collect::<Vec<_>>(), vec![0, 9]);
+        let mut cleared = m.clone();
+        cleared.clear(9);
+        assert_eq!(cleared.words(), [1]);
+        assert_eq!(WideMask::ones(10).words(), [0x3ff]);
+        assert_eq!(WideMask::ones(64).words(), [u64::MAX]);
+        assert!(m.subset_of_words(&[0x3ff]));
+        assert!(!m.subset_of_words(&[0x1]));
+        let of = |bits: &[usize]| {
+            let mut x = WideMask::zeros(10);
+            bits.iter().for_each(|&b| x.set(b));
+            x
+        };
+        let (other, minus) = (of(&[0, 9]), of(&[9]));
+        assert!(m.meets_and_not(&other, &of(&[])));
+        assert!(!minus.meets_and_not(&other, &minus));
+    }
+
+    /// The inline/heap split is invisible through the methods, and sits at
     /// exactly 256 bits.
     #[test]
     fn wide_mask_spills_to_the_heap_past_256_bits() {

@@ -26,25 +26,21 @@ fn show_cell(from: AccessType, to: AccessType) {
             Approach::Use(b) => *b,
             Approach::MeasureAgainst { candidate, .. } => *candidate,
         };
-        // Approaches that cannot weave into this litmus shape are
-        // recommendation-level alternatives only (e.g. DATA DEP for
-        // load->load).
-        let weavable = !((matches!(b, Barrier::Ctrl | Barrier::DataDep)
-            && !(from == AccessType::Load && to == AccessType::Store))
-            || (b == Barrier::Ldar && from != AccessType::Load)
-            || (b == Barrier::Stlr && to != AccessType::Store));
-        if weavable {
-            let proved = !table3_cell(from, to, b).allowed(MemoryModel::ArmWmm);
-            println!(
-                "  preferred: {a}  [explorer: {}]",
-                if proved { "proved" } else { "REFUTED" }
-            );
-            assert!(
-                proved,
-                "the advisor must never recommend an insufficient approach"
-            );
-        } else {
-            println!("  preferred: {a}");
+        // An approach with no place in this litmus shape (e.g. DATA DEP
+        // for load->load) is a recommendation-level alternative only.
+        match table3_cell(from, to, b) {
+            Some(cell) => {
+                let proved = !cell.allowed(MemoryModel::ArmWmm);
+                println!(
+                    "  preferred: {a}  [explorer: {}]",
+                    if proved { "proved" } else { "REFUTED" }
+                );
+                assert!(
+                    proved,
+                    "the advisor must never recommend an insufficient approach"
+                );
+            }
+            None => println!("  preferred: {a}"),
         }
     }
     for a in &rec.alternatives {

@@ -77,7 +77,8 @@ mod tests {
         let Approach::Use(picked) = rec.best() else {
             panic!("expected a direct pick")
         };
-        let cell = armbar_wmm::litmus::table3_cell(AccessType::Store, AccessType::Store, picked);
+        let cell = armbar_wmm::litmus::table3_cell(AccessType::Store, AccessType::Store, picked)
+            .expect("the pick has a place between two stores");
         assert!(
             !cell.allowed(MemoryModel::ArmWmm),
             "{picked} must fix the MP producer"
