@@ -40,5 +40,5 @@ pub mod synth;
 
 pub use corpus::{corpus, LintCase};
 pub use lint::{analyze_case, analyze_corpus, Finding, FindingKind, Proof};
-pub use replay::{replay_cycles, saved_cycles, REPLAY_ITERS};
+pub use replay::{platform_cycles, replay_cycles, rewrite_savings, REPLAY_ITERS};
 pub use synth::{chosen_point, pareto_fronts, synthesize, FrontPoint, Placement, SynthResult};

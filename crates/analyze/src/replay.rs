@@ -9,10 +9,17 @@
 //! machine runs to quiescence. The difference in total machine cycles
 //! between the original and the rewritten program — per
 //! [`PlatformKind`] — is the `saved_*` column of `lint.csv`.
+//!
+//! A replay is the costliest step of a lint, synth or rcpc cell, so every
+//! program is priced once on all four profiles ([`platform_cycles`]), a
+//! lint case's original once for all its findings ([`rewrite_savings`]).
+//! [`replay_machine`] lets the engine differential run it under the oracle.
 
 use armbar_barriers::Barrier;
 use armbar_sim::{Cpu, Machine, Op, Platform, PlatformKind, Script};
 use armbar_wmm::{Instr, Program, Src};
+
+use crate::lint::Finding;
 
 /// Body repetitions every caller prices a program with (`lint.csv`,
 /// `synth.csv`, `rcpc.csv` and the `armbar lint|synth` reports).
@@ -77,11 +84,11 @@ async fn replay(cpu: Cpu, ops: Vec<Op>, iterations: u64) {
     }
 }
 
-/// Total machine cycles to replay every thread of `program` for
-/// `iterations` body repetitions on `platform` (threads on distinct
-/// cores, init values preset).
+/// A machine that replays every thread of `program` for `iterations` body
+/// repetitions on `platform` (threads on distinct cores, init values
+/// preset), ready to run.
 #[must_use]
-pub fn replay_cycles(program: &Program, platform: Platform, iterations: u64) -> u64 {
+pub fn replay_machine(program: &Program, platform: Platform, iterations: u64) -> Machine {
     let mut m = Machine::new(platform);
     for (tid, thread) in program.threads.iter().enumerate() {
         let ops: Vec<Op> = thread.instrs.iter().filter_map(op_of).collect();
@@ -93,22 +100,41 @@ pub fn replay_cycles(program: &Program, platform: Platform, iterations: u64) -> 
     for &(loc, v) in &program.init {
         m.preset_memory(loc_addr(loc), v);
     }
+    m
+}
+
+/// Total machine cycles to run [`replay_machine`] to quiescence.
+#[must_use]
+pub fn replay_cycles(program: &Program, platform: Platform, iterations: u64) -> u64 {
+    let mut m = replay_machine(program, platform, iterations);
     let stats = m.run(iterations.saturating_mul(100_000).max(1_000_000));
     debug_assert!(stats.halted, "litmus replay must quiesce");
     stats.cycles
 }
 
-/// Cycles saved by `rewritten` relative to `original`, per platform in
-/// [`PlatformKind::ALL`] order. Negative values mean the rewrite is
-/// slower there (possible for STLR — exactly why the advisor attaches
-/// its measure-first caveat).
+/// [`replay_cycles`] on every platform profile, in [`PlatformKind::ALL`] order.
 #[must_use]
-pub fn saved_cycles(original: &Program, rewritten: &Program, iterations: u64) -> [i64; 4] {
-    PlatformKind::ALL.map(|kind| {
-        let base = replay_cycles(original, Platform::of(kind), iterations);
-        let var = replay_cycles(rewritten, Platform::of(kind), iterations);
-        i64::try_from(base).unwrap_or(i64::MAX) - i64::try_from(var).unwrap_or(i64::MAX)
-    })
+pub fn platform_cycles(program: &Program, iterations: u64) -> [u64; 4] {
+    PlatformKind::ALL.map(|kind| replay_cycles(program, Platform::of(kind), iterations))
+}
+
+/// Cycles each finding's rewrite saves against `original`, per platform in
+/// [`PlatformKind::ALL`] order (`[0; 4]` for a finding without one), with
+/// `original` priced once. Negative values mean the rewrite is slower
+/// there (possible for STLR — exactly why the advisor attaches its
+/// measure-first caveat).
+#[must_use]
+pub fn rewrite_savings(original: &Program, findings: &[Finding], iters: u64) -> Vec<[i64; 4]> {
+    let signed = |c: u64| i64::try_from(c).unwrap_or(i64::MAX);
+    let mut base = None;
+    let mut saved = |rewritten: &Program| {
+        let base: [u64; 4] = *base.get_or_insert_with(|| platform_cycles(original, iters));
+        let var = platform_cycles(rewritten, iters);
+        std::array::from_fn(|i| signed(base[i]) - signed(var[i]))
+    };
+    (findings.iter())
+        .map(|f| f.rewritten.as_ref().map_or([0; 4], &mut saved))
+        .collect()
 }
 
 #[cfg(test)]
@@ -129,8 +155,9 @@ mod tests {
     fn dropping_a_dsb_saves_cycles_everywhere() {
         let heavy = message_passing(Barrier::DsbFull, Barrier::DmbLd).program;
         let light = message_passing(Barrier::DmbSt, Barrier::DmbLd).program;
-        for s in saved_cycles(&heavy, &light, 50) {
-            assert!(s > 0, "DSB full -> DMB st must save cycles, got {s}");
+        let light = platform_cycles(&light, 50);
+        for (h, l) in platform_cycles(&heavy, 50).into_iter().zip(light) {
+            assert!(h > l, "DSB full -> DMB st must save cycles, {h} vs {l}");
         }
     }
 
@@ -138,8 +165,12 @@ mod tests {
     fn dependency_rewrite_is_no_slower_than_a_fence() {
         let fence = message_passing(Barrier::DmbSt, Barrier::DmbLd).program;
         let dep = message_passing(Barrier::DmbSt, Barrier::AddrDep).program;
-        for s in saved_cycles(&fence, &dep, 50) {
-            assert!(s >= 0, "ADDR DEP must not cost more than DMB ld, got {s}");
+        let dep = platform_cycles(&dep, 50);
+        for (f, d) in platform_cycles(&fence, 50).into_iter().zip(dep) {
+            assert!(
+                f >= d,
+                "ADDR DEP must not cost more than DMB ld, {d} vs {f}"
+            );
         }
     }
 }

@@ -41,7 +41,7 @@
 //! Every *verified* placement met along the way (the seed, each safe
 //! single-site rewrite, each safe composed leaf) feeds a best-per-
 //! barrier-count table, later priced per platform by [`pareto_fronts`]
-//! through the cycle simulator ([`crate::replay::replay_cycles`]). The
+//! through the cycle simulator ([`crate::replay::platform_cycles`]). The
 //! seed itself is always a candidate point, so each platform's cheapest
 //! synthesized placement is never dearer than the seed.
 //!
@@ -56,14 +56,14 @@ use std::collections::BTreeMap;
 
 use armbar_barriers::strength::cost_rank;
 use armbar_barriers::{Acquire, Barrier, CostRank};
-use armbar_sim::{Platform, PlatformKind};
+use armbar_sim::PlatformKind;
 use armbar_wmm::explore::explore;
 use armbar_wmm::mutate::{barrier_sites, BarrierSite, Rewrite, RewritePlan, SiteKind};
 use armbar_wmm::{MemoryModel, Program};
 
 use crate::corpus::LintCase;
 use crate::lint::ExploreFn;
-use crate::replay::replay_cycles;
+use crate::replay::platform_cycles;
 
 /// Verified-leaf budget per case: the DFS stops proposing *new* composed
 /// placements after this many equivalence checks (seeded single-site
@@ -491,18 +491,26 @@ pub fn synthesize_with(case: &LintCase, explorer: ExploreFn) -> SynthResult {
 /// the min-cycles point of every platform is never dearer than the seed.
 #[must_use]
 pub fn pareto_fronts(result: &SynthResult, iterations: u64) -> Vec<FrontPoint> {
+    // An incumbent whose program is the seed's is priced by the seed's run.
+    let seed = platform_cycles(&result.seed.program, iterations);
+    let price = |p: &Placement| {
+        if p.program == result.seed.program {
+            seed
+        } else {
+            platform_cycles(&p.program, iterations)
+        }
+    };
+    let priced: Vec<[u64; 4]> = result.by_count.iter().map(price).collect();
     let mut out = Vec::new();
-    for kind in PlatformKind::ALL {
-        let seed_cycles = replay_cycles(&result.seed.program, Platform::of(kind), iterations);
+    for (k, kind) in PlatformKind::ALL.into_iter().enumerate() {
+        let seed_cycles = seed[k];
         // Candidates: every per-count incumbent, plus the seed itself
         // (its bucket may hold a cheaper same-count placement).
         let mut candidates: Vec<(bool, &Placement, u64)> = result
             .by_count
             .iter()
-            .map(|p| {
-                let cycles = replay_cycles(&p.program, Platform::of(kind), iterations);
-                (false, p, cycles)
-            })
+            .zip(&priced)
+            .map(|(p, cycles)| (false, p, cycles[k]))
             .collect();
         if !result
             .by_count

@@ -5,7 +5,7 @@
 
 use armbar_analyze::corpus::corpus;
 use armbar_analyze::lint::{analyze_case, analyze_corpus, FindingKind, Proof};
-use armbar_analyze::replay::saved_cycles;
+use armbar_analyze::replay::rewrite_savings;
 use armbar_barriers::Barrier;
 use armbar_wmm::SiteKind;
 
@@ -98,8 +98,8 @@ fn release_then_reacquire_ldar_downgrade_saves_cycles_on_every_platform() {
     assert_eq!(down.original, Barrier::Ldar);
     assert_eq!(down.suggestion, Some(Barrier::Ldapr));
     assert!(matches!(down.proof, Proof::OutcomesEqual { .. }));
-    let rewritten = down.rewritten.as_ref().expect("verified rewrite attached");
-    for saved in saved_cycles(&c.program, rewritten, 200) {
+    assert!(down.rewritten.is_some(), "verified rewrite attached");
+    for saved in rewrite_savings(&c.program, std::slice::from_ref(down), 200)[0] {
         assert!(
             saved > 0,
             "LDAPR must beat LDAR behind an STLR, saved {saved}"
@@ -124,7 +124,7 @@ fn mp_gets_the_dependency_rewrite_with_positive_simulated_savings() {
     let rewritten = dep.rewritten.as_ref().expect("verified rewrite attached");
     // The fence is gone and the data load carries the bogus address dep.
     assert_eq!(rewritten.threads[1].instrs.len(), 2);
-    for saved in saved_cycles(&c.program, rewritten, 200) {
+    for saved in rewrite_savings(&c.program, std::slice::from_ref(dep), 200)[0] {
         assert!(saved > 0, "dependency must beat DMB ld, saved {saved}");
     }
 }

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 use armbar_analyze::corpus::corpus;
 use armbar_analyze::lint::{analyze_case, FindingKind};
-use armbar_analyze::replay::{saved_cycles, REPLAY_ITERS};
+use armbar_analyze::replay::{rewrite_savings, REPLAY_ITERS};
 use armbar_analyze::LintCase;
 
 use crate::cache::{model_key, pack_text};
@@ -31,11 +31,9 @@ const HEAD: usize = 2 + 5 * FindingKind::ALL.len();
 fn lint_cell(case: &LintCase, replay_iters: u64) -> Vec<f64> {
     let mut head = [0.0; HEAD];
     let mut rows = String::new();
-    for f in analyze_case(case) {
-        let saved = f
-            .rewritten
-            .as_ref()
-            .map_or([0; 4], |rw| saved_cycles(&case.program, rw, replay_iters));
+    let findings = analyze_case(case);
+    let savings = rewrite_savings(&case.program, &findings, replay_iters);
+    for (f, saved) in findings.iter().zip(savings) {
         let kind = FindingKind::ALL.iter().position(|&k| k == f.kind);
         let at = 2 + 5 * kind.expect("every kind is listed");
         head[0] += f.states_base as f64;

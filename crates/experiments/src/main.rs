@@ -38,7 +38,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use armbar_analyze::lint::{analyze_case, FindingKind, Proof};
-use armbar_analyze::replay::{saved_cycles, REPLAY_ITERS};
+use armbar_analyze::replay::{rewrite_savings, REPLAY_ITERS};
 use armbar_analyze::synth::{chosen_point, pareto_fronts, synthesize};
 use armbar_analyze::{corpus, LintCase};
 use armbar_experiments::{find, verify, Experiment, SweepCtx, Table, EXPERIMENTS};
@@ -232,7 +232,8 @@ fn lint(cases: &[LintCase]) -> Result<(), Failure> {
 fn lint_case(case: &LintCase) -> usize {
     let findings = analyze_case(case);
     println!("== {} ({} findings)", case.name, findings.len());
-    for f in &findings {
+    let savings = rewrite_savings(&case.program, &findings, REPLAY_ITERS);
+    for (f, saved) in findings.iter().zip(savings) {
         let suggestion = match (f.kind, f.suggestion) {
             (FindingKind::Redundant, _) => "delete".to_string(),
             (_, Some(s)) => format!("use {s}"),
@@ -271,10 +272,10 @@ fn lint_case(case: &LintCase) -> usize {
                 }
             }
         }
-        if let Some(rewritten) = &f.rewritten {
+        if f.rewritten.is_some() {
             let per: Vec<String> = PlatformKind::ALL
                 .iter()
-                .zip(saved_cycles(&case.program, rewritten, REPLAY_ITERS))
+                .zip(saved)
                 .map(|(k, s)| format!("{}: {s:+}", k.name()))
                 .collect();
             println!(

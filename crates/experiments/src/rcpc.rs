@@ -11,9 +11,8 @@
 //! STLR; the controls show identical outcome sets, pinning the semantic
 //! delta to the release-before-acquire rule and nothing else.
 
-use armbar_analyze::replay::{replay_cycles, REPLAY_ITERS};
+use armbar_analyze::replay::{platform_cycles, REPLAY_ITERS};
 use armbar_barriers::{Acquire, Barrier};
-use armbar_sim::{Platform, PlatformKind};
 use armbar_wmm::explore::explore;
 use armbar_wmm::litmus::{
     isa2_rel_acq, message_passing, release_sequence_rel_acq, store_buffering_rel_acq, wrc_rel_acq,
@@ -55,11 +54,8 @@ pub fn rcpc_grid(sweep: &mut SweepSpec, replay_iters: u64) -> Vec<(String, CellI
                     set.len() as f64,
                     f64::from(u8::from(set.any(|o| (test.relaxed)(o)))),
                 ];
-                for kind in PlatformKind::ALL {
-                    vals.push(
-                        replay_cycles(&test.program, Platform::of(kind), replay_iters) as f64,
-                    );
-                }
+                let cycles = platform_cycles(&test.program, replay_iters);
+                vals.extend(cycles.map(|c| c as f64));
                 vals
             });
             rows.push((name, id));

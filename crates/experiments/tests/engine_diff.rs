@@ -8,14 +8,18 @@
 //! Figure 7(c)'s longest
 //! contention interval pins the lazy nop runs the same way, and 12 threads
 //! on one ticket or MCS lock plus Figure 8(b)'s 500-member list cells pin
-//! the long waits (a dozen cores polling while one works). A last test runs the
+//! the long waits (a dozen cores polling while one works), and every
+//! program the analyzer prices is replayed under both. A last test runs the
 //! equivalence grid itself through the sweep worker pool at one and four
 //! workers, mirroring the `ARMBAR_JOBS` smoke configurations.
 
+use armbar_analyze::corpus::corpus;
+use armbar_analyze::lint::analyze_case;
+use armbar_analyze::replay::replay_machine;
 use armbar_barriers::Barrier;
 use armbar_experiments::sweep::{SweepCtx, SweepSpec};
 use armbar_experiments::RunCache;
-use armbar_sim::{Engine, Platform, StallBreakdown};
+use armbar_sim::{Engine, Platform, PlatformKind, StallBreakdown};
 use armbar_simapps::barrier_sim::{
     barrier_machine, run_barrier_with, BarrierConfig, BarrierFamily,
 };
@@ -242,6 +246,46 @@ fn event_engine_matches_oracle_on_fig8b_500_member_list() {
             assert_lock_runs_equal(&ev, &or, &format!("{kind:?} / {mode:?}"));
         }
     }
+}
+
+/// The litmus replays `lint`, `synth` and `rcpc` price programs with: every
+/// corpus case's original and each of its lint rewrites, on all four
+/// platform profiles at 20 iterations. A replayed core spends most of its
+/// cycles held behind a barrier or a full store buffer, which the event
+/// engine sleeps through; the summed steps pin that skip.
+#[test]
+fn event_engine_matches_oracle_on_every_replayed_program() {
+    let mut programs = Vec::new();
+    for case in corpus() {
+        let rewrites = analyze_case(&case).into_iter().filter_map(|f| f.rewritten);
+        programs.push(case.program);
+        programs.extend(rewrites);
+    }
+    assert_eq!(programs.len(), 82);
+    let mut steps = [0; 2];
+    for (n, program) in programs.iter().enumerate() {
+        for kind in PlatformKind::ALL {
+            let what = format!("program {n} on {}", kind.name());
+            let [mut ev, mut or] = [Engine::EventDriven, Engine::LockstepOracle].map(|engine| {
+                let mut m = replay_machine(program, Platform::of(kind), 20);
+                m.set_engine(engine);
+                m
+            });
+            let stats = ev.run(1 << 40);
+            assert!(stats.halted, "{what}");
+            assert_eq!(stats, or.run(1 << 40), "{what}");
+            for core in 0..program.threads.len() {
+                assert_eq!(
+                    ev.core_stats(core),
+                    or.core_stats(core),
+                    "{what}: core {core}"
+                );
+            }
+            steps[0] += ev.steps_executed();
+            steps[1] += or.steps_executed();
+        }
+    }
+    assert_eq!(steps, [318_236, 1_107_364], "(event, oracle) steps");
 }
 
 /// Each cell runs one workload under both engines and reports both cycle

@@ -94,7 +94,7 @@ impl Core {
     /// A full ROB counts as a barrier stall only when a pending barrier is
     /// what keeps the head from retiring (Figure 4's nop throttling);
     /// otherwise it is an uncharged resource limit.
-    fn classify_rob_full(&self) -> Stall {
+    pub(super) fn classify_rob_full(&self) -> Stall {
         match &self.pending_barrier {
             Some(b) => Stall::Barrier(StallCause::RobFull, b.kind),
             None => Stall::Resource,
@@ -103,7 +103,7 @@ impl Core {
 
     /// Why `op` cannot issue at `now`, if it cannot: the first of its
     /// conditions that fails, which is the one the cycle is charged to.
-    fn blocked(&self, op: &Op, now: Cycle) -> Option<Stall> {
+    pub(super) fn blocked(&self, op: &Op, now: Cycle) -> Option<Stall> {
         let memory = || {
             self.memory_block(now)
                 .map(|(cause, kind)| Stall::Barrier(cause, kind))

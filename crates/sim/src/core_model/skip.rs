@@ -104,6 +104,11 @@ impl Core {
                     self.id,
                     self.settled_to + 1
                 );
+                debug_assert!(
+                    self.quiesced() || self.next_event(self.settled_to).is_none_or(|e| e > upto),
+                    "core {}: skipped cycles up to {upto} held an event",
+                    self.id
+                );
                 if let Between::Stalled(cause, kind) = state {
                     self.stats.stall.charge(cause, kind, gap);
                 }

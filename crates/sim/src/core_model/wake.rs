@@ -1,9 +1,12 @@
 //! When a core next matters: its *events*, the lockstep oracle's heartbeat
 //! over them ([`Core::next_wake`]) and the one question the event engine
-//! asks after a step (`Core::sleep`).
+//! asks after a step (`Core::sleep`). The heartbeat steps a core waiting to
+//! issue on every cycle; the event engine lets one that is *held* — its
+//! pending op blocked for the very reason its last step charged — sleep to
+//! its next event (`DESIGN.md` §10.1).
 
 use super::skip::Between;
-use super::{Core, SharedState};
+use super::{Core, SharedState, Stall};
 use crate::types::Cycle;
 
 /// The earlier of `wake` and `t`.
@@ -106,16 +109,21 @@ impl Core {
     /// asked at the watermark: between it and the returned cycle, stepping
     /// this core changes nothing another core, its thread or the run loop
     /// can observe, and `Core::catch_up` brings it to exactly the per-cycle
-    /// state. Differs from the heartbeat only in the two quiet states:
-    /// retirement alone never wakes the core — one that issues nothing
-    /// ([`Between::Idle`]) sleeps until its next event — and one pushing
-    /// nops ([`Between::Nops`]) wakes at the cycle that ends the run, a real
-    /// step because it may fetch the next op (or open a stall run), or at
-    /// its next event if that comes first.
+    /// state. Differs from the heartbeat in the quiet states: retirement
+    /// alone never wakes the core — one that issues nothing
+    /// ([`Between::Idle`]) sleeps until its next event — one pushing nops
+    /// ([`Between::Nops`]) wakes at the cycle that ends the run, a real step
+    /// because it may fetch the next op (or open a stall run), or at its
+    /// next event if that comes first, and a *held* core (`Core::held`)
+    /// sleeps until its next event too.
     pub(crate) fn skip_wake(&self) -> Option<Cycle> {
         let now = self.settled_to;
         let wake = match self.between() {
-            Between::Still | Between::Stalled(..) => self.next_wake(now),
+            state @ (Between::Still | Between::Stalled(..)) => self
+                .held(now, state)
+                .then(|| self.next_event(now))
+                .flatten()
+                .or_else(|| self.next_wake(now)),
             Between::Idle => self.next_event(now),
             Between::Nops => {
                 let horizon = self
@@ -125,6 +133,33 @@ impl Core {
             }
         };
         wake.map(|w| w.max(now + 1))
+    }
+
+    /// Whether the core, just stepped at `now` into `state`, is *held*:
+    /// nothing can retire, it is not suspended, parked or halted, and what
+    /// it waits to issue — its pending op, or a nop batch behind a full ROB
+    /// — is blocked for exactly the reason the step left behind: the open
+    /// stall run's, or an uncharged resource limit with no run open. Each
+    /// condition behind that verdict changes only at one of the core's
+    /// events, so every cycle up to the next one would re-learn it, and
+    /// `Core::catch_up` charges them in bulk. Asked after the step, not
+    /// from its issue phase: the step's second drain phase may have started
+    /// a drain that changes a `DrainWait` class.
+    fn held(&self, now: Cycle, state: Between) -> bool {
+        let retires = !self.rob.is_empty() && !self.rob.head_stalled();
+        if retires || self.suspended_on.is_some() || self.parked || self.halted {
+            return false;
+        }
+        let stall = match &self.pending_op {
+            Some(op) => self.blocked(op, now),
+            None if self.nops_remaining > 0 && self.rob.is_full() => Some(self.classify_rob_full()),
+            None => None,
+        };
+        let left_behind = match state {
+            Between::Stalled(cause, kind) => Stall::Barrier(cause, kind),
+            _ => Stall::Resource,
+        };
+        stall == Some(left_behind)
     }
 
     /// The one question the event engine asks after this core's step at

@@ -177,28 +177,6 @@ impl Op {
         }
     }
 
-    /// RCsc load-acquire (`LDAR`) whose value the thread consumes.
-    #[must_use]
-    pub fn load_acquire(addr: Addr) -> Op {
-        Op::Load {
-            addr,
-            use_value: true,
-            acquire: Acquire::Sc,
-            dep_on_last_load: false,
-        }
-    }
-
-    /// RCpc load-acquire (`LDAPR`) whose value the thread consumes.
-    #[must_use]
-    pub fn load_acquire_pc(addr: Addr) -> Op {
-        Op::Load {
-            addr,
-            use_value: true,
-            acquire: Acquire::Pc,
-            dep_on_last_load: false,
-        }
-    }
-
     /// Load with a bogus address dependency on the most recent load.
     #[must_use]
     pub fn load_dep(addr: Addr, use_value: bool) -> Op {
@@ -318,22 +296,6 @@ mod tests {
             Op::Load {
                 use_value: true,
                 acquire: Acquire::No,
-                ..
-            }
-        ));
-        assert!(matches!(
-            Op::load_acquire(8),
-            Op::Load {
-                use_value: true,
-                acquire: Acquire::Sc,
-                ..
-            }
-        ));
-        assert!(matches!(
-            Op::load_acquire_pc(8),
-            Op::Load {
-                use_value: true,
-                acquire: Acquire::Pc,
                 ..
             }
         ));

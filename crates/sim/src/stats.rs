@@ -349,14 +349,6 @@ pub struct CoreStats {
     pub latency: LatencyHistogram,
 }
 
-impl CoreStats {
-    /// Total barrier-stall cycles, over every cause and kind.
-    #[must_use]
-    pub fn barrier_stall_cycles(&self) -> Cycle {
-        self.stall.total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,6 +17,11 @@
 //!   load drains only after that load completes.
 //!
 //! Drains occupy one of `drain_ports` coherence ports each.
+//!
+//! Entries and gates are kept in program order (`push` and `push_gate`
+//! assert it), and the drain pick leans on that: "older" means "earlier
+//! in the list", so a release entry drains only from the head and one
+//! pass, stopped at the oldest closed gate, finds the candidate.
 
 use crate::types::{Addr, Cycle, DistanceClass, Line};
 
@@ -155,6 +160,10 @@ impl StoreBuffer {
     /// this one, so it cannot take the cheap idle-barrier path even if no
     /// store sits between them.
     pub fn push_gate(&mut self, seq: Seq) {
+        debug_assert!(
+            self.gates.last().is_none_or(|g| g.seq <= seq),
+            "gates must be placed in program order"
+        );
         let had_priors = !self.entries.is_empty() || !self.gates.is_empty();
         self.gates.push(SbGate {
             seq,
@@ -218,14 +227,13 @@ impl StoreBuffer {
         if self.draining >= self.drain_ports {
             return None;
         }
-        let gate_limit: Seq = self
-            .gates
-            .iter()
-            .filter(|g| g.open_at.is_none_or(|t| t > now))
-            .map(|g| g.seq)
-            .min()
-            .unwrap_or(Seq::MAX);
-        'outer: for (i, e) in self.entries.iter().enumerate() {
+        let gate_limit = self.blocking_gate(now).map_or(Seq::MAX, |g| g.seq);
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.seq >= gate_limit {
+                // Behind a closed gate, like everything younger; non-FIFO
+                // freedom does not extend past a DMB st.
+                break;
+            }
             if !matches!(e.state, SbState::Pending) {
                 if self.fifo {
                     // FIFO ablation: nothing younger may start while an
@@ -234,34 +242,16 @@ impl StoreBuffer {
                 }
                 continue;
             }
-            if e.seq >= gate_limit {
-                // Behind a closed gate; non-FIFO freedom does not extend
-                // past a DMB st.
-                continue;
-            }
-            if e.data_ready_at > now {
-                continue;
-            }
             // Same-line order: an older entry to the same line must go first.
-            for other in &self.entries {
-                if other.line == e.line && other.seq < e.seq {
-                    continue 'outer;
-                }
+            if e.data_ready_at > now || self.entries[..i].iter().any(|o| o.line == e.line) {
+                continue;
             }
-            if e.release {
-                // STLR: all older stores drained, all older loads complete.
-                if self.entries.iter().any(|o| o.seq < e.seq) {
-                    if self.fifo {
-                        break;
-                    }
-                    continue;
+            // STLR: all older stores drained, all older loads complete.
+            if e.release && (i > 0 || !loads_done_before(e.seq)) {
+                if self.fifo {
+                    break;
                 }
-                if !loads_done_before(e.seq) {
-                    if self.fifo {
-                        break;
-                    }
-                    continue;
-                }
+                continue;
             }
             return Some(i);
         }

@@ -224,7 +224,6 @@ proptest! {
             prop_assert_eq!(s.stall.cause_total(), s.stall.total);
             prop_assert_eq!(s.stall.kind_total(), s.stall.total);
             prop_assert!(s.stall.total <= s.cycles);
-            prop_assert_eq!(s.barrier_stall_cycles(), s.stall.total);
             prop_assert_eq!(&s.stall, &m2.core_stats(core).stall);
         }
     }
