@@ -373,8 +373,9 @@ mod tests {
 
     #[test]
     fn threads_fit_one_mask_word_and_corpus_spans_both_sizes() {
-        // Per-thread instruction counts must fit a 64-bit done block (the
-        // symmetry canonicalizer's per-thread signature unit)...
+        // Per-thread instruction counts must stay within `explore_oracle`'s
+        // 64-instruction thread limit, so the engine's differential
+        // reference can explore any corpus case...
         let mut oversized_total = 0usize;
         for case in corpus() {
             for t in &case.program.threads {

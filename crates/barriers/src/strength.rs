@@ -12,7 +12,7 @@
 //! encodes that ranking so callers can reason about expected cost, and
 //! [`cost_rank`] places every [`Barrier`] on it.
 
-use crate::kind::{AccessType, Barrier};
+use crate::kind::Barrier;
 
 /// Expected-overhead band of an order-preserving approach, cheapest first.
 ///
@@ -88,25 +88,9 @@ pub fn is_stable(b: Barrier) -> bool {
     !matches!(b, Barrier::Stlr)
 }
 
-/// The cheapest approach (by [`cost_rank`]) among `candidates` that still
-/// orders `earlier` before `later`. Ties break toward the earlier candidate.
-#[must_use]
-pub fn cheapest_ordering(
-    candidates: &[Barrier],
-    earlier: AccessType,
-    later: AccessType,
-) -> Option<Barrier> {
-    candidates
-        .iter()
-        .copied()
-        .filter(|b| b.orders(earlier, later))
-        .min_by_key(|b| cost_rank(*b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use AccessType::{Load, Store};
 
     #[test]
     fn headline_ranking_holds() {
@@ -137,33 +121,5 @@ mod tests {
         assert!(cost_rank(Barrier::Stlr) < cost_rank(Barrier::DsbFull));
         assert!(!is_stable(Barrier::Stlr));
         assert!(is_stable(Barrier::DmbFull));
-    }
-
-    #[test]
-    fn cheapest_ordering_picks_dependency_for_load_store() {
-        let got = cheapest_ordering(&Barrier::ALL, Load, Store).unwrap();
-        assert_eq!(cost_rank(got), CostRank::Dependency);
-    }
-
-    #[test]
-    fn cheapest_ordering_for_store_store_is_dmb_st() {
-        assert_eq!(
-            cheapest_ordering(&Barrier::ALL, Store, Store),
-            Some(Barrier::DmbSt)
-        );
-    }
-
-    #[test]
-    fn cheapest_ordering_for_store_load_is_dmb_full() {
-        // Only full barriers order store->load.
-        assert_eq!(
-            cheapest_ordering(&Barrier::ALL, Store, Load),
-            Some(Barrier::DmbFull)
-        );
-    }
-
-    #[test]
-    fn cheapest_ordering_none_when_no_candidate_orders() {
-        assert_eq!(cheapest_ordering(&[Barrier::DmbSt], Load, Load), None);
     }
 }

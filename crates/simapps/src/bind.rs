@@ -5,7 +5,7 @@
 //! abstracted models' buffers), and — for lock benchmarks — how many
 //! competitor cores exist and where.
 
-use armbar_sim::{CoreId, Platform, PlatformKind};
+use armbar_sim::{CoreId, Platform};
 
 /// A named placement configuration, matching the paper's figure legends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,13 +76,6 @@ impl BindConfig {
             BindConfig::RaspberryPi4 => 1,
         }
     }
-
-    /// Whether this is a server-platform configuration (Observation 4's
-    /// "more significant and dramatically varies" side).
-    #[must_use]
-    pub fn is_server(self) -> bool {
-        self.platform().kind == PlatformKind::Kunpeng916
-    }
 }
 
 #[cfg(test)]
@@ -127,13 +120,5 @@ mod tests {
         let labels: std::collections::HashSet<_> =
             BindConfig::ALL.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), BindConfig::ALL.len());
-    }
-
-    #[test]
-    fn server_flag() {
-        assert!(BindConfig::KunpengSameNode.is_server());
-        assert!(BindConfig::KunpengCrossNodes.is_server());
-        assert!(!BindConfig::Kirin960.is_server());
-        assert!(!BindConfig::RaspberryPi4.is_server());
     }
 }

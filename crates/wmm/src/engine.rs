@@ -2,7 +2,7 @@
 //!
 //! This module is the fast path behind [`explore`](crate::explore::explore):
 //! a depth-first search over the same state graph as the enumerative oracle
-//! (`explore_oracle`), with four layered optimizations that together cut
+//! (`explore_oracle`), with three layered optimizations that together cut
 //! `states_visited` by ~5-10x on the lint corpus while provably preserving
 //! the exact outcome set:
 //!
@@ -60,30 +60,18 @@
 //!    performed) are exactly the deadlocks here, so the outcome set is
 //!    preserved exactly, not approximately.
 //!
-//! 3. **Thread-symmetry reduction** ([`crate::symmetry`]). Groups of
-//!    threads identical up to private-location renaming (N lock
-//!    contenders) induce program automorphisms; the engine canonicalizes
-//!    every `(state, sleep)` visited key under per-group thread
-//!    permutation, so only one representative per orbit is expanded, and
-//!    closes terminal outcomes back over the group at the end. The
-//!    reported outcome set is exactly the full-graph one; `states_visited`
-//!    counts quotient branch states (still schedule-independent, because
-//!    canonicalization commutes with the automorphisms). Witness search
-//!    runs *without* symmetry — a canonical-key skip would return a
-//!    permuted path whose step list names the wrong threads.
-//!
-//! 4. **Parallel frontier.** [`run`] with `workers > 1` expands the search
+//! 3. **Parallel frontier.** [`run`] with `workers > 1` expands the search
 //!    tree breadth-first until it holds enough independent `(state, sleep)`
 //!    subtree roots, then drains them with the crate's claim loop
 //!    ([`crate::pool::claim_fold`]: scoped threads taking roots off one
 //!    shared cursor — subtrees never spawn subtrees, so there is nothing
 //!    to steal) against the visited-set, sharded by the top bits of the
 //!    key's hash (the serial walk uses the same set with one shard). The
-//!    visited-set stores exact canonical `(packed state, sleep mask)`
-//!    pairs, and a pair's subtree is a pure function of the pair — so the
-//!    set of *expanded* canonical pairs is the same closure regardless of
-//!    schedule, making `states_visited`/`states_pruned` and the canonical
-//!    outcome set byte-identical at any worker count. Programs below
+//!    visited-set stores exact `(packed state, sleep mask)` pairs, and a
+//!    pair's subtree is a pure function of the pair — so the set of
+//!    *expanded* pairs is the same closure regardless of schedule, making
+//!    `states_visited`/`states_pruned` and the canonical outcome set
+//!    byte-identical at any worker count. Programs below
 //!    [`PARALLEL_MIN_INSTRS`] total instructions always run the serial
 //!    walk — litmus-sized state spaces are microsecond-scale and thread
 //!    setup would dominate — and large programs get more shards and more,
@@ -102,7 +90,6 @@ use crate::explore::{Outcome, OutcomeSet};
 use crate::mask::{word_count, WideMask};
 use crate::model::{Instr, MemoryModel, Program, Src};
 use crate::pool::claim_fold;
-use crate::symmetry::{self, factorial, SlotGroup, Symmetry, MAX_ORBIT};
 use crate::witness::{Witness, WitnessStep};
 
 /// Below this many total instructions, [`run`] ignores `workers` and runs
@@ -184,35 +171,25 @@ pub(crate) struct Layout {
     /// Sorted `(loc, slot)` of locations present in a terminal outcome's
     /// memory image (`init` locations plus stored locations).
     out_mem: Vec<(u8, usize)>,
-    /// Thread-symmetry tables, when enabled and the program has identical
-    /// thread groups (orbit capped at [`MAX_ORBIT`]).
-    sym: Option<Symmetry>,
 }
 
 /// Explore `program` end to end: layout, then run.
-pub(crate) fn run_program(
-    program: &Program,
-    model: MemoryModel,
-    workers: usize,
-    symmetry: bool,
-) -> OutcomeSet {
-    run(&layout(program, model, symmetry), workers)
+pub(crate) fn run_program(program: &Program, model: MemoryModel, workers: usize) -> OutcomeSet {
+    run(&layout(program, model), workers)
 }
 
-/// Witness search for `program` at any size (symmetry disabled: the step
-/// list must name the concrete threads of the found execution).
+/// Witness search for `program` at any size.
 pub(crate) fn witness_program(
     program: &Program,
     model: MemoryModel,
     pred: &dyn Fn(&Outcome) -> bool,
 ) -> Option<Witness> {
-    find_witness_dpor(&layout(program, model, false), pred)
+    find_witness_dpor(&layout(program, model), pred)
 }
 
 /// Build the [`Layout`] for `program` under `model`, masks sized to its
-/// instruction count. `symmetry` enables thread-symmetry reduction
-/// (exploration wants it; witness search must not — see the module docs).
-fn layout(program: &Program, model: MemoryModel, symmetry: bool) -> Layout {
+/// instruction count.
+fn layout(program: &Program, model: MemoryModel) -> Layout {
     let total: usize = program.threads.iter().map(|t| t.instrs.len()).sum();
     let mask_words = word_count(total);
     let n_threads = program.threads.len();
@@ -399,12 +376,6 @@ fn layout(program: &Program, model: MemoryModel, symmetry: bool) -> Layout {
         }
     }
 
-    let sym = if symmetry {
-        build_symmetry(program, &base, &reg_slots, &mem_slot)
-    } else {
-        None
-    };
-
     let out_regs = reg_slots;
     let stored: BTreeSet<u8> = program
         .threads
@@ -435,47 +406,6 @@ fn layout(program: &Program, model: MemoryModel, symmetry: bool) -> Layout {
         init,
         out_regs,
         out_mem,
-        sym,
-    }
-}
-
-/// Resolve the program-level identical-thread groups to layout slots.
-/// Groups whose members are empty or longer than 64 instructions are
-/// dropped (one done block must fit a `u64`); if the combined orbit would
-/// exceed [`MAX_ORBIT`], symmetry is disabled for the program.
-fn build_symmetry(
-    program: &Program,
-    base: &[usize],
-    reg_slots: &[Vec<(u8, usize)>],
-    mem_slot: &impl Fn(u8) -> usize,
-) -> Option<Symmetry> {
-    let mut groups = Vec::new();
-    let mut orbit = 1usize;
-    for pg in symmetry::identical_groups(program) {
-        let len = program.threads[pg.members[0]].instrs.len();
-        if len == 0 || len > 64 {
-            continue;
-        }
-        orbit = orbit.saturating_mul(factorial(pg.members.len()));
-        groups.push(SlotGroup {
-            bases: pg.members.iter().map(|&t| base[t]).collect(),
-            len,
-            reg_slots: pg
-                .members
-                .iter()
-                .map(|&t| reg_slots[t].iter().map(|&(_, s)| s).collect())
-                .collect(),
-            mem_slots: pg
-                .private_locs
-                .iter()
-                .map(|locs| locs.iter().map(|&l| mem_slot(l)).collect())
-                .collect(),
-        });
-    }
-    if groups.is_empty() || orbit > MAX_ORBIT {
-        None
-    } else {
-        Some(Symmetry { groups })
     }
 }
 
@@ -521,12 +451,11 @@ impl Layout {
         2 * self.mask_words + slots.div_ceil(self.codes_per_word)
     }
 
-    /// Pack a full-width key — the state words, then the sleep words —
-    /// into `out`, [`key_words`](Self::key_words) long. Every code is below
+    /// Pack the visited key of `state` under `sleep` into `out`,
+    /// [`key_words`](Self::key_words) long. Every code is below
     /// `dict.len() < 1 << code_bits`, so packing is injective and a
     /// visited-set lookup on the packed key stays exact.
-    fn pack(&self, key: &[u64], out: &mut Vec<u64>) {
-        let (state, sleep) = key.split_at(self.init.len());
+    fn pack(&self, state: &[u64], sleep: &[u64], out: &mut Vec<u64>) {
         let (done, slots) = state.split_at(self.mask_words);
         out.clear();
         out.extend_from_slice(done);
@@ -536,7 +465,8 @@ impl Layout {
         out.extend(slots.chunks(self.codes_per_word).map(word));
     }
 
-    /// The full-width key [`pack`](Self::pack) packed.
+    /// The state words, then the sleep words, that [`pack`](Self::pack)
+    /// packed.
     fn unpack<'k>(&self, packed: &'k [u64]) -> impl Iterator<Item = u64> + use<'k> {
         let (words, codes) = packed.split_at(2 * self.mask_words);
         let (done, sleep) = words.split_at(self.mask_words);
@@ -711,9 +641,9 @@ impl KeySet {
 /// The `(packed state, sleep mask)` visited-set of one exploration: one
 /// [`KeySet`] for the serial walk, and for the parallel frontier one per
 /// shard — 16 for litmus-sized programs, 64 beyond 64 instructions (large
-/// state spaces see real shard contention). Keys are exact canonical
-/// pairs, so skipping a hit is sound: an orbit-equivalent continuation was
-/// (or is being) explored by the first inserter.
+/// state spaces see real shard contention). Keys are exact pairs, so
+/// skipping a hit is sound: the same continuation was (or is being)
+/// explored by the first inserter.
 struct SharedSeen {
     shards: Vec<Mutex<KeySet>>,
     /// The top `shard_bits` bits of a key's hash select its shard.
@@ -835,9 +765,7 @@ struct Walker<'a, T> {
     trail: Vec<(usize, Undo)>,
     /// Scratch: the unperformed transitions of `st`.
     undone: WideMask,
-    /// Scratch: the visited key of the branch state at hand, full width
-    /// and then packed.
-    key: Vec<u64>,
+    /// Scratch: the packed visited key of the branch state at hand.
     packed: Vec<u64>,
     terminals: T,
     stats: Stats,
@@ -852,7 +780,6 @@ impl<'a, T: Terminals> Walker<'a, T> {
             enabled: lay.enabled_at(&lay.init[..lay.mask_words]),
             trail: Vec::new(),
             undone: WideMask::zeros(lay.total()),
-            key: Vec::with_capacity(lay.init.len() + lay.mask_words),
             packed: Vec::with_capacity(lay.key_words()),
             terminals,
             stats: Stats::default(),
@@ -925,19 +852,14 @@ impl<'a, T: Terminals> Walker<'a, T> {
     }
 
     /// Is this the first visit of the branch state `(st, sleep)`? The
-    /// visited key is the packed state words followed by the sleep mask,
-    /// canonicalized under thread symmetry when enabled, then
+    /// visited key is the state and the sleep mask,
     /// [packed](Layout::pack).
     fn first_visit(&mut self, sleep: &WideMask) -> bool {
-        self.key.clear();
-        self.key.extend_from_slice(&self.st);
-        self.key.extend_from_slice(sleep.words());
-        if let Some(sym) = &self.lay.sym {
-            sym.canonicalize(&mut self.key, self.st.len());
-        }
-        self.lay.pack(&self.key, &mut self.packed);
+        self.lay.pack(&self.st, sleep.words(), &mut self.packed);
         debug_assert!(
-            self.lay.unpack(&self.packed).eq(self.key.iter().copied()),
+            self.lay
+                .unpack(&self.packed)
+                .eq(self.st.iter().chain(sleep.words()).copied()),
             "a packed key must unpack to the key"
         );
         self.seen.insert(&self.packed)
@@ -1054,19 +976,13 @@ pub(crate) fn run(lay: &Layout, workers: usize) -> OutcomeSet {
         }));
     }
 
-    // Terminal rows, closed over the symmetry group: a quotient terminal
-    // stands for its whole orbit, and every orbit member's outcome is
-    // reachable in the full graph.
     let mut stats = Stats::default();
     let mut rows: Vec<u64> = Vec::new();
     for w in &walkers {
         stats.visited += w.stats.visited;
         stats.pruned += w.stats.pruned;
         for t in w.terminals.iter() {
-            match &lay.sym {
-                Some(sym) => sym.expand_terminal(t, |img| rows.extend_from_slice(img)),
-                None => rows.extend_from_slice(t),
-            }
+            rows.extend_from_slice(t);
         }
     }
 
@@ -1100,11 +1016,8 @@ pub(crate) fn run(lay: &Layout, workers: usize) -> OutcomeSet {
 /// outcome satisfies `pred`. Sound because persistent+sleep search reaches
 /// every terminal state: if any execution reaches a matching outcome, some
 /// explored path reaches its terminal state. Deterministic: transitions
-/// are always tried in `(thread, index)` order. The layout must have been
-/// built without symmetry — a canonical-key skip could otherwise suppress
-/// the only path whose step list matches the requested outcome's threads.
+/// are always tried in `(thread, index)` order.
 pub(crate) fn find_witness_dpor(lay: &Layout, pred: &dyn Fn(&Outcome) -> bool) -> Option<Witness> {
-    debug_assert!(lay.sym.is_none(), "witness search must not quotient");
     let seen = SharedSeen::new(lay, true);
     let seek = Seek {
         goal: pred,
@@ -1132,7 +1045,7 @@ mod tests {
     }
 
     fn explore(p: &Program, model: MemoryModel, workers: usize) -> OutcomeSet {
-        run_program(p, model, workers, true)
+        run_program(p, model, workers)
     }
 
     #[test]
@@ -1141,12 +1054,12 @@ mod tests {
             vec![Instr::store(0, 1); 32],
             vec![Instr::store(1, 1); 32],
         ]);
-        assert_eq!(layout(&at, MemoryModel::ArmWmm, true).mask_words, 1);
+        assert_eq!(layout(&at, MemoryModel::ArmWmm).mask_words, 1);
         let over = prog(vec![
             vec![Instr::store(0, 1); 33],
             vec![Instr::store(1, 1); 32],
         ]);
-        assert_eq!(layout(&over, MemoryModel::ArmWmm, true).mask_words, 2);
+        assert_eq!(layout(&over, MemoryModel::ArmWmm).mask_words, 2);
         // Same-location store chains are totally ordered: one outcome,
         // reached without any oracle fallback.
         let set = explore(&over, MemoryModel::ArmWmm, 1);
@@ -1217,7 +1130,7 @@ mod tests {
         let model = MemoryModel::ArmWmm;
         let t = &p.threads[0];
         assert!(model.ordered(t, 0, 1) && model.ordered(t, 1, 2) && !model.ordered(t, 0, 2));
-        let lay = layout(&p, model, false);
+        let lay = layout(&p, model);
         let word = |ms: &[WideMask]| ms.iter().map(|m| m.words()[0]).collect::<Vec<_>>();
         assert_eq!(word(&lay.pred), [0b0000, 0b0001, 0b0010, 0b0011]);
         assert_eq!(
@@ -1309,7 +1222,7 @@ mod tests {
             ],
             init: vec![(1, 7), (1, 3), (3, u64::MAX)],
         };
-        let lay = layout(&p, MemoryModel::ArmWmm, false);
+        let lay = layout(&p, MemoryModel::ArmWmm);
         assert_eq!(lay.dict, [0, 3, 5, 7, 9, u64::MAX]);
         assert_eq!(lay.code_bits, 3);
         assert_codes_index_the_dictionary(&lay, &mut lay.init.clone());
@@ -1317,10 +1230,11 @@ mod tests {
         assert_eq!(run(&lay, 1).outcomes, oracle.outcomes);
     }
 
-    /// Packing, then unpacking, returns the key exactly at every code
-    /// width, from one bit per code to one code per word (a width only a
-    /// dictionary of 2^63 values needs, so it is forced here), and the
-    /// packed key is [`Layout::key_words`] long.
+    /// Packing a state and a sleep mask, then unpacking, returns the state
+    /// words and the sleep words exactly at every code width, from one bit
+    /// per code to one code per word (a width only a dictionary of 2^63
+    /// values needs, so it is forced here), and the packed key is
+    /// [`Layout::key_words`] long.
     #[test]
     fn a_packed_key_unpacks_to_the_key() {
         for (values, bits) in [(0, 1), (2, 2), (300, 9), (70_000, 17)] {
@@ -1331,7 +1245,7 @@ mod tests {
                 threads: vec![Thread { instrs: loads }],
                 init,
             };
-            let mut lay = layout(&p, MemoryModel::ArmWmm, false);
+            let mut lay = layout(&p, MemoryModel::ArmWmm);
             assert_eq!((lay.dict.len() as u64, lay.code_bits), (values + 1, bits));
             for bits in [bits, 32, 64] {
                 (lay.code_bits, lay.codes_per_word) = (bits, 64 / bits as usize);
@@ -1340,12 +1254,13 @@ mod tests {
                     let done = (0..lay.mask_words).map(|w| seed.rotate_left(w as u32) ^ 0x5a5a);
                     let codes = (0..slots as u64)
                         .map(|s| (seed ^ s.wrapping_mul(0x9e37_79b9)) >> (64 - bits));
-                    let sleep = (0..lay.mask_words).map(|w| !seed >> w);
-                    let key: Vec<u64> = done.chain(codes).chain(sleep).collect();
+                    let state: Vec<u64> = done.chain(codes).collect();
+                    let sleep: Vec<u64> = (0..lay.mask_words).map(|w| !seed >> w).collect();
                     let mut packed = Vec::new();
-                    lay.pack(&key, &mut packed);
+                    lay.pack(&state, &sleep, &mut packed);
                     assert_eq!(packed.len(), lay.key_words(), "{bits} bits");
-                    assert!(lay.unpack(&packed).eq(key.iter().copied()), "{bits} bits");
+                    let key = state.iter().chain(&sleep).copied();
+                    assert!(lay.unpack(&packed).eq(key), "{bits} bits");
                 }
             }
         }
@@ -1364,7 +1279,7 @@ mod tests {
             .instrs
             .insert(10, Instr::Fence(Barrier::DmbSt));
         for (p, want) in [(mcs, (38, 36, 8)), (pilot, (4, 16, 5))] {
-            let lay = layout(&p, MemoryModel::ArmWmm, true);
+            let lay = layout(&p, MemoryModel::ArmWmm);
             let full = lay.init.len() + lay.mask_words;
             assert_eq!((lay.dict.len(), full, lay.key_words()), want);
         }
@@ -1422,75 +1337,5 @@ mod tests {
             );
             assert_eq!(serial.states_pruned, par.states_pruned, "workers={workers}");
         }
-    }
-
-    /// A writer plus three exactly-identical readers: the quotient must
-    /// visit strictly fewer branch states while reporting exactly the
-    /// full outcome set, serial or parallel.
-    #[test]
-    fn symmetry_quotient_preserves_outcomes_and_cuts_states() {
-        let reader = vec![
-            Instr::load(0, 1),
-            Instr::Fence(Barrier::DmbLd),
-            Instr::load(1, 0),
-        ];
-        let p = prog(vec![
-            vec![
-                Instr::store(0, 23),
-                Instr::Fence(Barrier::DmbSt),
-                Instr::store(1, 1),
-            ],
-            reader.clone(),
-            reader.clone(),
-            reader,
-        ]);
-        let full = run_program(&p, MemoryModel::ArmWmm, 1, false);
-        let quotient = run_program(&p, MemoryModel::ArmWmm, 1, true);
-        assert_eq!(full.outcomes, quotient.outcomes, "orbit closure is exact");
-        assert!(
-            quotient.states_visited < full.states_visited,
-            "quotient {} vs full {}",
-            quotient.states_visited,
-            full.states_visited
-        );
-        let par = run_program(&p, MemoryModel::ArmWmm, 4, true);
-        assert_eq!(quotient, par, "canonical keys stay schedule-independent");
-    }
-
-    /// Symmetry with private spin locations: contenders that are
-    /// identical only up to renaming their own queue node.
-    #[test]
-    fn symmetry_handles_private_location_renaming() {
-        let contender = |node: u8| {
-            vec![
-                Instr::store(node, 1),
-                Instr::load(0, 9),
-                Instr::load(1, node),
-            ]
-        };
-        let p = prog(vec![
-            vec![Instr::store(9, 7)],
-            contender(10),
-            contender(11),
-            contender(12),
-        ]);
-        let full = run_program(&p, MemoryModel::ArmWmm, 1, false);
-        let quotient = run_program(&p, MemoryModel::ArmWmm, 1, true);
-        assert_eq!(full.outcomes, quotient.outcomes);
-        assert!(quotient.states_visited <= full.states_visited);
-    }
-
-    /// Mirror-symmetric litmus shapes (SB) rename *shared* locations, so
-    /// they must not be quotiented: state counts match the
-    /// symmetry-disabled engine exactly.
-    #[test]
-    fn shared_location_mirrors_are_not_quotiented() {
-        let p = prog(vec![
-            vec![Instr::store(0, 1), Instr::load(0, 1)],
-            vec![Instr::store(1, 1), Instr::load(0, 0)],
-        ]);
-        let with = run_program(&p, MemoryModel::ArmWmm, 1, true);
-        let without = run_program(&p, MemoryModel::ArmWmm, 1, false);
-        assert_eq!(with, without);
     }
 }

@@ -392,10 +392,8 @@ fn memoized(
 
 /// Exhaustively explore `program` under `model`.
 ///
-/// Runs the packed-state DPOR engine (serial, thread-symmetry reduction
-/// on) behind the process-wide memo cache, at any program size: programs
-/// up to 64 total instructions take the single-word fast path, larger
-/// ones the multi-word layout. The returned set is canonical and
+/// Runs the packed-state DPOR engine (serial) behind the process-wide
+/// memo cache, at any program size. The returned set is canonical and
 /// byte-identical across hashers, worker counts, and reruns; it is shared
 /// with the memo (and every other caller asking about the same program),
 /// not copied.
@@ -405,25 +403,11 @@ pub fn explore(program: &Program, model: MemoryModel) -> Arc<OutcomeSet> {
 }
 
 /// The DPOR engine without the memo cache (benchmarks and differential
-/// tests measure cold explorations through this). Thread-symmetry
-/// reduction on, no size ceiling, no oracle fallback.
+/// tests measure cold explorations through this). No size ceiling, no
+/// oracle fallback.
 #[must_use]
 pub fn explore_dpor_uncached(program: &Program, model: MemoryModel, workers: usize) -> OutcomeSet {
-    explore_dpor_configured(program, model, workers, true)
-}
-
-/// The DPOR engine with thread-symmetry reduction explicitly switched:
-/// tests pin the quotient's state cut through this, and
-/// differential tests check that `symmetry` never changes the outcome
-/// set. Production callers want [`explore`].
-#[must_use]
-pub fn explore_dpor_configured(
-    program: &Program,
-    model: MemoryModel,
-    workers: usize,
-    symmetry: bool,
-) -> OutcomeSet {
-    engine::run_program(program, model, workers, symmetry)
+    engine::run_program(program, model, workers)
 }
 
 /// The enumerative oracle: clone-per-transition DFS over every

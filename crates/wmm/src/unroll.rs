@@ -54,10 +54,6 @@ pub const TICKET_GRANT: u8 = 62;
 pub const PILOT_REQ: u8 = 70;
 /// The Pilot channel's response word.
 pub const PILOT_RESP: u8 = 71;
-/// First payload location of [`identical_contenders`].
-pub const CONT_DATA: u8 = 1;
-/// Publication flag of [`identical_contenders`].
-pub const CONT_FLAG: u8 = 40;
 
 /// T1's final spin register in [`mcs_handoff_unrolled`] (the read of
 /// `MCS_FLAG_A + handoffs` its intent conditions on).
@@ -280,108 +276,6 @@ pub fn pilot_roundtrip_unrolled(chain: usize, reads: usize) -> Program {
     }
 }
 
-/// One writer publishing `payload` words behind a `DMB ST` / flag pair,
-/// plus `n` *exactly identical* reader threads (flag load, `DMB LD`,
-/// payload loads) — the canonical thread-symmetry shape: the readers are
-/// interchangeable, so the quotient engine cuts the state count by up to
-/// `n!`.
-///
-/// # Panics
-///
-/// Panics on out-of-range shapes (`n > 8` or `payload > 15`, or zero).
-#[must_use]
-pub fn identical_contenders(n: usize, payload: usize) -> Program {
-    assert!((1..=8).contains(&n), "contender count out of range");
-    assert!((1..=15).contains(&payload), "payload out of range");
-    let mut writer = Vec::new();
-    for p in 0..payload {
-        writer.push(Instr::store(CONT_DATA + p as u8, (p + 1) as u64));
-    }
-    writer.push(Instr::Fence(Barrier::DmbSt));
-    writer.push(Instr::store(CONT_FLAG, 1));
-    let reader: Vec<Instr> = std::iter::once(Instr::load(0, CONT_FLAG))
-        .chain(std::iter::once(Instr::Fence(Barrier::DmbLd)))
-        .chain((0..payload).map(|p| Instr::load((p + 1) as u8, CONT_DATA + p as u8)))
-        .collect();
-    let mut threads = vec![Thread { instrs: writer }];
-    threads.extend((0..n).map(|_| Thread {
-        instrs: reader.clone(),
-    }));
-    Program {
-        threads,
-        init: vec![],
-    }
-}
-
-/// [`identical_contenders`] with a per-reader critical section: after
-/// taking the flag, each reader runs `work` stores to its *own* scratch
-/// word (location `210 + i` — a private same-word coherence chain) before
-/// reading the payload. The readers are identical up to renaming their
-/// scratch word, so this is the shape that exercises both halves of the
-/// symmetry detector at implementation size: `scratch_contenders(4, 3,
-/// 12)` is 73 instructions with a 4! = 24 element orbit.
-///
-/// # Panics
-///
-/// Panics on out-of-range shapes (`n > 8`, `payload > 15`, `work` 0, or
-/// a reader beyond 64 instructions).
-#[must_use]
-pub fn scratch_contenders(n: usize, payload: usize, work: usize) -> Program {
-    assert!((1..=8).contains(&n), "contender count out of range");
-    assert!((1..=15).contains(&payload), "payload out of range");
-    assert!(work >= 1, "work must be positive");
-    assert!(2 + work + payload <= 64, "reader exceeds 64 instructions");
-    let mut writer = Vec::new();
-    for p in 0..payload {
-        writer.push(Instr::store(CONT_DATA + p as u8, (p + 1) as u64));
-    }
-    writer.push(Instr::Fence(Barrier::DmbSt));
-    writer.push(Instr::store(CONT_FLAG, 1));
-    let mut threads = vec![Thread { instrs: writer }];
-    for i in 0..n {
-        let mut reader = vec![Instr::load(0, CONT_FLAG), Instr::Fence(Barrier::DmbLd)];
-        for k in 0..work {
-            reader.push(Instr::store(210 + i as u8, (k + 1) as u64));
-        }
-        for p in 0..payload {
-            reader.push(Instr::load((p + 1) as u8, CONT_DATA + p as u8));
-        }
-        threads.push(Thread { instrs: reader });
-    }
-    Program {
-        threads,
-        init: vec![],
-    }
-}
-
-/// `n` contenders identical *up to renaming their private spin node*
-/// (location `200 + i`): each initializes its node, reads the shared
-/// word `9`, then re-reads its own node. Exercises the renaming half of
-/// the symmetry detector — the threads differ textually but are
-/// interchangeable.
-///
-/// # Panics
-///
-/// Panics when `n` is 0 or above 8.
-#[must_use]
-pub fn private_spin_contenders(n: usize) -> Program {
-    assert!((1..=8).contains(&n), "contender count out of range");
-    let mut threads = vec![Thread {
-        instrs: vec![Instr::store(9, 7)],
-    }];
-    threads.extend((0..n).map(|i| Thread {
-        instrs: vec![
-            Instr::store(200 + i as u8, 1),
-            Instr::load(0, 9),
-            Instr::load(1, 200 + i as u8),
-        ],
-    }));
-    Program {
-        threads,
-        init: vec![],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,13 +347,5 @@ mod tests {
             .iter()
             .flat_map(|t| t.instrs.iter())
             .all(|i| !matches!(i, Instr::Fence(_))));
-    }
-
-    #[test]
-    fn contender_threads_are_identical() {
-        let p = identical_contenders(3, 2);
-        assert_eq!(p.threads.len(), 4);
-        assert_eq!(p.threads[1].instrs, p.threads[2].instrs);
-        assert_eq!(p.threads[2].instrs, p.threads[3].instrs);
     }
 }

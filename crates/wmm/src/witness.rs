@@ -128,10 +128,9 @@ impl Witness {
 /// `pred`, or `None` when no such execution exists (the outcome is
 /// forbidden).
 ///
-/// Runs on the DPOR engine at every program size (deterministic
+/// Runs on the DPOR engine at every program size, in deterministic
 /// `(thread, index)` search order, so the returned witness is byte-stable
-/// across reruns), with thread-symmetry reduction disabled: the step list
-/// must name the concrete threads of the found execution.
+/// across reruns.
 #[must_use]
 pub fn find_witness(
     program: &Program,

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 use armbar_barriers::Barrier;
 use armbar_wmm::battery::battery;
-use armbar_wmm::explore::{explore_dpor_configured, explore_dpor_uncached, explore_oracle};
+use armbar_wmm::explore::{explore_dpor_uncached, explore_oracle};
 use armbar_wmm::model::{Instr, MemoryModel, Program, Thread};
 use armbar_wmm::witness::find_witness;
 
@@ -142,8 +142,8 @@ fn dictionary_program(values: [u64; 3], init: Vec<(u8, u64)>) -> Program {
 /// The slot-code packing at the edges of its value dictionary: one value
 /// (one bit a code), past 256 values (nine bits, through `init` entries
 /// that a later entry for the same location overrides), and the two
-/// largest bit patterns. Engine at 1 and 4 workers, symmetry on and off,
-/// equals the oracle, and every outcome's witness replays.
+/// largest bit patterns. Engine at 1 and 4 workers equals the oracle, and
+/// every outcome's witness replays.
 #[test]
 fn dictionary_edges_differential() {
     let many = (0..300).map(|v| ((v % 3) as u8, 1000 + v)).collect();
@@ -160,13 +160,11 @@ fn dictionary_edges_differential() {
         let model = MemoryModel::ArmWmm;
         let oracle = explore_oracle(&p, model);
         for workers in [1, 4] {
-            for symmetry in [true, false] {
-                let engine = explore_dpor_configured(&p, model, workers, symmetry);
-                assert_eq!(
-                    engine.outcomes, oracle.outcomes,
-                    "{name}: {workers} worker(s), symmetry {symmetry}"
-                );
-            }
+            let engine = explore_dpor_uncached(&p, model, workers);
+            assert_eq!(
+                engine.outcomes, oracle.outcomes,
+                "{name}: {workers} worker(s)"
+            );
         }
         for target in oracle.iter() {
             let w = find_witness(&p, model, |o| o == target)
@@ -185,30 +183,6 @@ proptest! {
     fn random_programs_differential(p in gen_program()) {
         for model in MemoryModel::ALL {
             check(&p, model);
-        }
-    }
-
-    /// Duplicated-thread programs: clone one random thread three times so
-    /// the symmetry detector always finds a group, then require the
-    /// quotiented engine to agree with the oracle (orbit closure is exact)
-    /// while never visiting more states than the full engine.
-    #[test]
-    fn duplicated_thread_quotient_differential(
-        instrs in prop::collection::vec(gen_instr(), 1..5),
-    ) {
-        let t = Thread { instrs };
-        let p = Program {
-            threads: vec![t.clone(), t.clone(), t],
-            init: vec![],
-        };
-        for model in MemoryModel::ALL {
-            let oracle = explore_oracle(&p, model);
-            let quotient = explore_dpor_configured(&p, model, 1, true);
-            let full = explore_dpor_configured(&p, model, 1, false);
-            prop_assert_eq!(&quotient.outcomes, &oracle.outcomes,
-                "quotient diverged from oracle under {:?} on {:?}", model, &p);
-            prop_assert!(quotient.states_visited <= full.states_visited,
-                "quotient grew the state count under {:?} on {:?}", model, &p);
         }
     }
 

@@ -1,51 +1,43 @@
 //! Differential coverage for programs beyond 64 total instructions: the
 //! multi-word packed engine against the enumerative oracle, at worker
-//! counts {1, 4}, with and without thread-symmetry reduction.
+//! counts {1, 4}.
 //!
 //! Shapes come from `armbar_wmm::unroll` — bounded-unrolled lock and
 //! channel idioms — plus a seeded generator of random dependency-rich
 //! large programs. Oracle comparisons stick to shapes whose outcome sets
 //! stay in the thousands (the module docs on `unroll` explain why that
 //! requires bounded cross-thread read freedom); the 100+-instruction
-//! acceptance shape is checked engine-vs-engine (serial vs parallel,
-//! quotient vs full) and through witness search + replay.
+//! acceptance shape is checked engine-vs-engine (serial vs parallel) and
+//! through witness search + replay.
 
 use armbar_barriers::Barrier;
 use armbar_wmm::unroll::{
-    identical_contenders, mcs_final_spin_reg, mcs_handoff_unrolled, mcs_payload_regs,
-    mcs_prologue_fence_index, pilot_roundtrip_unrolled, private_spin_contenders,
-    scratch_contenders, ticket_handoff_unrolled, ticket_last_grant_reg, ticket_payload_regs,
+    mcs_final_spin_reg, mcs_handoff_unrolled, mcs_payload_regs, mcs_prologue_fence_index,
+    pilot_roundtrip_unrolled, ticket_handoff_unrolled, ticket_last_grant_reg, ticket_payload_regs,
     MCS_PAYLOAD_BASE,
 };
 use armbar_wmm::witness::find_witness;
 use armbar_wmm::{
-    explore_dpor_configured, explore_oracle, Instr, MemoryModel, Outcome, OutcomeSet, Program,
-    Thread,
+    explore_dpor_uncached, explore_oracle, Instr, MemoryModel, Outcome, OutcomeSet, Program, Thread,
 };
 
 fn total(p: &Program) -> usize {
     p.threads.iter().map(|t| t.instrs.len()).sum()
 }
 
-/// Engine at workers {1, 4} × symmetry {on, off} against the oracle:
-/// outcomes must match the oracle exactly, and the full `OutcomeSet`
-/// (including the `states_*` counters) must be byte-identical across
-/// worker counts for each symmetry setting.
+/// Engine at workers {1, 4} against the oracle: outcomes must match the
+/// oracle exactly, and the full `OutcomeSet` (including the `states_*`
+/// counters) must be byte-identical across worker counts.
 fn check_against_oracle(name: &str, p: &Program, model: MemoryModel) -> OutcomeSet {
     let oracle = explore_oracle(p, model);
-    for symmetry in [false, true] {
-        let serial = explore_dpor_configured(p, model, 1, symmetry);
-        let parallel = explore_dpor_configured(p, model, 4, symmetry);
-        assert_eq!(
-            serial.outcomes, oracle.outcomes,
-            "{name}: engine (symmetry={symmetry}) diverged from the oracle"
-        );
-        assert_eq!(
-            serial, parallel,
-            "{name}: workers changed the result (symmetry={symmetry})"
-        );
-        assert!(serial.states_visited > 0, "{name}: no states counted");
-    }
+    let serial = explore_dpor_uncached(p, model, 1);
+    let parallel = explore_dpor_uncached(p, model, 4);
+    assert_eq!(
+        serial.outcomes, oracle.outcomes,
+        "{name}: engine diverged from the oracle"
+    );
+    assert_eq!(serial, parallel, "{name}: workers changed the result");
+    assert!(serial.states_visited > 0, "{name}: no states counted");
     oracle
 }
 
@@ -101,58 +93,13 @@ fn unrolled_pilot_roundtrip_matches_the_oracle_beyond_64_instructions() {
 }
 
 #[test]
-fn symmetry_quotient_equals_the_oracle_on_symmetric_shapes() {
-    for (name, p) in [
-        ("identical_contenders", identical_contenders(3, 2)),
-        ("private_spin_contenders", private_spin_contenders(3)),
-        ("scratch_contenders", scratch_contenders(3, 2, 2)),
-    ] {
-        let oracle = explore_oracle(&p, MemoryModel::ArmWmm);
-        let full = explore_dpor_configured(&p, MemoryModel::ArmWmm, 1, false);
-        let quotient = explore_dpor_configured(&p, MemoryModel::ArmWmm, 1, true);
-        assert_eq!(quotient.outcomes, oracle.outcomes, "{name}: quotient broke");
-        assert_eq!(full.outcomes, oracle.outcomes, "{name}: full engine broke");
-        assert!(
-            quotient.states_visited < full.states_visited,
-            "{name}: quotient did not reduce ({} vs {})",
-            quotient.states_visited,
-            full.states_visited
-        );
-    }
-}
-
-#[test]
-fn large_symmetric_program_quotient_is_sound_and_reduces() {
-    // 73 instructions, four readers identical up to renaming their
-    // private scratch word: too big for the oracle, so the quotient is
-    // checked against the symmetry-disabled engine. Four contenders give
-    // the orbit (4! = 24) room to clear the 2x reduction floor.
-    let p = scratch_contenders(4, 3, 12);
-    assert!(total(&p) > 64, "got {}", total(&p));
-    let full = explore_dpor_configured(&p, MemoryModel::ArmWmm, 1, false);
-    let quotient = explore_dpor_configured(&p, MemoryModel::ArmWmm, 1, true);
-    assert_eq!(full.outcomes, quotient.outcomes, "orbit closure is exact");
-    assert!(
-        quotient.states_visited * 2 <= full.states_visited,
-        "expected >= 2x reduction on 4 identical contenders: {} vs {}",
-        quotient.states_visited,
-        full.states_visited
-    );
-    let parallel = explore_dpor_configured(&p, MemoryModel::ArmWmm, 4, true);
-    assert_eq!(
-        quotient, parallel,
-        "quotient must stay schedule-independent"
-    );
-}
-
-#[test]
 fn acceptance_shape_explores_and_witnesses_through_the_engine() {
     // The acceptance criteria's shape: >= 100 instructions, explored by
     // the packed engine with byte-identical results at workers {1, 4}.
     let p = mcs_handoff_unrolled(5, 4, 6, Barrier::DmbFull, Barrier::DmbFull);
     assert!(total(&p) >= 100, "got {}", total(&p));
-    let serial = explore_dpor_configured(&p, MemoryModel::ArmWmm, 1, true);
-    let parallel = explore_dpor_configured(&p, MemoryModel::ArmWmm, 4, true);
+    let serial = explore_dpor_uncached(&p, MemoryModel::ArmWmm, 1);
+    let parallel = explore_dpor_uncached(&p, MemoryModel::ArmWmm, 4);
     assert_eq!(serial, parallel);
 
     // The intent conditions on T1's *first* handoff observation (reg 0,
@@ -257,37 +204,5 @@ fn random_dependency_rich_large_programs_match_the_oracle() {
         let p = random_large_program(seed);
         assert!(total(&p) > 64);
         check_against_oracle(&format!("random({seed})"), &p, MemoryModel::ArmWmm);
-    }
-}
-
-#[test]
-fn duplicated_random_threads_keep_the_quotient_sound() {
-    // Clone one random thread three times: the engine must detect the
-    // group, reduce, and still agree with the oracle.
-    for seed in [7, 41] {
-        let mut rng = Lcg(seed);
-        let instrs: Vec<Instr> = (0..8)
-            .map(|_| {
-                let loc = rng.below(2) as u8;
-                match rng.below(6) {
-                    0 | 1 => Instr::load(rng.below(2) as u8, loc),
-                    2 => Instr::Fence(Barrier::DmbLd),
-                    _ => Instr::store(loc, 1 + rng.below(2)),
-                }
-            })
-            .collect();
-        let clone = Thread { instrs };
-        let p = Program {
-            threads: vec![clone.clone(), clone.clone(), clone],
-            init: vec![],
-        };
-        let oracle = explore_oracle(&p, MemoryModel::ArmWmm);
-        let quotient = explore_dpor_configured(&p, MemoryModel::ArmWmm, 1, true);
-        let full = explore_dpor_configured(&p, MemoryModel::ArmWmm, 1, false);
-        assert_eq!(quotient.outcomes, oracle.outcomes, "seed {seed}");
-        assert!(
-            quotient.states_visited <= full.states_visited,
-            "seed {seed}: quotient grew the state count"
-        );
     }
 }

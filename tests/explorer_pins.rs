@@ -3,21 +3,19 @@
 //! the last two per mutant — not of the data structures that carry it, so
 //! the implementation-sized corpus cases are pinned here to the triple,
 //! serial and on 4 workers, and every litmus-sized corpus case to the
-//! enumerative oracle. The state cuts the engine exists for — against the
-//! oracle, and the thread-symmetry quotient against the full graph — are
-//! pinned exactly and each held to its floor on its own, so that re-pinning
-//! a count cannot drop it. The test profile keeps `debug_assert!`s, so
-//! every macro-step of these walks also checks the engine's incrementally
-//! carried enabled set against the from-scratch one.
+//! enumerative oracle. The state cuts the engine exists for, against the
+//! oracle, are pinned exactly and each held to its floor on its own, so
+//! that re-pinning a count cannot drop it. The test profile keeps
+//! `debug_assert!`s, so every macro-step of these walks also checks the
+//! engine's incrementally carried enabled set against the from-scratch one.
 
 use std::sync::Arc;
 
 use armbar_analyze::{corpus, synthesize, LintCase};
 use armbar_barriers::Barrier;
-use armbar_wmm::unroll::{identical_contenders, mcs_handoff_unrolled};
+use armbar_wmm::unroll::mcs_handoff_unrolled;
 use armbar_wmm::{
-    explore, explore_dpor_configured, explore_dpor_uncached, explore_oracle, MemoryModel,
-    OutcomeSet, Program,
+    explore, explore_dpor_uncached, explore_oracle, MemoryModel, OutcomeSet, Program,
 };
 
 const MODEL: MemoryModel = MemoryModel::ArmWmm;
@@ -46,14 +44,6 @@ fn assert_pinned(what: &str, program: &Program, want: (usize, usize, usize)) -> 
     serial
 }
 
-/// Explore with thread-symmetry reduction off; the outcomes must be
-/// `quotient`'s, and the full graph's state count is returned.
-fn full_graph_states(what: &str, program: &Program, quotient: &OutcomeSet) -> usize {
-    let full = explore_dpor_configured(program, MODEL, 1, false);
-    assert_eq!(full.outcomes, quotient.outcomes, "{what}");
-    full.states_visited
-}
-
 #[test]
 fn implementation_sized_cases_are_pinned() {
     for (name, want) in [
@@ -62,10 +52,7 @@ fn implementation_sized_cases_are_pinned() {
     ] {
         let case = case(name);
         assert!(instrs(&case.program) > 64, "{name} left the wide engine");
-        let quotient = assert_pinned(name, &case.program, want);
-        // No two threads of either case are interchangeable.
-        let full = full_graph_states(name, &case.program, &quotient);
-        assert_eq!(full, want.1, "{name}: full-graph states");
+        assert_pinned(name, &case.program, want);
     }
 }
 
@@ -115,15 +102,6 @@ fn engine_equals_the_oracle_on_every_litmus_sized_case() {
     assert_eq!(mp, (207, 31), "(oracle, engine) states over MP+…");
     assert!(all.1 < all.0, "the engine must visit fewer states overall");
     assert!(mp.0 >= 5 * mp.1, "MP-family reduction below the 5x floor");
-}
-
-#[test]
-fn symmetry_quotient_is_pinned_on_identical_contenders() {
-    let shape = identical_contenders(4, 3);
-    let quotient = explore_dpor_configured(&shape, MODEL, 1, true);
-    let full = full_graph_states("4 identical contenders", &shape, &quotient);
-    assert_eq!((full, quotient.states_visited), (45_415, 9583));
-    assert!(full >= 2 * quotient.states_visited, "below the 2x floor");
 }
 
 /// The largest unrolled MCS hand-off the oracle still explores: past one
