@@ -329,7 +329,7 @@ impl Core {
 
     /// [`Core::step`] invocations so far.
     #[must_use]
-    pub(crate) fn steps(&self) -> u64 {
+    pub fn steps(&self) -> u64 {
         self.steps
     }
 

@@ -203,12 +203,9 @@ impl Core {
                 }
             };
             self.rob.complete(l.rob_slot);
-            if l.distance.crosses_node() {
-                if let Some(b) = &mut self.pending_barrier {
-                    if b.waits_loads() && l.seq < b.seq {
-                        b.crossed_node = true;
-                    }
-                }
+            let waited = |b: &&mut PendingBarrier| b.waits_loads() && l.seq < b.seq;
+            if let Some(b) = self.pending_barrier.as_mut().filter(waited) {
+                b.crossed_node |= l.distance.crosses_node();
             }
             if l.acquire.is_acquire() && self.acquire_gate == Some(l.id) {
                 self.acquire_gate = None;
@@ -226,17 +223,13 @@ impl Core {
         while let Some(e) = self.sb.pop_completed_drain(now) {
             shared.write(e.addr, e.value);
             // Distance scope for gates/barriers waiting on this drain.
-            let crossed = e.drain_crossed_node();
-            if crossed {
-                for g in self.sb.gates_mut() {
-                    if e.seq < g.seq {
-                        g.crossed_node = true;
-                    }
+            if e.drain_crossed_node() {
+                for g in self.sb.gates_mut().filter(|g| e.seq < g.seq) {
+                    g.crossed_node = true;
                 }
-                if let Some(b) = &mut self.pending_barrier {
-                    if b.waits_stores() && e.seq < b.seq {
-                        b.crossed_node = true;
-                    }
+                let waited = |b: &&mut PendingBarrier| b.waits_stores() && e.seq < b.seq;
+                if let Some(b) = self.pending_barrier.as_mut().filter(waited) {
+                    b.crossed_node = true;
                 }
             }
             if e.drain_was_rmr() {
@@ -244,38 +237,19 @@ impl Core {
             }
         }
 
-        // Open DMB st gates whose pre-gate stores have all drained. Gates
-        // are barrier transactions and collect their responses in program
-        // order: only the oldest still-closed gate may request one — a
-        // younger gate must not sneak an idle-scope response past it.
+        // Open the oldest closed DMB st gate once its pre-gate stores have
+        // all drained — only it: a younger gate must not sneak an
+        // idle-scope response past it.
         let pc = self.params_cache;
-        let mut open: Option<(Seq, Cycle)> = None;
-        {
-            let sb = &self.sb;
-            for g in sb.gates_iter() {
-                if g.open_at.is_some() {
-                    continue;
-                }
-                if sb.drained_before(g.seq) {
-                    let lat_resp = if g.crossed_node {
-                        pc.t_membar_domain
-                    } else if g.had_priors {
-                        pc.t_membar_bisection
-                    } else {
-                        pc.t_membar_idle
-                    };
-                    open = Some((g.seq, now + lat_resp));
-                }
-                // Younger closed gates wait for this one either way.
-                break;
-            }
-        }
-        if let Some((seq, t)) = open {
-            for g in self.sb.gates_mut() {
-                if g.seq == seq {
-                    g.open_at = Some(t);
-                }
-            }
+        if let Some(i) = self.sb.requesting_gate() {
+            let g = self.sb.gates_mut().nth(i).expect("the requesting gate");
+            g.open_at = Some(if g.crossed_node {
+                now + pc.t_membar_domain
+            } else if g.had_priors {
+                now + pc.t_membar_bisection
+            } else {
+                now + pc.t_membar_idle
+            });
         }
         self.sb.expire_gates(now);
 
@@ -687,8 +661,6 @@ impl Core {
                     kind.occupies_rob_until_response()
                 };
                 let slot = self.rob.push_instr(!occupies).expect("checked free()");
-                let waits_loads_now = self.loads.iter().any(|l| l.done_at > now);
-                let waits_stores_now = !self.sb.is_empty();
                 let mut b = PendingBarrier {
                     kind,
                     rob_slot: occupies.then_some(slot),
@@ -697,23 +669,14 @@ impl Core {
                     crossed_node: false,
                     had_priors: false,
                 };
-                b.had_priors =
-                    (b.waits_loads() && waits_loads_now) || (b.waits_stores() && waits_stores_now);
-                // Seed scope from accesses already outstanding.
-                if b.waits_loads() {
-                    for l in &self.loads {
-                        if l.done_at > now && l.distance.crosses_node() {
-                            b.crossed_node = true;
-                        }
-                    }
-                }
-                if b.waits_stores() {
-                    for e in self.sb.entries() {
-                        if e.drain_crossed_node() {
-                            b.crossed_node = true;
-                        }
-                    }
-                }
+                // Priors, and the scope they seed, from the accesses it
+                // waits on that are already outstanding.
+                let (on_loads, on_stores) = (b.waits_loads(), b.waits_stores());
+                let mut loads = self.loads.iter().filter(|l| on_loads && l.done_at > now);
+                let mut stores = self.sb.entries().iter().filter(|_| on_stores);
+                b.had_priors = loads.clone().next().is_some() || stores.clone().next().is_some();
+                b.crossed_node = loads.any(|l| l.distance.crosses_node())
+                    || stores.any(SbEntry::drain_crossed_node);
                 if !b.blocks_all() && self.priors_done(&b, now) {
                     // Nothing to wait for and nothing but memory ops to
                     // hold back: the next cycle would find the priors

@@ -15,6 +15,7 @@ use super::{Core, SharedState};
 use crate::platform::LatencyParams;
 use crate::spin::{MarkPoint, Period};
 use crate::stats::StallCause;
+use crate::storebuf::{SbState, StoreBuffer};
 use crate::topology::Topology;
 use crate::trace::Trace;
 use crate::types::{Cycle, Line};
@@ -288,17 +289,6 @@ impl Core {
         self.parked = false;
     }
 
-    /// No load or RMW outstanding (so no acquire gate either), nothing
-    /// buffered or gated, no pending barrier, no stall run open: every ROB
-    /// entry is complete and the core's future is its thread's alone.
-    fn nothing_in_flight(&self) -> bool {
-        self.loads.is_empty()
-            && self.sb.is_empty()
-            && self.sb.gates_iter().next().is_none()
-            && self.pending_barrier.is_none()
-            && self.stall_run.is_none()
-    }
-
     /// The core as a mark fetched at `now` with `budget` issue slots left
     /// finds it.
     pub(super) fn mark_point(&self, now: Cycle, budget: u32) -> MarkPoint {
@@ -306,8 +296,12 @@ impl Core {
             at: now,
             rob_used: self.rob.used(),
             budget,
-            // An op is only fetched with no issue block and no nops left.
-            clean: self.nothing_in_flight(),
+            // An op is only fetched with no issue block and no nops left;
+            // with no load (so no acquire gate) outstanding either, every
+            // ROB entry is complete.
+            clean: self.loads.is_empty()
+                && self.pending_barrier.is_none()
+                && self.stall_run.is_none(),
         }
     }
 
@@ -319,7 +313,7 @@ impl Core {
 
     /// Poll-loop periods applied in closed form instead of stepped.
     #[must_use]
-    pub(crate) fn spin_periods_skipped(&self) -> u64 {
+    pub fn spin_periods_skipped(&self) -> u64 {
         self.spin.as_ref().map_or(0, |r| r.skipped)
     }
 
@@ -360,7 +354,9 @@ impl Core {
     /// `frozen`: a private image in which the polled lines are still shared
     /// and hold the values the loop last saw (the live state may already
     /// show the write that ended the spin). Replaying the tail with the
-    /// real step is what makes the phase right for any pipeline shape.
+    /// real step is what makes the phase right for any pipeline shape. The
+    /// store buffer's next event lies past `upto` (the machine ends the
+    /// spin before it), so nothing drains against `frozen`.
     fn resume(
         &mut self,
         upto: Cycle,
@@ -393,8 +389,20 @@ impl Core {
         self.stats.loads += periods * period.loads;
         self.stats.issued += periods * period.issued;
         self.stats.retired += periods * period.issued;
+        // Every move of the buffer changes one of these counts.
+        let buffered = |sb: &StoreBuffer| {
+            let draining = sb.entries().iter().filter(|e| e.state != SbState::Pending);
+            let open = sb.gates_iter().filter(|g| g.open_at.is_some()).count();
+            (sb.len(), draining.count(), sb.gates_iter().count(), open)
+        };
+        let before = cfg!(debug_assertions).then(|| buffered(&self.sb));
         while let Some(w) = self.skip_wake().filter(|&w| w <= upto) {
             self.step(w, topo, lat, frozen, trace);
         }
+        debug_assert!(
+            before.is_none_or(|b| b == buffered(&self.sb)),
+            "core {}: the store buffer moved in a replayed poll-loop tail",
+            self.id
+        );
     }
 }

@@ -15,25 +15,24 @@ fn sooner(wake: Option<Cycle>, t: Cycle) -> Option<Cycle> {
 }
 
 impl Core {
+    /// The store buffer's next event: a drain landing, a store's data
+    /// becoming ready, a `DMB st` gate opening.
+    fn store_event(&self, now: Cycle) -> Option<Cycle> {
+        let wake = self.sb.next_event(now);
+        // A DMB st gate with nothing older left to drain (placed on a
+        // drained buffer) requests its response at the very next step.
+        match self.sb.requesting_gate() {
+            Some(_) => sooner(wake, now + 1),
+            None => wake,
+        }
+    }
+
     /// The next completion of what the core has in flight besides its
-    /// pipeline and its pending barrier: a load or RMW finishing, a drain
-    /// landing, a store's data becoming ready, a `DMB st` gate opening.
+    /// pipeline and its pending barrier: a load or RMW finishing, or a
+    /// store-buffer event (`Core::store_event`).
     pub(super) fn in_flight_event(&self, now: Cycle) -> Option<Cycle> {
-        let mut wake = None;
-        for l in &self.loads {
-            wake = sooner(wake, l.done_at.max(now + 1));
-        }
-        if let Some(t) = self.sb.next_event(now) {
-            wake = sooner(wake, t);
-        }
-        // A DMB st gate placed with nothing older left to drain requests its
-        // response at the very next step.
-        if let Some(g) = self.sb.gates_iter().find(|g| g.open_at.is_none()) {
-            if self.sb.drained_before(g.seq) {
-                wake = sooner(wake, now + 1);
-            }
-        }
-        wake
+        let loads = self.loads.iter().map(|l| l.done_at.max(now + 1));
+        loads.chain(self.store_event(now)).min()
     }
 
     /// The core's next *event*: the earliest cycle after `now` whose step
@@ -164,12 +163,14 @@ impl Core {
 
     /// The one question the event engine asks after this core's step at
     /// `now`: when to step it next. A core that step found in a settled
-    /// poll loop is parked instead (`None`, like a core with no wake of its
-    /// own: from here the directory wakes it).
+    /// poll loop is parked instead: from here the directory wakes it, and
+    /// its one wake of its own is the store buffer's next event
+    /// (`Core::store_event`; `None` once nothing is buffered), before
+    /// which the machine ends the spin.
     #[inline]
     pub(crate) fn sleep(&mut self, now: Cycle, shared: &mut SharedState) -> Option<Cycle> {
         match self.spin.as_ref().and_then(|rec| rec.settled_at(now)) {
-            Some(period) if self.park(period, shared) => None,
+            Some(period) if self.park(period, shared) => self.store_event(now),
             _ => self.skip_wake(),
         }
     }

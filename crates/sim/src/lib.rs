@@ -30,21 +30,15 @@
 //! ([`machine::Engine`]). The lockstep oracle steps every cycle in which
 //! anything retires or issues and is what the differential tests hold the
 //! default, event-driven engine to. That one steps a core only at its
-//! *events*; in the cycles between two observations a core is still,
-//! stalled behind a barrier (each cycle charged to the open stall run),
-//! retiring what has completed while it waits for a value or parked on
-//! [`Op::WaitChange`], pushing nops, or repeating the settled period of a
-//! poll loop its thread marked with [`Op::SpinMark`] — five closed forms,
-//! applied by one function against one watermark per core when the core is
-//! next looked at (`core_model::Core::catch_up`), so a run stopped anywhere
-//! reads as if every cycle had been stepped. A core states the two wake
-//! contracts side by side:
+//! *events* and applies the cycles in between in closed form when the core
+//! is next looked at (`core_model::Core::catch_up`), so a run stopped
+//! anywhere reads as if every cycle had been stepped:
 //! [`Core::next_wake`](core_model::Core::next_wake) is the oracle's
-//! *heartbeat* (before the returned cycle a step is a no-op, so retirement
-//! and nops report the next cycle), and `Core::sleep` the event engine's
-//! *skip* (before the returned cycle a step changes nothing another core,
-//! the thread or the run loop can observe; a parked core returns none and
-//! is woken by the write it waits for).
+//! *heartbeat*, `Core::sleep` the event engine's *skip*. A core parked on
+//! [`Op::WaitChange`], or in a settled poll loop its thread marked with
+//! [`Op::SpinMark`], is woken by the write it waits for (a poller also at
+//! its store buffer's next event). `DESIGN.md` §10 has the five closed
+//! forms and why no other core can tell.
 //!
 //! # Example
 //!

@@ -15,10 +15,12 @@
 //!   the cycle of its next *event* — retirement and the pushing of nops are
 //!   bookkeeping the core applies when it is next looked at
 //!   (`Core::catch_up`), not events — or nothing at all, for a core parked
-//!   on a [`WaitChange`](crate::op::Op::WaitChange) line or in a settled
-//!   poll loop ([`Op::SpinMark`](crate::op::Op::SpinMark)), which the
-//!   directory wakes when another core writes the line. A thousand parked
-//!   spinners cost nothing per simulated cycle.
+//!   on a [`WaitChange`](crate::op::Op::WaitChange) line, which the
+//!   directory wakes when another core writes the line. A core parked in a
+//!   settled poll loop ([`Op::SpinMark`](crate::op::Op::SpinMark)) is woken
+//!   the same way, and keeps its store buffer's next event, before which
+//!   the machine ends its spin. A thousand parked spinners cost nothing per
+//!   simulated cycle.
 //!
 //! A run ends the same way under both: on the cycle after the one in which
 //! every workload quiesced or the caller's condition fell, or exactly on its
@@ -142,12 +144,6 @@ impl Machine {
         self.engine = engine;
     }
 
-    /// The currently selected scheduling engine.
-    #[must_use]
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Total number of `Core::step` invocations so far (all runs) — the
     /// engine-quality metric (cycles simulated per core actually stepped)
     /// benchmarks gate.
@@ -162,6 +158,13 @@ impl Machine {
     #[must_use]
     pub fn spin_periods_skipped(&self) -> u64 {
         self.cores.iter().map(Core::spin_periods_skipped).sum()
+    }
+
+    /// One core, for its own counts ([`Core::steps`],
+    /// [`Core::spin_periods_skipped`]).
+    #[must_use]
+    pub fn core(&self, core: CoreId) -> &Core {
+        &self.cores[core]
     }
 
     /// Switch on event tracing with a ring of `capacity` events; all cores
@@ -328,6 +331,7 @@ impl Machine {
         for i in 0..self.active.len() {
             self.catch_up(self.active[i], last);
         }
+        debug_assert!(self.shared.directory.spin_parked == 0, "spin count leaked");
     }
 
     /// Run until every workload halts and quiesces, or `max_cycles` elapse:
@@ -437,12 +441,12 @@ impl Machine {
     /// those cores. Relies on `Core::sleep`'s skip contract — between a
     /// core's own wake events nothing observable about it can change
     /// (stepping it would be a no-op, or a cycle `Core::catch_up` applies
-    /// later) — and on the directory for the cores with no wake: one parked
-    /// on a `WaitChange` line is woken by a commit to it, one parked in a
-    /// settled poll loop by a commit or an exclusive access to a polled
-    /// line. While a poller is parked, events are popped one `(cycle, core
-    /// id)` at a time, so that one resumed by a lower-numbered core still
-    /// takes its step of that cycle, in its turn.
+    /// later) — and on the directory for parked cores: one parked on a
+    /// `WaitChange` line is woken by a commit to it, one parked in a settled
+    /// poll loop by a commit or an exclusive access to a polled line, or by
+    /// its own store-buffer event. While a poller is parked, events are
+    /// popped one `(cycle, core id)` at a time, so that one resumed by a
+    /// lower-numbered core still takes its step of that cycle, in its turn.
     fn run_event(&mut self, limit: Cycle, keep_going: impl Fn(&Machine) -> bool) {
         if self.active.is_empty() {
             // Like the oracle: an empty machine quiesces in one tick.
@@ -496,6 +500,10 @@ impl Machine {
                     }
                 }
                 for &id in &batch {
+                    if self.shared.directory.spin_parked > 0 && self.cores[id].spin_parked() {
+                        // Its own event, a store buffer's, ends its spin first.
+                        self.catch_up(id, t - 1);
+                    }
                     let was_quiesced = self.cores[id].quiesced();
                     self.cores[id].step(
                         t,
@@ -1225,6 +1233,80 @@ mod tests {
         assert!(ev.steps_executed() < 400, "{}", ev.steps_executed());
         assert!(ev.spin_periods_skipped() > 8_000);
         assert_eq!(or.spin_periods_skipped(), 0, "the oracle runs every poll");
+    }
+
+    #[test]
+    fn marked_loops_park_with_store_buffer_work_in_flight() {
+        // The poller enters its loop with (i) a store to a line a core on
+        // the other node holds, still draining; (ii) a store behind a
+        // `DMB st` gate behind such a store; (iii) an STLR behind one. It
+        // parks while the buffer still holds them, is stepped at each of
+        // the buffer's events, and must read exactly like the oracle.
+        const FAR: Addr = 0x7000;
+        let remote = Op::store(FAR, 1);
+        let entries = [
+            vec![remote],
+            vec![remote, Op::Fence(Barrier::DmbSt), Op::store(0x7100, 2)],
+            vec![remote, Op::store_release(0x7140, 3)],
+        ];
+        for entry in entries {
+            let mk = |engine| {
+                let mut m = Machine::new(Platform::kunpeng916());
+                m.set_engine(engine);
+                m.set_region_home(FAR, FAR + 64, 40);
+                let entry = entry.clone();
+                m.add_thread_on(
+                    1,
+                    Box::new(crate::Script::new(move |cpu| async move {
+                        // Warm the polled line first: the loop's loads hit.
+                        cpu.op(Op::load_use(0x5000)).await;
+                        for op in entry {
+                            cpu.op(op).await;
+                        }
+                        let seen = loop {
+                            cpu.spin_mark().await;
+                            let v = cpu.op(Op::load_use(0x5000)).await;
+                            if v != 0 {
+                                break v;
+                            }
+                        };
+                        cpu.op(Op::store(0x5100, seen)).await;
+                    })),
+                );
+                m.add_thread_on(
+                    5,
+                    Box::new(Script::new(vec![Op::Nops(3_000), Op::store(0x5000, 7)])),
+                );
+                m
+            };
+            let mut ev = mk(Engine::EventDriven);
+            let mut or = mk(Engine::LockstepOracle);
+            for budget in [160, 1, 97, 12_345, 1 << 40] {
+                assert_eq!(ev.run(budget), or.run(budget), "{entry:?}, budget {budget}");
+                assert_eq!(ev.now(), or.now(), "{entry:?}, budget {budget}");
+                for core in [1, 5] {
+                    assert_eq!(
+                        ev.core_stats(core),
+                        or.core_stats(core),
+                        "{entry:?}, {budget}"
+                    );
+                }
+                if budget == 160 {
+                    assert_eq!(ev.read_memory(FAR), 0, "{entry:?}: drained before parking");
+                    assert!(ev.spin_periods_skipped() > 0, "{entry:?}: never parked");
+                }
+            }
+            for addr in [FAR, 0x7100, 0x7140, 0x5100] {
+                assert_eq!(ev.read_memory(addr), or.read_memory(addr), "{entry:?}");
+            }
+            assert_eq!(ev.read_memory(0x5100), 7);
+            assert!(ev.spin_periods_skipped() > 300, "{entry:?}");
+            assert!(
+                ev.steps_executed() < 60,
+                "{entry:?}: {} steps",
+                ev.steps_executed()
+            );
+        }
     }
 
     #[test]

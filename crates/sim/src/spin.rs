@@ -11,9 +11,11 @@
 //!   the loops the event engine skips through.
 //! * **Has the loop settled?** Two consecutive iterations of the same ops,
 //!   values and length in cycles, every load a local hit, begun from the
-//!   same pipeline state ([`MarkPoint`]) with nothing else in flight, repeat
-//!   until a polled line is written: the event engine parks the core there
-//!   and applies the skipped iterations in closed form (`DESIGN.md` §10).
+//!   same pipeline state ([`MarkPoint`]) with no load, barrier or stall in
+//!   flight, repeat until a polled line is written: the event engine parks
+//!   the core there and applies the skipped iterations in closed form
+//!   (`DESIGN.md` §10). Buffered stores do not stop it: the loop's loads
+//!   and nops never wait on them, and each store-buffer event ends a spin.
 //!
 //! Only plain [`Op::load_use`]s and [`Op::Nops`] are recorded, at most
 //! [`MAX_OPS`] of them; any other op closes the record until the next mark.
@@ -22,7 +24,7 @@ use crate::op::Op;
 use crate::types::{Addr, CoreId, Cycle};
 
 /// Ops a recorded iteration may hold; a longer one is not recorded.
-const MAX_OPS: usize = 8;
+const MAX_OPS: usize = 16;
 
 /// A core at the moment it fetches a mark: everything that decides how a
 /// pure iteration unfolds from there.
@@ -34,8 +36,9 @@ pub(crate) struct MarkPoint {
     pub rob_used: u32,
     /// Issue slots left in the mark's cycle.
     pub budget: u32,
-    /// Nothing but the loop in flight: no loads, buffered stores, gates,
-    /// pending barrier or open stall run.
+    /// No load outstanding, no pending barrier, no open stall run; the
+    /// store buffer may still be draining (a poll that forwards from it is
+    /// no hit).
     pub clean: bool,
 }
 
@@ -81,13 +84,14 @@ impl Default for Iteration {
 /// See the [module docs](self).
 #[derive(Debug, Default)]
 pub(crate) struct SpinRecord {
-    /// The last complete iteration, if there is one to repeat.
-    prev: Iteration,
-    /// The iteration since the last mark, while `open`.
-    cur: Iteration,
+    /// The last two iterations, kept in place: `its[cur]` is the one since
+    /// the last mark, while `open`; the other the last complete one, if
+    /// there is one to repeat. A mark that closes an iteration flips `cur`.
+    its: [Iteration; 2],
+    cur: usize,
     open: bool,
-    /// `prev` is complete and `cur` has so far repeated it op for op and
-    /// value for value.
+    /// The last complete iteration exists and the open one has so far
+    /// repeated it op for op and value for value.
     repeats: bool,
     /// Set by the mark that closed the second of two identical iterations.
     settled: Option<Period>,
@@ -101,10 +105,11 @@ pub(crate) struct SpinRecord {
 
 impl SpinRecord {
     /// The mark's claim, checked as the thread hands over `op` (`None`: the
-    /// next mark) while `cur` repeats `prev`.
+    /// next mark) while the open iteration repeats the last complete one.
     fn check_pure(&self, core: CoreId, op: Option<Op>) {
-        let at = self.cur.len;
-        let before = self.prev.ops[..self.prev.len].get(at).map(|&(op, _)| op);
+        let (prev, cur) = (&self.its[self.cur ^ 1], &self.its[self.cur]);
+        let at = cur.len;
+        let before = prev.ops[..prev.len].get(at).map(|&(op, _)| op);
         assert!(
             !self.repeats || before == op,
             "core {core}: a marked poll loop is not pure: op {at} of this iteration is {op:?} \
@@ -119,21 +124,22 @@ impl SpinRecord {
             return;
         }
         self.check_pure(core, Some(op));
-        let at = self.cur.len;
+        let cur = &mut self.its[self.cur];
+        let at = cur.len;
         let recordable = op.is_plain_load_use() || matches!(op, Op::Nops(_));
         if !recordable || at == MAX_OPS {
             self.open = false;
             return;
         }
-        self.cur.ops[at] = (op, 0);
-        self.cur.len = at + 1;
+        cur.ops[at] = (op, 0);
+        cur.len = at + 1;
     }
 
     /// The load just fetched issued; `hit` if it was a local directory hit
     /// that forwarded nothing from the store buffer.
     pub fn issued_load(&mut self, hit: bool) {
         if self.open {
-            self.cur.all_hit &= hit;
+            self.its[self.cur].all_hit &= hit;
         }
     }
 
@@ -142,9 +148,9 @@ impl SpinRecord {
         if !self.open {
             return;
         }
-        let at = self.cur.len - 1;
-        self.cur.ops[at].1 = value;
-        self.repeats &= self.prev.ops[at].1 == value;
+        let at = self.its[self.cur].len - 1;
+        self.its[self.cur].ops[at].1 = value;
+        self.repeats &= self.its[self.cur ^ 1].ops[at].1 == value;
     }
 
     /// The thread handed over a mark while the core was at `point`.
@@ -152,21 +158,22 @@ impl SpinRecord {
         self.settled = None;
         if self.open {
             self.check_pure(core, None);
-            let cycles = point.at - self.cur.mark.at;
+            let (prev, cur) = (&self.its[self.cur ^ 1], &self.its[self.cur]);
+            let cycles = point.at - cur.mark.at;
             if self.repeats
-                && self.prev.all_hit
-                && self.cur.all_hit
+                && prev.all_hit
+                && cur.all_hit
                 && cycles > 0
-                && cycles == self.cur.mark.at - self.prev.mark.at
-                && self.prev.mark.same_stance(&self.cur.mark)
-                && self.cur.mark.same_stance(&point)
+                && cycles == cur.mark.at - prev.mark.at
+                && prev.mark.same_stance(&cur.mark)
+                && cur.mark.same_stance(&point)
             {
                 let mut period = Period {
                     cycles,
                     loads: 0,
                     issued: 0,
                 };
-                for &(op, _) in &self.cur.ops[..self.cur.len] {
+                for &(op, _) in &cur.ops[..cur.len] {
                     match op {
                         Op::Nops(n) => period.issued += u64::from(n),
                         _ => {
@@ -177,25 +184,28 @@ impl SpinRecord {
                 }
                 self.settled = Some(period);
             }
-            std::mem::swap(&mut self.prev, &mut self.cur);
+            self.cur ^= 1;
         }
         self.repeats = self.open;
         self.open = true;
-        self.cur.mark = point;
-        self.cur.len = 0;
-        self.cur.all_hit = true;
+        let cur = &mut self.its[self.cur];
+        cur.mark = point;
+        cur.len = 0;
+        cur.all_hit = true;
     }
 
     /// The period of the settled loop, if the step at `now` fetched the
     /// mark that found it settled and has since only begun to repeat it.
     pub fn settled_at(&self, now: Cycle) -> Option<Period> {
+        let cur = &self.its[self.cur];
         self.settled
-            .filter(|_| self.open && self.repeats && self.cur.all_hit && self.cur.mark.at == now)
+            .filter(|_| self.open && self.repeats && cur.all_hit && cur.mark.at == now)
     }
 
     /// The addresses the settled loop polls and the values it found there.
     pub fn polled(&self) -> impl Iterator<Item = (Addr, u64)> + '_ {
-        self.prev.ops[..self.prev.len]
+        let prev = &self.its[self.cur ^ 1];
+        prev.ops[..prev.len]
             .iter()
             .filter_map(|&(op, value)| match op {
                 Op::Load { addr, .. } => Some((addr, value)),
@@ -205,7 +215,8 @@ impl SpinRecord {
 
     /// Move the record `by` cycles into the future, with the core.
     pub fn shift(&mut self, by: Cycle) {
-        self.prev.mark.at += by;
-        self.cur.mark.at += by;
+        for it in &mut self.its {
+            it.mark.at += by;
+        }
     }
 }

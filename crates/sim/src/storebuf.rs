@@ -178,6 +178,16 @@ impl StoreBuffer {
         self.gates.iter()
     }
 
+    /// The oldest gate not yet open, if every store older than it has
+    /// drained: it requests its response at the core's next completion
+    /// phase. Gates are barrier transactions and collect their responses
+    /// in program order, so a younger closed gate waits for it either way.
+    #[must_use]
+    pub(crate) fn requesting_gate(&self) -> Option<usize> {
+        let i = self.gates.iter().position(|g| g.open_at.is_none())?;
+        self.drained_before(self.gates[i].seq).then_some(i)
+    }
+
     /// All entries older than `seq` have fully drained?
     #[must_use]
     pub fn drained_before(&self, seq: Seq) -> bool {

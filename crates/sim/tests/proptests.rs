@@ -428,15 +428,34 @@ fn a_bound_on_every_cycle_of_a_quiet_stretch_reads_like_the_oracle() {
     }
 }
 
-/// A marked poll loop of the spin-elision property: after `prefix`, forever
-/// — poll `lines` (a change of any polled word ends the wait), pad; on a
-/// change publish what was seen and mark the iteration.
+/// A marked poll loop of the spin-elision property: after `prefix` and
+/// `entry`, forever — poll `lines` (a change of any polled word ends the
+/// wait), pad; on a change publish what was seen and mark the iteration.
 #[derive(Debug, Clone)]
 struct Poller {
     prefix: Vec<GenOp>,
+    entry: Entry,
     /// Indices into the polled-line pool, 1–3 of them.
     lines: Vec<u8>,
     pad: u32,
+}
+
+/// What a poller leaves in its store buffer as it reaches its loop.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// Nothing more than its prefix left.
+    Quiet,
+    /// A store to a line homed on the other node, still draining.
+    Store,
+    /// Such a store, a `DMB st`, and a store held behind the gate.
+    Gated,
+    /// Such a store and an STLR that waits for it to drain.
+    Release,
+}
+
+/// The first of poller `id`'s two entry lines, homed on `HIGH_WRITER`.
+fn far_addr(id: u64) -> u64 {
+    0xE000 + id * 128
 }
 
 /// One write of a spin-elision writer, `delay` nops after its previous one.
@@ -467,6 +486,20 @@ fn polled_addr(line: u8) -> u64 {
 async fn poller(cpu: Cpu, id: u64, p: Poller) {
     for g in p.prefix {
         cpu.op(to_op(g)).await;
+    }
+    let far = far_addr(id);
+    let entry: &[Op] = match p.entry {
+        Entry::Quiet => &[],
+        Entry::Store => &[Op::store(far, 1)],
+        Entry::Gated => &[
+            Op::store(far, 1),
+            Op::Fence(armbar_barriers::Barrier::DmbSt),
+            Op::store(far + 64, 2),
+        ],
+        Entry::Release => &[Op::store(far, 1), Op::store_release(far + 64, 3)],
+    };
+    for &op in entry {
+        cpu.op(op).await;
     }
     let mut seen = vec![0u64; p.lines.len()];
     loop {
@@ -537,6 +570,7 @@ fn run_spin_schedule(
     platform.latency.retire_width = retire_width;
     let mut m = Machine::new(platform);
     m.set_engine(engine);
+    m.set_region_home(far_addr(0), far_addr(2), HIGH_WRITER);
     for (i, (&core, p)) in POLLERS.iter().zip(pollers).enumerate() {
         let p = p.clone();
         m.add_thread_on(core, Box::new(Script::new(|cpu| poller(cpu, i as u64, p))));
@@ -561,6 +595,7 @@ fn run_spin_schedule(
         let memory = (0..4u8)
             .flat_map(|l| [polled_addr(l), polled_addr(l) + 8])
             .chain([0xC000, 0xC040, addr_of(0)])
+            .chain((0..4).map(|i| far_addr(0) + i * 64))
             .chain((0..16).map(addr_of))
             .map(|a| m.read_memory(a))
             .collect();
@@ -606,19 +641,32 @@ fn spin_difference(ev: &SpinObserved, or: &SpinObserved) -> String {
 
 fn gen_poller() -> impl Strategy<Value = Poller> {
     (
-        prop::collection::vec(gen_op(), 0..8),
-        // A long nop tail still issuing when the loop starts, or none.
-        prop_oneof![Just(0u8), 1u8..=255],
+        (
+            prop::collection::vec(gen_op(), 0..8),
+            // A long nop tail still issuing when the loop starts, or none.
+            prop_oneof![Just(0u8), 1u8..=255],
+        ),
+        prop_oneof![
+            Just(Entry::Quiet),
+            Just(Entry::Store),
+            Just(Entry::Gated),
+            Just(Entry::Release),
+        ],
         prop::collection::vec(0u8..4, 1..4),
         // Mostly a branch-sized pad; sometimes one long enough to be a
         // nop run of its own inside every period.
         prop_oneof![0u32..=3, 0u32..=3, 0u32..=3, 4u32..=60],
     )
-        .prop_map(|(mut prefix, tail, lines, pad)| {
+        .prop_map(|((mut prefix, tail), entry, lines, pad)| {
             if tail > 0 {
                 prefix.push(GenOp::Nops(tail));
             }
-            Poller { prefix, lines, pad }
+            Poller {
+                prefix,
+                entry,
+                lines,
+                pad,
+            }
         })
 }
 
@@ -644,7 +692,9 @@ proptest! {
 
     /// Parking a settled poll loop is invisible: for any pipeline shape, any
     /// loop of one to three polled lines and a pad, entered with stores,
-    /// gates, fences or a nop tail still in flight, any writers on lower and
+    /// gates, fences or a nop tail still in flight — among them a store
+    /// draining to the other node, a store behind a `DMB st` gate and an
+    /// STLR, which the loop may park with — any writers on lower and
     /// higher core ids whose drain starts, RMWs and commits land anywhere in
     /// the period (the polled word or its neighbour on the line), and any
     /// schedule of `run`/`run_until_iterations` calls that stop the machine

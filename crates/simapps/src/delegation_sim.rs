@@ -505,12 +505,16 @@ impl Channel {
 }
 
 /// The dedicated server (FFWD, RCL): sweeps the request lines round-robin
-/// (Algorithm 5) until all `total` requests are served. Responses of one
-/// sweep share the response barrier.
+/// (Algorithm 5) until all `total` requests are served; responses of one
+/// sweep share the response barrier. Each sweep is a marked poll loop that
+/// serving closes, so only idle sweeps are ever compared.
 async fn server(cpu: Cpu, cfg: DelegationConfig, mut channel: Channel, total: u64) {
     let mut served = 0;
     let mut client = 0;
     while served < total {
+        if client == 0 {
+            cpu.spin_mark().await;
+        }
         // Poll the next client's request line.
         let word = cpu.op(Op::load_use(req_addr(client))).await;
         if let Some(round) = channel.pending(client, word) {
@@ -1159,6 +1163,57 @@ mod tests {
             assert_eq!(a.result.cycles, b.result.cycles, "{kind:?}");
             assert_eq!(a.latency, b.latency, "{kind:?}");
             assert_eq!(a.subverted, b.subverted, "{kind:?}");
+        }
+    }
+
+    /// Figure 7(c)'s 10^3 column: twelve clients that sit in 128 000 nops
+    /// between requests leave a dedicated server sweeping idle request
+    /// lines. The sweep is a marked poll loop, so the event engine parks
+    /// the server, often with its last responses still draining — and must
+    /// read exactly like the oracle, which runs every sweep.
+    #[test]
+    fn idle_dedicated_servers_park_and_read_like_the_oracle() {
+        for kind in [DelegationKind::Ffwd, DelegationKind::Rcl] {
+            for mode in ResponseMode::ALL {
+                let cfg = DelegationConfig {
+                    kind,
+                    clients: 12,
+                    mode,
+                    per_client: 8,
+                    interval_nops: 128_000,
+                    ..DelegationConfig::default_ffwd()
+                };
+                let run = |engine| {
+                    let opts = RunOpts {
+                        engine: Some(engine),
+                        trace_capacity: None,
+                    };
+                    let mut m = delegation_machine(&kunpeng(), cfg, opts);
+                    assert!(m.run(1 << 40).halted, "{kind:?} {mode:?}");
+                    m
+                };
+                let (ev, or) = (run(Engine::EventDriven), run(Engine::LockstepOracle));
+                assert_eq!(ev.now(), or.now(), "{kind:?} {mode:?}");
+                for core in 0..=12 {
+                    assert_eq!(
+                        ev.core_stats(core),
+                        or.core_stats(core),
+                        "{kind:?} {mode:?}"
+                    );
+                }
+                let words = (0..12).flat_map(|c| [req_addr(c), resp_addr(c), resp_flag_addr(c)]);
+                for addr in words.chain([SERVED, subv_addr(0)]) {
+                    assert_eq!(ev.read_memory(addr), or.read_memory(addr), "{addr:#x}");
+                }
+                let server = (ev.core(0), or.core(0));
+                assert!(server.0.spin_periods_skipped() > 0, "{kind:?} {mode:?}");
+                assert!(
+                    10 * server.0.steps() < server.1.steps(),
+                    "{kind:?} {mode:?}: the server took {} steps, the oracle's {}",
+                    server.0.steps(),
+                    server.1.steps()
+                );
+            }
         }
     }
 

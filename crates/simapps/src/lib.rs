@@ -34,9 +34,10 @@
 //! record `visit` and the clients' iteration `tail` in [`delegation_sim`];
 //! Algorithms 3 and 4 on a ring slot in [`prodcons`]. A configured
 //! `Barrier` becomes ops in one private module, `lower`. No thread here
-//! implements `SimThread` by hand (CI checks). Every wait that polls starts
-//! each iteration with `cpu.spin_mark().await` — free in simulated time, it
-//! tells the event engine the loop is decided by the values it loads, so a
+//! implements `SimThread` by hand (CI checks). Every wait that polls — a
+//! dedicated server's sweep of the request lines too — starts each
+//! iteration with `cpu.spin_mark().await`: free in simulated time, it tells
+//! the event engine the loop is decided by the values it loads, so a
 //! settled wait is skipped in closed form; the one loop with a counter of
 //! its own (`dsynch_client`'s every-eighth-miss baton retry) is left
 //! unmarked. DESIGN.md §11.1 has the table, the adapter's contract and the

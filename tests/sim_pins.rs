@@ -125,10 +125,54 @@ fn settled_poll_loops_are_pinned() {
     };
     let build = || delegation_machine(&Platform::kunpeng916(), cfg, RunOpts::default());
     let (event, oracle) = both("spin", build, |_| {});
-    assert_eq!(pins(&event, &oracle), (248_125, 70_371, 2_624_765));
+    assert_eq!(pins(&event, &oracle), (248_125, 67_407, 2_624_765));
     let skipped = (event.spin_periods_skipped, oracle.spin_periods_skipped);
-    assert_eq!(skipped, (726_923, 0), "the oracle runs every poll");
+    assert_eq!(skipped, (728_405, 0), "the oracle runs every poll");
     assert_ten_fold("spin", &event, &oracle);
+}
+
+/// Figure 7(c)'s 10^3 FFWD cell: 12 flag-mode clients, 8 requests each,
+/// 128 000 nops apart, so the dedicated server mostly sweeps idle request
+/// lines — a marked poll loop. Pins the server's own steps.
+#[test]
+fn idle_server_sweeps_are_pinned() {
+    let cfg = DelegationConfig {
+        kind: DelegationKind::Ffwd,
+        clients: 12,
+        barriers: DelegationBarriers {
+            req: Barrier::Ldar,
+            resp: Barrier::DmbSt,
+        },
+        mode: ResponseMode::Flag,
+        profile: CsProfile::counter(),
+        per_client: 8,
+        interval_nops: 128_000,
+    };
+    let server = |engine| {
+        let mut m = delegation_machine(&Platform::kunpeng916(), cfg, RunOpts::default());
+        m.set_engine(engine);
+        let stats = m.run(1 << 40);
+        assert!(stats.halted, "{engine:?}: the run must finish");
+        (
+            stats.cycles,
+            m.core(0).steps(),
+            m.core(0).spin_periods_skipped(),
+        )
+    };
+    let (event, oracle) = (server(Engine::EventDriven), server(Engine::LockstepOracle));
+    assert_eq!(event.0, oracle.0, "the engines disagree");
+    assert_eq!((event.0, event.1, oracle.1), (300_854, 2389, 300_476));
+    assert_eq!(
+        (event.2, oracle.2),
+        (12_235, 0),
+        "the oracle runs every sweep"
+    );
+    assert!(
+        oracle.1 >= 10 * event.1,
+        "{} oracle steps of the server against {} event steps, below the 10x floor",
+        oracle.1,
+        event.1
+    );
 }
 
 /// The deepest cells of the many-core grid — 120 rounds with 30 nops of
