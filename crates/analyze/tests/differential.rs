@@ -1,9 +1,9 @@
 //! Corpus-wide differential suite: the DPOR engine vs the enumerative oracle
 //! on every lint-corpus program and every barrier-site cut the lint
-//! actually explores, plus random barrier-mutants, at worker counts 1
-//! and 4 — a replay check over every counterexample witness the
-//! analyzer emits, and `OutcomeSet::diff` against its definition on every
-//! pair of sets lint and synthesis compare.
+//! actually explores, plus random barrier-mutants — a replay check over
+//! every counterexample witness the analyzer emits, and
+//! `OutcomeSet::diff` against its definition on every pair of sets lint
+//! and synthesis compare.
 //!
 //! This is also where the acceptance criterion for the engine's state
 //! reduction lives: summed over the MP-placement family, the engine must
@@ -20,34 +20,29 @@ use armbar_analyze::lint::{analyze_case_with, analyze_corpus, Proof};
 use armbar_analyze::synth::synthesize_with;
 use armbar_wmm::mutate::{barrier_sites, remove_site};
 use armbar_wmm::{
-    explore, explore_dpor_uncached, explore_oracle, MemoryModel, Outcome, OutcomeSet, Program,
+    explore, explore_oracle, explore_uncached, MemoryModel, Outcome, OutcomeSet, Program,
 };
 
 const MODEL: MemoryModel = MemoryModel::ArmWmm;
 
 /// The enumerative oracle is the differential reference only where it is
 /// tractable: litmus-sized cases. Implementation-sized corpus cases
-/// (above one mask word) are covered engine-vs-engine here and against
-/// the oracle on purpose-built shapes in `armbar-wmm`'s
+/// (above one mask word) are held to monotonicity under cuts here and
+/// against the oracle on purpose-built shapes in `armbar-wmm`'s
 /// `large_programs` suite.
 fn litmus_sized(p: &Program) -> bool {
     p.threads.iter().map(|t| t.instrs.len()).sum::<usize>() <= 64
 }
 
-/// Engine at 1 and 4 workers vs the oracle; returns (oracle, engine).
+/// The engine vs the oracle; returns (oracle, engine).
 fn check(p: &Program, what: &str) -> (OutcomeSet, OutcomeSet) {
     let oracle = explore_oracle(p, MODEL);
-    let serial = explore_dpor_uncached(p, MODEL, 1);
-    let parallel = explore_dpor_uncached(p, MODEL, 4);
+    let engine = explore_uncached(p, MODEL);
     assert_eq!(
-        serial.outcomes, oracle.outcomes,
+        engine.outcomes, oracle.outcomes,
         "{what}: engine outcome set diverged from oracle"
     );
-    assert_eq!(
-        serial, parallel,
-        "{what}: worker count changed the result (counts must be schedule-independent)"
-    );
-    (oracle, serial)
+    (oracle, engine)
 }
 
 #[test]
@@ -68,31 +63,26 @@ fn corpus_and_all_cuts_differential() {
 }
 
 #[test]
-fn implementation_sized_corpus_cases_are_schedule_independent() {
-    // The big cases skip the oracle but not the engine's own invariants:
-    // serial and 4-worker runs must be byte-identical (outcome sets AND
-    // state counters) on the case and on every barrier-site cut.
+fn implementation_sized_corpus_cuts_only_relax() {
+    // The big cases skip the oracle but not the engine's own invariants
+    // (live `debug_assert!`s on every walk): a barrier-site cut only drops
+    // ordering edges, so every outcome of the case stays reachable.
     let mut seen = 0usize;
     for case in corpus() {
         if litmus_sized(&case.program) {
             continue;
         }
         seen += 1;
-        let mut programs = vec![case.program.clone()];
-        programs.extend(
-            barrier_sites(&case.program)
-                .into_iter()
-                .map(|site| remove_site(&case.program, site)),
-        );
-        for (i, p) in programs.iter().enumerate() {
-            let serial = explore_dpor_uncached(p, MODEL, 1);
-            let parallel = explore_dpor_uncached(p, MODEL, 4);
-            assert_eq!(
-                serial, parallel,
-                "{} variant {i}: worker count changed the result",
+        let base = explore_uncached(&case.program, MODEL);
+        assert!(base.states_visited > 0);
+        for site in barrier_sites(&case.program) {
+            let cut = explore_uncached(&remove_site(&case.program, site), MODEL);
+            let lost = base.diff(&cut).removed;
+            assert!(
+                lost.is_empty(),
+                "{} {site:?}: the cut loses {lost:?}",
                 case.name
             );
-            assert!(serial.states_visited > 0);
         }
     }
     assert!(seen >= 2, "corpus lost its implementation-sized cases");
@@ -230,8 +220,8 @@ fn mutant(case_idx: usize, cuts: usize, seed: u64) -> (String, Program) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random barrier-mutants of corpus programs: engine == oracle and
-    /// serial == 4-worker on every one.
+    /// Random barrier-mutants of corpus programs: engine == oracle on
+    /// every one.
     #[test]
     fn random_corpus_mutants_differential(
         case_idx in 0usize..32,

@@ -21,7 +21,7 @@ use armbar_simapps::delegation_sim::{
 use armbar_simapps::prodcons::{run_prodcons, PcBarriers, PcVariant, FIG6A_COMBOS};
 use armbar_simapps::ticket_sim::{run_ticket, run_ticket_with, TicketConfig};
 use armbar_simapps::RunOpts;
-use armbar_wmm::battery::run_battery;
+use armbar_wmm::battery::battery_runs;
 use armbar_wmm::litmus::{approach_suffices, message_passing, pilot_message_passing};
 use armbar_wmm::model::MemoryModel;
 
@@ -1124,13 +1124,12 @@ pub fn export_trace(path: &std::path::Path) -> std::io::Result<()> {
 
 // ----------------------------------------------------------------- battery
 
-/// The litmus battery under ARM WMM via the parallel battery runner:
-/// explorer verdicts, explored-state counts, and outcome counts (all
-/// deterministic, so they land in the CSV); per-test wall times vary run
-/// to run and go to stdout only.
+/// The litmus battery under ARM WMM: explorer verdicts, explored-state
+/// counts, and outcome counts (all deterministic, so they land in the
+/// CSV); per-test wall times vary run to run and go to stdout only.
 #[must_use]
-pub fn battery(ctx: &SweepCtx) -> Vec<Table> {
-    let runs = run_battery(MemoryModel::ArmWmm, ctx.workers);
+pub fn battery(_ctx: &SweepCtx) -> Vec<Table> {
+    let runs = battery_runs(MemoryModel::ArmWmm);
     let mut t = Table::new(
         "battery",
         "Litmus battery under ARM WMM: verdicts and explored state space",
@@ -1163,9 +1162,8 @@ pub fn battery(ctx: &SweepCtx) -> Vec<Table> {
         );
     }
     println!(
-        "  battery explorer time: {total:?} across {} tests on {} worker(s)",
-        runs.len(),
-        ctx.workers
+        "  battery explorer time: {total:?} across {} tests",
+        runs.len()
     );
     vec![t]
 }

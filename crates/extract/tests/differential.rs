@@ -1,11 +1,11 @@
 //! Engine-vs-oracle differentials on *lifted* programs: the DPOR engine
-//! at 1 and 4 workers must agree with the enumerative oracle on programs
-//! that came through the assembly front-end, closing the loop between
-//! the new input path and the explorer's correctness baseline.
+//! must agree with the enumerative oracle on programs that came through
+//! the assembly front-end, closing the loop between the new input path
+//! and the explorer's correctness baseline.
 
 use armbar_extract::fixtures::lift_fixture;
 use armbar_extract::lift;
-use armbar_wmm::{explore_dpor_uncached, explore_oracle, MemoryModel, Program};
+use armbar_wmm::{explore_oracle, explore_uncached, MemoryModel, Program};
 
 const MP_ASM: &str = "\
 // armbar: thread producer
@@ -36,15 +36,13 @@ Lspin:
 fn assert_engine_matches_oracle(name: &str, program: &Program) {
     for model in [MemoryModel::ArmWmm, MemoryModel::X86Tso, MemoryModel::Sc] {
         let oracle = explore_oracle(program, model);
-        for workers in [1, 4] {
-            let engine = explore_dpor_uncached(program, model, workers);
-            assert_eq!(
-                engine.outcomes,
-                oracle.outcomes,
-                "{name}/{model:?}/workers={workers}: {:?}",
-                engine.diff(&oracle)
-            );
-        }
+        let engine = explore_uncached(program, model);
+        assert_eq!(
+            engine.outcomes,
+            oracle.outcomes,
+            "{name}/{model:?}: {:?}",
+            engine.diff(&oracle)
+        );
     }
 }
 

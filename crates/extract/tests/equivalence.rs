@@ -5,15 +5,15 @@
 //! lint corpus is allowed to use the lifted path as production.
 
 use armbar_extract::fixtures::{all, hand_built, lift_fixture};
-use armbar_wmm::{explore_dpor_uncached, MemoryModel};
+use armbar_wmm::{explore_uncached, MemoryModel};
 
 #[test]
 fn lifted_fixtures_match_hand_built_outcome_sets() {
     for (name, _) in all() {
         let lifted = lift_fixture(name).unwrap_or_else(|e| panic!("{name}: {e}"));
         let hand = hand_built(name);
-        let a = explore_dpor_uncached(&lifted.program, MemoryModel::ArmWmm, 4);
-        let b = explore_dpor_uncached(&hand, MemoryModel::ArmWmm, 4);
+        let a = explore_uncached(&lifted.program, MemoryModel::ArmWmm);
+        let b = explore_uncached(&hand, MemoryModel::ArmWmm);
         assert_eq!(
             a.outcomes,
             b.outcomes,

@@ -2,7 +2,7 @@
 //!
 //! This module is the fast path behind [`explore`](crate::explore::explore):
 //! a depth-first search over the same state graph as the enumerative oracle
-//! (`explore_oracle`), with three layered optimizations that together cut
+//! (`explore_oracle`), with two layered optimizations that together cut
 //! `states_visited` by ~5-10x on the lint corpus while provably preserving
 //! the exact outcome set:
 //!
@@ -60,43 +60,20 @@
 //!    performed) are exactly the deadlocks here, so the outcome set is
 //!    preserved exactly, not approximately.
 //!
-//! 3. **Parallel frontier.** [`run`] with `workers > 1` expands the search
-//!    tree breadth-first until it holds enough independent `(state, sleep)`
-//!    subtree roots, then drains them with the crate's claim loop
-//!    ([`crate::pool::claim_fold`]: scoped threads taking roots off one
-//!    shared cursor — subtrees never spawn subtrees, so there is nothing
-//!    to steal) against the visited-set, sharded by the top bits of the
-//!    key's hash (the serial walk uses the same set with one shard). The
-//!    visited-set stores exact `(packed state, sleep mask)` pairs, and a
-//!    pair's subtree is a pure function of the pair — so the set of
-//!    *expanded* pairs is the same closure regardless of schedule, making
-//!    `states_visited`/`states_pruned` and the canonical outcome set
-//!    byte-identical at any worker count. Programs below
-//!    [`PARALLEL_MIN_INSTRS`] total instructions always run the serial
-//!    walk — litmus-sized state spaces are microsecond-scale and thread
-//!    setup would dominate — and large programs get more shards and more,
-//!    finer frontier tasks. No production caller passes `workers > 1`
-//!    today (the sweeps parallelize a level up, across cells); the
-//!    differential suites and the explorer pins do.
+//! The walk is serial and deterministic: transitions are tried in
+//! `(thread, index)` order, so every count and outcome set is a pure
+//! function of `(program, model)`. Parallelism lives a level up, where the
+//! sweeps run independent cells side by side.
 
 use std::collections::BTreeSet;
-use std::collections::VecDeque;
 use std::hash::Hasher;
-use std::sync::Mutex;
 
 use armbar_fxhash::FxHasher;
 
 use crate::explore::{Outcome, OutcomeSet};
 use crate::mask::{word_count, WideMask};
 use crate::model::{Instr, MemoryModel, Program, Src};
-use crate::pool::claim_fold;
 use crate::witness::{Witness, WitnessStep};
-
-/// Below this many total instructions, [`run`] ignores `workers` and runs
-/// the serial walk: litmus-sized explorations finish in microseconds and
-/// thread/shard setup would cost more than the whole search (the result is
-/// byte-identical either way; only wall time changes).
-pub(crate) const PARALLEL_MIN_INSTRS: usize = 32;
 
 /// The effect one transition has on the packed state, pre-resolved to
 /// word slots.
@@ -174,8 +151,8 @@ pub(crate) struct Layout {
 }
 
 /// Explore `program` end to end: layout, then run.
-pub(crate) fn run_program(program: &Program, model: MemoryModel, workers: usize) -> OutcomeSet {
-    run(&layout(program, model), workers)
+pub(crate) fn run_program(program: &Program, model: MemoryModel) -> OutcomeSet {
+    run(&layout(program, model))
 }
 
 /// Witness search for `program` at any size.
@@ -638,45 +615,6 @@ impl KeySet {
     }
 }
 
-/// The `(packed state, sleep mask)` visited-set of one exploration: one
-/// [`KeySet`] for the serial walk, and for the parallel frontier one per
-/// shard — 16 for litmus-sized programs, 64 beyond 64 instructions (large
-/// state spaces see real shard contention). Keys are exact pairs, so
-/// skipping a hit is sound: the same continuation was (or is being)
-/// explored by the first inserter.
-struct SharedSeen {
-    shards: Vec<Mutex<KeySet>>,
-    /// The top `shard_bits` bits of a key's hash select its shard.
-    shard_bits: u32,
-}
-
-impl SharedSeen {
-    fn new(lay: &Layout, serial: bool) -> Self {
-        let shards: usize = match (serial, lay.total() > 64) {
-            (true, _) => 1,
-            (false, false) => 16,
-            (false, true) => 64,
-        };
-        SharedSeen {
-            shards: (0..shards)
-                .map(|_| Mutex::new(KeySet::new(lay.key_words())))
-                .collect(),
-            shard_bits: shards.ilog2(),
-        }
-    }
-
-    /// Insert the pair; `false` when it was already present. The key is
-    /// hashed once: the top bits pick the shard, the rest place it there.
-    fn insert(&self, key: &[u64]) -> bool {
-        let hash = hash_words(key);
-        let shard = hash.checked_shr(64 - self.shard_bits).unwrap_or(0) as usize;
-        self.shards[shard]
-            .lock()
-            .expect("seen shard poisoned")
-            .insert(key, hash << self.shard_bits)
-    }
-}
-
 /// What [`Walker::advance`] found after consuming the forced macro-step
 /// chain.
 enum Advanced {
@@ -689,14 +627,8 @@ enum Advanced {
     Branch,
 }
 
-/// One subtree root of the parallel frontier.
-struct Task {
-    state: Vec<u64>,
-    sleep: WideMask,
-}
-
-/// Exploration counters. Both are schedule-independent (see module docs),
-/// hence byte-identical across `workers` settings.
+/// Exploration counters, deterministic per `(program, model)` like the
+/// walk itself (see the module docs).
 #[derive(Default)]
 struct Stats {
     /// Branch states inserted into the visited-set.
@@ -746,13 +678,14 @@ impl Terminals for Seek<'_> {
     }
 }
 
-/// One worker's walk over a set of subtrees: the packed state it edits in
-/// place, per-walk buffers that are reused at every node (so a visited
-/// state costs no allocation of its own), what it does with terminals, and
-/// the shared visited-set.
+/// One depth-first walk: the packed state it edits in place, per-walk
+/// buffers that are reused at every node (so a visited state costs no
+/// allocation of its own), what it does with terminals, and the
+/// `(packed state, sleep mask)` visited-set. Keys are exact pairs, so
+/// skipping a hit is sound: the same continuation was already explored.
 struct Walker<'a, T> {
     lay: &'a Layout,
-    seen: &'a SharedSeen,
+    seen: KeySet,
     /// The packed state the walk is at.
     st: Vec<u64>,
     /// The enabled transitions of `st` (unperformed, every `pred`
@@ -772,10 +705,10 @@ struct Walker<'a, T> {
 }
 
 impl<'a, T: Terminals> Walker<'a, T> {
-    fn new(lay: &'a Layout, seen: &'a SharedSeen, terminals: T) -> Self {
+    fn new(lay: &'a Layout, terminals: T) -> Self {
         Walker {
             lay,
-            seen,
+            seen: KeySet::new(lay.key_words()),
             st: lay.init.clone(),
             enabled: lay.enabled_at(&lay.init[..lay.mask_words]),
             trail: Vec::new(),
@@ -862,21 +795,16 @@ impl<'a, T: Terminals> Walker<'a, T> {
                 .eq(self.st.iter().chain(sleep.words()).copied()),
             "a packed key must unpack to the key"
         );
-        self.seen.insert(&self.packed)
+        self.seen.insert(&self.packed, hash_words(&self.packed))
     }
 
-    /// Run the forced chain from the current state under `sleep`: record
-    /// the terminal or the prune it ends in, or — at a branch state seen
-    /// for the first time — perform every awake enabled transition in turn
-    /// and hand the child's sleep set to `child` (the walker then stands
-    /// on the child state). Returns `true`, leaving the state where it is,
-    /// as soon as a witness search is over; otherwise restores the state
-    /// and returns `false`.
-    fn expand(
-        &mut self,
-        mut sleep: WideMask,
-        mut child: impl FnMut(&mut Self, WideMask) -> bool,
-    ) -> bool {
+    /// Depth-first exploration of the subtree below the current state
+    /// under `sleep`: run the forced chain, then record the terminal or the
+    /// prune it ends in, or — at a branch state seen for the first time —
+    /// descend into every awake enabled transition in turn. Returns `true`,
+    /// leaving the state where it is, as soon as a witness search is over;
+    /// otherwise restores the state and returns `false`.
+    fn walk(&mut self, mut sleep: WideMask) -> bool {
         let lay = self.lay;
         let mark = self.trail.len();
         match self.advance(&mut sleep) {
@@ -897,7 +825,7 @@ impl<'a, T: Terminals> Walker<'a, T> {
                     self.perform(g);
                     let mut child_sleep = sleep.clone();
                     child_sleep.and_not_assign(&lay.conflict[g]);
-                    if child(self, child_sleep) {
+                    if self.walk(child_sleep) {
                         return true;
                     }
                     self.unperform();
@@ -911,80 +839,13 @@ impl<'a, T: Terminals> Walker<'a, T> {
         }
         false
     }
-
-    /// Depth-first exploration of the subtree below the current state.
-    fn walk(&mut self, sleep: WideMask) -> bool {
-        self.expand(sleep, Self::walk)
-    }
-
-    /// Move the walker to a subtree root of the parallel frontier.
-    fn jump_to(&mut self, state: &[u64]) {
-        debug_assert!(self.trail.is_empty(), "jumps happen between walks");
-        self.st.copy_from_slice(state);
-        self.enabled = self.lay.enabled_at(&state[..self.lay.mask_words]);
-    }
 }
 
 /// Explore `program` (whose [`Layout`] this is) and return the canonical
-/// [`OutcomeSet`]. Serial DFS when `workers <= 1` or the program is below
-/// [`PARALLEL_MIN_INSTRS`]; otherwise the frontier is expanded
-/// breadth-first and drained on `workers` threads.
-pub(crate) fn run(lay: &Layout, workers: usize) -> OutcomeSet {
-    let total = lay.total();
-    let serial = workers <= 1 || total < PARALLEL_MIN_INSTRS;
-    let seen = SharedSeen::new(lay, serial);
-    let collector = || Walker::new(lay, &seen, KeySet::new(lay.init.len()));
-    let mut walkers = vec![collector()];
-
-    if serial {
-        walkers[0].walk(WideMask::zeros(total));
-    } else {
-        // Breadth-first frontier expansion: pop a subtree root and queue
-        // its children as new roots instead of descending into them —
-        // exactly the serial walk, with scheduling (not search order)
-        // changed.
-        // Large programs get more, finer roots per worker: their subtrees
-        // are deep and uneven, and a fatter frontier is what lets the
-        // claim loop balance them.
-        let target = workers * if total > 64 { 32 } else { 4 };
-        let mut queue = VecDeque::from([Task {
-            state: lay.init.clone(),
-            sleep: WideMask::zeros(total),
-        }]);
-        let root = &mut walkers[0];
-        while queue.len() < target {
-            let Some(Task { state, sleep }) = queue.pop_front() else {
-                break;
-            };
-            root.jump_to(&state);
-            root.expand(sleep, |w, sleep| {
-                queue.push_back(Task {
-                    state: w.st.clone(),
-                    sleep,
-                });
-                false
-            });
-        }
-
-        // Drain what is left of the frontier (nothing, when the expansion
-        // already finished the search) on the claim loop; terminals are a
-        // set union and the counters a sum, so worker order is immaterial.
-        let roots: Vec<Task> = queue.into();
-        walkers.extend(claim_fold(&roots, workers, collector, |w, _, task| {
-            w.jump_to(&task.state);
-            w.walk(task.sleep.clone());
-        }));
-    }
-
-    let mut stats = Stats::default();
-    let mut rows: Vec<u64> = Vec::new();
-    for w in &walkers {
-        stats.visited += w.stats.visited;
-        stats.pruned += w.stats.pruned;
-        for t in w.terminals.iter() {
-            rows.extend_from_slice(t);
-        }
-    }
+/// [`OutcomeSet`].
+pub(crate) fn run(lay: &Layout) -> OutcomeSet {
+    let mut walker = Walker::new(lay, KeySet::new(lay.init.len()));
+    walker.walk(WideMask::zeros(lay.total()));
 
     // Canonical order on the packed rows, before any nested `Outcome` is
     // built. A terminal's done words are all ones and a location no store
@@ -992,17 +853,16 @@ pub(crate) fn run(lay: &Layout, workers: usize) -> OutcomeSet {
     // register and memory slots `outcome_of` reads — and those are laid
     // out by (thread, register) and then by location, which is the order
     // `Outcome`'s derived `Ord` compares them in, and hold codes, which
-    // order like the values they decode to.
-    let mut sorted: Vec<&[u64]> = rows.chunks_exact(lay.init.len()).collect();
+    // order like the values they decode to. The key set holds each
+    // terminal once.
+    let mut sorted: Vec<&[u64]> = walker.terminals.iter().collect();
     sorted.sort_unstable();
-    sorted.dedup();
     let set = OutcomeSet {
         outcomes: sorted.into_iter().map(|row| lay.outcome_of(row)).collect(),
         // Forced macro-states and terminals are never materialized; the
         // count is branch states only, floored at 1 for the root.
-        states_visited: stats.visited.max(1),
-        states_pruned: stats.pruned,
-        peak_frontier: 0,
+        states_visited: walker.stats.visited.max(1),
+        states_pruned: walker.stats.pruned,
     };
     debug_assert!(
         set.is_canonical(),
@@ -1018,12 +878,11 @@ pub(crate) fn run(lay: &Layout, workers: usize) -> OutcomeSet {
 /// explored path reaches its terminal state. Deterministic: transitions
 /// are always tried in `(thread, index)` order.
 pub(crate) fn find_witness_dpor(lay: &Layout, pred: &dyn Fn(&Outcome) -> bool) -> Option<Witness> {
-    let seen = SharedSeen::new(lay, true);
     let seek = Seek {
         goal: pred,
         found: None,
     };
-    let mut walker = Walker::new(lay, &seen, seek);
+    let mut walker = Walker::new(lay, seek);
     walker.walk(WideMask::zeros(lay.total()));
     walker.terminals.found
 }
@@ -1044,10 +903,6 @@ mod tests {
         }
     }
 
-    fn explore(p: &Program, model: MemoryModel, workers: usize) -> OutcomeSet {
-        run_program(p, model, workers)
-    }
-
     #[test]
     fn width_dispatch_straddles_the_64_instruction_boundary() {
         let at = prog(vec![
@@ -1062,7 +917,7 @@ mod tests {
         assert_eq!(layout(&over, MemoryModel::ArmWmm).mask_words, 2);
         // Same-location store chains are totally ordered: one outcome,
         // reached without any oracle fallback.
-        let set = explore(&over, MemoryModel::ArmWmm, 1);
+        let set = run_program(&over, MemoryModel::ArmWmm);
         assert_eq!(set.outcomes.len(), 1);
         assert_eq!(set.outcomes[0].mem(0), 1);
     }
@@ -1102,15 +957,13 @@ mod tests {
                 total
             );
             let oracle = crate::explore::explore_oracle(&p, MemoryModel::ArmWmm);
-            let serial = explore(&p, MemoryModel::ArmWmm, 1);
-            let parallel = explore(&p, MemoryModel::ArmWmm, 4);
+            let engine = run_program(&p, MemoryModel::ArmWmm);
             assert_eq!(
-                serial.outcomes, oracle.outcomes,
+                engine.outcomes, oracle.outcomes,
                 "engine diverged from oracle at {total} instructions"
             );
-            assert_eq!(serial, parallel, "worker count changed {total}-instr run");
             // The fences still forbid MP's r0=1 ∧ r1=0 at every size.
-            assert!(serial.all(|o| o.reg(1, 0) != 1 || o.reg(1, 1) == 1));
+            assert!(engine.all(|o| o.reg(1, 0) != 1 || o.reg(1, 1) == 1));
         }
     }
 
@@ -1149,9 +1002,9 @@ mod tests {
                 "done {done:#06b}"
             );
         }
-        // The serial walk carries the enabled set (and, in a debug build,
+        // The walk carries the enabled set (and, in a debug build,
         // checks it against `enabled_at` at every macro-step).
-        assert_eq!(run(&lay, 1).outcomes.len(), 1);
+        assert_eq!(run(&lay).outcomes.len(), 1);
     }
 
     /// Membership is decided by the key words, never by the hash: keys
@@ -1227,7 +1080,7 @@ mod tests {
         assert_eq!(lay.code_bits, 3);
         assert_codes_index_the_dictionary(&lay, &mut lay.init.clone());
         let oracle = crate::explore::explore_oracle(&p, MemoryModel::ArmWmm);
-        assert_eq!(run(&lay, 1).outcomes, oracle.outcomes);
+        assert_eq!(run(&lay).outcomes, oracle.outcomes);
     }
 
     /// Packing a state and a sleep mask, then unpacking, returns the state
@@ -1300,7 +1153,7 @@ mod tests {
             ],
             init: vec![(1, 5)],
         };
-        let set = explore(&p, MemoryModel::Sc, 1);
+        let set = run_program(&p, MemoryModel::Sc);
         assert_eq!(set.outcomes.len(), 1);
         let o = &set.outcomes[0];
         assert_eq!(o.reg(0, 0), 7);
@@ -1316,26 +1169,8 @@ mod tests {
     #[test]
     fn forced_only_programs_report_one_state() {
         let p = prog(vec![vec![Instr::store(0, 1), Instr::store(1, 2)]]);
-        let set = explore(&p, MemoryModel::ArmWmm, 1);
+        let set = run_program(&p, MemoryModel::ArmWmm);
         assert_eq!(set.states_visited, 1, "single-thread runs are all forced");
         assert_eq!(set.outcomes.len(), 1);
-    }
-
-    #[test]
-    fn parallel_run_is_byte_identical_to_serial() {
-        let p = prog(vec![
-            vec![Instr::store(0, 1), Instr::store(1, 2), Instr::load(0, 2)],
-            vec![Instr::store(2, 3), Instr::load(1, 0), Instr::load(2, 1)],
-        ]);
-        let serial = explore(&p, MemoryModel::ArmWmm, 1);
-        for workers in [2, 4, 8] {
-            let par = explore(&p, MemoryModel::ArmWmm, workers);
-            assert_eq!(serial.outcomes, par.outcomes, "workers={workers}");
-            assert_eq!(
-                serial.states_visited, par.states_visited,
-                "workers={workers}"
-            );
-            assert_eq!(serial.states_pruned, par.states_pruned, "workers={workers}");
-        }
     }
 }

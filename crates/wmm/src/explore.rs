@@ -16,7 +16,7 @@
 //!   `(program, model)` — `analyze::lint` re-explores identical cut
 //!   programs across redundancy/necessity checks and whole experiment
 //!   batteries revisit the same litmus shapes. The cache is always on
-//!   ([`explore_dpor_uncached`] is the cold path) and hands out shared
+//!   ([`explore_uncached`] is the cold path) and hands out shared
 //!   `Arc<OutcomeSet>`s, so neither a hit nor an insert copies a set, and
 //!   content-equal sets share one outcome list; [`explore_memo_stats`]
 //!   reports hits/misses and [`explore_memo_footprint`] what is held.
@@ -75,17 +75,12 @@ pub struct OutcomeSet {
     /// distinct reachable state; for the DPOR engine it is the branch
     /// states inserted into the visited-set (forced macro-steps and
     /// terminals are never materialized), floored at 1 for the root.
-    /// Deterministic per `(program, model)` — independent of hasher and
-    /// worker count.
+    /// Deterministic per `(program, model)` — independent of hasher.
     pub states_visited: usize,
     /// Subtrees the exploration provably skipped: duplicate successors
     /// (oracle) or sleep-set skips + sleep-blocked chains + visited-set
     /// hits (engine). Deterministic like `states_visited`.
     pub states_pruned: usize,
-    /// Peak size of the oracle's pending-state stack (its memory
-    /// high-water mark). The DPOR engine reports 0: its frontier is the
-    /// DFS spine, O(program length) by construction.
-    pub peak_frontier: usize,
 }
 
 impl OutcomeSet {
@@ -104,8 +99,8 @@ impl OutcomeSet {
     /// Iterate the outcomes in *canonical* order: sorted by [`Outcome`]'s
     /// derived `Ord`, with no duplicates. This ordering is a stable public
     /// contract — lint reports and CSVs serialize outcomes in iteration
-    /// order and must be byte-identical across worker counts, hashers, and
-    /// reruns, and [`diff`](Self::diff) merges over it
+    /// order and must be byte-identical across hashers and reruns, and
+    /// [`diff`](Self::diff) merges over it
     /// ([`canonicalize`](Self::canonicalize) enforces it).
     pub fn iter(&self) -> std::slice::Iter<'_, Outcome> {
         self.outcomes.iter()
@@ -392,22 +387,29 @@ fn memoized(
 
 /// Exhaustively explore `program` under `model`.
 ///
-/// Runs the packed-state DPOR engine (serial) behind the process-wide
-/// memo cache, at any program size. The returned set is canonical and
-/// byte-identical across hashers, worker counts, and reruns; it is shared
-/// with the memo (and every other caller asking about the same program),
-/// not copied.
+/// Runs the packed-state DPOR engine behind the process-wide memo cache,
+/// at any program size. The returned set is canonical and byte-identical
+/// across hashers and reruns; it is shared with the memo (and every other
+/// caller asking about the same program), not copied.
 #[must_use]
 pub fn explore(program: &Program, model: MemoryModel) -> Arc<OutcomeSet> {
-    memoized(program, model, || explore_dpor_uncached(program, model, 1))
+    memoized(program, model, || explore_uncached(program, model))
 }
 
 /// The DPOR engine without the memo cache (benchmarks and differential
 /// tests measure cold explorations through this). No size ceiling, no
 /// oracle fallback.
 #[must_use]
-pub fn explore_dpor_uncached(program: &Program, model: MemoryModel, workers: usize) -> OutcomeSet {
-    engine::run_program(program, model, workers)
+pub fn explore_uncached(program: &Program, model: MemoryModel) -> OutcomeSet {
+    engine::run_program(program, model)
+}
+
+/// [`explore_uncached`] under its old name, for the frozen
+/// `benchmark/src/probes.rs`; ROADMAP item 2(b) deletes it.
+#[doc(hidden)]
+#[must_use]
+pub fn explore_dpor_uncached(program: &Program, model: MemoryModel, _workers: usize) -> OutcomeSet {
+    explore_uncached(program, model)
 }
 
 /// The enumerative oracle: clone-per-transition DFS over every
@@ -434,12 +436,11 @@ pub fn explore_oracle(program: &Program, model: MemoryModel) -> OutcomeSet {
     let mut seen: FxHashSet<State> = FxHashSet::default();
     let mut outcomes: FxHashSet<Outcome> = FxHashSet::default();
     // Successors are deduplicated at *push* time: the stack only ever holds
-    // states that are in `seen` and not yet expanded, so its peak length is
+    // states that are in `seen` and not yet expanded, so its length is
     // bounded by the number of distinct states instead of the number of
-    // edges (the old per-edge clones blew the stack up by the graph's mean
+    // edges (per-edge clones would blow the stack up by the graph's mean
     // in-degree).
     let mut pruned = 0usize;
-    let mut peak = 1usize;
     seen.insert(start.clone());
     let mut stack = vec![start];
 
@@ -481,7 +482,6 @@ pub fn explore_oracle(program: &Program, model: MemoryModel) -> OutcomeSet {
                 }
             }
         }
-        peak = peak.max(stack.len());
         if terminal {
             outcomes.insert(Outcome {
                 regs: state
@@ -498,7 +498,6 @@ pub fn explore_oracle(program: &Program, model: MemoryModel) -> OutcomeSet {
         outcomes: outcomes.into_iter().collect(),
         states_visited: seen.len(),
         states_pruned: pruned,
-        peak_frontier: peak,
     };
     set.canonicalize();
     set
@@ -667,11 +666,10 @@ mod tests {
     }
 
     /// Regression lock for the duplicate-successor fix: the oracle's stack
-    /// holds only unexpanded *distinct* states, so its peak can never
-    /// exceed the distinct-state count. Before the push-time seen-check, a
-    /// 6-dimensional hypercube of independent stores (64 states, 192
-    /// edges) kept duplicate full-state clones on the stack and the peak
-    /// overshot that bound.
+    /// holds only unexpanded *distinct* states. A 6-dimensional hypercube
+    /// of independent stores has 64 states and 192 edges; the push-time
+    /// seen-check counts each state once and prunes the duplicate
+    /// successors instead of stacking their clones.
     #[test]
     fn oracle_peak_stack_is_bounded_by_distinct_states() {
         let p = prog(vec![
@@ -680,12 +678,6 @@ mod tests {
         ]);
         let out = explore_oracle(&p, MemoryModel::ArmWmm);
         assert_eq!(out.states_visited, 64, "6-cube of independent stores");
-        assert!(
-            out.peak_frontier <= out.states_visited,
-            "peak {} exceeds distinct states {}",
-            out.peak_frontier,
-            out.states_visited
-        );
         assert!(out.states_pruned > 0, "the cube has duplicate successors");
     }
 
@@ -706,7 +698,7 @@ mod tests {
             ],
         ]);
         for model in MemoryModel::ALL {
-            let engine = explore_dpor_uncached(&p, model, 1);
+            let engine = explore_uncached(&p, model);
             let oracle = explore_oracle(&p, model);
             assert_eq!(engine.outcomes, oracle.outcomes, "{model:?}");
             assert!(
@@ -727,14 +719,11 @@ mod tests {
         let first = explore(&p, MemoryModel::ArmWmm);
         let (hits_before, _) = explore_memo_stats();
         let second = explore(&p, MemoryModel::ArmWmm);
-        let third = explore_dpor_uncached(&p, MemoryModel::ArmWmm, 4);
+        let third = explore_uncached(&p, MemoryModel::ArmWmm);
         let (hits_after, _) = explore_memo_stats();
         assert_eq!(first, second);
         assert!(Arc::ptr_eq(&first, &second), "a hit shares the stored set");
-        assert_eq!(
-            *first, third,
-            "the cold parallel path returns the same bytes"
-        );
+        assert_eq!(*first, third, "the cold path returns the same bytes");
         assert!(hits_after > hits_before, "repeat explorations hit");
     }
 
@@ -782,7 +771,6 @@ mod tests {
             outcomes: outcomes.into(),
             states_visited: 0,
             states_pruned: 0,
-            peak_frontier: 0,
         }
     }
 

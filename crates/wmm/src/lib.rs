@@ -49,14 +49,13 @@ pub mod litmus;
 mod mask;
 pub mod model;
 pub mod mutate;
-mod pool;
 pub mod text;
 pub mod unroll;
 pub mod witness;
 
 pub use explore::{
     explore, explore_dpor_uncached, explore_memo_clear, explore_memo_footprint, explore_memo_stats,
-    explore_oracle, MemoFootprint, Outcome, OutcomeDiff, OutcomeSet,
+    explore_oracle, explore_uncached, MemoFootprint, Outcome, OutcomeDiff, OutcomeSet,
 };
 pub use litmus::LitmusTest;
 pub use model::{Instr, MemoryModel, Program, Src, Thread};

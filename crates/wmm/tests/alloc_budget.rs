@@ -12,7 +12,7 @@ use std::cell::Cell;
 
 use armbar_barriers::Barrier;
 use armbar_wmm::unroll::{mcs_handoff_unrolled, pilot_roundtrip_unrolled};
-use armbar_wmm::{explore_dpor_uncached, MemoryModel, Program};
+use armbar_wmm::{explore_uncached, MemoryModel, Program};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -89,7 +89,7 @@ fn a_visited_state_costs_no_allocation_of_its_own() {
         );
 
         let before = ALLOCATIONS.with(Cell::get);
-        let set = explore_dpor_uncached(program, MemoryModel::ArmWmm, 1);
+        let set = explore_uncached(program, MemoryModel::ArmWmm);
         let allocations = ALLOCATIONS.with(Cell::get) - before;
 
         let budget = set.states_visited as u64 / 4 + 8 * set.len() as u64 + FIXED_ALLOCATIONS;

@@ -2,16 +2,15 @@
 //!
 //! The engine's partial-order reduction is only sound if its outcome set
 //! equals the oracle's on *every* program — these tests sweep the litmus
-//! battery and a dependency-rich random program space, at worker counts
-//! 1 and 4, and additionally check that every witness the engine produces
-//! replays (via the independent `Witness::replay` checker) to exactly the
-//! outcome it claims.
+//! battery and a dependency-rich random program space, and additionally
+//! check that every witness the engine produces replays (via the
+//! independent `Witness::replay` checker) to exactly the outcome it claims.
 
 use proptest::prelude::*;
 
 use armbar_barriers::Barrier;
 use armbar_wmm::battery::battery;
-use armbar_wmm::explore::{explore_dpor_uncached, explore_oracle};
+use armbar_wmm::explore::{explore_oracle, explore_uncached};
 use armbar_wmm::model::{Instr, MemoryModel, Program, Thread};
 use armbar_wmm::witness::find_witness;
 
@@ -56,24 +55,19 @@ fn gen_program() -> impl Strategy<Value = Program> {
         })
 }
 
-/// Engine (serial and 4-worker) vs oracle on one program under one model.
+/// Engine vs oracle on one program under one model.
 fn check(p: &Program, model: MemoryModel) {
     let oracle = explore_oracle(p, model);
-    let serial = explore_dpor_uncached(p, model, 1);
-    let parallel = explore_dpor_uncached(p, model, 4);
+    let engine = explore_uncached(p, model);
     assert_eq!(
-        serial.outcomes, oracle.outcomes,
+        engine.outcomes, oracle.outcomes,
         "engine diverged from oracle under {model:?} on {p:?}"
     );
-    assert_eq!(
-        serial, parallel,
-        "worker count changed the result under {model:?} on {p:?}"
-    );
-    assert!(serial.states_visited > 0);
+    assert!(engine.states_visited > 0);
 }
 
 #[test]
-fn battery_differential_all_models_and_worker_counts() {
+fn battery_differential_all_models() {
     for (test, _) in battery() {
         for model in MemoryModel::ALL {
             check(&test.program, model);
@@ -85,7 +79,7 @@ fn battery_differential_all_models_and_worker_counts() {
 fn battery_witnesses_replay() {
     for (test, _) in battery() {
         for model in MemoryModel::ALL {
-            let set = explore_dpor_uncached(&test.program, model, 1);
+            let set = explore_uncached(&test.program, model);
             // Every reachable outcome must have a witness that replays to
             // exactly that outcome.
             for target in set.iter() {
@@ -105,8 +99,8 @@ fn battery_witnesses_replay() {
 
 /// A writer publishing `values[0]` then `values[1]`, two identical readers
 /// that pass what they read on through a register, and a coherence chain
-/// of `values[2]` stores that takes the program past the engine's
-/// parallel threshold while keeping the oracle's graph small.
+/// of `values[2]` stores that pads the program to 33 instructions while
+/// keeping the oracle's graph small.
 fn dictionary_program(values: [u64; 3], init: Vec<(u8, u64)>) -> Program {
     let reader = vec![
         Instr::load(0, 1),
@@ -142,8 +136,8 @@ fn dictionary_program(values: [u64; 3], init: Vec<(u8, u64)>) -> Program {
 /// The slot-code packing at the edges of its value dictionary: one value
 /// (one bit a code), past 256 values (nine bits, through `init` entries
 /// that a later entry for the same location overrides), and the two
-/// largest bit patterns. Engine at 1 and 4 workers equals the oracle, and
-/// every outcome's witness replays.
+/// largest bit patterns. The engine equals the oracle, and every
+/// outcome's witness replays.
 #[test]
 fn dictionary_edges_differential() {
     let many = (0..300).map(|v| ((v % 3) as u8, 1000 + v)).collect();
@@ -155,17 +149,10 @@ fn dictionary_edges_differential() {
             dictionary_program([u64::MAX, 1 << 63, u64::MAX], vec![(3, 1 << 63)]),
         ),
     ] {
-        let instrs: usize = p.threads.iter().map(|t| t.instrs.len()).sum();
-        assert!(instrs >= 32, "{name}: {instrs} instructions stay serial");
         let model = MemoryModel::ArmWmm;
         let oracle = explore_oracle(&p, model);
-        for workers in [1, 4] {
-            let engine = explore_dpor_uncached(&p, model, workers);
-            assert_eq!(
-                engine.outcomes, oracle.outcomes,
-                "{name}: {workers} worker(s)"
-            );
-        }
+        let engine = explore_uncached(&p, model);
+        assert_eq!(engine.outcomes, oracle.outcomes, "{name}");
         for target in oracle.iter() {
             let w = find_witness(&p, model, |o| o == target)
                 .unwrap_or_else(|| panic!("{name}: outcome without a witness"));
@@ -177,8 +164,8 @@ fn dictionary_edges_differential() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random dependency-rich programs: engine == oracle, serial ==
-    /// parallel, under every model.
+    /// Random dependency-rich programs: engine == oracle under every
+    /// model.
     #[test]
     fn random_programs_differential(p in gen_program()) {
         for model in MemoryModel::ALL {
@@ -190,7 +177,7 @@ proptest! {
     /// that replays to it.
     #[test]
     fn random_program_witnesses_replay(p in gen_program()) {
-        let set = explore_dpor_uncached(&p, MemoryModel::ArmWmm, 1);
+        let set = explore_uncached(&p, MemoryModel::ArmWmm);
         for target in set.iter() {
             let w = find_witness(&p, MemoryModel::ArmWmm, |o| o == target);
             let w = w.expect("reachable outcome must have a witness");

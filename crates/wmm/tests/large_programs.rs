@@ -1,14 +1,12 @@
 //! Differential coverage for programs beyond 64 total instructions: the
-//! multi-word packed engine against the enumerative oracle, at worker
-//! counts {1, 4}.
+//! multi-word packed engine against the enumerative oracle.
 //!
 //! Shapes come from `armbar_wmm::unroll` — bounded-unrolled lock and
 //! channel idioms — plus a seeded generator of random dependency-rich
 //! large programs. Oracle comparisons stick to shapes whose outcome sets
 //! stay in the thousands (the module docs on `unroll` explain why that
 //! requires bounded cross-thread read freedom); the 100+-instruction
-//! acceptance shape is checked engine-vs-engine (serial vs parallel) and
-//! through witness search + replay.
+//! acceptance shape is checked through witness search + replay.
 
 use armbar_barriers::Barrier;
 use armbar_wmm::unroll::{
@@ -18,26 +16,22 @@ use armbar_wmm::unroll::{
 };
 use armbar_wmm::witness::find_witness;
 use armbar_wmm::{
-    explore_dpor_uncached, explore_oracle, Instr, MemoryModel, Outcome, OutcomeSet, Program, Thread,
+    explore_oracle, explore_uncached, Instr, MemoryModel, Outcome, OutcomeSet, Program, Thread,
 };
 
 fn total(p: &Program) -> usize {
     p.threads.iter().map(|t| t.instrs.len()).sum()
 }
 
-/// Engine at workers {1, 4} against the oracle: outcomes must match the
-/// oracle exactly, and the full `OutcomeSet` (including the `states_*`
-/// counters) must be byte-identical across worker counts.
+/// The engine against the oracle: outcomes must match the oracle exactly.
 fn check_against_oracle(name: &str, p: &Program, model: MemoryModel) -> OutcomeSet {
     let oracle = explore_oracle(p, model);
-    let serial = explore_dpor_uncached(p, model, 1);
-    let parallel = explore_dpor_uncached(p, model, 4);
+    let engine = explore_uncached(p, model);
     assert_eq!(
-        serial.outcomes, oracle.outcomes,
+        engine.outcomes, oracle.outcomes,
         "{name}: engine diverged from the oracle"
     );
-    assert_eq!(serial, parallel, "{name}: workers changed the result");
-    assert!(serial.states_visited > 0, "{name}: no states counted");
+    assert!(engine.states_visited > 0, "{name}: no states counted");
     oracle
 }
 
@@ -95,12 +89,10 @@ fn unrolled_pilot_roundtrip_matches_the_oracle_beyond_64_instructions() {
 #[test]
 fn acceptance_shape_explores_and_witnesses_through_the_engine() {
     // The acceptance criteria's shape: >= 100 instructions, explored by
-    // the packed engine with byte-identical results at workers {1, 4}.
+    // the packed engine.
     let p = mcs_handoff_unrolled(5, 4, 6, Barrier::DmbFull, Barrier::DmbFull);
     assert!(total(&p) >= 100, "got {}", total(&p));
-    let serial = explore_dpor_uncached(&p, MemoryModel::ArmWmm, 1);
-    let parallel = explore_dpor_uncached(&p, MemoryModel::ArmWmm, 4);
-    assert_eq!(serial, parallel);
+    let set = explore_uncached(&p, MemoryModel::ArmWmm);
 
     // The intent conditions on T1's *first* handoff observation (reg 0,
     // the round-0 spin of `MCS_FLAG_A + 0`): that is the read the
@@ -116,7 +108,7 @@ fn acceptance_shape_explores_and_witnesses_through_the_engine() {
                 .any(|(i, &r)| o.reg(1, r) != MCS_PAYLOAD_BASE + i as u64)
     };
     // Intent holds as fenced...
-    assert!(!serial.any(&violated));
+    assert!(!set.any(&violated));
     assert!(find_witness(&p, MemoryModel::ArmWmm, &violated).is_none());
 
     // ...and dropping the prologue publish fence makes it violable, with

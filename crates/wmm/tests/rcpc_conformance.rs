@@ -2,15 +2,14 @@
 //!
 //! Every shape that can distinguish the two acquire flavours (and the
 //! important ones that must NOT) is swept through the DPOR engine and the
-//! enumerative oracle, under every memory model and at worker counts 1
-//! and 4. The suite then pins the semantic delta itself: the LDAPR
-//! variant of each shape admits *exactly* the outcomes RCsc forbids —
-//! the store-buffering hoists past an earlier release — and nothing
-//! else, and each newly admitted outcome is backed by a witness that
-//! replays through the independent checker.
+//! enumerative oracle, under every memory model. The suite then pins the
+//! semantic delta itself: the LDAPR variant of each shape admits
+//! *exactly* the outcomes RCsc forbids — the store-buffering hoists past
+//! an earlier release — and nothing else, and each newly admitted outcome
+//! is backed by a witness that replays through the independent checker.
 
 use armbar_barriers::{Acquire, Barrier};
-use armbar_wmm::explore::{explore_dpor_uncached, explore_oracle};
+use armbar_wmm::explore::{explore_oracle, explore_uncached};
 use armbar_wmm::litmus::{
     acq_name, isa2_rel_acq, message_passing, release_sequence_rel_acq, store_buffering_rel_acq,
     wrc_rel_acq,
@@ -45,20 +44,18 @@ fn shapes() -> Vec<(ShapeCtor, bool)> {
 }
 
 #[test]
-fn engine_matches_oracle_on_every_shape_model_and_worker_count() {
+fn engine_matches_oracle_on_every_shape_and_model() {
     for (shape, _) in shapes() {
         for acq in [Acquire::Sc, Acquire::Pc] {
             let t = shape(acq);
             for model in MemoryModel::ALL {
                 let oracle = explore_oracle(&t.program, model);
-                for workers in [1, 4] {
-                    let engine = explore_dpor_uncached(&t.program, model, workers);
-                    assert_eq!(
-                        engine.outcomes, oracle.outcomes,
-                        "{}: engine({workers} workers) diverged from oracle under {model:?}",
-                        t.name
-                    );
-                }
+                let engine = explore_uncached(&t.program, model);
+                assert_eq!(
+                    engine.outcomes, oracle.outcomes,
+                    "{}: engine diverged from oracle under {model:?}",
+                    t.name
+                );
             }
         }
     }
@@ -69,8 +66,8 @@ fn ldapr_admits_exactly_the_outcomes_rcsc_forbids_and_no_others() {
     for (shape, distinguishing) in shapes() {
         let sc = shape(Acquire::Sc);
         let pc = shape(Acquire::Pc);
-        let sc_set = explore_dpor_uncached(&sc.program, MemoryModel::ArmWmm, 1);
-        let pc_set = explore_dpor_uncached(&pc.program, MemoryModel::ArmWmm, 1);
+        let sc_set = explore_uncached(&sc.program, MemoryModel::ArmWmm);
+        let pc_set = explore_uncached(&pc.program, MemoryModel::ArmWmm);
         let diff = sc_set.diff(&pc_set);
         assert!(
             diff.removed.is_empty(),
@@ -113,8 +110,8 @@ fn flavours_coincide_under_stronger_memory_models() {
     // ones.
     for (shape, _) in shapes() {
         for model in [MemoryModel::X86Tso, MemoryModel::Sc] {
-            let sc_set = explore_dpor_uncached(&shape(Acquire::Sc).program, model, 1);
-            let pc_set = explore_dpor_uncached(&shape(Acquire::Pc).program, model, 1);
+            let sc_set = explore_uncached(&shape(Acquire::Sc).program, model);
+            let pc_set = explore_uncached(&shape(Acquire::Pc).program, model);
             assert!(
                 sc_set.diff(&pc_set).is_equal(),
                 "flavours must coincide under {model:?}"
@@ -131,8 +128,8 @@ fn every_newly_admitted_outcome_has_a_replaying_witness() {
         }
         let sc = shape(Acquire::Sc);
         let pc = shape(Acquire::Pc);
-        let sc_set = explore_dpor_uncached(&sc.program, MemoryModel::ArmWmm, 1);
-        let pc_set = explore_dpor_uncached(&pc.program, MemoryModel::ArmWmm, 1);
+        let sc_set = explore_uncached(&sc.program, MemoryModel::ArmWmm);
+        let pc_set = explore_uncached(&pc.program, MemoryModel::ArmWmm);
         for target in &sc_set.diff(&pc_set).added {
             let w = find_witness(&pc.program, MemoryModel::ArmWmm, |o| o == target)
                 .unwrap_or_else(|| panic!("{}: admitted outcome must have a witness", pc.name));

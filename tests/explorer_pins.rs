@@ -2,8 +2,7 @@
 //! states_pruned)` are outputs of the search — `results/lint.csv` commits
 //! the last two per mutant — not of the data structures that carry it, so
 //! the implementation-sized corpus cases are pinned here to the triple,
-//! serial and on 4 workers, and every litmus-sized corpus case to the
-//! enumerative oracle. The state cuts the engine exists for, against the
+//! and every litmus-sized corpus case to the enumerative oracle. The state cuts the engine exists for, against the
 //! oracle, are pinned exactly and each held to its floor on its own, so
 //! that re-pinning a count cannot drop it. The test profile keeps
 //! `debug_assert!`s, so every macro-step of these walks also checks the
@@ -14,9 +13,7 @@ use std::sync::Arc;
 use armbar_analyze::{corpus, synthesize, LintCase};
 use armbar_barriers::Barrier;
 use armbar_wmm::unroll::mcs_handoff_unrolled;
-use armbar_wmm::{
-    explore, explore_dpor_uncached, explore_oracle, MemoryModel, OutcomeSet, Program,
-};
+use armbar_wmm::{explore, explore_oracle, explore_uncached, MemoryModel, OutcomeSet, Program};
 
 const MODEL: MemoryModel = MemoryModel::ArmWmm;
 
@@ -31,17 +28,14 @@ fn instrs(p: &Program) -> usize {
     p.threads.iter().map(|t| t.instrs.len()).sum()
 }
 
-/// Explore serially (`explore`: the serial engine behind the memo, so a
-/// program synthesis already explored is not walked a second time) and on
-/// 4 workers; the two must agree on the whole set (outcomes, order, both
-/// counters), which must be `want`.
+/// Explore through `explore` (the engine behind the memo, so a program
+/// synthesis already explored is not walked a second time) and pin
+/// `(outcomes, states, pruned)` to `want`.
 fn assert_pinned(what: &str, program: &Program, want: (usize, usize, usize)) -> Arc<OutcomeSet> {
-    let serial = explore(program, MODEL);
-    let got = (serial.len(), serial.states_visited, serial.states_pruned);
+    let set = explore(program, MODEL);
+    let got = (set.len(), set.states_visited, set.states_pruned);
     assert_eq!(got, want, "{what}: (outcomes, states, pruned)");
-    let parallel = explore_dpor_uncached(program, MODEL, 4);
-    assert_eq!(*serial, parallel, "{what}: 4 workers changed the result");
-    serial
+    set
 }
 
 #[test]
@@ -69,9 +63,9 @@ fn pilots_synthesized_best_placement_is_pinned() {
     assert!(added.is_empty(), "the placement admits {added:?}");
 }
 
-/// Engine and oracle agree on every litmus-sized case at 1 and 4 workers;
-/// the serial engine's state counts, summed, are pinned against the
-/// oracle's, and no case costs the engine more states than the oracle.
+/// Engine and oracle agree on every litmus-sized case; the engine's state
+/// counts, summed, are pinned against the oracle's, and no case costs the
+/// engine more states than the oracle.
 #[test]
 fn engine_equals_the_oracle_on_every_litmus_sized_case() {
     let cases: Vec<LintCase> = corpus()
@@ -82,16 +76,13 @@ fn engine_equals_the_oracle_on_every_litmus_sized_case() {
     let (mut all, mut mp) = ((0, 0), (0, 0));
     for case in &cases {
         let oracle = explore_oracle(&case.program, MODEL);
-        let serial = explore_dpor_uncached(&case.program, MODEL, 1);
-        let parallel = explore_dpor_uncached(&case.program, MODEL, 4);
-        for (workers, engine) in [(1, &serial), (4, &parallel)] {
-            assert_eq!(
-                engine.outcomes, oracle.outcomes,
-                "{}: engine on {workers} worker(s) left the oracle",
-                case.name
-            );
-        }
-        let states = (oracle.states_visited, serial.states_visited);
+        let engine = explore_uncached(&case.program, MODEL);
+        assert_eq!(
+            engine.outcomes, oracle.outcomes,
+            "{}: the engine left the oracle",
+            case.name
+        );
+        let states = (oracle.states_visited, engine.states_visited);
         assert!(states.1 <= states.0, "{}: {states:?}", case.name);
         all = (all.0 + states.0, all.1 + states.1);
         if case.name.starts_with("MP+") {
@@ -111,7 +102,7 @@ fn engine_beats_the_oracle_at_the_crossover() {
     let shape = mcs_handoff_unrolled(4, 3, 3, Barrier::DmbFull, Barrier::DmbFull);
     assert_eq!(instrs(&shape), 66);
     let oracle = explore_oracle(&shape, MODEL);
-    let engine = explore_dpor_uncached(&shape, MODEL, 1);
+    let engine = explore_uncached(&shape, MODEL);
     assert_eq!(engine.outcomes, oracle.outcomes);
     let states = (oracle.states_visited, engine.states_visited);
     assert_eq!(states, (50_477, 876), "(oracle, engine) states");
