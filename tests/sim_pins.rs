@@ -213,3 +213,48 @@ fn hierarchical_barrier_is_pinned() {
     let at_64 = (67_110, 35_584, 901_504);
     assert_barrier_pinned(BarrierFamily::Hierarchical, (811_235, 571_144), at_64);
 }
+
+/// Figure 3(b)'s `full-1` cells: core 0 stores to lines homed on node 1,
+/// fences after the first store of each iteration and pads with 150 nops
+/// before the second. A `DSB full` holds all issue until its response; a
+/// `DMB full` lets the nops run until they fill the ROB behind its slot.
+fn fenced_stores(fence: Barrier) -> Machine {
+    const BUF1: u64 = 0x1000_0000;
+    const BUF2: u64 = 0x2000_0000;
+    const ITERS: u64 = 200;
+    async fn body(cpu: Cpu, fence: Barrier) {
+        for i in 0..ITERS {
+            cpu.op(Op::Nops(5)).await;
+            cpu.op(Op::store(BUF1 + i * 64, i + 1)).await;
+            cpu.op(Op::Fence(fence)).await;
+            cpu.op(Op::Nops(150)).await;
+            cpu.op(Op::store(BUF2 + i * 64, i + 1)).await;
+            cpu.op(Op::IterationMark).await;
+        }
+    }
+    let mut m = Machine::new(Platform::kunpeng916());
+    m.set_region_home(BUF1, BUF1 + ITERS * 64, 32);
+    m.set_region_home(BUF2, BUF2 + ITERS * 64, 32);
+    m.add_thread_on(0, Box::new(Script::new(move |cpu| body(cpu, fence))));
+    m
+}
+
+/// The oracle steps a core whose nops wait behind a `DMB full` on every
+/// cycle; behind a `DSB full` it too sleeps to the core's next event, so
+/// only the DMB row holds the 10x floor.
+#[test]
+fn cores_held_behind_a_barrier_are_pinned() {
+    let every_store = |m: &Machine| assert_eq!(m.read_memory(0x2000_0000 + 199 * 64), 200);
+    let rows = [
+        (Barrier::DsbFull, (126_560, 1403, 11_202), false),
+        (Barrier::DmbFull, (48_159, 1643, 48_043), true),
+    ];
+    for (fence, want, ten_fold) in rows {
+        let what = format!("{fence}-1");
+        let (event, oracle) = both(&what, || fenced_stores(fence), every_store);
+        assert_eq!(pins(&event, &oracle), want, "{what}");
+        if ten_fold {
+            assert_ten_fold(&what, &event, &oracle);
+        }
+    }
+}
