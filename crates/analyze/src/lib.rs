@@ -21,7 +21,7 @@
 //! exhaustive explorer; the suggestion is emitted only when the mutated
 //! outcome set adds **nothing** to the original's (equality for removals,
 //! subset-or-equal for substitutions). The resulting
-//! [`Proof`](lint::Proof) — an outcome-set equality, a preservation diff,
+//! [`Proof`] — an outcome-set equality, a preservation diff,
 //! or the concrete [`Witness`](armbar_wmm::witness::Witness) interleaving
 //! that kills a rejected suggestion — ships with the finding, so a report
 //! line is never a heuristic, always a theorem about the model.

@@ -3,12 +3,12 @@
 //! Each variant of [`Barrier`] is one of the options §2.2 of the paper lists.
 //! The predicates on `Barrier` encode two distinct things:
 //!
-//! 1. **Architectural semantics** ([`Barrier::orders_before`] /
-//!    [`Barrier::orders_after`]): which program-order-earlier accesses must be
-//!    observable before which program-order-later accesses. These are what the
-//!    exhaustive weak-memory explorer enforces.
-//! 2. **Typical implementation behaviour** ([`Barrier::bus_transaction`],
-//!    [`Barrier::blocks_issue_of_non_memory`], …): how a real core is likely
+//! 1. **Architectural semantics** ([`Barrier::orders`]): which
+//!    program-order-earlier accesses must be observable before which
+//!    program-order-later accesses. These are what the exhaustive
+//!    weak-memory explorer enforces.
+//! 2. **Typical implementation behaviour**
+//!    ([`Barrier::blocks_issue_of_non_memory`], …): how a real core is likely
 //!    to realize the semantics (§2.3). These drive the timing simulator and
 //!    are *not* mandated by the architecture — the paper stresses that the
 //!    ISA defines correctness only, and performance is vendor-defined.
@@ -85,29 +85,6 @@ impl Acquire {
             Acquire::Sc => Some(Barrier::Ldar),
         }
     }
-}
-
-/// The kind of ACE transaction a barrier's typical implementation sends.
-///
-/// §2.3: DMB normally translates to a *memory barrier transaction* and DSB to
-/// a *synchronization barrier transaction*. The difference that matters for
-/// performance (Observation 5) is how far the transaction must travel before
-/// the interconnect may respond: a memory barrier transaction only needs to
-/// reach the **inner bi-section boundary** when all snooping stays inside one
-/// subset of masters (e.g. one NUMA node), while a synchronization barrier
-/// transaction always reaches the **inner domain boundary**.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BusTransaction {
-    /// No transaction: the core resolves the barrier locally (DMB ld, LDAR,
-    /// dependencies). Observation 6: these significantly outperform the rest.
-    None,
-    /// ACE memory barrier transaction (DMB full / DMB st). May be answered at
-    /// the bi-section boundary when no cross-node snooping is required.
-    MemoryBarrier,
-    /// ACE synchronization barrier transaction (DSB *, and — empirically — the
-    /// conservative STLR implementations the paper measured). Must reach the
-    /// domain boundary, so it never benefits from NUMA locality.
-    SyncBarrier,
 }
 
 /// Every order-preserving approach the paper studies.
@@ -217,19 +194,6 @@ impl Barrier {
             Barrier::AddrDep => earlier == Load,
             Barrier::Ctrl => earlier == Load && later == Store,
             Barrier::CtrlIsb => earlier == Load,
-        }
-    }
-
-    /// The ACE transaction this approach's *typical* implementation sends
-    /// (§2.3 and footnote 6; Observations 3, 5, 6).
-    #[must_use]
-    pub fn bus_transaction(self) -> BusTransaction {
-        match self {
-            Barrier::DmbFull | Barrier::DmbSt => BusTransaction::MemoryBarrier,
-            Barrier::DsbFull | Barrier::DsbSt | Barrier::DsbLd | Barrier::Stlr => {
-                BusTransaction::SyncBarrier
-            }
-            _ => BusTransaction::None,
         }
     }
 
@@ -402,40 +366,6 @@ mod tests {
                     assert!(!b.orders(e, l));
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bus_involvement_matches_observation_6() {
-        // Order-preserving approaches without involving the bus.
-        for b in [
-            Barrier::DmbLd,
-            Barrier::Ldar,
-            Barrier::Ldapr,
-            Barrier::DataDep,
-            Barrier::AddrDep,
-            Barrier::Ctrl,
-            Barrier::CtrlIsb,
-            Barrier::None,
-            Barrier::Isb,
-        ] {
-            assert_eq!(b.bus_transaction(), BusTransaction::None, "{b}");
-        }
-        assert_eq!(
-            Barrier::DmbFull.bus_transaction(),
-            BusTransaction::MemoryBarrier
-        );
-        assert_eq!(
-            Barrier::DmbSt.bus_transaction(),
-            BusTransaction::MemoryBarrier
-        );
-        for b in [
-            Barrier::DsbFull,
-            Barrier::DsbSt,
-            Barrier::DsbLd,
-            Barrier::Stlr,
-        ] {
-            assert_eq!(b.bus_transaction(), BusTransaction::SyncBarrier, "{b}");
         }
     }
 

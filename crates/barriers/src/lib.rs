@@ -37,5 +37,5 @@ pub mod native;
 pub mod strength;
 
 pub use advisor::{recommend, Approach, OrderReq, Recommendation};
-pub use kind::{AccessType, Acquire, Barrier, BusTransaction, ResponseMode};
+pub use kind::{AccessType, Acquire, Barrier, ResponseMode};
 pub use strength::{cost_rank, CostRank};

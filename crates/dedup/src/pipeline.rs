@@ -12,7 +12,7 @@
 //! * **compress** compresses first-occurrence chunks.
 //! * **reorder** assembles the archive in stream order.
 //!
-//! Stage threads communicate through [`PipeQueue`]s carrying chunk ids into
+//! Stage threads communicate through [`PipeQueue`](crate::queue::PipeQueue)s carrying chunk ids into
 //! a shared append-only arena. One thread per stage keeps ids in order, so
 //! the reorder stage doubles as an order check.
 

@@ -3,7 +3,7 @@
 //! in the next-generation ARM processors" — projected on the simulator.
 //!
 //! The MCA profile ([`Platform::kunpeng916_mca`]) terminates barrier
-//! transactions internally (ACE5 [36]). Comparing it against the measured
+//! transactions internally (ACE5 \[36\]). Comparing it against the measured
 //! Kunpeng916 profile shows what the move to MCA buys: the DMB-family
 //! *transaction* penalty disappears, DSB shrinks to its drain-local cost,
 //! and the gap Pilot exploits narrows — the trend the paper's closing

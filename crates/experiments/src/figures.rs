@@ -1008,7 +1008,7 @@ const ATTRIB_WIDTH: usize = 21;
 /// Declare the `armbar run attrib` workload grid: the conservatively fenced
 /// message-passing workload under every placement of
 /// [`BindConfig::ALL`], plus the default ticket lock on each platform
-/// profile. Each cell returns the [`stall_values`] layout. Public so the
+/// profile. Each cell returns the `stall_values` layout. Public so the
 /// determinism test and the `sweep_scaling` bench can run the grid at
 /// reduced message counts.
 pub fn attrib_grid(sweep: &mut SweepSpec, messages: u64, per_thread: u64) -> Vec<(String, CellId)> {

@@ -130,7 +130,7 @@ impl Table {
         csv
     }
 
-    /// Write [`Table::csv`] as `<dir>/<id>.csv` ([`write_if_changed`]).
+    /// Write [`Table::csv`] as `<dir>/<id>.csv` (`write_if_changed`).
     ///
     /// # Errors
     ///

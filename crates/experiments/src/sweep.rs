@@ -5,7 +5,7 @@
 //! content-addressed cache key with a closure producing that cell's CSV
 //! row values. [`SweepSpec::run`] answers the whole sweep from the
 //! [`RunCache`] when it can; otherwise it executes every cell on the
-//! [`jobs`](crate::jobs) worker pool and stores the sweep — results land
+//! [`jobs`] worker pool and stores the sweep — results land
 //! in declaration order, so the produced tables are byte-identical whether
 //! the sweep ran serially, on eight workers, or straight out of the cache.
 

@@ -5,7 +5,7 @@
 //! scrapes the template strings out of the *source text* of
 //! `crates/barriers/src/native.rs` (embedded at compile time, so the lint
 //! always sees the code it ships with), lifts each template with the real
-//! [`crate::parse`] front-end, and compares the classified barrier against
+//! [`parse`](fn@crate::parse) front-end, and compares the classified barrier against
 //! the contract. If `dmb_st()` ever stops emitting `dmb ishst` — a typo, a
 //! bad merge, a well-meaning "optimization" — the lint fails with the
 //! function name and the offending template.

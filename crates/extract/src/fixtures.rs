@@ -3,7 +3,7 @@
 //!
 //! These three fixtures are the *production* source of the
 //! implementation-sized cases in `analyze`'s lint corpus: the corpus lifts
-//! them through [`crate::lift`]. The `wmm::unroll` builders that used to
+//! them through [`lift`](fn@crate::lift). The `wmm::unroll` builders that used to
 //! construct the same programs by hand are kept as **differential
 //! fixtures** only — [`hand_built`] reconstructs each twin (builder plus
 //! the corpus's seeded fence edits) so tests can prove, with the explorer,

@@ -4,7 +4,7 @@
 //! until this crate existed, those programs were built by hand in Rust.
 //! This crate closes the gap to *real artifacts*:
 //!
-//! * [`parse`] + [`lift`] turn a practical AArch64 subset (`.s` text with
+//! * [`parse()`] + [`lift()`] turn a practical AArch64 subset (`.s` text with
 //!   `// armbar:` pragmas declaring threads and the shared/private symbol
 //!   map) into model programs, with bounded unrolling of spin loops,
 //!   constant-folded counted loops, and the paper's dependency idioms

@@ -1,5 +1,5 @@
 //! Migratory-server delegation lock of the CC-Synch/DSM-Synch combining
-//! family (Fatourou & Kallimanis [14]; `DSynch` in the paper's figures).
+//! family (Fatourou & Kallimanis \[14\]; `DSynch` in the paper's figures).
 //!
 //! Threads append their requests to a queue with one atomic swap; whoever
 //! lands at the head becomes the *combiner* and executes a bounded run of

@@ -164,17 +164,31 @@ impl PendingBarrier {
     }
 }
 
-/// Why issue made no progress this cycle (for stall accounting).
+/// Why a core's next issue slot is refused (`Core::hold`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Stall {
-    None,
     /// Barrier-caused: charged to exactly one cause and one barrier kind.
     Barrier(StallCause, Barrier),
     /// Plain resource limit with no barrier behind it (uncharged).
     Resource,
-    Suspended,
-    /// Parked on a [`Op::WaitChange`] line: idle workload wait, uncharged.
-    Parked,
+    /// Suspended on a load or RMW value, or parked on a [`Op::WaitChange`]
+    /// line: an idle workload wait, uncharged.
+    Waiting,
+    /// The workload halted.
+    Halted,
+}
+
+impl Stall {
+    /// Whether it refuses every issue slot, not just the next op's: the
+    /// core waits or has halted, or a barrier that blocks all issue holds
+    /// it (§2.3: DSB and ISB do; DMB blocks memory ops only).
+    fn holds_all(self) -> bool {
+        match self {
+            Stall::Barrier(_, kind) => kind.blocks_issue_of_non_memory(),
+            Stall::Resource => false,
+            Stall::Waiting | Stall::Halted => true,
+        }
+    }
 }
 
 /// An open run of consecutive fully stalled cycles with one (cause, kind).

@@ -13,17 +13,6 @@ use crate::trace::{Event, Trace};
 use crate::types::{Cycle, DistanceClass, Line};
 
 impl Core {
-    /// Whether a barrier forbids issuing anything at all at `now`: an ISB
-    /// flush or a DSB-class response window, or a pending barrier of that
-    /// class still waiting for its priors.
-    pub(super) fn blocked_all(&self, now: Cycle) -> bool {
-        self.issue_blocked_until > now
-            || self
-                .pending_barrier
-                .as_ref()
-                .is_some_and(|b| b.blocks_all())
-    }
-
     fn loads_done_before(&self, seq: Seq, now: Cycle) -> bool {
         self.loads.iter().all(|l| l.seq >= seq || l.done_at <= now)
     }
@@ -91,24 +80,59 @@ impl Core {
         Some((StallCause::DrainWait(l.distance), kind))
     }
 
-    /// A full ROB counts as a barrier stall only when a pending barrier is
-    /// what keeps the head from retiring (Figure 4's nop throttling);
-    /// otherwise it is an uncharged resource limit.
-    pub(super) fn classify_rob_full(&self) -> Stall {
-        match &self.pending_barrier {
+    /// Whether a full ROB refuses the slot: as a barrier stall only when a
+    /// pending barrier is what keeps the head from retiring (Figure 4's nop
+    /// throttling), otherwise as an uncharged resource limit.
+    fn rob_full(&self) -> Option<Stall> {
+        self.rob.is_full().then_some(match &self.pending_barrier {
             Some(b) => Stall::Barrier(StallCause::RobFull, b.kind),
             None => Stall::Resource,
+        })
+    }
+
+    /// Why the core's next issue slot is refused at `now`, if it is: the
+    /// one rule for what holds a core, which issue, stall charging and
+    /// sleep all read (`DESIGN.md` §10.1). The first that applies, in
+    /// order: parked on a [`Op::WaitChange`] line; inside an ISB or
+    /// DSB-class response window; behind a barrier that blocks all issue
+    /// and still waits for its priors; a nop batch in front of a full ROB;
+    /// suspended on a load; halted; the pending op's own conditions
+    /// (`Core::blocked`). `None` with no op pending: the next op may be
+    /// fetched.
+    pub(super) fn hold(&self, now: Cycle) -> Option<Stall> {
+        if self.parked {
+            return Some(Stall::Waiting);
         }
+        let window = Stall::Barrier(StallCause::ResponseWindow, self.issue_block_kind);
+        if self.issue_blocked_until > now {
+            return Some(window);
+        }
+        let blocks_all = self.pending_barrier.as_ref().filter(|b| b.blocks_all());
+        if let Some((cause, kind)) = blocks_all.and_then(|_| self.memory_block(now)) {
+            return Some(Stall::Barrier(cause, kind));
+        }
+        if self.nops_remaining > 0 {
+            return self.rob_full();
+        }
+        if self.suspended_on.is_some() {
+            return Some(Stall::Waiting);
+        }
+        if self.halted {
+            return Some(Stall::Halted);
+        }
+        self.pending_op
+            .as_ref()
+            .and_then(|op| self.blocked(op, now))
     }
 
     /// Why `op` cannot issue at `now`, if it cannot: the first of its
     /// conditions that fails, which is the one the cycle is charged to.
-    pub(super) fn blocked(&self, op: &Op, now: Cycle) -> Option<Stall> {
+    fn blocked(&self, op: &Op, now: Cycle) -> Option<Stall> {
         let memory = || {
             self.memory_block(now)
                 .map(|(cause, kind)| Stall::Barrier(cause, kind))
         };
-        let rob = || self.rob.is_full().then(|| self.classify_rob_full());
+        let rob = || self.rob_full();
         match *op {
             Op::Load { acquire, .. } => memory()
                 // RCsc response-window wait: an LDAR may not perform while
@@ -336,101 +360,62 @@ impl Core {
     ) {
         let issue_width = self.params_cache.issue_width;
         let mut budget = issue_width;
-        let mut stall = Stall::None;
+        let mut stall = None;
         self.ctx.now = now;
         self.ctx.iterations = self.stats.iterations;
         while budget > 0 {
-            if self.parked {
-                // Parked on a WaitChange line: issues nothing until the
-                // machine delivers a line-change wake. Uncharged idle.
-                stall = Stall::Parked;
+            stall = self.hold(now);
+            if stall.is_some() {
                 break;
-            }
-            if self.issue_blocked_until > now {
-                stall = Stall::Barrier(StallCause::ResponseWindow, self.issue_block_kind);
-                break;
-            }
-            if self.blocked_all(now) {
-                // By a DSB-class barrier still waiting for its priors.
-                if let Some((cause, kind)) = self.memory_block(now) {
-                    stall = Stall::Barrier(cause, kind);
-                    break;
-                }
             }
             // Finish a partially issued nop batch first.
             if self.nops_remaining > 0 {
                 let pushed = self.rob.push_nops(self.nops_remaining.min(budget));
-                if pushed == 0 {
-                    // push_nops refuses only when the ROB is full.
-                    stall = self.classify_rob_full();
-                    break;
-                }
                 self.nops_remaining -= pushed;
                 self.stats.issued += u64::from(pushed);
                 budget -= pushed;
                 continue;
             }
-            if self.suspended_on.is_some() {
-                stall = Stall::Suspended;
-                break;
-            }
-            if self.halted {
-                break;
-            }
-            // Fetch the next operation.
-            let op = match self.pending_op.take() {
-                Some(op) => op,
-                None => match &mut self.thread {
-                    Some(t) => {
-                        let op = t.next(&mut self.ctx);
-                        if let Some(rec) = &mut self.spin {
-                            rec.fetched(self.id, op);
-                        }
-                        op
-                    }
-                    None => break,
-                },
-            };
-            if let Some(why) = self.blocked(&op, now) {
-                self.pending_op = Some(op);
-                stall = why;
-                break;
-            }
-            match op {
-                Op::WaitChange { addr, expect } => {
-                    if shared.read(addr) == expect {
-                        // Condition still holds against committed memory
-                        // (deliberately ignoring own store-buffer forwarding:
-                        // a WFE-style wait watches the coherent image). Park
-                        // on the line's waiter list; the op stays pending and
-                        // re-checks when a committed store wakes us, so a
-                        // spurious wake simply re-parks.
-                        shared
-                            .directory
-                            .park_waiter(Line::containing(addr), self.id);
-                        self.pending_op = Some(op);
-                        self.parked = true;
-                        stall = Stall::Parked;
-                        break;
-                    }
-                    // Value already moved on: observe it as a real load so
-                    // the access pays coherence latency, takes the acquire-
-                    // free suspension, and delivers the value to the thread.
-                    self.pending_op = Some(Op::load_use(addr));
+            // Fetch the next operation; the next round asks whether it may
+            // issue.
+            let Some(op) = self.pending_op.take() else {
+                let Some(thread) = &mut self.thread else {
+                    break;
+                };
+                let op = thread.next(&mut self.ctx);
+                if let Some(rec) = &mut self.spin {
+                    rec.fetched(self.id, op);
                 }
+                self.pending_op = Some(op);
+                continue;
+            };
+            match op {
+                // The condition still holds against committed memory
+                // (deliberately ignoring own store-buffer forwarding: a
+                // WFE-style wait watches the coherent image). Park on the
+                // line's waiter list; the op stays pending and re-checks
+                // when a committed store wakes us, so a spurious wake simply
+                // re-parks.
+                Op::WaitChange { addr, expect } if shared.read(addr) == expect => {
+                    shared
+                        .directory
+                        .park_waiter(Line::containing(addr), self.id);
+                    self.pending_op = Some(op);
+                    self.parked = true;
+                }
+                // Value already moved on: observe it as a real load so the
+                // access pays coherence latency, takes the acquire-free
+                // suspension, and delivers the value to the thread.
+                Op::WaitChange { addr, .. } => self.pending_op = Some(Op::load_use(addr)),
                 Op::SpinMark => {
                     let point = self.mark_point(now, budget);
                     self.spin
                         .get_or_insert_with(Box::default)
                         .mark(self.id, point);
                 }
-                op => {
-                    budget -= self.issue(op, now, topo, lat, shared, trace);
-                    if op == Op::Fence(Barrier::Isb) {
-                        // The flush ends this cycle's issue.
-                        break;
-                    }
-                }
+                // An ISB's flush window ends this cycle's issue at the next
+                // round's hold.
+                op => budget -= self.issue(op, now, topo, lat, shared, trace),
             }
         }
         // The single charging point: a cycle counts as barrier-stalled only
@@ -438,7 +423,7 @@ impl Core {
         // (cause, kind). The cycles of a run that nobody steps are charged
         // by `Core::catch_up`.
         let charged = match stall {
-            Stall::Barrier(cause, kind) if budget == issue_width => Some((cause, kind)),
+            Some(Stall::Barrier(cause, kind)) if budget == issue_width => Some((cause, kind)),
             _ => None,
         };
         if charged != self.stall_run.map(|run| (run.cause, run.kind)) {

@@ -11,7 +11,7 @@
 
 use armbar_barriers::Barrier;
 
-use super::{Core, SharedState};
+use super::{Core, SharedState, Stall};
 use crate::platform::LatencyParams;
 use crate::spin::{MarkPoint, Period};
 use crate::stats::StallCause;
@@ -59,21 +59,22 @@ const CHECKED_GAP: Cycle = 256;
 
 impl Core {
     /// Which of the between-observation states the core is in at its
-    /// watermark. The step that suspended or parked the core, or pushed its
-    /// first nop, closed any stall run, so the quiet two never charge.
-    pub(super) fn between(&self) -> Between {
+    /// watermark: the open stall run's, or what its verdict there, `hold`
+    /// (`Core::hold`), leaves it doing. The step that suspended or parked
+    /// the core, or pushed its first nop, closed any stall run, so the
+    /// quiet two never charge.
+    pub(super) fn between(&self, hold: Option<Stall>) -> Between {
         if let Some(run) = &self.stall_run {
             return Between::Stalled(run.cause, run.kind);
         }
         // A core that never retires fills its ROB and wedges; step it.
         if self.params_cache.retire_width == 0 {
-            Between::Still
-        } else if self.suspended_on.is_some() || self.parked {
-            Between::Idle
-        } else if self.nops_remaining > 0 && !self.blocked_all(self.settled_to) {
-            Between::Nops
-        } else {
-            Between::Still
+            return Between::Still;
+        }
+        match hold {
+            Some(Stall::Waiting) => Between::Idle,
+            hold if self.nops_remaining > 0 && !hold.is_some_and(Stall::holds_all) => Between::Nops,
+            _ => Between::Still,
         }
     }
 
@@ -96,17 +97,19 @@ impl Core {
         if upto <= self.settled_to {
             return;
         }
-        let gap = upto - self.settled_to;
-        match self.between() {
+        let from = self.settled_to;
+        let gap = upto - from;
+        let hold = self.hold(from);
+        match self.between(hold) {
             state @ (Between::Still | Between::Stalled(..)) => {
                 debug_assert!(
                     self.params_cache.retire_width == 0 || self.rob.completed_prefix() == 0,
                     "core {}: skipped cycles {}..={upto} with retirement pending",
                     self.id,
-                    self.settled_to + 1
+                    from + 1
                 );
                 debug_assert!(
-                    self.quiesced() || self.next_event(self.settled_to).is_none_or(|e| e > upto),
+                    self.quiesced() || self.next_event(from, hold).is_none_or(|e| e > upto),
                     "core {}: skipped cycles up to {upto} held an event",
                     self.id
                 );
@@ -116,7 +119,7 @@ impl Core {
             }
             Between::Idle => {
                 debug_assert!(
-                    self.next_event(self.settled_to).is_none_or(|e| e > upto),
+                    self.next_event(from, hold).is_none_or(|e| e > upto),
                     "core {}: slept through an event before cycle {upto}",
                     self.id
                 );
@@ -140,8 +143,7 @@ impl Core {
             }
             Between::Nops => {
                 debug_assert!(
-                    self.in_flight_event(self.settled_to)
-                        .is_none_or(|e| e > upto),
+                    self.in_flight_event(from).is_none_or(|e| e > upto),
                     "core {}: ran nops through an event before cycle {upto}",
                     self.id
                 );

@@ -1,9 +1,10 @@
 //! When a core next matters: its *events*, the lockstep oracle's heartbeat
 //! over them ([`Core::next_wake`]) and the one question the event engine
-//! asks after a step (`Core::sleep`). The heartbeat steps a core waiting to
-//! issue on every cycle; the event engine lets one that is *held* — its
-//! pending op blocked for the very reason its last step charged — sleep to
-//! its next event (`DESIGN.md` §10.1).
+//! asks after a step (`Core::sleep`). Both read the one rule for what holds
+//! a core, `Core::hold`. The heartbeat steps a core on every cycle unless
+//! nothing retires and the verdict refuses every issue slot; the event
+//! engine also lets a *held* core — its verdict the stall its last step
+//! left behind — sleep to its next event (`DESIGN.md` §10.1).
 
 use super::skip::Between;
 use super::{Core, SharedState, Stall};
@@ -37,15 +38,17 @@ impl Core {
 
     /// The core's next *event*: the earliest cycle after `now` whose step
     /// does more than retire completed instructions and push nops. `None`
-    /// if nothing it has in flight will ever produce one.
-    pub(super) fn next_event(&self, now: Cycle) -> Option<Cycle> {
+    /// if nothing it has in flight will ever produce one. `hold` is the
+    /// core's verdict at `now` (`Core::hold`).
+    pub(super) fn next_event(&self, now: Cycle, hold: Option<Stall>) -> Option<Cycle> {
         let mut wake = self.in_flight_event(now);
         if self.issue_blocked_until > now {
             wake = sooner(wake, self.issue_blocked_until);
         }
-        if self.blocked_all(now) && self.stall_run.is_none() && !self.parked {
-            // The barrier issued this cycle, so the next one is the first
-            // fully stalled: observe it, or its stall run never opens.
+        if self.stall_run.is_none() && matches!(hold, Some(Stall::Barrier(..))) {
+            // A barrier holds the core and no run is open (it issued this
+            // cycle), so the next cycle is the first fully stalled one:
+            // observe it, or its stall run never opens.
             wake = sooner(wake, now + 1);
         }
         if let Some(b) = &self.pending_barrier {
@@ -79,14 +82,16 @@ impl Core {
         if self.quiesced() {
             return None;
         }
-        let retires = !self.rob.is_empty() && !self.rob.head_stalled();
-        let issues =
-            !self.blocked_all(now) && !self.parked && !self.halted && self.suspended_on.is_none();
-        if retires || issues {
-            // Anything issuable or retirable right now acts next cycle.
+        // Anything retirable, or an issue slot not refused outright, acts
+        // next cycle.
+        if self.retires() {
             return Some(now + 1);
         }
-        let wake = self.next_event(now);
+        let hold = self.hold(now);
+        if !hold.is_some_and(Stall::holds_all) {
+            return Some(now + 1);
+        }
+        let wake = self.next_event(now, hold);
         if self.parked {
             // A parked core only self-schedules for the in-flight work it
             // still has (drains, outstanding loads, barrier responses);
@@ -117,48 +122,41 @@ impl Core {
     /// sleeps until its next event too.
     pub(crate) fn skip_wake(&self) -> Option<Cycle> {
         let now = self.settled_to;
-        let wake = match self.between() {
-            state @ (Between::Still | Between::Stalled(..)) => self
-                .held(now, state)
-                .then(|| self.next_event(now))
-                .flatten()
-                .or_else(|| self.next_wake(now)),
-            Between::Idle => self.next_event(now),
+        let hold = self.hold(now);
+        let wake = match self.between(hold) {
+            Between::Idle => self.next_event(now, hold),
             Between::Nops => {
                 let horizon = self
                     .in_flight_event(now)
                     .map_or(Cycle::MAX, |event| event - now - 1);
                 Some((now + 1).saturating_add(self.nop_run(now, horizon, true).cycles))
             }
+            Between::Still | Between::Stalled(..) if self.held(hold) => {
+                Some(self.next_event(now, hold).unwrap_or(now + 1))
+            }
+            Between::Still | Between::Stalled(..) => self.next_wake(now),
         };
         wake.map(|w| w.max(now + 1))
     }
 
-    /// Whether the core, just stepped at `now` into `state`, is *held*:
-    /// nothing can retire, it is not suspended, parked or halted, and what
-    /// it waits to issue — its pending op, or a nop batch behind a full ROB
-    /// — is blocked for exactly the reason the step left behind: the open
+    /// Whether the ROB head can retire.
+    fn retires(&self) -> bool {
+        !self.rob.is_empty() && !self.rob.head_stalled()
+    }
+
+    /// Whether the core, just stepped, is *held*: nothing can retire, and
+    /// its verdict `hold` is the stall the step left behind — the open
     /// stall run's, or an uncharged resource limit with no run open. Each
     /// condition behind that verdict changes only at one of the core's
     /// events, so every cycle up to the next one would re-learn it, and
     /// `Core::catch_up` charges them in bulk. Asked after the step, not
-    /// from its issue phase: the step's second drain phase may have started
-    /// a drain that changes a `DrainWait` class.
-    fn held(&self, now: Cycle, state: Between) -> bool {
-        let retires = !self.rob.is_empty() && !self.rob.head_stalled();
-        if retires || self.suspended_on.is_some() || self.parked || self.halted {
-            return false;
-        }
-        let stall = match &self.pending_op {
-            Some(op) => self.blocked(op, now),
-            None if self.nops_remaining > 0 && self.rob.is_full() => Some(self.classify_rob_full()),
-            None => None,
-        };
-        let left_behind = match state {
-            Between::Stalled(cause, kind) => Stall::Barrier(cause, kind),
-            _ => Stall::Resource,
-        };
-        stall == Some(left_behind)
+    /// from its issue phase: the step's second drain phase may have
+    /// started a drain that changes a `DrainWait` class.
+    fn held(&self, hold: Option<Stall>) -> bool {
+        let left_behind = self
+            .stall_run
+            .map_or(Stall::Resource, |run| Stall::Barrier(run.cause, run.kind));
+        !self.retires() && hold == Some(left_behind)
     }
 
     /// The one question the event engine asks after this core's step at

@@ -543,42 +543,18 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{Op, ThreadCtx};
+    use crate::op::Op;
     use crate::trace::Event;
+    use crate::Script;
     use armbar_barriers::Barrier;
 
-    /// Runs a fixed script of ops, then halts.
-    struct Script {
-        ops: Vec<Op>,
-        pos: usize,
-        values: Vec<u64>,
-    }
-
-    impl Script {
-        fn new(ops: Vec<Op>) -> Script {
-            Script {
-                ops,
-                pos: 0,
-                values: Vec::new(),
+    /// A thread that issues `ops` in order, then halts.
+    fn script(ops: Vec<Op>) -> Box<dyn SimThread> {
+        Box::new(Script::new(|cpu| async move {
+            for op in ops {
+                cpu.op(op).await;
             }
-        }
-    }
-
-    impl crate::op::SimThread for Script {
-        fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-            if self.pos > 0 {
-                if let Op::Load {
-                    use_value: true, ..
-                }
-                | Op::Rmw { .. } = self.ops[self.pos - 1]
-                {
-                    self.values.push(ctx.last_value);
-                }
-            }
-            let op = self.ops.get(self.pos).copied().unwrap_or(Op::Halt);
-            self.pos += 1;
-            op
-        }
+        }))
     }
 
     /// An `LDAR` whose value the thread consumes.
@@ -596,11 +572,11 @@ mod tests {
         let mut m = Machine::new(Platform::raspberry_pi4());
         m.add_thread_on(
             0,
-            Box::new(Script::new(vec![
+            script(vec![
                 Op::store(0x100, 77),
                 Op::Fence(Barrier::DmbFull),
                 Op::load_use(0x100),
-            ])),
+            ]),
         );
         let stats = m.run(100_000);
         assert!(stats.halted, "machine must quiesce");
@@ -610,10 +586,7 @@ mod tests {
     #[test]
     fn forwarding_returns_buffered_value_before_drain() {
         let mut m = Machine::new(Platform::kunpeng916());
-        m.add_thread_on(
-            0,
-            Box::new(Script::new(vec![Op::store(0x200, 5), Op::load_use(0x200)])),
-        );
+        m.add_thread_on(0, script(vec![Op::store(0x200, 5), Op::load_use(0x200)]));
         let stats = m.run(100_000);
         assert!(stats.halted);
         assert_eq!(m.read_memory(0x200), 5);
@@ -623,86 +596,34 @@ mod tests {
     fn message_passing_with_barriers_is_correct() {
         // Producer stores data then flag with DMB st between; consumer spins
         // on the flag then reads data after DMB ld. Must observe data = 23.
-        struct Producer {
-            step: usize,
-        }
-        impl crate::op::SimThread for Producer {
-            fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-                self.step += 1;
-                match self.step {
-                    1 => Op::store(0x1000, 23),
-                    2 => Op::Fence(Barrier::DmbSt),
-                    3 => Op::store(0x1040, 1),
-                    _ => Op::Halt,
-                }
-            }
-        }
-        struct Consumer {
-            phase: usize,
-            observed: u64,
-        }
-        impl crate::op::SimThread for Consumer {
-            fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-                match self.phase {
-                    0 => {
-                        self.phase = 1;
-                        Op::load_use(0x1040)
-                    }
-                    1 => {
-                        if ctx.last_value == 0 {
-                            Op::load_use(0x1040)
-                        } else {
-                            self.phase = 2;
-                            Op::Fence(Barrier::DmbLd)
-                        }
-                    }
-                    2 => {
-                        self.phase = 3;
-                        Op::load_use(0x1000)
-                    }
-                    _ => {
-                        if self.phase == 3 {
-                            self.observed = ctx.last_value;
-                            self.phase = 4;
-                        }
-                        Op::Halt
-                    }
-                }
-            }
-        }
+        let producer = script(vec![
+            Op::store(0x1000, 23),
+            Op::Fence(Barrier::DmbSt),
+            Op::store(0x1040, 1),
+        ]);
+        let consumer = Script::new(|cpu| async move {
+            while cpu.op(Op::load_use(0x1040)).await == 0 {}
+            cpu.op(Op::Fence(Barrier::DmbLd)).await;
+            let data = cpu.op(Op::load_use(0x1000)).await;
+            cpu.op(Op::store(0x1080, data)).await;
+        });
         let mut m = Machine::new(Platform::kunpeng916());
-        m.add_thread_on(0, Box::new(Producer { step: 0 }));
-        m.add_thread_on(
-            40,
-            Box::new(Consumer {
-                phase: 0,
-                observed: 999,
-            }),
-        );
+        m.add_thread_on(0, producer);
+        m.add_thread_on(40, Box::new(consumer));
         let stats = m.run(1_000_000);
         assert!(stats.halted, "both threads must finish");
         assert_eq!(m.read_memory(0x1000), 23);
         assert_eq!(m.read_memory(0x1040), 1);
+        assert_eq!(m.read_memory(0x1080), 23, "the consumer saw the data");
     }
 
     #[test]
     fn fetch_add_serializes_across_cores() {
-        struct Adder {
-            n: u32,
-        }
-        impl crate::op::SimThread for Adder {
-            fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-                if self.n == 0 {
-                    return Op::Halt;
-                }
-                self.n -= 1;
-                Op::fetch_add_acq_rel(0x3000, 1)
-            }
-        }
+        let adds = || script(vec![Op::fetch_add_acq_rel(0x3000, 1); 50]);
         let mut m = Machine::new(Platform::kunpeng916());
-        m.add_thread_on(0, Box::new(Adder { n: 50 }));
-        m.add_thread_on(4, Box::new(Adder { n: 50 }));
-        m.add_thread_on(40, Box::new(Adder { n: 50 }));
+        m.add_thread_on(0, adds());
+        m.add_thread_on(4, adds());
+        m.add_thread_on(40, adds());
         let stats = m.run(10_000_000);
         assert!(stats.halted);
         assert_eq!(m.read_memory(0x3000), 150, "no lost updates");
@@ -718,21 +639,20 @@ mod tests {
             Op::IterationMark,
         ];
         let mut m = Machine::new(Platform::kirin960());
-        m.add_thread_on(0, Box::new(Script::new(ops)));
+        m.add_thread_on(0, script(ops));
         m.run(100_000);
         assert_eq!(m.core_stats(0).iterations, 3);
     }
 
     #[test]
     fn run_until_iterations_stops_early() {
-        struct Forever;
-        impl crate::op::SimThread for Forever {
-            fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-                Op::IterationMark
+        let forever = Script::new(|cpu| async move {
+            loop {
+                cpu.op(Op::IterationMark).await;
             }
-        }
+        });
         let mut m = Machine::new(Platform::kirin960());
-        m.add_thread_on(0, Box::new(Forever));
+        m.add_thread_on(0, Box::new(forever));
         let stats = m.run_until_iterations(0, 1000, 1_000_000);
         assert!(!stats.halted);
         assert!(m.core_stats(0).iterations >= 1000);
@@ -751,7 +671,7 @@ mod tests {
                 ops.push(Op::IterationMark);
             }
             let mut m = Machine::new(Platform::kunpeng916());
-            m.add_thread_on(0, Box::new(Script::new(ops)));
+            m.add_thread_on(0, script(ops));
             let s = m.run(10_000_000);
             assert!(s.halted);
             m.core_stats(0).cycles
@@ -780,7 +700,7 @@ mod tests {
         // Same once workloads have halted: a re-run with a huge budget
         // returns in O(1), advancing time by exactly the quiesce tick.
         let mut m = Machine::new(Platform::kunpeng916());
-        m.add_thread_on(0, Box::new(Script::new(vec![Op::store(0x100, 1)])));
+        m.add_thread_on(0, script(vec![Op::store(0x100, 1)]));
         let first = m.run(1 << 60);
         assert!(first.halted);
         let again = m.run(1 << 60);
@@ -825,7 +745,7 @@ mod tests {
             Op::store(0x200, 4),
         ];
         let mut m = Machine::new(Platform::kunpeng916());
-        m.add_thread_on(0, Box::new(Script::new(ops)));
+        m.add_thread_on(0, script(ops));
         let stats = m.run(1_000_000);
         assert!(stats.halted);
         assert_stall_invariants(&m, 0);
@@ -840,7 +760,7 @@ mod tests {
             ops.push(Op::Nops(2));
         }
         let mut m = Machine::new(Platform::kunpeng916());
-        m.add_thread_on(0, Box::new(Script::new(ops)));
+        m.add_thread_on(0, script(ops));
         assert!(m.run(1_000_000).halted);
         assert_stall_invariants(&m, 0);
         let b = &m.core_stats(0).stall;
@@ -863,7 +783,7 @@ mod tests {
         ];
         let mut m = Machine::new(Platform::kunpeng916());
         m.set_region_home(0x100, 0x180, 32);
-        m.add_thread_on(0, Box::new(Script::new(ops)));
+        m.add_thread_on(0, script(ops));
         assert!(m.run(1_000_000).halted);
         assert_stall_invariants(&m, 0);
         let b = &m.core_stats(0).stall;
@@ -887,7 +807,7 @@ mod tests {
             }
             ops.push(Op::store(0x140, 2));
             let mut m = Machine::new(Platform::kunpeng916());
-            m.add_thread_on(0, Box::new(Script::new(ops)));
+            m.add_thread_on(0, script(ops));
             let s = m.run(1_000_000);
             assert!(s.halted);
             s.cycles
@@ -910,7 +830,7 @@ mod tests {
         ];
         let mut m = Machine::new(Platform::kunpeng916());
         m.enable_trace(1024);
-        m.add_thread_on(0, Box::new(Script::new(ops)));
+        m.add_thread_on(0, script(ops));
         assert!(m.run(1_000_000).halted);
         assert!(!m.trace().is_empty(), "enabled trace must record");
         assert!(
@@ -936,7 +856,7 @@ mod tests {
         assert_send::<RunStats>();
         // A script's body holds its `Cpu` and its locals across `.await`s.
         fn assert_send_value<T: Send>(_: &T) {}
-        assert_send_value(&crate::Script::new(|cpu| async move {
+        assert_send_value(&Script::new(|cpu| async move {
             let v = cpu.op(Op::load_use(8)).await;
             cpu.op(Op::store(16, v)).await;
         }));
@@ -991,7 +911,7 @@ mod tests {
             ];
             let mut m = Machine::new(Platform::kunpeng916());
             m.set_region_home(0x100, 0x240, 32);
-            m.add_thread_on(0, Box::new(Script::new(ops)));
+            m.add_thread_on(0, script(ops));
             m
         };
         assert_engines_agree(mk, &[0x100, 0x140, 0x180, 0x1c0, 0x200]);
@@ -999,66 +919,41 @@ mod tests {
 
     #[test]
     fn engines_agree_on_contended_rmws() {
-        struct Adder {
-            n: u32,
-        }
-        impl crate::op::SimThread for Adder {
-            fn next(&mut self, _ctx: &mut ThreadCtx) -> Op {
-                if self.n == 0 {
-                    return Op::Halt;
-                }
-                self.n -= 1;
-                Op::fetch_add_acq_rel(0x3000, 1)
-            }
-        }
+        let adds = || script(vec![Op::fetch_add_acq_rel(0x3000, 1); 20]);
         let mk = || {
             let mut m = Machine::new(Platform::kunpeng916());
-            m.add_thread_on(0, Box::new(Adder { n: 20 }));
-            m.add_thread_on(4, Box::new(Adder { n: 20 }));
-            m.add_thread_on(40, Box::new(Adder { n: 20 }));
+            m.add_thread_on(0, adds());
+            m.add_thread_on(4, adds());
+            m.add_thread_on(40, adds());
             m
         };
         assert_engines_agree(mk, &[0x3000]);
     }
 
-    /// A one-shot waiter/committer pair for the parking tests: the waiter
-    /// parks on `0x5000 != expect`, then publishes what it observed.
-    struct Waiter {
-        expect: u64,
-        phase: usize,
-    }
-    impl crate::op::SimThread for Waiter {
-        fn next(&mut self, ctx: &mut ThreadCtx) -> Op {
-            self.phase += 1;
-            match self.phase {
-                1 => Op::wait_change(0x5000, self.expect),
-                2 => Op::store(0x5100, ctx.last_value()),
-                _ => Op::Halt,
-            }
-        }
+    /// A one-shot waiter for the parking tests: parks on `0x5000 != 0`,
+    /// then publishes what it observed to `0x5100`.
+    fn waiter() -> Box<dyn SimThread> {
+        Box::new(Script::new(|cpu| async move {
+            let seen = cpu.op(Op::wait_change(0x5000, 0)).await;
+            cpu.op(Op::store(0x5100, seen)).await;
+        }))
     }
 
     #[test]
     fn wait_change_parks_until_the_line_changes() {
         let mk = || {
             let mut m = Machine::new(Platform::kunpeng916());
-            m.add_thread_on(
-                1,
-                Box::new(Waiter {
-                    expect: 0,
-                    phase: 0,
-                }),
-            );
+            m.add_thread_on(1, waiter());
             // Writer dawdles, then redundantly re-commits the expected value
             // (a spurious wake: the waiter must re-park), then publishes.
             m.add_thread_on(
                 40,
-                Box::new(Script::new(vec![
+                script(vec![
                     Op::Nops(400),
                     Op::store(0x5000, 0),
                     Op::Fence(Barrier::DsbFull),
                     Op::store(0x5000, 9),
-                ])),
+                ]),
             );
             m
         };
@@ -1076,13 +971,7 @@ mod tests {
         let mk = || {
             let mut m = Machine::new(Platform::kunpeng916());
             m.preset_memory(0x5000, 7);
-            m.add_thread_on(
-                1,
-                Box::new(Waiter {
-                    expect: 0,
-                    phase: 0,
-                }),
-            );
+            m.add_thread_on(1, waiter());
             m
         };
         let mut m = mk();
@@ -1095,15 +984,15 @@ mod tests {
     #[should_panic(expected = "core 64 out of range")]
     fn add_thread_on_rejects_an_unknown_core() {
         let mut m = Machine::new(Platform::kunpeng916());
-        m.add_thread_on(64, Box::new(Script::new(vec![])));
+        m.add_thread_on(64, script(vec![]));
     }
 
     #[test]
     #[should_panic(expected = "core 3 already has a thread")]
     fn add_thread_on_rejects_a_busy_core() {
         let mut m = Machine::new(Platform::kunpeng916());
-        m.add_thread_on(3, Box::new(Script::new(vec![])));
-        m.add_thread_on(3, Box::new(Script::new(vec![])));
+        m.add_thread_on(3, script(vec![]));
+        m.add_thread_on(3, script(vec![]));
     }
 
     #[test]
@@ -1117,12 +1006,12 @@ mod tests {
             m.set_engine(engine);
             m.add_thread_on(
                 0,
-                Box::new(Script::new(vec![
+                script(vec![
                     Op::store(0x100, 1),
                     Op::Nops(100_000),
                     Op::IterationMark,
                     Op::store(0x140, 2),
-                ])),
+                ]),
             );
             m
         };
@@ -1162,7 +1051,7 @@ mod tests {
                 ]);
             }
             ops.push(Op::Nops(120));
-            m.add_thread_on(0, Box::new(Script::new(ops)));
+            m.add_thread_on(0, script(ops));
             m
         };
         let mut ev = mk(Engine::EventDriven);
@@ -1180,8 +1069,8 @@ mod tests {
 
     /// Polls `addr` in a marked loop until it is non-zero, then publishes
     /// what it saw to `out`.
-    fn marked_poller(addr: Addr, pad: u32, out: Addr) -> Box<dyn crate::op::SimThread> {
-        Box::new(crate::Script::new(move |cpu| async move {
+    fn marked_poller(addr: Addr, pad: u32, out: Addr) -> Box<dyn SimThread> {
+        Box::new(Script::new(move |cpu| async move {
             let seen = loop {
                 cpu.spin_mark().await;
                 let v = cpu.op(Op::load_use(addr)).await;
@@ -1209,12 +1098,12 @@ mod tests {
             m.add_thread_on(40, marked_poller(0x5000, 0, 0x5140));
             m.add_thread_on(
                 5,
-                Box::new(Script::new(vec![
+                script(vec![
                     Op::Nops(20_000),
                     Op::store(0x5008, 3),
                     Op::Nops(20_000),
                     Op::fetch_add_acq_rel(0x5000, 7),
-                ])),
+                ]),
             );
             m
         };
@@ -1257,7 +1146,7 @@ mod tests {
                 let entry = entry.clone();
                 m.add_thread_on(
                     1,
-                    Box::new(crate::Script::new(move |cpu| async move {
+                    Box::new(Script::new(move |cpu| async move {
                         // Warm the polled line first: the loop's loads hit.
                         cpu.op(Op::load_use(0x5000)).await;
                         for op in entry {
@@ -1273,10 +1162,7 @@ mod tests {
                         cpu.op(Op::store(0x5100, seen)).await;
                     })),
                 );
-                m.add_thread_on(
-                    5,
-                    Box::new(Script::new(vec![Op::Nops(3_000), Op::store(0x5000, 7)])),
-                );
+                m.add_thread_on(5, script(vec![Op::Nops(3_000), Op::store(0x5000, 7)]));
                 m
             };
             let mut ev = mk(Engine::EventDriven);
@@ -1320,13 +1206,13 @@ mod tests {
                 for core in order {
                     m.add_thread_on(
                         core,
-                        Box::new(Script::new(vec![Op::Rmw {
+                        script(vec![Op::Rmw {
                             addr: 0x9000,
                             kind: crate::op::RmwKind::Cas { expected: 0 },
                             operand: core as u64 + 1,
                             acquire: true,
                             release: false,
-                        }])),
+                        }]),
                     );
                 }
                 assert!(m.run(1_000_000).halted);
@@ -1343,13 +1229,7 @@ mod tests {
         for engine in [Engine::EventDriven, Engine::LockstepOracle] {
             let mut m = Machine::new(Platform::kunpeng916());
             m.set_engine(engine);
-            m.add_thread_on(
-                0,
-                Box::new(Waiter {
-                    expect: 0,
-                    phase: 0,
-                }),
-            );
+            m.add_thread_on(0, waiter());
             let stats = m.run(1 << 50);
             assert!(!stats.halted, "{engine:?}: a parked core is not quiesced");
             assert_eq!(stats.cycles, 1 << 50, "{engine:?}: ran to the bound");
@@ -1369,7 +1249,7 @@ mod tests {
                 let mut m = Machine::new(Platform::kunpeng916());
                 m.set_region_home(0x100, 0x140, 40);
                 let ops = vec![Op::Nops(3), Op::load_use(0x100), Op::store(0x200, 1)];
-                m.add_thread_on(0, Box::new(Script::new(ops)));
+                m.add_thread_on(0, script(ops));
                 m
             }),
             ("a DSB window", || {
@@ -1380,19 +1260,15 @@ mod tests {
                     Op::Fence(Barrier::DsbFull),
                     Op::store(0x200, 2),
                 ];
-                m.add_thread_on(0, Box::new(Script::new(ops)));
+                m.add_thread_on(0, script(ops));
                 m
             }),
             ("a parked waiter", || {
                 let mut m = Machine::new(Platform::kunpeng916());
                 m.set_region_home(0x100, 0x140, 0);
-                let waiter = Waiter {
-                    expect: 0,
-                    phase: 0,
-                };
-                m.add_thread_on(1, Box::new(waiter));
+                m.add_thread_on(1, waiter());
                 let ops = vec![Op::load_use(0x100), Op::store(0x5000, 9)];
-                m.add_thread_on(40, Box::new(Script::new(ops)));
+                m.add_thread_on(40, script(ops));
                 m
             }),
         ];
@@ -1457,11 +1333,11 @@ mod tests {
         let mut m = Machine::new(Platform::kunpeng916());
         m.add_thread_on(
             0,
-            Box::new(Script::new(vec![
+            script(vec![
                 Op::store(0x100, 1),
                 Op::Fence(Barrier::DmbFull),
                 Op::load_use(0x100),
-            ])),
+            ]),
         );
         let first = m.run(1_000_000);
         assert!(first.halted);
@@ -1485,13 +1361,7 @@ mod tests {
         let plat = Platform::manycore(1024);
         let mut m = Machine::new(plat);
         for c in 1..1024 {
-            m.add_thread_on(
-                c,
-                Box::new(Waiter {
-                    expect: 0,
-                    phase: 0,
-                }),
-            );
+            m.add_thread_on(c, waiter());
         }
         let mut ops = Vec::new();
         for _ in 0..50 {
@@ -1499,7 +1369,7 @@ mod tests {
             ops.push(Op::Fence(Barrier::DsbFull));
         }
         ops.push(Op::store(0x5000, 1));
-        m.add_thread_on(0, Box::new(Script::new(ops)));
+        m.add_thread_on(0, script(ops));
         let stats = m.run(10_000_000);
         assert!(stats.halted, "all 1024 cores must finish");
         assert_eq!(m.read_memory(0x5100), 1, "waiters observed the store");
@@ -1526,7 +1396,7 @@ mod tests {
                 Op::load_use(0x100),
             ];
             let mut m = Machine::new(Platform::kunpeng916());
-            m.add_thread_on(0, Box::new(Script::new(ops)));
+            m.add_thread_on(0, script(ops));
             let s = m.run(1_000_000);
             assert!(s.halted);
             s.cycles

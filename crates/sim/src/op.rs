@@ -105,8 +105,8 @@ pub enum Op {
         expect: u64,
     },
     /// Zero-cost marker: the thread completed one iteration of the measured
-    /// loop (increments [`CoreStats::iterations`]
-    /// (crate::stats::CoreStats::iterations)).
+    /// loop (increments
+    /// [`CoreStats::iterations`](crate::stats::CoreStats::iterations)).
     IterationMark,
     /// Zero-cost marker at the top of a *pure* poll loop: no ROB entry, no
     /// issue slot, no statistic. It declares that until the next mark the
@@ -230,8 +230,8 @@ pub struct ThreadCtx {
     /// Value produced by the most recent value-consuming load/RMW.
     pub last_value: u64,
     /// Number of completed iterations this thread has reported via
-    /// workload-specific accounting (mirrors [`CoreStats::iterations`]
-    /// (crate::stats::CoreStats::iterations)).
+    /// workload-specific accounting (mirrors
+    /// [`CoreStats::iterations`](crate::stats::CoreStats::iterations)).
     pub iterations: u64,
 }
 

@@ -1,6 +1,6 @@
 //! Platform profiles: the paper's four target machines (Table 2).
 //!
-//! A [`Platform`] bundles a [`Topology`](crate::topology::Topology) with a
+//! A [`Platform`] bundles a [`Topology`] with a
 //! [`LatencyParams`] calibration. Latencies are in core cycles. The values
 //! are *not* measured from the real machines — they are chosen so that the
 //! paper's qualitative shapes emerge (see `DESIGN.md` §3 and the calibration
@@ -243,7 +243,7 @@ impl Platform {
     /// The paper's closing future-work item (§6): a next-generation
     /// **multi-copy-atomic** server, per ACE5's recommendation that
     /// "processors are recommended to terminate barriers internally if the
-    /// system is MCA" [36]. Memory-barrier transactions never travel to the
+    /// system is MCA" \[36\]. Memory-barrier transactions never travel to the
     /// interconnect: their response cost collapses to the idle constant,
     /// and the synchronization barrier shrinks to a drain-local wait.
     /// Everything else (coherence distances, pipeline) matches Kunpeng916,

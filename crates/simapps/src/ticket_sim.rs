@@ -10,7 +10,7 @@
 //! (Observation 2); with zero global lines it is nearly free.
 //!
 //! What the lock's owner does between acquiring and handing off
-//! ([`critical_section`]) and after the handoff ([`pace`]) is shared with
+//! (`critical_section`) and after the handoff (`pace`) is shared with
 //! `mcs_sim`, so the two in-place baselines differ in their lock protocol
 //! only.
 

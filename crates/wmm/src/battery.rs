@@ -2,7 +2,7 @@
 //! with its textbook verdict under ARMv8's multi-copy-atomic WMM.
 //!
 //! These tests pin down *which* weak-memory model the explorer implements:
-//! ARMv8 (post-[36], as the paper notes) is **other-multi-copy-atomic** —
+//! ARMv8 (post-\[36\], as the paper notes) is **other-multi-copy-atomic** —
 //! a store becomes visible to every *other* observer at once — so shapes
 //! like WRC+addrs and IRIW+addrs are forbidden even without full barriers,
 //! while plain non-MCA machines (e.g. POWER) allow them.

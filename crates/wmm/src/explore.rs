@@ -12,7 +12,7 @@
 //! Two implementations compute the exact set of final [`Outcome`]s:
 //!
 //! * [`explore`] runs the packed-state sleep-set DPOR
-//!   engine ([`crate::engine`]) behind an in-process memo cache keyed by
+//!   engine (`crate::engine`) behind an in-process memo cache keyed by
 //!   `(program, model)` — `analyze::lint` re-explores identical cut
 //!   programs across redundancy/necessity checks and whole experiment
 //!   batteries revisit the same litmus shapes. The cache is always on

@@ -8,7 +8,7 @@
 //!   program-order memory accesses may perform out of order unless an
 //!   ordering edge exists between them (barrier, acquire/release,
 //!   dependency, or same-location coherence). This matches the simplified
-//!   MCA ARMv8 model (the paper cites ARM's move to MCA [36]); stores become
+//!   MCA ARMv8 model (the paper cites ARM's move to MCA \[36\]); stores become
 //!   visible to all other observers at once when performed.
 //! * **x86 TSO** — only store→load (to different locations) may reorder.
 //! * **SC** — nothing reorders (the reference).

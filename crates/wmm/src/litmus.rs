@@ -7,7 +7,7 @@
 //!
 //! An approach goes between two accesses one way only: `weave` builds
 //! `earlier; fence; later` and hands the fence to
-//! [`replace_fence`](crate::mutate::replace_fence), which the lint also
+//! [`replace_fence`], which the lint also
 //! uses. Where that rewrite has no place for the approach (LDAR after a
 //! store, CTRL before a load, …), [`table3_cell`] is `None` and the fixed
 //! shapes below panic.

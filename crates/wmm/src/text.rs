@@ -19,7 +19,7 @@
 //!   fence CTRL+ISB          // non-instruction taxonomy entries
 //! ```
 //!
-//! Registers print as `r{n}` (dense [`Reg`] indices, not architectural
+//! Registers print as `r{n}` (dense [`Reg`](crate::model::Reg) indices, not architectural
 //! names) and locations as `m{n}`, because a [`Program`]'s operands are
 //! already resolved model indices — the symbol names of the source
 //! assembly are gone by the time a program exists. Barrier *instructions*
