@@ -117,18 +117,20 @@ pub struct Placement {
     pub removed: usize,
 }
 
-impl Placement {
-    /// `outcomes-equal` / `outcomes-preserved(-k)` — the machine-checked
-    /// equivalence artifact class this placement carries.
-    #[must_use]
-    pub fn proof_label(&self) -> String {
-        if self.removed == 0 {
-            "outcomes-equal".to_string()
-        } else {
-            format!("outcomes-preserved(-{})", self.removed)
-        }
+/// `outcomes-equal` / `outcomes-preserved(-k)` — the machine-checked
+/// equivalence artifact class of a placement that no longer reaches
+/// `removed` of the seed's outcomes ([`Placement::removed`],
+/// [`FrontPoint::removed`]).
+#[must_use]
+pub fn proof_label(removed: usize) -> String {
+    if removed == 0 {
+        "outcomes-equal".to_string()
+    } else {
+        format!("outcomes-preserved(-{removed})")
     }
+}
 
+impl Placement {
     /// Compact rendering of the *changed* sites, `seed` when none, e.g.
     /// `T0#1 DSB full->DMB st + T1#1 DMB ld->-`.
     #[must_use]

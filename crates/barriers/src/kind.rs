@@ -197,6 +197,25 @@ impl Barrier {
         }
     }
 
+    /// Does this approach order program-order-earlier accesses of type
+    /// `earlier` before *some* later access? For a fence, these are the
+    /// earlier accesses it waits for.
+    #[must_use]
+    pub fn waits_for(self, earlier: AccessType) -> bool {
+        AccessType::ALL
+            .iter()
+            .any(|&later| self.orders(earlier, later))
+    }
+
+    /// Whether the approach puts a standalone instruction at its site: one
+    /// of [`Barrier::INSTRUCTIONS`], or the ISB of `CTRL+ISB`. The others
+    /// are nothing (`None`) or ride on a neighbouring access (LDAR, LDAPR,
+    /// STLR and the plain dependencies).
+    #[must_use]
+    pub fn is_standalone(self) -> bool {
+        Self::INSTRUCTIONS.contains(&self) || self == Barrier::CtrlIsb
+    }
+
     /// Whether the typical implementation blocks the *issue* of all
     /// subsequent instructions (memory or not) until it completes.
     ///
@@ -210,21 +229,6 @@ impl Barrier {
         matches!(
             self,
             Barrier::DsbFull | Barrier::DsbSt | Barrier::DsbLd | Barrier::Isb | Barrier::CtrlIsb
-        )
-    }
-
-    /// Whether the typical implementation holds its re-order-buffer slot
-    /// until the bus responds, creating back-pressure on later instructions.
-    ///
-    /// The paper's explanation of Figure 4: DMB full "may cause some
-    /// performance bottlenecks in the pipeline (e.g., saturating the reorder
-    /// buffer)". DMB st is observed *not* to have the property ("a more
-    /// radical implementation"), which is why it never halves nop throughput.
-    #[must_use]
-    pub fn occupies_rob_until_response(self) -> bool {
-        matches!(
-            self,
-            Barrier::DmbFull | Barrier::DsbFull | Barrier::DsbSt | Barrier::DsbLd
         )
     }
 

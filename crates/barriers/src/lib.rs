@@ -21,8 +21,6 @@
 //! * [`native`] — `asm!`-based implementations on aarch64 and a documented
 //!   strongest-cheap mapping elsewhere, so the same code runs on the paper's
 //!   hardware and on CI hosts.
-//! * [`deps`] — constructors for bogus data/address/control dependencies that
-//!   survive optimization.
 //! * [`advisor`] — Table 3 of the paper as an executable decision procedure.
 //! * [`strength`] — the empirical overhead ranking
 //!   `DSB > DMB full > DMB st > DMB ld ≈ LDAR ≥ Dep` (with STLR unstable).
@@ -31,7 +29,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod advisor;
-pub mod deps;
 pub mod kind;
 pub mod native;
 pub mod strength;

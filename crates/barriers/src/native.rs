@@ -114,7 +114,8 @@ pub fn isb() {
 ///
 /// Panics for access-attached approaches (`Ldar`, `Stlr`, dependencies):
 /// those do not exist as standalone instructions — use
-/// [`load_acquire_u64`] / [`store_release_u64`] / [`crate::deps`] instead.
+/// [`load_acquire_u64`] / [`store_release_u64`], or [`run_barrier`]'s
+/// degradation, instead.
 #[inline]
 pub fn execute(barrier: Barrier) {
     match barrier {

@@ -194,7 +194,7 @@ pub fn dlock_grid(sweep: &mut SweepSpec, per_client: u64) -> Vec<DlockRow> {
                         max as f64,
                         m.fairness,
                         m.subverted_share(),
-                        m.result.stall.total as f64,
+                        m.result.stall.total() as f64,
                     ]
                 });
                 rows.push((name, design, threads, cell));

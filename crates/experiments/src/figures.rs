@@ -979,11 +979,11 @@ pub fn fig8d(_ctx: &SweepCtx) -> Vec<Table> {
 // ------------------------------------------------------------ attribution
 
 /// Flatten one workload's [`StallBreakdown`] into the sweep-cell value
-/// layout shared by [`attrib_grid`]: the nine cause counters in
-/// [`StallBreakdown::CAUSE_LABELS`] order, the eleven
-/// [`StallBreakdown::CHARGEABLE_KINDS`] subtotals, then the total. Raw
-/// cycle counts — not shares — go through the cache so the CSV shares can
-/// be recomputed from warm entries bit-for-bit.
+/// layout shared by [`attrib_grid`]: the cause counts in
+/// [`StallBreakdown::CAUSE_LABELS`] order, then the
+/// [`StallBreakdown::CHARGEABLE_KINDS`] subtotals. Raw cycle counts — not
+/// shares — go through the cache so the CSV shares can be recomputed from
+/// warm entries bit-for-bit.
 fn stall_values(stall: &StallBreakdown) -> Vec<f64> {
     let mut vals: Vec<f64> = stall.cause_counts().iter().map(|&c| c as f64).collect();
     vals.extend(
@@ -991,7 +991,6 @@ fn stall_values(stall: &StallBreakdown) -> Vec<f64> {
             .iter()
             .map(|&k| stall.kind_count(k) as f64),
     );
-    vals.push(stall.total as f64);
     vals
 }
 
@@ -1000,10 +999,6 @@ const ATTRIB_MP: PcBarriers = PcBarriers {
     avail: Barrier::DmbFull,
     publish: Barrier::DmbSt,
 };
-
-/// Number of values each attribution cell produces (9 causes + 11 kinds +
-/// the total).
-const ATTRIB_WIDTH: usize = 21;
 
 /// Declare the `armbar run attrib` workload grid: the conservatively fenced
 /// message-passing workload under every placement of
@@ -1076,20 +1071,15 @@ pub fn attrib(ctx: &SweepCtx) -> Vec<Table> {
         "share of stalled cycles (rows sum to 1)",
     );
     for (label, id) in rows {
-        let vals = r.get(id);
-        assert_eq!(vals.len(), ATTRIB_WIDTH);
-        let total = vals[ATTRIB_WIDTH - 1];
+        let (cause_vals, kind_vals) = r.get(id).split_at(StallBreakdown::CAUSE_LABELS.len());
+        assert_eq!(kind_vals.len(), StallBreakdown::CHARGEABLE_KINDS.len());
         // The core model charges exactly one cause and one kind per stalled
         // cycle; u64 counts below 2^53 survive the f64 round trip exactly.
-        assert_eq!(vals[..9].iter().sum::<f64>(), total, "{label}: causes");
-        assert_eq!(
-            vals[9..ATTRIB_WIDTH - 1].iter().sum::<f64>(),
-            total,
-            "{label}: kinds"
-        );
+        let total: f64 = cause_vals.iter().sum();
+        assert_eq!(kind_vals.iter().sum::<f64>(), total, "{label}: kinds");
         println!("  {label}: {total} stalled cycles");
-        causes.push_share_row(&label, &vals[..9]);
-        kinds.push_share_row(&label, &vals[9..ATTRIB_WIDTH - 1]);
+        causes.push_share_row(&label, cause_vals);
+        kinds.push_share_row(&label, kind_vals);
     }
     vec![causes, kinds]
 }

@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use armbar_analyze::lint::{analyze_case, FindingKind, Proof};
 use armbar_analyze::replay::{rewrite_savings, REPLAY_ITERS};
-use armbar_analyze::synth::{chosen_point, pareto_fronts, synthesize};
+use armbar_analyze::synth::{chosen_point, pareto_fronts, proof_label, synthesize};
 use armbar_analyze::{corpus, LintCase};
 use armbar_experiments::{find, verify, Experiment, SweepCtx, Table, EXPERIMENTS};
 use armbar_sim::PlatformKind;
@@ -314,7 +314,7 @@ fn synth(cases: &[LintCase]) -> Result<(), Failure> {
             r.best.score,
             r.best.barrier_count,
             r.best.label(),
-            r.best.proof_label(),
+            proof_label(r.best.removed),
         );
         if r.best.score < r.seed.score {
             improvable += 1;

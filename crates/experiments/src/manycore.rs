@@ -78,7 +78,11 @@ pub fn manycore_grid(sweep: &mut SweepSpec, rounds: u64) -> Vec<ManycoreRow> {
                             work_nops: WORK_NOPS,
                         },
                     );
-                    vec![r.cycles_per_round, r.barriers_per_sec, r.stall.total as f64]
+                    vec![
+                        r.cycles_per_round,
+                        r.barriers_per_sec,
+                        r.stall.total() as f64,
+                    ]
                 });
                 rows.push((flavour, family, threads, cell));
             }

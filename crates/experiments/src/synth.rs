@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use armbar_analyze::corpus::corpus;
 use armbar_analyze::replay::REPLAY_ITERS;
-use armbar_analyze::synth::{chosen_point, pareto_fronts, synthesize};
+use armbar_analyze::synth::{chosen_point, pareto_fronts, proof_label, synthesize};
 use armbar_analyze::LintCase;
 use armbar_sim::PlatformKind;
 
@@ -53,11 +53,6 @@ fn synth_cell(case: &LintCase, replay_iters: u64) -> Vec<f64> {
     let mut rows = String::new();
     for p in &front {
         let is_chosen = chosen.iter().any(|&c| std::ptr::eq(c, p));
-        let proof = if p.removed == 0 {
-            "outcomes-equal".to_string()
-        } else {
-            format!("outcomes-preserved(-{})", p.removed)
-        };
         let _ = writeln!(
             rows,
             "{},{},{},{},{},{},{},{},{},{}",
@@ -70,7 +65,7 @@ fn synth_cell(case: &LintCase, replay_iters: u64) -> Vec<f64> {
             u8::from(p.is_seed),
             u8::from(is_chosen),
             escape(&p.label),
-            escape(&proof),
+            escape(&proof_label(p.removed)),
         );
     }
     pack_text(&head, &rows)

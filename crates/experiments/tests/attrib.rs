@@ -4,7 +4,7 @@
 //!    four workers, cold and warm (`armbar verify attrib` checks the
 //!    full-depth `results/attrib.csv` the same way).
 //! 2. **Attribution invariant** — every cell's raw values satisfy
-//!    `sum(causes) == sum(kinds) == total stalled cycles`.
+//!    `sum(causes) == sum(kinds)`, the stalled cycles.
 
 use armbar_experiments::figures::attrib_grid;
 use armbar_experiments::report::Table;
@@ -34,7 +34,7 @@ fn grid_csv(ctx: &SweepCtx) -> (String, Vec<Vec<f64>>) {
     let mut raw = Vec::new();
     for (label, cell) in &rows {
         let vals = r.get(*cell);
-        t.push_share_row(label, &vals[..9]);
+        t.push_share_row(label, &vals[..StallBreakdown::CAUSE_LABELS.len()]);
         raw.push(vals.to_vec());
     }
     (t.csv(), raw)
@@ -46,10 +46,10 @@ fn causes_and_kinds_sum_to_the_total_in_every_cell() {
     assert_eq!(raw.len(), 9, "5 MP placements + 4 lock platforms");
     let mut stalled_somewhere = false;
     for vals in &raw {
-        assert_eq!(vals.len(), 21, "9 causes + 11 kinds + total");
-        let total = vals[20];
-        assert_eq!(vals[..9].iter().sum::<f64>(), total);
-        assert_eq!(vals[9..20].iter().sum::<f64>(), total);
+        let (causes, kinds) = vals.split_at(StallBreakdown::CAUSE_LABELS.len());
+        assert_eq!(kinds.len(), StallBreakdown::CHARGEABLE_KINDS.len());
+        let total: f64 = causes.iter().sum();
+        assert_eq!(kinds.iter().sum::<f64>(), total);
         stalled_somewhere |= total > 0.0;
     }
     assert!(

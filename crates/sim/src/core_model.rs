@@ -108,6 +108,10 @@ struct LoadInFlight {
 #[derive(Debug, Clone)]
 struct PendingBarrier {
     kind: Barrier,
+    /// Whether it waits for earlier loads, and for earlier stores:
+    /// [`Barrier::waits_for`], read once at issue.
+    waits_loads: bool,
+    waits_stores: bool,
     rob_slot: Option<SlotId>,
     /// Program-order point of the barrier: prior accesses have `seq <` this.
     seq: Seq,
@@ -121,24 +125,6 @@ struct PendingBarrier {
 }
 
 impl PendingBarrier {
-    fn waits_loads(&self) -> bool {
-        matches!(
-            self.kind,
-            Barrier::DmbFull
-                | Barrier::DmbLd
-                | Barrier::DsbFull
-                | Barrier::DsbLd
-                | Barrier::CtrlIsb
-        )
-    }
-
-    fn waits_stores(&self) -> bool {
-        matches!(
-            self.kind,
-            Barrier::DmbFull | Barrier::DsbFull | Barrier::DsbSt
-        )
-    }
-
     /// Does it forbid issuing anything at all?
     fn blocks_all(&self) -> bool {
         self.kind.blocks_issue_of_non_memory()
@@ -262,6 +248,20 @@ struct CoreParams {
     t_stlr: Cycle,
     t_isb_flush: Cycle,
     dmb_holds_rob: bool,
+}
+
+impl CoreParams {
+    /// Whether a pending barrier of `kind` holds its ROB slot until its
+    /// response, so that a long run of later instructions fills the ROB
+    /// behind it (Figure 4, Observation 2): a DSB always, DMB full and DMB
+    /// ld while `dmb_holds_rob`, CTRL+ISB never.
+    fn holds_rob(&self, kind: Barrier) -> bool {
+        match kind {
+            Barrier::DsbFull | Barrier::DsbSt | Barrier::DsbLd => true,
+            Barrier::DmbFull | Barrier::DmbLd => self.dmb_holds_rob,
+            _ => false,
+        }
+    }
 }
 
 impl Core {

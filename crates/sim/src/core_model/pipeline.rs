@@ -1,7 +1,7 @@
 //! One cycle of a core — completions, drains, retirement, issue — and the
 //! single point at which a barrier stall is charged.
 
-use armbar_barriers::{Acquire, Barrier};
+use armbar_barriers::{AccessType, Acquire, Barrier};
 
 use super::{Core, LoadInFlight, PendingBarrier, RmwInfo, SharedState, Stall, StallRun};
 use crate::op::{Op, RmwKind};
@@ -20,8 +20,8 @@ impl Core {
     /// Whether every prior access pending barrier `b` waits on has completed
     /// at `now`, so its response can be requested.
     pub(super) fn priors_done(&self, b: &PendingBarrier, now: Cycle) -> bool {
-        (!b.waits_loads() || self.loads_done_before(b.seq, now))
-            && (!b.waits_stores() || self.sb.drained_before(b.seq))
+        (!b.waits_loads || self.loads_done_before(b.seq, now))
+            && (!b.waits_stores || self.sb.drained_before(b.seq))
     }
 
     fn outstanding_loads(&self, now: Cycle) -> usize {
@@ -62,8 +62,8 @@ impl Core {
                 None => {
                     let worst = self.worst_distance(
                         now,
-                        |l| b.waits_loads() && l.seq < b.seq,
-                        |e| b.waits_stores() && e.seq < b.seq,
+                        |l| b.waits_loads && l.seq < b.seq,
+                        |e| b.waits_stores && e.seq < b.seq,
                     );
                     return Some((StallCause::DrainWait(worst), b.kind));
                 }
@@ -227,7 +227,7 @@ impl Core {
                 }
             };
             self.rob.complete(l.rob_slot);
-            let waited = |b: &&mut PendingBarrier| b.waits_loads() && l.seq < b.seq;
+            let waited = |b: &&mut PendingBarrier| b.waits_loads && l.seq < b.seq;
             if let Some(b) = self.pending_barrier.as_mut().filter(waited) {
                 b.crossed_node |= l.distance.crosses_node();
             }
@@ -251,7 +251,7 @@ impl Core {
                 for g in self.sb.gates_mut().filter(|g| e.seq < g.seq) {
                     g.crossed_node = true;
                 }
-                let waited = |b: &&mut PendingBarrier| b.waits_stores() && e.seq < b.seq;
+                let waited = |b: &&mut PendingBarrier| b.waits_stores && e.seq < b.seq;
                 if let Some(b) = self.pending_barrier.as_mut().filter(waited) {
                     b.crossed_node = true;
                 }
@@ -640,28 +640,25 @@ impl Core {
                 // DMB full/ld, DSB full/st/ld, CTRL+ISB.
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                let occupies = if matches!(kind, Barrier::DmbFull | Barrier::DmbLd) {
-                    pc.dmb_holds_rob
-                } else {
-                    kind.occupies_rob_until_response()
-                };
-                let slot = self.rob.push_instr(!occupies).expect("checked free()");
-                let mut b = PendingBarrier {
-                    kind,
-                    rob_slot: occupies.then_some(slot),
-                    seq,
-                    resp_at: None,
-                    crossed_node: false,
-                    had_priors: false,
-                };
+                let holds_rob = pc.holds_rob(kind);
+                let slot = self.rob.push_instr(!holds_rob).expect("checked free()");
+                let waits_loads = kind.waits_for(AccessType::Load);
+                let waits_stores = kind.waits_for(AccessType::Store);
                 // Priors, and the scope they seed, from the accesses it
                 // waits on that are already outstanding.
-                let (on_loads, on_stores) = (b.waits_loads(), b.waits_stores());
-                let mut loads = self.loads.iter().filter(|l| on_loads && l.done_at > now);
-                let mut stores = self.sb.entries().iter().filter(|_| on_stores);
-                b.had_priors = loads.clone().next().is_some() || stores.clone().next().is_some();
-                b.crossed_node = loads.any(|l| l.distance.crosses_node())
-                    || stores.any(SbEntry::drain_crossed_node);
+                let mut loads = self.loads.iter().filter(|l| waits_loads && l.done_at > now);
+                let mut stores = self.sb.entries().iter().filter(|_| waits_stores);
+                let mut b = PendingBarrier {
+                    kind,
+                    waits_loads,
+                    waits_stores,
+                    rob_slot: holds_rob.then_some(slot),
+                    seq,
+                    resp_at: None,
+                    had_priors: loads.clone().next().is_some() || stores.clone().next().is_some(),
+                    crossed_node: loads.any(|l| l.distance.crosses_node())
+                        || stores.any(SbEntry::drain_crossed_node),
+                };
                 if !b.blocks_all() && self.priors_done(&b, now) {
                     // Nothing to wait for and nothing but memory ops to
                     // hold back: the next cycle would find the priors
@@ -692,6 +689,49 @@ impl Core {
                         what: run.kind.mnemonic(),
                         since: run.since,
                     },
+                );
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::platform::Platform;
+
+    #[test]
+    fn pending_barriers_wait_for_what_they_order_and_hold_the_rob_as_set() {
+        // (kind, waits for earlier loads, for earlier stores, holds its ROB
+        // slot with `dmb_holds_rob` on and off)
+        let table = [
+            (Barrier::DmbFull, true, true, [true, false]),
+            (Barrier::DmbLd, true, false, [true, false]),
+            (Barrier::DsbFull, true, true, [true, true]),
+            (Barrier::DsbSt, false, true, [true, true]),
+            (Barrier::DsbLd, true, false, [true, true]),
+            (Barrier::CtrlIsb, true, false, [false, false]),
+        ];
+        let p = Platform::kunpeng916();
+        for (kind, loads, stores, holds) in table {
+            for (dmb_holds_rob, holds) in [true, false].into_iter().zip(holds) {
+                let mut lat = p.latency.clone();
+                lat.dmb_holds_rob = dmb_holds_rob;
+                let mut core = Core::new(0, &lat);
+                let (mut shared, mut trace) = (SharedState::default(), Trace::default());
+                core.issue(
+                    Op::Fence(kind),
+                    0,
+                    &p.topology,
+                    &lat,
+                    &mut shared,
+                    &mut trace,
+                );
+                let b = core.pending_barrier.as_ref().expect("a pending barrier");
+                assert_eq!(
+                    (b.waits_loads, b.waits_stores, b.rob_slot.is_some()),
+                    (loads, stores, holds),
+                    "{kind} with dmb_holds_rob = {dmb_holds_rob}"
                 );
             }
         }

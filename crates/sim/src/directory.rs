@@ -28,8 +28,7 @@
 //! Every membership question is O(1) whatever the core count: a line's
 //! sharers and its waiters are each a `CoreSet`, the members in insertion
 //! order (the order invalidations and wakes are reported in) beside a
-//! bitmask. Line state is sharded by line index, one shard per NUMA node
-//! in a `Machine` — a pure partition, so results never depend on it.
+//! bitmask.
 
 use armbar_fxhash::FxHashMap;
 
@@ -47,18 +46,6 @@ struct LineState {
     /// Cycle until which the line's exclusive-service port is occupied by an
     /// in-flight ownership transfer. Writes arriving earlier queue behind it.
     busy_until: Cycle,
-}
-
-/// One shard of the line map: line indices congruent to the shard's position
-/// modulo the shard count.
-#[derive(Debug, Clone, Default)]
-struct Shard {
-    /// Keyed with the unkeyed FxHash scheme: line numbers are small,
-    /// sequential, and never attacker-controlled, and this map sits on the
-    /// critical path of every simulated memory access.
-    lines: FxHashMap<Line, LineState>,
-    /// Cores parked on a line, waiting for a committed store to it.
-    waiters: FxHashMap<Line, CoreSet>,
 }
 
 /// A set of cores in insertion order with O(1) membership: the list keeps
@@ -110,9 +97,14 @@ pub struct AccessOutcome {
 }
 
 /// The coherence directory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Directory {
-    shards: Vec<Shard>,
+    /// Keyed with the unkeyed FxHash scheme: line numbers are small,
+    /// sequential, and never attacker-controlled, and this map sits on the
+    /// critical path of every simulated memory access.
+    lines: FxHashMap<Line, LineState>,
+    /// Cores parked on a line, waiting for a committed store to it.
+    waiters: FxHashMap<Line, CoreSet>,
     /// Optional "home" core for otherwise-untouched regions: lets workloads
     /// model buffers whose lines were last touched by a phantom peer (the
     /// paper's alternating-thread construction in §3.2) without simulating
@@ -128,27 +120,18 @@ pub struct Directory {
 }
 
 impl Directory {
-    /// An empty single-shard directory (all lines in memory).
+    /// An empty directory (all lines in memory).
     #[must_use]
     pub fn new() -> Directory {
-        Directory::with_shards(1)
+        Directory::default()
     }
 
-    /// An empty directory split into `shards` line-interleaved shards
-    /// (clamped to at least one). Shard count never affects results — only
-    /// which map a line's state lives in.
+    /// The same as [`Directory::new`]: kept only for the `benchmark/`
+    /// harness (`probes.rs`), until ROADMAP item 2(b) moves it off.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_shards(shards: usize) -> Directory {
-        Directory {
-            shards: vec![Shard::default(); shards.max(1)],
-            region_homes: Vec::new(),
-            spin_parked: 0,
-            invalidated: Vec::new(),
-        }
-    }
-
-    fn shard_of(&self, line: Line) -> usize {
-        (line.0 % self.shards.len() as u64) as usize
+    pub fn with_shards(_shards: usize) -> Directory {
+        Directory::new()
     }
 
     /// Declare that untouched lines in `[start, end)` (byte addresses
@@ -231,9 +214,8 @@ impl Directory {
         write: bool,
         now: Cycle,
     ) -> AccessOutcome {
-        let shard = self.shard_of(line);
         let region_homes = &self.region_homes;
-        let state = self.shards[shard]
+        let state = self
             .lines
             .entry(line)
             .or_insert_with(|| Self::default_state(region_homes, line));
@@ -266,17 +248,13 @@ impl Directory {
     /// Current exclusive owner of a line, if any (for tests/diagnostics).
     #[must_use]
     pub fn owner(&self, line: Line) -> Option<CoreId> {
-        self.shards[self.shard_of(line)]
-            .lines
-            .get(&line)
-            .and_then(|s| s.owner)
+        self.lines.get(&line).and_then(|s| s.owner)
     }
 
     /// Whether `core` holds a copy of `line`, so that its reads hit.
     #[must_use]
     pub(crate) fn is_sharer(&self, line: Line, core: CoreId) -> bool {
-        self.shards[self.shard_of(line)]
-            .lines
+        self.lines
             .get(&line)
             .is_some_and(|s| s.sharers.contains(core))
     }
@@ -285,20 +263,14 @@ impl Directory {
     /// [`Directory::take_waiters_into`] when a store commits to the line.
     /// Idempotent per (line, core).
     pub fn park_waiter(&mut self, line: Line, core: CoreId) {
-        let shard = self.shard_of(line);
-        self.shards[shard]
-            .waiters
-            .entry(line)
-            .or_default()
-            .insert(core);
+        self.waiters.entry(line).or_default().insert(core);
     }
 
     /// Drain the waiter set of `line` into `out` in parking order (on every
     /// committed store to the line). Waiters re-park themselves if their
     /// condition still holds; the emptied set keeps its capacity for them.
     pub fn take_waiters_into(&mut self, line: Line, out: &mut Vec<CoreId>) {
-        let shard = self.shard_of(line);
-        if let Some(set) = self.shards[shard].waiters.get_mut(&line) {
+        if let Some(set) = self.waiters.get_mut(&line) {
             out.extend_from_slice(&set.list);
             set.clear();
         }
@@ -307,16 +279,7 @@ impl Directory {
     /// Total number of parked (line, core) registrations (diagnostics).
     #[must_use]
     pub fn waiter_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.waiters.values().map(|w| w.list.len()).sum::<usize>())
-            .sum()
-    }
-}
-
-impl Default for Directory {
-    fn default() -> Self {
-        Directory::new()
+        self.waiters.values().map(|w| w.list.len()).sum()
     }
 }
 
@@ -438,40 +401,8 @@ mod tests {
     }
 
     #[test]
-    fn sharding_is_behaviour_invariant() {
-        // The same access trace against 1-, 2-, and 7-shard directories must
-        // produce identical outcomes and owners: sharding is pure partition.
-        let p = Platform::kunpeng916();
-        let (t, l) = (&p.topology, &p.latency);
-        let trace: &[(CoreId, u64, bool)] = &[
-            (0, 3, true),
-            (40, 3, true),
-            (1, 5, false),
-            (40, 5, false),
-            (0, 5, true),
-            (5, 9, true),
-            (0, 9, false),
-            (0, 3, false),
-        ];
-        let run = |shards: usize| {
-            let mut d = Directory::with_shards(shards);
-            d.set_region_home(0x10000, 0x20000, 40);
-            let outs: Vec<AccessOutcome> = trace
-                .iter()
-                .enumerate()
-                .map(|(i, &(c, line, w))| d.access(t, l, c, Line(line), w, i as Cycle * APART))
-                .collect();
-            let owners: Vec<Option<CoreId>> = (0..12u64).map(|i| d.owner(Line(i))).collect();
-            (outs, owners)
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(7));
-    }
-
-    #[test]
     fn waiter_lists_park_and_drain_per_line() {
-        let mut d = Directory::with_shards(4);
+        let mut d = Directory::new();
         d.park_waiter(Line(1), 3);
         d.park_waiter(Line(1), 9);
         d.park_waiter(Line(1), 3); // idempotent

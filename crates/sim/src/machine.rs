@@ -38,7 +38,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::core_model::{Core, SharedState};
-use crate::directory::Directory;
 use crate::op::SimThread;
 use crate::platform::Platform;
 use crate::stats::CoreStats;
@@ -110,25 +109,17 @@ pub struct Machine {
 
 impl Machine {
     /// A machine with all of the platform's cores, none running anything.
-    ///
-    /// The coherence directory is sharded per NUMA node: a pure partition
-    /// of the line space, invisible to behaviour but sized for many-core
-    /// topologies.
     #[must_use]
     pub fn new(platform: Platform) -> Machine {
         let core_count = platform.topology.core_count();
         let cores = (0..core_count)
             .map(|id| Core::new(id, &platform.latency))
             .collect();
-        let shards = platform.topology.node_count();
         Machine {
             platform,
             cores,
             active: Vec::new(),
-            shared: SharedState {
-                directory: Directory::with_shards(shards),
-                ..SharedState::default()
-            },
+            shared: SharedState::default(),
             now: 0,
             trace: Trace::default(),
             engine: Engine::EventDriven,
@@ -544,7 +535,9 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::op::Op;
+    use crate::stats::StallCause;
     use crate::trace::Event;
+    use crate::types::DistanceClass;
     use crate::Script;
     use armbar_barriers::Barrier;
 
@@ -711,19 +704,14 @@ mod tests {
     fn assert_stall_invariants(m: &Machine, core: CoreId) {
         let s = m.core_stats(core);
         assert_eq!(
-            s.stall.cause_total(),
-            s.stall.total,
-            "per-cause stall cycles must sum exactly to the total"
-        );
-        assert_eq!(
             s.stall.kind_total(),
-            s.stall.total,
+            s.stall.total(),
             "per-kind stall cycles must sum exactly to the total"
         );
         assert!(
-            s.stall.total <= s.cycles,
+            s.stall.total() <= s.cycles,
             "stall {} cannot exceed lifetime {}",
-            s.stall.total,
+            s.stall.total(),
             s.cycles
         );
     }
@@ -749,7 +737,7 @@ mod tests {
         let stats = m.run(1_000_000);
         assert!(stats.halted);
         assert_stall_invariants(&m, 0);
-        assert!(m.core_stats(0).stall.total > 0, "barriers must stall");
+        assert!(m.core_stats(0).stall.total() > 0, "barriers must stall");
     }
 
     #[test]
@@ -764,9 +752,10 @@ mod tests {
         assert!(m.run(1_000_000).halted);
         assert_stall_invariants(&m, 0);
         let b = &m.core_stats(0).stall;
-        assert!(b.response_window > 0, "DSB must charge its window");
+        let window = b.cause_counts()[StallCause::ResponseWindow.index()];
+        assert!(window > 0, "DSB must charge its window");
         assert!(
-            b.response_window >= b.total / 2,
+            window >= b.total() / 2,
             "the window dominates an access-free DSB loop: {b:?}"
         );
         assert!(b.kind_count(Barrier::DsbFull) > 0);
@@ -787,12 +776,19 @@ mod tests {
         assert!(m.run(1_000_000).halted);
         assert_stall_invariants(&m, 0);
         let b = &m.core_stats(0).stall;
-        let drain: u64 = b.drain_wait.iter().sum();
+        let drain: u64 = DistanceClass::ALL
+            .iter()
+            .map(|&d| b.cause_counts()[StallCause::DrainWait(d).index()])
+            .sum();
         assert!(
-            drain + b.memory_block > 0,
+            drain + b.cause_counts()[StallCause::MemoryBlock.index()] > 0,
             "DMB behind a store must wait on the drain and/or response: {b:?}"
         );
-        assert_eq!(b.kind_count(Barrier::DmbFull), b.total, "only DMB charged");
+        assert_eq!(
+            b.kind_count(Barrier::DmbFull),
+            b.total(),
+            "only DMB charged"
+        );
     }
 
     #[test]
@@ -962,7 +958,7 @@ mod tests {
         assert!(stats.halted, "waiter must wake and halt");
         assert_eq!(m.read_memory(0x5100), 9, "waiter observes the new value");
         // Parked time is idle, not a barrier stall.
-        assert_eq!(m.core_stats(1).stall.total, 0, "{:?}", m.core_stats(1));
+        assert_eq!(m.core_stats(1).stall.total(), 0, "{:?}", m.core_stats(1));
         assert_engines_agree(mk, &[0x5000, 0x5100]);
     }
 
@@ -1307,7 +1303,7 @@ mod tests {
                 }
             }
             if what == "a DSB window" {
-                let stalled = |n: usize| truth[n].0[0].stall.total;
+                let stalled = |n: usize| truth[n].0[0].stall.total();
                 let window = (1..truth.len()).filter(|&n| stalled(n) == stalled(n - 1) + 1);
                 assert!(
                     window.count() > 100,

@@ -84,9 +84,8 @@ pub enum Op {
         /// Release semantics on the store half.
         release: bool,
     },
-    /// A standalone barrier instruction (`Barrier::INSTRUCTIONS`, or
-    /// `Barrier::CtrlIsb` to model the CTRL+ISB idiom's ISB; `Barrier::None`
-    /// is a no-op).
+    /// A standalone barrier instruction ([`Barrier::is_standalone`]: CTRL+ISB
+    /// models the idiom's ISB; `Barrier::None` is a no-op).
     Fence(Barrier),
     /// Wait until the committed value at `addr` differs from `expect`.
     ///

@@ -5,98 +5,74 @@ use armbar_barriers::Barrier;
 use crate::types::{Cycle, DistanceClass};
 
 /// The mutually exclusive reasons a fully barrier-stalled issue cycle is
-/// charged to. The core model picks exactly one cause per stalled cycle at
-/// its single charging point, so the per-cause counters in
-/// [`StallBreakdown`] sum exactly to the total.
+/// charged to: the simulator's answer to the paper's attributional
+/// analysis. The core model picks exactly one cause and one barrier kind
+/// per stalled cycle at its single charging point, so the cause counts and
+/// the per-kind subtotals of [`StallBreakdown`] sum to the same total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallCause {
     /// Waiting out a barrier's response window after its wait conditions
-    /// were already met — the DSB/ISB "empty pipeline" interval.
+    /// were already met — the DSB/ISB "empty pipeline" interval, the
+    /// intrinsic cost of Figure 2 / Observation 1: nothing may issue until
+    /// the synchronization (or context-synchronization) response arrives.
     ResponseWindow,
     /// Memory operations held back by a DMB-class barrier whose response is
-    /// scheduled but not yet arrived (non-memory work could still issue).
+    /// scheduled but not yet arrived — Figure 3's DMB round-trip.
+    /// Non-memory work could still issue (Observation 3's overlap
+    /// potential), so these cycles count only when nothing else could.
     MemoryBlock,
     /// Waiting for prior accesses to drain/complete before a barrier can
-    /// even request its response, split by how far the slowest outstanding
-    /// access travels.
+    /// even request its response — Figures 4–6's store-buffer drain and
+    /// outstanding-access component — split by how far the slowest
+    /// outstanding access travels ("crossing nodes is a killer",
+    /// Observation 5).
     DrainWait(DistanceClass),
-    /// The ROB is full behind a pending barrier (a DSB or a
-    /// `dmb_holds_rob` DMB occupying its slot until the response).
+    /// The ROB is full behind a barrier still occupying its slot (a DSB or
+    /// a `dmb_holds_rob` DMB) — Figure 4's back-pressure, Observation 2.
     RobFull,
-    /// The store buffer is full behind a closed `DMB st` gate.
+    /// The store buffer is full and its head cannot drain past a closed
+    /// `DMB st` gate — the gate back-pressure of Figure 7's unlock path.
     SbFull,
 }
 
 impl StallCause {
-    /// Stable text label (CSV column / trace track name): this cause's
-    /// entry of [`StallBreakdown::CAUSE_LABELS`].
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        StallBreakdown::CAUSE_LABELS[match self {
+    /// How many causes there are: one per [`DistanceClass`] for
+    /// [`StallCause::DrainWait`], plus the other four.
+    const COUNT: usize = DistanceClass::ALL.len() + 4;
+
+    /// This cause's position in [`StallBreakdown::CAUSE_LABELS`] and in
+    /// [`StallBreakdown::cause_counts`].
+    pub(crate) fn index(self) -> usize {
+        match self {
             StallCause::ResponseWindow => 0,
             StallCause::MemoryBlock => 1,
             StallCause::DrainWait(d) => 2 + d.index(),
-            StallCause::RobFull => 7,
-            StallCause::SbFull => 8,
-        }]
+            StallCause::RobFull => Self::COUNT - 2,
+            StallCause::SbFull => Self::COUNT - 1,
+        }
+    }
+
+    /// Stable text label (CSV column / trace track name).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        StallBreakdown::CAUSE_LABELS[self.index()]
     }
 }
 
-/// Decomposition of barrier-stall cycles by cause and by barrier kind.
-///
-/// This is the simulator's answer to the paper's attributional analysis:
-/// rather than one opaque stall counter, each fully stalled issue cycle is
-/// charged to exactly one cause, so `sum(causes) == total` always holds.
-/// Field ↔ paper mapping:
-///
-/// * [`response_window`](Self::response_window) — the intrinsic DSB/ISB
-///   cost window of Figure 2 / Observation 1: wait conditions are met, the
-///   core is simply waiting out the synchronization-barrier (or
-///   context-synchronization) response before anything may issue.
-/// * [`memory_block`](Self::memory_block) — Figure 3's DMB round-trip: the
-///   ACE memory-barrier transaction is in flight and later memory
-///   operations must wait for it (Observation 3's overlap potential lives
-///   here — non-memory work can still issue, so these cycles only count
-///   when nothing else was issuable).
-/// * [`drain_wait`](Self::drain_wait) — Figures 4–6's store-buffer drain
-///   and outstanding-access component, split by [`DistanceClass`]: the
-///   barrier cannot request its response until prior accesses complete, and
-///   the wait grows with snoop distance ("crossing nodes is a killer",
-///   Observation 5).
-/// * [`rob_full`](Self::rob_full) — Figure 4's ROB back-pressure
-///   (Observation 2): issue stops because the reorder buffer filled up
-///   behind a barrier still occupying its slot.
-/// * [`sb_full`](Self::sb_full) — the `DMB st` gate back-pressure of
-///   Figure 7's unlock path: the store buffer is full and its head cannot
-///   drain past a closed gate.
-/// * [`by_kind`](Self::by_kind) — per-[`Barrier`] subtotals (indexed by
-///   position in [`Barrier::ALL`]) for the DMB-vs-DSB-vs-acquire/release
-///   comparisons of Figures 6–7.
+/// Barrier-stall cycles, counted by [`StallCause`] and by barrier kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StallBreakdown {
-    /// Total fully stalled issue cycles.
-    pub total: Cycle,
-    /// Cycles inside a DSB/ISB response window.
-    pub response_window: Cycle,
-    /// Cycles memory issue waited on an in-flight DMB response.
-    pub memory_block: Cycle,
-    /// Cycles waiting for prior accesses before a barrier response could be
-    /// requested, indexed by [`DistanceClass::index`] of the farthest
-    /// outstanding access.
-    pub drain_wait: [Cycle; DistanceClass::ALL.len()],
-    /// Cycles the ROB was full behind a pending barrier.
-    pub rob_full: Cycle,
-    /// Cycles the store buffer was full behind a closed `DMB st` gate.
-    pub sb_full: Cycle,
+    /// Cycles per cause, in [`StallBreakdown::CAUSE_LABELS`] order.
+    causes: [Cycle; StallCause::COUNT],
     /// Subtotals by the barrier kind responsible, indexed by position in
-    /// [`Barrier::ALL`].
-    pub by_kind: [Cycle; Barrier::ALL.len()],
+    /// [`Barrier::ALL`]: the DMB-vs-DSB-vs-acquire/release comparisons of
+    /// Figures 6–7.
+    by_kind: [Cycle; Barrier::ALL.len()],
 }
 
 impl StallBreakdown {
-    /// Labels of the cause columns, in [`StallBreakdown::cause_counts`]
-    /// order.
-    pub const CAUSE_LABELS: [&'static str; 9] = [
+    /// Labels of the causes, in the order [`StallCause`] declares them.
+    pub const CAUSE_LABELS: [&'static str; StallCause::COUNT] = [
         "response-window",
         "memory-block",
         "drain-wait:local",
@@ -126,38 +102,20 @@ impl StallBreakdown {
 
     /// Charge `cycles` stalled cycles to one cause and one barrier kind.
     pub fn charge(&mut self, cause: StallCause, kind: Barrier, cycles: Cycle) {
-        self.total += cycles;
-        match cause {
-            StallCause::ResponseWindow => self.response_window += cycles,
-            StallCause::MemoryBlock => self.memory_block += cycles,
-            StallCause::DrainWait(d) => self.drain_wait[d.index()] += cycles,
-            StallCause::RobFull => self.rob_full += cycles,
-            StallCause::SbFull => self.sb_full += cycles,
-        }
+        self.causes[cause.index()] += cycles;
         self.by_kind[kind_index(kind)] += cycles;
     }
 
-    /// The cause counters in [`StallBreakdown::CAUSE_LABELS`] order.
+    /// The cause counts in [`StallBreakdown::CAUSE_LABELS`] order.
     #[must_use]
-    pub fn cause_counts(&self) -> [Cycle; 9] {
-        [
-            self.response_window,
-            self.memory_block,
-            self.drain_wait[0],
-            self.drain_wait[1],
-            self.drain_wait[2],
-            self.drain_wait[3],
-            self.drain_wait[4],
-            self.rob_full,
-            self.sb_full,
-        ]
+    pub fn cause_counts(&self) -> &[Cycle; StallCause::COUNT] {
+        &self.causes
     }
 
-    /// Sum of the per-cause counters (must equal
-    /// [`total`](Self::total)).
+    /// Total fully stalled issue cycles: the sum of the cause counts.
     #[must_use]
-    pub fn cause_total(&self) -> Cycle {
-        self.cause_counts().iter().sum()
+    pub fn total(&self) -> Cycle {
+        self.causes.iter().sum()
     }
 
     /// Sum of the per-kind subtotals (must equal
@@ -175,15 +133,10 @@ impl StallBreakdown {
 
     /// Accumulate another core's breakdown into this one.
     pub fn merge(&mut self, other: &StallBreakdown) {
-        self.total += other.total;
-        self.response_window += other.response_window;
-        self.memory_block += other.memory_block;
-        for (a, b) in self.drain_wait.iter_mut().zip(other.drain_wait.iter()) {
+        for (a, b) in self.causes.iter_mut().zip(&other.causes) {
             *a += b;
         }
-        self.rob_full += other.rob_full;
-        self.sb_full += other.sb_full;
-        for (a, b) in self.by_kind.iter_mut().zip(other.by_kind.iter()) {
+        for (a, b) in self.by_kind.iter_mut().zip(&other.by_kind) {
             *a += b;
         }
     }
@@ -365,13 +318,16 @@ mod tests {
         b.charge(StallCause::SbFull, Barrier::DmbSt, 2);
         b.charge(StallCause::RobFull, Barrier::DmbFull, 1);
         b.charge(StallCause::MemoryBlock, Barrier::DmbFull, 5);
-        assert_eq!(b.total, 18);
-        assert_eq!(b.cause_total(), 18);
+        assert_eq!(b.total(), 18);
         assert_eq!(b.kind_total(), 18);
         assert_eq!(b.kind_count(Barrier::DmbFull), 9);
         assert_eq!(b.kind_count(Barrier::DsbFull), 7);
         assert_eq!(b.kind_count(Barrier::DmbSt), 2);
-        assert_eq!(b.drain_wait[DistanceClass::CrossNode.index()], 3);
+        assert_eq!(
+            b.cause_counts()[StallCause::DrainWait(DistanceClass::CrossNode).index()],
+            3
+        );
+        assert_eq!(b.cause_counts()[StallCause::MemoryBlock.index()], 5);
     }
 
     #[test]
@@ -394,9 +350,8 @@ mod tests {
             Barrier::Ldapr,
             2,
         );
-        assert_eq!(b.total, 18);
-        assert_eq!(b.cause_total(), b.total);
-        assert_eq!(b.kind_total(), b.total);
+        assert_eq!(b.total(), 18);
+        assert_eq!(b.kind_total(), b.total());
         assert_eq!(b.kind_count(Barrier::Ldar), 11);
         assert_eq!(b.kind_count(Barrier::Ldapr), 7);
     }
@@ -407,7 +362,7 @@ mod tests {
             let mut b = StallBreakdown::default();
             b.charge(StallCause::DrainWait(DistanceClass::Local), kind, 3);
             assert_eq!(b.kind_count(kind), 3, "{kind}");
-            assert_eq!(b.cause_total(), b.kind_total());
+            assert_eq!(b.total(), b.kind_total());
             // No other kind's slot was touched.
             for other in StallBreakdown::CHARGEABLE_KINDS {
                 if other != kind {
@@ -428,9 +383,10 @@ mod tests {
             6,
         );
         a.merge(&b);
-        assert_eq!(a.total, 10);
-        assert_eq!(a.cause_total(), 10);
+        assert_eq!(a.total(), 10);
         assert_eq!(a.kind_total(), 10);
+        assert_eq!(a.cause_counts()[StallCause::ResponseWindow.index()], 4);
+        assert_eq!(a.kind_count(Barrier::Stlr), 6);
     }
 
     #[test]
@@ -446,8 +402,10 @@ mod tests {
             StallCause::RobFull,
             StallCause::SbFull,
         ];
-        for (c, l) in causes.iter().zip(StallBreakdown::CAUSE_LABELS.iter()) {
-            assert_eq!(c.label(), *l);
+        assert_eq!(causes.len(), StallBreakdown::CAUSE_LABELS.len());
+        for (i, (c, l)) in causes.iter().zip(StallBreakdown::CAUSE_LABELS).enumerate() {
+            assert_eq!(c.index(), i);
+            assert_eq!(c.label(), l);
         }
     }
 

@@ -209,47 +209,45 @@ proptest! {
         let p = Platform::kunpeng916();
         let (topo, lat) = (&p.topology, &p.latency);
         let cores = topo.core_count();
-        for shards in [1usize, 8] {
-            let mut dir = Directory::with_shards(shards);
-            let mut reference = RefDirectory::default();
-            for (start, end, home) in [(8 * 64, 16 * 64, 3), (16 * 64, 24 * 64, 40)] {
-                dir.set_region_home(start, end, home);
-                reference.set_region_home(start, end, home);
-            }
-            let mut now: Cycle = 0;
-            let (mut woken, mut ref_woken) = (Vec::new(), Vec::new());
-            for (i, &call) in calls.iter().enumerate() {
-                let touched = match call {
-                    Call::Access { core, line, write, gap } => {
-                        now += Cycle::from(gap % 8) * 5;
-                        let (core, line) = (usize::from(core) % cores, line_of(line));
-                        prop_assert_eq!(
-                            dir.access(topo, lat, core, line, write, now),
-                            reference.access(topo, lat, core, line, write, now),
-                            "call {} ({:?}) at {} shard(s)", i, call, shards
-                        );
-                        line
-                    }
-                    Call::Park { core, line } => {
-                        let (core, line) = (usize::from(core) % cores, line_of(line));
-                        dir.park_waiter(line, core);
-                        reference.park_waiter(line, core);
-                        line
-                    }
-                    Call::Take { line } => {
-                        let line = line_of(line);
-                        dir.take_waiters_into(line, &mut woken);
-                        reference.take_waiters_into(line, &mut ref_woken);
-                        prop_assert_eq!(&woken, &ref_woken, "call {} ({:?})", i, call);
-                        line
-                    }
-                };
-                prop_assert_eq!(dir.owner(touched), reference.owner(touched), "call {}", i);
-                prop_assert_eq!(dir.waiter_count(), reference.waiter_count(), "call {}", i);
-            }
-            for raw in 0..24 {
-                prop_assert_eq!(dir.owner(line_of(raw)), reference.owner(line_of(raw)));
-            }
+        let mut dir = Directory::new();
+        let mut reference = RefDirectory::default();
+        for (start, end, home) in [(8 * 64, 16 * 64, 3), (16 * 64, 24 * 64, 40)] {
+            dir.set_region_home(start, end, home);
+            reference.set_region_home(start, end, home);
+        }
+        let mut now: Cycle = 0;
+        let (mut woken, mut ref_woken) = (Vec::new(), Vec::new());
+        for (i, &call) in calls.iter().enumerate() {
+            let touched = match call {
+                Call::Access { core, line, write, gap } => {
+                    now += Cycle::from(gap % 8) * 5;
+                    let (core, line) = (usize::from(core) % cores, line_of(line));
+                    prop_assert_eq!(
+                        dir.access(topo, lat, core, line, write, now),
+                        reference.access(topo, lat, core, line, write, now),
+                        "call {} ({:?})", i, call
+                    );
+                    line
+                }
+                Call::Park { core, line } => {
+                    let (core, line) = (usize::from(core) % cores, line_of(line));
+                    dir.park_waiter(line, core);
+                    reference.park_waiter(line, core);
+                    line
+                }
+                Call::Take { line } => {
+                    let line = line_of(line);
+                    dir.take_waiters_into(line, &mut woken);
+                    reference.take_waiters_into(line, &mut ref_woken);
+                    prop_assert_eq!(&woken, &ref_woken, "call {} ({:?})", i, call);
+                    line
+                }
+            };
+            prop_assert_eq!(dir.owner(touched), reference.owner(touched), "call {}", i);
+            prop_assert_eq!(dir.waiter_count(), reference.waiter_count(), "call {}", i);
+        }
+        for raw in 0..24 {
+            prop_assert_eq!(dir.owner(line_of(raw)), reference.owner(line_of(raw)));
         }
     }
 }
@@ -327,54 +325,52 @@ proptest! {
         let p = Platform::manycore(1024);
         let (topo, lat) = (&p.topology, &p.latency);
         let core = |raw: u16| usize::from(raw) % 1024;
-        for shards in [1usize, 16] {
-            let mut dir = Directory::with_shards(shards);
-            let mut reference = RefDirectory::default();
-            for (start, end, home) in [(8 * 64, 16 * 64, 3), (16 * 64, 24 * 64, 1000)] {
-                dir.set_region_home(start, end, home);
-                reference.set_region_home(start, end, home);
-            }
-            let mut now: Cycle = 0;
-            let (mut woken, mut ref_woken) = (Vec::new(), Vec::new());
-            for (i, &call) in calls.iter().enumerate() {
-                let mut accesses = Vec::new();
-                let touched = match call {
-                    WideCall::Access { core: c, line, write, gap } => {
-                        now += Cycle::from(gap % 8) * 5;
-                        accesses.push((core(c), write));
-                        line_of(line)
-                    }
-                    WideCall::ReadRun { line, first, step, len, writer } => {
-                        let reader = |k: u16| core(first.wrapping_add(k.wrapping_mul(step)));
-                        accesses.extend((0..len).map(|k| (reader(k), false)));
-                        accesses.push((core(writer), true));
-                        line_of(line)
-                    }
-                    WideCall::Park { core: c, line } => {
-                        dir.park_waiter(line_of(line), core(c));
-                        reference.park_waiter(line_of(line), core(c));
-                        line_of(line)
-                    }
-                    WideCall::Take { line } => {
-                        dir.take_waiters_into(line_of(line), &mut woken);
-                        reference.take_waiters_into(line_of(line), &mut ref_woken);
-                        prop_assert_eq!(&woken, &ref_woken, "call {} ({:?})", i, call);
-                        line_of(line)
-                    }
-                };
-                for (k, &(c, write)) in accesses.iter().enumerate() {
-                    prop_assert_eq!(
-                        dir.access(topo, lat, c, touched, write, now),
-                        reference.access(topo, lat, c, touched, write, now),
-                        "call {} ({:?}) access {} at {} shard(s)", i, call, k, shards
-                    );
+        let mut dir = Directory::new();
+        let mut reference = RefDirectory::default();
+        for (start, end, home) in [(8 * 64, 16 * 64, 3), (16 * 64, 24 * 64, 1000)] {
+            dir.set_region_home(start, end, home);
+            reference.set_region_home(start, end, home);
+        }
+        let mut now: Cycle = 0;
+        let (mut woken, mut ref_woken) = (Vec::new(), Vec::new());
+        for (i, &call) in calls.iter().enumerate() {
+            let mut accesses = Vec::new();
+            let touched = match call {
+                WideCall::Access { core: c, line, write, gap } => {
+                    now += Cycle::from(gap % 8) * 5;
+                    accesses.push((core(c), write));
+                    line_of(line)
                 }
-                prop_assert_eq!(dir.owner(touched), reference.owner(touched), "call {}", i);
-                prop_assert_eq!(dir.waiter_count(), reference.waiter_count(), "call {}", i);
+                WideCall::ReadRun { line, first, step, len, writer } => {
+                    let reader = |k: u16| core(first.wrapping_add(k.wrapping_mul(step)));
+                    accesses.extend((0..len).map(|k| (reader(k), false)));
+                    accesses.push((core(writer), true));
+                    line_of(line)
+                }
+                WideCall::Park { core: c, line } => {
+                    dir.park_waiter(line_of(line), core(c));
+                    reference.park_waiter(line_of(line), core(c));
+                    line_of(line)
+                }
+                WideCall::Take { line } => {
+                    dir.take_waiters_into(line_of(line), &mut woken);
+                    reference.take_waiters_into(line_of(line), &mut ref_woken);
+                    prop_assert_eq!(&woken, &ref_woken, "call {} ({:?})", i, call);
+                    line_of(line)
+                }
+            };
+            for (k, &(c, write)) in accesses.iter().enumerate() {
+                prop_assert_eq!(
+                    dir.access(topo, lat, c, touched, write, now),
+                    reference.access(topo, lat, c, touched, write, now),
+                    "call {} ({:?}) access {}", i, call, k
+                );
             }
-            for raw in 0..24 {
-                prop_assert_eq!(dir.owner(line_of(raw)), reference.owner(line_of(raw)));
-            }
+            prop_assert_eq!(dir.owner(touched), reference.owner(touched), "call {}", i);
+            prop_assert_eq!(dir.waiter_count(), reference.waiter_count(), "call {}", i);
+        }
+        for raw in 0..24 {
+            prop_assert_eq!(dir.owner(line_of(raw)), reference.owner(line_of(raw)));
         }
     }
 }

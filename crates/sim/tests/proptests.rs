@@ -221,9 +221,8 @@ proptest! {
         let (m2, _) = run_program(&platform, &progs);
         for core in [0, step] {
             let s = m1.core_stats(core);
-            prop_assert_eq!(s.stall.cause_total(), s.stall.total);
-            prop_assert_eq!(s.stall.kind_total(), s.stall.total);
-            prop_assert!(s.stall.total <= s.cycles);
+            prop_assert_eq!(s.stall.kind_total(), s.stall.total());
+            prop_assert!(s.stall.total() <= s.cycles);
             prop_assert_eq!(&s.stall, &m2.core_stats(core).stall);
         }
     }

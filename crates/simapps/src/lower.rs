@@ -10,19 +10,10 @@ use armbar_barriers::{Acquire, Barrier};
 use armbar_sim::{Cpu, Op};
 
 /// Issue the standalone instruction `barrier` puts at a release/response
-/// site, if it is one (`Barrier::INSTRUCTIONS`, or the ISB of `CTRL+ISB`).
+/// site, if it is one ([`Barrier::is_standalone`]).
 pub(crate) async fn fence(cpu: Cpu, barrier: Barrier) {
-    match barrier {
-        Barrier::None
-        | Barrier::Ldar
-        | Barrier::Ldapr
-        | Barrier::Stlr
-        | Barrier::DataDep
-        | Barrier::AddrDep
-        | Barrier::Ctrl => {}
-        f => {
-            cpu.op(Op::Fence(f)).await;
-        }
+    if barrier.is_standalone() {
+        cpu.op(Op::Fence(barrier)).await;
     }
 }
 

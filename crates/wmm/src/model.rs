@@ -367,7 +367,7 @@ impl MemoryModel {
                 };
                 match self {
                     MemoryModel::Sc | MemoryModel::X86Tso => true,
-                    MemoryModel::ArmWmm => AccessType::ALL.iter().any(|&l| f.orders(t, l)),
+                    MemoryModel::ArmWmm => f.waits_for(t),
                 }
             }
             _ => unreachable!("at least one side is a fence"),

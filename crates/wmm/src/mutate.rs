@@ -222,7 +222,7 @@ pub fn replace_fence(program: &Program, site: BarrierSite, approach: Barrier) ->
     if approach == Barrier::None {
         return Some(remove_site(program, site));
     }
-    if Barrier::INSTRUCTIONS.contains(&approach) || approach == Barrier::CtrlIsb {
+    if approach.is_standalone() {
         let mut p = program.clone();
         p.threads[site.tid].instrs[site.idx] = Instr::Fence(approach);
         return Some(p);
