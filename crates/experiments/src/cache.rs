@@ -7,8 +7,10 @@
 //! count, every key in full — a file whose keys differ in any key or in
 //! their order is a collision and misses — then per cell its value count
 //! and the hex `f64` bit patterns, so a warm read returns exactly the bits
-//! the cold run produced, and last a checksum of all that, so a truncated
-//! or edited file misses too. A sweep hits or misses whole.
+//! the cold run produced, and last a checksum of those value lines, so a
+//! truncated or edited file misses too. The count line and the keys need
+//! no checksum: a lookup compares them with its own, the count as text
+//! and every key byte for byte. A sweep hits or misses whole.
 //!
 //! The cache is best-effort: I/O errors and malformed files degrade to
 //! recomputation, never to failure. Writes go through a uniquely named
@@ -144,14 +146,34 @@ pub fn cache_disabled_by(var: Option<&str>) -> bool {
 /// cell's own configuration, all via their stable `Debug` forms.
 #[must_use]
 pub fn cache_key(platform: &Platform, config: &impl fmt::Debug) -> String {
-    sanitize(&format!("{CODE_SALT}|{platform:?}|{config:?}"))
+    platform_key(&mut None, platform, config)
+}
+
+/// [`cache_key`], rendering `"{CODE_SALT}|{platform:?}|"` only when
+/// `platform` is not equal (`==`, every field) to the one `last` holds.
+pub(crate) fn platform_key(
+    last: &mut Option<(Platform, String)>,
+    platform: &Platform,
+    config: &impl fmt::Debug,
+) -> String {
+    let prefix = match last {
+        Some((seen, prefix)) if seen == platform => prefix,
+        slot => {
+            &mut slot
+                .insert((platform.clone(), format!("{CODE_SALT}|{platform:?}|")))
+                .1
+        }
+    };
+    let mut key = prefix.clone();
+    let _ = write!(key, "{config:?}");
+    sanitize(key)
 }
 
 /// The cache key for an explorer-backed cell, which has no platform: code
 /// salt, an explorer tag, and the cell configuration.
 #[must_use]
 pub fn model_key(config: &impl fmt::Debug) -> String {
-    sanitize(&format!("{CODE_SALT}|wmm-explorer|{config:?}"))
+    sanitize(format!("{CODE_SALT}|wmm-explorer|{config:?}"))
 }
 
 /// A cell that carries text: the numbers `head`, the text's byte length,
@@ -188,22 +210,32 @@ pub(crate) fn unpack_text(cell: &[f64], head: usize) -> (&[f64], String) {
     (numbers, text)
 }
 
-/// Keys take one line each in a sweep file.
-fn sanitize(key: &str) -> String {
-    key.replace(['\n', '\r'], " ")
+/// Keys take one line each in a sweep file: each CR or LF byte becomes a
+/// space, in place (ASCII for ASCII keeps the key UTF-8).
+fn sanitize(key: String) -> String {
+    if !key.as_bytes().contains(&b'\n') && !key.as_bytes().contains(&b'\r') {
+        return key;
+    }
+    let mut bytes = key.into_bytes();
+    for b in bytes.iter_mut().filter(|b| matches!(b, b'\n' | b'\r')) {
+        *b = b' ';
+    }
+    String::from_utf8(bytes).expect("ASCII for ASCII keeps UTF-8")
 }
 
 fn file_name(keys: &[String]) -> String {
     format!("{:016x}.sweep", hash64(keys))
 }
 
-/// The sweep file of `values[i]` for every `keys[i]`.
+/// The sweep file of `values[i]` for every `keys[i]`; the checksum covers
+/// the value lines alone.
 fn render_sweep(keys: &[String], values: &[Vec<f64>]) -> String {
     let mut body = format!("{}\n", keys.len());
     for key in keys {
         body.push_str(key);
         body.push('\n');
     }
+    let start = body.len();
     for cell in values {
         let _ = write!(body, "{}", cell.len());
         for v in cell {
@@ -211,24 +243,28 @@ fn render_sweep(keys: &[String], values: &[Vec<f64>]) -> String {
         }
         body.push('\n');
     }
-    let sum = hash64(body.as_str());
+    let sum = hash64(&body[start..]);
     let _ = writeln!(body, "{sum:016x}");
     body
 }
 
 /// Inverse of [`render_sweep`]: the values in `text` if it is an intact
-/// file of exactly the sweep `keys`.
+/// file of exactly the sweep `keys`: count line and keys equal as text,
+/// value lines matching their checksum.
 fn parse_sweep(text: &str, keys: &[String]) -> Option<Vec<Vec<f64>>> {
     let hex = |word: &str| u64::from_str_radix(word, 16).ok();
     let (body, sum) = text.split_at_checked(text.len().checked_sub(17)?)?;
-    if hex(sum.strip_suffix('\n')?)? != hash64(body) {
+    let mut parts = body.splitn(keys.len() + 2, '\n');
+    if parts.next()? != keys.len().to_string()
+        || !keys.iter().all(|key| parts.next() == Some(key.as_str()))
+    {
         return None;
     }
-    let mut lines = body.split_terminator('\n');
-    let count: usize = lines.next()?.parse().ok()?;
-    if count != keys.len() || !keys.iter().all(|key| lines.next() == Some(key.as_str())) {
+    let value_lines = parts.next()?;
+    if hex(sum.strip_suffix('\n')?)? != hash64(value_lines) {
         return None;
     }
+    let mut lines = value_lines.split_terminator('\n');
     let values = keys
         .iter()
         .map(|_| {
@@ -430,6 +466,49 @@ mod tests {
         for p in platforms.iter().chain([&Platform::manycore(1024)]) {
             let k = cache_key(p, &("fig", 3));
             assert!(k.len() < 1024, "{} bytes: {k}", k.len());
+        }
+    }
+
+    #[test]
+    fn line_breaks_in_a_key_become_spaces() {
+        struct Multiline;
+        impl fmt::Debug for Multiline {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.write_str("a\r\nb é→ß\n")
+            }
+        }
+        let platform = Platform::kunpeng916();
+        let key = cache_key(&platform, &Multiline);
+        let old = format!("{CODE_SALT}|{platform:?}|{Multiline:?}").replace(['\n', '\r'], " ");
+        assert!(!key.contains(['\n', '\r']));
+        assert!(key.ends_with("|a  b é→ß "));
+        assert_eq!(key, old);
+
+        let c = temp_cache("sanitize");
+        let values = vec![vec![f64::NAN, -0.0, 1e-300, 239.3e6]];
+        let keys = [key];
+        c.store_sweep(&keys, &values);
+        let back = c.lookup_sweep(&keys).expect("stored sweep");
+        assert_eq!(bits(&back), bits(&values));
+    }
+
+    #[test]
+    fn a_sweep_never_keys_a_cell_on_a_stale_platform() {
+        let mut flipped = Platform::kunpeng916();
+        flipped.latency.dmb_holds_rob = !flipped.latency.dmb_holds_rob;
+        let platforms = [
+            Platform::kunpeng916(),
+            Platform::kirin960(),
+            Platform::kunpeng916(),
+            flipped,
+            Platform::manycore(1024),
+        ];
+        let mut sweep = crate::SweepSpec::new("keys");
+        for (i, platform) in platforms.iter().enumerate() {
+            for config in [("fig", i, 0), ("fig", i, 1)] {
+                let reference = sanitize(format!("{CODE_SALT}|{platform:?}|{config:?}"));
+                assert_eq!(sweep.key(platform, &config), reference);
+            }
         }
     }
 

@@ -35,7 +35,6 @@ use armbar_simapps::mcs_sim::{run_mcs_with, McsConfig};
 use armbar_simapps::ticket_sim::{run_ticket_with, TicketConfig};
 use armbar_simapps::{DlockMetrics, RunOpts};
 
-use crate::cache::cache_key;
 use crate::report::Table;
 use crate::sweep::{CellId, SweepCtx, SweepSpec};
 
@@ -181,7 +180,7 @@ pub fn dlock_grid(sweep: &mut SweepSpec, per_client: u64) -> Vec<DlockRow> {
             }
             for design in DlockDesign::all() {
                 let platform = platform.clone();
-                let key = cache_key(&platform, &("dlock", design.label(), threads, per_client));
+                let key = sweep.key(&platform, &("dlock", design.label(), threads, per_client));
                 #[allow(clippy::cast_precision_loss)]
                 let cell = sweep.cell(key, move || {
                     let m = run_design(&platform, design, threads, per_client);

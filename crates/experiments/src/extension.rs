@@ -15,7 +15,6 @@ use armbar_barriers::Barrier;
 use armbar_sim::Platform;
 use armbar_simapps::abstract_model::{run_model_on, BarrierLoc, ModelSpec};
 
-use crate::cache::cache_key;
 use crate::report::Table;
 use crate::sweep::{CellId, SweepCtx, SweepSpec};
 
@@ -39,7 +38,7 @@ pub fn ext_mca(ctx: &SweepCtx) -> Vec<Table> {
         .map(|&(name, barrier, loc)| {
             let spec = ModelSpec::store_store(barrier, loc, 150);
             let mut on = |platform: &Platform| {
-                let key = cache_key(platform, &("run-model-on", 0usize, 32usize, spec, 400u64));
+                let key = sweep.key(platform, &("run-model-on", 0usize, 32usize, spec, 400u64));
                 let platform = platform.clone();
                 sweep.cell(key, move || {
                     vec![run_model_on(&platform, 0, 32, spec, 400).loops_per_sec]

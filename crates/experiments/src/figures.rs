@@ -25,7 +25,7 @@ use armbar_wmm::battery::battery_runs;
 use armbar_wmm::litmus::{approach_suffices, message_passing, pilot_message_passing};
 use armbar_wmm::model::MemoryModel;
 
-use crate::cache::{cache_key, model_key};
+use crate::cache::model_key;
 use crate::report::Table;
 use crate::sweep::{CellId, SweepCtx, SweepSpec};
 
@@ -44,7 +44,7 @@ fn bool_num(b: bool) -> f64 {
 
 /// One abstract-model row: `loops_per_sec` of each spec under `bind`.
 fn model_row(sweep: &mut SweepSpec, bind: BindConfig, specs: Vec<ModelSpec>, iters: u64) -> CellId {
-    let key = cache_key(&bind.platform(), &(bind, &specs, iters));
+    let key = sweep.key(&bind.platform(), &(bind, &specs, iters));
     sweep.cell(key, move || {
         specs
             .iter()
@@ -62,7 +62,7 @@ fn prodcons_cell(
     batch: u64,
     produce_nops: u32,
 ) -> CellId {
-    let key = cache_key(
+    let key = sweep.key(
         &bind.platform(),
         &(bind, variant, messages, batch, produce_nops),
     );
@@ -73,14 +73,14 @@ fn prodcons_cell(
 
 /// One ticket-lock configuration's `locks_per_sec`.
 fn ticket_cell(sweep: &mut SweepSpec, platform: &Platform, cfg: TicketConfig) -> CellId {
-    let key = cache_key(platform, &cfg);
+    let key = sweep.key(platform, &cfg);
     let platform = platform.clone();
     sweep.cell(key, move || vec![run_ticket(&platform, cfg).locks_per_sec])
 }
 
 /// One delegation-lock configuration's `locks_per_sec`.
 fn delegation_cell(sweep: &mut SweepSpec, platform: &Platform, cfg: DelegationConfig) -> CellId {
-    let key = cache_key(platform, &cfg);
+    let key = sweep.key(platform, &cfg);
     let platform = platform.clone();
     sweep.cell(key, move || {
         vec![run_delegation(&platform, cfg).locks_per_sec]
@@ -1009,7 +1009,7 @@ const ATTRIB_MP: PcBarriers = PcBarriers {
 pub fn attrib_grid(sweep: &mut SweepSpec, messages: u64, per_thread: u64) -> Vec<(String, CellId)> {
     let mut rows = Vec::new();
     for &bind in &BindConfig::ALL {
-        let key = cache_key(
+        let key = sweep.key(
             &bind.platform(),
             &("attrib-mp", bind, ATTRIB_MP, messages, 1u64, 40u32),
         );
@@ -1029,7 +1029,7 @@ pub fn attrib_grid(sweep: &mut SweepSpec, messages: u64, per_thread: u64) -> Vec
             release_barrier: Barrier::DmbSt,
             per_thread,
         };
-        let key = cache_key(&platform, &("attrib-lock", cfg));
+        let key = sweep.key(&platform, &("attrib-lock", cfg));
         let id = sweep.cell(key, move || {
             let r = run_ticket(&platform, cfg);
             stall_values(&r.stall)

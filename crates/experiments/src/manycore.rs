@@ -21,7 +21,6 @@
 use armbar_sim::Platform;
 use armbar_simapps::barrier_sim::{run_barrier, BarrierConfig, BarrierFamily};
 
-use crate::cache::cache_key;
 use crate::report::Table;
 use crate::sweep::{CellId, SweepCtx, SweepSpec};
 
@@ -64,7 +63,7 @@ pub fn manycore_grid(sweep: &mut SweepSpec, rounds: u64) -> Vec<ManycoreRow> {
         for &threads in &THREAD_COUNTS {
             for family in BarrierFamily::ALL {
                 let platform = platform_for(threads, mca);
-                let key = cache_key(
+                let key = sweep.key(
                     &platform,
                     &("manycore", family.label(), threads, rounds, WORK_NOPS),
                 );

@@ -96,10 +96,13 @@ impl Table {
             let _ = write!(out, " {c:>col_w$}");
         }
         out.push('\n');
+        let mut value = String::new();
         for (label, vals) in &self.rows {
             let _ = write!(out, "{label:label_w$}");
-            for v in vals {
-                let _ = write!(out, " {:>col_w$}", format_value(*v));
+            for &v in vals {
+                value.clear();
+                format_value(&mut value, v);
+                let _ = write!(out, " {value:>col_w$}");
             }
             out.push('\n');
         }
@@ -151,23 +154,22 @@ pub(crate) fn write_if_changed(path: &Path, text: &str) -> io::Result<()> {
     fs::write(path, text)
 }
 
-fn format_value(v: f64) -> String {
-    if !v.is_finite() {
-        return "-".to_string();
-    }
-    if v == 0.0 {
-        return "0".to_string();
-    }
+/// Append `v` to `out` in the terminal's short form.
+fn format_value(out: &mut String, v: f64) {
     let a = v.abs();
-    if a >= 1e6 {
-        format!("{:.2}M", v / 1e6)
+    let _ = if !v.is_finite() {
+        write!(out, "-")
+    } else if v == 0.0 {
+        write!(out, "0")
+    } else if a >= 1e6 {
+        write!(out, "{:.2}M", v / 1e6)
     } else if a >= 1e3 {
-        format!("{:.1}k", v / 1e3)
+        write!(out, "{:.1}k", v / 1e3)
     } else if a >= 10.0 {
-        format!("{v:.1}")
+        write!(out, "{v:.1}")
     } else {
-        format!("{v:.3}")
-    }
+        write!(out, "{v:.3}")
+    };
 }
 
 /// One column per platform profile: `<prefix>_kunpeng916`, ….
@@ -295,6 +297,11 @@ mod tests {
 
     #[test]
     fn value_formatting() {
+        let format_value = |v| {
+            let mut out = String::new();
+            format_value(&mut out, v);
+            out
+        };
         assert_eq!(format_value(0.0), "0");
         assert_eq!(format_value(1_500_000.0), "1.50M");
         assert_eq!(format_value(2_500.0), "2.5k");

@@ -11,7 +11,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cache::{unpack_text, RunCache};
+use armbar_sim::Platform;
+
+use crate::cache::{platform_key, unpack_text, RunCache};
 use crate::jobs;
 use crate::report::{write_if_changed, RESULTS_DIR};
 
@@ -25,6 +27,8 @@ pub struct SweepSpec {
     /// One cache key per cell, naming the computation in `runs`.
     keys: Vec<String>,
     runs: Vec<Box<dyn FnOnce() -> Vec<f64> + Send>>,
+    /// The platform [`SweepSpec::key`] last rendered, and its rendering.
+    last_platform: Option<(Platform, String)>,
 }
 
 impl SweepSpec {
@@ -35,7 +39,14 @@ impl SweepSpec {
             label: label.to_string(),
             keys: Vec::new(),
             runs: Vec::new(),
+            last_platform: None,
         }
+    }
+
+    /// [`cache_key`](crate::cache::cache_key)`(platform, config)`, byte for
+    /// byte, rendering the platform once per run of cells on equal ones.
+    pub fn key(&mut self, platform: &Platform, config: &impl std::fmt::Debug) -> String {
+        platform_key(&mut self.last_platform, platform, config)
     }
 
     /// Declare one cell. `key` must name the computation completely (see

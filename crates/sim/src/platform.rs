@@ -119,7 +119,7 @@ impl LatencyParams {
 }
 
 /// A complete simulated machine model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Platform {
     /// Which machine this models.
     pub kind: PlatformKind,
